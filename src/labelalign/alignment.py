@@ -1,35 +1,36 @@
-"""Whole-domain and per-class alignment of multichannel trials.
+"""Whole-domain and per-class alignment of trial covariance stacks.
 
-Two transforms are provided. Domain whitening (``ea``) re-centers every
-subject at the identity: each trial is premultiplied by the inverse square
-root of the subject's mean trial covariance, after which the subject's
-mean covariance is exactly the identity. Per-class re-centering (``la``)
-instead matches each source class onto a target class: with class means
-``Cs`` (source) and ``Ct`` (target), the trials of that source class are
-premultiplied by ``A = Ct^{1/2} Cs^{-1/2}``, which moves the source class
-mean exactly onto the target class mean, and relabeled to the matched
-target label. Both transforms are congruences, so within-subject (and
-within-class) geodesic distances are preserved.
+Both transforms are congruences ``C -> A C Aᵀ`` on a
+:class:`~labelalign.features.CovStack` (n, C, C), which is what aligning
+the raw trials as ``A X`` does to their covariances, so they preserve
+within-subject (and within-class) geodesic distances. Domain whitening
+(``ea``) uses the inverse square root of the subject's mean trial
+covariance, after which that mean is exactly the identity. Per-class
+re-centering (``la``) gives the trials of each source class
+``A = Ct^{1/2} Cs^{-1/2}`` for the class means ``Cs`` (source) and ``Ct``
+(matched target class), which moves the source class mean exactly onto
+the target class mean, and relabels them to the target label. The
+references that do not depend on the label budget (each subject's
+whitening matrix and source class means) are computed once per
+:class:`Domain`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
     CardinalityMismatchError,
     ConfigError,
-    DimMismatchError,
     MissingClassError,
     UnknownLabelError,
 )
-from .features import trial_covariance
+from .features import CovStack
 from .rng import CounterRng, derive_key
 from .selection import k_medoids, pairwise_distances
-from .signal import Trial
 from .spd import (
     Array,
     arithmetic_mean_cov,
@@ -38,15 +39,11 @@ from .spd import (
     spd_sqrt,
 )
 
-EA_DOMAIN_KEY = "domain"
-
-
 @dataclass(frozen=True)
 class LabelMapping:
     """Bijection from source labels to target labels."""
 
     pairs: tuple[tuple[int, int], ...]
-    seed: int | None = None
 
     def __post_init__(self):
         sources = [s for s, _ in self.pairs]
@@ -85,20 +82,7 @@ def match_labels(source_labels, target_labels, seed: int = 0) -> LabelMapping:
         (s, rest_target[perm[i]]) for i, s in enumerate(rest_source)
     ]
     pairs.sort()
-    return LabelMapping(tuple(pairs), seed=seed)
-
-
-@dataclass(frozen=True, eq=False)
-class AlignmentTransform:
-    """``ea`` holds one whitening matrix under EA_DOMAIN_KEY; ``la`` holds
-    one matrix per source class label."""
-
-    kind: str
-    matrices: dict
-
-    def __post_init__(self):
-        if self.kind not in ("ea", "la"):
-            raise ConfigError(f"unknown transform kind {self.kind!r}")
+    return LabelMapping(tuple(pairs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,172 +92,139 @@ class ClassMeans:
     means: dict
     support: dict
 
-    @property
-    def labels(self) -> tuple:
-        return tuple(sorted(self.means))
+
+def class_means(covs: Array, labels) -> ClassMeans:
+    """Log-Euclidean mean of the covariances of each label."""
+    labels = np.asarray(labels)
+    groups = {int(l): covs[labels == l] for l in np.unique(labels)}
+    return ClassMeans(
+        {l: log_euclidean_mean(g) for l, g in groups.items()},
+        {l: len(g) for l, g in groups.items()},
+    )
 
 
-def ea_reference(trials: Sequence[Trial], shrinkage: float = 0.0) -> AlignmentTransform:
+def _lookup(table: dict, labels, what: str) -> list:
+    labels = np.asarray(labels).tolist()
+    unknown = sorted(set(labels) - set(table))
+    if unknown:
+        raise UnknownLabelError(f"trial labels {unknown} have no {what}")
+    return [table[l] for l in labels]
+
+
+def ea_reference(covs: Array) -> Array:
     """Whitening matrix: inverse square root of the mean trial covariance."""
-    covs = [trial_covariance(t, shrinkage) for t in trials]
-    r = spd_inv_sqrt(arithmetic_mean_cov(covs))
-    return AlignmentTransform("ea", {EA_DOMAIN_KEY: r})
+    return spd_inv_sqrt(arithmetic_mean_cov(covs))
 
 
-def ea_align(transform: AlignmentTransform, trials: Sequence[Trial]) -> list[Trial]:
-    """Premultiply every trial by the domain whitening matrix."""
-    if transform.kind != "ea":
-        raise ConfigError(f"expected an ea transform, got {transform.kind!r}")
-    r = transform.matrices[EA_DOMAIN_KEY]
-    out = []
-    for t in trials:
-        if t.channels != r.shape[0]:
-            raise DimMismatchError(
-                f"trial has {t.channels} channels, transform expects {r.shape[0]}"
-            )
-        out.append(Trial(r @ t.data, label=t.label))
-    return out
-
-
-def estimate_means_from_medoids(
-    covs: Sequence[Array],
-    medoids: Sequence[int],
-    oracle: Callable[[int], int],
-    n_classes: int,
-) -> ClassMeans | None:
-    """Label the medoid covariances and build per-class Log-Euclidean means.
-
-    Returns None when the medoids cover fewer than ``n_classes`` distinct
-    labels, in which case there is not enough information for per-class
-    alignment and the caller must fall back to domain whitening.
-    """
-    by_label: dict = {}
-    for idx in medoids:
-        by_label.setdefault(oracle(idx), []).append(covs[idx])
-    if len(by_label) < n_classes:
-        return None
-    means = {label: log_euclidean_mean(group) for label, group in by_label.items()}
-    support = {label: len(group) for label, group in by_label.items()}
-    return ClassMeans(means, support)
+def ea_align(whitener: Array, stack: CovStack) -> CovStack:
+    """Whiten every trial covariance of the stack."""
+    return stack.transformed(whitener)
 
 
 def select_and_estimate_target_means(
-    target_trials: Sequence[Trial],
+    covs: Array,
     k: int,
     oracle: Callable[[int], int],
     n_classes: int,
-    shrinkage: float = 0.0,
-    seed: int = 0,
+    distances: Array | None = None,
 ) -> tuple[ClassMeans | None, list[int]]:
     """Pick ``k`` medoid trials, label them, and estimate per-class means.
 
-    The medoids of the geodesic distance matrix over the trial covariances
-    are handed to the label oracle (and only those). Returns the
-    Log-Euclidean mean per observed label plus the selected indices; the
-    means are None when the medoids miss a class (see
-    :func:`estimate_means_from_medoids`).
+    Only the medoids of ``distances`` (the pairwise geodesic distances of
+    ``covs``, computed when not given) reach the label oracle. Returns the
+    Log-Euclidean mean per observed label, or None when the medoids cover
+    fewer than ``n_classes`` labels (the caller then falls back to domain
+    whitening), and the selected indices.
     """
-    covs = [trial_covariance(t, shrinkage) for t in target_trials]
-    medoids = k_medoids(pairwise_distances(covs), k, seed=seed)
-    return estimate_means_from_medoids(covs, medoids, oracle, n_classes), medoids
+    if distances is None:
+        distances = pairwise_distances(covs)
+    medoids = k_medoids(distances, k)
+    labels = [oracle(i) for i in medoids]
+    if len(set(labels)) < n_classes:
+        return None, medoids
+    return class_means(np.asarray(covs)[medoids], labels), medoids
 
 
 def la_fit(
-    source_trials_by_class: Mapping[int, Sequence[Trial]],
+    source_means: ClassMeans,
     target_means: ClassMeans,
     mapping: LabelMapping,
-    shrinkage: float = 0.0,
-) -> AlignmentTransform:
-    """Per-class transform moving each source class mean onto its target mean."""
-    matrices = {}
+) -> dict:
+    """Per-class matrices moving each source class mean onto its target mean.
+
+    Returns ``{source label: Ct^{1/2} Cs^{-1/2}}``.
+    """
     for src_label, tgt_label in mapping.pairs:
-        trials = source_trials_by_class.get(src_label)
-        if not trials:
+        if src_label not in source_means.means:
             raise MissingClassError(f"no source trials for label {src_label!r}", src_label)
         if tgt_label not in target_means.means:
             raise MissingClassError(f"no target mean for label {tgt_label!r}", tgt_label)
-        source_mean = log_euclidean_mean(
-            [trial_covariance(t, shrinkage) for t in trials]
-        )
-        matrices[src_label] = spd_sqrt(target_means.means[tgt_label]) @ spd_inv_sqrt(
-            source_mean
-        )
-    return AlignmentTransform("la", matrices)
+    halves = spd_sqrt(np.stack([target_means.means[t] for t in mapping.target_labels]))
+    inv_halves = spd_inv_sqrt(np.stack([source_means.means[s] for s in mapping.source_labels]))
+    return dict(zip(mapping.source_labels, halves @ inv_halves))
 
 
-def la_align(
-    transform: AlignmentTransform,
-    trials: Sequence[Trial],
-    mapping: LabelMapping,
-) -> list[Trial]:
-    """Transform each source trial by its class matrix and relabel it."""
-    if transform.kind != "la":
-        raise ConfigError(f"expected an la transform, got {transform.kind!r}")
-    target_of = mapping.as_dict()
-    out = []
-    for t in trials:
-        if t.label not in transform.matrices:
-            raise UnknownLabelError(f"trial label {t.label!r} has no transform")
-        out.append(Trial(transform.matrices[t.label] @ t.data, label=target_of[t.label]))
-    return out
+def relabel(labels, mapping: LabelMapping) -> Array:
+    """Source labels replaced by their matched target labels."""
+    return np.array(_lookup(mapping.as_dict(), labels, "mapped label"), dtype=np.int64)
 
 
-def relabel(trials: Sequence[Trial], mapping: LabelMapping) -> list[Trial]:
-    """Reassign source labels to their matched target labels (data untouched)."""
-    target_of = mapping.as_dict()
-    out = []
-    for t in trials:
-        if t.label not in target_of:
-            raise UnknownLabelError(f"trial label {t.label!r} not in mapping")
-        out.append(Trial(t.data, label=target_of[t.label]))
-    return out
+def la_align(matrices: dict, stack: CovStack, mapping: LabelMapping) -> CovStack:
+    """Transform each source trial covariance by its class matrix and relabel it."""
+    per_trial = np.stack(_lookup(matrices, stack.labels, "transform"))
+    return stack.transformed(per_trial, relabel(stack.labels, mapping))
 
 
 @dataclass(frozen=True, eq=False)
-class AlignResult:
-    source_subjects: list  # per-subject lists of aligned (and relabeled) trials
-    target_trials: list  # whitened for ea, untouched otherwise
+class Domain:
+    """One subject's covariance stack with its whitening matrix ``ea`` and, on a
+    source, the class ``means`` that LA moves (None on a target pool)."""
+
+    stack: CovStack
+    ea: Array
+    means: ClassMeans | None = None
+
+
+def domain(stack: CovStack, source: bool = False) -> Domain:
+    """Build a domain; ``source`` also computes its per-class means."""
+    means = class_means(stack.covs, stack.labels) if source else None
+    return Domain(stack, ea_reference(stack.covs), means)
 
 
 def align(
     strategy: str,
-    source_subjects: Sequence[Sequence[Trial]],
-    target_trials: Sequence[Trial],
+    sources: Sequence[Domain],
+    target: Domain,
     mapping: LabelMapping | None = None,
     target_means: ClassMeans | None = None,
-    shrinkage: float = 0.0,
-) -> AlignResult:
+) -> tuple[list[CovStack], CovStack]:
     """Dispatch one alignment strategy over all source subjects.
 
-    * ``raw``: data passes through unchanged (labels remapped when a
-      mapping is supplied, since training needs target-space labels).
+    Returns the aligned source stacks, relabeled to target labels when a
+    mapping is supplied, and the aligned target stack.
+
+    * ``raw``: covariances pass through unchanged.
     * ``ea``: every subject, including the target, is whitened with its own
-      reference computed from its own trials.
-    * ``la``: each source subject gets its own per-class transforms toward
-      the shared ``target_means``; target data is untouched.
+      reference.
+    * ``la``: each source subject (a domain built with ``source=True``) gets
+      its own per-class transforms toward the shared ``target_means``; the
+      target is untouched.
     """
-    if strategy == "raw":
-        sources = [
-            relabel(trials, mapping) if mapping is not None else list(trials)
-            for trials in source_subjects
-        ]
-        return AlignResult(sources, list(target_trials))
-    if strategy == "ea":
-        sources = []
-        for trials in source_subjects:
-            aligned = ea_align(ea_reference(trials, shrinkage), trials)
-            sources.append(relabel(aligned, mapping) if mapping is not None else aligned)
-        target = ea_align(ea_reference(target_trials, shrinkage), target_trials)
-        return AlignResult(sources, target)
     if strategy == "la":
         if mapping is None or target_means is None:
             raise ConfigError("la alignment needs a label mapping and target means")
-        sources = []
-        for trials in source_subjects:
-            by_class: dict = {}
-            for t in trials:
-                by_class.setdefault(t.label, []).append(t)
-            transform = la_fit(by_class, target_means, mapping, shrinkage)
-            sources.append(la_align(transform, trials, mapping))
-        return AlignResult(sources, list(target_trials))
-    raise ConfigError(f"unknown alignment strategy {strategy!r}")
+        stacks = [
+            la_align(la_fit(d.means, target_means, mapping), d.stack, mapping)
+            for d in sources
+        ]
+        return stacks, target.stack
+    if strategy == "ea":
+        stacks = [ea_align(d.ea, d.stack) for d in sources]
+        aligned_target = ea_align(target.ea, target.stack)
+    elif strategy == "raw":
+        stacks, aligned_target = [d.stack for d in sources], target.stack
+    else:
+        raise ConfigError(f"unknown alignment strategy {strategy!r}")
+    if mapping is not None:
+        stacks = [replace(s, labels=relabel(s.labels, mapping)) for s in stacks]
+    return stacks, aligned_target

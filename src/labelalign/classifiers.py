@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DimMismatchError, SingularCovarianceError
 from .rng import CounterRng, derive_key
-from .spd import Array, log_euclidean_mean, riemannian_distance
+from .spd import Array, as_stack, log_euclidean_mean, riemannian_distance
 
 LDA_GAMMA = 1e-3
 SVM_LAMBDA = 1e-3
@@ -17,17 +16,8 @@ SVM_EPOCHS = 200
 
 
 def _as_matrix(features) -> Array:
-    """Accept an (n, d) array or a sequence of FeatureVector-likes."""
-    if isinstance(features, np.ndarray):
-        return np.asarray(features, dtype=np.float64)
-    rows = [getattr(f, "values", f) for f in features]
-    return np.asarray(rows, dtype=np.float64)
-
-
-def _as_row(feature) -> Array:
-    if isinstance(feature, np.ndarray):
-        return np.asarray(feature, dtype=np.float64).reshape(1, -1)
-    return _as_matrix([feature])
+    """Feature rows (n, d); a single feature vector becomes one row."""
+    return np.atleast_2d(np.asarray(features, dtype=np.float64))
 
 
 def _split_by_class(x: Array, labels) -> tuple[tuple, dict]:
@@ -86,7 +76,7 @@ def _lda_scores(model: LdaModel, x: Array) -> Array:
 
 
 def lda_predict(model: LdaModel, feature) -> int:
-    return model.classes[int(np.argmax(_lda_scores(model, _as_row(feature))[0]))]
+    return model.classes[int(np.argmax(_lda_scores(model, _as_matrix(feature))[0]))]
 
 
 def lda_predict_many(model: LdaModel, features) -> list:
@@ -152,7 +142,7 @@ def svm_fit(
 
 
 def svm_predict(model: LinearSvmModel, feature) -> int:
-    x = _as_row(feature)[0]
+    x = _as_matrix(feature)[0]
     votes = {c: 0 for c in model.classes}
     for (a, b), (w, bias) in model.weights.items():
         votes[b if w @ x + bias > 0.0 else a] += 1
@@ -170,22 +160,27 @@ class MdmModel:
     means: dict  # label -> SPD mean
 
 
-def mdm_fit(covs: Sequence[Array], labels) -> MdmModel:
-    """Per-class Log-Euclidean means of the training covariances."""
-    labels = list(labels)
-    if len(labels) != len(covs):
-        raise DimMismatchError(f"{len(covs)} covariances but {len(labels)} labels")
-    classes = tuple(sorted(set(labels)))
+def mdm_fit(covs, labels) -> MdmModel:
+    """Per-class Log-Euclidean means of the training covariances (n, C, C)."""
+    covs = as_stack(covs, "mdm_fit")
+    labels = np.asarray(labels)
+    if labels.shape != (len(covs),):
+        raise DimMismatchError(f"{len(covs)} covariances but {labels.shape[0]} labels")
+    classes = tuple(sorted(set(labels.tolist())))
     if len(classes) < 2:
         raise ConfigError(f"need >= 2 classes, got {classes}")
-    means = {
-        c: log_euclidean_mean([cov for cov, l in zip(covs, labels) if l == c])
-        for c in classes
-    }
+    means = {c: log_euclidean_mean(covs[labels == c]) for c in classes}
     return MdmModel(classes, means)
 
 
-def mdm_predict(model: MdmModel, cov: Array) -> int:
-    """Nearest class mean under the geodesic distance; ties by class order."""
-    distances = [riemannian_distance(cov, model.means[c]) for c in model.classes]
-    return model.classes[int(np.argmin(distances))]
+def mdm_predict(model: MdmModel, covs: Array):
+    """Nearest class mean under the geodesic distance; ties by class order.
+
+    One covariance (C, C) gives one label, a stack (n, C, C) a list of them.
+    """
+    covs = np.asarray(covs, dtype=np.float64)
+    means = np.stack([model.means[c] for c in model.classes])
+    nearest = np.argmin(riemannian_distance(covs[..., None, :, :], means), axis=-1)
+    if nearest.ndim == 0:
+        return model.classes[int(nearest)]
+    return [model.classes[int(i)] for i in nearest]

@@ -11,9 +11,9 @@ import sys
 from pathlib import Path
 
 from .alignment import (
-    align,
-    ea_align,
+    class_means,
     ea_reference,
+    la_fit,
     match_labels,
     select_and_estimate_target_means,
 )
@@ -28,9 +28,10 @@ from .dataio import (
 )
 from .errors import ConfigError, DataError
 from .experiment import emit_report, fit_predict, load_scenario, run_scenario
-from .features import trial_covariance
+from .features import covariance_stack
 from .rng import derive_key
 from .selection import k_medoids, pairwise_distances
+from .signal import Trial
 from .synth import SynthConfig, generate_synthetic
 
 
@@ -78,7 +79,10 @@ def _cmd_align(args) -> int:
     if args.strategy == "raw":
         aligned = subjects
     elif args.strategy == "ea":
-        aligned = [ea_align(ea_reference(trials), trials) for trials in subjects]
+        aligned = []
+        for trials in subjects:
+            r = ea_reference(covariance_stack(trials).covs)
+            aligned.append([Trial(r @ t.data, label=t.label) for t in trials])
     else:
         if args.target_subject is None or not args.source_labels or not args.target_labels:
             raise ConfigError(
@@ -90,26 +94,27 @@ def _cmd_align(args) -> int:
         target_set = [int(l) for l in args.target_labels.split(",")]
         mapping = match_labels(source_set, target_set, derive_key(args.seed, "mapping"))
         tgt_index = names.index(args.target_subject)
-        target_pool = [t for t in subjects[tgt_index] if t.label in set(target_set)]
+        pool = covariance_stack([t for t in subjects[tgt_index] if t.label in target_set])
         means, _ = select_and_estimate_target_means(
-            target_pool,
-            args.k,
-            oracle=lambda i: target_pool[i].label,
-            n_classes=len(target_set),
+            pool.covs, args.k, oracle=lambda i: pool.labels[i], n_classes=len(target_set)
         )
         if means is None:
             raise DataError(
                 f"the {args.k} medoids cover fewer than {len(target_set)} classes; "
                 "label more trials or use --strategy ea"
             )
+        target_of = mapping.as_dict()
         aligned = []
         for i, trials in enumerate(subjects):
             if i == tgt_index:
                 aligned.append(trials)
                 continue
-            source = [t for t in trials if t.label in set(source_set)]
-            result = align("la", [source], target_pool, mapping=mapping, target_means=means)
-            aligned.append(result.source_subjects[0])
+            source = [t for t in trials if t.label in source_set]
+            stack = covariance_stack(source)
+            matrices = la_fit(class_means(stack.covs, stack.labels), means, mapping)
+            aligned.append(
+                [Trial(matrices[t.label] @ t.data, label=target_of[t.label]) for t in source]
+            )
 
     entries = []
     for name, trials in zip(names, aligned):
@@ -123,8 +128,7 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_kmedoids(args) -> int:
-    trials = read_trials(args.trials)
-    covs = [trial_covariance(t, args.shrinkage) for t in trials]
+    covs = covariance_stack(read_trials(args.trials), args.shrinkage).covs
     medoids = k_medoids(pairwise_distances(covs), args.k)
     for idx in medoids:
         print(idx)
@@ -133,13 +137,12 @@ def _cmd_kmedoids(args) -> int:
 
 def _cmd_classify(args) -> int:
     train = with_labels(read_trials(args.train_trials), read_labels(args.train_labels))
-    test_trials = read_trials(args.test_trials)
+    csp = args.pipeline == "csp-lda"
     preds = fit_predict(
         args.pipeline,
-        train,
-        test_trials,
+        covariance_stack(train, args.shrinkage, scatter=csp),
+        covariance_stack(read_trials(args.test_trials), args.shrinkage, scatter=csp),
         csp_pairs=args.csp_pairs,
-        shrinkage=args.shrinkage,
         svm_seed=derive_key(args.seed, "svm"),
     )
     if args.test_labels is not None:

@@ -1,6 +1,13 @@
 """Scenario runner: leave-one-subject-out transfer experiments with a
 label budget, plus the report metrics (accuracy, AUC over k, paired t-tests).
 
+The protocol is covariance first. Each subject's trials are turned into a
+covariance stack (n, C, C) once, with the time-centred scatter when CSP
+runs, and split into a source view (source labels) and a target pool
+(target labels). The references that do not depend on the target or the
+budget (EA whitening, source class means) are computed with them. The
+units then ship and align only those stacks, never raw trials.
+
 Protocol per target subject and per budget ``k``: the k medoid trials of
 the target pool are labeled and join the training set, every remaining
 target trial forms the test set, and the same train/test split is reused
@@ -15,19 +22,25 @@ import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import classifiers
-from .alignment import align, estimate_means_from_medoids, match_labels
-from .selection import k_medoids, pairwise_distances
+from .alignment import align, domain, match_labels, select_and_estimate_target_means
 from .dataio import load_manifest
-from .errors import ConfigError, TooFewPointsError, ZeroVarianceError
-from .features import csp_features, csp_fit, trial_covariance, ts_features
+from .errors import (
+    ConfigError,
+    NonFiniteError,
+    NotPositiveDefiniteError,
+    TooFewPointsError,
+    ZeroVarianceError,
+)
+from .features import CovStack, concat_stacks, covariance_stack, csp_features, csp_fit, ts_features
 from .rng import derive_key
+from .selection import pairwise_distances
 from .signal import Trial
 from .spd import log_euclidean_mean
 from .stats import student_t_two_sided_p
@@ -82,26 +95,7 @@ class ScenarioSpec:
         return [(s, p) for s in self.strategies for p in self.pipelines]
 
     def canonical_dict(self) -> dict:
-        doc = {
-            "source_labels": list(self.source_labels),
-            "target_labels": list(self.target_labels),
-            "strategies": list(self.strategies),
-            "pipelines": list(self.pipelines),
-            "k_grid": list(self.k_grid),
-            "seed": self.seed,
-            "csp_pairs": self.csp_pairs,
-            "shrinkage": self.shrinkage,
-            "svm_lambda": self.svm_lambda,
-            "svm_epochs": self.svm_epochs,
-            "manifest": self.manifest,
-            "synth": None
-            if self.synth is None
-            else {k: getattr(self.synth, k) for k in (
-                "channels", "samples", "classes", "trials_per_class", "subjects",
-                "class_separation", "subject_shift", "seed", "noise_df",
-            )},
-        }
-        return doc
+        return asdict(self)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode()
@@ -112,12 +106,7 @@ def scenario_from_dict(doc: dict, seed_override: int | None = None) -> ScenarioS
     """Build a spec from a parsed JSON document (the CLI's --spec file)."""
     if not isinstance(doc, dict):
         raise ConfigError("scenario spec must be a JSON object")
-    known = {
-        "source_labels", "target_labels", "strategies", "pipelines", "k_grid",
-        "seed", "synth", "manifest", "csp_pairs", "shrinkage", "svm_lambda",
-        "svm_epochs",
-    }
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(ScenarioSpec)}
     if unknown:
         raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
     seed = int(seed_override if seed_override is not None else doc.get("seed", 0))
@@ -197,36 +186,28 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
 
 def fit_predict(
     pipeline: str,
-    train: Sequence[Trial],
-    test: Sequence[Trial],
+    train: CovStack,
+    test: CovStack,
     *,
     csp_pairs: int = 3,
-    shrinkage: float = 0.0,
     svm_lambda: float = classifiers.SVM_LAMBDA,
     svm_epochs: int = classifiers.SVM_EPOCHS,
     svm_seed: int = 0,
 ) -> list:
-    """Train one feature/classifier pipeline and predict the test labels."""
-    labels = [t.label for t in train]
+    """Train one feature/classifier pipeline on a labeled stack and predict ``test``."""
+    labels = train.labels
     if pipeline == "csp-lda":
-        covs_by_class: dict = {}
-        for t in train:
-            covs_by_class.setdefault(t.label, []).append(trial_covariance(t, shrinkage))
-        model = csp_fit(covs_by_class, csp_pairs)
-        feats = np.vstack([csp_features(model, t).values for t in train])
-        clf = classifiers.lda_fit(feats, labels)
-        test_feats = np.vstack([csp_features(model, t).values for t in test])
-        return classifiers.lda_predict_many(clf, test_feats)
-
-    train_covs = [trial_covariance(t, shrinkage) for t in train]
-    test_covs = [trial_covariance(t, shrinkage) for t in test]
+        if train.scatter is None or test.scatter is None:
+            raise ConfigError("csp-lda needs the centred scatter of every trial")
+        model = csp_fit({c: train.covs[labels == c] for c in np.unique(labels)}, csp_pairs)
+        clf = classifiers.lda_fit(csp_features(model, train.scatter), labels)
+        return classifiers.lda_predict_many(clf, csp_features(model, test.scatter))
     if pipeline == "mdm":
-        model = classifiers.mdm_fit(train_covs, labels)
-        return [classifiers.mdm_predict(model, c) for c in test_covs]
+        return classifiers.mdm_predict(classifiers.mdm_fit(train.covs, labels), test.covs)
     if pipeline in ("ts-svm", "ts-lda"):
-        ref = log_euclidean_mean(train_covs)
-        feats = np.vstack([v.values for v in ts_features(ref, train_covs)])
-        test_feats = np.vstack([v.values for v in ts_features(ref, test_covs)])
+        ref = log_euclidean_mean(train.covs)
+        feats = ts_features(ref, train.covs)
+        test_feats = ts_features(ref, test.covs)
         if pipeline == "ts-lda":
             clf = classifiers.lda_fit(feats, labels)
             return classifiers.lda_predict_many(clf, test_feats)
@@ -245,9 +226,15 @@ def _load_subjects(spec: ScenarioSpec) -> tuple[list[str], list[list[Trial]]]:
     return names, manifest.load_all()
 
 
-def _filter_labels(trials: Sequence[Trial], labels: Sequence[int]) -> list[Trial]:
-    keep = set(labels)
-    return [t for t in trials if t.label in keep]
+def _subject_domains(spec: ScenarioSpec, name: str, trials: Sequence[Trial]):
+    """One subject's source view and target pool, each with its alignment references."""
+    try:
+        stack = covariance_stack(trials, spec.shrinkage, scatter="csp-lda" in spec.pipelines)
+    except (NonFiniteError, NotPositiveDefiniteError) as exc:
+        raise type(exc)(f"subject {name}, {exc}") from exc
+    source = stack.take(np.isin(stack.labels, spec.source_labels))
+    target = stack.take(np.isin(stack.labels, spec.target_labels))
+    return domain(source, source=True), domain(target)
 
 
 def _subject_unit(args) -> tuple[str, list, list]:
@@ -257,51 +244,46 @@ def _subject_unit(args) -> tuple[str, list, list]:
     the units are scheduled across processes. Returns (subject_name,
     accuracy rows, fallback events).
     """
-    spec, name, target_pool, source_subjects = args
+    spec, name, target, sources = args
+    pool = target.stack
     n_classes = len(spec.target_labels)
     mapping = match_labels(
         spec.source_labels, spec.target_labels, derive_key(spec.seed, "mapping")
     )
-    target_covs = [trial_covariance(t, spec.shrinkage) for t in target_pool]
-    distances = pairwise_distances(target_covs)
+    distances = pairwise_distances(pool.covs)
     rows = []
     fallbacks = []
     for k in spec.k_grid:
-        medoids = k_medoids(distances, k)
-        means = estimate_means_from_medoids(
-            target_covs, medoids, lambda i: target_pool[i].label, n_classes
+        means, medoids = select_and_estimate_target_means(
+            pool.covs, k, lambda i: pool.labels[i], n_classes, distances
         )
-        selected = set(medoids)
-        test_idx = [i for i in range(len(target_pool)) if i not in selected]
+        test_idx = np.setdiff1d(np.arange(len(pool.covs)), medoids)
+        truth = pool.labels[test_idx]
         for strategy in spec.strategies:
             effective = strategy
             if strategy == "la" and means is None:
                 effective = "ea"
                 fallbacks.append([name, k])
-            result = align(
+            aligned_sources, aligned_target = align(
                 effective,
-                source_subjects,
-                target_pool,
+                sources,
+                target,
                 mapping=mapping,
                 target_means=means if effective == "la" else None,
-                shrinkage=spec.shrinkage,
             )
-            train = [t for subj in result.source_subjects for t in subj]
-            train += [result.target_trials[i] for i in medoids]
-            test = [result.target_trials[i] for i in test_idx]
-            truth = [target_pool[i].label for i in test_idx]
+            train = concat_stacks([*aligned_sources, aligned_target.take(medoids)])
+            test = aligned_target.take(test_idx)
             for pipeline in spec.pipelines:
                 preds = fit_predict(
                     pipeline,
                     train,
                     test,
                     csp_pairs=spec.csp_pairs,
-                    shrinkage=spec.shrinkage,
                     svm_lambda=spec.svm_lambda,
                     svm_epochs=spec.svm_epochs,
                     svm_seed=derive_key(spec.seed, "svm", name, k, strategy, pipeline),
                 )
-                accuracy = float(np.mean([p == t for p, t in zip(preds, truth)]))
+                accuracy = float(np.mean(np.asarray(preds) == truth))
                 rows.append((name, k, strategy, pipeline, accuracy))
     return name, rows, fallbacks
 
@@ -313,26 +295,27 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
     report is identical regardless of the schedule.
     """
     names, subjects = _load_subjects(spec)
-    source_views = [_filter_labels(trials, spec.source_labels) for trials in subjects]
-    target_views = [_filter_labels(trials, spec.target_labels) for trials in subjects]
     if len(subjects) < 2:
         raise ConfigError("need at least two subjects for leave-one-subject-out")
     max_k = max(spec.k_grid)
-    for name, pool in zip(names, target_views):
-        if len(pool) <= max_k:
+    for name, trials in zip(names, subjects):
+        labels = [t.label for t in trials]
+        pool = sum(l in spec.target_labels for l in labels)
+        if pool <= max_k:
             raise ConfigError(
-                f"target subject {name} has {len(pool)} trials in the target label "
+                f"target subject {name} has {pool} trials in the target label "
                 f"set; the k grid needs more than {max_k}"
             )
-    for name, view in zip(names, source_views):
-        missing = set(spec.source_labels) - {t.label for t in view}
+        missing = set(spec.source_labels) - set(labels)
         if missing:
             raise ConfigError(f"subject {name} has no trials for source labels {sorted(missing)}")
 
+    domains = [_subject_domains(spec, name, trials) for name, trials in zip(names, subjects)]
+    del subjects  # the units need only the stacks; free the raw trials
     units = []
     for i, name in enumerate(names):
-        sources = [source_views[j] for j in range(len(names)) if j != i]
-        units.append((spec, name, target_views[i], sources))
+        sources = [domains[j][0] for j in range(len(names)) if j != i]
+        units.append((spec, name, domains[i][1], sources))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -391,7 +374,7 @@ def emit_report(report: ExperimentReport, path, format: str = "csv") -> None:
     """Write the report; identical reports produce identical bytes."""
     if format == "csv":
         text = render_report_csv(report)
-    elif format in ("json", "structured-text"):
+    elif format == "json":
         text = render_report_json(report)
     else:
         raise ConfigError(f"unknown report format {format!r}")
@@ -442,10 +425,14 @@ def render_report_json(report: ExperimentReport) -> str:
             [*key, report.accuracies[key]] for key in sorted(report.accuracies)
         ],
         "auc": [[*key, report.aucs[key]] for key in sorted(report.aucs)],
-        "ttest": [[*key, *report.ttests[key]] for key in sorted(report.ttests)],
+        "ttest": [
+            # JSON has no NaN: an undefined statistic is written as null.
+            [*key, *(None if math.isnan(v) else v for v in report.ttests[key])]
+            for key in sorted(report.ttests)
+        ],
         "metadata": report.metadata,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def read_report(path) -> ExperimentReport:
@@ -459,7 +446,9 @@ def read_report(path) -> ExperimentReport:
         for subject, strategy, pipeline, auc in doc["auc"]:
             report.aucs[(subject, strategy, pipeline)] = float(auc)
         for sa, pa, sb, pb, t, p in doc["ttest"]:
-            report.ttests[(sa, pa, sb, pb)] = (float(t), float(p))
+            report.ttests[(sa, pa, sb, pb)] = tuple(
+                float("nan") if v is None else float(v) for v in (t, p)
+            )
         return report
 
     sections = text.split("\n\n")

@@ -1,4 +1,9 @@
-"""Covariance estimation, CSP spatial filtering, and tangent-space features."""
+"""Covariance estimation, CSP spatial filtering, and tangent-space features.
+
+Trials enter the pipelines once: :func:`covariance_stack` turns them into a
+:class:`CovStack` of ``(n, C, C)`` covariances, and every later step works
+on such stacks. The feature functions return ``(n, d)`` arrays.
+"""
 
 from __future__ import annotations
 
@@ -15,12 +20,51 @@ from .errors import (
 from .signal import Trial
 from .spd import (
     Array,
+    as_stack,
+    congruence,
     spd_from_matrix,
     symmetrize,
     tangent_map,
 )
 
 DEFAULT_CSP_PAIRS = 3
+
+
+@dataclass(frozen=True, eq=False)
+class CovStack:
+    """Trials as spatial covariances ``covs`` (n, C, C) with ``labels`` (n,) or None.
+
+    ``scatter`` is the time-centred scatter (n, C, C) that CSP features read,
+    or None. Aligning the trials as ``A X`` maps both stacks to ``A S Aᵀ``.
+    """
+
+    covs: Array
+    labels: Array | None = None
+    scatter: Array | None = None
+
+    def take(self, idx) -> CovStack:
+        return CovStack(
+            self.covs[idx],
+            None if self.labels is None else self.labels[idx],
+            None if self.scatter is None else self.scatter[idx],
+        )
+
+    def transformed(self, a: Array, labels: Array | None = None) -> CovStack:
+        """Congruence by ``a`` ((C, C) or one matrix per trial), optionally relabeled."""
+        return CovStack(
+            congruence(a, self.covs),
+            self.labels if labels is None else labels,
+            None if self.scatter is None else congruence(a, self.scatter),
+        )
+
+
+def concat_stacks(stacks: Sequence[CovStack]) -> CovStack:
+    scatter = [s.scatter for s in stacks]
+    return CovStack(
+        np.concatenate([s.covs for s in stacks]),
+        np.concatenate([s.labels for s in stacks]),
+        None if any(s is None for s in scatter) else np.concatenate(scatter),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,32 +82,47 @@ class CspModel:
     mode: str
     eigvals: Array
 
-    @property
-    def n_filters(self) -> int:
-        return self.filters.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    values: Array
-    kind: str
-
 
 def trial_covariance(x: Trial | Array, shrinkage: float = 0.0) -> Array:
-    """Spatial covariance X X^T, optionally shrunk toward a scaled identity.
+    """Spatial covariance X X^T of a trial (C, T) or of each trial in (n, C, T).
 
     ``shrinkage`` in [0, 1) blends in trace(C)/dim * I, which keeps the
     result SPD for rank-deficient trials (T < channels). The default of 0
-    is the plain Gram matrix.
+    is the plain Gram matrix. A degenerate trial of a stack is named by
+    its index in the error.
     """
     data = x.data if isinstance(x, Trial) else np.asarray(x, dtype=np.float64)
     if not 0.0 <= shrinkage < 1.0:
         raise ConfigError(f"shrinkage must be in [0, 1), got {shrinkage}")
-    c = data @ data.T
+    c = data @ np.swapaxes(data, -1, -2)
     if shrinkage > 0.0:
-        dim = c.shape[0]
-        c = (1.0 - shrinkage) * c + shrinkage * (np.trace(c) / dim) * np.eye(dim)
-    return spd_from_matrix(c)
+        dim = c.shape[-1]
+        trace = np.trace(c, axis1=-2, axis2=-1)[..., None, None]
+        c = (1.0 - shrinkage) * c + shrinkage * (trace / dim) * np.eye(dim)
+    return spd_from_matrix(c, name="trial")
+
+
+def centred_scatter(x: Array) -> Array:
+    """Time-centred scatter Xc Xc^T of a trial (C, T) or of each trial in (n, C, T).
+
+    Divided by T - 1 it is the ddof=1 sample covariance, whose filtered
+    diagonal gives the variances :func:`csp_features` takes.
+    """
+    centred = x - x.mean(axis=-1, keepdims=True)
+    return centred @ np.swapaxes(centred, -1, -2)
+
+
+def covariance_stack(
+    trials: Sequence[Trial], shrinkage: float = 0.0, scatter: bool = False
+) -> CovStack:
+    """Covariances of ``trials`` (and their centred scatter when ``scatter``)."""
+    data = np.stack([t.data for t in trials])
+    labels = [t.label for t in trials]
+    return CovStack(
+        trial_covariance(data, shrinkage),
+        None if None in labels else np.array(labels),
+        centred_scatter(data) if scatter else None,
+    )
 
 
 def _binary_csp(c1: Array, c2: Array, pairs: int) -> tuple[Array, Array]:
@@ -122,11 +181,10 @@ def csp_fit(
     blocks = []
     lams = []
     for label in classes:
-        rest = [
-            cov for other in classes if other != label for cov in covs_by_class[other]
-        ]
-        rest_mean = np.mean(np.asarray(rest), axis=0)
-        f, lam = _binary_csp(means[label], rest_mean, pairs)
+        rest = np.concatenate(
+            [np.asarray(covs_by_class[other]) for other in classes if other != label]
+        )
+        f, lam = _binary_csp(means[label], np.mean(rest, axis=0), pairs)
         blocks.append(f)
         lams.append(lam)
     return CspModel(
@@ -134,21 +192,23 @@ def csp_fit(
     )
 
 
-def csp_features(model: CspModel, x: Trial | Array) -> FeatureVector:
-    """Normalized log-variance of the spatially filtered trial."""
-    data = x.data if isinstance(x, Trial) else np.asarray(x, dtype=np.float64)
-    if data.shape[0] != model.filters.shape[1]:
+def csp_features(model: CspModel, scatter: Array) -> Array:
+    """Normalized log-variance of the spatially filtered trials, one row each.
+
+    ``scatter`` is the time-centred scatter (C, C) or (n, C, C) of the
+    trials (:func:`centred_scatter`). Filter row w gives the trial variance
+    w^T S w / (T - 1); the normalization cancels the T - 1.
+    """
+    s = np.asarray(scatter, dtype=np.float64)
+    if s.shape[-1] != model.filters.shape[1]:
         raise DimMismatchError(
-            f"trial has {data.shape[0]} channels, filters expect "
+            f"trial has {s.shape[-1]} channels, filters expect "
             f"{model.filters.shape[1]}"
         )
-    filtered = model.filters @ data
-    variances = filtered.var(axis=1, ddof=1)
-    return FeatureVector(np.log(variances / variances.sum()), "csp-logvar")
+    variances = np.sum((s @ model.filters.T) * model.filters.T, axis=-2)
+    return np.log(variances / variances.sum(axis=-1, keepdims=True))
 
 
-def ts_features(ref: Array, covs: Sequence[Array]) -> list[FeatureVector]:
-    """Tangent-space vectors of ``covs`` at the shared reference point."""
-    return [
-        FeatureVector(tangent_map(ref, cov).flat, "tangent-space") for cov in covs
-    ]
+def ts_features(ref: Array, covs) -> Array:
+    """Tangent-space vectors (n, C(C+1)/2) of ``covs`` at the shared reference."""
+    return tangent_map(ref, as_stack(covs, "ts_features"))

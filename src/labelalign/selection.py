@@ -11,27 +11,21 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimMismatchError, KTooLargeError, NonFiniteError
-from .spd import Array, riemannian_distance, spd_inv_sqrt, symmetrize
+from .spd import Array, as_stack, riemannian_distance
 
 
-def pairwise_distances(covs: Sequence[Array]) -> Array:
-    """Symmetric matrix of geodesic distances, one eigensolve per pair."""
-    mats = [np.asarray(c, dtype=np.float64) for c in covs]
-    n = len(mats)
-    if n == 0:
-        raise DimMismatchError("pairwise_distances: empty input")
-    shape = mats[0].shape
-    for m in mats[1:]:
-        if m.shape != shape:
-            raise DimMismatchError(f"mixed shapes {shape} vs {m.shape}")
-    inv_sqrts = [spd_inv_sqrt(m) for m in mats]
+def pairwise_distances(covs) -> Array:
+    """Symmetric matrix of geodesic distances over a stack (n, C, C).
+
+    Row-batched: row i holds the distances from matrix i to every later
+    matrix, from one batched :func:`riemannian_distance` call.
+    """
+    covs = as_stack(covs, "pairwise_distances")
+    n = covs.shape[0]
     d = np.zeros((n, n))
-    for i in range(n):
-        isq = inv_sqrts[i]
-        for j in range(i + 1, n):
-            w = np.linalg.eigvalsh(symmetrize(isq @ mats[j] @ isq))
-            d[i, j] = d[j, i] = np.sqrt(np.sum(np.log(w) ** 2))
-    return d
+    for i in range(n - 1):
+        d[i, i + 1 :] = riemannian_distance(covs[i], covs[i + 1 :])
+    return d + d.T
 
 
 def _validate_distance_matrix(d: Array) -> Array:
@@ -48,13 +42,12 @@ def total_cost(d: Array, medoids: Sequence[int]) -> float:
     return float(d[np.asarray(medoids)].min(axis=0).sum())
 
 
-def k_medoids(d: Array, k: int, seed: int = 0) -> list[int]:
+def k_medoids(d: Array, k: int) -> list[int]:
     """PAM: greedy BUILD then best-improvement SWAP until a local optimum.
 
     Fully deterministic: ties are broken by the smallest index, and the
     swap scan considers medoids and candidates in ascending index order.
-    ``seed`` is accepted for optional random restarts but the default
-    single deterministic run does not consume it. Returns sorted indices.
+    Returns sorted indices.
     """
     d = _validate_distance_matrix(d)
     n = d.shape[0]

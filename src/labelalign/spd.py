@@ -1,13 +1,16 @@
-"""Geometry of symmetric positive definite matrices.
+"""Geometry of symmetric positive definite matrices, one at a time or stacked.
 
-SPD matrices are plain float64 ndarrays validated by :func:`spd_from_matrix`.
-All matrix functions go through a symmetric eigendecomposition and
-symmetrize their output, so results stay exactly symmetric under rounding.
+Every function takes a single ``(C, C)`` matrix or a stack ``(n, C, C)`` of
+them and works on the last two axes, after pyRiemann's stacked-covariance
+API (Barachant et al., IEEE TBME 2012). SPD matrices are plain float64
+ndarrays validated by :func:`spd_from_matrix`. Every matrix function goes
+through one symmetric eigendecomposition kernel, :func:`_spectral`, and
+symmetrizes its output, so results stay exactly symmetric under rounding.
+On a single matrix the kernel performs exactly the operations of a
+per-matrix implementation, and on a stack it gives the same bits as a loop.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +28,12 @@ Array = np.ndarray
 
 
 def symmetrize(a: Array) -> Array:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def congruence(a: Array, s: Array) -> Array:
+    """``A S Aᵀ`` for each matrix of ``s``; ``a`` is one matrix or one per matrix."""
+    return symmetrize(a @ s @ np.swapaxes(a, -1, -2))
 
 
 def _eigh(a: Array) -> tuple[Array, Array]:
@@ -37,180 +45,169 @@ def _eigh(a: Array) -> tuple[Array, Array]:
 
 def _check_square(a: Array, name: str = "matrix") -> Array:
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimMismatchError(f"{name} must be square, got shape {a.shape}")
     return a
 
 
-def _check_same_dim(p1: Array, p2: Array) -> None:
-    if p1.shape != p2.shape:
-        raise DimMismatchError(f"dimension mismatch: {p1.shape} vs {p2.shape}")
+def as_stack(ps, op: str) -> Array:
+    """A nonempty ``(n, C, C)`` float64 stack from an array or a sequence of matrices."""
+    try:
+        a = np.asarray(ps, dtype=np.float64)
+    except ValueError as exc:
+        raise DimMismatchError(f"{op}: mixed shapes") from exc
+    if a.shape[:1] == (0,):
+        raise EmptyInputError(f"{op}: empty input")
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DimMismatchError(f"{op}: expected a stack of square matrices, got {a.shape}")
+    return a
 
 
-def spd_from_matrix(raw, tol: float = SPD_TOL) -> Array:
+def spd_from_matrix(raw, tol: float = SPD_TOL, name: str = "matrix") -> Array:
     """Symmetrize ``raw`` and validate positive definiteness.
 
-    The smallest eigenvalue must exceed ``tol * trace / dim`` (a scale-free
-    threshold). Returns the validated symmetric matrix.
+    The smallest eigenvalue of each matrix must exceed ``tol * trace / dim``
+    (a scale-free threshold). On a stack the error names the first failing
+    matrix as ``name i``. Returns the validated symmetric matrix or stack.
     """
-    a = _check_square(raw)
+    a = _check_square(raw, name)
     if not np.isfinite(a).all():
-        raise NonFiniteError("matrix contains NaN or Inf entries")
+        raise NonFiniteError(f"{name} contains NaN or Inf entries")
     s = symmetrize(a)
     w = np.linalg.eigvalsh(s)
-    dim = s.shape[0]
-    threshold = tol * np.trace(s) / dim
-    if w[0] <= threshold:
+    threshold = tol * np.trace(s, axis1=-2, axis2=-1) / s.shape[-1]
+    bad = np.flatnonzero(w[..., 0] <= threshold)
+    if bad.size:
+        i = bad[0]
+        where = name if s.ndim == 2 else f"{name} {i}"
         raise NotPositiveDefiniteError(
-            f"smallest eigenvalue {w[0]:.6g} <= threshold {threshold:.6g}"
+            f"{where}: smallest eigenvalue {w[..., 0].flat[i]:.6g} "
+            f"<= threshold {threshold.flat[i]:.6g}"
         )
     return s
 
 
-def _apply_eig(p: Array, fn) -> Array:
-    """Apply a scalar function to the spectrum of a symmetric matrix."""
-    w, u = _eigh(symmetrize(np.asarray(p, dtype=np.float64)))
-    return symmetrize((u * fn(w)) @ u.T)
-
-
 def _require_positive_spectrum(w: Array, op: str) -> None:
-    if w[0] <= 0.0:
-        raise NotPositiveDefiniteError(f"{op}: spectrum not positive (min {w[0]:.6g})")
+    if (w[..., 0] <= 0.0).any():
+        raise NotPositiveDefiniteError(
+            f"{op}: spectrum not positive (min {w[..., 0].min():.6g})"
+        )
+
+
+def _inv_sqrt(w: Array) -> Array:
+    return 1.0 / np.sqrt(w)
+
+
+def _spectral(p: Array, *fns, op: str | None = None) -> list[Array]:
+    """Apply each of ``fns`` to the spectrum of every matrix in ``p``, sharing
+    one eigendecomposition; with ``op`` given, a non-positive spectrum raises."""
+    w, u = _eigh(symmetrize(np.asarray(p, dtype=np.float64)))
+    if op is not None:
+        _require_positive_spectrum(w, op)
+    ut = np.swapaxes(u, -1, -2)
+    return [symmetrize((u * fn(w)[..., None, :]) @ ut) for fn in fns]
 
 
 def spd_sqrt(p: Array) -> Array:
     """Principal matrix square root of an SPD matrix."""
-    w, u = _eigh(symmetrize(np.asarray(p, dtype=np.float64)))
-    _require_positive_spectrum(w, "spd_sqrt")
-    return symmetrize((u * np.sqrt(w)) @ u.T)
+    return _spectral(p, np.sqrt, op="spd_sqrt")[0]
 
 
 def spd_inv_sqrt(p: Array) -> Array:
     """Inverse principal square root of an SPD matrix."""
-    w, u = _eigh(symmetrize(np.asarray(p, dtype=np.float64)))
-    _require_positive_spectrum(w, "spd_inv_sqrt")
-    return symmetrize((u * (1.0 / np.sqrt(w))) @ u.T)
+    return _spectral(p, _inv_sqrt, op="spd_inv_sqrt")[0]
 
 
 def spd_log(p: Array) -> Array:
     """Matrix logarithm of an SPD matrix (a symmetric matrix)."""
-    w, u = _eigh(symmetrize(np.asarray(p, dtype=np.float64)))
-    _require_positive_spectrum(w, "spd_log")
-    return symmetrize((u * np.log(w)) @ u.T)
+    return _spectral(p, np.log, op="spd_log")[0]
 
 
 def spd_exp(s: Array) -> Array:
     """Matrix exponential of a symmetric matrix (an SPD matrix)."""
-    return _apply_eig(s, np.exp)
+    return _spectral(s, np.exp)[0]
 
 
-def riemannian_distance(p1: Array, p2: Array) -> float:
+def riemannian_distance(p1: Array, p2: Array):
     """Geodesic distance sqrt(sum log^2 eigenvalues of p1^-1 p2).
 
     Computed on the symmetric matrix p1^{-1/2} p2 p1^{-1/2}, whose spectrum
     equals that of p1^{-1} p2 but whose eigenproblem is stable. Invariant
-    under congruence by any invertible matrix.
+    under congruence by any invertible matrix. The leading axes of ``p1``
+    and ``p2`` broadcast: two matrices give a float, stacks an array.
     """
     p1 = _check_square(p1, "p1")
     p2 = _check_square(p2, "p2")
-    _check_same_dim(p1, p2)
+    if p1.shape[-1] != p2.shape[-1]:
+        raise DimMismatchError(f"dimension mismatch: {p1.shape} vs {p2.shape}")
     isq = spd_inv_sqrt(p1)
     w = np.linalg.eigvalsh(symmetrize(isq @ p2 @ isq))
     _require_positive_spectrum(w, "riemannian_distance")
-    return float(np.sqrt(np.sum(np.log(w) ** 2)))
+    d = np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
+    return float(d) if d.ndim == 0 else d
 
 
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """A tangent vector at ``ref``, flattened to length C(C+1)/2.
-
-    The flat layout is the row-major upper triangle
-    (d11, sqrt(2)*d12, ..., sqrt(2)*d1C, d22, ..., dCC); the sqrt(2)
-    off-diagonal weight makes the Euclidean inner product of flats equal
-    the Frobenius inner product of the symmetric matrices.
-    """
-
-    ref: Array
-    flat: Array
-
-    def __post_init__(self):
-        c = self.ref.shape[0]
-        expected = c * (c + 1) // 2
-        if self.flat.shape != (expected,):
-            raise DimMismatchError(
-                f"flat length {self.flat.shape} does not match dim {c} "
-                f"(expected {expected})"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.ref.shape[0]
+def _triangle(c: int) -> tuple[tuple[Array, Array], Array]:
+    iu = np.triu_indices(c)
+    return iu, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
 
 
 def flatten_sym(s: Array) -> Array:
-    """Upper triangle of a symmetric matrix with sqrt(2)-weighted off-diagonals."""
+    """Upper triangle of a symmetric matrix with sqrt(2)-weighted off-diagonals.
+
+    The flat layout is the row-major upper triangle
+    (d11, sqrt(2)*d12, ..., sqrt(2)*d1C, d22, ..., dCC), of length
+    C(C+1)/2; the weights make the Euclidean inner product of flats equal
+    the Frobenius inner product of the symmetric matrices.
+    """
     s = _check_square(s, "symmetric matrix")
-    c = s.shape[0]
-    iu = np.triu_indices(c)
-    weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    return weights * s[iu]
+    iu, weights = _triangle(s.shape[-1])
+    return weights * s[..., iu[0], iu[1]]
 
 
 def unflatten_sym(flat: Array) -> Array:
     """Inverse of :func:`flatten_sym`."""
     flat = np.asarray(flat, dtype=np.float64)
-    c = int((np.sqrt(1 + 8 * flat.shape[0]) - 1) / 2)
-    if c * (c + 1) // 2 != flat.shape[0]:
-        raise DimMismatchError(f"length {flat.shape[0]} is not a triangle number")
-    s = np.zeros((c, c))
-    iu = np.triu_indices(c)
-    weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    s[iu] = flat / weights
-    s[(iu[1], iu[0])] = s[iu]
+    d = flat.shape[-1]
+    c = int((np.sqrt(1 + 8 * d) - 1) / 2)
+    if c * (c + 1) // 2 != d:
+        raise DimMismatchError(f"length {d} is not a triangle number")
+    iu, weights = _triangle(c)
+    s = np.zeros(flat.shape[:-1] + (c, c))
+    s[..., iu[0], iu[1]] = flat / weights
+    s[..., iu[1], iu[0]] = s[..., iu[0], iu[1]]
     return s
 
 
-def tangent_map(ref: Array, p: Array) -> TangentVector:
-    """Logarithmic map of ``p`` at ``ref``, flattened.
+def tangent_map(ref: Array, p: Array) -> Array:
+    """Logarithmic map of ``p`` (one matrix or a stack) at ``ref``, flattened.
 
-    S = ref^{1/2} log(ref^{-1/2} p ref^{-1/2}) ref^{1/2}.
+    S = ref^{1/2} log(ref^{-1/2} p ref^{-1/2}) ref^{1/2}, flattened by
+    :func:`flatten_sym`. The reference is factored once for the whole stack.
     """
     ref = _check_square(ref, "ref")
     p = _check_square(p, "p")
-    _check_same_dim(ref, p)
-    half = spd_sqrt(ref)
-    inv_half = spd_inv_sqrt(ref)
-    s = symmetrize(half @ spd_log(inv_half @ p @ inv_half) @ half)
-    return TangentVector(ref=ref, flat=flatten_sym(s))
+    if ref.ndim != 2 or p.shape[-1] != ref.shape[-1]:
+        raise DimMismatchError(f"dimension mismatch: ref {ref.shape} vs {p.shape}")
+    half, inv_half = _spectral(ref, np.sqrt, _inv_sqrt, op="tangent_map")
+    return flatten_sym(symmetrize(half @ spd_log(inv_half @ p @ inv_half) @ half))
 
 
-def tangent_unmap(v: TangentVector) -> Array:
+def tangent_unmap(ref: Array, flat: Array) -> Array:
     """Exponential map inverting :func:`tangent_map`."""
-    half = spd_sqrt(v.ref)
-    inv_half = spd_inv_sqrt(v.ref)
-    s = unflatten_sym(v.flat)
+    s = unflatten_sym(flat)
+    if s.shape[-1] != _check_square(ref, "ref").shape[-1]:
+        raise DimMismatchError(f"flat of dim {s.shape[-1]} does not match ref {np.shape(ref)}")
+    half, inv_half = _spectral(ref, np.sqrt, _inv_sqrt, op="tangent_unmap")
     return symmetrize(half @ spd_exp(inv_half @ s @ inv_half) @ half)
-
-
-def _check_stack(ps, op: str) -> list[Array]:
-    mats = [np.asarray(p, dtype=np.float64) for p in ps]
-    if not mats:
-        raise EmptyInputError(f"{op}: empty input")
-    shape = mats[0].shape
-    for m in mats[1:]:
-        if m.shape != shape:
-            raise DimMismatchError(f"{op}: mixed shapes {shape} vs {m.shape}")
-    return mats
 
 
 def log_euclidean_mean(ps) -> Array:
     """exp of the arithmetic mean of matrix logarithms."""
-    mats = _check_stack(ps, "log_euclidean_mean")
-    logs = np.mean([spd_log(m) for m in mats], axis=0)
-    return spd_exp(logs)
+    logs = spd_log(as_stack(ps, "log_euclidean_mean"))
+    return spd_exp(np.mean(logs, axis=0))
 
 
 def arithmetic_mean_cov(ps) -> Array:
     """Entrywise average of the matrices."""
-    mats = _check_stack(ps, "arithmetic_mean_cov")
-    return symmetrize(np.mean(mats, axis=0))
+    return symmetrize(np.mean(as_stack(ps, "arithmetic_mean_cov"), axis=0))

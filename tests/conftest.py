@@ -15,3 +15,36 @@ def random_invertible(rng: np.random.Generator, dim: int) -> np.ndarray:
         w = rng.standard_normal((dim, dim))
         if np.linalg.cond(w) < 1e4:
             return w
+
+
+# Per-matrix reference formulas: one eigendecomposition per matrix, the way
+# the batched kernels in labelalign.spd were first written. Tests hold the
+# batched kernels to these.
+
+
+def loop_matrix_function(p, fn):
+    w, u = np.linalg.eigh(symmetrize(p))
+    return symmetrize((u * fn(w)) @ u.T)
+
+
+def loop_tangent_vector(ref, p):
+    half = loop_matrix_function(ref, np.sqrt)
+    inv_half = loop_matrix_function(ref, lambda w: 1.0 / np.sqrt(w))
+    s = symmetrize(half @ loop_matrix_function(inv_half @ p @ inv_half, np.log) @ half)
+    iu = np.triu_indices(p.shape[0])
+    return np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0)) * s[iu]
+
+
+def loop_log_euclidean_mean(ps):
+    logs = np.mean([loop_matrix_function(p, np.log) for p in ps], axis=0)
+    return loop_matrix_function(logs, np.exp)
+
+
+def loop_distance(p1, p2):
+    isq = loop_matrix_function(p1, lambda w: 1.0 / np.sqrt(w))
+    w = np.linalg.eigvalsh(symmetrize(isq @ p2 @ isq))
+    return float(np.sqrt(np.sum(np.log(w) ** 2)))
+
+
+def relative_error(got, expected):
+    return float(np.max(np.abs(np.asarray(got) - expected)) / np.max(np.abs(expected)))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from conftest import random_spd
+from conftest import random_spd, relative_error
 
 from labelalign.alignment import (
-    AlignmentTransform,
     align,
+    class_means,
+    domain,
     ea_align,
     ea_reference,
     la_align,
@@ -13,7 +14,6 @@ from labelalign.alignment import (
     relabel,
     select_and_estimate_target_means,
     ClassMeans,
-    EA_DOMAIN_KEY,
     LabelMapping,
 )
 from labelalign.errors import (
@@ -21,7 +21,7 @@ from labelalign.errors import (
     MissingClassError,
     UnknownLabelError,
 )
-from labelalign.features import trial_covariance
+from labelalign.features import CovStack, covariance_stack, trial_covariance
 from labelalign.signal import Trial
 from labelalign.spd import (
     arithmetic_mean_cov,
@@ -30,6 +30,14 @@ from labelalign.spd import (
     spd_sqrt,
 )
 from labelalign.synth import SynthConfig, generate_synthetic
+
+
+def stack_of(trials):
+    return covariance_stack(trials)
+
+
+def random_trials(rng, count, channels, samples, label=0):
+    return [Trial(rng.standard_normal((channels, samples)), label=label) for _ in range(count)]
 
 
 def trials_with_covariance(rng, cov, count, samples=64, label=None):
@@ -75,44 +83,40 @@ class TestMatchLabels:
 
 class TestEuclideanAlignment:
     def test_identity_mean_covariance(self):
-        trials = [Trial(np.eye(2))]
-        transform = ea_reference(trials)
-        assert np.allclose(transform.matrices[EA_DOMAIN_KEY], np.eye(2), atol=1e-12)
+        whitener = ea_reference(stack_of([Trial(np.eye(2))]).covs)
+        assert np.allclose(whitener, np.eye(2), atol=1e-12)
 
     def test_diagonal_reference(self):
         trials = [Trial(np.diag([2.0, 1.0]))]  # covariance diag(4, 1)
-        transform = ea_reference(trials)
-        assert np.allclose(
-            transform.matrices[EA_DOMAIN_KEY], np.diag([0.5, 1.0]), atol=1e-12
-        )
+        whitener = ea_reference(stack_of(trials).covs)
+        assert np.allclose(whitener, np.diag([0.5, 1.0]), atol=1e-12)
 
     def test_reference_whitens_mean(self):
         rng = np.random.default_rng(111)
-        trials = [Trial(rng.standard_normal((4, 50))) for _ in range(10)]
-        r = ea_reference(trials).matrices[EA_DOMAIN_KEY]
-        mean = arithmetic_mean_cov([trial_covariance(t) for t in trials])
+        covs = stack_of([Trial(rng.standard_normal((4, 50))) for _ in range(10)]).covs
+        r = ea_reference(covs)
+        mean = arithmetic_mean_cov(covs)
         assert np.linalg.norm(r @ mean @ r - np.eye(4)) <= 1e-10
 
     def test_align_identity_transform(self):
         rng = np.random.default_rng(112)
-        trials = [Trial(rng.standard_normal((3, 30)), label=1)]
-        out = ea_align(AlignmentTransform("ea", {EA_DOMAIN_KEY: np.eye(3)}), trials)
-        assert np.array_equal(out[0].data, trials[0].data)
-        assert out[0].label == 1
+        stack = stack_of([Trial(rng.standard_normal((3, 30)), label=1)])
+        out = ea_align(np.eye(3), stack)
+        assert np.array_equal(out.covs, stack.covs)
+        assert out.labels.tolist() == [1]
 
     def test_aligned_mean_covariance_is_identity(self):
         rng = np.random.default_rng(113)
-        trials = [Trial(rng.standard_normal((4, 60))) for _ in range(12)]
-        aligned = ea_align(ea_reference(trials), trials)
-        mean = arithmetic_mean_cov([trial_covariance(t) for t in aligned])
+        stack = stack_of(random_trials(rng, 12, 4, 60))
+        aligned = ea_align(ea_reference(stack.covs), stack)
+        mean = arithmetic_mean_cov(aligned.covs)
         assert np.linalg.norm(mean - np.eye(4)) <= 1e-10
 
     def test_alignment_preserves_pairwise_distances(self):
         rng = np.random.default_rng(114)
-        trials = [Trial(rng.standard_normal((4, 60))) for _ in range(6)]
-        before = [trial_covariance(t) for t in trials]
-        aligned = ea_align(ea_reference(trials), trials)
-        after = [trial_covariance(t) for t in aligned]
+        stack = stack_of(random_trials(rng, 6, 4, 60))
+        before = stack.covs
+        after = ea_align(ea_reference(stack.covs), stack).covs
         for i in range(6):
             for j in range(i + 1, 6):
                 d0 = riemannian_distance(before[i], before[j])
@@ -128,7 +132,7 @@ class TestTargetMeanEstimation:
             Trial(0.5 * rng.standard_normal((3, 40)), label=1),
         ]
         means, medoids = select_and_estimate_target_means(
-            pool, k=2, oracle=lambda i: pool[i].label, n_classes=2
+            stack_of(pool).covs, k=2, oracle=lambda i: pool[i].label, n_classes=2
         )
         assert medoids == [0, 1]
         for idx in medoids:
@@ -142,7 +146,7 @@ class TestTargetMeanEstimation:
         rng = np.random.default_rng(116)
         pool = [Trial(rng.standard_normal((3, 40)), label=0) for _ in range(6)]
         means, medoids = select_and_estimate_target_means(
-            pool, k=3, oracle=lambda i: 0, n_classes=2
+            stack_of(pool).covs, k=3, oracle=lambda i: 0, n_classes=2
         )
         assert means is None
         assert len(medoids) == 3
@@ -153,7 +157,7 @@ class TestTargetMeanEstimation:
         data = generate_synthetic(cfg)
         pool = list(data.subjects[0])
         means, _ = select_and_estimate_target_means(
-            pool, k=10, oracle=lambda i: pool[i].label, n_classes=2
+            stack_of(pool).covs, k=10, oracle=lambda i: pool[i].label, n_classes=2
         )
         for m in (0, 1):
             # Trial covariances carry the raw Gram scale; divide by the
@@ -167,30 +171,30 @@ class TestLabelAlignment:
     def test_equal_means_give_identity(self):
         rng = np.random.default_rng(117)
         cov = random_spd(rng, 3)
-        trials = trials_with_covariance(rng, cov, 3, label=0)
+        stack = stack_of(trials_with_covariance(rng, cov, 3, label=0))
         target = ClassMeans({5: cov}, {5: 1})
         mapping = LabelMapping(((0, 5),))
-        transform = la_fit({0: trials}, target, mapping)
-        assert np.allclose(transform.matrices[0], np.eye(3), atol=1e-10)
+        transform = la_fit(class_means(stack.covs, stack.labels), target, mapping)
+        assert np.allclose(transform[0], np.eye(3), atol=1e-10)
 
     def test_diagonal_closed_form(self):
         rng = np.random.default_rng(118)
-        trials = trials_with_covariance(rng, np.diag([4.0, 1.0]), 2, label=0)
+        stack = stack_of(trials_with_covariance(rng, np.diag([4.0, 1.0]), 2, label=0))
         target = ClassMeans({1: np.diag([1.0, 4.0])}, {1: 1})
-        transform = la_fit({0: trials}, target, LabelMapping(((0, 1),)))
-        assert np.allclose(transform.matrices[0], np.diag([0.5, 2.0]), atol=1e-10)
+        transform = la_fit(
+            class_means(stack.covs, stack.labels), target, LabelMapping(((0, 1),))
+        )
+        assert np.allclose(transform[0], np.diag([0.5, 2.0]), atol=1e-10)
 
     def test_recenters_class_mean_exactly(self):
         rng = np.random.default_rng(119)
-        source_trials = [Trial(rng.standard_normal((8, 40)), label=0) for _ in range(5)]
+        stack = stack_of(random_trials(rng, 5, 8, 40))
         target_mean = random_spd(rng, 8, scale=0.8)
         target = ClassMeans({2: target_mean}, {2: 3})
         mapping = LabelMapping(((0, 2),))
-        transform = la_fit({0: source_trials}, target, mapping)
-        a = transform.matrices[0]
-        source_mean = log_euclidean_mean(
-            [trial_covariance(t) for t in source_trials]
-        )
+        transform = la_fit(class_means(stack.covs, stack.labels), target, mapping)
+        a = transform[0]
+        source_mean = log_euclidean_mean(stack.covs)
         gap = a @ source_mean @ a.T - target_mean
         assert np.linalg.norm(gap) <= 1e-9 * np.linalg.norm(target_mean)
 
@@ -199,18 +203,15 @@ class TestLabelAlignment:
         cov0, cov1 = random_spd(rng, 3), random_spd(rng, 3)
         trials = trials_with_covariance(rng, cov0, 4, label=0)
         trials += trials_with_covariance(rng, cov1, 4, label=1)
+        stack = stack_of(trials)
         t_means = {7: random_spd(rng, 3), 9: random_spd(rng, 3)}
         target = ClassMeans(t_means, {7: 1, 9: 1})
         mapping = LabelMapping(((0, 7), (1, 9)))
-        transform = la_fit(
-            {0: trials[:4], 1: trials[4:]}, target, mapping
-        )
-        aligned = la_align(transform, trials, mapping)
-        assert sorted({t.label for t in aligned}) == [7, 9]
-        assert [t.label for t in aligned] == [7] * 4 + [9] * 4
+        transform = la_fit(class_means(stack.covs, stack.labels), target, mapping)
+        aligned = la_align(transform, stack, mapping)
+        assert aligned.labels.tolist() == [7] * 4 + [9] * 4
         for label in (7, 9):
-            covs = [trial_covariance(t) for t in aligned if t.label == label]
-            mean = log_euclidean_mean(covs)
+            mean = log_euclidean_mean(aligned.covs[aligned.labels == label])
             # Same-covariance trials make the recentering exact.
             assert np.linalg.norm(mean - t_means[label]) <= 1e-8 * np.linalg.norm(
                 t_means[label]
@@ -218,21 +219,19 @@ class TestLabelAlignment:
 
     def test_identity_transform_only_relabels(self):
         rng = np.random.default_rng(121)
-        trials = [Trial(rng.standard_normal((2, 20)), label=0)]
-        transform = AlignmentTransform("la", {0: np.eye(2)})
-        out = la_align(transform, trials, LabelMapping(((0, 4),)))
-        assert np.array_equal(out[0].data, trials[0].data)
-        assert out[0].label == 4
+        stack = stack_of([Trial(rng.standard_normal((2, 20)), label=0)])
+        out = la_align({0: np.eye(2)}, stack, LabelMapping(((0, 4),)))
+        assert np.array_equal(out.covs, stack.covs)
+        assert out.labels.tolist() == [4]
 
     def test_within_class_distances_preserved(self):
         rng = np.random.default_rng(122)
-        trials = [Trial(rng.standard_normal((4, 50)), label=0) for _ in range(5)]
-        before = [trial_covariance(t) for t in trials]
+        stack = stack_of(random_trials(rng, 5, 4, 50))
         target = ClassMeans({1: random_spd(rng, 4)}, {1: 1})
         mapping = LabelMapping(((0, 1),))
-        transform = la_fit({0: trials}, target, mapping)
-        aligned = la_align(transform, trials, mapping)
-        after = [trial_covariance(t) for t in aligned]
+        transform = la_fit(class_means(stack.covs, stack.labels), target, mapping)
+        before = stack.covs
+        after = la_align(transform, stack, mapping).covs
         for i in range(5):
             for j in range(i + 1, 5):
                 d0 = riemannian_distance(before[i], before[j])
@@ -241,64 +240,81 @@ class TestLabelAlignment:
 
     def test_missing_class_errors(self):
         rng = np.random.default_rng(123)
-        trials = [Trial(rng.standard_normal((2, 20)), label=0)]
+        stack = stack_of([Trial(rng.standard_normal((2, 20)), label=0)])
+        source = class_means(stack.covs, stack.labels)
         target = ClassMeans({4: np.eye(2)}, {4: 1})
         with pytest.raises(MissingClassError):
-            la_fit({0: trials}, target, LabelMapping(((1, 4),)))
+            la_fit(source, target, LabelMapping(((1, 4),)))
         with pytest.raises(MissingClassError):
-            la_fit({0: trials}, target, LabelMapping(((0, 9),)))
+            la_fit(source, target, LabelMapping(((0, 9),)))
 
     def test_unknown_label_on_align(self):
         rng = np.random.default_rng(124)
-        transform = AlignmentTransform("la", {0: np.eye(2)})
-        stray = [Trial(rng.standard_normal((2, 20)), label=3)]
+        transform = {0: np.eye(2)}
+        stray = stack_of([Trial(rng.standard_normal((2, 20)), label=3)])
         with pytest.raises(UnknownLabelError):
             la_align(transform, stray, LabelMapping(((0, 1),)))
+
+    def test_aligned_covariances_match_aligned_trials(self):
+        # A C Aᵀ on the stack is what re-multiplying the raw trials by A
+        # and recomputing their covariances gives, scatter included.
+        rng = np.random.default_rng(130)
+        trials = random_trials(rng, 3, 4, 30, label=0) + random_trials(rng, 3, 4, 30, label=1)
+        stack = covariance_stack(trials, scatter=True)
+        means = ClassMeans({5: random_spd(rng, 4), 6: random_spd(rng, 4)}, {5: 1, 6: 1})
+        mapping = LabelMapping(((0, 5), (1, 6)))
+        transform = la_fit(class_means(stack.covs, stack.labels), means, mapping)
+        aligned = la_align(transform, stack, mapping)
+        moved = [Trial(transform[t.label] @ t.data, label=t.label) for t in trials]
+        reference = covariance_stack(moved, scatter=True)
+        assert relative_error(aligned.covs, reference.covs) <= 1e-12
+        assert relative_error(aligned.scatter, reference.scatter) <= 1e-12
 
 
 class TestAlignDispatch:
     def test_raw_without_mapping_echoes(self):
         rng = np.random.default_rng(125)
-        source = [[Trial(rng.standard_normal((2, 20)), label=0)]]
-        target = [Trial(rng.standard_normal((2, 20)), label=1)]
-        result = align("raw", source, target)
-        assert np.array_equal(result.source_subjects[0][0].data, source[0][0].data)
-        assert result.source_subjects[0][0].label == 0
-        assert np.array_equal(result.target_trials[0].data, target[0].data)
+        source = stack_of([Trial(rng.standard_normal((2, 20)), label=0)])
+        target = stack_of([Trial(rng.standard_normal((2, 20)), label=1)])
+        sources, aligned_target = align("raw", [domain(source, source=True)], domain(target))
+        assert np.array_equal(sources[0].covs, source.covs)
+        assert sources[0].labels.tolist() == [0]
+        assert np.array_equal(aligned_target.covs, target.covs)
 
     def test_raw_with_mapping_relabels_only(self):
         rng = np.random.default_rng(126)
-        source = [[Trial(rng.standard_normal((2, 20)), label=0)]]
-        target = [Trial(rng.standard_normal((2, 20)), label=1)]
-        result = align("raw", source, target, mapping=LabelMapping(((0, 1),)))
-        assert np.array_equal(result.source_subjects[0][0].data, source[0][0].data)
-        assert result.source_subjects[0][0].label == 1
+        source = stack_of([Trial(rng.standard_normal((2, 20)), label=0)])
+        target = stack_of([Trial(rng.standard_normal((2, 20)), label=1)])
+        sources, _ = align(
+            "raw", [domain(source)], domain(target), mapping=LabelMapping(((0, 1),))
+        )
+        assert np.array_equal(sources[0].covs, source.covs)
+        assert sources[0].labels.tolist() == [1]
 
     def test_ea_whitens_every_subject(self):
         rng = np.random.default_rng(127)
-        subjects = [
-            [Trial(rng.standard_normal((3, 40)), label=0) for _ in range(8)]
-            for _ in range(2)
-        ]
-        target = [Trial(rng.standard_normal((3, 40)), label=1) for _ in range(8)]
-        result = align("ea", subjects, target)
-        for aligned in [*result.source_subjects, result.target_trials]:
-            mean = arithmetic_mean_cov([trial_covariance(t) for t in aligned])
+        subjects = [domain(stack_of(random_trials(rng, 8, 3, 40))) for _ in range(2)]
+        target = domain(stack_of(random_trials(rng, 8, 3, 40, label=1)))
+        sources, aligned_target = align("ea", subjects, target)
+        for aligned in [*sources, aligned_target]:
+            mean = arithmetic_mean_cov(aligned.covs)
             assert np.linalg.norm(mean - np.eye(3)) <= 1e-9 * 3
 
     def test_la_dispatch_matches_manual_pipeline(self):
         rng = np.random.default_rng(128)
-        source = [trials_with_covariance(rng, random_spd(rng, 3), 4, label=0)]
+        source = stack_of(trials_with_covariance(rng, random_spd(rng, 3), 4, label=0))
         target_mean = random_spd(rng, 3)
         means = ClassMeans({5: target_mean}, {5: 2})
         mapping = LabelMapping(((0, 5),))
-        result = align("la", source, [], mapping=mapping, target_means=means)
-        covs = [trial_covariance(t) for t in result.source_subjects[0]]
+        empty_target = domain(CovStack(np.eye(3)[None], np.array([5])))
+        sources, _ = align(
+            "la", [domain(source, source=True)], empty_target, mapping=mapping,
+            target_means=means,
+        )
         assert np.linalg.norm(
-            log_euclidean_mean(covs) - target_mean
+            log_euclidean_mean(sources[0].covs) - target_mean
         ) <= 1e-8 * np.linalg.norm(target_mean)
 
     def test_relabel_requires_known_labels(self):
-        rng = np.random.default_rng(129)
         with pytest.raises(UnknownLabelError):
-            relabel([Trial(rng.standard_normal((2, 10)), label=9)], LabelMapping(((0, 1),)))
+            relabel([9], LabelMapping(((0, 1),)))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_invertible, random_spd
+from conftest import loop_distance, random_invertible, random_spd
 
 from labelalign.classifiers import (
     lda_fit,
@@ -14,6 +14,7 @@ from labelalign.classifiers import (
 )
 from labelalign.errors import ConfigError, SingularCovarianceError
 from labelalign.features import trial_covariance
+from labelalign.spd import riemannian_distance
 from labelalign.signal import Trial
 from labelalign.synth import SynthConfig, generate_synthetic
 
@@ -189,3 +190,16 @@ class TestMdm:
         model_t = mdm_fit([q.T @ c @ q for c in covs], labels)
         mapped = [mdm_predict(model_t, q.T @ c @ q) for c in tests]
         assert base == mapped
+
+    def test_stack_prediction_matches_per_matrix_loop(self):
+        rng = np.random.default_rng(81)
+        covs = np.stack([random_spd(rng, 5) for _ in range(9)])
+        model = mdm_fit(covs, [0, 1, 2] * 3)
+        tests = np.stack([random_spd(rng, 5) for _ in range(20)])
+        means = np.stack([model.means[c] for c in model.classes])
+        loops = np.array([[loop_distance(t, m) for m in means] for t in tests])
+        batched = riemannian_distance(tests[:, None], means)
+        assert np.max(np.abs(batched - loops)) <= 1e-10 * np.max(loops)
+        preds = mdm_predict(model, tests)
+        assert preds == [model.classes[i] for i in np.argmin(loops, axis=1)]
+        assert preds == [mdm_predict(model, t) for t in tests]

@@ -5,13 +5,15 @@ from conftest import random_invertible, random_spd
 from labelalign.errors import ConfigError, DimMismatchError, NotPositiveDefiniteError
 from labelalign.features import (
     CspModel,
+    centred_scatter,
+    covariance_stack,
     csp_features,
     csp_fit,
     trial_covariance,
     ts_features,
 )
 from labelalign.signal import Trial
-from labelalign.spd import riemannian_distance, tangent_unmap, TangentVector
+from labelalign.spd import riemannian_distance, tangent_unmap
 
 
 class TestTrialCovariance:
@@ -39,6 +41,30 @@ class TestTrialCovariance:
     def test_bad_shrinkage(self):
         with pytest.raises(ConfigError):
             trial_covariance(Trial(np.eye(2)), shrinkage=1.0)
+
+    def test_stack_is_bitwise_the_per_trial_covariances(self):
+        rng = np.random.default_rng(52)
+        x = rng.standard_normal((6, 5, 40))
+        for shrinkage in (0.0, 0.2):
+            expected = np.stack([trial_covariance(Trial(t), shrinkage) for t in x])
+            assert np.array_equal(trial_covariance(x, shrinkage), expected)
+
+    def test_degenerate_trial_of_a_stack_is_named(self):
+        rng = np.random.default_rng(53)
+        x = rng.standard_normal((4, 3, 30))
+        x[2, 1] = 0.0  # one all-zero channel
+        with pytest.raises(NotPositiveDefiniteError, match="trial 2: smallest eigenvalue"):
+            trial_covariance(x)
+
+    def test_covariance_stack_keeps_labels_and_scatter(self):
+        rng = np.random.default_rng(54)
+        trials = [Trial(rng.standard_normal((3, 20)), label=l) for l in (0, 1, 1)]
+        stack = covariance_stack(trials, scatter=True)
+        assert stack.labels.tolist() == [0, 1, 1]
+        assert np.array_equal(stack.covs[1], trial_covariance(trials[1]))
+        assert np.array_equal(stack.scatter[2], centred_scatter(trials[2].data))
+        assert covariance_stack(trials).scatter is None
+        assert covariance_stack([Trial(t.data) for t in trials]).labels is None
 
 
 class TestCspFit:
@@ -98,32 +124,34 @@ class TestCspFeatures:
         base = np.arange(10.0)
         x = np.vstack([base, base[::-1], np.roll(base, 3)])  # equal sample variance
         model = CspModel(np.eye(3), 1, (0, 1), "binary", np.zeros(3))
-        f = csp_features(model, Trial(x)).values
+        f = csp_features(model, centred_scatter(x))
         assert np.allclose(f, np.log(1.0 / 3.0), atol=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(47)
         x = rng.standard_normal((4, 50))
         model = CspModel(rng.standard_normal((2, 4)), 1, (0, 1), "binary", np.zeros(2))
-        f1 = csp_features(model, Trial(x)).values
-        f2 = csp_features(model, Trial(3.0 * x)).values
+        f1 = csp_features(model, centred_scatter(x))
+        f2 = csp_features(model, centred_scatter(3.0 * x))
         assert np.allclose(f1, f2, atol=1e-12)
 
     def test_direct_formula(self):
+        # Features from the centred scatter equal the normalized ddof=1
+        # log-variance of the filtered raw trials.
         rng = np.random.default_rng(48)
-        x = rng.standard_normal((5, 80))
+        x = rng.standard_normal((7, 5, 80)) + rng.standard_normal((7, 5, 1))
         filters = rng.standard_normal((4, 5))
         model = CspModel(filters, 2, (0, 1), "binary", np.zeros(4))
-        f = csp_features(model, Trial(x)).values
-        y = filters @ x
-        v = y.var(axis=1, ddof=1)
-        expected = np.log(v / v.sum())
-        assert np.max(np.abs(f - expected)) <= 1e-12
+        f = csp_features(model, centred_scatter(x))
+        assert f.shape == (7, 4)
+        for row, trial in zip(f, x):
+            v = (filters @ trial).var(axis=1, ddof=1)
+            assert np.max(np.abs(row - np.log(v / v.sum()))) <= 1e-12
 
     def test_channel_mismatch(self):
         model = CspModel(np.eye(3), 1, (0, 1), "binary", np.zeros(3))
         with pytest.raises(DimMismatchError):
-            csp_features(model, Trial(np.ones((4, 10))))
+            csp_features(model, centred_scatter(np.ones((4, 10))))
 
     def test_end_to_end_congruence_invariance(self):
         # Re-mixing the channels by an invertible matrix and refitting yields
@@ -133,13 +161,13 @@ class TestCspFeatures:
         covs = {m: [trial_covariance(Trial(x)) for x in xs] for m, xs in trials.items()}
         model = csp_fit(covs, pairs=2)
         probe = trials[0][0]
-        f_orig = csp_features(model, Trial(probe)).values
+        f_orig = csp_features(model, centred_scatter(probe))
 
         w = random_invertible(rng, 5)
         mixed = {m: [w.T @ x for x in xs] for m, xs in trials.items()}
         covs_mixed = {m: [trial_covariance(Trial(x)) for x in xs] for m, xs in mixed.items()}
         model_mixed = csp_fit(covs_mixed, pairs=2)
-        f_mixed = csp_features(model_mixed, Trial(w.T @ probe)).values
+        f_mixed = csp_features(model_mixed, centred_scatter(w.T @ probe))
         assert np.max(np.abs(np.sort(f_mixed) - np.sort(f_orig))) <= 1e-8
 
 
@@ -148,14 +176,13 @@ class TestTsFeatures:
         rng = np.random.default_rng(50)
         ref = random_spd(rng, 4)
         vecs = ts_features(ref, [ref])
-        assert len(vecs) == 1
-        assert vecs[0].kind == "tangent-space"
-        assert np.linalg.norm(vecs[0].values) <= 1e-9
+        assert vecs.shape == (1, 10)
+        assert np.linalg.norm(vecs[0]) <= 1e-9
 
     def test_dimension_is_triangle_count(self):
         ref = np.eye(22)
         vecs = ts_features(ref, [np.eye(22)])
-        assert vecs[0].values.shape == (253,)
+        assert vecs.shape == (1, 253)
 
     def test_unmapping_recovers_covariance(self):
         rng = np.random.default_rng(51)
@@ -163,6 +190,6 @@ class TestTsFeatures:
         covs = [random_spd(rng, 5) for _ in range(4)]
         vecs = ts_features(ref, covs)
         for cov, vec in zip(covs, vecs):
-            back = tangent_unmap(TangentVector(ref=ref, flat=vec.values))
+            back = tangent_unmap(ref, vec)
             assert np.linalg.norm(back - cov) / np.linalg.norm(cov) <= 1e-9
             assert riemannian_distance(back, cov) <= 1e-7

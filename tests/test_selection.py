@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import random_spd
+from conftest import loop_distance, random_spd, relative_error
 
 from labelalign.errors import KTooLargeError
 from labelalign.selection import k_medoids, pairwise_distances, total_cost
@@ -42,6 +42,15 @@ class TestPairwiseDistances:
                 expected = riemannian_distance(covs[i], covs[j]) if i != j else 0.0
                 assert d[i, j] == pytest.approx(expected, abs=1e-12)
         assert np.array_equal(d, d.T)
+
+    def test_matches_per_pair_loop(self):
+        rng = np.random.default_rng(69)
+        covs = np.stack([random_spd(rng, 8) for _ in range(12)])
+        expected = np.zeros((12, 12))
+        for i in range(12):
+            for j in range(i + 1, 12):
+                expected[i, j] = expected[j, i] = loop_distance(covs[i], covs[j])
+        assert relative_error(pairwise_distances(covs), expected) <= 1e-10
 
 
 class TestKMedoids:

@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
-from conftest import random_invertible, random_spd
+from conftest import (
+    loop_distance,
+    loop_log_euclidean_mean,
+    loop_matrix_function,
+    loop_tangent_vector,
+    random_invertible,
+    random_spd,
+    relative_error,
+)
 
 from labelalign.errors import (
     DimMismatchError,
@@ -9,7 +17,6 @@ from labelalign.errors import (
     NotPositiveDefiniteError,
 )
 from labelalign.spd import (
-    TangentVector,
     arithmetic_mean_cov,
     flatten_sym,
     log_euclidean_mean,
@@ -139,22 +146,24 @@ class TestTangentSpace:
     def test_zero_vector_at_base_point(self):
         rng = np.random.default_rng(14)
         p = random_spd(rng, 4)
-        assert np.linalg.norm(tangent_map(p, p).flat) <= 1e-10
+        assert np.linalg.norm(tangent_map(p, p)) <= 1e-10
 
     def test_identity_reference_is_matrix_log(self):
         v = tangent_map(np.eye(2), np.diag([np.e, 1.0]))
-        assert np.allclose(v.flat, [1.0, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(v, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_round_trip_random_pairs(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
             ref, p = random_spd(rng, 6), random_spd(rng, 6)
-            back = tangent_unmap(tangent_map(ref, p))
+            back = tangent_unmap(ref, tangent_map(ref, p))
             assert np.linalg.norm(back - p) / np.linalg.norm(p) <= 1e-9
 
     def test_flat_length_validation(self):
         with pytest.raises(DimMismatchError):
-            TangentVector(ref=np.eye(3), flat=np.zeros(5))
+            tangent_unmap(np.eye(3), np.zeros(5))
+        with pytest.raises(DimMismatchError):
+            tangent_unmap(np.eye(3), np.zeros(10))  # a triangle number, but of dim 4
 
     def test_inner_product_preserved(self):
         rng = np.random.default_rng(16)
@@ -223,3 +232,66 @@ class TestMeans:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
             log_euclidean_mean([np.eye(2), np.eye(3)])
+
+
+class TestSpdStacks:
+    def test_single_matrix_kernel_is_bitwise_the_per_matrix_formula(self):
+        rng = np.random.default_rng(23)
+        p = random_spd(rng, 6)
+        s = symmetrize(rng.standard_normal((6, 6)))
+        assert np.array_equal(spd_sqrt(p), loop_matrix_function(p, np.sqrt))
+        assert np.array_equal(
+            spd_inv_sqrt(p), loop_matrix_function(p, lambda w: 1.0 / np.sqrt(w))
+        )
+        assert np.array_equal(spd_log(p), loop_matrix_function(p, np.log))
+        assert np.array_equal(spd_exp(s), loop_matrix_function(s, np.exp))
+
+    def test_stack_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(24)
+        stack = np.stack([random_spd(rng, 5) for _ in range(7)])
+        for f in (spd_sqrt, spd_inv_sqrt, spd_log, spd_exp):
+            assert np.array_equal(f(stack), np.stack([f(p) for p in stack]))
+
+    def test_tangent_vectors_match_loop(self):
+        rng = np.random.default_rng(25)
+        for dim in (3, 8, 22):
+            ref = random_spd(rng, dim)
+            stack = np.stack([random_spd(rng, dim) for _ in range(12)])
+            expected = np.stack([loop_tangent_vector(ref, p) for p in stack])
+            assert tangent_map(ref, stack).shape == (12, dim * (dim + 1) // 2)
+            assert relative_error(tangent_map(ref, stack), expected) <= 1e-10
+
+    def test_log_euclidean_mean_matches_loop(self):
+        rng = np.random.default_rng(26)
+        for dim in (3, 8, 22):
+            stack = np.stack([random_spd(rng, dim) for _ in range(15)])
+            expected = loop_log_euclidean_mean(stack)
+            assert relative_error(log_euclidean_mean(stack), expected) <= 1e-10
+
+    def test_distances_broadcast_and_match_loop(self):
+        rng = np.random.default_rng(27)
+        p = random_spd(rng, 6)
+        stack = np.stack([random_spd(rng, 6) for _ in range(9)])
+        expected = np.array([loop_distance(p, q) for q in stack])
+        got = riemannian_distance(p, stack)
+        assert got.shape == (9,)
+        assert relative_error(got, expected) <= 1e-10
+        grid = riemannian_distance(stack[:, None], stack[:4])
+        assert grid.shape == (9, 4)
+        loops = [[loop_distance(a, b) for b in stack[:4]] for a in stack]
+        assert relative_error(grid, np.array(loops)) <= 1e-10
+
+    def test_validation_names_the_failing_matrix(self):
+        stack = np.stack([np.eye(3), np.eye(3), np.diag([1.0, 1.0, 0.0])])
+        with pytest.raises(NotPositiveDefiniteError, match="matrix 2: smallest eigenvalue"):
+            spd_from_matrix(stack)
+        stack[1, 0, 0] = np.inf
+        with pytest.raises(NonFiniteError, match="trial contains"):
+            spd_from_matrix(stack, name="trial")
+
+    def test_tangent_unmap_inverts_a_stack(self):
+        rng = np.random.default_rng(28)
+        ref = random_spd(rng, 4)
+        stack = np.stack([random_spd(rng, 4) for _ in range(5)])
+        back = tangent_unmap(ref, tangent_map(ref, stack))
+        assert relative_error(back, stack) <= 1e-9
