@@ -85,22 +85,10 @@ def match_labels(source_labels, target_labels, seed: int = 0) -> LabelMapping:
     return LabelMapping(tuple(pairs))
 
 
-@dataclass(frozen=True, eq=False)
-class ClassMeans:
-    """Per-class SPD means and the number of labeled trials behind each."""
-
-    means: dict
-    support: dict
-
-
-def class_means(covs: Array, labels) -> ClassMeans:
-    """Log-Euclidean mean of the covariances of each label."""
+def class_means(covs: Array, labels) -> dict:
+    """Log-Euclidean mean of the covariances of each label, keyed by label."""
     labels = np.asarray(labels)
-    groups = {int(l): covs[labels == l] for l in np.unique(labels)}
-    return ClassMeans(
-        {l: log_euclidean_mean(g) for l, g in groups.items()},
-        {l: len(g) for l, g in groups.items()},
-    )
+    return {int(l): log_euclidean_mean(covs[labels == l]) for l in np.unique(labels)}
 
 
 def _lookup(table: dict, labels, what: str) -> list:
@@ -127,7 +115,7 @@ def select_and_estimate_target_means(
     oracle: Callable[[int], int],
     n_classes: int,
     distances: Array | None = None,
-) -> tuple[ClassMeans | None, list[int]]:
+) -> tuple[dict | None, list[int]]:
     """Pick ``k`` medoid trials, label them, and estimate per-class means.
 
     Only the medoids of ``distances`` (the pairwise geodesic distances of
@@ -146,8 +134,8 @@ def select_and_estimate_target_means(
 
 
 def la_fit(
-    source_means: ClassMeans,
-    target_means: ClassMeans,
+    source_means: dict,
+    target_means: dict,
     mapping: LabelMapping,
 ) -> dict:
     """Per-class matrices moving each source class mean onto its target mean.
@@ -155,12 +143,12 @@ def la_fit(
     Returns ``{source label: Ct^{1/2} Cs^{-1/2}}``.
     """
     for src_label, tgt_label in mapping.pairs:
-        if src_label not in source_means.means:
+        if src_label not in source_means:
             raise MissingClassError(f"no source trials for label {src_label!r}", src_label)
-        if tgt_label not in target_means.means:
+        if tgt_label not in target_means:
             raise MissingClassError(f"no target mean for label {tgt_label!r}", tgt_label)
-    halves = spd_sqrt(np.stack([target_means.means[t] for t in mapping.target_labels]))
-    inv_halves = spd_inv_sqrt(np.stack([source_means.means[s] for s in mapping.source_labels]))
+    halves = spd_sqrt(np.stack([target_means[t] for t in mapping.target_labels]))
+    inv_halves = spd_inv_sqrt(np.stack([source_means[s] for s in mapping.source_labels]))
     return dict(zip(mapping.source_labels, halves @ inv_halves))
 
 
@@ -182,7 +170,7 @@ class Domain:
 
     stack: CovStack
     ea: Array
-    means: ClassMeans | None = None
+    means: dict | None = None
 
 
 def domain(stack: CovStack, source: bool = False) -> Domain:
@@ -196,7 +184,7 @@ def align(
     sources: Sequence[Domain],
     target: Domain,
     mapping: LabelMapping | None = None,
-    target_means: ClassMeans | None = None,
+    target_means: dict | None = None,
 ) -> tuple[list[CovStack], CovStack]:
     """Dispatch one alignment strategy over all source subjects.
 

@@ -33,12 +33,20 @@ from .alignment import align, domain, match_labels, select_and_estimate_target_m
 from .dataio import load_manifest
 from .errors import (
     ConfigError,
+    DimMismatchError,
     NonFiniteError,
     NotPositiveDefiniteError,
     TooFewPointsError,
     ZeroVarianceError,
 )
-from .features import CovStack, concat_stacks, covariance_stack, csp_features, csp_fit, ts_features
+from .features import (
+    CovStack,
+    concat_stacks,
+    covariance_stack,
+    csp_features,
+    csp_fit,
+    ts_features,
+)
 from .rng import derive_key
 from .selection import pairwise_distances
 from .signal import Trial
@@ -309,8 +317,12 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
         missing = set(spec.source_labels) - set(labels)
         if missing:
             raise ConfigError(f"subject {name} has no trials for source labels {sorted(missing)}")
+    channels = subjects[0][0].channels
+    for name, trials in zip(names, subjects):
+        if any(t.channels != channels for t in trials):
+            raise DimMismatchError(f"subject {name} has trials without {channels} channels")
 
-    domains = [_subject_domains(spec, name, trials) for name, trials in zip(names, subjects)]
+    domains =[_subject_domains(spec, name, trials) for name, trials in zip(names, subjects)]
     del subjects  # the units need only the stacks; free the raw trials
     units = []
     for i, name in enumerate(names):

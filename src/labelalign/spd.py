@@ -28,12 +28,12 @@ Array = np.ndarray
 
 
 def symmetrize(a: Array) -> Array:
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def congruence(a: Array, s: Array) -> Array:
     """``A S Aᵀ`` for each matrix of ``s``; ``a`` is one matrix or one per matrix."""
-    return symmetrize(a @ s @ np.swapaxes(a, -1, -2))
+    return symmetrize(a @ s @ a.swapaxes(-1, -2))
 
 
 def _eigh(a: Array) -> tuple[Array, Array]:
@@ -88,7 +88,7 @@ def spd_from_matrix(raw, tol: float = SPD_TOL, name: str = "matrix") -> Array:
 
 
 def _require_positive_spectrum(w: Array, op: str) -> None:
-    if (w[..., 0] <= 0.0).any():
+    if w[..., 0].min() <= 0.0:
         raise NotPositiveDefiniteError(
             f"{op}: spectrum not positive (min {w[..., 0].min():.6g})"
         )
@@ -104,7 +104,7 @@ def _spectral(p: Array, *fns, op: str | None = None) -> list[Array]:
     w, u = _eigh(symmetrize(np.asarray(p, dtype=np.float64)))
     if op is not None:
         _require_positive_spectrum(w, op)
-    ut = np.swapaxes(u, -1, -2)
+    ut = u.swapaxes(-1, -2)
     return [symmetrize((u * fn(w)[..., None, :]) @ ut) for fn in fns]
 
 

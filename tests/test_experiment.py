@@ -14,7 +14,7 @@ from labelalign.dataio import (
     write_manifest,
     write_trials,
 )
-from labelalign.errors import DataError
+from labelalign.errors import DataError, DimMismatchError
 from labelalign.experiment import (
     ExperimentReport,
     emit_report,
@@ -23,6 +23,7 @@ from labelalign.experiment import (
     render_report_csv,
     run_scenario,
 )
+from labelalign.signal import Trial
 from labelalign.synth import SynthConfig, generate_synthetic
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -82,6 +83,13 @@ class TestDegenerateTrials:
         zero_channel(manifest, "s1", 17, 2)
         spec = load_scenario(write_spec(tmp_path / "spec.json", manifest))
         with pytest.raises(DataError, match="subject s1, trial 17: smallest eigenvalue"):
+            run_scenario(spec)
+
+    def test_subjects_with_different_channel_counts_are_rejected(self, manifest, tmp_path):
+        trials_path = manifest.parent / "s2.trials"
+        write_trials(trials_path, [Trial(t.data[:3]) for t in read_trials(trials_path)])
+        spec = load_scenario(write_spec(tmp_path / "spec.json", manifest))
+        with pytest.raises(DimMismatchError, match="subject s2"):
             run_scenario(spec)
 
     def test_cli_experiment_exits_3_with_the_location(self, manifest, tmp_path, capsys):
