@@ -10,6 +10,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .alignment import (
     class_means,
     ea_reference,
@@ -18,6 +20,7 @@ from .alignment import (
     select_and_estimate_target_means,
 )
 from .dataio import (
+    Trial,
     load_manifest,
     read_labels,
     read_trials,
@@ -27,11 +30,10 @@ from .dataio import (
     write_trials,
 )
 from .errors import ConfigError, DataError
-from .experiment import emit_report, fit_predict, load_scenario, run_scenario
-from .features import covariance_stack
+from .experiment import emit_report, fit_predict, load_scenario, run_scenario, subject_stack
+from .features import CovStack, covariance_stack
 from .rng import derive_key
 from .selection import k_medoids, pairwise_distances
-from .signal import Trial
 from .synth import SynthConfig, generate_synthetic
 
 
@@ -69,6 +71,15 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _label_view(name: str, trials, labels: list, role: str) -> CovStack:
+    """Covariances of one subject's trials in ``labels``; every label must occur."""
+    stack = subject_stack(name, trials)
+    missing = sorted(set(labels) - set(stack.labels.tolist()))
+    if missing:
+        raise DataError(f"{role} subject {name} has no trials for {role} labels {missing}")
+    return stack.take(np.isin(stack.labels, labels))
+
+
 def _cmd_align(args) -> int:
     manifest = load_manifest(args.manifest)
     subjects = manifest.load_all()
@@ -80,8 +91,8 @@ def _cmd_align(args) -> int:
         aligned = subjects
     elif args.strategy == "ea":
         aligned = []
-        for trials in subjects:
-            r = ea_reference(covariance_stack(trials).covs)
+        for name, trials in zip(names, subjects):
+            r = ea_reference(subject_stack(name, trials).covs)
             aligned.append([Trial(r @ t.data, label=t.label) for t in trials])
     else:
         if args.target_subject is None or not args.source_labels or not args.target_labels:
@@ -94,7 +105,7 @@ def _cmd_align(args) -> int:
         target_set = [int(l) for l in args.target_labels.split(",")]
         mapping = match_labels(source_set, target_set, derive_key(args.seed, "mapping"))
         tgt_index = names.index(args.target_subject)
-        pool = covariance_stack([t for t in subjects[tgt_index] if t.label in target_set])
+        pool = _label_view(args.target_subject, subjects[tgt_index], target_set, "target")
         means, _ = select_and_estimate_target_means(
             pool.covs, args.k, oracle=lambda i: pool.labels[i], n_classes=len(target_set)
         )
@@ -105,16 +116,16 @@ def _cmd_align(args) -> int:
             )
         target_of = mapping.as_dict()
         aligned = []
-        for i, trials in enumerate(subjects):
+        for i, (name, trials) in enumerate(zip(names, subjects)):
             if i == tgt_index:
                 aligned.append(trials)
                 continue
-            source = [t for t in trials if t.label in source_set]
-            stack = covariance_stack(source)
-            matrices = la_fit(class_means(stack.covs, stack.labels), means, mapping)
-            aligned.append(
-                [Trial(matrices[t.label] @ t.data, label=target_of[t.label]) for t in source]
-            )
+            source = _label_view(name, trials, source_set, "source")
+            matrices = la_fit(class_means(source.covs, source.labels), means, mapping)
+            aligned.append([
+                Trial(matrices[t.label] @ t.data, label=target_of[t.label])
+                for t in trials if t.label in source_set
+            ])
 
     entries = []
     for name, trials in zip(names, aligned):

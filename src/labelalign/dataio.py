@@ -1,4 +1,9 @@
-"""On-disk formats: binary trial files, label files, and dataset manifests.
+"""Epoched trials and their on-disk formats: trial files, label files, manifests.
+
+A :class:`Trial` is one epoch in memory, channels x samples with an
+optional label; it is what a trial file holds and what the synthetic
+generator emits. The pipelines take trials only through
+:func:`labelalign.features.covariance_stack`.
 
 Trial file layout (all integers little-endian):
 
@@ -33,15 +38,30 @@ from .errors import (
     BadMagicError,
     DataError,
     DimMismatchError,
+    NonFiniteError,
     NonFinitePayloadError,
     TruncatedPayloadError,
 )
-from .signal import Trial
 
 MAGIC = b"EEGT"
 VERSION = 1
 HEADER_SIZE = 17
 MANIFEST_VERSION = 1
+
+
+@dataclass
+class Trial:
+    """One multichannel epoch: data is channels x samples, label optional."""
+
+    data: np.ndarray
+    label: int | None = None
+
+    def __post_init__(self):
+        self.data = np.asarray(self.data, dtype=np.float64)
+        if self.data.ndim != 2 or self.data.shape[1] < 1:
+            raise DimMismatchError(f"trial data must be 2-D with T > 0, got {self.data.shape}")
+        if not np.isfinite(self.data).all():
+            raise NonFiniteError("trial data contains NaN or Inf")
 
 
 def write_trials(path, trials: Sequence[Trial]) -> None:
@@ -55,22 +75,30 @@ def write_trials(path, trials: Sequence[Trial]) -> None:
                 f"trial {i} has shape {t.data.shape}, expected {shape}"
             )
     stack = np.stack([t.data for t in trials]).astype("<f8")
-    if not np.isfinite(stack).all():
-        flat = stack.reshape(-1)
-        bad = int(np.flatnonzero(~np.isfinite(flat))[0])
-        raise NonFinitePayloadError(
-            f"non-finite value at byte offset {HEADER_SIZE + 8 * bad}",
-            HEADER_SIZE + 8 * bad,
-        )
+    _check_finite(stack.reshape(-1))
     header = MAGIC + bytes([VERSION]) + struct.pack(
         "<III", shape[0], shape[1], len(trials)
     )
     Path(path).write_bytes(header + stack.tobytes())
 
 
+def _check_finite(payload: np.ndarray) -> None:
+    """Name the byte offset of the first NaN or Inf of a flat float64 payload."""
+    if not np.isfinite(payload).all():
+        offset = HEADER_SIZE + 8 * int(np.flatnonzero(~np.isfinite(payload))[0])
+        raise NonFinitePayloadError(f"non-finite value at byte offset {offset}", offset)
+
+
+def _read(path) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
 def read_trials(path) -> list[Trial]:
     """Read a trial file; labels come back as None (label files are separate)."""
-    blob = Path(path).read_bytes()
+    blob = _read(path)
     if len(blob) < HEADER_SIZE:
         raise TruncatedPayloadError(
             f"file ends at byte {len(blob)}, header needs {HEADER_SIZE}",
@@ -92,12 +120,7 @@ def read_trials(path) -> list[Trial]:
             expected,
         )
     flat = np.frombuffer(blob, dtype="<f8", count=count * channels * samples, offset=HEADER_SIZE)
-    if not np.isfinite(flat).all():
-        bad = int(np.flatnonzero(~np.isfinite(flat))[0])
-        raise NonFinitePayloadError(
-            f"non-finite value at byte offset {HEADER_SIZE + 8 * bad}",
-            HEADER_SIZE + 8 * bad,
-        )
+    _check_finite(flat)
     data = flat.reshape(count, channels, samples)
     return [Trial(data[i].copy()) for i in range(count)]
 
@@ -108,7 +131,8 @@ def write_labels(path, labels: Sequence[int]) -> None:
 
 def read_labels(path) -> list[int]:
     out = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    # Undecodable bytes fail below as a line that is not an integer.
+    for lineno, line in enumerate(_read(path).decode(errors="replace").splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -157,8 +181,8 @@ class DatasetManifest:
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(_read(path))
+    except ValueError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != MANIFEST_VERSION:
         raise DataError(f"{path}: expected a manifest with version {MANIFEST_VERSION}")

@@ -39,18 +39,6 @@ class EmptyInputError(DataError):
     """Operation requires a nonempty collection."""
 
 
-class InvalidBandError(ConfigError):
-    """Band edges violate 0 < lo < hi < fs/2 or the order is not even."""
-
-
-class WindowOutOfRangeError(DataError):
-    """An epoch window falls outside the recording."""
-
-    def __init__(self, message: str, event_index: int):
-        super().__init__(message)
-        self.event_index = event_index
-
-
 class DegenerateCovarianceError(DataError):
     """Composite covariance is not SPD; spatial filtering is impossible."""
 

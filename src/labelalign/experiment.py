@@ -30,10 +30,11 @@ import numpy as np
 
 from . import classifiers
 from .alignment import align, domain, match_labels, select_and_estimate_target_means
-from .dataio import load_manifest
+from .dataio import Trial, load_manifest
 from .errors import (
     ConfigError,
     DimMismatchError,
+    EmptyInputError,
     NonFiniteError,
     NotPositiveDefiniteError,
     TooFewPointsError,
@@ -49,7 +50,6 @@ from .features import (
 )
 from .rng import derive_key
 from .selection import pairwise_distances
-from .signal import Trial
 from .spd import log_euclidean_mean
 from .stats import student_t_two_sided_p
 from .synth import SynthConfig, generate_synthetic
@@ -111,23 +111,21 @@ class ScenarioSpec:
 
 
 def scenario_from_dict(doc: dict, seed_override: int | None = None) -> ScenarioSpec:
-    """Build a spec from a parsed JSON document (the CLI's --spec file)."""
+    """Build a spec from a parsed JSON document (the CLI's --spec file); a
+    missing field or a value of the wrong type raises :class:`ConfigError`."""
     if not isinstance(doc, dict):
         raise ConfigError("scenario spec must be a JSON object")
     unknown = set(doc) - {f.name for f in fields(ScenarioSpec)}
     if unknown:
         raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
-    seed = int(seed_override if seed_override is not None else doc.get("seed", 0))
-    synth = None
-    if doc.get("synth") is not None:
-        block = dict(doc["synth"])
-        # The generator seed flows from the experiment seed unless pinned.
-        block.setdefault("seed", derive_key(seed, "synth"))
-        try:
-            synth = SynthConfig(**block)
-        except TypeError as exc:
-            raise ConfigError(f"bad synth block: {exc}") from exc
     try:
+        seed = int(seed_override if seed_override is not None else doc.get("seed", 0))
+        synth = None
+        if doc.get("synth") is not None:
+            block = dict(doc["synth"])
+            # The generator seed flows from the experiment seed unless pinned.
+            block.setdefault("seed", derive_key(seed, "synth"))
+            synth = SynthConfig(**block)
         return ScenarioSpec(
             source_labels=tuple(int(l) for l in doc["source_labels"]),
             target_labels=tuple(int(l) for l in doc["target_labels"]),
@@ -144,13 +142,15 @@ def scenario_from_dict(doc: dict, seed_override: int | None = None) -> ScenarioS
         )
     except KeyError as exc:
         raise ConfigError(f"scenario spec is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed scenario spec: {exc}") from exc
 
 
 def load_scenario(path, seed_override: int | None = None) -> ScenarioSpec:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read scenario spec {path}: {exc}") from exc
     return scenario_from_dict(doc, seed_override)
 
 
@@ -234,12 +234,20 @@ def _load_subjects(spec: ScenarioSpec) -> tuple[list[str], list[list[Trial]]]:
     return names, manifest.load_all()
 
 
+def subject_stack(
+    name: str, trials: Sequence[Trial], shrinkage: float = 0.0, scatter: bool = False
+) -> CovStack:
+    """:func:`covariance_stack` of one subject's trials, in file order; a
+    degenerate trial's error names the subject and the trial."""
+    try:
+        return covariance_stack(trials, shrinkage, scatter)
+    except (EmptyInputError, NonFiniteError, NotPositiveDefiniteError) as exc:
+        raise type(exc)(f"subject {name}, {exc}") from exc
+
+
 def _subject_domains(spec: ScenarioSpec, name: str, trials: Sequence[Trial]):
     """One subject's source view and target pool, each with its alignment references."""
-    try:
-        stack = covariance_stack(trials, spec.shrinkage, scatter="csp-lda" in spec.pipelines)
-    except (NonFiniteError, NotPositiveDefiniteError) as exc:
-        raise type(exc)(f"subject {name}, {exc}") from exc
+    stack = subject_stack(name, trials, spec.shrinkage, scatter="csp-lda" in spec.pipelines)
     source = stack.take(np.isin(stack.labels, spec.source_labels))
     target = stack.take(np.isin(stack.labels, spec.target_labels))
     return domain(source, source=True), domain(target)
@@ -252,12 +260,9 @@ def _subject_unit(args) -> tuple[str, list, list]:
     the units are scheduled across processes. Returns (subject_name,
     accuracy rows, fallback events).
     """
-    spec, name, target, sources = args
+    spec, mapping, name, target, sources = args
     pool = target.stack
     n_classes = len(spec.target_labels)
-    mapping = match_labels(
-        spec.source_labels, spec.target_labels, derive_key(spec.seed, "mapping")
-    )
     distances = pairwise_distances(pool.covs)
     rows = []
     fallbacks = []
@@ -317,17 +322,20 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
         missing = set(spec.source_labels) - set(labels)
         if missing:
             raise ConfigError(f"subject {name} has no trials for source labels {sorted(missing)}")
-    channels = subjects[0][0].channels
+    channels = subjects[0][0].data.shape[0]
     for name, trials in zip(names, subjects):
-        if any(t.channels != channels for t in trials):
+        if any(t.data.shape[0] != channels for t in trials):
             raise DimMismatchError(f"subject {name} has trials without {channels} channels")
 
     domains =[_subject_domains(spec, name, trials) for name, trials in zip(names, subjects)]
     del subjects  # the units need only the stacks; free the raw trials
+    mapping = match_labels(
+        spec.source_labels, spec.target_labels, derive_key(spec.seed, "mapping")
+    )
     units = []
     for i, name in enumerate(names):
         sources = [domains[j][0] for j in range(len(names)) if j != i]
-        units.append((spec, name, domains[i][1], sources))
+        units.append((spec, mapping, name, domains[i][1], sources))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -359,9 +367,6 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
                 t, p = float("nan"), float("nan")
             report.ttests[(*alg_a, *alg_b)] = (t, p)
 
-    mapping = match_labels(
-        spec.source_labels, spec.target_labels, derive_key(spec.seed, "mapping")
-    )
     report.metadata = {
         "seed": spec.seed,
         "config_hash": spec.config_hash(),

@@ -12,12 +12,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .dataio import Trial
 from .errors import (
     ConfigError,
     DegenerateCovarianceError,
     DimMismatchError,
+    EmptyInputError,
 )
-from .signal import Trial
 from .spd import (
     Array,
     as_stack,
@@ -83,7 +84,7 @@ class CspModel:
     eigvals: Array
 
 
-def trial_covariance(x: Trial | Array, shrinkage: float = 0.0) -> Array:
+def trial_covariance(x: Array, shrinkage: float = 0.0) -> Array:
     """Spatial covariance X X^T of a trial (C, T) or of each trial in (n, C, T).
 
     ``shrinkage`` in [0, 1) blends in trace(C)/dim * I, which keeps the
@@ -91,7 +92,7 @@ def trial_covariance(x: Trial | Array, shrinkage: float = 0.0) -> Array:
     is the plain Gram matrix. A degenerate trial of a stack is named by
     its index in the error.
     """
-    data = x.data if isinstance(x, Trial) else np.asarray(x, dtype=np.float64)
+    data = np.asarray(x, dtype=np.float64)
     if not 0.0 <= shrinkage < 1.0:
         raise ConfigError(f"shrinkage must be in [0, 1), got {shrinkage}")
     c = data @ np.swapaxes(data, -1, -2)
@@ -116,6 +117,8 @@ def covariance_stack(
     trials: Sequence[Trial], shrinkage: float = 0.0, scatter: bool = False
 ) -> CovStack:
     """Covariances of ``trials`` (and their centred scatter when ``scatter``)."""
+    if not trials:
+        raise EmptyInputError("no trials")
     data = np.stack([t.data for t in trials])
     labels = [t.label for t in trials]
     return CovStack(

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import Trial
 from .errors import ConfigError
 from .rng import CounterRng, derive_key
-from .signal import Trial
 from .spd import Array, spd_exp, spd_sqrt, symmetrize
 
 

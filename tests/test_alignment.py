@@ -20,8 +20,8 @@ from labelalign.errors import (
     MissingClassError,
     UnknownLabelError,
 )
+from labelalign.dataio import Trial
 from labelalign.features import CovStack, covariance_stack, trial_covariance
-from labelalign.signal import Trial
 from labelalign.spd import (
     arithmetic_mean_cov,
     log_euclidean_mean,
@@ -137,7 +137,7 @@ class TestTargetMeanEstimation:
         for idx in medoids:
             label = pool[idx].label
             assert np.allclose(
-                means[label], trial_covariance(pool[idx]), atol=1e-9
+                means[label], trial_covariance(pool[idx].data), atol=1e-9
             )
         assert sorted(means) == [0, 1]
 

@@ -15,7 +15,6 @@ from labelalign.classifiers import (
 from labelalign.errors import ConfigError, SingularCovarianceError
 from labelalign.features import trial_covariance
 from labelalign.spd import riemannian_distance
-from labelalign.signal import Trial
 from labelalign.synth import SynthConfig, generate_synthetic
 
 
@@ -155,7 +154,7 @@ class TestMdm:
                           subjects=1, class_separation=2.0, subject_shift=0.0, seed=11)
         data = generate_synthetic(cfg)
         trials = data.subjects[0]
-        covs = [trial_covariance(t) for t in trials]
+        covs = [trial_covariance(t.data) for t in trials]
         labels = [t.label for t in trials]
         train_c, train_l = covs[::2], labels[::2]
         test_c, test_l = covs[1::2], labels[1::2]

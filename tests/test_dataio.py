@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from labelalign.dataio import (
     HEADER_SIZE,
+    Trial,
     load_manifest,
     read_labels,
     read_trials,
@@ -22,7 +23,6 @@ from labelalign.errors import (
     NonFinitePayloadError,
     TruncatedPayloadError,
 )
-from labelalign.signal import Trial
 
 
 def make_trials(rng, count, channels, samples):

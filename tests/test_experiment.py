@@ -1,14 +1,23 @@
-"""Harness tests: the golden report, report formats, degenerate input and the CLI."""
+"""Harness tests: the golden report, LOSO leakage, report formats, pipeline
+congruence properties, degenerate input and the CLI."""
 
+import functools
 import json
 import math
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from labelalign import experiment
 from labelalign.cli import main
 from labelalign.dataio import (
+    Trial,
     load_manifest,
+    read_labels,
     read_trials,
     write_labels,
     write_manifest,
@@ -16,18 +25,40 @@ from labelalign.dataio import (
 )
 from labelalign.errors import DataError, DimMismatchError
 from labelalign.experiment import (
+    PIPELINES,
+    STRATEGIES,
     ExperimentReport,
     emit_report,
+    fit_predict,
     load_scenario,
     read_report,
     render_report_csv,
     run_scenario,
+    subject_stack,
 )
-from labelalign.signal import Trial
+from labelalign.features import covariance_stack
+from labelalign.selection import k_medoids, pairwise_distances
+from labelalign.spd import congruence
 from labelalign.synth import SynthConfig, generate_synthetic
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_SPEC = FIXTURES / "golden_spec.json"
+
+
+@pytest.fixture(scope="module")
+def golden_run():
+    """The golden spec run at jobs 1, with the train and test covariances of
+    each of its fit_predict calls."""
+    calls = []
+
+    def spy(pipeline, train, test, **kwargs):
+        calls.append((train.covs, test.covs))
+        return fit_predict(pipeline, train, test, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "fit_predict", spy)
+        report = run_scenario(load_scenario(GOLDEN_SPEC))
+    return report, calls
 
 
 class TestGoldenReport:
@@ -40,20 +71,69 @@ class TestGoldenReport:
     """
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_csv_byte_identical(self, jobs):
-        report = run_scenario(load_scenario(GOLDEN_SPEC), jobs=jobs)
+    def test_csv_byte_identical(self, jobs, golden_run):
+        if jobs == 1:
+            report = golden_run[0]
+        else:
+            report = run_scenario(load_scenario(GOLDEN_SPEC), jobs=jobs)
         expected = (FIXTURES / "golden_report.csv").read_text()
         assert render_report_csv(report) == expected
+
+
+def matches(a, b):
+    """(len(a), len(b)) mask: matrix i of ``a`` equals matrix j of ``b`` up to rounding."""
+    diff = np.abs(a[:, None] - b[None]).max(axis=(-2, -1))
+    return diff <= 1e-9 * np.abs(b).max(axis=(-2, -1))
+
+
+class TestLosoLeakage:
+    def test_only_the_target_medoids_reach_training(self, golden_run):
+        spec = load_scenario(GOLDEN_SPEC)
+        calls = golden_run[1]
+        names, subjects = experiment._load_subjects(spec)
+        # Each subject's whole stack (every label) under the two transforms a
+        # target can receive: none (raw, la) and its pool's EA whitening (ea).
+        views = {}
+        for name, trials in zip(names, subjects):
+            full = subject_stack(name, trials)
+            pool = experiment._subject_domains(spec, name, trials)[1]
+            in_pool = np.flatnonzero(np.isin(full.labels, spec.target_labels))
+            views[name] = (in_pool, pairwise_distances(pool.stack.covs),
+                           [full.covs, congruence(pool.ea, full.covs)])
+        assert len(calls) == len(names) * len(spec.k_grid) * len(spec.algorithms)
+        # The pipelines of one (target, k, strategy) share their stacks.
+        for train, test in {id(train): (train, test) for train, test in calls}.values():
+            assert not matches(test, train).any()
+            found = [
+                (name, view)
+                for name, (_, _, candidates) in views.items()
+                for view in candidates
+                if matches(test[:1], view).any()
+            ]
+            assert len(found) == 1, "the test set is one transformed target pool"
+            name, view = found[0]
+            in_pool, distances, _ = views[name]
+            in_train = np.flatnonzero(matches(view, train).any(axis=1))
+            in_test = np.flatnonzero(matches(view, test).any(axis=1))
+            assert len(in_test) == len(test)
+            k = len(in_train)
+            assert k in spec.k_grid
+            assert in_train.tolist() == sorted(in_pool[k_medoids(distances, k)].tolist())
+            assert sorted([*in_train, *in_test]) == in_pool.tolist()
+
+
+@functools.cache
+def manifest_subjects():
+    cfg = SynthConfig(channels=4, samples=40, classes=4, trials_per_class=6, subjects=3,
+                      class_separation=1.0, subject_shift=0.5, seed=11, noise_df=8)
+    return generate_synthetic(cfg).subjects
 
 
 @pytest.fixture
 def manifest(tmp_path):
     """Three 4-class subjects of 24 trials each, written through dataio."""
-    cfg = SynthConfig(channels=4, samples=40, classes=4, trials_per_class=6, subjects=3,
-                      class_separation=1.0, subject_shift=0.5, seed=11, noise_df=8)
-    data = generate_synthetic(cfg)
     entries = []
-    for i, trials in enumerate(data.subjects):
+    for i, trials in enumerate(manifest_subjects()):
         write_trials(tmp_path / f"s{i}.trials", trials)
         write_labels(tmp_path / f"s{i}.labels", [t.label for t in trials])
         entries.append((f"s{i}", f"s{i}.trials", f"s{i}.labels"))
@@ -68,6 +148,11 @@ def write_spec(path, manifest_path):
     }
     path.write_text(json.dumps(doc))
     return path
+
+
+def relabel_subject(manifest_path, subject, mapping):
+    labels_path = manifest_path.parent / f"{subject}.labels"
+    write_labels(labels_path, [mapping.get(l, l) for l in read_labels(labels_path)])
 
 
 def zero_channel(manifest_path, subject, trial, channel):
@@ -134,6 +219,94 @@ class TestJsonReport:
         assert read_report(tmp_path / "golden.json") == report
 
 
+# Subject names and metadata keys may hold anything but the CSV separators.
+names = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters=","), max_size=8
+)
+strategy = st.sampled_from(STRATEGIES)
+pipeline = st.sampled_from(PIPELINES)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+reports = st.builds(
+    ExperimentReport,
+    accuracies=st.dictionaries(
+        st.tuples(names, st.integers(1, 1000), strategy, pipeline), st.floats(0.0, 1.0),
+        max_size=4,
+    ),
+    aucs=st.dictionaries(st.tuples(names, strategy, pipeline), finite, max_size=4),
+    ttests=st.dictionaries(
+        st.tuples(strategy, pipeline, strategy, pipeline),
+        st.one_of(st.tuples(finite, st.floats(0.0, 1.0)), st.just((math.nan, math.nan))),
+        max_size=4,
+    ),
+    metadata=st.dictionaries(
+        names, st.one_of(st.integers(), names, st.lists(st.one_of(names, st.integers()))),
+        max_size=3,
+    ),
+)
+
+
+def canonical(report):
+    """The report with every float as its repr, so that nan equals nan."""
+    return (
+        {k: repr(v) for k, v in report.accuracies.items()},
+        {k: repr(v) for k, v in report.aucs.items()},
+        {k: tuple(map(repr, v)) for k, v in report.ttests.items()},
+        report.metadata,
+    )
+
+
+@pytest.fixture(scope="module")
+def report_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("reports")
+
+
+class TestReportRoundTrip:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @settings(max_examples=10, deadline=None)
+    @given(report=reports)
+    def test_emit_then_read_is_identity(self, report_dir, fmt, report):
+        path = report_dir / f"report.{fmt}"
+        emit_report(report, path, format=fmt)
+        assert canonical(read_report(path)) == canonical(report)
+
+
+def congruence_problem(seed):
+    """Train and test covariance stacks of a 3-class synthetic subject."""
+    cfg = SynthConfig(channels=4, samples=60, classes=3, trials_per_class=8, subjects=1,
+                      class_separation=1.0, subject_shift=0.0, seed=seed, noise_df=8)
+    stack = covariance_stack(generate_synthetic(cfg).subjects[0])
+    train = np.arange(len(stack.covs)) % 2 == 0
+    return stack.take(train), stack.take(~train)
+
+
+class TestPipelineCongruence:
+    """Geometry-aware pipelines predict the same under a common change of basis.
+
+    The Log-Euclidean mean is equivariant under orthogonal congruences and
+    positive scalings, but not under a general invertible one, so neither
+    are the pipelines built on it.
+    """
+
+    @pytest.mark.parametrize("pipe", ["mdm", "ts-lda", "ts-svm"])
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_common_rotation(self, pipe, seed):
+        train, test = congruence_problem(seed)
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+        expected = fit_predict(pipe, train, test, svm_epochs=40)
+        assert fit_predict(pipe, train.transformed(q), test.transformed(q),
+                           svm_epochs=40) == expected
+
+    @pytest.mark.parametrize("pipe", ["mdm", "ts-lda"])
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+    def test_common_positive_scaling(self, pipe, seed, scale):
+        train, test = congruence_problem(seed)
+        a = np.sqrt(scale) * np.eye(4)
+        expected = fit_predict(pipe, train, test)
+        assert fit_predict(pipe, train.transformed(a), test.transformed(a)) == expected
+
+
 class TestCli:
     def la_args(self, manifest, out):
         return ["align", "--strategy", "la", "--manifest", str(manifest), "--out", str(out),
@@ -162,3 +335,86 @@ class TestCli:
         medoids = [int(line) for line in capsys.readouterr().out.split()]
         assert len(medoids) == 3 and medoids == sorted(medoids)
         assert main(["kmedoids", "--trials", trials, "-k", "100"]) == 2
+
+    def test_align_la_names_the_degenerate_subject_and_trial(self, manifest, tmp_path, capsys):
+        zero_channel(manifest, "s1", 5, 2)
+        assert main(self.la_args(manifest, tmp_path / "aligned")) == 3
+        assert "subject s1, trial 5: smallest eigenvalue" in capsys.readouterr().err
+
+    def test_align_ea_names_the_degenerate_subject(self, manifest, tmp_path, capsys):
+        zero_channel(manifest, "s2", 0, 1)
+        args = ["align", "--strategy", "ea", "--manifest", str(manifest),
+                "--out", str(tmp_path / "aligned")]
+        assert main(args) == 3
+        assert "subject s2, trial 0" in capsys.readouterr().err
+
+    def test_align_ea_names_an_empty_subject(self, manifest, tmp_path, capsys):
+        # A trial file may hold zero trials; write_trials refuses to make one.
+        (manifest.parent / "s1.trials").write_bytes(b"EEGT\x01" + struct.pack("<III", 4, 40, 0))
+        write_labels(manifest.parent / "s1.labels", [])
+        args = ["align", "--strategy", "ea", "--manifest", str(manifest),
+                "--out", str(tmp_path / "aligned")]
+        assert main(args) == 3
+        assert "subject s1, no trials" in capsys.readouterr().err
+
+    def test_align_la_source_without_source_labels_exits_3(self, manifest, tmp_path, capsys):
+        relabel_subject(manifest, "s1", {0: 2, 1: 3})
+        assert main(self.la_args(manifest, tmp_path / "aligned")) == 3
+        assert "source subject s1 has no trials for source labels [0, 1]" in (
+            capsys.readouterr().err
+        )
+
+    def test_align_la_target_without_target_labels_exits_3(self, manifest, tmp_path, capsys):
+        relabel_subject(manifest, "s0", {2: 0, 3: 1})
+        assert main(self.la_args(manifest, tmp_path / "aligned")) == 3
+        assert "target subject s0 has no trials for target labels [2, 3]" in (
+            capsys.readouterr().err
+        )
+
+    def test_missing_input_files(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        nope = str(tmp_path / "nope")
+        assert main(["experiment", "--spec", nope, "--out", out]) == 2
+        assert main(["synth", "--config", nope, "--out", out]) == 2
+        assert main(["kmedoids", "--trials", nope, "-k", "2"]) == 3
+        assert main(["align", "--strategy", "raw", "--manifest", nope, "--out", out]) == 3
+        assert main(["classify", "--pipeline", "mdm", "--train-trials", nope,
+                     "--train-labels", nope, "--test-trials", nope]) == 3
+        err = capsys.readouterr().err
+        assert err.count("No such file or directory") == 5
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("k_grid", 4),
+        ("source_labels", 0),
+        ("csp_pairs", "three"),
+        ("synth", [1, 2]),
+    ])
+    def test_malformed_spec_exits_2(self, manifest, tmp_path, field, value):
+        spec = write_spec(tmp_path / "spec.json", manifest)
+        doc = json.loads(spec.read_text())
+        doc[field] = value
+        spec.write_text(json.dumps(doc))
+        assert main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 2
+
+    def test_synth(self, tmp_path):
+        cfg = {"channels": 3, "samples": 20, "classes": 2, "trials_per_class": 3,
+               "subjects": 2, "class_separation": 1.0, "subject_shift": 0.5, "seed": 4}
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps(cfg))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "d")]) == 0
+        subjects = load_manifest(tmp_path / "d" / "manifest.json").load_all()
+        assert [len(trials) for trials in subjects] == [6, 6]
+        config.write_text(json.dumps({**cfg, "channels": 0}))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "e")]) == 2
+        config.write_text(json.dumps({**cfg, "bands": 2}))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "e")]) == 2
+
+    def test_classify(self, manifest, capsys):
+        d = manifest.parent
+        args = ["classify", "--pipeline", "ts-lda",
+                "--train-trials", str(d / "s1.trials"), "--train-labels", str(d / "s1.labels"),
+                "--test-trials", str(d / "s2.trials"), "--test-labels", str(d / "s2.labels")]
+        assert main(args) == 0
+        assert capsys.readouterr().out.startswith("accuracy ")
+        assert main(args + ["--shrinkage", "1.0"]) == 2

@@ -12,20 +12,20 @@ from labelalign.features import (
     trial_covariance,
     ts_features,
 )
-from labelalign.signal import Trial
+from labelalign.dataio import Trial
 from labelalign.spd import riemannian_distance, tangent_unmap
 
 
 class TestTrialCovariance:
     def test_identity_trial(self):
-        assert np.array_equal(trial_covariance(Trial(np.eye(2))), np.eye(2))
+        assert np.array_equal(trial_covariance(np.eye(2)), np.eye(2))
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
-            trial_covariance(Trial([[1.0, 1.0], [0.0, 0.0]]), shrinkage=0.0)
+            trial_covariance(np.array([[1.0, 1.0], [0.0, 0.0]]), shrinkage=0.0)
 
     def test_shrinkage_repairs_rank_deficiency(self):
-        c = trial_covariance(Trial([[1.0, 1.0], [0.0, 0.0]]), shrinkage=0.1)
+        c = trial_covariance(np.array([[1.0, 1.0], [0.0, 0.0]]), shrinkage=0.1)
         assert np.min(np.linalg.eigvalsh(c)) > 0.0
 
     def test_against_naive_gram(self):
@@ -35,18 +35,18 @@ class TestTrialCovariance:
         for i in range(4):
             for j in range(4):
                 naive[i, j] = float(np.dot(x[i], x[j]))
-        c = trial_covariance(Trial(x))
+        c = trial_covariance(x)
         assert np.max(np.abs(c - naive)) / np.max(np.abs(naive)) <= 1e-12
 
     def test_bad_shrinkage(self):
         with pytest.raises(ConfigError):
-            trial_covariance(Trial(np.eye(2)), shrinkage=1.0)
+            trial_covariance(np.eye(2), shrinkage=1.0)
 
     def test_stack_is_bitwise_the_per_trial_covariances(self):
         rng = np.random.default_rng(52)
         x = rng.standard_normal((6, 5, 40))
         for shrinkage in (0.0, 0.2):
-            expected = np.stack([trial_covariance(Trial(t), shrinkage) for t in x])
+            expected = np.stack([trial_covariance(t, shrinkage) for t in x])
             assert np.array_equal(trial_covariance(x, shrinkage), expected)
 
     def test_degenerate_trial_of_a_stack_is_named(self):
@@ -61,7 +61,7 @@ class TestTrialCovariance:
         trials = [Trial(rng.standard_normal((3, 20)), label=l) for l in (0, 1, 1)]
         stack = covariance_stack(trials, scatter=True)
         assert stack.labels.tolist() == [0, 1, 1]
-        assert np.array_equal(stack.covs[1], trial_covariance(trials[1]))
+        assert np.array_equal(stack.covs[1], trial_covariance(trials[1].data))
         assert np.array_equal(stack.scatter[2], centred_scatter(trials[2].data))
         assert covariance_stack(trials).scatter is None
         assert covariance_stack([Trial(t.data) for t in trials]).labels is None
@@ -158,14 +158,14 @@ class TestCspFeatures:
         # the same log-variance features (filters absorb the mixing).
         rng = np.random.default_rng(49)
         trials = {m: [rng.standard_normal((5, 100)) for _ in range(6)] for m in (0, 1)}
-        covs = {m: [trial_covariance(Trial(x)) for x in xs] for m, xs in trials.items()}
+        covs = {m: [trial_covariance(x) for x in xs] for m, xs in trials.items()}
         model = csp_fit(covs, pairs=2)
         probe = trials[0][0]
         f_orig = csp_features(model, centred_scatter(probe))
 
         w = random_invertible(rng, 5)
         mixed = {m: [w.T @ x for x in xs] for m, xs in trials.items()}
-        covs_mixed = {m: [trial_covariance(Trial(x)) for x in xs] for m, xs in mixed.items()}
+        covs_mixed = {m: [trial_covariance(x) for x in xs] for m, xs in mixed.items()}
         model_mixed = csp_fit(covs_mixed, pairs=2)
         f_mixed = csp_features(model_mixed, centred_scatter(w.T @ probe))
         assert np.max(np.abs(np.sort(f_mixed) - np.sort(f_orig))) <= 1e-8
