@@ -1,18 +1,23 @@
-"""Classifiers for the pipelines: LDA, linear SVM, and minimum distance to mean."""
+"""Classifiers for the pipelines: LDA, linear SVM, and minimum distance to mean.
+
+The one-vs-one linear SVM trains each pair by primal Newton, so it uses no
+random numbers and does not depend on row order; it predicts by one matrix
+product and a majority vote."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimMismatchError, SingularCovarianceError
-from .rng import CounterRng, derive_key
+from .errors import ConfigError, DimMismatchError, NotConvergedError, SingularCovarianceError
 from .spd import Array, as_stack, log_euclidean_mean, riemannian_distance
 
 LDA_GAMMA = 1e-3
 SVM_LAMBDA = 1e-3
-SVM_EPOCHS = 200
+SVM_GRAD_TOL = 1e-12  # relative to the gradient norm at the zero model
+SVM_MAX_ITER = 500
 
 
 def _as_matrix(features) -> Array:
@@ -87,71 +92,86 @@ def lda_predict_many(model: LdaModel, features) -> list:
 @dataclass(frozen=True, eq=False)
 class LinearSvmModel:
     classes: tuple
-    weights: dict  # (label_a, label_b) -> (w, bias), labels in class order
+    pairs: Array  # (p, 2) class indices (a, b) with a < b; a positive score votes b
+    coef: Array  # (d, p)
+    intercept: Array  # (p,)
     lam: float
-    epochs: int
-    seed: int
 
 
-def _train_pair(x: Array, y: Array, lam: float, epochs: int, key: int) -> tuple[Array, float]:
-    """Pegasos-style subgradient descent on lambda/2 ||w||^2 + mean hinge.
+def _line_search(slack: Array, delta: Array, w: Array, step_w: Array, lam: float) -> float:
+    """Exact minimiser t > 0 along ``step``, given slack = 1 - y (x . z) and
+    delta = y (x . step). The derivative a + b t is linear between the
+    breakpoints slack / delta, where a sample leaves (delta > 0) or joins
+    (delta < 0) the support set; cumulative sums over the sorted breakpoints
+    give (a, b) per interval, and the root is in the first one to turn >= 0."""
+    scale = 2.0 / slack.shape[0]
+    active = (slack > 0.0) | ((slack == 0.0) & (delta < 0.0))
+    a0 = lam * (w @ step_w) - scale * (delta[active] @ slack[active])
+    b0 = lam * (step_w @ step_w) + scale * (delta[active] @ delta[active])
+    idx = np.flatnonzero(slack * delta > 0.0)
+    idx = idx[np.argsort(slack[idx] / delta[idx], kind="stable")]
+    t, d, s = slack[idx] / delta[idx], delta[idx], slack[idx]
+    a = a0 + np.concatenate(([0.0], np.cumsum(scale * np.abs(d) * s)))
+    b = b0 + np.concatenate(([0.0], np.cumsum(-scale * d * np.abs(d))))
+    hits = np.flatnonzero(a[:-1] + b[:-1] * t >= 0.0)
+    j = hits[0] if hits.size else t.size
+    return -a[j] / b[j]
 
-    Step size 1/(lam * t); the bias is unregularized. The sample order per
-    epoch is a seeded permutation, so training is bitwise reproducible.
+
+def _train_pair(xa: Array, xb: Array, lam: float) -> Array:
+    """[w, bias] minimising lam/2 ||w||^2 + mean(max(0, 1 - y (w . x + bias))^2)
+    with y = -1 on ``xa`` and +1 on ``xb``; the bias is unregularized.
+
+    Primal Newton (Chapelle, Neural Computation 2007) with an exact line
+    search (Keerthi & DeCoste, JMLR 2005): each step solves the generalized
+    Hessian system of the current support set. Iteration stops once the
+    gradient norm falls to ``SVM_GRAD_TOL`` times its value at the zero model.
     """
+    x = np.vstack([xa, xb])
+    y = np.concatenate([-np.ones(len(xa)), np.ones(len(xb))])
     n, d = x.shape
     if np.allclose(x, x[0], rtol=0.0, atol=0.0):
-        # Degenerate: identical feature rows carry no signal; keep the zero
-        # model so prediction falls back to the first class in order.
-        return np.zeros(d), 0.0
-    w = np.zeros(d)
-    bias = 0.0
-    t = 0
-    for e in range(epochs):
-        order = CounterRng(derive_key(key, "epoch", e)).permutation(n)
-        for i in order:
-            t += 1
-            eta = 1.0 / (lam * t)
-            w *= 1.0 - eta * lam
-            if y[i] * (w @ x[i] + bias) < 1.0:
-                w += eta * y[i] * x[i]
-                bias += eta * y[i]
-    return w, bias
+        return np.zeros(d + 1)  # no signal: the zero model votes for the first class
+    x1 = np.hstack([x, np.ones((n, 1))])
+    reg = np.append(np.full(d, lam), 0.0)
+    scale = 2.0 / n
+    tol = SVM_GRAD_TOL * np.linalg.norm(scale * (y @ x1))  # the gradient at z = 0
+    z = np.zeros(d + 1)
+    for it in range(SVM_MAX_ITER + 1):
+        slack = 1.0 - y * (x1 @ z)
+        active = slack > 0.0
+        xs = x1[active]
+        grad = reg * z - scale * ((y * slack)[active] @ xs)
+        norm = np.linalg.norm(grad)
+        if norm <= tol:
+            return z
+        if it == SVM_MAX_ITER:
+            raise NotConvergedError(f"linear SVM: gradient norm {norm:.3g} after {it} "
+                                    f"Newton steps (tolerance {tol:.3g})")
+        hess = scale * (xs.T @ xs)
+        hess[np.diag_indices(d + 1)] += reg
+        if not active.any():
+            hess[-1, -1] = 1.0  # the bias gradient is 0 here, so is its step
+        step = -np.linalg.solve(hess, grad)
+        z = z + _line_search(slack, y * (x1 @ step), z[:-1], step[:-1], lam) * step
 
 
-def svm_fit(
-    features,
-    labels,
-    lam: float = SVM_LAMBDA,
-    epochs: int = SVM_EPOCHS,
-    seed: int = 0,
-) -> LinearSvmModel:
-    """One-vs-one linear SVMs trained by seeded stochastic subgradient descent."""
+def svm_fit(features, labels, lam: float = SVM_LAMBDA) -> LinearSvmModel:
+    """One-vs-one linear SVMs on the L2-regularized squared hinge."""
     x = _as_matrix(features)
     classes, by_class = _split_by_class(x, labels)
-    weights = {}
-    for ai in range(len(classes)):
-        for bi in range(ai + 1, len(classes)):
-            a, b = classes[ai], classes[bi]
-            xa, xb = by_class[a], by_class[b]
-            data = np.vstack([xa, xb])
-            y = np.concatenate([-np.ones(len(xa)), np.ones(len(xb))])
-            key = derive_key(seed, "pair", ai, bi)
-            weights[(a, b)] = _train_pair(data, y, lam, epochs, key)
-    return LinearSvmModel(classes, weights, lam, epochs, seed)
-
-
-def svm_predict(model: LinearSvmModel, feature) -> int:
-    x = _as_matrix(feature)[0]
-    votes = {c: 0 for c in model.classes}
-    for (a, b), (w, bias) in model.weights.items():
-        votes[b if w @ x + bias > 0.0 else a] += 1
-    # Majority vote; ties go to the earliest class in sorted order.
-    return max(model.classes, key=lambda c: (votes[c], -model.classes.index(c)))
+    pairs = np.array(list(itertools.combinations(range(len(classes)), 2)))
+    fits = [_train_pair(by_class[classes[a]], by_class[classes[b]], lam) for a, b in pairs]
+    z = np.column_stack(fits)
+    return LinearSvmModel(classes, pairs, z[:-1], z[-1], lam)
 
 
 def svm_predict_many(model: LinearSvmModel, features) -> list:
-    return [svm_predict(model, row) for row in _as_matrix(features)]
+    """Majority vote of the pairwise SVMs; ties go to the earliest class."""
+    scores = _as_matrix(features) @ model.coef + model.intercept  # (n, p)
+    winners = np.where(scores > 0.0, model.pairs[:, 1], model.pairs[:, 0])
+    votes = (winners[:, :, None] == np.arange(len(model.classes))).sum(axis=1)
+    return [model.classes[int(i)] for i in np.argmax(votes, axis=1)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -84,8 +84,6 @@ def _cmd_align(args) -> int:
     manifest = load_manifest(args.manifest)
     subjects = manifest.load_all()
     names = [e.name for e in manifest.subjects]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     if args.strategy == "raw":
         aligned = subjects
@@ -127,6 +125,8 @@ def _cmd_align(args) -> int:
                 for t in trials if t.label in source_set
             ])
 
+    out = Path(args.out)  # created only once every subject is aligned
+    out.mkdir(parents=True, exist_ok=True)
     entries = []
     for name, trials in zip(names, aligned):
         write_trials(out / f"{name}.trials", trials)
@@ -154,7 +154,6 @@ def _cmd_classify(args) -> int:
         covariance_stack(train, args.shrinkage, scatter=csp),
         covariance_stack(read_trials(args.test_trials), args.shrinkage, scatter=csp),
         csp_pairs=args.csp_pairs,
-        svm_seed=derive_key(args.seed, "svm"),
     )
     if args.test_labels is not None:
         truth = read_labels(args.test_labels)
@@ -212,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-labels", default=None)
     p.add_argument("--csp-pairs", type=int, default=3)
     p.add_argument("--shrinkage", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_classify)
     return parser
 

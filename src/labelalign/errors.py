@@ -31,6 +31,10 @@ class EigFailureError(DataError):
     """Symmetric eigensolver did not converge (pathological input)."""
 
 
+class NotConvergedError(DataError):
+    """Iterative solver hit its iteration cap before its tolerance."""
+
+
 class DimMismatchError(DataError):
     """Operands have incompatible dimensions."""
 

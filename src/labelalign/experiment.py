@@ -33,6 +33,7 @@ from .alignment import align, domain, match_labels, select_and_estimate_target_m
 from .dataio import Trial, load_manifest
 from .errors import (
     ConfigError,
+    DataError,
     DimMismatchError,
     EmptyInputError,
     NonFiniteError,
@@ -70,8 +71,6 @@ class ScenarioSpec:
     manifest: str | None = None
     csp_pairs: int = 3
     shrinkage: float = 0.0
-    svm_lambda: float = classifiers.SVM_LAMBDA
-    svm_epochs: int = classifiers.SVM_EPOCHS
 
     def __post_init__(self):
         if len(set(self.source_labels)) != len(self.source_labels):
@@ -137,8 +136,6 @@ def scenario_from_dict(doc: dict, seed_override: int | None = None) -> ScenarioS
             manifest=doc.get("manifest"),
             csp_pairs=int(doc.get("csp_pairs", 3)),
             shrinkage=float(doc.get("shrinkage", 0.0)),
-            svm_lambda=float(doc.get("svm_lambda", classifiers.SVM_LAMBDA)),
-            svm_epochs=int(doc.get("svm_epochs", classifiers.SVM_EPOCHS)),
         )
     except KeyError as exc:
         raise ConfigError(f"scenario spec is missing field {exc}") from exc
@@ -192,16 +189,7 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     return t, student_t_two_sided_p(t, n - 1)
 
 
-def fit_predict(
-    pipeline: str,
-    train: CovStack,
-    test: CovStack,
-    *,
-    csp_pairs: int = 3,
-    svm_lambda: float = classifiers.SVM_LAMBDA,
-    svm_epochs: int = classifiers.SVM_EPOCHS,
-    svm_seed: int = 0,
-) -> list:
+def fit_predict(pipeline: str, train: CovStack, test: CovStack, *, csp_pairs: int = 3) -> list:
     """Train one feature/classifier pipeline on a labeled stack and predict ``test``."""
     labels = train.labels
     if pipeline == "csp-lda":
@@ -219,8 +207,7 @@ def fit_predict(
         if pipeline == "ts-lda":
             clf = classifiers.lda_fit(feats, labels)
             return classifiers.lda_predict_many(clf, test_feats)
-        svm = classifiers.svm_fit(feats, labels, svm_lambda, svm_epochs, svm_seed)
-        return classifiers.svm_predict_many(svm, test_feats)
+        return classifiers.svm_predict_many(classifiers.svm_fit(feats, labels), test_feats)
     raise ConfigError(f"unknown pipeline {pipeline!r}")
 
 
@@ -287,15 +274,7 @@ def _subject_unit(args) -> tuple[str, list, list]:
             train = concat_stacks([*aligned_sources, aligned_target.take(medoids)])
             test = aligned_target.take(test_idx)
             for pipeline in spec.pipelines:
-                preds = fit_predict(
-                    pipeline,
-                    train,
-                    test,
-                    csp_pairs=spec.csp_pairs,
-                    svm_lambda=spec.svm_lambda,
-                    svm_epochs=spec.svm_epochs,
-                    svm_seed=derive_key(spec.seed, "svm", name, k, strategy, pipeline),
-                )
+                preds = fit_predict(pipeline, train, test, csp_pairs=spec.csp_pairs)
                 accuracy = float(np.mean(np.asarray(preds) == truth))
                 rows.append((name, k, strategy, pipeline, accuracy))
     return name, rows, fallbacks
@@ -321,7 +300,7 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
             )
         missing = set(spec.source_labels) - set(labels)
         if missing:
-            raise ConfigError(f"subject {name} has no trials for source labels {sorted(missing)}")
+            raise DataError(f"subject {name} has no trials for source labels {sorted(missing)}")
     channels = subjects[0][0].data.shape[0]
     for name, trials in zip(names, subjects):
         if any(t.data.shape[0] != channels for t in trials):

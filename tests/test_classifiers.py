@@ -1,18 +1,26 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import loop_distance, random_invertible, random_spd
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from labelalign import classifiers
 from labelalign.classifiers import (
+    LinearSvmModel,
     lda_fit,
     lda_predict,
     lda_predict_many,
     mdm_fit,
     mdm_predict,
     svm_fit,
-    svm_predict,
     svm_predict_many,
 )
 from labelalign.errors import ConfigError, SingularCovarianceError
+from labelalign.experiment import ScenarioSpec, run_scenario
 from labelalign.features import trial_covariance
 from labelalign.spd import riemannian_distance
 from labelalign.synth import SynthConfig, generate_synthetic
@@ -91,15 +99,15 @@ class TestLinearSvm:
         b = -rng.uniform(1.0, 2.0, size=(n, 2)) * [1, 0] + rng.standard_normal((n, 2)) * [0, 1]
         x = np.vstack([a, b])
         y = [1] * n + [0] * n
-        model = svm_fit(x, y, seed=5)
+        model = svm_fit(x, y)
         preds = svm_predict_many(model, x)
         assert preds == y
 
     def test_identical_features_fall_back_to_first_class(self):
         x = np.tile([2.0, -1.0], (10, 1))
         y = [3] * 5 + [7] * 5
-        model = svm_fit(x, y, seed=1)
-        assert svm_predict(model, x[0]) == 3
+        model = svm_fit(x, y)
+        assert svm_predict_many(model, x[:1]) == [3]
 
     def test_agrees_with_lda_on_gaussian_task(self):
         rng = np.random.default_rng(75)
@@ -109,30 +117,130 @@ class TestLinearSvm:
             np.asarray(lda_predict_many(lda_fit(x, y), x_test)) == y_test
         )
         svm_acc = np.mean(
-            np.asarray(svm_predict_many(svm_fit(x, y, seed=2), x_test)) == y_test
+            np.asarray(svm_predict_many(svm_fit(x, y), x_test)) == y_test
         )
         assert abs(lda_acc - svm_acc) <= 0.03
 
     def test_deterministic_weights_bitwise(self):
         rng = np.random.default_rng(76)
         x, y = symmetric_two_gaussian(rng, 30)
-        m1 = svm_fit(x, y, lam=1e-3, epochs=50, seed=9)
-        m2 = svm_fit(x, y, lam=1e-3, epochs=50, seed=9)
-        for key in m1.weights:
-            w1, b1 = m1.weights[key]
-            w2, b2 = m2.weights[key]
-            assert np.array_equal(w1, w2)
-            assert b1 == b2
+        m1 = svm_fit(x, y, lam=1e-3)
+        m2 = svm_fit(x, y, lam=1e-3)
+        assert np.array_equal(m1.coef, m2.coef)
+        assert np.array_equal(m1.intercept, m2.intercept)
 
     def test_multiclass_one_vs_one(self):
         rng = np.random.default_rng(77)
         centers = np.array([[3.0, 0.0], [-3.0, 0.0], [0.0, 3.0]])
         x = np.vstack([c + 0.3 * rng.standard_normal((20, 2)) for c in centers])
         y = [0] * 20 + [1] * 20 + [2] * 20
-        model = svm_fit(x, y, seed=4)
-        assert len(model.weights) == 3
+        model = svm_fit(x, y)
+        assert model.coef.shape == (2, 3)
         preds = svm_predict_many(model, centers)
         assert preds == [0, 1, 2]
+
+    def test_gradient_vanishes_on_random_problems(self):
+        rng = np.random.default_rng(82)
+        for n, d, classes in [(30, 3, 2), (40, 10, 3), (25, 40, 2), (60, 21, 4)]:
+            x = rng.standard_normal((n, d)) * rng.uniform(0.1, 100.0)
+            y = np.arange(n) % classes
+            x += 0.5 * y[:, None]
+            model = svm_fit(x, y)
+            assert max_gradient_norm(model, x, y) <= 1e-8
+
+    def test_newton_step_from_an_empty_support_set(self):
+        # On these separated clusters one iterate has every margin >= 1, so
+        # the generalized Hessian has no curvature along the bias there.
+        rng = np.random.default_rng(4)
+        x = np.vstack([rng.standard_normal((4, 2)) + 3, rng.standard_normal((4, 2)) - 3])
+        y = [0] * 4 + [1] * 4
+        model = svm_fit(x, y)
+        assert max_gradient_norm(model, x, y) <= 1e-8
+        assert svm_predict_many(model, x) == y
+
+    def test_gradient_vanishes_on_every_fit_of_a_benchmark_run(self, monkeypatch):
+        # Every svm_fit of loso-c8-full at its confirmation seed, in memory.
+        # Undamped Newton cycles on one of these fits.
+        workloads = load_benchmark_workloads()
+        w = workloads.WORKLOADS["loso-c8-full"]
+        norms = []
+
+        def spy(features, labels, *args, **kwargs):
+            model = svm_fit(features, labels, *args, **kwargs)
+            norms.append(max_gradient_norm(model, features, labels))
+            return model
+
+        monkeypatch.setattr(classifiers, "svm_fit", spy)
+        seed = workloads.CONFIRM_SEED
+        run_scenario(ScenarioSpec(
+            source_labels=workloads.SOURCE_LABELS,
+            target_labels=workloads.TARGET_LABELS,
+            strategies=w.strategies,
+            pipelines=("ts-svm",),  # the other pipelines never reach svm_fit
+            k_grid=w.k_grid,
+            seed=seed,
+            synth=SynthConfig(**w.synth_fields(seed)),
+        ))
+        assert len(norms) == w.subjects * len(w.k_grid) * len(w.strategies)
+        assert max(norms) <= 1e-8
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_row_order_does_not_change_weights(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((24, 5))
+        y = np.arange(24) % 3
+        x[:, 0] += y
+        order = rng.permutation(24)
+        m1, m2 = svm_fit(x, y), svm_fit(x[order], y[order])
+        assert np.max(np.abs(m1.coef - m2.coef)) <= 1e-9
+        assert np.max(np.abs(m1.intercept - m2.intercept)) <= 1e-9
+
+    def test_three_class_ties_go_to_the_earliest_class(self):
+        rng = np.random.default_rng(83)
+        model = LinearSvmModel(
+            classes=(4, 7, 9),
+            pairs=np.array([[0, 1], [0, 2], [1, 2]]),
+            coef=rng.standard_normal((2, 3)),
+            intercept=rng.standard_normal(3),
+            lam=1e-3,
+        )
+        x = rng.standard_normal((400, 2)) * 5.0
+        expected, ties = [], 0
+        for row in x:
+            votes = [0, 0, 0]
+            for p, (a, b) in enumerate(model.pairs):
+                votes[b if row @ model.coef[:, p] + model.intercept[p] > 0.0 else a] += 1
+            ties += max(votes) == 1
+            expected.append(model.classes[votes.index(max(votes))])
+        assert ties > 0
+        assert svm_predict_many(model, x) == expected
+
+
+def max_gradient_norm(model, features, labels) -> float:
+    """Largest norm of the full gradient (w and bias) of a pairwise objective
+    lam/2 ||w||^2 + mean(max(0, 1 - y (w . x + b))^2) at the fitted model."""
+    x, labels = np.asarray(features), np.asarray(labels)
+    norms = []
+    for p, (ai, bi) in enumerate(model.pairs):
+        rows = np.isin(labels, [model.classes[ai], model.classes[bi]])
+        y = np.where(labels[rows] == model.classes[bi], 1.0, -1.0)
+        x1 = np.hstack([x[rows], np.ones((len(y), 1))])
+        z = np.append(model.coef[:, p], model.intercept[p])
+        slack = np.maximum(0.0, 1.0 - y * (x1 @ z))
+        grad = np.append(model.lam * z[:-1], 0.0) - 2.0 / len(y) * ((y * slack) @ x1)
+        norms.append(np.linalg.norm(grad))
+    return max(norms)
+
+
+def load_benchmark_workloads():
+    """The benchmark's workload table, read from its file."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve annotations there
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestMdm:

@@ -145,6 +145,7 @@ def write_spec(path, manifest_path):
     doc = {
         "source_labels": [0, 1], "target_labels": [2, 3], "strategies": ["raw", "la"],
         "pipelines": ["csp-lda", "mdm"], "k_grid": [2, 4], "manifest": str(manifest_path),
+        "csp_pairs": 1,  # at most channels / 2
     }
     path.write_text(json.dumps(doc))
     return path
@@ -293,9 +294,8 @@ class TestPipelineCongruence:
     def test_common_rotation(self, pipe, seed):
         train, test = congruence_problem(seed)
         q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
-        expected = fit_predict(pipe, train, test, svm_epochs=40)
-        assert fit_predict(pipe, train.transformed(q), test.transformed(q),
-                           svm_epochs=40) == expected
+        expected = fit_predict(pipe, train, test)
+        assert fit_predict(pipe, train.transformed(q), test.transformed(q)) == expected
 
     @pytest.mark.parametrize("pipe", ["mdm", "ts-lda"])
     @settings(max_examples=3, deadline=None, derandomize=True)
@@ -364,6 +364,19 @@ class TestCli:
             capsys.readouterr().err
         )
 
+    def test_failed_align_leaves_no_output_directory(self, manifest, tmp_path):
+        relabel_subject(manifest, "s1", {0: 2, 1: 3})
+        out = tmp_path / "aligned"
+        assert main(self.la_args(manifest, out)) == 3
+        assert not out.exists()
+
+    def test_experiment_subject_without_source_labels_exits_3(self, manifest, tmp_path, capsys):
+        # The same data condition as in align, with the same exit code.
+        relabel_subject(manifest, "s1", {0: 2, 1: 3})
+        spec = write_spec(tmp_path / "spec.json", manifest)
+        assert main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 3
+        assert "subject s1 has no trials for source labels [0, 1]" in capsys.readouterr().err
+
     def test_align_la_target_without_target_labels_exits_3(self, manifest, tmp_path, capsys):
         relabel_subject(manifest, "s0", {2: 0, 3: 1})
         assert main(self.la_args(manifest, tmp_path / "aligned")) == 3
@@ -389,9 +402,12 @@ class TestCli:
         ("source_labels", 0),
         ("csp_pairs", "three"),
         ("synth", [1, 2]),
+        ("svm_lambda", 1e-3),
+        ("svm_epochs", 40),
     ])
     def test_malformed_spec_exits_2(self, manifest, tmp_path, field, value):
         spec = write_spec(tmp_path / "spec.json", manifest)
+        assert main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 0
         doc = json.loads(spec.read_text())
         doc[field] = value
         spec.write_text(json.dumps(doc))
