@@ -7,12 +7,13 @@ within-subject (and within-class) geodesic distances. Domain whitening
 (``ea``) uses the inverse square root of the subject's mean trial
 covariance, after which that mean is exactly the identity. Per-class
 re-centering (``la``) gives the trials of each source class
-``A = Ct^{1/2} Cs^{-1/2}`` for the class means ``Cs`` (source) and ``Ct``
-(matched target class), which moves the source class mean exactly onto
-the target class mean, and relabels them to the target label. The
-references that do not depend on the label budget (each subject's
-whitening matrix and source class means) are computed once per
-:class:`Domain`.
+``A = Ct^{1/2} Cs^{-1/2}`` for the Log-Euclidean class means ``Cs``
+(source) and ``Ct`` (matched target class), and relabels them to the
+target label. ``A Cs Aᵀ = Ct`` holds exactly, but the Log-Euclidean mean
+of the aligned trials ``A Cᵢ Aᵀ`` is in general not ``Ct``: that mean
+commutes only with orthogonal congruences. What does not depend on the
+label budget (the whitened stack, the inverse roots of the source class
+means) is computed once per :class:`Domain`.
 """
 
 from __future__ import annotations
@@ -31,13 +32,8 @@ from .errors import (
 from .features import CovStack
 from .rng import CounterRng, derive_key
 from .selection import k_medoids, pairwise_distances
-from .spd import (
-    Array,
-    arithmetic_mean_cov,
-    log_euclidean_mean,
-    spd_inv_sqrt,
-    spd_sqrt,
-)
+from .spd import Array, arithmetic_mean_cov, class_means, spd_inv_sqrt, spd_sqrt
+
 
 @dataclass(frozen=True)
 class LabelMapping:
@@ -85,12 +81,6 @@ def match_labels(source_labels, target_labels, seed: int = 0) -> LabelMapping:
     return LabelMapping(tuple(pairs))
 
 
-def class_means(covs: Array, labels) -> dict:
-    """Log-Euclidean mean of the covariances of each label, keyed by label."""
-    labels = np.asarray(labels)
-    return {int(l): log_euclidean_mean(covs[labels == l]) for l in np.unique(labels)}
-
-
 def _lookup(table: dict, labels, what: str) -> list:
     labels = np.asarray(labels).tolist()
     unknown = sorted(set(labels) - set(table))
@@ -104,51 +94,41 @@ def ea_reference(covs: Array) -> Array:
     return spd_inv_sqrt(arithmetic_mean_cov(covs))
 
 
-def ea_align(whitener: Array, stack: CovStack) -> CovStack:
-    """Whiten every trial covariance of the stack."""
-    return stack.transformed(whitener)
-
-
 def select_and_estimate_target_means(
-    covs: Array,
+    pool: CovStack,
     k: int,
     oracle: Callable[[int], int],
     n_classes: int,
     distances: Array | None = None,
 ) -> tuple[dict | None, list[int]]:
-    """Pick ``k`` medoid trials, label them, and estimate per-class means.
+    """Pick ``k`` medoid trials of ``pool``, label them, and estimate per-class means.
 
     Only the medoids of ``distances`` (the pairwise geodesic distances of
-    ``covs``, computed when not given) reach the label oracle. Returns the
-    Log-Euclidean mean per observed label, or None when the medoids cover
-    fewer than ``n_classes`` labels (the caller then falls back to domain
-    whitening), and the selected indices.
+    the pool, computed when not given) reach the label oracle. Returns the
+    Log-Euclidean mean per observed label (from the pool's logs if it has
+    them), or None when the medoids cover fewer than ``n_classes`` labels
+    (the caller then falls back to domain whitening), and the selected indices.
     """
     if distances is None:
-        distances = pairwise_distances(covs)
+        distances = pairwise_distances(pool.covs)
     medoids = k_medoids(distances, k)
     labels = [oracle(i) for i in medoids]
     if len(set(labels)) < n_classes:
         return None, medoids
-    return class_means(np.asarray(covs)[medoids], labels), medoids
+    labeled = pool.take(medoids)
+    return class_means(labeled.covs, labels, labeled.logs), medoids
 
 
-def la_fit(
-    source_means: dict,
-    target_means: dict,
-    mapping: LabelMapping,
-) -> dict:
-    """Per-class matrices moving each source class mean onto its target mean.
-
-    Returns ``{source label: Ct^{1/2} Cs^{-1/2}}``.
-    """
+def la_fit(source_inv_roots: dict, target_means: dict, mapping: LabelMapping) -> dict:
+    """``{source label: Ct^{1/2} Cs^{-1/2}}`` from a source :class:`Domain`'s
+    ``inv_roots`` (``Cs^{-1/2}`` per label) and the target class means."""
     for src_label, tgt_label in mapping.pairs:
-        if src_label not in source_means:
+        if src_label not in source_inv_roots:
             raise MissingClassError(f"no source trials for label {src_label!r}", src_label)
         if tgt_label not in target_means:
             raise MissingClassError(f"no target mean for label {tgt_label!r}", tgt_label)
     halves = spd_sqrt(np.stack([target_means[t] for t in mapping.target_labels]))
-    inv_halves = spd_inv_sqrt(np.stack([source_means[s] for s in mapping.source_labels]))
+    inv_halves = np.stack([source_inv_roots[s] for s in mapping.source_labels])
     return dict(zip(mapping.source_labels, halves @ inv_halves))
 
 
@@ -165,18 +145,26 @@ def la_align(matrices: dict, stack: CovStack, mapping: LabelMapping) -> CovStack
 
 @dataclass(frozen=True, eq=False)
 class Domain:
-    """One subject's covariance stack with its whitening matrix ``ea`` and, on a
-    source, the class ``means`` that LA moves (None on a target pool)."""
+    """One subject's covariance ``stack`` and its EA-whitened ``ea_stack``; on a
+    source also ``inv_roots``, the inverse square roots of the class means
+    that LA moves (None on a target pool)."""
 
     stack: CovStack
-    ea: Array
-    means: dict | None = None
+    ea_stack: CovStack
+    inv_roots: dict | None = None
 
 
-def domain(stack: CovStack, source: bool = False) -> Domain:
-    """Build a domain; ``source`` also computes its per-class means."""
-    means = class_means(stack.covs, stack.labels) if source else None
-    return Domain(stack, ea_reference(stack.covs), means)
+def domain(stack: CovStack, source: bool = False, logs: bool = False) -> Domain:
+    """Build a domain; ``source`` also computes its class means' inverse roots,
+    and ``logs`` makes the raw and whitened stacks carry their matrix logs."""
+    ea_stack = stack.transformed(ea_reference(stack.covs))
+    if logs:
+        stack, ea_stack = stack.with_logs(), ea_stack.with_logs()
+    inv_roots = None
+    if source:
+        means = class_means(stack.covs, stack.labels, stack.logs)
+        inv_roots = dict(zip(means, spd_inv_sqrt(np.stack(list(means.values())))))
+    return Domain(stack, ea_stack, inv_roots)
 
 
 def align(
@@ -193,22 +181,21 @@ def align(
 
     * ``raw``: covariances pass through unchanged.
     * ``ea``: every subject, including the target, is whitened with its own
-      reference.
+      reference; these are the domains' whitened stacks, logs included.
     * ``la``: each source subject (a domain built with ``source=True``) gets
       its own per-class transforms toward the shared ``target_means``; the
-      target is untouched.
+      target is untouched. The new source stacks carry no logs.
     """
     if strategy == "la":
         if mapping is None or target_means is None:
             raise ConfigError("la alignment needs a label mapping and target means")
         stacks = [
-            la_align(la_fit(d.means, target_means, mapping), d.stack, mapping)
+            la_align(la_fit(d.inv_roots, target_means, mapping), d.stack, mapping)
             for d in sources
         ]
         return stacks, target.stack
     if strategy == "ea":
-        stacks = [ea_align(d.ea, d.stack) for d in sources]
-        aligned_target = ea_align(target.ea, target.stack)
+        stacks, aligned_target = [d.ea_stack for d in sources], target.ea_stack
     elif strategy == "raw":
         stacks, aligned_target = [d.stack for d in sources], target.stack
     else:

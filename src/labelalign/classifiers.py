@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimMismatchError, NotConvergedError, SingularCovarianceError
-from .spd import Array, as_stack, log_euclidean_mean, riemannian_distance
+from .spd import Array, as_stack, class_means, riemannian_distance
 
 LDA_GAMMA = 1e-3
 SVM_LAMBDA = 1e-3
@@ -78,10 +78,6 @@ def _lda_scores(model: LdaModel, x: Array) -> Array:
         - 0.5 * np.sum(model.means.T * proj, axis=0)
         + np.log(model.priors)
     )
-
-
-def lda_predict(model: LdaModel, feature) -> int:
-    return model.classes[int(np.argmax(_lda_scores(model, _as_matrix(feature))[0]))]
 
 
 def lda_predict_many(model: LdaModel, features) -> list:
@@ -180,17 +176,18 @@ class MdmModel:
     means: dict  # label -> SPD mean
 
 
-def mdm_fit(covs, labels) -> MdmModel:
-    """Per-class Log-Euclidean means of the training covariances (n, C, C)."""
+def mdm_fit(covs, labels, logs: Array | None = None) -> MdmModel:
+    """Per-class Log-Euclidean means ``exp(mean(log Cᵢ))`` of the training
+    covariances (n, C, C), from their matrix ``logs`` when the caller holds
+    them (then no eigendecomposition runs here), else from logs taken here."""
     covs = as_stack(covs, "mdm_fit")
     labels = np.asarray(labels)
     if labels.shape != (len(covs),):
         raise DimMismatchError(f"{len(covs)} covariances but {labels.shape[0]} labels")
-    classes = tuple(sorted(set(labels.tolist())))
-    if len(classes) < 2:
-        raise ConfigError(f"need >= 2 classes, got {classes}")
-    means = {c: log_euclidean_mean(covs[labels == c]) for c in classes}
-    return MdmModel(classes, means)
+    means = class_means(covs, labels, logs)
+    if len(means) < 2:
+        raise ConfigError(f"need >= 2 classes, got {tuple(means)}")
+    return MdmModel(tuple(means), means)
 
 
 def mdm_predict(model: MdmModel, covs: Array):

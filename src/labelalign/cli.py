@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .alignment import (
-    class_means,
+    domain,
     ea_reference,
     la_fit,
     match_labels,
@@ -105,7 +105,7 @@ def _cmd_align(args) -> int:
         tgt_index = names.index(args.target_subject)
         pool = _label_view(args.target_subject, subjects[tgt_index], target_set, "target")
         means, _ = select_and_estimate_target_means(
-            pool.covs, args.k, oracle=lambda i: pool.labels[i], n_classes=len(target_set)
+            pool, args.k, oracle=lambda i: pool.labels[i], n_classes=len(target_set)
         )
         if means is None:
             raise DataError(
@@ -119,7 +119,7 @@ def _cmd_align(args) -> int:
                 aligned.append(trials)
                 continue
             source = _label_view(name, trials, source_set, "source")
-            matrices = la_fit(class_means(source.covs, source.labels), means, mapping)
+            matrices = la_fit(domain(source, source=True).inv_roots, means, mapping)
             aligned.append([
                 Trial(matrices[t.label] @ t.data, label=target_of[t.label])
                 for t in trials if t.label in source_set

@@ -4,15 +4,21 @@ label budget, plus the report metrics (accuracy, AUC over k, paired t-tests).
 The protocol is covariance first. Each subject's trials are turned into a
 covariance stack (n, C, C) once, with the time-centred scatter when CSP
 runs, and split into a source view (source labels) and a target pool
-(target labels). The references that do not depend on the target or the
-budget (EA whitening, source class means) are computed with them. The
-units then ship and align only those stacks, never raw trials.
+(target labels). What depends on neither the target nor the budget is
+computed with them, once per scenario: each view's EA-whitened stack, the
+inverse roots of the source class means and, when ts-svm, ts-lda or mdm
+runs, the matrix logs of the raw and whitened stacks. The units then ship
+and align only those stacks, never raw trials.
 
 Protocol per target subject and per budget ``k``: the k medoid trials of
 the target pool are labeled and join the training set, every remaining
 target trial forms the test set, and the same train/test split is reused
 for every alignment strategy so that accuracy differences isolate the
-alignment step. Labeled target trials never appear in the test set.
+alignment step. Labeled target trials never appear in the test set. Each
+(target, k, strategy) cell takes logs only of its LA-aligned source stacks,
+and :func:`fit_predict_cell` computes once what its pipelines share: the
+tangent reference and MDM class means (both from the training logs) and the
+train and test tangent vectors.
 """
 
 from __future__ import annotations
@@ -51,12 +57,13 @@ from .features import (
 )
 from .rng import derive_key
 from .selection import pairwise_distances
-from .spd import log_euclidean_mean
+from .spd import spd_exp
 from .stats import student_t_two_sided_p
 from .synth import SynthConfig, generate_synthetic
 
 STRATEGIES = ("raw", "ea", "la")
 PIPELINES = ("csp-lda", "ts-svm", "ts-lda", "mdm")
+LOG_PIPELINES = {"ts-svm", "ts-lda", "mdm"}  # they work on the logs of the training stack
 
 
 @dataclass(frozen=True)
@@ -189,26 +196,43 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     return t, student_t_two_sided_p(t, n - 1)
 
 
-def fit_predict(pipeline: str, train: CovStack, test: CovStack, *, csp_pairs: int = 3) -> list:
-    """Train one feature/classifier pipeline on a labeled stack and predict ``test``."""
+def fit_predict_cell(
+    pipelines: Sequence[str], train: CovStack, test: CovStack, *, csp_pairs: int = 3
+) -> dict:
+    """``{pipeline: predictions}`` of each pipeline trained on a labeled stack;
+    the training logs (taken here unless ``train`` carries them), the tangent
+    reference and the tangent vectors are computed once for all of them."""
     labels = train.labels
-    if pipeline == "csp-lda":
-        if train.scatter is None or test.scatter is None:
-            raise ConfigError("csp-lda needs the centred scatter of every trial")
-        model = csp_fit({c: train.covs[labels == c] for c in np.unique(labels)}, csp_pairs)
-        clf = classifiers.lda_fit(csp_features(model, train.scatter), labels)
-        return classifiers.lda_predict_many(clf, csp_features(model, test.scatter))
-    if pipeline == "mdm":
-        return classifiers.mdm_predict(classifiers.mdm_fit(train.covs, labels), test.covs)
-    if pipeline in ("ts-svm", "ts-lda"):
-        ref = log_euclidean_mean(train.covs)
-        feats = ts_features(ref, train.covs)
-        test_feats = ts_features(ref, test.covs)
-        if pipeline == "ts-lda":
+    if LOG_PIPELINES.intersection(pipelines):
+        train = train.with_logs()
+    if "ts-svm" in pipelines or "ts-lda" in pipelines:
+        ref = spd_exp(np.mean(train.logs, axis=0))
+        feats, test_feats = ts_features(ref, train.covs), ts_features(ref, test.covs)
+    preds = {}
+    for pipeline in pipelines:
+        if pipeline == "csp-lda":
+            if train.scatter is None or test.scatter is None:
+                raise ConfigError("csp-lda needs the centred scatter of every trial")
+            model = csp_fit({c: train.covs[labels == c] for c in np.unique(labels)}, csp_pairs)
+            clf = classifiers.lda_fit(csp_features(model, train.scatter), labels)
+            preds[pipeline] = classifiers.lda_predict_many(clf, csp_features(model, test.scatter))
+        elif pipeline == "mdm":
+            model = classifiers.mdm_fit(train.covs, labels, train.logs)
+            preds[pipeline] = classifiers.mdm_predict(model, test.covs)
+        elif pipeline == "ts-lda":
             clf = classifiers.lda_fit(feats, labels)
-            return classifiers.lda_predict_many(clf, test_feats)
-        return classifiers.svm_predict_many(classifiers.svm_fit(feats, labels), test_feats)
-    raise ConfigError(f"unknown pipeline {pipeline!r}")
+            preds[pipeline] = classifiers.lda_predict_many(clf, test_feats)
+        elif pipeline == "ts-svm":
+            clf = classifiers.svm_fit(feats, labels)
+            preds[pipeline] = classifiers.svm_predict_many(clf, test_feats)
+        else:
+            raise ConfigError(f"unknown pipeline {pipeline!r}")
+    return preds
+
+
+def fit_predict(pipeline: str, train: CovStack, test: CovStack, *, csp_pairs: int = 3) -> list:
+    """Train one pipeline on a labeled stack and predict ``test`` (a one-pipeline cell)."""
+    return fit_predict_cell((pipeline,), train, test, csp_pairs=csp_pairs)[pipeline]
 
 
 def _load_subjects(spec: ScenarioSpec) -> tuple[list[str], list[list[Trial]]]:
@@ -233,11 +257,12 @@ def subject_stack(
 
 
 def _subject_domains(spec: ScenarioSpec, name: str, trials: Sequence[Trial]):
-    """One subject's source view and target pool, each with its alignment references."""
+    """One subject's source view and target pool as domains (logs when needed)."""
     stack = subject_stack(name, trials, spec.shrinkage, scatter="csp-lda" in spec.pipelines)
     source = stack.take(np.isin(stack.labels, spec.source_labels))
     target = stack.take(np.isin(stack.labels, spec.target_labels))
-    return domain(source, source=True), domain(target)
+    logs = bool(LOG_PIPELINES.intersection(spec.pipelines))
+    return domain(source, source=True, logs=logs), domain(target, logs=logs)
 
 
 def _subject_unit(args) -> tuple[str, list, list]:
@@ -255,7 +280,7 @@ def _subject_unit(args) -> tuple[str, list, list]:
     fallbacks = []
     for k in spec.k_grid:
         means, medoids = select_and_estimate_target_means(
-            pool.covs, k, lambda i: pool.labels[i], n_classes, distances
+            pool, k, lambda i: pool.labels[i], n_classes, distances
         )
         test_idx = np.setdiff1d(np.arange(len(pool.covs)), medoids)
         truth = pool.labels[test_idx]
@@ -271,11 +296,14 @@ def _subject_unit(args) -> tuple[str, list, list]:
                 mapping=mapping,
                 target_means=means if effective == "la" else None,
             )
-            train = concat_stacks([*aligned_sources, aligned_target.take(medoids)])
+            pieces = [*aligned_sources, aligned_target.take(medoids)]
+            if pool.logs is not None:  # only LA-aligned sources lack their domain's logs
+                pieces = [p.with_logs() for p in pieces]
+            train = concat_stacks(pieces)
             test = aligned_target.take(test_idx)
+            preds = fit_predict_cell(spec.pipelines, train, test, csp_pairs=spec.csp_pairs)
             for pipeline in spec.pipelines:
-                preds = fit_predict(pipeline, train, test, csp_pairs=spec.csp_pairs)
-                accuracy = float(np.mean(np.asarray(preds) == truth))
+                accuracy = float(np.mean(np.asarray(preds[pipeline]) == truth))
                 rows.append((name, k, strategy, pipeline, accuracy))
     return name, rows, fallbacks
 
@@ -306,7 +334,7 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
         if any(t.data.shape[0] != channels for t in trials):
             raise DimMismatchError(f"subject {name} has trials without {channels} channels")
 
-    domains =[_subject_domains(spec, name, trials) for name, trials in zip(names, subjects)]
+    domains = [_subject_domains(spec, name, trials) for name, trials in zip(names, subjects)]
     del subjects  # the units need only the stacks; free the raw trials
     mapping = match_labels(
         spec.source_labels, spec.target_labels, derive_key(spec.seed, "mapping")

@@ -7,7 +7,7 @@ on such stacks. The feature functions return ``(n, d)`` arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .spd import (
     as_stack,
     congruence,
     spd_from_matrix,
+    spd_log,
     symmetrize,
     tangent_map,
 )
@@ -37,18 +38,17 @@ class CovStack:
 
     ``scatter`` is the time-centred scatter (n, C, C) that CSP features read,
     or None. Aligning the trials as ``A X`` maps both stacks to ``A S Aᵀ``.
+    ``logs`` are the matrix logs of ``covs`` once :meth:`with_logs` took them;
+    selection, concatenation and relabeling keep them, a congruence drops them.
     """
 
     covs: Array
     labels: Array | None = None
     scatter: Array | None = None
+    logs: Array | None = None
 
     def take(self, idx) -> CovStack:
-        return CovStack(
-            self.covs[idx],
-            None if self.labels is None else self.labels[idx],
-            None if self.scatter is None else self.scatter[idx],
-        )
+        return CovStack(*(None if a is None else a[idx] for a in vars(self).values()))
 
     def transformed(self, a: Array, labels: Array | None = None) -> CovStack:
         """Congruence by ``a`` ((C, C) or one matrix per trial), optionally relabeled."""
@@ -58,14 +58,17 @@ class CovStack:
             None if self.scatter is None else congruence(a, self.scatter),
         )
 
+    def with_logs(self) -> CovStack:
+        """This stack carrying the matrix logs of its covariances, taken at most once."""
+        return self if self.logs is not None else replace(self, logs=spd_log(self.covs))
+
 
 def concat_stacks(stacks: Sequence[CovStack]) -> CovStack:
-    scatter = [s.scatter for s in stacks]
-    return CovStack(
-        np.concatenate([s.covs for s in stacks]),
-        np.concatenate([s.labels for s in stacks]),
-        None if any(s is None for s in scatter) else np.concatenate(scatter),
-    )
+    """The stacks one after another; a field missing from any of them is None."""
+    fields = zip(*(vars(s).values() for s in stacks))
+    return CovStack(*(
+        None if any(a is None for a in f) else np.concatenate(f) for f in fields
+    ))
 
 
 @dataclass(frozen=True, eq=False)

@@ -208,6 +208,15 @@ def log_euclidean_mean(ps) -> Array:
     return spd_exp(np.mean(logs, axis=0))
 
 
+def class_means(covs: Array, labels, logs: Array | None = None) -> dict:
+    """Log-Euclidean mean of the matrices of each label, keyed by label, from
+    their matrix ``logs`` (taken here when not given)."""
+    labels = np.asarray(labels)
+    if logs is None:
+        logs = spd_log(covs)
+    return {int(l): spd_exp(np.mean(logs[labels == l], axis=0)) for l in np.unique(labels)}
+
+
 def arithmetic_mean_cov(ps) -> Array:
     """Entrywise average of the matrices."""
     return symmetrize(np.mean(as_stack(ps, "arithmetic_mean_cov"), axis=0))

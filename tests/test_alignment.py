@@ -6,7 +6,6 @@ from labelalign.alignment import (
     align,
     class_means,
     domain,
-    ea_align,
     ea_reference,
     la_align,
     la_fit,
@@ -26,6 +25,8 @@ from labelalign.spd import (
     arithmetic_mean_cov,
     log_euclidean_mean,
     riemannian_distance,
+    spd_inv_sqrt,
+    spd_log,
     spd_sqrt,
 )
 from labelalign.synth import SynthConfig, generate_synthetic
@@ -33,6 +34,11 @@ from labelalign.synth import SynthConfig, generate_synthetic
 
 def stack_of(trials):
     return covariance_stack(trials)
+
+
+def inv_roots(stack):
+    """Inverse roots of the stack's class means, as a source domain keeps them."""
+    return domain(stack, source=True).inv_roots
 
 
 def random_trials(rng, count, channels, samples, label=0):
@@ -100,14 +106,14 @@ class TestEuclideanAlignment:
     def test_align_identity_transform(self):
         rng = np.random.default_rng(112)
         stack = stack_of([Trial(rng.standard_normal((3, 30)), label=1)])
-        out = ea_align(np.eye(3), stack)
+        out = stack.transformed(np.eye(3))
         assert np.array_equal(out.covs, stack.covs)
         assert out.labels.tolist() == [1]
 
     def test_aligned_mean_covariance_is_identity(self):
         rng = np.random.default_rng(113)
         stack = stack_of(random_trials(rng, 12, 4, 60))
-        aligned = ea_align(ea_reference(stack.covs), stack)
+        aligned = domain(stack).ea_stack
         mean = arithmetic_mean_cov(aligned.covs)
         assert np.linalg.norm(mean - np.eye(4)) <= 1e-10
 
@@ -115,7 +121,7 @@ class TestEuclideanAlignment:
         rng = np.random.default_rng(114)
         stack = stack_of(random_trials(rng, 6, 4, 60))
         before = stack.covs
-        after = ea_align(ea_reference(stack.covs), stack).covs
+        after = domain(stack).ea_stack.covs
         for i in range(6):
             for j in range(i + 1, 6):
                 d0 = riemannian_distance(before[i], before[j])
@@ -131,7 +137,7 @@ class TestTargetMeanEstimation:
             Trial(0.5 * rng.standard_normal((3, 40)), label=1),
         ]
         means, medoids = select_and_estimate_target_means(
-            stack_of(pool).covs, k=2, oracle=lambda i: pool[i].label, n_classes=2
+            stack_of(pool), k=2, oracle=lambda i: pool[i].label, n_classes=2
         )
         assert medoids == [0, 1]
         for idx in medoids:
@@ -145,7 +151,7 @@ class TestTargetMeanEstimation:
         rng = np.random.default_rng(116)
         pool = [Trial(rng.standard_normal((3, 40)), label=0) for _ in range(6)]
         means, medoids = select_and_estimate_target_means(
-            stack_of(pool).covs, k=3, oracle=lambda i: 0, n_classes=2
+            stack_of(pool), k=3, oracle=lambda i: 0, n_classes=2
         )
         assert means is None
         assert len(medoids) == 3
@@ -156,7 +162,7 @@ class TestTargetMeanEstimation:
         data = generate_synthetic(cfg)
         pool = list(data.subjects[0])
         means, _ = select_and_estimate_target_means(
-            stack_of(pool).covs, k=10, oracle=lambda i: pool[i].label, n_classes=2
+            stack_of(pool), k=10, oracle=lambda i: pool[i].label, n_classes=2
         )
         for m in (0, 1):
             # Trial covariances carry the raw Gram scale; divide by the
@@ -173,16 +179,14 @@ class TestLabelAlignment:
         stack = stack_of(trials_with_covariance(rng, cov, 3, label=0))
         target = {5: cov}
         mapping = LabelMapping(((0, 5),))
-        transform = la_fit(class_means(stack.covs, stack.labels), target, mapping)
+        transform = la_fit(inv_roots(stack), target, mapping)
         assert np.allclose(transform[0], np.eye(3), atol=1e-10)
 
     def test_diagonal_closed_form(self):
         rng = np.random.default_rng(118)
         stack = stack_of(trials_with_covariance(rng, np.diag([4.0, 1.0]), 2, label=0))
         target = {1: np.diag([1.0, 4.0])}
-        transform = la_fit(
-            class_means(stack.covs, stack.labels), target, LabelMapping(((0, 1),))
-        )
+        transform = la_fit(inv_roots(stack), target, LabelMapping(((0, 1),)))
         assert np.allclose(transform[0], np.diag([0.5, 2.0]), atol=1e-10)
 
     def test_recenters_class_mean_exactly(self):
@@ -191,7 +195,7 @@ class TestLabelAlignment:
         target_mean = random_spd(rng, 8, scale=0.8)
         target = {2: target_mean}
         mapping = LabelMapping(((0, 2),))
-        transform = la_fit(class_means(stack.covs, stack.labels), target, mapping)
+        transform = la_fit(inv_roots(stack), target, mapping)
         a = transform[0]
         source_mean = log_euclidean_mean(stack.covs)
         gap = a @ source_mean @ a.T - target_mean
@@ -205,7 +209,7 @@ class TestLabelAlignment:
         stack = stack_of(trials)
         t_means = {7: random_spd(rng, 3), 9: random_spd(rng, 3)}
         mapping = LabelMapping(((0, 7), (1, 9)))
-        transform = la_fit(class_means(stack.covs, stack.labels), t_means, mapping)
+        transform = la_fit(inv_roots(stack), t_means, mapping)
         aligned = la_align(transform, stack, mapping)
         assert aligned.labels.tolist() == [7] * 4 + [9] * 4
         for label in (7, 9):
@@ -227,7 +231,7 @@ class TestLabelAlignment:
         stack = stack_of(random_trials(rng, 5, 4, 50))
         target = {1: random_spd(rng, 4)}
         mapping = LabelMapping(((0, 1),))
-        transform = la_fit(class_means(stack.covs, stack.labels), target, mapping)
+        transform = la_fit(inv_roots(stack), target, mapping)
         before = stack.covs
         after = la_align(transform, stack, mapping).covs
         for i in range(5):
@@ -239,7 +243,7 @@ class TestLabelAlignment:
     def test_missing_class_errors(self):
         rng = np.random.default_rng(123)
         stack = stack_of([Trial(rng.standard_normal((2, 20)), label=0)])
-        source = class_means(stack.covs, stack.labels)
+        source = inv_roots(stack)
         target = {4: np.eye(2)}
         with pytest.raises(MissingClassError):
             la_fit(source, target, LabelMapping(((1, 4),)))
@@ -261,7 +265,7 @@ class TestLabelAlignment:
         stack = covariance_stack(trials, scatter=True)
         means = {5: random_spd(rng, 4), 6: random_spd(rng, 4)}
         mapping = LabelMapping(((0, 5), (1, 6)))
-        transform = la_fit(class_means(stack.covs, stack.labels), means, mapping)
+        transform = la_fit(inv_roots(stack), means, mapping)
         aligned = la_align(transform, stack, mapping)
         moved = [Trial(transform[t.label] @ t.data, label=t.label) for t in trials]
         reference = covariance_stack(moved, scatter=True)
@@ -312,6 +316,43 @@ class TestAlignDispatch:
         assert np.linalg.norm(
             log_euclidean_mean(sources[0].covs) - target_mean
         ) <= 1e-8 * np.linalg.norm(target_mean)
+
+    def test_domain_keeps_its_whitened_stack(self):
+        rng = np.random.default_rng(131)
+        stack = covariance_stack(random_trials(rng, 6, 3, 30, label=0), scatter=True)
+        d = domain(stack, logs=True)
+        reference = stack.transformed(ea_reference(stack.covs))
+        assert np.array_equal(d.ea_stack.covs, reference.covs)
+        assert np.array_equal(d.ea_stack.scatter, reference.scatter)
+        assert np.array_equal(d.ea_stack.logs, spd_log(reference.covs))
+        assert np.array_equal(d.stack.logs, spd_log(stack.covs))
+        assert domain(stack).stack.logs is None and domain(stack).ea_stack.logs is None
+
+    def test_ea_and_raw_return_the_domain_stacks(self):
+        rng = np.random.default_rng(132)
+        source = domain(stack_of(random_trials(rng, 5, 3, 30)), source=True, logs=True)
+        target = domain(stack_of(random_trials(rng, 5, 3, 30, label=1)), logs=True)
+        mapping = LabelMapping(((0, 1),))
+        for strategy, view in (("raw", "stack"), ("ea", "ea_stack")):
+            sources, aligned_target = align(strategy, [source], target, mapping=mapping)
+            assert aligned_target is getattr(target, view)
+            assert sources[0].covs is getattr(source, view).covs
+            assert sources[0].logs is getattr(source, view).logs
+            assert sources[0].labels.tolist() == [1] * 5
+
+    def test_source_domain_keeps_the_inverse_roots_of_its_class_means(self):
+        rng = np.random.default_rng(133)
+        stack = stack_of(random_trials(rng, 4, 3, 30) + random_trials(rng, 3, 3, 30, label=2))
+        means = class_means(stack.covs, stack.labels)
+        for logs in (False, True):
+            roots = domain(stack, source=True, logs=logs).inv_roots
+            assert sorted(roots) == [0, 2]
+            for label in roots:
+                assert np.array_equal(roots[label], spd_inv_sqrt(means[label]))
+                assert np.array_equal(
+                    means[label], log_euclidean_mean(stack.covs[stack.labels == label])
+                )
+        assert domain(stack).inv_roots is None
 
     def test_relabel_requires_known_labels(self):
         with pytest.raises(UnknownLabelError):

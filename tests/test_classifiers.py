@@ -12,7 +12,6 @@ from labelalign import classifiers
 from labelalign.classifiers import (
     LinearSvmModel,
     lda_fit,
-    lda_predict,
     lda_predict_many,
     mdm_fit,
     mdm_predict,
@@ -44,8 +43,8 @@ class TestLda:
         x = np.vstack([plus, minus])
         y = [1, 1, 1, 1, 0, 0, 0, 0]
         model = lda_fit(x, y)
-        assert lda_predict(model, np.array([0.5, 7.0])) == 1
-        assert lda_predict(model, np.array([-0.5, 7.0])) == 0
+        assert lda_predict_many(model, np.array([0.5, 7.0])) == [1]
+        assert lda_predict_many(model, np.array([-0.5, 7.0])) == [0]
 
     def test_class_mean_classified_as_class(self):
         rng = np.random.default_rng(71)
@@ -53,7 +52,7 @@ class TestLda:
         y = [0] * 20 + [1] * 20
         model = lda_fit(x, y)
         for i, c in enumerate(model.classes):
-            assert lda_predict(model, model.means[i]) == c
+            assert lda_predict_many(model, model.means[i]) == [c]
 
     def test_close_to_bayes_rule_on_gaussian_task(self):
         rng = np.random.default_rng(72)

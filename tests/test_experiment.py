@@ -5,6 +5,8 @@ import functools
 import json
 import math
 import struct
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelalign import experiment
+from labelalign import experiment, features, spd
+from labelalign.alignment import ea_reference
+from labelalign.classifiers import mdm_fit
 from labelalign.cli import main
 from labelalign.dataio import (
     Trial,
     load_manifest,
     read_labels,
     read_trials,
+    with_labels,
     write_labels,
     write_manifest,
     write_trials,
@@ -30,35 +35,59 @@ from labelalign.experiment import (
     ExperimentReport,
     emit_report,
     fit_predict,
+    fit_predict_cell,
     load_scenario,
     read_report,
     render_report_csv,
     run_scenario,
     subject_stack,
 )
-from labelalign.features import covariance_stack
+from labelalign.features import concat_stacks, covariance_stack, ts_features
 from labelalign.selection import k_medoids, pairwise_distances
-from labelalign.spd import congruence
+from labelalign.spd import congruence, log_euclidean_mean, spd_exp, spd_log
 from labelalign.synth import SynthConfig, generate_synthetic
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_SPEC = FIXTURES / "golden_spec.json"
 
 
+@dataclass
+class GoldenRun:
+    """The golden spec run at jobs 1, with what its spies saw: the train and
+    test stacks and the predictions of each cell (one ``fit_predict_cell``
+    call per target, k and strategy), the covariances of every
+    ``ts_features`` call, and every input of ``spd_log``."""
+
+    report: ExperimentReport
+    cells: list = field(default_factory=list)  # (train, test, predictions)
+    tangent: list = field(default_factory=list)
+    logged: list = field(default_factory=list)
+
+
 @pytest.fixture(scope="module")
 def golden_run():
-    """The golden spec run at jobs 1, with the train and test covariances of
-    each of its fit_predict calls."""
-    calls = []
+    run = GoldenRun(None)
 
-    def spy(pipeline, train, test, **kwargs):
-        calls.append((train.covs, test.covs))
-        return fit_predict(pipeline, train, test, **kwargs)
+    def cell_spy(pipelines, train, test, **kwargs):
+        preds = fit_predict_cell(pipelines, train, test, **kwargs)
+        run.cells.append((train, test, preds))
+        return preds
+
+    def ts_spy(ref, covs):
+        run.tangent.append(covs)
+        return ts_features(ref, covs)
+
+    def log_spy(p):
+        run.logged.append(p)
+        return spd_log(p)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiment, "fit_predict", spy)
-        report = run_scenario(load_scenario(GOLDEN_SPEC))
-    return report, calls
+        patch.setattr(experiment, "fit_predict_cell", cell_spy)
+        patch.setattr(experiment, "ts_features", ts_spy)
+        for module in (spd, features):
+            patch.setattr(module, "spd_log", log_spy)
+        run.report = run_scenario(load_scenario(GOLDEN_SPEC))
+    return run
 
 
 class TestGoldenReport:
@@ -73,7 +102,7 @@ class TestGoldenReport:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_csv_byte_identical(self, jobs, golden_run):
         if jobs == 1:
-            report = golden_run[0]
+            report = golden_run.report
         else:
             report = run_scenario(load_scenario(GOLDEN_SPEC), jobs=jobs)
         expected = (FIXTURES / "golden_report.csv").read_text()
@@ -89,7 +118,7 @@ def matches(a, b):
 class TestLosoLeakage:
     def test_only_the_target_medoids_reach_training(self, golden_run):
         spec = load_scenario(GOLDEN_SPEC)
-        calls = golden_run[1]
+        calls = [(train.covs, test.covs) for train, test, _ in golden_run.cells]
         names, subjects = experiment._load_subjects(spec)
         # Each subject's whole stack (every label) under the two transforms a
         # target can receive: none (raw, la) and its pool's EA whitening (ea).
@@ -99,8 +128,8 @@ class TestLosoLeakage:
             pool = experiment._subject_domains(spec, name, trials)[1]
             in_pool = np.flatnonzero(np.isin(full.labels, spec.target_labels))
             views[name] = (in_pool, pairwise_distances(pool.stack.covs),
-                           [full.covs, congruence(pool.ea, full.covs)])
-        assert len(calls) == len(names) * len(spec.k_grid) * len(spec.algorithms)
+                           [full.covs, congruence(ea_reference(pool.stack.covs), full.covs)])
+        assert len(calls) == len(names) * len(spec.k_grid) * len(spec.strategies)
         # The pipelines of one (target, k, strategy) share their stacks.
         for train, test in {id(train): (train, test) for train, test in calls}.values():
             assert not matches(test, train).any()
@@ -120,6 +149,70 @@ class TestLosoLeakage:
             assert k in spec.k_grid
             assert in_train.tolist() == sorted(in_pool[k_medoids(distances, k)].tolist())
             assert sorted([*in_train, *in_test]) == in_pool.tolist()
+
+
+class TestSharedWork:
+    """Each cell computes what its pipelines share once, and the scenario
+    logs each raw and whitened matrix once; the results keep their bits."""
+
+    def test_one_tangent_mapping_of_train_and_of_test_per_cell(self, golden_run):
+        spec = load_scenario(GOLDEN_SPEC)
+        assert len(golden_run.cells) == 3 * len(spec.k_grid) * len(spec.strategies)
+        expected = [stack.covs for train, test, _ in golden_run.cells for stack in (train, test)]
+        assert len(golden_run.tangent) == len(expected)
+        assert all(got is want for got, want in zip(golden_run.tangent, expected))
+
+    def test_no_raw_or_whitened_matrix_is_logged_twice(self, golden_run):
+        spec = load_scenario(GOLDEN_SPEC)
+        logged = Counter(
+            m.tobytes() for p in golden_run.logged for m in np.reshape(p, (-1, *p.shape[-2:]))
+        )
+        names, subjects = experiment._load_subjects(spec)
+        stacks = [
+            stack.covs
+            for name, trials in zip(names, subjects)
+            for d in experiment._subject_domains(spec, name, trials)
+            for stack in (d.stack, d.ea_stack)
+        ]
+        counts = [logged[m.tobytes()] for covs in stacks for m in covs]
+        assert len(counts) == 3 * 48 * 2
+        assert set(counts) == {1}
+
+    def test_every_cell_trains_on_carried_logs(self, golden_run):
+        for train, _, _ in golden_run.cells:
+            assert np.array_equal(train.logs, spd_log(train.covs))
+
+    def test_tangent_reference_from_shared_logs_is_bitwise(self, golden_run):
+        for train, _, _ in golden_run.cells:
+            ref = spd_exp(np.mean(train.logs, axis=0))
+            assert np.array_equal(ref, log_euclidean_mean(train.covs))
+
+    def test_mdm_means_from_shared_logs_are_bitwise(self, golden_run):
+        for train, _, _ in golden_run.cells:
+            model = mdm_fit(train.covs, train.labels, train.logs)
+            for c in model.classes:
+                assert np.array_equal(
+                    model.means[c], log_euclidean_mean(train.covs[train.labels == c])
+                )
+
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_classify_predicts_what_the_harness_cell_does(self, manifest, capsys, pipeline):
+        d = manifest.parent
+        trials = {i: with_labels(read_trials(d / f"s{i}.trials"), read_labels(d / f"s{i}.labels"))
+                  for i in (0, 1)}
+        # As in a harness cell, each stack carries its own logs before concatenation.
+        stacks = [covariance_stack(t, scatter=True) for t in trials.values()]
+        train = concat_stacks([stack.with_logs() for stack in stacks])
+        test = covariance_stack(read_trials(d / "s2.trials"), scatter=True)
+        expected = fit_predict_cell(PIPELINES, train, test, csp_pairs=1)[pipeline]
+        write_trials(d / "train.trials", [*trials[0], *trials[1]])
+        write_labels(d / "train.labels", [t.label for t in [*trials[0], *trials[1]]])
+        capsys.readouterr()
+        assert main(["classify", "--pipeline", pipeline, "--csp-pairs", "1",
+                     "--train-trials", str(d / "train.trials"),
+                     "--train-labels", str(d / "train.labels"),
+                     "--test-trials", str(d / "s2.trials")]) == 0
+        assert [int(line) for line in capsys.readouterr().out.split()] == expected
 
 
 @functools.cache

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import random_invertible, random_spd
 
 from labelalign.errors import ConfigError, DimMismatchError, NotPositiveDefiniteError
 from labelalign.features import (
+    CovStack,
     CspModel,
+    concat_stacks,
     centred_scatter,
     covariance_stack,
     csp_features,
@@ -13,7 +17,7 @@ from labelalign.features import (
     ts_features,
 )
 from labelalign.dataio import Trial
-from labelalign.spd import riemannian_distance, tangent_unmap
+from labelalign.spd import riemannian_distance, spd_log, tangent_unmap
 
 
 class TestTrialCovariance:
@@ -65,6 +69,43 @@ class TestTrialCovariance:
         assert np.array_equal(stack.scatter[2], centred_scatter(trials[2].data))
         assert covariance_stack(trials).scatter is None
         assert covariance_stack([Trial(t.data) for t in trials]).labels is None
+
+
+class TestStackLogs:
+    """A stack's matrix logs are taken once and travel with its covariances."""
+
+    def stack(self, seed=47):
+        rng = np.random.default_rng(seed)
+        covs = np.stack([random_spd(rng, 4) for _ in range(7)])
+        return CovStack(covs, np.arange(7) % 3, covs + np.eye(4))
+
+    def test_with_logs_takes_them_once(self):
+        stack = self.stack()
+        assert stack.logs is None
+        logged = stack.with_logs()
+        assert np.array_equal(logged.logs, spd_log(stack.covs))
+        assert logged.with_logs() is logged
+
+    def test_take_keeps_logs(self):
+        taken = self.stack().with_logs().take([5, 0, 3])
+        assert np.array_equal(taken.logs, spd_log(taken.covs))
+
+    def test_concatenation_keeps_logs(self):
+        parts = [self.stack(48).with_logs(), self.stack(49).with_logs().take([1, 2])]
+        joined = concat_stacks(parts)
+        assert np.array_equal(joined.logs, spd_log(joined.covs))
+        assert np.array_equal(joined.scatter[:7], parts[0].scatter)
+        assert concat_stacks([parts[0], self.stack(50)]).logs is None
+
+    def test_relabeling_keeps_logs(self):
+        logged = self.stack().with_logs()
+        relabeled = replace(logged, labels=logged.labels + 10)
+        assert relabeled.logs is logged.logs
+        assert np.array_equal(relabeled.logs, spd_log(relabeled.covs))
+
+    def test_congruence_drops_logs(self):
+        rng = np.random.default_rng(51)
+        assert self.stack().with_logs().transformed(random_invertible(rng, 4)).logs is None
 
 
 class TestCspFit:

@@ -1,0 +1,134 @@
+"""Alternating parent/change runs of the benchmark, summarised as ``BENCH_<n>.json``.
+
+    python3 tools/bench_pairs.py --parent REV --workload W [--seed S] \\
+        [--pairs 10] [--seconds 25] --out BENCH_7.json
+
+The parent revision is exported with ``git archive`` into
+``.perfbench_work/parent-<sha>/``; the change is this checkout's working
+tree. Each pair runs ``perfbench/run.py --workload W [--seed S] --seconds T``
+once in each tree, the parent first in odd pairs and the change first in
+even ones, so that drifting machine load falls on both sides alike.
+
+For every end-to-end metric of ``BENCHMARK.json`` the row records, per side,
+the median and quartiles of the per-run values and their count, and in how
+many pairs the change was better (``change_better_pairs``). It also records
+the repetitions attempted and failed per side, the exit codes, and whether
+the accuracy/AUC/t-test digests of the two trees agree. Rows are keyed
+``"W --seed S"`` and merged into ``--out``, so one file collects several
+workloads and keys written by hand survive.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORK = ROOT / ".perfbench_work"
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def export_parent(rev: str) -> Path:
+    """The tree of ``rev`` under .perfbench_work, exported once per commit."""
+    sha = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    dest = WORK / f"parent-{sha[:12]}"
+    if not (dest / "perfbench" / "run.py").exists():
+        dest.mkdir(parents=True, exist_ok=True)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", sha],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
+
+
+def run_once(tree: Path, workload: str, seed: int | None, seconds: float) -> dict:
+    cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+           "--seconds", str(seconds)]
+    if seed is not None:
+        cmd += ["--seed", str(seed)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    header = next((l for l in lines if l.startswith(f"# {workload} seed=")), "")
+    result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
+    used_seed = int(header.split("seed=")[1].split()[0]) if header else seed
+    path = tree / ".perfbench_work" / "results" / f"{workload}-seed{used_seed}-trace0.json"
+    record = json.loads(path.read_text()) if path.exists() else {"samples": {"plain": []}}
+    digests = {s["digest"] for s in record["samples"]["plain"] if not s.get("errors")}
+    return {"code": proc.returncode, "seed": used_seed, "result": result,
+            "env": record.get("environment", {}), "digests": digests}
+
+
+def summary(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(statistics.median(values), 6), "q1": round(q1, 6),
+            "q3": round(q3, 6), "n": len(values)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="git revision of the parent")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--out", required=True, help="BENCH_<n>.json to create or extend")
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+
+    trees = {"parent": export_parent(args.parent), "change": ROOT}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            run = run_once(trees[side], args.workload, args.seed, args.seconds)
+            runs[side].append(run)
+            wall = run["result"].get("metrics", {}).get("wall_s", {}).get("value")
+            print(f"pair {i + 1}/{args.pairs} {side}: exit {run['code']}, wall_s {wall}",
+                  file=sys.stderr)
+
+    row = {
+        "attempted": {s: sum(r["result"].get("attempted", 0) for r in runs[s]) for s in runs},
+        "failed": {s: sum(r["result"].get("failed", 0) for r in runs[s]) for s in runs},
+        "exit_codes": {s: sorted({r["code"] for r in runs[s]}) for s in runs},
+        "digests_equal": len(set().union(*(r["digests"] for s in runs for r in runs[s]))) == 1,
+        "metrics": {},
+    }
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        values = {s: [r["result"].get("metrics", {}).get(name, {}).get("value")
+                      for r in runs[s]] for s in runs}
+        if any(v is None for side in values.values() for v in side):
+            row["metrics"][name] = "absent in some run"
+            continue
+        better = sum((c < p) if lower else (c > p)
+                     for p, c in zip(values["parent"], values["change"]))
+        row["metrics"][name] = {**{s: summary(values[s]) for s in runs},
+                                "change_better_pairs": f"{better}/{args.pairs}"}
+
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc.setdefault("command", "python3 perfbench/run.py --workload W --seed S "
+                   f"(--seconds {args.seconds:g}, --trace 0)")
+    doc["method"] = (f"{args.pairs} alternating parent/change pairs per row (parent first "
+                     "in odd pairs, change first in even ones); median and quartiles over "
+                     "the per-run medians; times at the reference speed of "
+                     "perfbench/calib.py; written by tools/bench_pairs.py")
+    doc["environment"] = runs["change"][-1]["env"]
+    doc.setdefault("pairs", {})[f"{args.workload} --seed {runs['change'][0]['seed']}"] = row
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(json.dumps(row))
+    failed = row["failed"]["parent"] + row["failed"]["change"]
+    return 1 if failed or row["exit_codes"] != {"parent": [0], "change": [0]} else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
