@@ -10,13 +10,10 @@ from .alignment import (
     Domain,
     LabelMapping,
     align,
-    class_means,
     domain,
     ea_reference,
-    la_align,
     la_fit,
     match_labels,
-    relabel,
     select_and_estimate_target_means,
 )
 from .classifiers import (
@@ -42,18 +39,15 @@ from .dataio import (
 from .experiment import (
     ExperimentReport,
     ScenarioSpec,
-    auc_over_k,
     emit_report,
     fit_predict,
     load_scenario,
-    paired_t_test,
     read_report,
     run_scenario,
 )
 from .features import (
     CovStack,
     CspModel,
-    centred_scatter,
     covariance_stack,
     csp_features,
     csp_fit,
@@ -63,7 +57,7 @@ from .features import (
 from .selection import k_medoids, pairwise_distances
 from .spd import (
     arithmetic_mean_cov,
-    log_euclidean_mean,
+    class_means,
     riemannian_distance,
     spd_exp,
     spd_from_matrix,
@@ -71,7 +65,6 @@ from .spd import (
     spd_log,
     spd_sqrt,
     tangent_map,
-    tangent_unmap,
 )
 from .synth import SynthConfig, SynthDataset, generate_synthetic
 
@@ -93,8 +86,6 @@ __all__ = [
     "Trial",
     "align",
     "arithmetic_mean_cov",
-    "auc_over_k",
-    "centred_scatter",
     "class_means",
     "covariance_stack",
     "csp_features",
@@ -105,21 +96,17 @@ __all__ = [
     "fit_predict",
     "generate_synthetic",
     "k_medoids",
-    "la_align",
     "la_fit",
     "lda_fit",
     "load_manifest",
     "load_scenario",
-    "log_euclidean_mean",
     "match_labels",
     "mdm_fit",
     "mdm_predict",
-    "paired_t_test",
     "pairwise_distances",
     "read_labels",
     "read_report",
     "read_trials",
-    "relabel",
     "riemannian_distance",
     "run_scenario",
     "select_and_estimate_target_means",
@@ -130,7 +117,6 @@ __all__ = [
     "spd_sqrt",
     "svm_fit",
     "tangent_map",
-    "tangent_unmap",
     "trial_covariance",
     "ts_features",
     "with_labels",

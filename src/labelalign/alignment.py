@@ -11,9 +11,12 @@ re-centering (``la``) gives the trials of each source class
 (source) and ``Ct`` (matched target class), and relabels them to the
 target label. ``A Cs Aᵀ = Ct`` holds exactly, but the Log-Euclidean mean
 of the aligned trials ``A Cᵢ Aᵀ`` is in general not ``Ct``: that mean
-commutes only with orthogonal congruences. What does not depend on the
-label budget (the whitened stack, the inverse roots of the source class
-means) is computed once per :class:`Domain`.
+commutes only with orthogonal congruences. :func:`la_per_trial` turns the
+class matrices into each source trial's matrix and target label; the
+harness applies them to covariance stacks (:func:`la_align`) and
+``labelalign align`` to the raw trials. What does not depend on the label
+budget (the whitened stack, the inverse roots of the source class means)
+is computed once per :class:`Domain`.
 """
 
 from __future__ import annotations
@@ -120,8 +123,8 @@ def select_and_estimate_target_means(
 
 
 def la_fit(source_inv_roots: dict, target_means: dict, mapping: LabelMapping) -> dict:
-    """``{source label: Ct^{1/2} Cs^{-1/2}}`` from a source :class:`Domain`'s
-    ``inv_roots`` (``Cs^{-1/2}`` per label) and the target class means."""
+    """``{source label: Ct^{1/2} Cs^{-1/2}}`` from a source's
+    :func:`class_inv_roots` (``Cs^{-1/2}`` per label) and the target class means."""
     for src_label, tgt_label in mapping.pairs:
         if src_label not in source_inv_roots:
             raise MissingClassError(f"no source trials for label {src_label!r}", src_label)
@@ -137,10 +140,14 @@ def relabel(labels, mapping: LabelMapping) -> Array:
     return np.array(_lookup(mapping.as_dict(), labels, "mapped label"), dtype=np.int64)
 
 
+def la_per_trial(matrices: dict, labels, mapping: LabelMapping) -> tuple[Array, Array]:
+    """Each source trial's :func:`la_fit` class matrix (n, C, C) and target label (n,)."""
+    return np.stack(_lookup(matrices, labels, "transform")), relabel(labels, mapping)
+
+
 def la_align(matrices: dict, stack: CovStack, mapping: LabelMapping) -> CovStack:
     """Transform each source trial covariance by its class matrix and relabel it."""
-    per_trial = np.stack(_lookup(matrices, stack.labels, "transform"))
-    return stack.transformed(per_trial, relabel(stack.labels, mapping))
+    return stack.transformed(*la_per_trial(matrices, stack.labels, mapping))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,17 +161,20 @@ class Domain:
     inv_roots: dict | None = None
 
 
+def class_inv_roots(stack: CovStack) -> dict:
+    """``{label: Cs^{-1/2}}`` for the class means ``Cs`` of a labeled stack
+    (from its logs if it has them): what :func:`la_fit` needs of a source."""
+    means = class_means(stack.covs, stack.labels, stack.logs)
+    return dict(zip(means, spd_inv_sqrt(np.stack(list(means.values())))))
+
+
 def domain(stack: CovStack, source: bool = False, logs: bool = False) -> Domain:
     """Build a domain; ``source`` also computes its class means' inverse roots,
     and ``logs`` makes the raw and whitened stacks carry their matrix logs."""
     ea_stack = stack.transformed(ea_reference(stack.covs))
     if logs:
         stack, ea_stack = stack.with_logs(), ea_stack.with_logs()
-    inv_roots = None
-    if source:
-        means = class_means(stack.covs, stack.labels, stack.logs)
-        inv_roots = dict(zip(means, spd_inv_sqrt(np.stack(list(means.values())))))
-    return Domain(stack, ea_stack, inv_roots)
+    return Domain(stack, ea_stack, class_inv_roots(stack) if source else None)
 
 
 def align(

@@ -10,12 +10,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .alignment import (
-    domain,
+    class_inv_roots,
     ea_reference,
     la_fit,
+    la_per_trial,
     match_labels,
     select_and_estimate_target_means,
 )
@@ -30,8 +29,15 @@ from .dataio import (
     write_trials,
 )
 from .errors import ConfigError, DataError
-from .experiment import emit_report, fit_predict, load_scenario, run_scenario, subject_stack
-from .features import CovStack, covariance_stack
+from .experiment import (
+    emit_report,
+    fit_predict,
+    label_view,
+    load_scenario,
+    run_scenario,
+    subject_stacks,
+)
+from .features import covariance_stack
 from .rng import derive_key
 from .selection import k_medoids, pairwise_distances
 from .synth import SynthConfig, generate_synthetic
@@ -71,15 +77,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _label_view(name: str, trials, labels: list, role: str) -> CovStack:
-    """Covariances of one subject's trials in ``labels``; every label must occur."""
-    stack = subject_stack(name, trials)
-    missing = sorted(set(labels) - set(stack.labels.tolist()))
-    if missing:
-        raise DataError(f"{role} subject {name} has no trials for {role} labels {missing}")
-    return stack.take(np.isin(stack.labels, labels))
-
-
 def _cmd_align(args) -> int:
     manifest = load_manifest(args.manifest)
     subjects = manifest.load_all()
@@ -89,8 +86,8 @@ def _cmd_align(args) -> int:
         aligned = subjects
     elif args.strategy == "ea":
         aligned = []
-        for name, trials in zip(names, subjects):
-            r = ea_reference(subject_stack(name, trials).covs)
+        for trials, stack in zip(subjects, subject_stacks(names, subjects)):
+            r = ea_reference(stack.covs)
             aligned.append([Trial(r @ t.data, label=t.label) for t in trials])
     else:
         if args.target_subject is None or not args.source_labels or not args.target_labels:
@@ -99,11 +96,11 @@ def _cmd_align(args) -> int:
             )
         if args.target_subject not in names:
             raise ConfigError(f"unknown target subject {args.target_subject!r}")
-        source_set = [int(l) for l in args.source_labels.split(",")]
-        target_set = [int(l) for l in args.target_labels.split(",")]
+        source_set, target_set = args.source_labels, args.target_labels
         mapping = match_labels(source_set, target_set, derive_key(args.seed, "mapping"))
+        stacks = subject_stacks(names, subjects)
         tgt_index = names.index(args.target_subject)
-        pool = _label_view(args.target_subject, subjects[tgt_index], target_set, "target")
+        pool = label_view(args.target_subject, stacks[tgt_index], "target", target_set)
         means, _ = select_and_estimate_target_means(
             pool, args.k, oracle=lambda i: pool.labels[i], n_classes=len(target_set)
         )
@@ -112,18 +109,14 @@ def _cmd_align(args) -> int:
                 f"the {args.k} medoids cover fewer than {len(target_set)} classes; "
                 "label more trials or use --strategy ea"
             )
-        target_of = mapping.as_dict()
-        aligned = []
-        for i, (name, trials) in enumerate(zip(names, subjects)):
-            if i == tgt_index:
-                aligned.append(trials)
-                continue
-            source = _label_view(name, trials, source_set, "source")
-            matrices = la_fit(domain(source, source=True).inv_roots, means, mapping)
-            aligned.append([
-                Trial(matrices[t.label] @ t.data, label=target_of[t.label])
-                for t in trials if t.label in source_set
-            ])
+        aligned = list(subjects)  # the target passes through
+        for i, (name, trials, stack) in enumerate(zip(names, subjects, stacks)):
+            if i != tgt_index:
+                source = label_view(name, stack, "source", source_set)
+                matrices = la_fit(class_inv_roots(source), means, mapping)
+                per_trial, labels = la_per_trial(matrices, source.labels, mapping)
+                kept = [t for t in trials if t.label in source_set]
+                aligned[i] = [Trial(a @ t.data, int(l)) for a, t, l in zip(per_trial, kept, labels)]
 
     out = Path(args.out)  # created only once every subject is aligned
     out.mkdir(parents=True, exist_ok=True)
@@ -167,6 +160,10 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def label_list(text: str) -> list[int]:
+    return [int(l) for l in text.split(",")]  # argparse reports a ValueError as exit 2
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="labelalign",
@@ -191,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--target-subject", default=None)
-    p.add_argument("--source-labels", default=None, help="comma-separated ints")
-    p.add_argument("--target-labels", default=None, help="comma-separated ints")
+    p.add_argument("--source-labels", type=label_list, help="comma-separated ints")
+    p.add_argument("--target-labels", type=label_list, help="comma-separated ints")
     p.add_argument("-k", type=int, default=2, help="target trials to label (la)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_align)

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import classifiers
-from .alignment import align, domain, match_labels, select_and_estimate_target_means
+from .alignment import Domain, align, domain, match_labels, select_and_estimate_target_means
 from .dataio import Trial, load_manifest
 from .errors import (
     ConfigError,
@@ -256,13 +256,43 @@ def subject_stack(
         raise type(exc)(f"subject {name}, {exc}") from exc
 
 
-def _subject_domains(spec: ScenarioSpec, name: str, trials: Sequence[Trial]):
-    """One subject's source view and target pool as domains (logs when needed)."""
-    stack = subject_stack(name, trials, spec.shrinkage, scatter="csp-lda" in spec.pipelines)
-    source = stack.take(np.isin(stack.labels, spec.source_labels))
-    target = stack.take(np.isin(stack.labels, spec.target_labels))
+def subject_stacks(
+    names: Sequence[str], subjects, shrinkage: float = 0.0, scatter: bool = False
+) -> list[CovStack]:
+    """:func:`subject_stack` of every subject; each must have as many channels
+    as the first (else :class:`DimMismatchError` names the subject)."""
+    stacks = [subject_stack(n, t, shrinkage, scatter) for n, t in zip(names, subjects)]
+    channels = stacks[0].covs.shape[-1]
+    for name, stack in zip(names, stacks):
+        if stack.covs.shape[-1] != channels:
+            raise DimMismatchError(f"subject {name} has trials without {channels} channels")
+    return stacks
+
+
+def label_view(name: str, stack: CovStack, role: str, labels: Sequence[int]) -> CovStack:
+    """The trials of one subject's stack whose label is in its ``role``'s
+    ``labels``; a label without trials raises :class:`DataError`."""
+    missing = sorted(set(labels) - set(stack.labels.tolist()))
+    if missing:
+        raise DataError(f"{role} subject {name} has no trials for {role} labels {missing}")
+    return stack.take(np.isin(stack.labels, labels))
+
+
+def _scenario_domains(spec: ScenarioSpec, names, subjects) -> list[tuple[Domain, Domain]]:
+    """Each subject's source view and target pool as domains (logs when needed)."""
+    stacks = subject_stacks(names, subjects, spec.shrinkage, "csp-lda" in spec.pipelines)
     logs = bool(LOG_PIPELINES.intersection(spec.pipelines))
-    return domain(source, source=True, logs=logs), domain(target, logs=logs)
+    domains = []
+    for name, stack in zip(names, stacks):
+        target = stack.take(np.isin(stack.labels, spec.target_labels))
+        if len(target.covs) <= max(spec.k_grid):
+            raise ConfigError(
+                f"target subject {name} has {len(target.covs)} trials in the target "
+                f"label set; the k grid needs more than {max(spec.k_grid)}"
+            )
+        source = label_view(name, stack, "source", spec.source_labels)
+        domains.append((domain(source, source=True, logs=logs), domain(target, logs=logs)))
+    return domains
 
 
 def _subject_unit(args) -> tuple[str, list, list]:
@@ -317,24 +347,7 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
     names, subjects = _load_subjects(spec)
     if len(subjects) < 2:
         raise ConfigError("need at least two subjects for leave-one-subject-out")
-    max_k = max(spec.k_grid)
-    for name, trials in zip(names, subjects):
-        labels = [t.label for t in trials]
-        pool = sum(l in spec.target_labels for l in labels)
-        if pool <= max_k:
-            raise ConfigError(
-                f"target subject {name} has {pool} trials in the target label "
-                f"set; the k grid needs more than {max_k}"
-            )
-        missing = set(spec.source_labels) - set(labels)
-        if missing:
-            raise DataError(f"subject {name} has no trials for source labels {sorted(missing)}")
-    channels = subjects[0][0].data.shape[0]
-    for name, trials in zip(names, subjects):
-        if any(t.data.shape[0] != channels for t in trials):
-            raise DimMismatchError(f"subject {name} has trials without {channels} channels")
-
-    domains = [_subject_domains(spec, name, trials) for name, trials in zip(names, subjects)]
+    domains = _scenario_domains(spec, names, subjects)
     del subjects  # the units need only the stacks; free the raw trials
     mapping = match_labels(
         spec.source_labels, spec.target_labels, derive_key(spec.seed, "mapping")

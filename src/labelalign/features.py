@@ -75,16 +75,13 @@ def concat_stacks(stacks: Sequence[CovStack]) -> CovStack:
 class CspModel:
     """Spatial filter bank: ``filters`` rows applied to raw trials.
 
-    Binary mode holds 2*pairs rows; one-vs-rest holds 2*pairs rows per
-    class, concatenated in class order. ``eigvals`` are the generalized
-    eigenvalues the rows were selected by, aligned with the rows.
+    Two classes give 2*pairs rows; more classes give 2*pairs rows per
+    class (one-vs-rest), concatenated in class order.
     """
 
     filters: Array
     pairs: int
     classes: tuple
-    mode: str
-    eigvals: Array
 
 
 def trial_covariance(x: Array, shrinkage: float = 0.0) -> Array:
@@ -131,13 +128,14 @@ def covariance_stack(
     )
 
 
-def _binary_csp(c1: Array, c2: Array, pairs: int) -> tuple[Array, Array]:
-    """Filters and eigenvalues for the two-class problem c1 vs c2.
+def _binary_csp(c1: Array, c2: Array, pairs: int) -> Array:
+    """Filters for the two-class problem c1 vs c2.
 
     Solves c1 w = lambda (c1 + c2) w by whitening the composite covariance;
-    keeps the ``pairs`` largest then ``pairs`` smallest eigenvalues. Rows
-    satisfy w^T (c1 + c2) w = 1. Each row is flipped so its
-    largest-magnitude entry is positive.
+    keeps the rows of the ``pairs`` largest then ``pairs`` smallest
+    eigenvalues. Rows satisfy w^T (c1 + c2) w = 1, so a row's eigenvalue
+    is w^T c1 w. Each row is flipped so its largest-magnitude entry is
+    positive.
     """
     composite = symmetrize(c1 + c2)
     w, u = np.linalg.eigh(composite)
@@ -147,13 +145,13 @@ def _binary_csp(c1: Array, c2: Array, pairs: int) -> tuple[Array, Array]:
             f"composite covariance not SPD (min eigenvalue {w[0]:.6g})"
         )
     whitener = (u * (1.0 / np.sqrt(w))) @ u.T
-    lam, vecs = np.linalg.eigh(symmetrize(whitener @ c1 @ whitener))
+    _, vecs = np.linalg.eigh(symmetrize(whitener @ c1 @ whitener))
     order = list(range(dim - 1, dim - 1 - pairs, -1)) + list(range(pairs))
     filters = (whitener @ vecs).T[order]
     for row in filters:
         if row[np.argmax(np.abs(row))] < 0.0:
             row *= -1.0
-    return filters, lam[order]
+    return filters
 
 
 def csp_fit(
@@ -181,21 +179,15 @@ def csp_fit(
         label: np.mean(np.asarray(covs_by_class[label]), axis=0) for label in classes
     }
     if len(classes) == 2:
-        filters, lam = _binary_csp(means[classes[0]], means[classes[1]], pairs)
-        return CspModel(filters, pairs, classes, "binary", lam)
+        return CspModel(_binary_csp(means[classes[0]], means[classes[1]], pairs), pairs, classes)
 
     blocks = []
-    lams = []
     for label in classes:
         rest = np.concatenate(
             [np.asarray(covs_by_class[other]) for other in classes if other != label]
         )
-        f, lam = _binary_csp(means[label], np.mean(rest, axis=0), pairs)
-        blocks.append(f)
-        lams.append(lam)
-    return CspModel(
-        np.vstack(blocks), pairs, classes, "one-vs-rest", np.concatenate(lams)
-    )
+        blocks.append(_binary_csp(means[label], np.mean(rest, axis=0), pairs))
+    return CspModel(np.vstack(blocks), pairs, classes)
 
 
 def csp_features(model: CspModel, scatter: Array) -> Array:

@@ -14,8 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelalign import experiment, features, spd
-from labelalign.alignment import ea_reference
+from labelalign import alignment, cli, experiment, features, spd
+from labelalign.alignment import (
+    align,
+    ea_reference,
+    match_labels,
+    select_and_estimate_target_means,
+)
 from labelalign.classifiers import mdm_fit
 from labelalign.cli import main
 from labelalign.dataio import (
@@ -43,6 +48,7 @@ from labelalign.experiment import (
     subject_stack,
 )
 from labelalign.features import concat_stacks, covariance_stack, ts_features
+from labelalign.rng import derive_key
 from labelalign.selection import k_medoids, pairwise_distances
 from labelalign.spd import congruence, log_euclidean_mean, spd_exp, spd_log
 from labelalign.synth import SynthConfig, generate_synthetic
@@ -120,12 +126,12 @@ class TestLosoLeakage:
         spec = load_scenario(GOLDEN_SPEC)
         calls = [(train.covs, test.covs) for train, test, _ in golden_run.cells]
         names, subjects = experiment._load_subjects(spec)
+        domains = experiment._scenario_domains(spec, names, subjects)
         # Each subject's whole stack (every label) under the two transforms a
         # target can receive: none (raw, la) and its pool's EA whitening (ea).
         views = {}
-        for name, trials in zip(names, subjects):
+        for name, trials, (_, pool) in zip(names, subjects, domains):
             full = subject_stack(name, trials)
-            pool = experiment._subject_domains(spec, name, trials)[1]
             in_pool = np.flatnonzero(np.isin(full.labels, spec.target_labels))
             views[name] = (in_pool, pairwise_distances(pool.stack.covs),
                            [full.covs, congruence(ea_reference(pool.stack.covs), full.covs)])
@@ -170,8 +176,8 @@ class TestSharedWork:
         names, subjects = experiment._load_subjects(spec)
         stacks = [
             stack.covs
-            for name, trials in zip(names, subjects)
-            for d in experiment._subject_domains(spec, name, trials)
+            for pair in experiment._scenario_domains(spec, names, subjects)
+            for d in pair
             for stack in (d.stack, d.ea_stack)
         ]
         counts = [logged[m.tobytes()] for covs in stacks for m in covs]
@@ -264,12 +270,20 @@ class TestDegenerateTrials:
         with pytest.raises(DataError, match="subject s1, trial 17: smallest eigenvalue"):
             run_scenario(spec)
 
-    def test_subjects_with_different_channel_counts_are_rejected(self, manifest, tmp_path):
+    def test_subjects_with_different_channel_counts_are_rejected(
+        self, manifest, tmp_path, capsys
+    ):
         trials_path = manifest.parent / "s2.trials"
         write_trials(trials_path, [Trial(t.data[:3]) for t in read_trials(trials_path)])
         spec = load_scenario(write_spec(tmp_path / "spec.json", manifest))
         with pytest.raises(DimMismatchError, match="subject s2"):
             run_scenario(spec)
+        # labelalign align runs the same subject checks.
+        for args in (TestCli.la_args(manifest, tmp_path / "la"),
+                     ["align", "--strategy", "ea", "--manifest", str(manifest),
+                      "--out", str(tmp_path / "ea")]):
+            assert main(args) == 3
+            assert "subject s2 has trials without 4 channels" in capsys.readouterr().err
 
     def test_cli_experiment_exits_3_with_the_location(self, manifest, tmp_path, capsys):
         zero_channel(manifest, "s1", 17, 2)
@@ -401,7 +415,8 @@ class TestPipelineCongruence:
 
 
 class TestCli:
-    def la_args(self, manifest, out):
+    @staticmethod
+    def la_args(manifest, out):
         return ["align", "--strategy", "la", "--manifest", str(manifest), "--out", str(out),
                 "--target-subject", "s0", "--source-labels", "0,1",
                 "--target-labels", "2,3", "-k", "6"]
@@ -415,12 +430,51 @@ class TestCli:
             assert len(trials) == 12
             assert sorted({t.label for t in trials}) == [2, 3]
 
-    def test_align_la_bad_config_exits_2(self, manifest, tmp_path):
+    def test_align_la_bad_config_exits_2(self, manifest, tmp_path, capsys):
+        for flag in ("--source-labels", "--target-labels"):
+            args = self.la_args(manifest, tmp_path / "aligned")
+            args[args.index(flag) + 1] = "2,x"
+            with pytest.raises(SystemExit) as exited:  # argparse rejects the value
+                main(args)
+            assert exited.value.code == 2
+            assert "Traceback" not in capsys.readouterr().err
         args = self.la_args(manifest, tmp_path / "aligned")
         i = args.index("--target-subject")
         assert main(args[:i] + args[i + 2:]) == 2
         args[i + 1] = "nobody"
         assert main(args) == 2
+
+    def test_align_la_writes_the_harness_la_stacks(self, manifest, tmp_path):
+        spec = load_scenario(write_spec(tmp_path / "spec.json", manifest))
+        out = tmp_path / "aligned"
+        assert main(self.la_args(manifest, out)) == 0  # target s0, k = 6
+        written = [covariance_stack(trials) for trials in
+                   load_manifest(out / "manifest.json").load_all()[1:]]
+
+        names, subjects = experiment._load_subjects(spec)
+        domains = experiment._scenario_domains(spec, names, subjects)
+        pool = domains[0][1].stack
+        means, _ = select_and_estimate_target_means(pool, 6, lambda i: pool.labels[i], 2)
+        mapping = match_labels(spec.source_labels, spec.target_labels,
+                               derive_key(spec.seed, "mapping"))
+        expected, _ = align("la", [d for d, _ in domains[1:]], domains[0][1],
+                            mapping=mapping, target_means=means)
+        assert len(written) == len(expected) == 2
+        for got, want in zip(written, expected):
+            assert np.array_equal(got.labels, want.labels)
+            assert np.max(np.abs(got.covs - want.covs)) <= 1e-10 * np.max(np.abs(want.covs))
+
+    def test_align_la_whitens_nothing(self, manifest, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(covs):
+            calls.append(covs)
+            return ea_reference(covs)
+
+        for module in (alignment, cli):
+            monkeypatch.setattr(module, "ea_reference", spy)
+        assert main(self.la_args(manifest, tmp_path / "aligned")) == 0
+        assert calls == []
 
     def test_kmedoids(self, manifest, capsys):
         trials = str(manifest.parent / "s0.trials")

@@ -108,14 +108,21 @@ class TestStackLogs:
         assert self.stack().with_logs().transformed(random_invertible(rng, 4)).logs is None
 
 
+def csp_eigvals(model, c1):
+    """The generalized eigenvalue of each filter row w, w^T c1 w: every row
+    has w^T (c1 + c2) w = 1."""
+    return np.einsum("ij,jk,ik->i", model.filters, c1, model.filters)
+
+
 class TestCspFit:
     def test_2x2_hand_computed(self):
         # With class covariances diag(4,1) and diag(1,4) the whitened matrix
         # is diag(4/5, 1/5), so the generalized eigenvalues are 0.8 and 0.2
         # and the filters align with the coordinate axes.
-        model = csp_fit({0: [np.diag([4.0, 1.0])], 1: [np.diag([1.0, 4.0])]}, pairs=1)
-        assert model.mode == "binary"
-        assert np.allclose(sorted(model.eigvals), [0.2, 0.8], atol=1e-12)
+        c1 = np.diag([4.0, 1.0])
+        model = csp_fit({0: [c1], 1: [np.diag([1.0, 4.0])]}, pairs=1)
+        assert model.filters.shape == (2, 2)  # binary: 2 * pairs rows
+        assert np.allclose(sorted(csp_eigvals(model, c1)), [0.2, 0.8], atol=1e-12)
         f = model.filters
         assert abs(f[0, 1]) <= 1e-12 and abs(f[0, 0]) > 0  # axis e1 (largest)
         assert abs(f[1, 0]) <= 1e-12 and abs(f[1, 1]) > 0  # axis e2 (smallest)
@@ -124,7 +131,7 @@ class TestCspFit:
         rng = np.random.default_rng(42)
         c = random_spd(rng, 4)
         model = csp_fit({0: [c], 1: [c]}, pairs=2)
-        assert np.allclose(model.eigvals, 0.5, atol=1e-12)
+        assert np.allclose(csp_eigvals(model, c), 0.5, atol=1e-12)
         assert model.filters.shape == (4, 4)
 
     def test_filters_normalized_by_composite(self):
@@ -143,14 +150,14 @@ class TestCspFit:
         m1 = csp_fit(covs, pairs=2)
         m2 = csp_fit(covs, pairs=2)
         assert np.array_equal(m1.filters, m2.filters)
-        assert np.array_equal(m1.eigvals, m2.eigvals)
+        c1 = np.mean(covs[0], axis=0)
+        assert np.array_equal(csp_eigvals(m1, c1), csp_eigvals(m2, c1))
 
     def test_one_vs_rest_filter_count(self):
         rng = np.random.default_rng(45)
         covs = {m: [random_spd(rng, 8) for _ in range(4)] for m in range(3)}
         model = csp_fit(covs, pairs=2)
-        assert model.mode == "one-vs-rest"
-        assert model.filters.shape == (2 * 2 * 3, 8)
+        assert model.filters.shape == (2 * 2 * 3, 8)  # one-vs-rest: 2 * pairs rows per class
 
     def test_needs_two_classes_and_valid_pairs(self):
         rng = np.random.default_rng(46)
@@ -164,14 +171,14 @@ class TestCspFeatures:
     def test_uniform_variance_rows(self):
         base = np.arange(10.0)
         x = np.vstack([base, base[::-1], np.roll(base, 3)])  # equal sample variance
-        model = CspModel(np.eye(3), 1, (0, 1), "binary", np.zeros(3))
+        model = CspModel(np.eye(3), 1, (0, 1))
         f = csp_features(model, centred_scatter(x))
         assert np.allclose(f, np.log(1.0 / 3.0), atol=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(47)
         x = rng.standard_normal((4, 50))
-        model = CspModel(rng.standard_normal((2, 4)), 1, (0, 1), "binary", np.zeros(2))
+        model = CspModel(rng.standard_normal((2, 4)), 1, (0, 1))
         f1 = csp_features(model, centred_scatter(x))
         f2 = csp_features(model, centred_scatter(3.0 * x))
         assert np.allclose(f1, f2, atol=1e-12)
@@ -182,7 +189,7 @@ class TestCspFeatures:
         rng = np.random.default_rng(48)
         x = rng.standard_normal((7, 5, 80)) + rng.standard_normal((7, 5, 1))
         filters = rng.standard_normal((4, 5))
-        model = CspModel(filters, 2, (0, 1), "binary", np.zeros(4))
+        model = CspModel(filters, 2, (0, 1))
         f = csp_features(model, centred_scatter(x))
         assert f.shape == (7, 4)
         for row, trial in zip(f, x):
@@ -190,7 +197,7 @@ class TestCspFeatures:
             assert np.max(np.abs(row - np.log(v / v.sum()))) <= 1e-12
 
     def test_channel_mismatch(self):
-        model = CspModel(np.eye(3), 1, (0, 1), "binary", np.zeros(3))
+        model = CspModel(np.eye(3), 1, (0, 1))
         with pytest.raises(DimMismatchError):
             csp_features(model, centred_scatter(np.ones((4, 10))))
 
