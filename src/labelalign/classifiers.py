@@ -41,7 +41,7 @@ def _split_by_class(x: Array, labels) -> tuple[tuple, dict]:
 class LdaModel:
     classes: tuple
     means: Array  # (n_classes, d)
-    shared_cov_inv: Array
+    coef: Array  # (d, n_classes): the pooled covariance solved against means.T
     priors: Array
 
 
@@ -49,7 +49,8 @@ def lda_fit(features, labels, gamma: float = LDA_GAMMA) -> LdaModel:
     """Gaussian LDA with a pooled within-class covariance.
 
     The pooled covariance is regularized by gamma * trace/d * I so the
-    high-dimensional tangent-space features stay invertible.
+    high-dimensional tangent-space features stay invertible (a zero trace
+    raises); the projections solve it against the means, with no inverse.
     """
     x = _as_matrix(features)
     classes, by_class = _split_by_class(x, labels)
@@ -60,22 +61,21 @@ def lda_fit(features, labels, gamma: float = LDA_GAMMA) -> LdaModel:
         centered = by_class[c] - means[i]
         scatter += centered.T @ centered
     pooled = scatter / max(n - len(classes), 1)
-    pooled += gamma * (np.trace(pooled) / d) * np.eye(d)
-    w, u = np.linalg.eigh(0.5 * (pooled + pooled.T))
-    if w[0] <= 0.0:
+    scale = np.trace(pooled) / d
+    if not scale > 0.0:
         raise SingularCovarianceError(
             "pooled covariance singular after regularization (constant features)"
         )
-    cov_inv = (u * (1.0 / w)) @ u.T
+    pooled += gamma * scale * np.eye(d)
+    coef = np.linalg.solve(pooled, means.T)
     priors = np.array([by_class[c].shape[0] / n for c in classes])
-    return LdaModel(classes, means, cov_inv, priors)
+    return LdaModel(classes, means, coef, priors)
 
 
 def _lda_scores(model: LdaModel, x: Array) -> Array:
-    proj = model.shared_cov_inv @ model.means.T  # (d, n_classes)
     return (
-        x @ proj
-        - 0.5 * np.sum(model.means.T * proj, axis=0)
+        x @ model.coef
+        - 0.5 * np.sum(model.means.T * model.coef, axis=0)
         + np.log(model.priors)
     )
 
@@ -193,11 +193,12 @@ def mdm_fit(covs, labels, logs: Array | None = None) -> MdmModel:
 def mdm_predict(model: MdmModel, covs: Array):
     """Nearest class mean under the geodesic distance; ties by class order.
 
+    The distances whiten by the class means, so only they are factored.
     One covariance (C, C) gives one label, a stack (n, C, C) a list of them.
     """
     covs = np.asarray(covs, dtype=np.float64)
     means = np.stack([model.means[c] for c in model.classes])
-    nearest = np.argmin(riemannian_distance(covs[..., None, :, :], means), axis=-1)
+    nearest = np.argmin(riemannian_distance(means, covs[..., None, :, :]), axis=-1)
     if nearest.ndim == 0:
         return model.classes[int(nearest)]
     return [model.classes[int(i)] for i in nearest]

@@ -284,7 +284,7 @@ def _scenario_domains(spec: ScenarioSpec, names, subjects) -> list[tuple[Domain,
     logs = bool(LOG_PIPELINES.intersection(spec.pipelines))
     domains = []
     for name, stack in zip(names, stacks):
-        target = stack.take(np.isin(stack.labels, spec.target_labels))
+        target = label_view(name, stack, "target", spec.target_labels)
         if len(target.covs) <= max(spec.k_grid):
             raise ConfigError(
                 f"target subject {name} has {len(target.covs)} trials in the target "

@@ -11,20 +11,22 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimMismatchError, KTooLargeError, NonFiniteError
-from .spd import Array, as_stack, riemannian_distance
+from .spd import Array, as_stack, spd_inv_sqrt, whitened_distance
 
 
 def pairwise_distances(covs) -> Array:
     """Symmetric matrix of geodesic distances over a stack (n, C, C).
 
-    Row-batched: row i holds the distances from matrix i to every later
-    matrix, from one batched :func:`riemannian_distance` call.
+    The inverse square roots of the whole stack come from one batched
+    eigendecomposition; row i then holds the distances from matrix i to
+    every later matrix, from one batched eigvalsh.
     """
     covs = as_stack(covs, "pairwise_distances")
     n = covs.shape[0]
+    isq = spd_inv_sqrt(covs)
     d = np.zeros((n, n))
     for i in range(n - 1):
-        d[i, i + 1 :] = riemannian_distance(covs[i], covs[i + 1 :])
+        d[i, i + 1 :] = whitened_distance(isq[i], covs[i + 1 :])
     return d + d.T
 
 

@@ -134,17 +134,23 @@ def riemannian_distance(p1: Array, p2: Array):
     Computed on the symmetric matrix p1^{-1/2} p2 p1^{-1/2}, whose spectrum
     equals that of p1^{-1} p2 but whose eigenproblem is stable. Invariant
     under congruence by any invertible matrix. The leading axes of ``p1``
-    and ``p2`` broadcast: two matrices give a float, stacks an array.
+    and ``p2`` broadcast: two matrices give a float, stacks an array. Only
+    ``p1`` is factored, so callers put the side with fewer matrices first.
     """
     p1 = _check_square(p1, "p1")
     p2 = _check_square(p2, "p2")
     if p1.shape[-1] != p2.shape[-1]:
         raise DimMismatchError(f"dimension mismatch: {p1.shape} vs {p2.shape}")
-    isq = spd_inv_sqrt(p1)
+    d = whitened_distance(spd_inv_sqrt(p1), p2)
+    return float(d) if d.ndim == 0 else d
+
+
+def whitened_distance(isq: Array, p2: Array) -> Array:
+    """:func:`riemannian_distance` from the matrices whose inverse square
+    roots are ``isq`` to ``p2``, from the spectrum of ``isq p2 isq``."""
     w = np.linalg.eigvalsh(symmetrize(isq @ p2 @ isq))
     _require_positive_spectrum(w, "riemannian_distance")
-    d = np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
-    return float(d) if d.ndim == 0 else d
+    return np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
 
 
 def _triangle(c: int) -> tuple[tuple[Array, Array], Array]:

@@ -46,5 +46,21 @@ def loop_distance(p1, p2):
     return float(np.sqrt(np.sum(np.log(w) ** 2)))
 
 
+def loop_lda_scores(x, labels, x_test, gamma):
+    """LDA decision scores from the eigendecomposed inverse of the regularized
+    pooled within-class covariance."""
+    labels = np.asarray(labels)
+    classes = sorted(set(labels.tolist()))
+    means = np.vstack([x[labels == c].mean(axis=0) for c in classes])
+    centered = x - means[np.searchsorted(classes, labels)]
+    d = x.shape[1]
+    pooled = centered.T @ centered / max(len(x) - len(classes), 1)
+    pooled += gamma * (np.trace(pooled) / d) * np.eye(d)
+    w, u = np.linalg.eigh(symmetrize(pooled))
+    proj = (u * (1.0 / w)) @ u.T @ means.T
+    priors = np.array([np.mean(labels == c) for c in classes])
+    return x_test @ proj - 0.5 * np.sum(means.T * proj, axis=0) + np.log(priors)
+
+
 def relative_error(got, expected):
     return float(np.max(np.abs(np.asarray(got) - expected)) / np.max(np.abs(expected)))

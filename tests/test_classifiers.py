@@ -4,11 +4,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import loop_distance, random_invertible, random_spd
+from conftest import (
+    loop_distance,
+    loop_lda_scores,
+    random_invertible,
+    random_spd,
+    relative_error,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelalign import classifiers
+from labelalign import classifiers, spd
 from labelalign.classifiers import (
     LinearSvmModel,
     lda_fit,
@@ -88,6 +94,29 @@ class TestLda:
     def test_needs_two_classes(self):
         with pytest.raises(ConfigError):
             lda_fit(np.ones((4, 2)), [1, 1, 1, 1])
+
+    @pytest.mark.parametrize("d", [2, 36, 253])
+    def test_scores_match_the_inverse_reference(self, d):
+        rng = np.random.default_rng(84)
+        y = np.arange(3 * d + 30) % 3
+        x = rng.standard_normal((len(y), d)) * rng.uniform(0.1, 10.0, d) + 0.3 * y[:, None]
+        x_test = rng.standard_normal((50, d))
+        got = classifiers._lda_scores(lda_fit(x, y), x_test)
+        expected = loop_lda_scores(x, y, x_test, classifiers.LDA_GAMMA)
+        assert relative_error(got, expected) <= 1e-10
+
+    def test_fit_takes_no_eigendecomposition(self, monkeypatch):
+        calls = []
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        rng = np.random.default_rng(85)
+        lda_fit(rng.standard_normal((40, 36)), np.arange(40) % 2)
+        assert calls == []
 
 
 class TestLinearSvm:
@@ -309,3 +338,19 @@ class TestMdm:
         preds = mdm_predict(model, tests)
         assert preds == [model.classes[i] for i in np.argmin(loops, axis=1)]
         assert preds == [mdm_predict(model, t) for t in tests]
+
+    def test_prediction_factors_only_the_class_means(self, monkeypatch):
+        rng = np.random.default_rng(86)
+        model = mdm_fit(np.stack([random_spd(rng, 5) for _ in range(9)]), [0, 1, 2] * 3)
+        tests = np.stack([random_spd(rng, 5) for _ in range(20)])
+        expected = mdm_predict(model, tests)
+        factored = []
+
+        def spy(p):
+            factored.append(int(np.prod(np.shape(p)[:-2])))
+            return inv_sqrt(p)
+
+        inv_sqrt = spd.spd_inv_sqrt
+        monkeypatch.setattr(spd, "spd_inv_sqrt", spy)
+        assert mdm_predict(model, tests) == expected
+        assert factored == [3]

@@ -524,6 +524,16 @@ class TestCli:
         assert main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 3
         assert "subject s1 has no trials for source labels [0, 1]" in capsys.readouterr().err
 
+    def test_experiment_target_without_a_target_label_exits_3(self, manifest, tmp_path, capsys):
+        # Run anyway, LA would fall back to EA in every cell of s1 and its
+        # test sets would hold one class.
+        relabel_subject(manifest, "s1", {3: 2})
+        spec = write_spec(tmp_path / "spec.json", manifest)
+        assert main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 3
+        assert "target subject s1 has no trials for target labels [3]" in (
+            capsys.readouterr().err
+        )
+
     def test_align_la_target_without_target_labels_exits_3(self, manifest, tmp_path, capsys):
         relabel_subject(manifest, "s0", {2: 0, 3: 1})
         assert main(self.la_args(manifest, tmp_path / "aligned")) == 3

@@ -53,6 +53,14 @@ class TestPairwiseDistances:
         assert relative_error(pairwise_distances(covs), expected) <= 1e-10
 
 
+    def test_rows_equal_the_per_row_distance_bitwise(self):
+        # The medoids depend on exact ties and orderings of these values.
+        rng = np.random.default_rng(70)
+        covs = np.stack([random_spd(rng, 22) for _ in range(30)])
+        d = pairwise_distances(covs)
+        for i in range(29):
+            assert np.array_equal(d[i, i + 1 :], riemannian_distance(covs[i], covs[i + 1 :]))
+
 class TestKMedoids:
     def test_k_equals_n(self):
         rng = np.random.default_rng(63)

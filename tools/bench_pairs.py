@@ -11,9 +11,15 @@ even ones, so that drifting machine load falls on both sides alike.
 
 For every end-to-end metric of ``BENCHMARK.json`` the row records, per side,
 the median and quartiles of the per-run values and their count, and in how
-many pairs the change was better (``change_better_pairs``). It also records
-the repetitions attempted and failed per side, the exit codes, and whether
-the accuracy/AUC/t-test digests of the two trees agree. Rows are keyed
+many pairs the change was better (``change_better_pairs``). It also applies
+the acceptance rule (:func:`verdict`): the parent's interquartile range, the
+gap between the medians in the metric's better direction, ``gain_rule_met``
+(better in at least 9/10 of the pairs, by a median gap wider than the
+parent's IQR) and ``within_bound`` (the change median no worse than the
+parent's by more than the metric's relative ``bound``); one line per metric
+goes to stderr at the end. The row also records the repetitions attempted
+and failed per side, the exit codes, and whether the accuracy/AUC/t-test
+digests of the two trees agree. Rows are keyed
 ``"W --seed S"`` and merged into ``--out``, so one file collects several
 workloads and keys written by hand survive.
 """
@@ -71,6 +77,25 @@ def summary(values: list[float]) -> dict:
             "q3": round(q3, 6), "n": len(values)}
 
 
+def verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> dict:
+    """The acceptance rule on paired per-run values of one metric.
+
+    ``parent[i]`` and ``change[i]`` are pair i; ``lower`` says lower is
+    better; ``bound`` is the largest relative worsening of the median allowed.
+    """
+    def gain(before: float, after: float) -> float:
+        return before - after if lower else after - before
+
+    p, c = summary(parent), summary(change)
+    better = sum(gain(a, b) > 0.0 for a, b in zip(parent, change))
+    iqr = p["q3"] - p["q1"]
+    gap = gain(p["median"], c["median"])
+    return {"change_better_pairs": f"{better}/{len(parent)}",
+            "parent_iqr": round(iqr, 6), "median_gap": round(gap, 6),
+            "gain_rule_met": 10 * better >= 9 * len(parent) and gap > iqr,
+            "within_bound": gap >= -bound * abs(p["median"])}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", default="HEAD", help="git revision of the parent")
@@ -103,16 +128,15 @@ def main(argv=None) -> int:
         "metrics": {},
     }
     for m in metrics:
-        name, lower = m["name"], m["better"] == "lower"
+        name = m["name"]
         values = {s: [r["result"].get("metrics", {}).get(name, {}).get("value")
                       for r in runs[s]] for s in runs}
         if any(v is None for side in values.values() for v in side):
             row["metrics"][name] = "absent in some run"
             continue
-        better = sum((c < p) if lower else (c > p)
-                     for p, c in zip(values["parent"], values["change"]))
         row["metrics"][name] = {**{s: summary(values[s]) for s in runs},
-                                "change_better_pairs": f"{better}/{args.pairs}"}
+                                **verdict(values["parent"], values["change"],
+                                          m["better"] == "lower", m["bound"])}
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
@@ -126,6 +150,15 @@ def main(argv=None) -> int:
     doc.setdefault("pairs", {})[f"{args.workload} --seed {runs['change'][0]['seed']}"] = row
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(json.dumps(row))
+    for name, m in row["metrics"].items():
+        if isinstance(m, dict):
+            print(f"{name}: {m['parent']['median']:g} -> {m['change']['median']:g}, "
+                  f"better in {m['change_better_pairs']}, gap {m['median_gap']:g} vs "
+                  f"parent IQR {m['parent_iqr']:g}: gain rule "
+                  f"{'met' if m['gain_rule_met'] else 'not met'}, "
+                  f"{'within' if m['within_bound'] else 'OUTSIDE'} bound", file=sys.stderr)
+        else:
+            print(f"{name}: {m}", file=sys.stderr)
     failed = row["failed"]["parent"] + row["failed"]["change"]
     return 1 if failed or row["exit_codes"] != {"parent": [0], "change": [0]} else 0
 
