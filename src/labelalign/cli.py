@@ -40,7 +40,7 @@ from .experiment import (
 from .features import covariance_stack
 from .rng import derive_key
 from .selection import k_medoids, pairwise_distances
-from .synth import SynthConfig, generate_synthetic
+from .synth import SynthConfig, synthetic_parameters, synthetic_subjects
 
 
 def _cmd_synth(args) -> int:
@@ -49,23 +49,26 @@ def _cmd_synth(args) -> int:
         cfg = SynthConfig(**doc)
     except (OSError, json.JSONDecodeError, TypeError) as exc:
         raise ConfigError(f"cannot load synth config {args.config}: {exc}") from exc
-    data = generate_synthetic(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for i, trials in enumerate(data.subjects):
-        name = f"s{i}"
-        write_trials(out / f"{name}.trials", trials)
-        write_labels(out / f"{name}.labels", [t.label for t in trials])
-        entries.append((name, f"{name}.trials", f"{name}.labels"))
+    subjects = synthetic_subjects(cfg)  # written as generated, one subject held at a time
+    entries = [_write_subject(out, f"s{i}", next(subjects)) for i in range(cfg.subjects)]
     write_manifest(out / "manifest.json", 100.0, range(cfg.classes), entries)
-    prototypes = {
-        "prototypes": [p.tolist() for p in data.prototypes],
-        "shifts": [w.tolist() for w in data.shifts],
+    prototypes, shifts = synthetic_parameters(cfg)
+    parameters = {
+        "prototypes": [p.tolist() for p in prototypes],
+        "shifts": [w.tolist() for w in shifts],
     }
-    (out / "generator.json").write_text(json.dumps(prototypes, sort_keys=True) + "\n")
-    print(f"wrote {len(data.subjects)} subjects to {out}")
+    (out / "generator.json").write_text(json.dumps(parameters, sort_keys=True) + "\n")
+    print(f"wrote {cfg.subjects} subjects to {out}")
     return 0
+
+
+def _write_subject(out: Path, name: str, trials) -> tuple[str, str, str]:
+    """Write one subject's trial and label files; returns its manifest entry."""
+    write_trials(out / f"{name}.trials", trials)
+    write_labels(out / f"{name}.labels", [t.label for t in trials])
+    return name, f"{name}.trials", f"{name}.labels"
 
 
 def _cmd_experiment(args) -> int:
@@ -120,11 +123,7 @@ def _cmd_align(args) -> int:
 
     out = Path(args.out)  # created only once every subject is aligned
     out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for name, trials in zip(names, aligned):
-        write_trials(out / f"{name}.trials", trials)
-        write_labels(out / f"{name}.labels", [t.label for t in trials])
-        entries.append((name, f"{name}.trials", f"{name}.labels"))
+    entries = [_write_subject(out, name, trials) for name, trials in zip(names, aligned)]
     label_set = sorted({t.label for trials in aligned for t in trials})
     write_manifest(out / "manifest.json", manifest.sample_rate, label_set, entries)
     print(f"wrote aligned dataset to {out}")

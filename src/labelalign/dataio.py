@@ -18,6 +18,10 @@ offset  size  contents
 17      ...   float64 payload, trial-major then channel then sample
 ======  ====  =======================================================
 
+A trial file is read into one ``(count, C, T)`` array, and the trials
+returned are writable row views of it; it is written one trial at a time,
+so neither direction makes a second copy of the payload.
+
 Label files are newline-separated integers, one per trial. A manifest is
 a JSON document (``{"version": 1, "sample_rate": ..., "label_set": [...],
 "subjects": [{"name": ..., "trials": ..., "labels": ...}, ...]}``) whose
@@ -27,10 +31,11 @@ paths are resolved relative to the manifest file.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -58,14 +63,18 @@ class Trial:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2 or self.data.shape[1] < 1:
-            raise DimMismatchError(f"trial data must be 2-D with T > 0, got {self.data.shape}")
+        if self.data.ndim != 2 or 0 in self.data.shape:
+            raise DimMismatchError(
+                f"trial data must be 2-D with C > 0 and T > 0, got {self.data.shape}"
+            )
         if not np.isfinite(self.data).all():
             raise NonFiniteError("trial data contains NaN or Inf")
 
 
 def write_trials(path, trials: Sequence[Trial]) -> None:
-    """Write homogeneous trials; the file round-trips bit-exactly."""
+    """Write homogeneous trials, streamed one trial at a time; the file
+    round-trips bit-exactly. Shapes and values are checked before the
+    file is opened."""
     if not trials:
         raise DataError("cannot write an empty trial list")
     shape = trials[0].data.shape
@@ -74,18 +83,22 @@ def write_trials(path, trials: Sequence[Trial]) -> None:
             raise DimMismatchError(
                 f"trial {i} has shape {t.data.shape}, expected {shape}"
             )
-    stack = np.stack([t.data for t in trials]).astype("<f8")
-    _check_finite(stack.reshape(-1))
+    for i, t in enumerate(trials):
+        _check_finite(t.data, HEADER_SIZE + 8 * i * t.data.size)
     header = MAGIC + bytes([VERSION]) + struct.pack(
         "<III", shape[0], shape[1], len(trials)
     )
-    Path(path).write_bytes(header + stack.tobytes())
+    with open(path, "wb") as f:
+        f.write(header)
+        for t in trials:
+            f.write(np.ascontiguousarray(t.data, dtype="<f8"))
 
 
-def _check_finite(payload: np.ndarray) -> None:
-    """Name the byte offset of the first NaN or Inf of a flat float64 payload."""
+def _check_finite(payload: np.ndarray, start: int = HEADER_SIZE) -> None:
+    """Name the byte offset of the first NaN or Inf of a float64 payload that
+    starts at byte ``start``."""
     if not np.isfinite(payload).all():
-        offset = HEADER_SIZE + 8 * int(np.flatnonzero(~np.isfinite(payload))[0])
+        offset = start + 8 * int(np.flatnonzero(~np.isfinite(payload))[0])
         raise NonFinitePayloadError(f"non-finite value at byte offset {offset}", offset)
 
 
@@ -97,32 +110,36 @@ def _read(path) -> bytes:
 
 
 def read_trials(path) -> list[Trial]:
-    """Read a trial file; labels come back as None (label files are separate)."""
-    blob = _read(path)
-    if len(blob) < HEADER_SIZE:
+    """Read a trial file into one array; the trials are writable row views of
+    it, and their labels are None (label files are separate)."""
+    try:
+        with open(path, "rb") as f:
+            header = f.read(HEADER_SIZE)
+            if len(header) < HEADER_SIZE:
+                raise TruncatedPayloadError(f"file ends at byte {len(header)}, header needs "
+                                            f"{HEADER_SIZE}", len(header), HEADER_SIZE)
+            if header[:4] != MAGIC:
+                raise BadMagicError(f"bad magic {header[:4]!r} at byte offset 0", 0)
+            if header[4] != VERSION:
+                raise BadMagicError(f"unsupported version {header[4]} at byte offset 4", 4)
+            channels, samples, count = struct.unpack("<III", header[5:])
+            if count and not channels * samples:
+                raise DimMismatchError(
+                    f"{path}: {count} trials of {channels} channels x {samples} samples"
+                )
+            expected = HEADER_SIZE + 8 * count * channels * samples
+            end = os.fstat(f.fileno()).st_size  # nothing is allocated for a short file
+            if end >= expected:
+                data = np.empty((count, channels, samples), dtype="<f8")
+                end = HEADER_SIZE + f.readinto(data)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if end < expected:
         raise TruncatedPayloadError(
-            f"file ends at byte {len(blob)}, header needs {HEADER_SIZE}",
-            len(blob),
-            HEADER_SIZE,
+            f"payload ends at byte {end}, expected {expected}", end, expected
         )
-    if blob[:4] != MAGIC:
-        raise BadMagicError(f"bad magic {blob[:4]!r} at byte offset 0", 0)
-    if blob[4] != VERSION:
-        raise BadMagicError(
-            f"unsupported version {blob[4]} at byte offset 4", 4
-        )
-    channels, samples, count = struct.unpack("<III", blob[5:HEADER_SIZE])
-    expected = HEADER_SIZE + 8 * count * channels * samples
-    if len(blob) < expected:
-        raise TruncatedPayloadError(
-            f"payload ends at byte {len(blob)}, expected {expected}",
-            len(blob),
-            expected,
-        )
-    flat = np.frombuffer(blob, dtype="<f8", count=count * channels * samples, offset=HEADER_SIZE)
-    _check_finite(flat)
-    data = flat.reshape(count, channels, samples)
-    return [Trial(data[i].copy()) for i in range(count)]
+    _check_finite(data)
+    return [Trial(trial) for trial in data]
 
 
 def write_labels(path, labels: Sequence[int]) -> None:
@@ -174,8 +191,12 @@ class DatasetManifest:
             raise DataError(f"{entry.name}: labels {bad} not in declared set")
         return with_labels(trials, labels)
 
+    def iter_subjects(self) -> Iterator[list[Trial]]:
+        """Each subject's labeled trials in turn, read as the next is asked for."""
+        return (self.load_subject(e) for e in self.subjects)
+
     def load_all(self) -> list[list[Trial]]:
-        return [self.load_subject(e) for e in self.subjects]
+        return list(self.iter_subjects())
 
 
 def load_manifest(path) -> DatasetManifest:

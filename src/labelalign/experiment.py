@@ -4,11 +4,13 @@ label budget, plus the report metrics (accuracy, AUC over k, paired t-tests).
 The protocol is covariance first. Each subject's trials are turned into a
 covariance stack (n, C, C) once, with the time-centred scatter when CSP
 runs, and split into a source view (source labels) and a target pool
-(target labels). What depends on neither the target nor the budget is
-computed with them, once per scenario: each view's EA-whitened stack, the
-inverse roots of the source class means and, when ts-svm, ts-lda or mdm
-runs, the matrix logs of the raw and whitened stacks. The units then ship
-and align only those stacks, never raw trials.
+(target labels). The subjects are read (or generated) one at a time and
+each one's raw trials are dropped once its stack is built, so at most one
+subject's raw trials are in memory. What depends on neither the target nor
+the budget is computed with them, once per scenario: each view's
+EA-whitened stack, the inverse roots of the source class means and, when
+ts-svm, ts-lda or mdm runs, the matrix logs of the raw and whitened stacks.
+The units then ship and align only those stacks, never raw trials.
 
 Protocol per target subject and per budget ``k``: the k medoid trials of
 the target pool are labeled and join the training set, every remaining
@@ -30,7 +32,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,7 +61,7 @@ from .rng import derive_key
 from .selection import pairwise_distances
 from .spd import spd_exp
 from .stats import student_t_two_sided_p
-from .synth import SynthConfig, generate_synthetic
+from .synth import SynthConfig, synthetic_subjects
 
 STRATEGIES = ("raw", "ea", "la")
 PIPELINES = ("csp-lda", "ts-svm", "ts-lda", "mdm")
@@ -235,14 +237,13 @@ def fit_predict(pipeline: str, train: CovStack, test: CovStack, *, csp_pairs: in
     return fit_predict_cell((pipeline,), train, test, csp_pairs=csp_pairs)[pipeline]
 
 
-def _load_subjects(spec: ScenarioSpec) -> tuple[list[str], list[list[Trial]]]:
+def _load_subjects(spec: ScenarioSpec) -> tuple[list[str], Iterator[list[Trial]]]:
+    """The subject names, and an iterator that reads (or generates) each
+    subject's trials when it is asked for the next."""
     if spec.synth is not None:
-        data = generate_synthetic(spec.synth)
-        names = [f"s{i}" for i in range(len(data.subjects))]
-        return names, [list(trials) for trials in data.subjects]
+        return [f"s{i}" for i in range(spec.synth.subjects)], synthetic_subjects(spec.synth)
     manifest = load_manifest(spec.manifest)
-    names = [e.name for e in manifest.subjects]
-    return names, manifest.load_all()
+    return [e.name for e in manifest.subjects], manifest.iter_subjects()
 
 
 def subject_stack(
@@ -259,12 +260,14 @@ def subject_stack(
 def subject_stacks(
     names: Sequence[str], subjects, shrinkage: float = 0.0, scatter: bool = False
 ) -> list[CovStack]:
-    """:func:`subject_stack` of every subject; each must have as many channels
-    as the first (else :class:`DimMismatchError` names the subject)."""
-    stacks = [subject_stack(n, t, shrinkage, scatter) for n, t in zip(names, subjects)]
-    channels = stacks[0].covs.shape[-1]
-    for name, stack in zip(names, stacks):
-        if stack.covs.shape[-1] != channels:
+    """:func:`subject_stack` of every subject, taken from ``subjects`` (which may
+    be an iterator) one at a time; each must have as many channels as the
+    first (else :class:`DimMismatchError` names the subject)."""
+    subjects, stacks = iter(subjects), []
+    for name in names:
+        stacks.append(subject_stack(name, next(subjects), shrinkage, scatter))
+        channels = stacks[0].covs.shape[-1]
+        if stacks[-1].covs.shape[-1] != channels:
             raise DimMismatchError(f"subject {name} has trials without {channels} channels")
     return stacks
 
@@ -345,10 +348,9 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
     report is identical regardless of the schedule.
     """
     names, subjects = _load_subjects(spec)
-    if len(subjects) < 2:
+    if len(names) < 2:
         raise ConfigError("need at least two subjects for leave-one-subject-out")
     domains = _scenario_domains(spec, names, subjects)
-    del subjects  # the units need only the stacks; free the raw trials
     mapping = match_labels(
         spec.source_labels, spec.target_labels, derive_key(spec.seed, "mapping")
     )

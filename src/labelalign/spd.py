@@ -45,8 +45,8 @@ def _eigh(a: Array) -> tuple[Array, Array]:
 
 def _check_square(a: Array, name: str = "matrix") -> Array:
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimMismatchError(f"{name} must be square, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise DimMismatchError(f"{name} must be square and nonempty, got shape {a.shape}")
     return a
 
 

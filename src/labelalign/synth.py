@@ -25,6 +25,7 @@ pure function of the config.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -76,34 +77,25 @@ def _unit_symmetric_direction(rng: CounterRng, dim: int) -> Array:
     return d / np.linalg.norm(d, "fro")
 
 
-def generate_synthetic(cfg: SynthConfig) -> SynthDataset:
-    """Generate per-subject labeled trials plus the generating parameters.
+def synthetic_parameters(cfg: SynthConfig) -> tuple[tuple, tuple]:
+    """The class prototypes and the subject shifts of ``cfg``."""
+    def draw(stream: str, scale: float, count: int) -> tuple:
+        return tuple(spd_exp(scale * _unit_symmetric_direction(
+            CounterRng(derive_key(cfg.seed, stream, i)), cfg.channels)) for i in range(count))
+    return (draw("prototype", cfg.class_separation, cfg.classes),
+            draw("shift", cfg.subject_shift, cfg.subjects))
 
-    Prototypes and shifts are returned so tests can compare estimates
-    against the ground truth.
-    """
+
+def synthetic_subjects(cfg: SynthConfig) -> Iterator[list[Trial]]:
+    """Each subject's labeled trials in turn, generated as the next is asked
+    for, so that one subject at a time need be held."""
     c = cfg.channels
-    prototypes = []
-    for m in range(cfg.classes):
-        direction = _unit_symmetric_direction(
-            CounterRng(derive_key(cfg.seed, "prototype", m)), c
-        )
-        prototypes.append(spd_exp(cfg.class_separation * direction))
+    prototypes, shifts = synthetic_parameters(cfg)
     proto_sqrts = [spd_sqrt(p) for p in prototypes]
-
-    shifts = []
-    for s in range(cfg.subjects):
-        direction = _unit_symmetric_direction(
-            CounterRng(derive_key(cfg.seed, "shift", s)), c
-        )
-        shifts.append(spd_exp(cfg.subject_shift * direction))
-
-    subjects = []
-    for s in range(cfg.subjects):
-        wt = shifts[s].T
+    for s, shift in enumerate(shifts):
         trials = []
         for m in range(cfg.classes):
-            mix = wt @ proto_sqrts[m]
+            mix = shift.T @ proto_sqrts[m]
             for i in range(cfg.trials_per_class):
                 rng = CounterRng(derive_key(cfg.seed, "noise", s, m, i))
                 factor = mix
@@ -112,5 +104,13 @@ def generate_synthetic(cfg: SynthConfig) -> SynthDataset:
                     factor = mix @ spd_sqrt(g @ g.T / cfg.noise_df)
                 z = rng.normal_matrix(c, cfg.samples)
                 trials.append(Trial(factor @ z, label=m))
-        subjects.append(trials)
-    return SynthDataset(cfg, tuple(subjects), tuple(prototypes), tuple(shifts))
+        yield trials
+
+
+def generate_synthetic(cfg: SynthConfig) -> SynthDataset:
+    """Generate per-subject labeled trials plus the generating parameters.
+
+    Prototypes and shifts are returned so tests can compare estimates
+    against the ground truth.
+    """
+    return SynthDataset(cfg, tuple(synthetic_subjects(cfg)), *synthetic_parameters(cfg))

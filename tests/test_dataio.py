@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,62 @@ class TestTrialFile:
         with pytest.raises(DimMismatchError):
             write_trials(tmp_path / "m", [Trial(np.ones((2, 3))), Trial(np.ones((3, 3)))])
 
+    def test_read_returns_writable_views_of_one_array(self, tmp_path):
+        rng = np.random.default_rng(105)
+        trials = make_trials(rng, 4, 3, 7)
+        path = tmp_path / "v.trials"
+        write_trials(path, trials)
+        back = read_trials(path)
+        base = back[0].data.base
+        assert base.shape == (4, 3, 7)
+        for t, b in zip(trials, back, strict=True):
+            assert b.data.base is base and b.data.flags.writeable
+            assert b.data.tobytes() == t.data.tobytes()
+        back[1].data[0, 0] = 5.0
+        assert base[1, 0, 0] == 5.0
+
+    def test_write_streams_without_a_copy_of_the_payload(self, tmp_path):
+        rng = np.random.default_rng(106)
+        trials = make_trials(rng, 64, 8, 1000)
+        path = tmp_path / "w.trials"
+        tracemalloc.start()
+        try:
+            write_trials(path, trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * trials[0].data.nbytes
+        header = b"EEGT\x01" + struct.pack("<III", 8, 1000, 64)
+        reference = header + np.stack([t.data for t in trials]).astype("<f8").tobytes()
+        assert path.read_bytes() == reference
+
+    def test_write_names_the_offset_of_a_nonfinite_value_and_writes_nothing(self, tmp_path):
+        rng = np.random.default_rng(107)
+        trials = make_trials(rng, 3, 2, 5)
+        trials[2].data[1, 3] = np.inf  # a trial's data may change after it is checked
+        path = tmp_path / "n"
+        with pytest.raises(NonFinitePayloadError) as err:
+            write_trials(path, trials)
+        assert err.value.offset == HEADER_SIZE + 8 * (2 * 10 + 1 * 5 + 3)
+        assert not path.exists()
+
+    def test_header_claiming_more_than_the_file_holds_is_truncated(self, tmp_path):
+        path = tmp_path / "huge"
+        path.write_bytes(b"EEGT\x01" + struct.pack("<III", 2**16, 2**16, 2**16) + bytes(8))
+        with pytest.raises(TruncatedPayloadError) as err:
+            read_trials(path)
+        assert err.value.offset == HEADER_SIZE + 8
+        assert err.value.expected_size == HEADER_SIZE + 8 * 2**48
+
+    @pytest.mark.parametrize("shape", [(0, 10), (4, 0)])
+    def test_empty_trials_rejected(self, tmp_path, shape):
+        with pytest.raises(DimMismatchError, match="C > 0 and T > 0"):
+            Trial(np.empty(shape))
+        path = tmp_path / "e.trials"
+        path.write_bytes(b"EEGT\x01" + struct.pack("<III", *shape, 3))
+        with pytest.raises(DimMismatchError, match="e.trials: 3 trials of"):
+            read_trials(path)
+
 
 class TestLabels:
     def test_round_trip(self, tmp_path):
@@ -142,6 +199,15 @@ class TestManifest:
         (tmp_path / "s0.labels").unlink()
         with pytest.raises(DataError):
             load_manifest(tmp_path / "manifest.json")
+
+    def test_load_all_lists_the_subjects_iterated_in_turn(self, tmp_path):
+        self._write_dataset(tmp_path)
+        manifest = load_manifest(tmp_path / "manifest.json")
+        loaded, = manifest.iter_subjects()
+        listed, = manifest.load_all()
+        assert [(t.label, t.data.tobytes()) for t in loaded] == [
+            (t.label, t.data.tobytes()) for t in listed
+        ]
 
     def test_label_outside_declared_set(self, tmp_path):
         self._write_dataset(tmp_path, labels=(0, 1, 7))

@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import struct
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelalign import alignment, cli, experiment, features, spd
+from labelalign import alignment, cli, dataio, experiment, features, spd
 from labelalign.alignment import (
     align,
     ea_reference,
@@ -33,7 +34,7 @@ from labelalign.dataio import (
     write_manifest,
     write_trials,
 )
-from labelalign.errors import DataError, DimMismatchError
+from labelalign.errors import ConfigError, DataError, DimMismatchError
 from labelalign.experiment import (
     PIPELINES,
     STRATEGIES,
@@ -51,7 +52,7 @@ from labelalign.features import concat_stacks, covariance_stack, ts_features
 from labelalign.rng import derive_key
 from labelalign.selection import k_medoids, pairwise_distances
 from labelalign.spd import congruence, log_euclidean_mean, spd_exp, spd_log
-from labelalign.synth import SynthConfig, generate_synthetic
+from labelalign.synth import SynthConfig, generate_synthetic, synthetic_subjects
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_SPEC = FIXTURES / "golden_spec.json"
@@ -126,6 +127,7 @@ class TestLosoLeakage:
         spec = load_scenario(GOLDEN_SPEC)
         calls = [(train.covs, test.covs) for train, test, _ in golden_run.cells]
         names, subjects = experiment._load_subjects(spec)
+        subjects = list(subjects)  # walked twice below
         domains = experiment._scenario_domains(spec, names, subjects)
         # Each subject's whole stack (every label) under the two transforms a
         # target can receive: none (raw, la) and its pool's EA whitening (ea).
@@ -285,6 +287,17 @@ class TestDegenerateTrials:
             assert main(args) == 3
             assert "subject s2 has trials without 4 channels" in capsys.readouterr().err
 
+    def test_cli_experiment_with_zero_channel_trials_exits_3(self, manifest, tmp_path, capsys):
+        for i in range(3):  # Trial refuses such data, so the files are written by hand
+            (manifest.parent / f"s{i}.trials").write_bytes(
+                b"EEGT\x01" + struct.pack("<III", 0, 10, 24))
+        spec = write_spec(tmp_path / "spec.json", manifest)
+        code = main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "s0.trials: 24 trials of 0 channels x 10 samples" in err
+        assert "Traceback" not in err
+
     def test_cli_experiment_exits_3_with_the_location(self, manifest, tmp_path, capsys):
         zero_channel(manifest, "s1", 17, 2)
         spec = write_spec(tmp_path / "spec.json", manifest)
@@ -292,6 +305,60 @@ class TestDegenerateTrials:
         assert code == 3
         assert "subject s1, trial 17" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+
+def owners(trials):
+    """Weak references to the arrays that own the trials' data."""
+    return [weakref.ref(t.data if t.data.base is None else t.data.base) for t in trials]
+
+
+class TestOneSubjectAtATime:
+    """The harness holds at most one subject's raw trials: each subject's
+    trials are dead before the next subject's are read or generated."""
+
+    def test_manifest_run(self, manifest, tmp_path, monkeypatch):
+        alive = []
+
+        def spy(path):
+            trials = read_trials(path)
+            assert all(ref() is None for ref in alive), "an earlier subject is still held"
+            alive.extend(owners(trials))
+            return trials
+
+        monkeypatch.setattr(dataio, "read_trials", spy)
+        run_scenario(load_scenario(write_spec(tmp_path / "spec.json", manifest)))
+        assert len(alive) == 3 * 24
+
+    def test_a_single_subject_fails_before_any_trial_is_read(
+        self, manifest, tmp_path, monkeypatch
+    ):
+        write_manifest(manifest, 100.0, range(4), [("s0", "s0.trials", "s0.labels")])
+        reads = []
+        monkeypatch.setattr(dataio, "read_trials", reads.append)
+        spec = load_scenario(write_spec(tmp_path / "spec.json", manifest))
+        with pytest.raises(ConfigError, match="at least two subjects"):
+            run_scenario(spec)
+        assert reads == []
+
+    def test_synth_run(self, monkeypatch):
+        alive = []
+
+        def spy(cfg):
+            for trials in synthetic_subjects(cfg):
+                assert all(ref() is None for ref in alive), "an earlier subject is still held"
+                alive.extend(owners(trials))
+                yield trials
+                del trials
+
+        monkeypatch.setattr(experiment, "synthetic_subjects", spy)
+        spec = experiment.scenario_from_dict({
+            "source_labels": [0, 1], "target_labels": [2, 3], "pipelines": ["mdm"],
+            "k_grid": [4], "synth": {"channels": 3, "samples": 20, "classes": 4,
+                                     "trials_per_class": 3, "subjects": 3,
+                                     "class_separation": 1.0, "subject_shift": 0.5},
+        })
+        run_scenario(spec)
+        assert len(alive) == 3 * 12
 
 
 class TestJsonReport:
@@ -582,6 +649,26 @@ class TestCli:
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "e")]) == 2
         config.write_text(json.dumps({**cfg, "bands": 2}))
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "e")]) == 2
+
+    def test_synth_writes_the_files_of_the_whole_dataset(self, tmp_path):
+        cfg = {"channels": 3, "samples": 20, "classes": 2, "trials_per_class": 3,
+               "subjects": 3, "class_separation": 1.0, "subject_shift": 0.5, "seed": 4,
+               "noise_df": 5}
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps(cfg))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "d")]) == 0
+        data = generate_synthetic(SynthConfig(**cfg))
+        for i, trials in enumerate(data.subjects):
+            write_trials(tmp_path / f"s{i}.trials", trials)
+            write_labels(tmp_path / f"s{i}.labels", [t.label for t in trials])
+            for ext in ("trials", "labels"):
+                name = f"s{i}.{ext}"
+                assert (tmp_path / "d" / name).read_bytes() == (tmp_path / name).read_bytes()
+        parameters = {"prototypes": [p.tolist() for p in data.prototypes],
+                      "shifts": [w.tolist() for w in data.shifts]}
+        assert (tmp_path / "d" / "generator.json").read_text() == (
+            json.dumps(parameters, sort_keys=True) + "\n"
+        )
 
     def test_classify(self, manifest, capsys):
         d = manifest.parent

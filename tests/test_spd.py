@@ -53,6 +53,11 @@ class TestSpdFromMatrix:
         with pytest.raises(NonFiniteError):
             spd_from_matrix([[1.0, np.nan], [0.0, 1.0]])
 
+    def test_empty_matrix_rejected(self):
+        for empty in (np.empty((0, 0)), np.empty((3, 0, 0))):
+            with pytest.raises(DimMismatchError, match="square and nonempty"):
+                spd_from_matrix(empty)
+
     def test_2x2_against_characteristic_polynomial(self):
         raw = np.array([[2.0, 1.0], [1.0, 2.0]])
         expected = eig2x2(2.0, 1.0, 1.0, 2.0)
