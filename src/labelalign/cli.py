@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="JSON scenario spec")
     p.add_argument("--out", required=True, help="report path (.csv or .json)")
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (at most one per subject)")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("align", help="align a dataset and write the result")

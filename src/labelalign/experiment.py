@@ -10,7 +10,10 @@ subject's raw trials are in memory. What depends on neither the target nor
 the budget is computed with them, once per scenario: each view's
 EA-whitened stack, the inverse roots of the source class means and, when
 ts-svm, ts-lda or mdm runs, the matrix logs of the raw and whitened stacks.
-The units then ship and align only those stacks, never raw trials.
+One unit per target subject then aligns only those stacks, never raw
+trials. Under ``jobs`` > 1 each pool worker receives the scenario's domains
+once, at start-up (inherited, not pickled, under the ``fork`` start method),
+and each unit is dispatched as the index of its target subject.
 
 Protocol per target subject and per budget ``k``: the k medoid trials of
 the target pool are labeled and join the training set, every remaining
@@ -298,14 +301,30 @@ def _scenario_domains(spec: ScenarioSpec, names, subjects) -> list[tuple[Domain,
     return domains
 
 
-def _subject_unit(args) -> tuple[str, list, list]:
-    """Evaluate one target subject over the whole k grid.
+# The (spec, mapping, names, domains) of the scenario in a pool worker; the
+# parent process never sets it.
+_WORKER_SCENARIO = None
 
-    Pure function of its arguments so results are identical no matter how
-    the units are scheduled across processes. Returns (subject_name,
-    accuracy rows, fallback events).
+
+def _start_worker(spec, mapping, names, domains) -> None:
+    global _WORKER_SCENARIO
+    _WORKER_SCENARIO = (spec, mapping, names, domains)
+
+
+def _worker_unit(i: int) -> tuple[str, list, list]:
+    return _subject_unit(*_WORKER_SCENARIO, i)
+
+
+def _subject_unit(spec, mapping, names, domains, i: int) -> tuple[str, list, list]:
+    """Evaluate target subject ``names[i]`` over the whole k grid.
+
+    Its target pool is ``domains[i]``'s and its sources are the source views
+    of every other subject. A pure function of the scenario and ``i``, so
+    results are identical no matter how the units are scheduled across
+    processes. Returns (subject_name, accuracy rows, fallback events).
     """
-    spec, mapping, name, target, sources = args
+    name, target = names[i], domains[i][1]
+    sources = [source for j, (source, _) in enumerate(domains) if j != i]
     pool = target.stack
     n_classes = len(spec.target_labels)
     distances = pairwise_distances(pool.covs)
@@ -313,7 +332,7 @@ def _subject_unit(args) -> tuple[str, list, list]:
     fallbacks = []
     for k in spec.k_grid:
         means, medoids = select_and_estimate_target_means(
-            pool, k, lambda i: pool.labels[i], n_classes, distances
+            pool, k, lambda t: pool.labels[t], n_classes, distances
         )
         test_idx = np.setdiff1d(np.arange(len(pool.covs)), medoids)
         truth = pool.labels[test_idx]
@@ -344,9 +363,12 @@ def _subject_unit(args) -> tuple[str, list, list]:
 def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
     """Leave-one-subject-out evaluation of every (strategy, pipeline, k).
 
-    ``jobs`` > 1 evaluates target subjects in parallel processes; the
-    report is identical regardless of the schedule.
+    ``jobs`` > 1 evaluates target subjects in up to ``jobs`` worker
+    processes (at most one per subject); the report is identical regardless
+    of the schedule.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     names, subjects = _load_subjects(spec)
     if len(names) < 2:
         raise ConfigError("need at least two subjects for leave-one-subject-out")
@@ -354,16 +376,13 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
     mapping = match_labels(
         spec.source_labels, spec.target_labels, derive_key(spec.seed, "mapping")
     )
-    units = []
-    for i, name in enumerate(names):
-        sources = [domains[j][0] for j in range(len(names)) if j != i]
-        units.append((spec, mapping, name, domains[i][1], sources))
-
+    scenario = (spec, mapping, names, domains)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_subject_unit, units))
+        workers = min(jobs, len(names))
+        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=scenario) as pool:
+            results = list(pool.map(_worker_unit, range(len(names))))
     else:
-        results = [_subject_unit(u) for u in units]
+        results = [_subject_unit(*scenario, i) for i in range(len(names))]
 
     report = ExperimentReport()
     fallbacks = []

@@ -6,8 +6,6 @@ trials, so each selected index can be handed to the label oracle.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import DimMismatchError, KTooLargeError, NonFiniteError
@@ -37,11 +35,6 @@ def _validate_distance_matrix(d: Array) -> Array:
     if not np.isfinite(d).all():
         raise NonFiniteError("distance matrix contains NaN or Inf")
     return d
-
-
-def total_cost(d: Array, medoids: Sequence[int]) -> float:
-    """Sum over points of the distance to the nearest medoid."""
-    return float(d[np.asarray(medoids)].min(axis=0).sum())
 
 
 def k_medoids(d: Array, k: int) -> list[int]:

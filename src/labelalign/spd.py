@@ -171,20 +171,6 @@ def flatten_sym(s: Array) -> Array:
     return weights * s[..., iu[0], iu[1]]
 
 
-def unflatten_sym(flat: Array) -> Array:
-    """Inverse of :func:`flatten_sym`."""
-    flat = np.asarray(flat, dtype=np.float64)
-    d = flat.shape[-1]
-    c = int((np.sqrt(1 + 8 * d) - 1) / 2)
-    if c * (c + 1) // 2 != d:
-        raise DimMismatchError(f"length {d} is not a triangle number")
-    iu, weights = _triangle(c)
-    s = np.zeros(flat.shape[:-1] + (c, c))
-    s[..., iu[0], iu[1]] = flat / weights
-    s[..., iu[1], iu[0]] = s[..., iu[0], iu[1]]
-    return s
-
-
 def tangent_map(ref: Array, p: Array) -> Array:
     """Logarithmic map of ``p`` (one matrix or a stack) at ``ref``, flattened.
 
@@ -197,15 +183,6 @@ def tangent_map(ref: Array, p: Array) -> Array:
         raise DimMismatchError(f"dimension mismatch: ref {ref.shape} vs {p.shape}")
     half, inv_half = _spectral(ref, np.sqrt, _inv_sqrt, op="tangent_map")
     return flatten_sym(symmetrize(half @ spd_log(inv_half @ p @ inv_half) @ half))
-
-
-def tangent_unmap(ref: Array, flat: Array) -> Array:
-    """Exponential map inverting :func:`tangent_map`."""
-    s = unflatten_sym(flat)
-    if s.shape[-1] != _check_square(ref, "ref").shape[-1]:
-        raise DimMismatchError(f"flat of dim {s.shape[-1]} does not match ref {np.shape(ref)}")
-    half, inv_half = _spectral(ref, np.sqrt, _inv_sqrt, op="tangent_unmap")
-    return symmetrize(half @ spd_exp(inv_half @ s @ inv_half) @ half)
 
 
 def log_euclidean_mean(ps) -> Array:

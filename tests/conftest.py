@@ -1,6 +1,7 @@
 import numpy as np
 
-from labelalign.spd import spd_exp, symmetrize
+from labelalign.errors import DimMismatchError
+from labelalign.spd import spd_exp, spd_inv_sqrt, spd_sqrt, symmetrize
 
 
 def random_spd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
@@ -60,6 +61,38 @@ def loop_lda_scores(x, labels, x_test, gamma):
     proj = (u * (1.0 / w)) @ u.T @ means.T
     priors = np.array([np.mean(labels == c) for c in classes])
     return x_test @ proj - 0.5 * np.sum(means.T * proj, axis=0) + np.log(priors)
+
+
+# Inverses and costs that only tests need: the harness never leaves the
+# tangent space and reads no clustering cost.
+
+
+def unflatten_sym(flat):
+    """Inverse of :func:`labelalign.spd.flatten_sym`."""
+    flat = np.asarray(flat, dtype=np.float64)
+    d = flat.shape[-1]
+    c = int((np.sqrt(1 + 8 * d) - 1) / 2)
+    if c * (c + 1) // 2 != d:
+        raise DimMismatchError(f"length {d} is not a triangle number")
+    iu = np.triu_indices(c)
+    s = np.zeros(flat.shape[:-1] + (c, c))
+    s[..., iu[0], iu[1]] = flat / np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    s[..., iu[1], iu[0]] = s[..., iu[0], iu[1]]
+    return s
+
+
+def tangent_unmap(ref, flat):
+    """Exponential map inverting :func:`labelalign.spd.tangent_map`."""
+    s = unflatten_sym(flat)
+    if s.shape[-1] != np.shape(ref)[-1]:
+        raise DimMismatchError(f"flat of dim {s.shape[-1]} does not match ref {np.shape(ref)}")
+    half, inv_half = spd_sqrt(ref), spd_inv_sqrt(ref)
+    return symmetrize(half @ spd_exp(inv_half @ s @ inv_half) @ half)
+
+
+def total_cost(d, medoids):
+    """Sum over points of the distance to the nearest medoid."""
+    return float(d[np.asarray(medoids)].min(axis=0).sum())
 
 
 def relative_error(got, expected):

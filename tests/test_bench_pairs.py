@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,20 @@ def test_higher_is_better_metrics():
 def test_bound_is_relative_to_the_parent_median():
     assert verdict(PARENT, [p * 1.2 for p in PARENT], lower=True, bound=0.25)["within_bound"]
     assert not verdict(PARENT, [p * 1.3 for p in PARENT], lower=True, bound=0.25)["within_bound"]
+
+
+def test_a_run_that_writes_no_result_reads_no_stale_one(tmp_path, monkeypatch):
+    bench_pairs = load_bench_pairs()
+    results = tmp_path / ".perfbench_work" / "results"
+    results.mkdir(parents=True)
+    stale = {"environment": {"host": "earlier"}, "samples": {"plain": [{"digest": "old"}]}}
+    (results / "loso-c8-full-seed1-trace0.json").write_text(json.dumps(stale))
+
+    def exits_before_writing(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 1, stdout="# loso-c8-full seed=1 trace=0\n",
+                                           stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", exits_before_writing)
+    run = bench_pairs.run_once(tmp_path, "loso-c8-full", None, 1.0)
+    assert run["code"] == 1 and run["seed"] == 1
+    assert run["env"] == {} and run["digests"] == set()

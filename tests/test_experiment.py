@@ -4,6 +4,7 @@ congruence properties, degenerate input and the CLI."""
 import functools
 import json
 import math
+import pickle
 import struct
 import weakref
 from collections import Counter
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from labelalign import alignment, cli, dataio, experiment, features, spd
 from labelalign.alignment import (
+    Domain,
     align,
     ea_reference,
     match_labels,
@@ -114,6 +116,90 @@ class TestGoldenReport:
             report = run_scenario(load_scenario(GOLDEN_SPEC), jobs=jobs)
         expected = (FIXTURES / "golden_report.csv").read_text()
         assert render_report_csv(report) == expected
+
+
+@pytest.fixture
+def recording_pools(monkeypatch):
+    """Replace the harness's process pool with one that records what it is
+    handed and runs the initializer and the units in this process. Like a
+    spawned pool, it pickles the initializer's arguments and every mapped
+    item on the way in."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers=None, initializer=None, initargs=()):
+            self.max_workers, self.initializer = max_workers, initializer
+            self.initargs, self.starts, self.mapped = initargs, 0, []
+            pools.append(self)
+
+        def __enter__(self):
+            self.starts += 1
+            if self.initializer is not None:
+                self.initializer(*pickle.loads(pickle.dumps(self.initargs)))
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            self.mapped = list(items)
+            return [fn(pickle.loads(pickle.dumps(item))) for item in self.mapped]
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    # The fake starts its "worker" here; the global is restored after the test.
+    monkeypatch.setattr(experiment, "_WORKER_SCENARIO", None, raising=False)
+    return pools
+
+
+def tiny_spec():
+    return experiment.scenario_from_dict({
+        "source_labels": [0, 1], "target_labels": [2, 3], "pipelines": ["mdm"],
+        "k_grid": [4], "synth": {"channels": 3, "samples": 20, "classes": 4,
+                                 "trials_per_class": 3, "subjects": 3,
+                                 "class_separation": 1.0, "subject_shift": 0.5},
+    })
+
+
+class TestPoolDispatch:
+    """Each worker receives the scenario's domains once, through the pool's
+    initializer, and each unit is dispatched as a subject index."""
+
+    def test_units_are_subject_indices(self, recording_pools):
+        run_scenario(load_scenario(GOLDEN_SPEC), jobs=2)
+        (pool,) = recording_pools
+        assert pool.mapped == [0, 1, 2]
+        assert all(type(i) is int and len(pickle.dumps(i)) < 64 for i in pool.mapped)
+
+    def test_the_initializer_receives_the_domains_once(self, recording_pools, golden_run):
+        spec = load_scenario(GOLDEN_SPEC)
+        report = run_scenario(spec, jobs=2)
+        (pool,) = recording_pools
+        assert pool.starts == 1
+        got_spec, _, names, domains = pool.initargs
+        assert got_spec == spec and names == ["s0", "s1", "s2"]
+        assert len(domains) == 3
+        assert all(isinstance(d, Domain) for pair in domains for d in pair)
+        # All four pipelines, csp-lda's scatter included, match the jobs-1 run.
+        assert render_report_csv(report) == render_report_csv(golden_run.report)
+
+    def test_no_more_workers_than_subjects(self, recording_pools):
+        run_scenario(tiny_spec(), jobs=64)
+        assert [pool.max_workers for pool in recording_pools] == [3]
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_cli_jobs_below_one_exits_2(self, recording_pools, tmp_path, capsys, jobs):
+        out = tmp_path / "r.csv"
+        code = main(["experiment", "--spec", str(GOLDEN_SPEC), "--out", str(out),
+                     "--jobs", jobs])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"jobs must be at least 1, got {jobs}" in err and "Traceback" not in err
+        assert not out.exists() and recording_pools == []
+
+    def test_the_parent_never_holds_the_worker_scenario(self):
+        for jobs in (1, 2):  # the second run starts two real worker processes
+            run_scenario(tiny_spec(), jobs=jobs)
+            assert experiment._WORKER_SCENARIO is None
 
 
 def matches(a, b):

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import random_invertible, random_spd
+from conftest import random_invertible, random_spd, tangent_unmap
 
 from labelalign.errors import ConfigError, DimMismatchError, NotPositiveDefiniteError
 from labelalign.features import (
@@ -17,7 +17,7 @@ from labelalign.features import (
     ts_features,
 )
 from labelalign.dataio import Trial
-from labelalign.spd import riemannian_distance, spd_log, tangent_unmap
+from labelalign.spd import riemannian_distance, spd_log
 
 
 class TestTrialCovariance:

@@ -2,10 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import loop_distance, random_spd, relative_error
+from conftest import loop_distance, random_spd, relative_error, total_cost
 
 from labelalign.errors import KTooLargeError
-from labelalign.selection import k_medoids, pairwise_distances, total_cost
+from labelalign.selection import k_medoids, pairwise_distances
 from labelalign.spd import riemannian_distance
 
 

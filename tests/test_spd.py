@@ -8,6 +8,8 @@ from conftest import (
     random_invertible,
     random_spd,
     relative_error,
+    tangent_unmap,
+    unflatten_sym,
 )
 
 from labelalign.errors import (
@@ -28,8 +30,6 @@ from labelalign.spd import (
     spd_sqrt,
     symmetrize,
     tangent_map,
-    tangent_unmap,
-    unflatten_sym,
 )
 
 

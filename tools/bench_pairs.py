@@ -59,6 +59,9 @@ def run_once(tree: Path, workload: str, seed: int | None, seconds: float) -> dic
            "--seconds", str(seconds)]
     if seed is not None:
         cmd += ["--seed", str(seed)]
+    # A result file left by an earlier run must not stand in for this one's.
+    for stale in (tree / ".perfbench_work" / "results").glob(f"{workload}-seed*-trace0.json"):
+        stale.unlink()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     header = next((l for l in lines if l.startswith(f"# {workload} seed=")), "")
