@@ -36,15 +36,7 @@ from .dataio import (
     write_manifest,
     write_trials,
 )
-from .experiment import (
-    ExperimentReport,
-    ScenarioSpec,
-    emit_report,
-    fit_predict,
-    load_scenario,
-    read_report,
-    run_scenario,
-)
+from .experiment import ScenarioSpec, fit_predict, load_scenario, run_scenario
 from .features import (
     CovStack,
     CspModel,
@@ -54,6 +46,7 @@ from .features import (
     trial_covariance,
     ts_features,
 )
+from .report import ExperimentReport, emit_report, read_report
 from .selection import k_medoids, pairwise_distances
 from .spd import (
     arithmetic_mean_cov,

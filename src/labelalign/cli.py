@@ -30,7 +30,6 @@ from .dataio import (
 )
 from .errors import ConfigError, DataError
 from .experiment import (
-    emit_report,
     fit_predict,
     label_view,
     load_scenario,
@@ -38,6 +37,7 @@ from .experiment import (
     subject_stacks,
 )
 from .features import covariance_stack
+from .report import emit_report
 from .rng import derive_key
 from .selection import k_medoids, pairwise_distances
 from .synth import SynthConfig, synthetic_parameters, synthetic_subjects

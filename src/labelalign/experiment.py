@@ -1,5 +1,6 @@
 """Scenario runner: leave-one-subject-out transfer experiments with a
-label budget, plus the report metrics (accuracy, AUC over k, paired t-tests).
+label budget, and the metrics of their report (accuracy, AUC over k, paired
+t-tests); :mod:`labelalign.report` writes and reads the report.
 
 The protocol is covariance first. Each subject's trials are turned into a
 covariance stack (n, C, C) once, with the time-centred scatter when CSP
@@ -33,7 +34,7 @@ import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -60,6 +61,7 @@ from .features import (
     csp_fit,
     ts_features,
 )
+from .report import ExperimentReport
 from .rng import derive_key
 from .selection import pairwise_distances
 from .spd import spd_exp
@@ -161,16 +163,6 @@ def load_scenario(path, seed_override: int | None = None) -> ScenarioSpec:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read scenario spec {path}: {exc}") from exc
     return scenario_from_dict(doc, seed_override)
-
-
-@dataclass(eq=True)
-class ExperimentReport:
-    """Keyed result tables; assembled order-independently and sorted at emit."""
-
-    accuracies: dict = field(default_factory=dict)  # (subject, k, strategy, pipeline) -> float
-    aucs: dict = field(default_factory=dict)  # (subject, strategy, pipeline) -> float
-    ttests: dict = field(default_factory=dict)  # (sa, pa, sb, pb) -> (t, p)
-    metadata: dict = field(default_factory=dict)
 
 
 def auc_over_k(curve: Sequence[tuple[float, float]]) -> float:
@@ -415,123 +407,4 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
         "ea_fallbacks": sorted(fallbacks),
         "data_source": "synth" if spec.synth is not None else "manifest",
     }
-    return report
-
-
-_ACC_HEADER = "subject,k,strategy,pipeline,accuracy"
-_AUC_HEADER = "subject,strategy,pipeline,auc"
-_TTEST_HEADER = "strategy_a,pipeline_a,strategy_b,pipeline_b,t,p"
-_META_HEADER = "key,value"
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def emit_report(report: ExperimentReport, path, format: str = "csv") -> None:
-    """Write the report; identical reports produce identical bytes."""
-    if format == "csv":
-        text = render_report_csv(report)
-    elif format == "json":
-        text = render_report_json(report)
-    else:
-        raise ConfigError(f"unknown report format {format!r}")
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write report to {path}: {exc}") from exc
-
-
-def render_report_csv(report: ExperimentReport) -> str:
-    lines = [_ACC_HEADER]
-    for key in sorted(report.accuracies):
-        subject, k, strategy, pipeline = key
-        lines.append(f"{subject},{k},{strategy},{pipeline},{_fmt(report.accuracies[key])}")
-    lines.append("")
-    lines.append(_AUC_HEADER)
-    for key in sorted(report.aucs):
-        subject, strategy, pipeline = key
-        lines.append(f"{subject},{strategy},{pipeline},{_fmt(report.aucs[key])}")
-    lines.append("")
-    lines.append(_TTEST_HEADER)
-    for key in sorted(report.ttests):
-        t, p = report.ttests[key]
-        lines.append(",".join(key) + f",{_fmt(t)},{_fmt(p)}")
-    lines.append("")
-    lines.append(_META_HEADER)
-    for key in sorted(report.metadata):
-        value = json.dumps(report.metadata[key], sort_keys=True)
-        lines.append(f"{key},{_quote_csv(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def _quote_csv(value: str) -> str:
-    if any(ch in value for ch in ',"\n'):
-        return '"' + value.replace('"', '""') + '"'
-    return value
-
-
-def _unquote_csv(cell: str) -> str:
-    if cell.startswith('"') and cell.endswith('"'):
-        return cell[1:-1].replace('""', '"')
-    return cell
-
-
-def render_report_json(report: ExperimentReport) -> str:
-    doc = {
-        "accuracy": [
-            [*key, report.accuracies[key]] for key in sorted(report.accuracies)
-        ],
-        "auc": [[*key, report.aucs[key]] for key in sorted(report.aucs)],
-        "ttest": [
-            # JSON has no NaN: an undefined statistic is written as null.
-            [*key, *(None if math.isnan(v) else v for v in report.ttests[key])]
-            for key in sorted(report.ttests)
-        ],
-        "metadata": report.metadata,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def read_report(path) -> ExperimentReport:
-    """Parse a report written by :func:`emit_report` (either format)."""
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        doc = json.loads(text)
-        report = ExperimentReport(metadata=doc["metadata"])
-        for subject, k, strategy, pipeline, acc in doc["accuracy"]:
-            report.accuracies[(subject, int(k), strategy, pipeline)] = float(acc)
-        for subject, strategy, pipeline, auc in doc["auc"]:
-            report.aucs[(subject, strategy, pipeline)] = float(auc)
-        for sa, pa, sb, pb, t, p in doc["ttest"]:
-            report.ttests[(sa, pa, sb, pb)] = tuple(
-                float("nan") if v is None else float(v) for v in (t, p)
-            )
-        return report
-
-    sections = text.split("\n\n")
-    if len(sections) != 4:
-        raise ConfigError(f"expected 4 report sections, found {len(sections)}")
-    report = ExperimentReport()
-    acc_lines, auc_lines, tt_lines, meta_lines = [s.strip("\n").split("\n") for s in sections]
-    for header, lines in (
-        (_ACC_HEADER, acc_lines),
-        (_AUC_HEADER, auc_lines),
-        (_TTEST_HEADER, tt_lines),
-        (_META_HEADER, meta_lines),
-    ):
-        if lines[0] != header:
-            raise ConfigError(f"bad section header {lines[0]!r}, expected {header!r}")
-    for line in acc_lines[1:]:
-        subject, k, strategy, pipeline, acc = line.split(",")
-        report.accuracies[(subject, int(k), strategy, pipeline)] = float(acc)
-    for line in auc_lines[1:]:
-        subject, strategy, pipeline, auc = line.split(",")
-        report.aucs[(subject, strategy, pipeline)] = float(auc)
-    for line in tt_lines[1:]:
-        sa, pa, sb, pb, t, p = line.split(",")
-        report.ttests[(sa, pa, sb, pb)] = (float(t), float(p))
-    for line in meta_lines[1:]:
-        key, value = line.split(",", 1)
-        report.metadata[key] = json.loads(_unquote_csv(value))
     return report

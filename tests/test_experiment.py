@@ -40,17 +40,20 @@ from labelalign.errors import ConfigError, DataError, DimMismatchError
 from labelalign.experiment import (
     PIPELINES,
     STRATEGIES,
-    ExperimentReport,
-    emit_report,
     fit_predict,
     fit_predict_cell,
     load_scenario,
-    read_report,
-    render_report_csv,
     run_scenario,
     subject_stack,
 )
 from labelalign.features import concat_stacks, covariance_stack, ts_features
+from labelalign.report import (
+    ExperimentReport,
+    emit_report,
+    read_report,
+    render_report_csv,
+    render_report_json,
+)
 from labelalign.rng import derive_key
 from labelalign.selection import k_medoids, pairwise_distances
 from labelalign.spd import congruence, log_euclidean_mean, spd_exp, spd_log
@@ -102,20 +105,27 @@ def golden_run():
 class TestGoldenReport:
     """3 subjects, 6 channels, all 12 algorithms at k in {2, 6}.
 
-    The fixture was written by ``labelalign experiment --spec
-    tests/fixtures/golden_spec.json --out tests/fixtures/golden_report.csv``.
-    It includes one EA fallback (s0 at k = 2). A change that moves any row
-    regenerates it and lists the row and its cause in CHANGES.md.
+    The fixtures were written by ``labelalign experiment --spec
+    tests/fixtures/golden_spec.json --out tests/fixtures/golden_report.csv``
+    (and ``.json``). They include one EA fallback (s0 at k = 2). A change that
+    moves any row regenerates them and lists the row and its cause in
+    CHANGES.md.
     """
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_csv_byte_identical(self, jobs, golden_run):
+    @pytest.mark.parametrize("fmt, jobs", [
+        pytest.param("csv", 1, id="1"),
+        pytest.param("csv", 2, id="2"),
+        pytest.param("json", 1, id="json-1"),
+        pytest.param("json", 2, id="json-2"),
+    ])
+    def test_csv_byte_identical(self, fmt, jobs, golden_run):
         if jobs == 1:
             report = golden_run.report
         else:
             report = run_scenario(load_scenario(GOLDEN_SPEC), jobs=jobs)
-        expected = (FIXTURES / "golden_report.csv").read_text()
-        assert render_report_csv(report) == expected
+        render = {"csv": render_report_csv, "json": render_report_json}[fmt]
+        expected = (FIXTURES / f"golden_report.{fmt}").read_text()
+        assert render(report) == expected
 
 
 @pytest.fixture
@@ -529,6 +539,36 @@ class TestReportRoundTrip:
         path = report_dir / f"report.{fmt}"
         emit_report(report, path, format=fmt)
         assert canonical(read_report(path)) == canonical(report)
+
+
+def short_accuracy_row(text):
+    lines = text.split("\n")
+    lines[1] = lines[1].rsplit(",", 1)[0]
+    return "\n".join(lines)
+
+
+def k_as_a_word(text):
+    lines = text.split("\n")
+    lines[1] = lines[1].replace(",2,", ",two,", 1)
+    return "\n".join(lines)
+
+
+def without_auc(text):
+    doc = json.loads(text)
+    del doc["auc"]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("fmt, corrupt, message", [
+    ("csv", short_accuracy_row, r"accuracy row 1 .*expected the 5 columns"),
+    ("csv", k_as_a_word, r"accuracy row 1 .*'two'"),
+    ("json", without_auc, r"no 'auc' section"),
+], ids=["short-accuracy-row", "k-as-a-word", "json-without-auc"])
+def test_malformed_report_raises_config_error(tmp_path, fmt, corrupt, message):
+    path = tmp_path / f"report.{fmt}"
+    path.write_text(corrupt((FIXTURES / f"golden_report.{fmt}").read_text()))
+    with pytest.raises(ConfigError, match=message):
+        read_report(path)
 
 
 def congruence_problem(seed):
