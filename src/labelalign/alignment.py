@@ -107,19 +107,23 @@ def select_and_estimate_target_means(
     """Pick ``k`` medoid trials of ``pool``, label them, and estimate per-class means.
 
     Only the medoids of ``distances`` (the pairwise geodesic distances of
-    the pool, computed when not given) reach the label oracle. Returns the
-    Log-Euclidean mean per observed label (from the pool's logs if it has
-    them), or None when the medoids cover fewer than ``n_classes`` labels
-    (the caller then falls back to domain whitening), and the selected indices.
+    the pool, computed when not given) reach the label oracle. Returns
+    :func:`target_means` of the medoids (from the pool's logs if it has
+    them) and the selected indices.
     """
     if distances is None:
         distances = pairwise_distances(pool.covs)
     medoids = k_medoids(distances, k)
-    labels = [oracle(i) for i in medoids]
+    return target_means(pool.take(medoids), [oracle(i) for i in medoids], n_classes), medoids
+
+
+def target_means(labeled: CovStack, labels, n_classes: int) -> dict | None:
+    """The Log-Euclidean mean per label of the labeled target trials (from
+    their logs if they carry them), or None when the labels cover fewer than
+    ``n_classes`` classes (the caller then falls back to domain whitening)."""
     if len(set(labels)) < n_classes:
-        return None, medoids
-    labeled = pool.take(medoids)
-    return class_means(labeled.covs, labels, labeled.logs), medoids
+        return None
+    return class_means(labeled.covs, labels, labeled.logs)
 
 
 def la_fit(source_inv_roots: dict, target_means: dict, mapping: LabelMapping) -> dict:
@@ -170,7 +174,9 @@ def class_inv_roots(stack: CovStack) -> dict:
 
 def domain(stack: CovStack, source: bool = False, logs: bool = False) -> Domain:
     """Build a domain; ``source`` also computes its class means' inverse roots,
-    and ``logs`` makes the raw and whitened stacks carry their matrix logs."""
+    and ``logs`` makes the raw and whitened stacks carry their matrix logs.
+    The harness asks for logs only on source views: of a target pool it
+    logs only the trials that get labeled, once they are picked."""
     ea_stack = stack.transformed(ea_reference(stack.covs))
     if logs:
         stack, ea_stack = stack.with_logs(), ea_stack.with_logs()

@@ -221,9 +221,9 @@ def load_manifest(path) -> DatasetManifest:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
     for entry in subjects:
-        if "," in entry.name or "\n" in entry.name:
+        if "\n" in entry.name or "\r" in entry.name:  # a CSV report cannot carry them back
             raise DataError(
-                f"{path}: subject name {entry.name!r} may not contain commas or newlines"
+                f"{path}: subject name {entry.name!r} may not contain line breaks"
             )
         for p in (entry.trials_path, entry.labels_path):
             if not p.exists():

@@ -10,17 +10,21 @@ each one's raw trials are dropped once its stack is built, so at most one
 subject's raw trials are in memory. What depends on neither the target nor
 the budget is computed with them, once per scenario: each view's
 EA-whitened stack, the inverse roots of the source class means and, when
-ts-svm, ts-lda or mdm runs, the matrix logs of the raw and whitened stacks.
-One unit per target subject then aligns only those stacks, never raw
-trials. Under ``jobs`` > 1 each pool worker receives the scenario's domains
-once, at start-up (inherited, not pickled, under the ``fork`` start method),
-and each unit is dispatched as the index of its target subject.
+ts-svm, ts-lda or mdm runs, the matrix logs of the raw and whitened source
+views. A target pool carries no logs: only its labeled trials are ever
+logged, once they are picked. One unit per target subject then aligns only
+those stacks, never raw trials. Under ``jobs`` > 1 each pool worker
+receives the scenario's domains once, at start-up (inherited, not pickled,
+under the ``fork`` start method), and each unit is dispatched as the index
+of its target subject.
 
 Protocol per target subject and per budget ``k``: the k medoid trials of
 the target pool are labeled and join the training set, every remaining
 target trial forms the test set, and the same train/test split is reused
 for every alignment strategy so that accuracy differences isolate the
-alignment step. Labeled target trials never appear in the test set. Each
+alignment step. Labeled target trials never appear in the test set. Per k
+the raw medoids are logged once, for the LA target means and the training
+sets, and the whitened medoids once, for EA; the test trials never are. Each
 (target, k, strategy) cell takes logs only of its LA-aligned source stacks,
 and :func:`fit_predict_cell` computes once what its pipelines share: the
 tangent reference and MDM class means (both from the training logs) and the
@@ -41,7 +45,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import classifiers
-from .alignment import Domain, align, domain, match_labels, select_and_estimate_target_means
+from .alignment import Domain, align, domain, match_labels, target_means
 from .dataio import Trial, load_manifest
 from .errors import (
     ConfigError,
@@ -63,7 +67,7 @@ from .features import (
 )
 from .report import ExperimentReport
 from .rng import derive_key
-from .selection import pairwise_distances
+from .selection import k_medoids, pairwise_distances
 from .spd import spd_exp
 from .stats import student_t_two_sided_p
 from .synth import SynthConfig, synthetic_subjects
@@ -277,7 +281,8 @@ def label_view(name: str, stack: CovStack, role: str, labels: Sequence[int]) -> 
 
 
 def _scenario_domains(spec: ScenarioSpec, names, subjects) -> list[tuple[Domain, Domain]]:
-    """Each subject's source view and target pool as domains (logs when needed)."""
+    """Each subject's source view and target pool as domains; the source views
+    carry their logs when a pipeline needs them, the target pools never do."""
     stacks = subject_stacks(names, subjects, spec.shrinkage, "csp-lda" in spec.pipelines)
     logs = bool(LOG_PIPELINES.intersection(spec.pipelines))
     domains = []
@@ -289,7 +294,7 @@ def _scenario_domains(spec: ScenarioSpec, names, subjects) -> list[tuple[Domain,
                 f"label set; the k grid needs more than {max(spec.k_grid)}"
             )
         source = label_view(name, stack, "source", spec.source_labels)
-        domains.append((domain(source, source=True, logs=logs), domain(target, logs=logs)))
+        domains.append((domain(source, source=True, logs=logs), domain(target)))
     return domains
 
 
@@ -307,6 +312,11 @@ def _worker_unit(i: int) -> tuple[str, list, list]:
     return _subject_unit(*_WORKER_SCENARIO, i)
 
 
+def _labeled(stack: CovStack, medoids, logs: bool) -> CovStack:
+    part = stack.take(medoids)
+    return part.with_logs() if logs else part
+
+
 def _subject_unit(spec, mapping, names, domains, i: int) -> tuple[str, list, list]:
     """Evaluate target subject ``names[i]`` over the whole k grid.
 
@@ -318,14 +328,16 @@ def _subject_unit(spec, mapping, names, domains, i: int) -> tuple[str, list, lis
     name, target = names[i], domains[i][1]
     sources = [source for j, (source, _) in enumerate(domains) if j != i]
     pool = target.stack
-    n_classes = len(spec.target_labels)
+    logs = bool(LOG_PIPELINES.intersection(spec.pipelines))
     distances = pairwise_distances(pool.covs)
     rows = []
     fallbacks = []
     for k in spec.k_grid:
-        means, medoids = select_and_estimate_target_means(
-            pool, k, lambda t: pool.labels[t], n_classes, distances
-        )
+        medoids = k_medoids(distances, k)
+        # The labeled trials of the raw and of the whitened pool, each taken
+        # (and logged) at most once per k.
+        labeled = {"raw": _labeled(pool, medoids, logs)}
+        means = target_means(labeled["raw"], labeled["raw"].labels, len(spec.target_labels))
         test_idx = np.setdiff1d(np.arange(len(pool.covs)), medoids)
         truth = pool.labels[test_idx]
         for strategy in spec.strategies:
@@ -340,8 +352,11 @@ def _subject_unit(spec, mapping, names, domains, i: int) -> tuple[str, list, lis
                 mapping=mapping,
                 target_means=means if effective == "la" else None,
             )
-            pieces = [*aligned_sources, aligned_target.take(medoids)]
-            if pool.logs is not None:  # only LA-aligned sources lack their domain's logs
+            view = "ea" if effective == "ea" else "raw"
+            if view not in labeled:
+                labeled[view] = _labeled(aligned_target, medoids, logs)
+            pieces = [*aligned_sources, labeled[view]]
+            if logs:  # only LA-aligned sources lack their domain's logs
                 pieces = [p.with_logs() for p in pieces]
             train = concat_stacks(pieces)
             test = aligned_target.take(test_idx)

@@ -3,7 +3,8 @@
 Every function takes a single ``(C, C)`` matrix or a stack ``(n, C, C)`` of
 them and works on the last two axes, after pyRiemann's stacked-covariance
 API (Barachant et al., IEEE TBME 2012). SPD matrices are plain float64
-ndarrays validated by :func:`spd_from_matrix`. Every matrix function goes
+ndarrays validated by :func:`spd_from_matrix`, by a Cholesky factorization
+rather than an eigendecomposition. Every matrix function goes
 through one symmetric eigendecomposition kernel, :func:`_spectral`, and
 symmetrizes its output, so results stay exactly symmetric under rounding.
 On a single matrix the kernel performs exactly the operations of a
@@ -66,16 +67,24 @@ def as_stack(ps, op: str) -> Array:
 def spd_from_matrix(raw, tol: float = SPD_TOL, name: str = "matrix") -> Array:
     """Symmetrize ``raw`` and validate positive definiteness.
 
-    The smallest eigenvalue of each matrix must exceed ``tol * trace / dim``
-    (a scale-free threshold). On a stack the error names the first failing
-    matrix as ``name i``. Returns the validated symmetric matrix or stack.
+    The smallest eigenvalue of each matrix must exceed ``t = tol * trace /
+    dim`` (a scale-free threshold). One batched Cholesky factorization of
+    ``S - t I`` decides that; only when it fails are the eigenvalues taken,
+    and the error names the first failing matrix of a stack as ``name i``
+    with its smallest eigenvalue. Returns the validated symmetric matrix or
+    stack.
     """
     a = _check_square(raw, name)
     if not np.isfinite(a).all():
         raise NonFiniteError(f"{name} contains NaN or Inf entries")
     s = symmetrize(a)
-    w = np.linalg.eigvalsh(s)
     threshold = tol * np.trace(s, axis1=-2, axis2=-1) / s.shape[-1]
+    try:
+        np.linalg.cholesky(s - threshold[..., None, None] * np.eye(s.shape[-1]))
+        return s
+    except np.linalg.LinAlgError:
+        pass
+    w = np.linalg.eigvalsh(s)
     bad = np.flatnonzero(w[..., 0] <= threshold)
     if bad.size:
         i = bad[0]

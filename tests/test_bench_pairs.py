@@ -73,3 +73,58 @@ def test_a_run_that_writes_no_result_reads_no_stale_one(tmp_path, monkeypatch):
     run = bench_pairs.run_once(tmp_path, "loso-c8-full", None, 1.0)
     assert run["code"] == 1 and run["seed"] == 1
     assert run["env"] == {} and run["digests"] == set()
+
+
+def test_a_row_carries_the_counts_of_one_traced_run_per_side(tmp_path, monkeypatch):
+    bench_pairs = load_bench_pairs()
+    trees = {"parent": tmp_path / "parent", "change": bench_pairs.ROOT}
+    calls = []
+
+    def stub_run(tree, workload, seed, seconds, trace=0):
+        side = "parent" if tree == trees["parent"] else "change"
+        calls.append((side, trace))
+        if trace:
+            matrices = {"parent": 15456, "change": 14832}[side]
+            metrics = {"spd.eig.matrices": {"value": matrices, "unit": "count"},
+                       "spd.eig.calls": {"value": 900, "unit": "count"},
+                       "trace.wall_s": {"value": 0.5, "unit": "s"}}
+        else:
+            metrics = {m: {"value": 1.0} for m in ("wall_s", "cpu_s", "setup_s",
+                                                    "peak_rss_mb", "acc_mean", "acc_la_mean")}
+        return {"code": 0, "seed": 7, "env": {}, "digests": {"d"},
+                "result": {"attempted": 5, "failed": 0, "metrics": metrics}}
+
+    monkeypatch.setattr(bench_pairs, "export_parent", lambda rev: trees["parent"])
+    monkeypatch.setattr(bench_pairs, "run_once", stub_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--workload", "loso-disk-jobs2", "--pairs", "2",
+                             "--out", str(out)]) == 0
+    assert calls[-2:] == [("parent", 1), ("change", 1)]
+    assert [trace for _, trace in calls[:-2]] == [0] * 4
+    row = json.loads(out.read_text())["pairs"]["loso-disk-jobs2 --seed 7"]
+    assert row["traced"] == {
+        "parent": {"spd.eig.matrices": 15456, "spd.eig.calls": 900},
+        "change": {"spd.eig.matrices": 14832, "spd.eig.calls": 900},
+    }
+    assert row["digests_equal"] and row["metrics"]["wall_s"]["change_better_pairs"] == "0/2"
+
+
+def test_a_traced_run_reads_its_own_result_file(tmp_path, monkeypatch):
+    bench_pairs = load_bench_pairs()
+    results = tmp_path / ".perfbench_work" / "results"
+    results.mkdir(parents=True)
+    record = {"environment": {}, "samples": {"plain": [{"digest": "d"}]}}
+    (results / "loso-c8-full-seed1-trace0.json").write_text(json.dumps(record))
+    seen = []
+
+    def traced_run(cmd, **kwargs):
+        seen.append(cmd)
+        (results / "loso-c8-full-seed1-trace1.json").write_text(json.dumps(record))
+        return subprocess.CompletedProcess(cmd, 0, stdout="# loso-c8-full seed=1 trace=1\n{}",
+                                           stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", traced_run)
+    run = bench_pairs.run_once(tmp_path, "loso-c8-full", None, 1.0, trace=1)
+    assert seen[0][seen[0].index("--trace") + 1] == "1"
+    assert run["digests"] == {"d"}
+    assert (results / "loso-c8-full-seed1-trace0.json").exists()  # the untraced result stays

@@ -68,12 +68,14 @@ class GoldenRun:
     """The golden spec run at jobs 1, with what its spies saw: the train and
     test stacks and the predictions of each cell (one ``fit_predict_cell``
     call per target, k and strategy), the covariances of every
-    ``ts_features`` call, and every input of ``spd_log``."""
+    ``ts_features`` call, every input of ``spd_log`` and how many matrices
+    ``np.linalg.eigh`` and ``eigvalsh`` decomposed."""
 
     report: ExperimentReport
     cells: list = field(default_factory=list)  # (train, test, predictions)
     tangent: list = field(default_factory=list)
     logged: list = field(default_factory=list)
+    eig_matrices: int = 0
 
 
 @pytest.fixture(scope="module")
@@ -93,11 +95,19 @@ def golden_run():
         run.logged.append(p)
         return spd_log(p)
 
+    def eig_spy(solver):
+        def spy(a, *args, **kwargs):
+            run.eig_matrices += math.prod(np.shape(a)[:-2])
+            return solver(a, *args, **kwargs)
+        return spy
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiment, "fit_predict_cell", cell_spy)
         patch.setattr(experiment, "ts_features", ts_spy)
         for module in (spd, features):
             patch.setattr(module, "spd_log", log_spy)
+        for solver in ("eigh", "eigvalsh"):
+            patch.setattr(np.linalg, solver, eig_spy(getattr(np.linalg, solver)))
         run.report = run_scenario(load_scenario(GOLDEN_SPEC))
     return run
 
@@ -257,7 +267,8 @@ class TestLosoLeakage:
 
 class TestSharedWork:
     """Each cell computes what its pipelines share once, and the scenario
-    logs each raw and whitened matrix once; the results keep their bits."""
+    logs each raw and whitened source matrix once and a target trial only
+    once it is labeled; the results keep their bits."""
 
     def test_one_tangent_mapping_of_train_and_of_test_per_cell(self, golden_run):
         spec = load_scenario(GOLDEN_SPEC)
@@ -266,21 +277,35 @@ class TestSharedWork:
         assert len(golden_run.tangent) == len(expected)
         assert all(got is want for got, want in zip(golden_run.tangent, expected))
 
-    def test_no_raw_or_whitened_matrix_is_logged_twice(self, golden_run):
+    def test_source_views_once_and_target_trials_only_when_labeled(self, golden_run):
         spec = load_scenario(GOLDEN_SPEC)
         logged = Counter(
             m.tobytes() for p in golden_run.logged for m in np.reshape(p, (-1, *p.shape[-2:]))
         )
         names, subjects = experiment._load_subjects(spec)
-        stacks = [
-            stack.covs
-            for pair in experiment._scenario_domains(spec, names, subjects)
-            for d in pair
-            for stack in (d.stack, d.ea_stack)
+        domains = experiment._scenario_domains(spec, names, subjects)
+        source_counts = [
+            logged[m.tobytes()]
+            for source, _ in domains for stack in (source.stack, source.ea_stack)
+            for m in stack.covs
         ]
-        counts = [logged[m.tobytes()] for covs in stacks for m in covs]
-        assert len(counts) == 3 * 48 * 2
-        assert set(counts) == {1}
+        assert len(source_counts) == 3 * 24 * 2 and set(source_counts) == {1}
+        target_counts = 0
+        for _, target in domains:
+            distances = pairwise_distances(target.stack.covs)
+            labeled = Counter(i for k in spec.k_grid for i in k_medoids(distances, k))
+            for stack in (target.stack, target.ea_stack):
+                assert stack.logs is None
+                counts = [logged[m.tobytes()] for m in stack.covs]
+                assert all(c <= labeled[i] for i, c in enumerate(counts))
+                target_counts += sum(counts)
+        # Logging every raw and whitened matrix of the views and pools would be 288.
+        assert sum(source_counts) + target_counts == 144 + 3 * 2 * sum(spec.k_grid) < 288
+
+    def test_eigensolve_count_is_pinned(self, golden_run):
+        # Validating the trial covariances by eigvalsh (144) and logging the
+        # unlabeled target trials (96) would make it 3,953.
+        assert golden_run.eig_matrices == 3713
 
     def test_every_cell_trains_on_carried_logs(self, golden_run):
         for train, _, _ in golden_run.cells:
@@ -346,6 +371,14 @@ def write_spec(path, manifest_path):
     }
     path.write_text(json.dumps(doc))
     return path
+
+
+def rename_subject(manifest_path, subject, name):
+    doc = json.loads(manifest_path.read_text())
+    for entry in doc["subjects"]:
+        if entry["name"] == subject:
+            entry["name"] = name
+    manifest_path.write_text(json.dumps(doc))
 
 
 def relabel_subject(manifest_path, subject, mapping):
@@ -539,6 +572,23 @@ class TestReportRoundTrip:
         path = report_dir / f"report.{fmt}"
         emit_report(report, path, format=fmt)
         assert canonical(read_report(path)) == canonical(report)
+
+    def test_a_subject_name_with_a_comma_round_trips_through_csv(self, manifest, tmp_path):
+        rename_subject(manifest, "s1", "a,b")
+        out = tmp_path / "r.csv"
+        spec = write_spec(tmp_path / "spec.json", manifest)
+        assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 0
+        report = read_report(out)
+        assert {key[0] for key in report.accuracies} == {"s0", "a,b", "s2"}
+        assert canonical(report) == canonical(run_scenario(load_scenario(spec)))
+
+    def test_a_subject_name_with_a_carriage_return_exits_3(self, manifest, tmp_path, capsys):
+        rename_subject(manifest, "s1", "a\rb")
+        out = tmp_path / "r.csv"
+        spec = write_spec(tmp_path / "spec.json", manifest)
+        assert main(["experiment", "--spec", str(spec), "--out", str(out)]) == 3
+        assert "subject name 'a\\rb' may not contain line breaks" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def short_accuracy_row(text):

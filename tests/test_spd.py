@@ -11,6 +11,8 @@ from conftest import (
     tangent_unmap,
     unflatten_sym,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelalign.errors import (
     DimMismatchError,
@@ -37,6 +39,29 @@ def eig2x2(a, b, c, d):
     """Characteristic-polynomial eigenvalues of [[a, b], [c, d]]."""
     disc = np.sqrt((a - d) ** 2 + 4 * b * c)
     return sorted([(a + d - disc) / 2, (a + d + disc) / 2])
+
+
+def eigvalsh_rule(m, tol):
+    """Whether the smallest eigenvalue of ``m`` fails the threshold ``tol * trace / dim``."""
+    return bool(np.linalg.eigvalsh(m)[0] <= tol * np.trace(m) / m.shape[-1])
+
+
+@st.composite
+def boundary_stacks(draw):
+    """(tol, sides, stack): SPD matrices whose smallest eigenvalue is
+    ``side * t`` for the threshold t of ``tol``, with ``side`` 1 ± 1e-3."""
+    dim = draw(st.integers(2, 8))
+    tol = draw(st.sampled_from([1e-10, 1e-6, 1e-3]))
+    sides = draw(st.lists(st.sampled_from([1.0 - 1e-3, 1.0 + 1e-3]), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for side in sides:
+        rest = 10.0 ** rng.uniform(0.0, 2.0, dim - 1)
+        # w = side * tol * (w + sum(rest)) / dim, solved for w
+        w = side * tol * rest.sum() / (dim - side * tol)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        stack.append(symmetrize((q * np.r_[w, rest]) @ q.T))
+    return tol, sides, np.stack(stack)
 
 
 class TestSpdFromMatrix:
@@ -68,6 +93,44 @@ class TestSpdFromMatrix:
     def test_asymmetric_input_symmetrized(self):
         p = spd_from_matrix([[2.0, 1.0 + 1e-13], [1.0, 2.0]])
         assert np.array_equal(p, p.T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(boundary_stacks())
+    def test_decides_as_the_eigenvalue_rule(self, case):
+        tol, sides, stack = case
+        bad = [eigvalsh_rule(m, tol) for m in stack]
+        assert bad == [side < 1.0 for side in sides]  # the stack straddles the threshold
+        for m, rejected in zip(stack, bad):
+            if rejected:
+                with pytest.raises(NotPositiveDefiniteError, match="^matrix: smallest eigenvalue"):
+                    spd_from_matrix(m, tol)
+            else:
+                assert np.array_equal(spd_from_matrix(m, tol), m)
+        if any(bad):
+            first = bad.index(True)
+            with pytest.raises(NotPositiveDefiniteError,
+                               match=f"^matrix {first}: smallest eigenvalue"):
+                spd_from_matrix(stack, tol)
+        else:
+            assert np.array_equal(spd_from_matrix(stack, tol), stack)
+
+    def test_a_valid_stack_takes_no_eigendecomposition(self, monkeypatch):
+        calls = []
+        for solver in ("eigh", "eigvalsh"):
+            def spy(a, *args, _solver=getattr(np.linalg, solver), **kwargs):
+                calls.append(a)
+                return _solver(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, solver, spy)
+        rng = np.random.default_rng(29)
+        stack = np.stack([random_spd(rng, 6) for _ in range(10)])
+        calls.clear()
+        assert np.array_equal(spd_from_matrix(stack), stack)
+        assert np.array_equal(spd_from_matrix(stack[0]), stack[0])
+        assert calls == []
+        stack[3] = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
+        with pytest.raises(NotPositiveDefiniteError, match="matrix 3: smallest eigenvalue"):
+            spd_from_matrix(stack)
+        assert len(calls) == 1  # only a failing stack is decomposed, to name its trial
 
 
 class TestMatrixFunctions:

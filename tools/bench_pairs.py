@@ -19,7 +19,10 @@ parent's IQR) and ``within_bound`` (the change median no worse than the
 parent's by more than the metric's relative ``bound``); one line per metric
 goes to stderr at the end. The row also records the repetitions attempted
 and failed per side, the exit codes, and whether the accuracy/AUC/t-test
-digests of the two trees agree. Rows are keyed
+digests of the two trees agree. After the pairs, one ``--trace 1`` run per
+side records the count metrics of the traced run (``spd.eig.calls``,
+``spd.eig.matrices``, ...) in the row as ``traced``, so the row carries the
+work counts a change claims to remove. Rows are keyed
 ``"W --seed S"`` and merged into ``--out``, so one file collects several
 workloads and keys written by hand survive.
 """
@@ -35,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".perfbench_work"
+TRACE_SECONDS = 1.0  # the counts are the same in every traced repetition
 
 
 def git(*args: str) -> str:
@@ -54,24 +58,32 @@ def export_parent(rev: str) -> Path:
     return dest
 
 
-def run_once(tree: Path, workload: str, seed: int | None, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int | None, seconds: float,
+             trace: int = 0) -> dict:
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-           "--seconds", str(seconds)]
+           "--seconds", str(seconds), "--trace", str(trace)]
     if seed is not None:
         cmd += ["--seed", str(seed)]
     # A result file left by an earlier run must not stand in for this one's.
-    for stale in (tree / ".perfbench_work" / "results").glob(f"{workload}-seed*-trace0.json"):
+    results = tree / ".perfbench_work" / "results"
+    for stale in results.glob(f"{workload}-seed*-trace{trace}.json"):
         stale.unlink()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     header = next((l for l in lines if l.startswith(f"# {workload} seed=")), "")
     result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
     used_seed = int(header.split("seed=")[1].split()[0]) if header else seed
-    path = tree / ".perfbench_work" / "results" / f"{workload}-seed{used_seed}-trace0.json"
+    path = results / f"{workload}-seed{used_seed}-trace{trace}.json"
     record = json.loads(path.read_text()) if path.exists() else {"samples": {"plain": []}}
     digests = {s["digest"] for s in record["samples"]["plain"] if not s.get("errors")}
     return {"code": proc.returncode, "seed": used_seed, "result": result,
             "env": record.get("environment", {}), "digests": digests}
+
+
+def counts(run: dict) -> dict:
+    """The count metrics of a traced run, by name."""
+    return {name: m["value"] for name, m in run["result"].get("metrics", {}).items()
+            if m.get("unit") == "count"}
 
 
 def summary(values: list[float]) -> dict:
@@ -123,12 +135,15 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}/{args.pairs} {side}: exit {run['code']}, wall_s {wall}",
                   file=sys.stderr)
 
+    traced = {side: counts(run_once(trees[side], args.workload, args.seed, TRACE_SECONDS, 1))
+              for side in runs}
     row = {
         "attempted": {s: sum(r["result"].get("attempted", 0) for r in runs[s]) for s in runs},
         "failed": {s: sum(r["result"].get("failed", 0) for r in runs[s]) for s in runs},
         "exit_codes": {s: sorted({r["code"] for r in runs[s]}) for s in runs},
         "digests_equal": len(set().union(*(r["digests"] for s in runs for r in runs[s]))) == 1,
         "metrics": {},
+        "traced": traced,
     }
     for m in metrics:
         name = m["name"]
@@ -148,7 +163,9 @@ def main(argv=None) -> int:
     doc["method"] = (f"{args.pairs} alternating parent/change pairs per row (parent first "
                      "in odd pairs, change first in even ones); median and quartiles over "
                      "the per-run medians; times at the reference speed of "
-                     "perfbench/calib.py; written by tools/bench_pairs.py")
+                     "perfbench/calib.py; 'traced' holds the count metrics of one "
+                     f"--trace 1 run per side (--seconds {TRACE_SECONDS:g}); written by "
+                     "tools/bench_pairs.py")
     doc["environment"] = runs["change"][-1]["env"]
     doc.setdefault("pairs", {})[f"{args.workload} --seed {runs['change'][0]['seed']}"] = row
     out.write_text(json.dumps(doc, indent=1) + "\n")
@@ -162,6 +179,9 @@ def main(argv=None) -> int:
                   f"{'within' if m['within_bound'] else 'OUTSIDE'} bound", file=sys.stderr)
         else:
             print(f"{name}: {m}", file=sys.stderr)
+    for name in sorted(set(traced["parent"]) | set(traced["change"])):
+        print(f"traced {name}: {traced['parent'].get(name)} -> {traced['change'].get(name)}",
+              file=sys.stderr)
     failed = row["failed"]["parent"] + row["failed"]["change"]
     return 1 if failed or row["exit_codes"] != {"parent": [0], "change": [0]} else 0
 
