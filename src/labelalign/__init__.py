@@ -14,7 +14,6 @@ from .alignment import (
     ea_reference,
     la_fit,
     match_labels,
-    select_and_estimate_target_means,
 )
 from .classifiers import (
     LdaModel,
@@ -102,7 +101,6 @@ __all__ = [
     "read_trials",
     "riemannian_distance",
     "run_scenario",
-    "select_and_estimate_target_means",
     "spd_exp",
     "spd_from_matrix",
     "spd_inv_sqrt",

@@ -14,15 +14,15 @@ of the aligned trials ``A Cᵢ Aᵀ`` is in general not ``Ct``: that mean
 commutes only with orthogonal congruences. :func:`la_per_trial` turns the
 class matrices into each source trial's matrix and target label; the
 harness applies them to covariance stacks (:func:`la_align`) and
-``labelalign align`` to the raw trials. What does not depend on the label
-budget (the whitened stack, the inverse roots of the source class means)
-is computed once per :class:`Domain`.
+``labelalign align`` to the raw trials, streamed one subject at a time.
+What does not depend on the label budget (the whitened stack, the
+inverse roots of the source class means) is computed once per :class:`Domain`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .errors import (
 )
 from .features import CovStack
 from .rng import CounterRng, derive_key
-from .selection import k_medoids, pairwise_distances
 from .spd import Array, arithmetic_mean_cov, class_means, spd_inv_sqrt, spd_sqrt
 
 
@@ -65,8 +64,12 @@ class LabelMapping:
 def match_labels(source_labels, target_labels, seed: int = 0) -> LabelMapping:
     """Match common labels identically, the rest by a seeded permutation.
 
-    Deterministic given the label sets and the seed.
+    Deterministic given the label sets and the seed. A label listed twice,
+    or sets of unequal size, raise :class:`ConfigError`.
     """
+    for role, labels in (("source", source_labels), ("target", target_labels)):
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"duplicate {role} labels: {tuple(labels)}")
     source = set(source_labels)
     target = set(target_labels)
     if len(source) != len(target):
@@ -95,26 +98,6 @@ def _lookup(table: dict, labels, what: str) -> list:
 def ea_reference(covs: Array) -> Array:
     """Whitening matrix: inverse square root of the mean trial covariance."""
     return spd_inv_sqrt(arithmetic_mean_cov(covs))
-
-
-def select_and_estimate_target_means(
-    pool: CovStack,
-    k: int,
-    oracle: Callable[[int], int],
-    n_classes: int,
-    distances: Array | None = None,
-) -> tuple[dict | None, list[int]]:
-    """Pick ``k`` medoid trials of ``pool``, label them, and estimate per-class means.
-
-    Only the medoids of ``distances`` (the pairwise geodesic distances of
-    the pool, computed when not given) reach the label oracle. Returns
-    :func:`target_means` of the medoids (from the pool's logs if it has
-    them) and the selected indices.
-    """
-    if distances is None:
-        distances = pairwise_distances(pool.covs)
-    medoids = k_medoids(distances, k)
-    return target_means(pool.take(medoids), [oracle(i) for i in medoids], n_classes), medoids
 
 
 def target_means(labeled: CovStack, labels, n_classes: int) -> dict | None:

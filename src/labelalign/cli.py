@@ -16,7 +16,7 @@ from .alignment import (
     la_fit,
     la_per_trial,
     match_labels,
-    select_and_estimate_target_means,
+    target_means,
 )
 from .dataio import (
     Trial,
@@ -28,7 +28,7 @@ from .dataio import (
     write_manifest,
     write_trials,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, EmptyInputError
 from .experiment import (
     fit_predict,
     label_view,
@@ -82,52 +82,63 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_align(args) -> int:
     manifest = load_manifest(args.manifest)
-    subjects = manifest.load_all()
     names = [e.name for e in manifest.subjects]
-
-    if args.strategy == "raw":
-        aligned = subjects
-    elif args.strategy == "ea":
-        aligned = []
-        for trials, stack in zip(subjects, subject_stacks(names, subjects)):
-            r = ea_reference(stack.covs)
-            aligned.append([Trial(r @ t.data, label=t.label) for t in trials])
-    else:
-        if args.target_subject is None or not args.source_labels or not args.target_labels:
+    source_set, target_set = args.source_labels, args.target_labels
+    if args.strategy == "la":
+        if args.target_subject is None or not source_set or not target_set:
             raise ConfigError(
                 "la alignment needs --target-subject, --source-labels and --target-labels"
             )
         if args.target_subject not in names:
             raise ConfigError(f"unknown target subject {args.target_subject!r}")
-        source_set, target_set = args.source_labels, args.target_labels
         mapping = match_labels(source_set, target_set, derive_key(args.seed, "mapping"))
-        stacks = subject_stacks(names, subjects)
-        tgt_index = names.index(args.target_subject)
-        pool = label_view(args.target_subject, stacks[tgt_index], "target", target_set)
-        means, _ = select_and_estimate_target_means(
-            pool, args.k, oracle=lambda i: pool.labels[i], n_classes=len(target_set)
-        )
+    # First pass: check every subject and fit its alignment (A, mapping),
+    # keeping none of its trials. Nothing is written unless every subject passes.
+    fits = [(None, None)] * len(names)  # raw, and the LA target, pass through
+    if args.strategy == "raw":  # computes no covariances: rank-deficient trials pass
+        for name, count in zip(names, map(len, manifest.iter_subjects())):
+            if not count:
+                raise EmptyInputError(f"subject {name}, no trials")
+    else:
+        stacks = subject_stacks(names, manifest.iter_subjects())
+    if args.strategy == "ea":
+        fits = [(ea_reference(stack.covs), None) for stack in stacks]
+    elif args.strategy == "la":  # as in a harness unit
+        target = names.index(args.target_subject)
+        pool = label_view(args.target_subject, stacks[target], "target", target_set)
+        medoids = k_medoids(pairwise_distances(pool.covs), args.k)
+        means = target_means(pool.take(medoids), pool.labels[medoids], len(target_set))
         if means is None:
             raise DataError(
                 f"the {args.k} medoids cover fewer than {len(target_set)} classes; "
                 "label more trials or use --strategy ea"
             )
-        aligned = list(subjects)  # the target passes through
-        for i, (name, trials, stack) in enumerate(zip(names, subjects, stacks)):
-            if i != tgt_index:
+        for i, (name, stack) in enumerate(zip(names, stacks)):
+            if i != target:
                 source = label_view(name, stack, "source", source_set)
-                matrices = la_fit(class_inv_roots(source), means, mapping)
-                per_trial, labels = la_per_trial(matrices, source.labels, mapping)
-                kept = [t for t in trials if t.label in source_set]
-                aligned[i] = [Trial(a @ t.data, int(l)) for a, t, l in zip(per_trial, kept, labels)]
-
-    out = Path(args.out)  # created only once every subject is aligned
+                fits[i] = la_fit(class_inv_roots(source), means, mapping), mapping
+    # Second pass: re-read, align and write one subject at a time.
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    entries = [_write_subject(out, name, trials) for name, trials in zip(names, aligned)]
-    label_set = sorted({t.label for trials in aligned for t in trials})
+    subjects = manifest.iter_subjects()
+    entries = [_write_subject(out, name, _aligned(next(subjects), *fit))
+               for name, fit in zip(names, fits)]
+    label_set = sorted({l for _, _, labels in entries for l in read_labels(out / labels)})
     write_manifest(out / "manifest.json", manifest.sample_rate, label_set, entries)
     print(f"wrote aligned dataset to {out}")
     return 0
+
+
+def _aligned(trials, a, mapping):
+    """``trials`` aligned as ``A X``: unchanged (``a`` None), by one matrix ``a``, or by
+    a source's :func:`la_fit` class matrices ``a``, keeping its source-label trials, relabeled."""
+    if a is None:
+        return trials
+    if mapping is None:
+        return [Trial(a @ t.data, t.label) for t in trials]
+    kept = [t for t in trials if t.label in mapping.source_labels]
+    per_trial, labels = la_per_trial(a, [t.label for t in kept], mapping)
+    return [Trial(m @ t.data, int(l)) for m, t, l in zip(per_trial, kept, labels)]
 
 
 def _cmd_kmedoids(args) -> int:

@@ -20,7 +20,9 @@ offset  size  contents
 
 A trial file is read into one ``(count, C, T)`` array, and the trials
 returned are writable row views of it; it is written one trial at a time,
-so neither direction makes a second copy of the payload.
+so neither direction makes a second copy of the payload. The harness and
+``labelalign align`` read a manifest one subject at a time; ``align`` reads
+each subject twice, to fit its alignment, then to align and write it.
 
 Label files are newline-separated integers, one per trial. A manifest is
 a JSON document (``{"version": 1, "sample_rate": ..., "label_set": [...],
@@ -160,10 +162,13 @@ def read_labels(path) -> list[int]:
     return out
 
 
-def with_labels(trials: Sequence[Trial], labels: Sequence[int]) -> list[Trial]:
+def with_labels(trials: list[Trial], labels: Sequence[int]) -> list[Trial]:
+    """Label ``trials`` in place, in order, and return them."""
     if len(trials) != len(labels):
         raise DimMismatchError(f"{len(trials)} trials but {len(labels)} labels")
-    return [Trial(t.data, label=int(l)) for t, l in zip(trials, labels)]
+    for t, l in zip(trials, labels):
+        t.label = int(l)
+    return trials
 
 
 @dataclass(frozen=True)
@@ -194,9 +199,6 @@ class DatasetManifest:
     def iter_subjects(self) -> Iterator[list[Trial]]:
         """Each subject's labeled trials in turn, read as the next is asked for."""
         return (self.load_subject(e) for e in self.subjects)
-
-    def load_all(self) -> list[list[Trial]]:
-        return list(self.iter_subjects())
 
 
 def load_manifest(path) -> DatasetManifest:

@@ -6,9 +6,16 @@ data, exit code 3). Numeric preconditions raise ``DataError`` subclasses
 because they are triggered by the data fed in, not by the configuration.
 """
 
+import copyreg
+
 
 class LabelAlignError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # Unpickled without __init__: args holds only the message, not the
+        # extra arguments some subclasses take.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigError(LabelAlignError):

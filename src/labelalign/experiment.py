@@ -91,15 +91,7 @@ class ScenarioSpec:
     shrinkage: float = 0.0
 
     def __post_init__(self):
-        if len(set(self.source_labels)) != len(self.source_labels):
-            raise ConfigError(f"duplicate source labels: {self.source_labels}")
-        if len(set(self.target_labels)) != len(self.target_labels):
-            raise ConfigError(f"duplicate target labels: {self.target_labels}")
-        if len(self.source_labels) != len(self.target_labels):
-            raise ConfigError(
-                f"label sets must have equal size, got {len(self.source_labels)} "
-                f"and {len(self.target_labels)}"
-            )
+        match_labels(self.source_labels, self.target_labels)  # rejects duplicates, unequal sizes
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ConfigError(f"unknown strategy {s!r}, expected one of {STRATEGIES}")

@@ -11,16 +11,18 @@ from labelalign.alignment import (
     la_fit,
     match_labels,
     relabel,
-    select_and_estimate_target_means,
+    target_means,
     LabelMapping,
 )
 from labelalign.errors import (
     CardinalityMismatchError,
+    ConfigError,
     MissingClassError,
     UnknownLabelError,
 )
 from labelalign.dataio import Trial
 from labelalign.features import CovStack, covariance_stack, trial_covariance
+from labelalign.selection import k_medoids, pairwise_distances
 from labelalign.spd import (
     arithmetic_mean_cov,
     log_euclidean_mean,
@@ -81,6 +83,12 @@ class TestMatchLabels:
         with pytest.raises(CardinalityMismatchError):
             match_labels({1, 2}, {3}, seed=0)
 
+    def test_duplicate_labels_are_rejected(self):
+        with pytest.raises(ConfigError, match=r"duplicate source labels: \(0, 0, 1\)"):
+            match_labels([0, 0, 1], [2, 3, 3])
+        with pytest.raises(ConfigError, match=r"duplicate target labels: \(2, 3, 3\)"):
+            match_labels([0, 1, 2], [2, 3, 3])
+
     def test_mapping_must_be_bijection(self):
         with pytest.raises(CardinalityMismatchError):
             LabelMapping(((1, 3), (2, 3)))
@@ -129,6 +137,12 @@ class TestEuclideanAlignment:
                 assert abs(d1 - d0) <= 1e-9 * (1.0 + d0)
 
 
+def medoid_means(stack, k, n_classes):
+    """As in a harness unit: the means of the pool's k medoids, labeled."""
+    medoids = k_medoids(pairwise_distances(stack.covs), k)
+    return target_means(stack.take(medoids), stack.labels[medoids], n_classes), medoids
+
+
 class TestTargetMeanEstimation:
     def test_singleton_class_means_are_medoid_covariances(self):
         rng = np.random.default_rng(115)
@@ -136,9 +150,7 @@ class TestTargetMeanEstimation:
             Trial(2.0 * rng.standard_normal((3, 40)), label=0),
             Trial(0.5 * rng.standard_normal((3, 40)), label=1),
         ]
-        means, medoids = select_and_estimate_target_means(
-            stack_of(pool), k=2, oracle=lambda i: pool[i].label, n_classes=2
-        )
+        means, medoids = medoid_means(stack_of(pool), k=2, n_classes=2)
         assert medoids == [0, 1]
         for idx in medoids:
             label = pool[idx].label
@@ -150,9 +162,7 @@ class TestTargetMeanEstimation:
     def test_single_label_coverage_falls_back(self):
         rng = np.random.default_rng(116)
         pool = [Trial(rng.standard_normal((3, 40)), label=0) for _ in range(6)]
-        means, medoids = select_and_estimate_target_means(
-            stack_of(pool), k=3, oracle=lambda i: 0, n_classes=2
-        )
+        means, medoids = medoid_means(stack_of(pool), k=3, n_classes=2)
         assert means is None
         assert len(medoids) == 3
 
@@ -161,9 +171,7 @@ class TestTargetMeanEstimation:
                           subjects=1, class_separation=1.0, subject_shift=0.5, seed=13)
         data = generate_synthetic(cfg)
         pool = list(data.subjects[0])
-        means, _ = select_and_estimate_target_means(
-            stack_of(pool), k=10, oracle=lambda i: pool[i].label, n_classes=2
-        )
+        means, _ = medoid_means(stack_of(pool), k=10, n_classes=2)
         for m in (0, 1):
             # Trial covariances carry the raw Gram scale; divide by the
             # sample count before comparing against the prototype.

@@ -175,6 +175,12 @@ class TestLabels:
         with pytest.raises(DimMismatchError):
             with_labels([Trial(np.ones((1, 2)))], [1, 2])
 
+    def test_with_labels_labels_the_trials_in_place(self):
+        trials = [Trial(np.ones((1, 2))), Trial(np.zeros((1, 2)))]
+        labeled = with_labels(trials, [3, 1])
+        assert labeled is trials
+        assert [t.label for t in trials] == [3, 1]
+
 
 class TestManifest:
     def _write_dataset(self, tmp_path, labels=(0, 1, 0)):
@@ -190,7 +196,7 @@ class TestManifest:
         manifest = load_manifest(tmp_path / "manifest.json")
         assert manifest.sample_rate == 100.0
         assert manifest.label_set == (0, 1)
-        subjects = manifest.load_all()
+        subjects = list(manifest.iter_subjects())
         assert len(subjects) == 1
         assert [t.label for t in subjects[0]] == [0, 1, 0]
 
@@ -200,27 +206,35 @@ class TestManifest:
         with pytest.raises(DataError):
             load_manifest(tmp_path / "manifest.json")
 
-    def test_load_all_lists_the_subjects_iterated_in_turn(self, tmp_path):
+    def test_iter_subjects_loads_the_subjects_in_turn(self, tmp_path):
         self._write_dataset(tmp_path)
         manifest = load_manifest(tmp_path / "manifest.json")
         loaded, = manifest.iter_subjects()
-        listed, = manifest.load_all()
+        listed = manifest.load_subject(manifest.subjects[0])
         assert [(t.label, t.data.tobytes()) for t in loaded] == [
             (t.label, t.data.tobytes()) for t in listed
         ]
+
+    def test_each_loaded_trial_is_built_once(self, tmp_path, monkeypatch):
+        self._write_dataset(tmp_path)
+        built = []
+        post_init = Trial.__post_init__
+        monkeypatch.setattr(Trial, "__post_init__", lambda t: built.append(post_init(t)))
+        subjects = list(load_manifest(tmp_path / "manifest.json").iter_subjects())
+        assert len(built) == len(subjects[0]) == 3
 
     def test_label_outside_declared_set(self, tmp_path):
         self._write_dataset(tmp_path, labels=(0, 1, 7))
         manifest = load_manifest(tmp_path / "manifest.json")
         with pytest.raises(DataError):
-            manifest.load_all()
+            list(manifest.iter_subjects())
 
     def test_label_count_mismatch(self, tmp_path):
         self._write_dataset(tmp_path)
         write_labels(tmp_path / "s0.labels", [0, 1])
         manifest = load_manifest(tmp_path / "manifest.json")
         with pytest.raises(DataError):
-            manifest.load_all()
+            list(manifest.iter_subjects())
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "manifest.json"

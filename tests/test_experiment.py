@@ -2,10 +2,12 @@
 congruence properties, degenerate input and the CLI."""
 
 import functools
+import hashlib
 import json
 import math
 import pickle
 import struct
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
@@ -22,7 +24,7 @@ from labelalign.alignment import (
     align,
     ea_reference,
     match_labels,
-    select_and_estimate_target_means,
+    target_means,
 )
 from labelalign.classifiers import mdm_fit
 from labelalign.cli import main
@@ -490,6 +492,50 @@ class TestOneSubjectAtATime:
         assert len(alive) == 3 * 12
 
 
+def traced_peak(fn) -> int:
+    """The tracemalloc peak of ``fn()``, run once untraced first so that the
+    modules it imports lazily are not counted."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAlignMemory:
+    """``labelalign align`` holds at most one subject's trials: its peak is
+    the harness's stack pass over the same manifest plus one subject."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("six")
+        config = d / "synth.json"
+        config.write_text(json.dumps({
+            "channels": 8, "samples": 200, "classes": 4, "trials_per_class": 10,
+            "subjects": 6, "class_separation": 1.0, "subject_shift": 0.5, "seed": 5,
+        }))
+        assert main(["synth", "--config", str(config), "--out", str(d / "data")]) == 0
+        return d / "data" / "manifest.json"
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_align_peaks_within_one_subject_of_the_stack_pass(self, dataset, tmp_path, strategy):
+        manifest = load_manifest(dataset)
+        names = [e.name for e in manifest.subjects]
+        stack_peak = traced_peak(
+            lambda: experiment.subject_stacks(names, manifest.iter_subjects())
+        )
+        subject_bytes = 40 * 8 * 200 * 8
+        args = ["align", "--strategy", strategy, "--manifest", str(dataset),
+                "--out", str(tmp_path / "aligned")]
+        if strategy == "la":
+            args += ["--target-subject", "s0", "--source-labels", "0,1",
+                     "--target-labels", "2,3", "-k", "6"]
+        peak = traced_peak(lambda: main(args))
+        assert peak <= stack_peak + subject_bytes
+
+
 class TestJsonReport:
     def test_undefined_t_test_round_trips_as_null(self, tmp_path):
         report = ExperimentReport(
@@ -667,7 +713,7 @@ class TestCli:
     def test_align_la_writes_relabeled_sources(self, manifest, tmp_path):
         out = tmp_path / "aligned"
         assert main(self.la_args(manifest, out)) == 0
-        aligned = load_manifest(out / "manifest.json").load_all()
+        aligned = list(load_manifest(out / "manifest.json").iter_subjects())
         assert sorted({t.label for t in aligned[0]}) == [0, 1, 2, 3]  # target untouched
         for trials in aligned[1:]:
             assert len(trials) == 12
@@ -692,12 +738,13 @@ class TestCli:
         out = tmp_path / "aligned"
         assert main(self.la_args(manifest, out)) == 0  # target s0, k = 6
         written = [covariance_stack(trials) for trials in
-                   load_manifest(out / "manifest.json").load_all()[1:]]
+                   list(load_manifest(out / "manifest.json").iter_subjects())[1:]]
 
         names, subjects = experiment._load_subjects(spec)
         domains = experiment._scenario_domains(spec, names, subjects)
         pool = domains[0][1].stack
-        means, _ = select_and_estimate_target_means(pool, 6, lambda i: pool.labels[i], 2)
+        medoids = k_medoids(pairwise_distances(pool.covs), 6)
+        means = target_means(pool.take(medoids), pool.labels[medoids], 2)
         mapping = match_labels(spec.source_labels, spec.target_labels,
                                derive_key(spec.seed, "mapping"))
         expected, _ = align("la", [d for d, _ in domains[1:]], domains[0][1],
@@ -706,6 +753,17 @@ class TestCli:
         for got, want in zip(written, expected):
             assert np.array_equal(got.labels, want.labels)
             assert np.max(np.abs(got.covs - want.covs)) <= 1e-10 * np.max(np.abs(want.covs))
+
+    def test_align_la_duplicate_labels_exit_2(self, manifest, tmp_path, capsys):
+        args = self.la_args(manifest, tmp_path / "aligned")
+        args[args.index("--source-labels") + 1] = "0,0,1"
+        args[args.index("--target-labels") + 1] = "2,3,3"
+        assert main(args) == 2
+        assert "duplicate source labels: (0, 0, 1)" in capsys.readouterr().err
+        args[args.index("--source-labels") + 1] = "0,1,2"
+        assert main(args) == 2
+        assert "duplicate target labels: (2, 3, 3)" in capsys.readouterr().err
+        assert not (tmp_path / "aligned").exists()
 
     def test_align_la_whitens_nothing(self, manifest, tmp_path, monkeypatch):
         calls = []
@@ -760,6 +818,64 @@ class TestCli:
         assert main(self.la_args(manifest, out)) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("fault, message", [
+        ("bad magic", "bad magic b'EEGX'"),
+        ("no trials", "subject s2, no trials"),
+    ])
+    def test_failed_raw_align_leaves_no_output_directory(self, manifest, tmp_path, capsys,
+                                                         fault, message):
+        # The last subject fails its check after the others passed theirs.
+        path = manifest.parent / "s2.trials"
+        if fault == "bad magic":
+            path.write_bytes(b"EEGX" + path.read_bytes()[4:])
+        else:
+            path.write_bytes(b"EEGT\x01" + struct.pack("<III", 4, 40, 0))
+            write_labels(manifest.parent / "s2.labels", [])
+        args = ["align", "--strategy", "raw", "--manifest", str(manifest),
+                "--out", str(tmp_path / "aligned")]
+        assert main(args) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "aligned").exists()
+
+    # The sha256 of every file align writes on the ``manifest`` fixture; the
+    # label files of s0 (and of every subject under raw and ea) are 4 x 6 labels.
+    ALIGN_DIGESTS = {
+        "raw": {
+            "s0.trials": "f00458043b5fa98509bc757eaba50fde143617ead95b2cd76adf7efe4a8e740c",
+            "s1.trials": "529457b0a3a7c21ec216388c5600f3941ca5c01c5479ba336159937d25e88fc2",
+            "s2.trials": "592a3fa45457cab7d99f130055a67d7324c282f958a1aaed2aa34bda477f9eae",
+        },
+        "ea": {
+            "s0.trials": "8718ed610880daf20f25127689ddac48ec1a5fa77f5f2a37fe3ac33cedc38f97",
+            "s1.trials": "d8fd0a479385af3564b65ca8c40804891b599c50b6816440b88d2c49b0da13ba",
+            "s2.trials": "9a44d4f24b6fb7c806f5ef0015b630be19676cbdc91ca246067d3eee61e7398e",
+        },
+        "la": {
+            "s0.trials": "f00458043b5fa98509bc757eaba50fde143617ead95b2cd76adf7efe4a8e740c",
+            "s1.labels": "9a73b812bea52fb83b94a6b1cc40ca3592eb71ee057a0d05de2bfce9f718d140",
+            "s1.trials": "0d3ec3729cb252044ae724633c4c0156ed66fc492413bdff8569208fea5f1034",
+            "s2.labels": "9a73b812bea52fb83b94a6b1cc40ca3592eb71ee057a0d05de2bfce9f718d140",
+            "s2.trials": "cc1858d1346d71c3daa4f3449705e2d15317ead9e0ddf1e1b24a568e221b8634",
+        },
+    }
+    UNCHANGED_DIGESTS = {
+        "manifest.json": "4f5eb52e767c7986256ccfd02b92a9817ea8363ee7c346f3eebe95f826beb5df",
+        **{f"s{i}.labels": "48fbbc0e8a3e3f569732e14d508eb8c0d424a6d323a1a033ed0a7f7071cdce1b"
+           for i in range(3)},
+    }
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_align_writes_the_pinned_files(self, manifest, tmp_path, strategy):
+        out = tmp_path / "aligned"
+        if strategy == "la":
+            args = self.la_args(manifest, out)
+        else:
+            args = ["align", "--strategy", strategy, "--manifest", str(manifest),
+                    "--out", str(out)]
+        assert main(args) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert written == {**self.UNCHANGED_DIGESTS, **self.ALIGN_DIGESTS[strategy]}
+
     def test_experiment_subject_without_source_labels_exits_3(self, manifest, tmp_path, capsys):
         # The same data condition as in align, with the same exit code.
         relabel_subject(manifest, "s1", {0: 2, 1: 3})
@@ -804,6 +920,8 @@ class TestCli:
         ("synth", [1, 2]),
         ("svm_lambda", 1e-3),
         ("svm_epochs", 40),
+        ("source_labels", [0, 0]),
+        ("target_labels", [2, 3, 1]),
     ])
     def test_malformed_spec_exits_2(self, manifest, tmp_path, field, value):
         spec = write_spec(tmp_path / "spec.json", manifest)
@@ -819,7 +937,7 @@ class TestCli:
         config = tmp_path / "synth.json"
         config.write_text(json.dumps(cfg))
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "d")]) == 0
-        subjects = load_manifest(tmp_path / "d" / "manifest.json").load_all()
+        subjects = list(load_manifest(tmp_path / "d" / "manifest.json").iter_subjects())
         assert [len(trials) for trials in subjects] == [6, 6]
         config.write_text(json.dumps({**cfg, "channels": 0}))
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "e")]) == 2
