@@ -81,17 +81,19 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    manifest = load_manifest(args.manifest)
-    names = [e.name for e in manifest.subjects]
     source_set, target_set = args.source_labels, args.target_labels
-    if args.strategy == "la":
+    if args.strategy == "la":  # the arguments are checked before any file is read
         if args.target_subject is None or not source_set or not target_set:
             raise ConfigError(
                 "la alignment needs --target-subject, --source-labels and --target-labels"
             )
-        if args.target_subject not in names:
-            raise ConfigError(f"unknown target subject {args.target_subject!r}")
+        if args.k < 1:
+            raise ConfigError(f"-k must be >= 1, got {args.k}")
         mapping = match_labels(source_set, target_set, derive_key(args.seed, "mapping"))
+    manifest = load_manifest(args.manifest)
+    names = [e.name for e in manifest.subjects]
+    if args.strategy == "la" and args.target_subject not in names:
+        raise ConfigError(f"unknown target subject {args.target_subject!r}")
     # First pass: check every subject and fit its alignment (A, mapping),
     # keeping none of its trials. Nothing is written unless every subject passes.
     fits = [(None, None)] * len(names)  # raw, and the LA target, pass through

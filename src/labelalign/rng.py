@@ -18,6 +18,12 @@ elsewhere:
   partner chosen as ``floor(u * (i + 1))``.
 * Key derivation: FNV-1a over the parts (ints as 8 little-endian bytes,
   strings as UTF-8, a 0xFF separator after each part), then ``mix64``.
+
+Streams can be drawn for many keys at once: a generator over a 1-D array of
+keys returns one row per key, and each row holds exactly the values that a
+generator over that key alone gives, draw for draw. Likewise the keys of a
+run of trailing indices, ``derive_key(*parts, i)`` for ``i < count``, come
+from one call (:func:`derive_keys`).
 """
 
 from __future__ import annotations
@@ -44,8 +50,7 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def derive_key(*parts: int | str) -> int:
-    """Hash a sequence of ints/strings into a 64-bit stream key."""
+def _fnv(parts) -> int:
     h = _FNV_OFFSET
     for part in parts:
         if isinstance(part, bool) or not isinstance(part, (int, str)):
@@ -58,48 +63,77 @@ def derive_key(*parts: int | str) -> int:
         for byte in data:
             h = ((h ^ byte) * _FNV_PRIME) & _MASK
         h = ((h ^ 0xFF) * _FNV_PRIME) & _MASK
-    return int(_mix64(np.array([h], dtype=np.uint64))[0])
+    return h
+
+
+def derive_key(*parts: int | str) -> int:
+    """Hash a sequence of ints/strings into a 64-bit stream key."""
+    return int(_mix64(np.array([_fnv(parts)], dtype=np.uint64))[0])
+
+
+def derive_keys(*parts: int | str, count: int) -> np.ndarray:
+    """``derive_key(*parts, i)`` for every ``i < count``, as one uint64 array.
+
+    The FNV state over ``parts`` is taken once; the bytes of each ``i`` and
+    the separator are then hashed in uint64 arrays, which wrap mod 2^64.
+    """
+    i = np.arange(count, dtype=np.uint64)
+    h = np.full(count, _fnv(parts), dtype=np.uint64)
+    for shift in range(0, 64, 8):
+        h ^= (i >> _U(shift)) & _U(0xFF)
+        h *= _U(_FNV_PRIME)
+    h ^= _U(0xFF)
+    h *= _U(_FNV_PRIME)
+    return _mix64(h)
 
 
 class CounterRng:
-    """Stateful cursor over the counter-based stream for one key.
+    """Stateful cursor over the counter-based stream of one key, or of each
+    key of a 1-D uint64 array.
 
     The cursor only remembers how many words have been consumed; the
-    values themselves are pure functions of (key, index).
+    values themselves are pure functions of (key, index). Over an array of
+    keys one cursor serves them all, and every draw returns one row per key.
     """
 
-    def __init__(self, key: int):
-        self.key = key & _MASK
+    def __init__(self, key: int | np.ndarray):
+        if isinstance(key, np.ndarray):
+            self.key = key.astype(np.uint64)
+            self._base = self.key[:, None]
+        else:
+            self.key = key & _MASK
+            self._base = _U(self.key)
         self._index = 0
 
     def raw(self, n: int) -> np.ndarray:
-        """Next ``n`` raw 64-bit words."""
+        """Next ``n`` raw 64-bit words (per key)."""
         idx = np.arange(self._index + 1, self._index + n + 1, dtype=np.uint64)
         self._index += n
-        return _mix64(_U(self.key) + idx * _U(_GOLDEN))
+        return _mix64(self._base + idx * _U(_GOLDEN))
 
     def uniforms(self, n: int) -> np.ndarray:
-        """Next ``n`` float64 uniforms in [0, 1)."""
+        """Next ``n`` float64 uniforms in [0, 1) (per key)."""
         return (self.raw(n) >> _U(11)).astype(np.float64) / float(1 << 53)
 
     def normals(self, n: int) -> np.ndarray:
-        """Next ``n`` standard normals (Box-Muller; consumes 2*ceil(n/2) words)."""
+        """Next ``n`` standard normals per key (Box-Muller; consumes 2*ceil(n/2) words)."""
         pairs = (n + 1) // 2
         u1 = ((self.raw(pairs) >> _U(11)).astype(np.float64) + 1.0) / float(1 << 53)
         u2 = (self.raw(pairs) >> _U(11)).astype(np.float64) / float(1 << 53)
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n]
+        out = np.empty(r.shape[:-1] + (2 * pairs,))
+        out[..., 0::2] = r * np.cos(theta)
+        out[..., 1::2] = r * np.sin(theta)
+        return out[..., :n]
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
-        """Row-major (rows, cols) matrix of standard normals."""
-        return self.normals(rows * cols).reshape(rows, cols)
+        """Row-major (rows, cols) matrix of standard normals (per key)."""
+        z = self.normals(rows * cols)
+        return z.reshape(z.shape[:-1] + (rows, cols))
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
+        """Fisher-Yates permutation of range(n); for a single key only."""
         out = np.arange(n)
         if n < 2:
             return out

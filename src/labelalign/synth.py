@@ -20,6 +20,19 @@ from a live recording are. ``noise_df = None`` disables the dispersion.
 All randomness flows through the counter-based generator in
 :mod:`labelalign.rng`, keyed per (class/subject/trial), so the output is a
 pure function of the config.
+
+The trials of one (subject, class) take one key pass and are generated in
+batches, with one stream pass per draw, one stacked ``Q^{1/2}`` and one
+stacked product per batch; the trials are row views of the batch's array.
+A batch takes as many trials as fit one draw of ``channels x max(samples,
+noise_df)`` normals per trial in ``_BATCH_WORDS = 2^14`` 64-bit words
+(128 KiB), and one trial at least. Box-Muller peaks at about four arrays
+of a draw's size, so the bound caps the generator's scratch near half a
+MiB however many trials a class has: a process that generates a dataset
+(the benchmark's set-up among them) peaks within a fraction of a MiB of
+the trial-at-a-time loop, while the per-trial cost of the keys, the streams
+and the eigensolves is paid once per batch. The values are those of the
+trial-at-a-time loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,8 +44,11 @@ import numpy as np
 
 from .dataio import Trial
 from .errors import ConfigError
-from .rng import CounterRng, derive_key
+from .rng import CounterRng, derive_key, derive_keys
 from .spd import Array, spd_exp, spd_sqrt, symmetrize
+
+_BATCH_WORDS = 1 << 14
+_COUNTS = ("channels", "samples", "classes", "trials_per_class", "subjects")
 
 
 @dataclass(frozen=True)
@@ -48,7 +64,16 @@ class SynthConfig:
     noise_df: int | None = None  # per-trial covariance dispersion; must exceed channels
 
     def __post_init__(self):
-        for name in ("channels", "samples", "classes", "trials_per_class", "subjects"):
+        ints = [*_COUNTS, "seed"] + ([] if self.noise_df is None else ["noise_df"])
+        for name in ints:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("class_separation", "subject_shift"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        for name in _COUNTS:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.class_separation < 0 or self.subject_shift < 0:
@@ -89,21 +114,23 @@ def synthetic_parameters(cfg: SynthConfig) -> tuple[tuple, tuple]:
 def synthetic_subjects(cfg: SynthConfig) -> Iterator[list[Trial]]:
     """Each subject's labeled trials in turn, generated as the next is asked
     for, so that one subject at a time need be held."""
-    c = cfg.channels
+    c, df = cfg.channels, cfg.noise_df
+    batch = max(1, _BATCH_WORDS // (c * max(cfg.samples, df or 0)))
     prototypes, shifts = synthetic_parameters(cfg)
     proto_sqrts = [spd_sqrt(p) for p in prototypes]
     for s, shift in enumerate(shifts):
         trials = []
         for m in range(cfg.classes):
             mix = shift.T @ proto_sqrts[m]
-            for i in range(cfg.trials_per_class):
-                rng = CounterRng(derive_key(cfg.seed, "noise", s, m, i))
+            keys = derive_keys(cfg.seed, "noise", s, m, count=cfg.trials_per_class)
+            for start in range(0, len(keys), batch):
+                rng = CounterRng(keys[start:start + batch])
                 factor = mix
-                if cfg.noise_df is not None:
-                    g = rng.normal_matrix(c, cfg.noise_df)
-                    factor = mix @ spd_sqrt(g @ g.T / cfg.noise_df)
-                z = rng.normal_matrix(c, cfg.samples)
-                trials.append(Trial(factor @ z, label=m))
+                if df is not None:
+                    g = rng.normal_matrix(c, df)
+                    factor = mix @ spd_sqrt(g @ g.swapaxes(-1, -2) / df)
+                x = factor @ rng.normal_matrix(c, cfg.samples)
+                trials.extend(Trial(data, label=m) for data in x)
         yield trials
 
 

@@ -1,7 +1,10 @@
 import numpy as np
 
+from labelalign.dataio import Trial
 from labelalign.errors import DimMismatchError
+from labelalign.rng import CounterRng, derive_key
 from labelalign.spd import spd_exp, spd_inv_sqrt, spd_sqrt, symmetrize
+from labelalign.synth import synthetic_parameters
 
 
 def random_spd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
@@ -61,6 +64,28 @@ def loop_lda_scores(x, labels, x_test, gamma):
     proj = (u * (1.0 / w)) @ u.T @ means.T
     priors = np.array([np.mean(labels == c) for c in classes])
     return x_test @ proj - 0.5 * np.sum(means.T * proj, axis=0) + np.log(priors)
+
+
+def loop_synthetic_subjects(cfg):
+    """The generator one trial at a time: one key, one stream and one noise
+    root per trial, the way :func:`labelalign.synth.synthetic_subjects` was
+    first written. The batched generator is held to it bit for bit."""
+    c = cfg.channels
+    prototypes, shifts = synthetic_parameters(cfg)
+    proto_sqrts = [spd_sqrt(p) for p in prototypes]
+    for s, shift in enumerate(shifts):
+        trials = []
+        for m in range(cfg.classes):
+            mix = shift.T @ proto_sqrts[m]
+            for i in range(cfg.trials_per_class):
+                rng = CounterRng(derive_key(cfg.seed, "noise", s, m, i))
+                factor = mix
+                if cfg.noise_df is not None:
+                    g = rng.normal_matrix(c, cfg.noise_df)
+                    factor = mix @ spd_sqrt(g @ g.T / cfg.noise_df)
+                z = rng.normal_matrix(c, cfg.samples)
+                trials.append(Trial(factor @ z, label=m))
+        yield trials
 
 
 # Inverses and costs that only tests need: the harness never leaves the

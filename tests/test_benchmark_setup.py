@@ -1,10 +1,15 @@
 """The benchmark's set-up (``perfbench/run.py:build_dataset``) against ``src/``:
 it writes the generator's subjects through ``labelalign.dataio``, and reading
-the manifest back gives them bit for bit."""
+the manifest back gives them bit for bit. The generated data of every
+workload is pinned, so that the benchmark's timings compare identical data
+across changes to the generator."""
 
+import hashlib
 import importlib.util
 import os
 from pathlib import Path
+
+import pytest
 
 from labelalign.dataio import load_manifest
 from labelalign.synth import SynthConfig, generate_synthetic
@@ -35,3 +40,23 @@ def test_build_dataset_round_trips_the_generated_subjects(monkeypatch, tmp_path)
         assert [(t.label, t.data.tobytes()) for t in got] == [
             (t.label, t.data.tobytes()) for t in want
         ]
+
+
+# sha256 over every trial's data bytes and label byte, subject by subject, at
+# each workload's default seed.
+WORKLOAD_DIGESTS = {
+    "loso-c8-full": "78d3df317ae948b631ea997d18befc77eceec82239af10795709f4f527a5d05e",
+    "loso-c22-geom": "c4586de6eee12afc45c629e4ac3e1a1d50dd8a9ea59b329714d701652206a565",
+    "loso-disk-jobs2": "2a335456c2d6a318c67b4a8f03201f59f832e53e191dc7e575c1f0cb6e40e92d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
+def test_workload_data_is_pinned(monkeypatch, name):
+    workload = load_run(monkeypatch).WORKLOADS[name]
+    cfg = SynthConfig(**workload.synth_fields(workload.seed))
+    digest = hashlib.sha256()
+    for trials in generate_synthetic(cfg).subjects:
+        for t in trials:
+            digest.update(t.data.tobytes() + bytes([t.label]))
+    assert digest.hexdigest() == WORKLOAD_DIGESTS[name]

@@ -733,6 +733,16 @@ class TestCli:
         args[i + 1] = "nobody"
         assert main(args) == 2
 
+    def test_align_la_k_below_one_exits_2_before_any_file_is_read(
+            self, manifest, tmp_path, capsys):
+        (manifest.parent / "s1.trials").unlink()
+        args = self.la_args(manifest, tmp_path / "aligned")
+        assert main(args) == 3  # a valid -k meets the missing file
+        args[args.index("-k") + 1] = "0"
+        assert main(args) == 2
+        assert "-k must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "aligned").exists()
+
     def test_align_la_writes_the_harness_la_stacks(self, manifest, tmp_path):
         spec = load_scenario(write_spec(tmp_path / "spec.json", manifest))
         out = tmp_path / "aligned"
@@ -943,6 +953,26 @@ class TestCli:
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "e")]) == 2
         config.write_text(json.dumps({**cfg, "bands": 2}))
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "e")]) == 2
+
+    @pytest.mark.parametrize("field,value", [
+        ("samples", 20.0), ("channels", True), ("seed", "4"), ("noise_df", 9.5),
+    ])
+    def test_synth_values_of_the_wrong_type_exit_2(self, tmp_path, capsys, field, value):
+        cfg = {"channels": 3, "samples": 20, "classes": 4, "trials_per_class": 3,
+               "subjects": 3, "class_separation": 1.0, "subject_shift": 0.5, "seed": 4,
+               "noise_df": 5, field: value}
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps(cfg))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "d")]) == 2
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"source_labels": [0, 1], "target_labels": [2, 3],
+                                    "pipelines": ["mdm"], "k_grid": [4], "synth": cfg}))
+        report = tmp_path / "r.csv"
+        assert main(["experiment", "--spec", str(spec), "--out", str(report)]) == 2
+        assert not (tmp_path / "d").exists() and not report.exists()
+        err = capsys.readouterr().err
+        assert err.count(f"{field} must be an integer") == 2
+        assert "Traceback" not in err
 
     def test_synth_writes_the_files_of_the_whole_dataset(self, tmp_path):
         cfg = {"channels": 3, "samples": 20, "classes": 2, "trials_per_class": 3,

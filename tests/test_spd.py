@@ -320,6 +320,16 @@ class TestSpdStacks:
         for f in (spd_sqrt, spd_inv_sqrt, spd_log, spd_exp):
             assert np.array_equal(f(stack), np.stack([f(p) for p in stack]))
 
+    def test_stacked_sqrt_of_wishart_factors_is_the_loop(self):
+        # The synthetic generator takes its noise roots stacked, as one batch,
+        # and relies on these bits being those of one root per trial.
+        rng = np.random.default_rng(26)
+        for dim, df, n in ((3, 5, 1), (8, 20, 10), (16, 34, 4), (22, 40, 5)):
+            g = rng.standard_normal((n, dim, df))
+            stack = g @ g.swapaxes(-1, -2) / df
+            assert spd_sqrt(stack).tobytes() == np.stack(
+                [loop_matrix_function(q, np.sqrt) for q in stack]).tobytes()
+
     def test_tangent_vectors_match_loop(self):
         rng = np.random.default_rng(25)
         for dim in (3, 8, 22):

@@ -2,9 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import loop_synthetic_subjects
 
+from labelalign import synth
 from labelalign.errors import ConfigError
-from labelalign.rng import CounterRng, derive_key
+from labelalign.rng import CounterRng, derive_key, derive_keys
 from labelalign.spd import riemannian_distance
 from labelalign.synth import SynthConfig, generate_synthetic, synthetic_subjects
 
@@ -51,6 +53,26 @@ class TestCounterRng:
         with pytest.raises(TypeError):
             derive_key(1.5)
 
+    @pytest.mark.parametrize("seed", [0, 1, -5, 2**63 + 7, 10**30])
+    def test_derive_keys_are_the_derive_key_of_each_index(self, seed):
+        keys = derive_keys(seed, "noise", 2, 3, count=300)  # i >= 256 uses a second byte
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [derive_key(seed, "noise", 2, 3, i) for i in range(300)]
+        assert derive_keys(seed, count=0).shape == (0,)
+
+    def test_array_keys_give_each_key_its_scalar_stream(self):
+        keys = derive_keys(12, "rows", count=4)
+        rows, singles = CounterRng(keys), [CounterRng(int(k)) for k in keys]
+        draws = [("raw", 3), ("raw", 7), ("uniforms", 5), ("normals", 7),
+                 ("normal_matrix", 3, 5), ("normals", 4)]
+        for method, *args in draws:
+            got = getattr(rows, method)(*args)
+            assert len(got) == len(keys)
+            for row, single in zip(got, singles):
+                want = getattr(single, method)(*args)
+                assert row.shape == want.shape
+                assert row.tobytes() == want.tobytes()
+
 
 class TestGenerator:
     def test_deterministic_given_seed(self):
@@ -81,6 +103,24 @@ class TestGenerator:
         assert digest.hexdigest() == (
             "301627d386437703d446c3ef94ae7ec83f779b86f1bb4c1a6e95b5c5cbe60193"
         )
+
+    @pytest.mark.parametrize("fields,batch", [
+        (dict(channels=4, samples=30, trials_per_class=6, noise_df=None), 4),
+        (dict(channels=3, samples=7, trials_per_class=5, noise_df=11), 2),  # odd C*T, C*df
+        (dict(channels=4, samples=25, trials_per_class=7, noise_df=9), 3),  # 7 = 3 + 3 + 1
+        (dict(channels=5, samples=40, trials_per_class=3, noise_df=7), 0),  # over the bound
+    ])
+    def test_batches_give_the_per_trial_loop_bit_for_bit(self, monkeypatch, fields, batch):
+        cfg = SynthConfig(classes=2, subjects=2, class_separation=1.0, subject_shift=0.5,
+                          seed=3, **fields)
+        words = cfg.channels * max(cfg.samples, cfg.noise_df or 0)  # one trial's draw
+        monkeypatch.setattr(synth, "_BATCH_WORDS", batch * words if batch else words // 2)
+
+        def trial_bytes(subjects):
+            return [[(t.label, t.data.shape, t.data.tobytes()) for t in trials]
+                    for trials in subjects]
+
+        assert trial_bytes(synthetic_subjects(cfg)) == trial_bytes(loop_synthetic_subjects(cfg))
 
     def test_no_shift_no_separation_gives_identity_covariances(self):
         cfg = SynthConfig(channels=4, samples=300, classes=2, trials_per_class=5,
@@ -146,3 +186,13 @@ class TestGenerator:
             SynthConfig(channels=4, samples=10, classes=1, trials_per_class=1,
                         subjects=1, class_separation=0.0, subject_shift=0.0, seed=0,
                         noise_df=4)
+
+    @pytest.mark.parametrize("field,value", [
+        ("samples", 20.0), ("channels", True), ("subjects", "3"), ("seed", 1.0),
+        ("seed", None), ("noise_df", 9.5), ("class_separation", True),
+    ])
+    def test_config_rejects_values_of_the_wrong_type(self, field, value):
+        fields = dict(channels=4, samples=10, classes=1, trials_per_class=1, subjects=1,
+                      class_separation=0.0, subject_shift=0.0, seed=0, noise_df=8)
+        with pytest.raises(ConfigError, match=field):
+            SynthConfig(**{**fields, field: value})
