@@ -5,23 +5,27 @@ Both transforms are congruences ``C -> A C Aᵀ`` on a
 the raw trials as ``A X`` does to their covariances, so they preserve
 within-subject (and within-class) geodesic distances. Domain whitening
 (``ea``) uses the inverse square root of the subject's mean trial
-covariance, after which that mean is exactly the identity. Per-class
-re-centering (``la``) gives the trials of each source class
+covariance, after which that mean is exactly the identity.
+
+Label alignment first maps the source label space onto the target label
+space (:func:`match_labels`); each entry point applies that mapping once,
+with :func:`relabel`, where it builds a source view. From then on there is
+one label space: a source domain's class means are keyed by target label,
+and per-class re-centering (``la``) gives the trials of each source class
 ``A = Ct^{1/2} Cs^{-1/2}`` for the Log-Euclidean class means ``Cs``
-(source) and ``Ct`` (matched target class), and relabels them to the
-target label. ``A Cs Aᵀ = Ct`` holds exactly, but the Log-Euclidean mean
-of the aligned trials ``A Cᵢ Aᵀ`` is in general not ``Ct``: that mean
-commutes only with orthogonal congruences. :func:`la_per_trial` turns the
-class matrices into each source trial's matrix and target label; the
-harness applies them to covariance stacks (:func:`la_align`) and
-``labelalign align`` to the raw trials, streamed one subject at a time.
-What does not depend on the label budget (the whitened stack, the
-inverse roots of the source class means) is computed once per :class:`Domain`.
+(source) and ``Ct`` (target) of the same label. ``A Cs Aᵀ = Ct`` holds
+exactly, but the Log-Euclidean mean of the aligned trials ``A Cᵢ Aᵀ`` is in
+general not ``Ct``: that mean commutes only with orthogonal congruences.
+:func:`la_per_trial` turns the class matrices into each source trial's
+matrix; the harness applies them to covariance stacks (:func:`la_align`)
+and ``labelalign align`` to the raw trials, streamed one subject at a time.
+What does not depend on the label budget (the whitened stack, the inverse
+roots of the source class means) is computed once per :class:`Domain`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -55,10 +59,6 @@ class LabelMapping:
     @property
     def source_labels(self) -> tuple:
         return tuple(s for s, _ in self.pairs)
-
-    @property
-    def target_labels(self) -> tuple:
-        return tuple(t for _, t in self.pairs)
 
 
 def match_labels(source_labels, target_labels, seed: int = 0) -> LabelMapping:
@@ -109,17 +109,17 @@ def target_means(labeled: CovStack, labels, n_classes: int) -> dict | None:
     return class_means(labeled.covs, labels, labeled.logs)
 
 
-def la_fit(source_inv_roots: dict, target_means: dict, mapping: LabelMapping) -> dict:
-    """``{source label: Ct^{1/2} Cs^{-1/2}}`` from a source's
-    :func:`class_inv_roots` (``Cs^{-1/2}`` per label) and the target class means."""
-    for src_label, tgt_label in mapping.pairs:
-        if src_label not in source_inv_roots:
-            raise MissingClassError(f"no source trials for label {src_label!r}", src_label)
-        if tgt_label not in target_means:
-            raise MissingClassError(f"no target mean for label {tgt_label!r}", tgt_label)
-    halves = spd_sqrt(np.stack([target_means[t] for t in mapping.target_labels]))
-    inv_halves = np.stack([source_inv_roots[s] for s in mapping.source_labels])
-    return dict(zip(mapping.source_labels, halves @ inv_halves))
+def la_fit(source_inv_roots: dict, target_means: dict) -> dict:
+    """``{label: Ct^{1/2} Cs^{-1/2}}`` from a source's :func:`class_inv_roots`
+    (``Cs^{-1/2}`` per label, the source relabeled to target labels) and the
+    target class means ``Ct``, paired by label."""
+    for label in sorted(source_inv_roots.keys() ^ target_means.keys()):
+        what = "no target mean" if label in source_inv_roots else "no source trials"
+        raise MissingClassError(f"{what} for label {label!r}", label)
+    labels = sorted(target_means)
+    halves = spd_sqrt(np.stack([target_means[l] for l in labels]))
+    inv_halves = np.stack([source_inv_roots[l] for l in labels])
+    return dict(zip(labels, halves @ inv_halves))
 
 
 def relabel(labels, mapping: LabelMapping) -> Array:
@@ -127,14 +127,14 @@ def relabel(labels, mapping: LabelMapping) -> Array:
     return np.array(_lookup(mapping.as_dict(), labels, "mapped label"), dtype=np.int64)
 
 
-def la_per_trial(matrices: dict, labels, mapping: LabelMapping) -> tuple[Array, Array]:
-    """Each source trial's :func:`la_fit` class matrix (n, C, C) and target label (n,)."""
-    return np.stack(_lookup(matrices, labels, "transform")), relabel(labels, mapping)
+def la_per_trial(matrices: dict, labels) -> Array:
+    """Each trial's :func:`la_fit` class matrix (n, C, C), looked up by its label."""
+    return np.stack(_lookup(matrices, labels, "transform"))
 
 
-def la_align(matrices: dict, stack: CovStack, mapping: LabelMapping) -> CovStack:
-    """Transform each source trial covariance by its class matrix and relabel it."""
-    return stack.transformed(*la_per_trial(matrices, stack.labels, mapping))
+def la_align(matrices: dict, stack: CovStack) -> CovStack:
+    """Transform each source trial covariance by its class matrix."""
+    return stack.transformed(la_per_trial(matrices, stack.labels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,13 +170,12 @@ def align(
     strategy: str,
     sources: Sequence[Domain],
     target: Domain,
-    mapping: LabelMapping | None = None,
     target_means: dict | None = None,
 ) -> tuple[list[CovStack], CovStack]:
     """Dispatch one alignment strategy over all source subjects.
 
-    Returns the aligned source stacks, relabeled to target labels when a
-    mapping is supplied, and the aligned target stack.
+    Returns the aligned source stacks and the aligned target stack. The
+    source domains already carry target labels, so no strategy relabels.
 
     * ``raw``: covariances pass through unchanged.
     * ``ea``: every subject, including the target, is whitened with its own
@@ -186,19 +185,12 @@ def align(
       target is untouched. The new source stacks carry no logs.
     """
     if strategy == "la":
-        if mapping is None or target_means is None:
-            raise ConfigError("la alignment needs a label mapping and target means")
-        stacks = [
-            la_align(la_fit(d.inv_roots, target_means, mapping), d.stack, mapping)
-            for d in sources
-        ]
+        if target_means is None:
+            raise ConfigError("la alignment needs target means")
+        stacks = [la_align(la_fit(d.inv_roots, target_means), d.stack) for d in sources]
         return stacks, target.stack
     if strategy == "ea":
-        stacks, aligned_target = [d.ea_stack for d in sources], target.ea_stack
-    elif strategy == "raw":
-        stacks, aligned_target = [d.stack for d in sources], target.stack
-    else:
-        raise ConfigError(f"unknown alignment strategy {strategy!r}")
-    if mapping is not None:
-        stacks = [replace(s, labels=relabel(s.labels, mapping)) for s in stacks]
-    return stacks, aligned_target
+        return [d.ea_stack for d in sources], target.ea_stack
+    if strategy == "raw":
+        return [d.stack for d in sources], target.stack
+    raise ConfigError(f"unknown alignment strategy {strategy!r}")

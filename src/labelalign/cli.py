@@ -34,6 +34,7 @@ from .experiment import (
     label_view,
     load_scenario,
     run_scenario,
+    source_view,
     subject_stacks,
 )
 from .features import covariance_stack
@@ -51,10 +52,10 @@ def _cmd_synth(args) -> int:
         raise ConfigError(f"cannot load synth config {args.config}: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    subjects = synthetic_subjects(cfg)  # written as generated, one subject held at a time
+    prototypes, shifts = synthetic_parameters(cfg)
+    subjects = synthetic_subjects(cfg, prototypes, shifts)  # written one at a time, as generated
     entries = [_write_subject(out, f"s{i}", next(subjects)) for i in range(cfg.subjects)]
     write_manifest(out / "manifest.json", 100.0, range(cfg.classes), entries)
-    prototypes, shifts = synthetic_parameters(cfg)
     parameters = {
         "prototypes": [p.tolist() for p in prototypes],
         "shifts": [w.tolist() for w in shifts],
@@ -94,8 +95,8 @@ def _cmd_align(args) -> int:
     names = [e.name for e in manifest.subjects]
     if args.strategy == "la" and args.target_subject not in names:
         raise ConfigError(f"unknown target subject {args.target_subject!r}")
-    # First pass: check every subject and fit its alignment (A, mapping),
-    # keeping none of its trials. Nothing is written unless every subject passes.
+    # First pass: check every subject and fit its alignment (A, an LA source's target
+    # labels), keeping none of its trials; nothing is written unless every subject passes.
     fits = [(None, None)] * len(names)  # raw, and the LA target, pass through
     if args.strategy == "raw":  # computes no covariances: rank-deficient trials pass
         for name, count in zip(names, map(len, manifest.iter_subjects())):
@@ -117,13 +118,13 @@ def _cmd_align(args) -> int:
             )
         for i, (name, stack) in enumerate(zip(names, stacks)):
             if i != target:
-                source = label_view(name, stack, "source", source_set)
-                fits[i] = la_fit(class_inv_roots(source), means, mapping), mapping
+                source = source_view(name, stack, mapping)
+                fits[i] = la_fit(class_inv_roots(source), means), source.labels
     # Second pass: re-read, align and write one subject at a time.
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     subjects = manifest.iter_subjects()
-    entries = [_write_subject(out, name, _aligned(next(subjects), *fit))
+    entries = [_write_subject(out, name, _aligned(next(subjects), *fit, source_set))
                for name, fit in zip(names, fits)]
     label_set = sorted({l for _, _, labels in entries for l in read_labels(out / labels)})
     write_manifest(out / "manifest.json", manifest.sample_rate, label_set, entries)
@@ -131,16 +132,15 @@ def _cmd_align(args) -> int:
     return 0
 
 
-def _aligned(trials, a, mapping):
-    """``trials`` aligned as ``A X``: unchanged (``a`` None), by one matrix ``a``, or by
-    a source's :func:`la_fit` class matrices ``a``, keeping its source-label trials, relabeled."""
+def _aligned(trials, a, labels, source_set):
+    """``trials`` aligned as ``A X``: unchanged (``a`` None), by one matrix ``a``, or by a
+    source's :func:`la_fit` class matrices ``a``, its source view relabeled to ``labels``."""
     if a is None:
         return trials
-    if mapping is None:
+    if labels is None:
         return [Trial(a @ t.data, t.label) for t in trials]
-    kept = [t for t in trials if t.label in mapping.source_labels]
-    per_trial, labels = la_per_trial(a, [t.label for t in kept], mapping)
-    return [Trial(m @ t.data, int(l)) for m, t, l in zip(per_trial, kept, labels)]
+    kept = [t for t in trials if t.label in source_set]
+    return [Trial(m @ t.data, int(l)) for m, t, l in zip(la_per_trial(a, labels), kept, labels)]
 
 
 def _cmd_kmedoids(args) -> int:

@@ -7,11 +7,12 @@ covariance stack (n, C, C) once, with the time-centred scatter when CSP
 runs, and split into a source view (source labels) and a target pool
 (target labels). The subjects are read (or generated) one at a time and
 each one's raw trials are dropped once its stack is built, so at most one
-subject's raw trials are in memory. What depends on neither the target nor
-the budget is computed with them, once per scenario: each view's
-EA-whitened stack, the inverse roots of the source class means and, when
-ts-svm, ts-lda or mdm runs, the matrix logs of the raw and whitened source
-views. A target pool carries no logs: only its labeled trials are ever
+subject's raw trials are in memory. Each source view is relabeled to the
+target labels as it is built, the one place the label mapping is applied.
+What depends on neither the target nor the budget is computed with them,
+once per scenario: each view's EA-whitened stack, the inverse roots of the
+source class means and, when ts-svm, ts-lda or mdm runs, the matrix logs of
+the raw and whitened source views. A target pool carries no logs: only its labeled trials are ever
 logged, once they are picked. One unit per target subject then aligns only
 those stacks, never raw trials. Under ``jobs`` > 1 each pool worker
 receives the scenario's domains once, at start-up (inherited, not pickled,
@@ -38,14 +39,14 @@ import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import classifiers
-from .alignment import Domain, align, domain, match_labels, target_means
+from .alignment import Domain, LabelMapping, align, domain, match_labels, relabel, target_means
 from .dataio import Trial, load_manifest
 from .errors import (
     ConfigError,
@@ -68,9 +69,9 @@ from .features import (
 from .report import ExperimentReport
 from .rng import derive_key
 from .selection import k_medoids, pairwise_distances
-from .spd import spd_exp
+from .spd import log_euclidean_mean
 from .stats import student_t_two_sided_p
-from .synth import SynthConfig, synthetic_subjects
+from .synth import SynthConfig, synthetic_parameters, synthetic_subjects
 
 STRATEGIES = ("raw", "ea", "la")
 PIPELINES = ("csp-lda", "ts-svm", "ts-lda", "mdm")
@@ -199,7 +200,7 @@ def fit_predict_cell(
     if LOG_PIPELINES.intersection(pipelines):
         train = train.with_logs()
     if "ts-svm" in pipelines or "ts-lda" in pipelines:
-        ref = spd_exp(np.mean(train.logs, axis=0))
+        ref = log_euclidean_mean(train.covs, train.logs)
         feats, test_feats = ts_features(ref, train.covs), ts_features(ref, test.covs)
     preds = {}
     for pipeline in pipelines:
@@ -232,7 +233,8 @@ def _load_subjects(spec: ScenarioSpec) -> tuple[list[str], Iterator[list[Trial]]
     """The subject names, and an iterator that reads (or generates) each
     subject's trials when it is asked for the next."""
     if spec.synth is not None:
-        return [f"s{i}" for i in range(spec.synth.subjects)], synthetic_subjects(spec.synth)
+        names = [f"s{i}" for i in range(spec.synth.subjects)]
+        return names, synthetic_subjects(spec.synth, *synthetic_parameters(spec.synth))
     manifest = load_manifest(spec.manifest)
     return [e.name for e in manifest.subjects], manifest.iter_subjects()
 
@@ -272,9 +274,17 @@ def label_view(name: str, stack: CovStack, role: str, labels: Sequence[int]) -> 
     return stack.take(np.isin(stack.labels, labels))
 
 
-def _scenario_domains(spec: ScenarioSpec, names, subjects) -> list[tuple[Domain, Domain]]:
-    """Each subject's source view and target pool as domains; the source views
-    carry their logs when a pipeline needs them, the target pools never do."""
+def source_view(name: str, stack: CovStack, mapping: LabelMapping) -> CovStack:
+    """The trials of one subject's stack whose label is a source label of
+    ``mapping``, relabeled to their matched target labels."""
+    view = label_view(name, stack, "source", mapping.source_labels)
+    return replace(view, labels=relabel(view.labels, mapping))
+
+
+def _scenario_domains(spec, mapping, names, subjects) -> list[tuple[Domain, Domain]]:
+    """Each subject's source view (in target labels) and target pool as
+    domains; the source views carry their logs when a pipeline needs them,
+    the target pools never do."""
     stacks = subject_stacks(names, subjects, spec.shrinkage, "csp-lda" in spec.pipelines)
     logs = bool(LOG_PIPELINES.intersection(spec.pipelines))
     domains = []
@@ -285,19 +295,19 @@ def _scenario_domains(spec: ScenarioSpec, names, subjects) -> list[tuple[Domain,
                 f"target subject {name} has {len(target.covs)} trials in the target "
                 f"label set; the k grid needs more than {max(spec.k_grid)}"
             )
-        source = label_view(name, stack, "source", spec.source_labels)
+        source = source_view(name, stack, mapping)
         domains.append((domain(source, source=True, logs=logs), domain(target)))
     return domains
 
 
-# The (spec, mapping, names, domains) of the scenario in a pool worker; the
-# parent process never sets it.
+# The (spec, names, domains) of the scenario in a pool worker; the parent
+# process never sets it.
 _WORKER_SCENARIO = None
 
 
-def _start_worker(spec, mapping, names, domains) -> None:
+def _start_worker(spec, names, domains) -> None:
     global _WORKER_SCENARIO
-    _WORKER_SCENARIO = (spec, mapping, names, domains)
+    _WORKER_SCENARIO = (spec, names, domains)
 
 
 def _worker_unit(i: int) -> tuple[str, list, list]:
@@ -309,7 +319,7 @@ def _labeled(stack: CovStack, medoids, logs: bool) -> CovStack:
     return part.with_logs() if logs else part
 
 
-def _subject_unit(spec, mapping, names, domains, i: int) -> tuple[str, list, list]:
+def _subject_unit(spec, names, domains, i: int) -> tuple[str, list, list]:
     """Evaluate target subject ``names[i]`` over the whole k grid.
 
     Its target pool is ``domains[i]``'s and its sources are the source views
@@ -337,13 +347,7 @@ def _subject_unit(spec, mapping, names, domains, i: int) -> tuple[str, list, lis
             if strategy == "la" and means is None:
                 effective = "ea"
                 fallbacks.append([name, k])
-            aligned_sources, aligned_target = align(
-                effective,
-                sources,
-                target,
-                mapping=mapping,
-                target_means=means if effective == "la" else None,
-            )
+            aligned_sources, aligned_target = align(effective, sources, target, means)
             view = "ea" if effective == "ea" else "raw"
             if view not in labeled:
                 labeled[view] = _labeled(aligned_target, medoids, logs)
@@ -371,11 +375,10 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
     names, subjects = _load_subjects(spec)
     if len(names) < 2:
         raise ConfigError("need at least two subjects for leave-one-subject-out")
-    domains = _scenario_domains(spec, names, subjects)
     mapping = match_labels(
         spec.source_labels, spec.target_labels, derive_key(spec.seed, "mapping")
     )
-    scenario = (spec, mapping, names, domains)
+    scenario = (spec, names, _scenario_domains(spec, mapping, names, subjects))
     if jobs > 1:
         workers = min(jobs, len(names))
         with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=scenario) as pool:

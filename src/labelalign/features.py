@@ -50,11 +50,11 @@ class CovStack:
     def take(self, idx) -> CovStack:
         return CovStack(*(None if a is None else a[idx] for a in vars(self).values()))
 
-    def transformed(self, a: Array, labels: Array | None = None) -> CovStack:
-        """Congruence by ``a`` ((C, C) or one matrix per trial), optionally relabeled."""
+    def transformed(self, a: Array) -> CovStack:
+        """Congruence by ``a`` ((C, C) or one matrix per trial)."""
         return CovStack(
             congruence(a, self.covs),
-            self.labels if labels is None else labels,
+            self.labels,
             None if self.scatter is None else congruence(a, self.scatter),
         )
 

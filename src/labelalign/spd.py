@@ -194,19 +194,21 @@ def tangent_map(ref: Array, p: Array) -> Array:
     return flatten_sym(symmetrize(half @ spd_log(inv_half @ p @ inv_half) @ half))
 
 
-def log_euclidean_mean(ps) -> Array:
-    """exp of the arithmetic mean of matrix logarithms."""
-    logs = spd_log(as_stack(ps, "log_euclidean_mean"))
+def log_euclidean_mean(ps, logs: Array | None = None) -> Array:
+    """exp of the mean matrix log of ``ps``, from their ``logs`` when given."""
+    if logs is None:
+        logs = spd_log(as_stack(ps, "log_euclidean_mean"))
     return spd_exp(np.mean(logs, axis=0))
 
 
 def class_means(covs: Array, labels, logs: Array | None = None) -> dict:
-    """Log-Euclidean mean of the matrices of each label, keyed by label, from
-    their matrix ``logs`` (taken here when not given)."""
+    """:func:`log_euclidean_mean` of the matrices of each label, keyed by
+    label, from their matrix ``logs`` (taken here, in one batch, when not given)."""
     labels = np.asarray(labels)
     if logs is None:
         logs = spd_log(covs)
-    return {int(l): spd_exp(np.mean(logs[labels == l], axis=0)) for l in np.unique(labels)}
+    masks = {int(l): labels == l for l in np.unique(labels)}
+    return {l: log_euclidean_mean(covs[m], logs[m]) for l, m in masks.items()}
 
 
 def arithmetic_mean_cov(ps) -> Array:

@@ -111,12 +111,11 @@ def synthetic_parameters(cfg: SynthConfig) -> tuple[tuple, tuple]:
             draw("shift", cfg.subject_shift, cfg.subjects))
 
 
-def synthetic_subjects(cfg: SynthConfig) -> Iterator[list[Trial]]:
-    """Each subject's labeled trials in turn, generated as the next is asked
-    for, so that one subject at a time need be held."""
+def synthetic_subjects(cfg: SynthConfig, prototypes, shifts) -> Iterator[list[Trial]]:
+    """Each subject's labeled trials in turn, from ``cfg``'s :func:`synthetic_parameters`,
+    generated as the next is asked for, so that one subject at a time need be held."""
     c, df = cfg.channels, cfg.noise_df
     batch = max(1, _BATCH_WORDS // (c * max(cfg.samples, df or 0)))
-    prototypes, shifts = synthetic_parameters(cfg)
     proto_sqrts = [spd_sqrt(p) for p in prototypes]
     for s, shift in enumerate(shifts):
         trials = []
@@ -140,4 +139,5 @@ def generate_synthetic(cfg: SynthConfig) -> SynthDataset:
     Prototypes and shifts are returned so tests can compare estimates
     against the ground truth.
     """
-    return SynthDataset(cfg, tuple(synthetic_subjects(cfg)), *synthetic_parameters(cfg))
+    prototypes, shifts = synthetic_parameters(cfg)
+    return SynthDataset(cfg, tuple(synthetic_subjects(cfg, prototypes, shifts)), prototypes, shifts)

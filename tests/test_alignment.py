@@ -21,6 +21,7 @@ from labelalign.errors import (
     UnknownLabelError,
 )
 from labelalign.dataio import Trial
+from labelalign.experiment import source_view
 from labelalign.features import CovStack, covariance_stack, trial_covariance
 from labelalign.selection import k_medoids, pairwise_distances
 from labelalign.spd import (
@@ -41,6 +42,11 @@ def stack_of(trials):
 def inv_roots(stack):
     """Inverse roots of the stack's class means, as a source domain keeps them."""
     return domain(stack, source=True).inv_roots
+
+
+def in_target_labels(stack, mapping):
+    """A source stack relabeled to target labels: the harness's source view."""
+    return source_view("s0", stack, mapping)
 
 
 def random_trials(rng, count, channels, samples, label=0):
@@ -187,15 +193,15 @@ class TestLabelAlignment:
         stack = stack_of(trials_with_covariance(rng, cov, 3, label=0))
         target = {5: cov}
         mapping = LabelMapping(((0, 5),))
-        transform = la_fit(inv_roots(stack), target, mapping)
-        assert np.allclose(transform[0], np.eye(3), atol=1e-10)
+        transform = la_fit(inv_roots(in_target_labels(stack, mapping)), target)
+        assert np.allclose(transform[5], np.eye(3), atol=1e-10)
 
     def test_diagonal_closed_form(self):
         rng = np.random.default_rng(118)
         stack = stack_of(trials_with_covariance(rng, np.diag([4.0, 1.0]), 2, label=0))
         target = {1: np.diag([1.0, 4.0])}
-        transform = la_fit(inv_roots(stack), target, LabelMapping(((0, 1),)))
-        assert np.allclose(transform[0], np.diag([0.5, 2.0]), atol=1e-10)
+        transform = la_fit(inv_roots(in_target_labels(stack, LabelMapping(((0, 1),)))), target)
+        assert np.allclose(transform[1], np.diag([0.5, 2.0]), atol=1e-10)
 
     def test_recenters_class_mean_exactly(self):
         rng = np.random.default_rng(119)
@@ -203,8 +209,8 @@ class TestLabelAlignment:
         target_mean = random_spd(rng, 8, scale=0.8)
         target = {2: target_mean}
         mapping = LabelMapping(((0, 2),))
-        transform = la_fit(inv_roots(stack), target, mapping)
-        a = transform[0]
+        transform = la_fit(inv_roots(in_target_labels(stack, mapping)), target)
+        a = transform[2]
         source_mean = log_euclidean_mean(stack.covs)
         gap = a @ source_mean @ a.T - target_mean
         assert np.linalg.norm(gap) <= 1e-9 * np.linalg.norm(target_mean)
@@ -214,11 +220,11 @@ class TestLabelAlignment:
         cov0, cov1 = random_spd(rng, 3), random_spd(rng, 3)
         trials = trials_with_covariance(rng, cov0, 4, label=0)
         trials += trials_with_covariance(rng, cov1, 4, label=1)
-        stack = stack_of(trials)
         t_means = {7: random_spd(rng, 3), 9: random_spd(rng, 3)}
         mapping = LabelMapping(((0, 7), (1, 9)))
-        transform = la_fit(inv_roots(stack), t_means, mapping)
-        aligned = la_align(transform, stack, mapping)
+        stack = in_target_labels(stack_of(trials), mapping)
+        transform = la_fit(inv_roots(stack), t_means)
+        aligned = la_align(transform, stack)
         assert aligned.labels.tolist() == [7] * 4 + [9] * 4
         for label in (7, 9):
             mean = log_euclidean_mean(aligned.covs[aligned.labels == label])
@@ -230,18 +236,17 @@ class TestLabelAlignment:
     def test_identity_transform_only_relabels(self):
         rng = np.random.default_rng(121)
         stack = stack_of([Trial(rng.standard_normal((2, 20)), label=0)])
-        out = la_align({0: np.eye(2)}, stack, LabelMapping(((0, 4),)))
+        out = la_align({4: np.eye(2)}, in_target_labels(stack, LabelMapping(((0, 4),))))
         assert np.array_equal(out.covs, stack.covs)
         assert out.labels.tolist() == [4]
 
     def test_within_class_distances_preserved(self):
         rng = np.random.default_rng(122)
-        stack = stack_of(random_trials(rng, 5, 4, 50))
+        stack = in_target_labels(stack_of(random_trials(rng, 5, 4, 50)), LabelMapping(((0, 1),)))
         target = {1: random_spd(rng, 4)}
-        mapping = LabelMapping(((0, 1),))
-        transform = la_fit(inv_roots(stack), target, mapping)
+        transform = la_fit(inv_roots(stack), target)
         before = stack.covs
-        after = la_align(transform, stack, mapping).covs
+        after = la_align(transform, stack).covs
         for i in range(5):
             for j in range(i + 1, 5):
                 d0 = riemannian_distance(before[i], before[j])
@@ -251,31 +256,33 @@ class TestLabelAlignment:
     def test_missing_class_errors(self):
         rng = np.random.default_rng(123)
         stack = stack_of([Trial(rng.standard_normal((2, 20)), label=0)])
-        source = inv_roots(stack)
-        target = {4: np.eye(2)}
-        with pytest.raises(MissingClassError):
-            la_fit(source, target, LabelMapping(((1, 4),)))
-        with pytest.raises(MissingClassError):
-            la_fit(source, target, LabelMapping(((0, 9),)))
+        source = inv_roots(stack)  # label 0, in target labels
+        with pytest.raises(MissingClassError, match="no source trials for label 4") as info:
+            la_fit(source, {0: np.eye(2), 4: np.eye(2)})
+        assert info.value.label == 4
+        with pytest.raises(MissingClassError, match="no target mean for label 9") as info:
+            la_fit({**source, 9: np.eye(2)}, {0: np.eye(2)})
+        assert info.value.label == 9
 
     def test_unknown_label_on_align(self):
         rng = np.random.default_rng(124)
         transform = {0: np.eye(2)}
         stray = stack_of([Trial(rng.standard_normal((2, 20)), label=3)])
         with pytest.raises(UnknownLabelError):
-            la_align(transform, stray, LabelMapping(((0, 1),)))
+            la_align(transform, stray)
 
     def test_aligned_covariances_match_aligned_trials(self):
         # A C Aᵀ on the stack is what re-multiplying the raw trials by A
         # and recomputing their covariances gives, scatter included.
         rng = np.random.default_rng(130)
         trials = random_trials(rng, 3, 4, 30, label=0) + random_trials(rng, 3, 4, 30, label=1)
-        stack = covariance_stack(trials, scatter=True)
         means = {5: random_spd(rng, 4), 6: random_spd(rng, 4)}
         mapping = LabelMapping(((0, 5), (1, 6)))
-        transform = la_fit(inv_roots(stack), means, mapping)
-        aligned = la_align(transform, stack, mapping)
-        moved = [Trial(transform[t.label] @ t.data, label=t.label) for t in trials]
+        stack = in_target_labels(covariance_stack(trials, scatter=True), mapping)
+        transform = la_fit(inv_roots(stack), means)
+        aligned = la_align(transform, stack)
+        target_label = mapping.as_dict()
+        moved = [Trial(transform[target_label[t.label]] @ t.data, label=t.label) for t in trials]
         reference = covariance_stack(moved, scatter=True)
         assert relative_error(aligned.covs, reference.covs) <= 1e-12
         assert relative_error(aligned.scatter, reference.scatter) <= 1e-12
@@ -295,9 +302,8 @@ class TestAlignDispatch:
         rng = np.random.default_rng(126)
         source = stack_of([Trial(rng.standard_normal((2, 20)), label=0)])
         target = stack_of([Trial(rng.standard_normal((2, 20)), label=1)])
-        sources, _ = align(
-            "raw", [domain(source)], domain(target), mapping=LabelMapping(((0, 1),))
-        )
+        source_view = in_target_labels(source, LabelMapping(((0, 1),)))
+        sources, _ = align("raw", [domain(source_view)], domain(target))
         assert np.array_equal(sources[0].covs, source.covs)
         assert sources[0].labels.tolist() == [1]
 
@@ -315,12 +321,9 @@ class TestAlignDispatch:
         source = stack_of(trials_with_covariance(rng, random_spd(rng, 3), 4, label=0))
         target_mean = random_spd(rng, 3)
         means = {5: target_mean}
-        mapping = LabelMapping(((0, 5),))
+        source = in_target_labels(source, LabelMapping(((0, 5),)))
         empty_target = domain(CovStack(np.eye(3)[None], np.array([5])))
-        sources, _ = align(
-            "la", [domain(source, source=True)], empty_target, mapping=mapping,
-            target_means=means,
-        )
+        sources, _ = align("la", [domain(source, source=True)], empty_target, target_means=means)
         assert np.linalg.norm(
             log_euclidean_mean(sources[0].covs) - target_mean
         ) <= 1e-8 * np.linalg.norm(target_mean)
@@ -338,11 +341,12 @@ class TestAlignDispatch:
 
     def test_ea_and_raw_return_the_domain_stacks(self):
         rng = np.random.default_rng(132)
-        source = domain(stack_of(random_trials(rng, 5, 3, 30)), source=True, logs=True)
-        target = domain(stack_of(random_trials(rng, 5, 3, 30, label=1)), logs=True)
         mapping = LabelMapping(((0, 1),))
+        source_view = in_target_labels(stack_of(random_trials(rng, 5, 3, 30)), mapping)
+        source = domain(source_view, source=True, logs=True)
+        target = domain(stack_of(random_trials(rng, 5, 3, 30, label=1)), logs=True)
         for strategy, view in (("raw", "stack"), ("ea", "ea_stack")):
-            sources, aligned_target = align(strategy, [source], target, mapping=mapping)
+            sources, aligned_target = align(strategy, [source], target)
             assert aligned_target is getattr(target, view)
             assert sources[0].covs is getattr(source, view).covs
             assert sources[0].logs is getattr(source, view).logs

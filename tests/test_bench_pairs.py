@@ -75,7 +75,10 @@ def test_a_run_that_writes_no_result_reads_no_stale_one(tmp_path, monkeypatch):
     assert run["env"] == {} and run["digests"] == set()
 
 
-def test_a_row_carries_the_counts_of_one_traced_run_per_side(tmp_path, monkeypatch):
+def stub_pairs(monkeypatch, tmp_path, change_absent=()):
+    """``bench_pairs`` with ``run_once`` stubbed: both sides pass, and the
+    change's traced result lacks the metrics ``change_absent``, which it
+    reports absent. Returns the module and the list of (side, trace) calls."""
     bench_pairs = load_bench_pairs()
     trees = {"parent": tmp_path / "parent", "change": bench_pairs.ROOT}
     calls = []
@@ -83,19 +86,28 @@ def test_a_row_carries_the_counts_of_one_traced_run_per_side(tmp_path, monkeypat
     def stub_run(tree, workload, seed, seconds, trace=0):
         side = "parent" if tree == trees["parent"] else "change"
         calls.append((side, trace))
+        absent = list(change_absent) if trace and side == "change" else []
         if trace:
             matrices = {"parent": 15456, "change": 14832}[side]
             metrics = {"spd.eig.matrices": {"value": matrices, "unit": "count"},
                        "spd.eig.calls": {"value": 900, "unit": "count"},
+                       "spd.log_euclidean_mean.s": {"value": 0.1, "unit": "s"},
                        "trace.wall_s": {"value": 0.5, "unit": "s"}}
+            for name in absent:
+                del metrics[name]
         else:
             metrics = {m: {"value": 1.0} for m in ("wall_s", "cpu_s", "setup_s",
                                                     "peak_rss_mb", "acc_mean", "acc_la_mean")}
-        return {"code": 0, "seed": 7, "env": {}, "digests": {"d"},
+        return {"code": 0, "seed": 7, "env": {}, "digests": {"d"}, "absent": absent,
                 "result": {"attempted": 5, "failed": 0, "metrics": metrics}}
 
     monkeypatch.setattr(bench_pairs, "export_parent", lambda rev: trees["parent"])
     monkeypatch.setattr(bench_pairs, "run_once", stub_run)
+    return bench_pairs, calls
+
+
+def test_a_row_carries_the_counts_of_one_traced_run_per_side(tmp_path, monkeypatch):
+    bench_pairs, calls = stub_pairs(monkeypatch, tmp_path)
     out = tmp_path / "BENCH.json"
     assert bench_pairs.main(["--workload", "loso-disk-jobs2", "--pairs", "2",
                              "--out", str(out)]) == 0
@@ -107,6 +119,23 @@ def test_a_row_carries_the_counts_of_one_traced_run_per_side(tmp_path, monkeypat
         "change": {"spd.eig.matrices": 14832, "spd.eig.calls": 900},
     }
     assert row["digests_equal"] and row["metrics"]["wall_s"]["change_better_pairs"] == "0/2"
+    assert row["traced_absent"] == {"parent": [], "change": []}
+    assert row["traced_dropped"] == []
+
+
+def test_a_metric_missing_from_the_change_traced_run_fails(tmp_path, monkeypatch, capsys):
+    bench_pairs, _ = stub_pairs(monkeypatch, tmp_path,
+                                change_absent=["spd.log_euclidean_mean.s"])
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--workload", "loso-c8-full", "--pairs", "2",
+                             "--out", str(out)]) == 1
+    row = json.loads(out.read_text())["pairs"]["loso-c8-full --seed 7"]
+    assert row["failed"] == {"parent": 0, "change": 0}  # every repetition passed
+    assert row["traced_absent"] == {"parent": [], "change": ["spd.log_euclidean_mean.s"]}
+    assert "spd.log_euclidean_mean.s" in row["traced_metrics"]["parent"]
+    assert "spd.log_euclidean_mean.s" not in row["traced_metrics"]["change"]
+    assert row["traced_dropped"] == ["spd.log_euclidean_mean.s"]
+    assert "spd.log_euclidean_mean.s: in the parent's result" in capsys.readouterr().err
 
 
 def test_a_traced_run_reads_its_own_result_file(tmp_path, monkeypatch):

@@ -5,12 +5,16 @@ workload is pinned, so that the benchmark's timings compare identical data
 across changes to the generator."""
 
 import hashlib
+import importlib
 import importlib.util
 import os
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from labelalign import synth
 from labelalign.dataio import load_manifest
 from labelalign.synth import SynthConfig, generate_synthetic
 
@@ -60,3 +64,43 @@ def test_workload_data_is_pinned(monkeypatch, name):
         for t in trials:
             digest.update(t.data.tobytes() + bytes([t.label]))
     assert digest.hexdigest() == WORKLOAD_DIGESTS[name]
+
+
+def test_the_generator_draws_its_parameters_once(monkeypatch):
+    """On loso-c8-full (4 classes, 3 subjects) the prototypes and shifts take
+    one key and one ``spd_exp`` each, and the trials reuse them: 7 keys, and
+    35 eigensolves with the 4 prototype roots and 24 batched noise roots."""
+    workload = load_run(monkeypatch).WORKLOADS["loso-c8-full"]
+    calls = Counter()
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(synth, "derive_key", counted("derive_key", synth.derive_key))
+    data = generate_synthetic(SynthConfig(**workload.synth_fields(workload.seed)))
+    assert calls == {"eigh": 35, "derive_key": 7}
+    assert len(data.prototypes) == 4 and len(data.shifts) == 3
+
+
+def test_every_benchmark_metric_keeps_a_hook(monkeypatch):
+    """``perfbench/spans.py`` wraps functions of ``src/`` by name and reports
+    a per-layer metric as absent when every hook that feeds it has lost its
+    target; the traced benchmark result then lacks that metric."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("spans").Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert tracer.absent() == set()
+    # The targets already gone, whose metrics other hooks still feed (the
+    # ``*_predict_many`` functions and ``load_manifest``): no other may go.
+    assert tracer.missing == [
+        "labelalign.classifiers:svm_predict",
+        "labelalign.classifiers:lda_predict",
+        "labelalign.dataio:DatasetManifest.load_all",
+    ]

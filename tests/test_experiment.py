@@ -24,6 +24,7 @@ from labelalign.alignment import (
     align,
     ea_reference,
     match_labels,
+    relabel,
     target_means,
 )
 from labelalign.classifiers import mdm_fit
@@ -63,6 +64,13 @@ from labelalign.synth import SynthConfig, generate_synthetic, synthetic_subjects
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_SPEC = FIXTURES / "golden_spec.json"
+
+
+def scenario_domains(spec, names, subjects):
+    """``_scenario_domains`` under the label mapping that ``run_scenario`` draws."""
+    mapping = match_labels(spec.source_labels, spec.target_labels,
+                           derive_key(spec.seed, "mapping"))
+    return experiment._scenario_domains(spec, mapping, names, subjects)
 
 
 @dataclass
@@ -197,7 +205,7 @@ class TestPoolDispatch:
         report = run_scenario(spec, jobs=2)
         (pool,) = recording_pools
         assert pool.starts == 1
-        got_spec, _, names, domains = pool.initargs
+        got_spec, names, domains = pool.initargs
         assert got_spec == spec and names == ["s0", "s1", "s2"]
         assert len(domains) == 3
         assert all(isinstance(d, Domain) for pair in domains for d in pair)
@@ -236,7 +244,7 @@ class TestLosoLeakage:
         calls = [(train.covs, test.covs) for train, test, _ in golden_run.cells]
         names, subjects = experiment._load_subjects(spec)
         subjects = list(subjects)  # walked twice below
-        domains = experiment._scenario_domains(spec, names, subjects)
+        domains = scenario_domains(spec, names, subjects)
         # Each subject's whole stack (every label) under the two transforms a
         # target can receive: none (raw, la) and its pool's EA whitening (ea).
         views = {}
@@ -272,6 +280,19 @@ class TestSharedWork:
     logs each raw and whitened source matrix once and a target trial only
     once it is labeled; the results keep their bits."""
 
+    def test_each_source_view_is_relabeled_once(self, monkeypatch):
+        relabeled = []
+
+        def spy(labels, mapping):
+            relabeled.append(len(labels))
+            return relabel(labels, mapping)
+
+        for module in (alignment, experiment):
+            monkeypatch.setattr(module, "relabel", spy, raising=False)
+        report = run_scenario(load_scenario(GOLDEN_SPEC))
+        assert relabeled == [24, 24, 24]  # one source view per subject
+        assert render_report_csv(report) == (FIXTURES / "golden_report.csv").read_text()
+
     def test_one_tangent_mapping_of_train_and_of_test_per_cell(self, golden_run):
         spec = load_scenario(GOLDEN_SPEC)
         assert len(golden_run.cells) == 3 * len(spec.k_grid) * len(spec.strategies)
@@ -285,7 +306,7 @@ class TestSharedWork:
             m.tobytes() for p in golden_run.logged for m in np.reshape(p, (-1, *p.shape[-2:]))
         )
         names, subjects = experiment._load_subjects(spec)
-        domains = experiment._scenario_domains(spec, names, subjects)
+        domains = scenario_domains(spec, names, subjects)
         source_counts = [
             logged[m.tobytes()]
             for source, _ in domains for stack in (source.stack, source.ea_stack)
@@ -474,8 +495,8 @@ class TestOneSubjectAtATime:
     def test_synth_run(self, monkeypatch):
         alive = []
 
-        def spy(cfg):
-            for trials in synthetic_subjects(cfg):
+        def spy(cfg, *parameters):
+            for trials in synthetic_subjects(cfg, *parameters):
                 assert all(ref() is None for ref in alive), "an earlier subject is still held"
                 alive.extend(owners(trials))
                 yield trials
@@ -751,14 +772,12 @@ class TestCli:
                    list(load_manifest(out / "manifest.json").iter_subjects())[1:]]
 
         names, subjects = experiment._load_subjects(spec)
-        domains = experiment._scenario_domains(spec, names, subjects)
+        domains = scenario_domains(spec, names, subjects)
         pool = domains[0][1].stack
         medoids = k_medoids(pairwise_distances(pool.covs), 6)
         means = target_means(pool.take(medoids), pool.labels[medoids], 2)
-        mapping = match_labels(spec.source_labels, spec.target_labels,
-                               derive_key(spec.seed, "mapping"))
         expected, _ = align("la", [d for d, _ in domains[1:]], domains[0][1],
-                            mapping=mapping, target_means=means)
+                            target_means=means)
         assert len(written) == len(expected) == 2
         for got, want in zip(written, expected):
             assert np.array_equal(got.labels, want.labels)

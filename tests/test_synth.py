@@ -8,7 +8,12 @@ from labelalign import synth
 from labelalign.errors import ConfigError
 from labelalign.rng import CounterRng, derive_key, derive_keys
 from labelalign.spd import riemannian_distance
-from labelalign.synth import SynthConfig, generate_synthetic, synthetic_subjects
+from labelalign.synth import (
+    SynthConfig,
+    generate_synthetic,
+    synthetic_parameters,
+    synthetic_subjects,
+)
 
 
 def frob(a):
@@ -89,7 +94,7 @@ class TestGenerator:
         cfg = SynthConfig(channels=3, samples=20, classes=2, trials_per_class=3, subjects=3,
                           class_separation=1.0, subject_shift=0.5, seed=4, noise_df=5)
         data = generate_synthetic(cfg)
-        streamed = list(synthetic_subjects(cfg))
+        streamed = list(synthetic_subjects(cfg, *synthetic_parameters(cfg)))
         assert len(streamed) == len(data.subjects) == 3
         digest = hashlib.sha256()
         for trials, again in zip(data.subjects, streamed):
@@ -120,7 +125,8 @@ class TestGenerator:
             return [[(t.label, t.data.shape, t.data.tobytes()) for t in trials]
                     for trials in subjects]
 
-        assert trial_bytes(synthetic_subjects(cfg)) == trial_bytes(loop_synthetic_subjects(cfg))
+        batched = synthetic_subjects(cfg, *synthetic_parameters(cfg))
+        assert trial_bytes(batched) == trial_bytes(loop_synthetic_subjects(cfg))
 
     def test_no_shift_no_separation_gives_identity_covariances(self):
         cfg = SynthConfig(channels=4, samples=300, classes=2, trials_per_class=5,

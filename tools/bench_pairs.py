@@ -22,7 +22,10 @@ and failed per side, the exit codes, and whether the accuracy/AUC/t-test
 digests of the two trees agree. After the pairs, one ``--trace 1`` run per
 side records the count metrics of the traced run (``spd.eig.calls``,
 ``spd.eig.matrices``, ...) in the row as ``traced``, so the row carries the
-work counts a change claims to remove. Rows are keyed
+work counts a change claims to remove, with the names of all its per-layer
+metrics (``traced_metrics``) and those it reports absent (``traced_absent``).
+A per-layer metric that the parent's traced result has and the change's
+lacks is listed as ``traced_dropped`` and fails the run. Rows are keyed
 ``"W --seed S"`` and merged into ``--out``, so one file collects several
 workloads and keys written by hand survive.
 """
@@ -77,7 +80,8 @@ def run_once(tree: Path, workload: str, seed: int | None, seconds: float,
     record = json.loads(path.read_text()) if path.exists() else {"samples": {"plain": []}}
     digests = {s["digest"] for s in record["samples"]["plain"] if not s.get("errors")}
     return {"code": proc.returncode, "seed": used_seed, "result": result,
-            "env": record.get("environment", {}), "digests": digests}
+            "env": record.get("environment", {}), "digests": digests,
+            "absent": record.get("absent", [])}
 
 
 def counts(run: dict) -> dict:
@@ -135,8 +139,10 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}/{args.pairs} {side}: exit {run['code']}, wall_s {wall}",
                   file=sys.stderr)
 
-    traced = {side: counts(run_once(trees[side], args.workload, args.seed, TRACE_SECONDS, 1))
-              for side in runs}
+    traced_runs = {side: run_once(trees[side], args.workload, args.seed, TRACE_SECONDS, 1)
+                   for side in runs}
+    traced = {side: counts(run) for side, run in traced_runs.items()}
+    names = {side: sorted(run["result"].get("metrics", {})) for side, run in traced_runs.items()}
     row = {
         "attempted": {s: sum(r["result"].get("attempted", 0) for r in runs[s]) for s in runs},
         "failed": {s: sum(r["result"].get("failed", 0) for r in runs[s]) for s in runs},
@@ -144,6 +150,9 @@ def main(argv=None) -> int:
         "digests_equal": len(set().union(*(r["digests"] for s in runs for r in runs[s]))) == 1,
         "metrics": {},
         "traced": traced,
+        "traced_metrics": names,
+        "traced_absent": {side: run["absent"] for side, run in traced_runs.items()},
+        "traced_dropped": sorted(set(names["parent"]) - set(names["change"])),
     }
     for m in metrics:
         name = m["name"]
@@ -182,8 +191,12 @@ def main(argv=None) -> int:
     for name in sorted(set(traced["parent"]) | set(traced["change"])):
         print(f"traced {name}: {traced['parent'].get(name)} -> {traced['change'].get(name)}",
               file=sys.stderr)
+    for name in row["traced_dropped"]:
+        print(f"traced {name}: in the parent's result, missing from the change's",
+              file=sys.stderr)
     failed = row["failed"]["parent"] + row["failed"]["change"]
-    return 1 if failed or row["exit_codes"] != {"parent": [0], "change": [0]} else 0
+    exits_ok = row["exit_codes"] == {"parent": [0], "change": [0]}
+    return 1 if failed or not exits_ok or row["traced_dropped"] else 0
 
 
 if __name__ == "__main__":
