@@ -20,7 +20,9 @@ offset  size  contents
 
 A trial file is read into one ``(count, C, T)`` array, and the trials
 returned are writable row views of it; it is written one trial at a time,
-so neither direction makes a second copy of the payload. The harness and
+so neither direction makes a second copy of the payload. Covariance
+estimation reads the row views in bounded chunks and copies no subject
+either. The harness and
 ``labelalign align`` read a manifest one subject at a time; ``align`` reads
 each subject twice, to fit its alignment, then to align and write it.
 

@@ -7,7 +7,8 @@ covariance stack (n, C, C) once, with the time-centred scatter when CSP
 runs, and split into a source view (source labels) and a target pool
 (target labels). The subjects are read (or generated) one at a time and
 each one's raw trials are dropped once its stack is built, so at most one
-subject's raw trials are in memory. Each source view is relabeled to the
+subject's raw trials are in memory; the stack is estimated from the trials'
+own arrays in bounded chunks, so no copy of them is made whole. Each source view is relabeled to the
 target labels as it is built, the one place the label mapping is applied.
 What depends on neither the target nor the budget is computed with them,
 once per scenario: each view's EA-whitened stack, the inverse roots of the
@@ -246,7 +247,7 @@ def subject_stack(
     degenerate trial's error names the subject and the trial."""
     try:
         return covariance_stack(trials, shrinkage, scatter)
-    except (EmptyInputError, NonFiniteError, NotPositiveDefiniteError) as exc:
+    except (DimMismatchError, EmptyInputError, NonFiniteError, NotPositiveDefiniteError) as exc:
         raise type(exc)(f"subject {name}, {exc}") from exc
 
 

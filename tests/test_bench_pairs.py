@@ -75,10 +75,12 @@ def test_a_run_that_writes_no_result_reads_no_stale_one(tmp_path, monkeypatch):
     assert run["env"] == {} and run["digests"] == set()
 
 
-def stub_pairs(monkeypatch, tmp_path, change_absent=()):
+def stub_pairs(monkeypatch, tmp_path, change_absent=(), no_result=None):
     """``bench_pairs`` with ``run_once`` stubbed: both sides pass, and the
     change's traced result lacks the metrics ``change_absent``, which it
-    reports absent. Returns the module and the list of (side, trace) calls."""
+    reports absent. The call ``no_result`` (side, trace, n-th call of that
+    kind) exits 0 with no result. Returns the module and the list of (side,
+    trace) calls."""
     bench_pairs = load_bench_pairs()
     trees = {"parent": tmp_path / "parent", "change": bench_pairs.ROOT}
     calls = []
@@ -86,6 +88,9 @@ def stub_pairs(monkeypatch, tmp_path, change_absent=()):
     def stub_run(tree, workload, seed, seconds, trace=0):
         side = "parent" if tree == trees["parent"] else "change"
         calls.append((side, trace))
+        if (side, trace, calls.count((side, trace))) == no_result:
+            return {"code": 0, "seed": 7, "env": {}, "digests": set(), "absent": [],
+                    "result": {}, "problem": "no output"}
         absent = list(change_absent) if trace and side == "change" else []
         if trace:
             matrices = {"parent": 15456, "change": 14832}[side]
@@ -99,7 +104,8 @@ def stub_pairs(monkeypatch, tmp_path, change_absent=()):
             metrics = {m: {"value": 1.0} for m in ("wall_s", "cpu_s", "setup_s",
                                                     "peak_rss_mb", "acc_mean", "acc_la_mean")}
         return {"code": 0, "seed": 7, "env": {}, "digests": {"d"}, "absent": absent,
-                "result": {"attempted": 5, "failed": 0, "metrics": metrics}}
+                "result": {"attempted": 5, "failed": 0, "metrics": metrics},
+                "problem": None}
 
     monkeypatch.setattr(bench_pairs, "export_parent", lambda rev: trees["parent"])
     monkeypatch.setattr(bench_pairs, "run_once", stub_run)
@@ -120,7 +126,7 @@ def test_a_row_carries_the_counts_of_one_traced_run_per_side(tmp_path, monkeypat
     }
     assert row["digests_equal"] and row["metrics"]["wall_s"]["change_better_pairs"] == "0/2"
     assert row["traced_absent"] == {"parent": [], "change": []}
-    assert row["traced_dropped"] == []
+    assert row["traced_dropped"] == [] and row["bad_results"] == []
 
 
 def test_a_metric_missing_from_the_change_traced_run_fails(tmp_path, monkeypatch, capsys):
@@ -157,3 +163,47 @@ def test_a_traced_run_reads_its_own_result_file(tmp_path, monkeypatch):
     assert seen[0][seen[0].index("--trace") + 1] == "1"
     assert run["digests"] == {"d"}
     assert (results / "loso-c8-full-seed1-trace0.json").exists()  # the untraced result stays
+
+
+RESULT = '{"correct": true, "attempted": 3, "failed": 0, "metrics": {"wall_s": {"value": %s}}}'
+
+
+@pytest.mark.parametrize("last_line", [
+    pytest.param("", id="no-result"),
+    pytest.param(RESULT % "NaN", id="nan"),
+    pytest.param(RESULT % "-Infinity", id="infinity"),
+    pytest.param("{}", id="not-a-result-object"),
+    pytest.param("[1, 2]", id="not-an-object"),
+    pytest.param("wrote report.csv", id="not-json"),
+])
+def test_a_last_line_that_is_not_a_strict_result_is_a_problem(tmp_path, monkeypatch,
+                                                              last_line):
+    bench_pairs = load_bench_pairs()
+
+    def exits_0(cmd, **kwargs):
+        return subprocess.CompletedProcess(
+            cmd, 0, stdout=f"# loso-c8-full seed=1 trace=0\n{last_line}\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", exits_0)
+    run = bench_pairs.run_once(tmp_path, "loso-c8-full", None, 1.0)
+    assert run["code"] == 0 and run["result"] == {} and run["problem"]
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda cmd, **kwargs: (
+        subprocess.CompletedProcess(cmd, 0, stdout=RESULT % "0.5", stderr="")))
+    run = bench_pairs.run_once(tmp_path, "loso-c8-full", None, 1.0)
+    assert run["problem"] is None and run["result"]["metrics"]["wall_s"]["value"] == 0.5
+
+
+@pytest.mark.parametrize("no_result, named", [
+    (("change", 0, 2), "change, pair 2/2, --trace 0: no output"),
+    (("parent", 1, 1), "parent, traced run, --trace 1: no output"),
+])
+def test_a_run_without_a_result_fails_and_is_named(tmp_path, monkeypatch, capsys,
+                                                   no_result, named):
+    bench_pairs, _ = stub_pairs(monkeypatch, tmp_path, no_result=no_result)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--workload", "loso-c8-full", "--pairs", "2",
+                             "--out", str(out)]) == 1
+    row = json.loads(out.read_text())["pairs"]["loso-c8-full --seed 7"]
+    assert row["exit_codes"] == {"parent": [0], "change": [0]}
+    assert row["bad_results"] == [named]
+    assert f"no result: {named}" in capsys.readouterr().err

@@ -24,7 +24,7 @@ from labelalign.classifiers import (
     svm_fit,
     svm_predict_many,
 )
-from labelalign.errors import ConfigError, SingularCovarianceError
+from labelalign.errors import ConfigError, NotConvergedError, SingularCovarianceError
 from labelalign.experiment import ScenarioSpec, run_scenario
 from labelalign.features import trial_covariance
 from labelalign.spd import riemannian_distance
@@ -130,6 +130,13 @@ class TestLinearSvm:
         model = svm_fit(x, y)
         preds = svm_predict_many(model, x)
         assert preds == y
+
+    def test_no_newton_step_left_is_not_converged(self, monkeypatch):
+        monkeypatch.setattr(classifiers, "SVM_MAX_ITER", 0)
+        x, y = symmetric_two_gaussian(np.random.default_rng(79), 10)
+        with pytest.raises(NotConvergedError, match=r"^linear SVM: gradient norm \S+ after 0 "
+                                                    r"Newton steps \(tolerance \S+\)$"):
+            svm_fit(x, y)
 
     def test_identical_features_fall_back_to_first_class(self):
         x = np.tile([2.0, -1.0], (10, 1))

@@ -147,6 +147,11 @@ class TestGoldenReport:
         expected = (FIXTURES / f"golden_report.{fmt}").read_text()
         assert render(report) == expected
 
+    def test_the_harness_writes_nothing_to_stdout(self, capfd):
+        # The benchmark reads its result from the last line of standard output.
+        run_scenario(load_scenario(GOLDEN_SPEC))
+        assert capfd.readouterr().out == ""
+
 
 @pytest.fixture
 def recording_pools(monkeypatch):

@@ -1,10 +1,19 @@
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import random_invertible, random_spd, tangent_unmap
 
-from labelalign.errors import ConfigError, DimMismatchError, NotPositiveDefiniteError
+from labelalign import features
+from labelalign.errors import (
+    ConfigError,
+    DegenerateCovarianceError,
+    DimMismatchError,
+    NotPositiveDefiniteError,
+)
+from labelalign.experiment import subject_stack
 from labelalign.features import (
     CovStack,
     CspModel,
@@ -17,7 +26,7 @@ from labelalign.features import (
     ts_features,
 )
 from labelalign.dataio import Trial
-from labelalign.spd import riemannian_distance, spd_log
+from labelalign.spd import riemannian_distance, spd_from_matrix, spd_log
 
 
 class TestTrialCovariance:
@@ -69,6 +78,88 @@ class TestTrialCovariance:
         assert np.array_equal(stack.scatter[2], centred_scatter(trials[2].data))
         assert covariance_stack(trials).scatter is None
         assert covariance_stack([Trial(t.data) for t in trials]).labels is None
+
+
+def whole_stack_covariance(x, shrinkage):
+    """The estimator as one product over the stacked trials, the reference
+    for the chunked one."""
+    c = x @ np.swapaxes(x, -1, -2)
+    if shrinkage > 0.0:
+        trace = np.trace(c, axis1=-2, axis2=-1)[..., None, None]
+        c = (1.0 - shrinkage) * c + shrinkage * (trace / c.shape[-1]) * np.eye(c.shape[-1])
+    return spd_from_matrix(c, name="trial")
+
+
+def whole_stack_scatter(x):
+    centred = x - x.mean(axis=-1, keepdims=True)
+    return centred @ np.swapaxes(centred, -1, -2)
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestChunkedCovariances:
+    """Covariances are estimated in chunks of at most ``_CHUNK_WORDS`` values
+    and equal the whole-stack products byte for byte."""
+
+    C, T = 3, 20
+
+    @pytest.mark.parametrize("words", [
+        pytest.param(None, id="default"),
+        pytest.param(C * T, id="one-trial-chunks"),
+        pytest.param(3 * C * T, id="uneven-last-chunk"),  # 7 trials: 3 + 3 + 1
+        pytest.param(C * T - 1, id="trial-larger-than-the-bound"),
+        pytest.param(1 << 40, id="one-chunk"),
+    ])
+    @pytest.mark.parametrize("shrinkage", [0.0, 0.2])
+    def test_chunking_is_bytewise_the_whole_stack(self, monkeypatch, words, shrinkage):
+        if words is not None:
+            monkeypatch.setattr(features, "_CHUNK_WORDS", words)
+        rng = np.random.default_rng(55)
+        x = rng.standard_normal((7, self.C, self.T))
+        covs, scatter = whole_stack_covariance(x, shrinkage), whole_stack_scatter(x)
+        trials = [Trial(row, label=i % 2) for i, row in enumerate(x)]
+        for given in (x, list(x)):  # one array, or the trials' own arrays
+            assert same_bytes(trial_covariance(given, shrinkage), covs)
+            assert same_bytes(centred_scatter(given), scatter)
+        stack = covariance_stack(trials, shrinkage, scatter=True)
+        assert same_bytes(stack.covs, covs) and same_bytes(stack.scatter, scatter)
+        assert same_bytes(trial_covariance(x[4], shrinkage), covs[4])
+        assert same_bytes(centred_scatter(x[4]), scatter[4])
+
+    def test_a_degenerate_trial_is_named_by_its_subject_wide_index(self, monkeypatch):
+        monkeypatch.setattr(features, "_CHUNK_WORDS", 4 * self.C * self.T)  # chunks of 4
+        x = np.random.default_rng(56).standard_normal((40, self.C, self.T))
+        x[37, 1] = 0.0  # one all-zero channel, in the tenth chunk
+        trials = [Trial(row) for row in x]
+        with pytest.raises(NotPositiveDefiniteError, match="^trial 37: smallest eigenvalue"):
+            covariance_stack(trials)
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="^subject s1, trial 37: smallest eigenvalue"):
+            subject_stack("s1", trials)
+
+    def test_trials_of_different_shapes_are_named(self):
+        rng = np.random.default_rng(57)
+        trials = [Trial(rng.standard_normal(shape)) for shape in ((3, 20), (3, 20), (4, 20))]
+        expected = "trial 2 has shape (4, 20), expected (3, 20)"
+        with pytest.raises(DimMismatchError, match=f"^{re.escape(expected)}$"):
+            covariance_stack(trials, scatter=True)
+        with pytest.raises(DimMismatchError, match=f"^{re.escape('subject s1, ' + expected)}$"):
+            subject_stack("s1", trials)
+
+    def test_covariance_stack_copies_no_subject(self):
+        rng = np.random.default_rng(58)
+        data = rng.standard_normal((64, 8, 2000))  # an 8 MiB payload
+        trials = [Trial(row) for row in data]  # row views, as read_trials returns them
+        tracemalloc.start()
+        try:
+            stack = covariance_stack(trials, scatter=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        extra = peak - stack.covs.nbytes - stack.scatter.nbytes
+        assert extra < data.nbytes / 4
 
 
 class TestStackLogs:
@@ -165,6 +256,12 @@ class TestCspFit:
             csp_fit({0: [random_spd(rng, 4)]}, pairs=1)
         with pytest.raises(ConfigError):
             csp_fit({0: [np.eye(4)], 1: [np.eye(4)]}, pairs=3)
+
+    def test_zero_class_covariances_are_degenerate(self):
+        zeros = np.zeros((4, 4))
+        with pytest.raises(DegenerateCovarianceError,
+                           match=r"^composite covariance not SPD \(min eigenvalue 0\)$"):
+            csp_fit({0: [zeros], 1: [zeros]}, pairs=1)
 
 
 class TestCspFeatures:

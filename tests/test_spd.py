@@ -14,8 +14,10 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labelalign import spd
 from labelalign.errors import (
     DimMismatchError,
+    EigFailureError,
     EmptyInputError,
     NonFiniteError,
     NotPositiveDefiniteError,
@@ -170,6 +172,15 @@ class TestMatrixFunctions:
         for f in (spd_sqrt, spd_inv_sqrt, spd_log):
             out = f(p)
             assert np.array_equal(out, out.T)
+
+    def test_a_failed_eigendecomposition_raises_eig_failure(self, monkeypatch):
+        def fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(spd.np.linalg, "eigh", fails)
+        with pytest.raises(EigFailureError, match="^symmetric eigendecomposition failed: "
+                                                  "Eigenvalues did not converge$"):
+            spd_sqrt(np.eye(3))
 
     def test_log_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):

@@ -25,9 +25,13 @@ side records the count metrics of the traced run (``spd.eig.calls``,
 work counts a change claims to remove, with the names of all its per-layer
 metrics (``traced_metrics``) and those it reports absent (``traced_absent``).
 A per-layer metric that the parent's traced result has and the change's
-lacks is listed as ``traced_dropped`` and fails the run. Rows are keyed
-``"W --seed S"`` and merged into ``--out``, so one file collects several
-workloads and keys written by hand survive.
+lacks is listed as ``traced_dropped`` and fails the run. Every run's last
+line of standard output must be a JSON result object (``correct``,
+``attempted``, ``failed`` and ``metrics``, with no ``NaN`` or ``Infinity``);
+a run whose last line is not one is listed in ``bad_results`` by side, pair
+and trace mode, and fails the run too, whatever its exit code. Rows are
+keyed ``"W --seed S"`` and merged into ``--out``, so one file collects
+several workloads and keys written by hand survive.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".perfbench_work"
 TRACE_SECONDS = 1.0  # the counts are the same in every traced repetition
+RESULT_KEYS = {"correct", "attempted", "failed", "metrics"}
 
 
 def git(*args: str) -> str:
@@ -61,6 +66,26 @@ def export_parent(rev: str) -> Path:
     return dest
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def last_result(stdout: str) -> tuple[dict, str | None]:
+    """The result object on the last line of ``stdout``, and None; or ``{}``
+    and why that line is not a JSON result object."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        return {}, "no output"
+    try:
+        result = json.loads(lines[-1], parse_constant=_reject_constant)
+    except ValueError as exc:
+        return {}, f"last line is not strict JSON ({exc}): {lines[-1][:80]!r}"
+    if not (isinstance(result, dict) and RESULT_KEYS <= result.keys()
+            and isinstance(result["metrics"], dict)):
+        return {}, f"last line is not a result object: {lines[-1][:80]!r}"
+    return result, None
+
+
 def run_once(tree: Path, workload: str, seed: int | None, seconds: float,
              trace: int = 0) -> dict:
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
@@ -74,14 +99,14 @@ def run_once(tree: Path, workload: str, seed: int | None, seconds: float,
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     header = next((l for l in lines if l.startswith(f"# {workload} seed=")), "")
-    result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
+    result, problem = last_result(proc.stdout)
     used_seed = int(header.split("seed=")[1].split()[0]) if header else seed
     path = results / f"{workload}-seed{used_seed}-trace{trace}.json"
     record = json.loads(path.read_text()) if path.exists() else {"samples": {"plain": []}}
     digests = {s["digest"] for s in record["samples"]["plain"] if not s.get("errors")}
     return {"code": proc.returncode, "seed": used_seed, "result": result,
             "env": record.get("environment", {}), "digests": digests,
-            "absent": record.get("absent", [])}
+            "absent": record.get("absent", []), "problem": problem}
 
 
 def counts(run: dict) -> dict:
@@ -130,17 +155,22 @@ def main(argv=None) -> int:
     trees = {"parent": export_parent(args.parent), "change": ROOT}
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {"parent": [], "change": []}
+    bad = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             run = run_once(trees[side], args.workload, args.seed, args.seconds)
             runs[side].append(run)
+            if run["problem"]:
+                bad.append(f"{side}, pair {i + 1}/{args.pairs}, --trace 0: {run['problem']}")
             wall = run["result"].get("metrics", {}).get("wall_s", {}).get("value")
             print(f"pair {i + 1}/{args.pairs} {side}: exit {run['code']}, wall_s {wall}",
                   file=sys.stderr)
 
     traced_runs = {side: run_once(trees[side], args.workload, args.seed, TRACE_SECONDS, 1)
                    for side in runs}
+    bad += [f"{side}, traced run, --trace 1: {run['problem']}"
+            for side, run in traced_runs.items() if run["problem"]]
     traced = {side: counts(run) for side, run in traced_runs.items()}
     names = {side: sorted(run["result"].get("metrics", {})) for side, run in traced_runs.items()}
     row = {
@@ -153,6 +183,7 @@ def main(argv=None) -> int:
         "traced_metrics": names,
         "traced_absent": {side: run["absent"] for side, run in traced_runs.items()},
         "traced_dropped": sorted(set(names["parent"]) - set(names["change"])),
+        "bad_results": bad,
     }
     for m in metrics:
         name = m["name"]
@@ -194,9 +225,11 @@ def main(argv=None) -> int:
     for name in row["traced_dropped"]:
         print(f"traced {name}: in the parent's result, missing from the change's",
               file=sys.stderr)
+    for line in bad:
+        print(f"no result: {line}", file=sys.stderr)
     failed = row["failed"]["parent"] + row["failed"]["change"]
     exits_ok = row["exit_codes"] == {"parent": [0], "change": [0]}
-    return 1 if failed or not exits_ok or row["traced_dropped"] else 0
+    return 1 if failed or not exits_ok or row["traced_dropped"] or bad else 0
 
 
 if __name__ == "__main__":
