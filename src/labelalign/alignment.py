@@ -12,10 +12,11 @@ space (:func:`match_labels`); each entry point applies that mapping once,
 with :func:`relabel`, where it builds a source view. From then on there is
 one label space: a source domain's class means are keyed by target label,
 and per-class re-centering (``la``) gives the trials of each source class
-``A = Ct^{1/2} Cs^{-1/2}`` for the Log-Euclidean class means ``Cs``
-(source) and ``Ct`` (target) of the same label. ``A Cs Aᵀ = Ct`` holds
-exactly, but the Log-Euclidean mean of the aligned trials ``A Cᵢ Aᵀ`` is in
-general not ``Ct``: that mean commutes only with orthogonal congruences.
+``A = Ct^{1/2} Cs^{-1/2}`` for the arithmetic class means ``Cs`` (source)
+and ``Ct`` (target) of the same label, the mean that EA whitens with. The
+arithmetic mean commutes with every congruence, so the mean of the aligned
+trials ``A Cᵢ Aᵀ`` of each source class is ``A Cs Aᵀ = Ct``, exactly up to
+rounding, and the LA fit takes no matrix logs.
 :func:`la_per_trial` turns the class matrices into each source trial's
 matrix; the harness applies them to covariance stacks (:func:`la_align`)
 and ``labelalign align`` to the raw trials, streamed one subject at a time.
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .features import CovStack
 from .rng import CounterRng, derive_key
-from .spd import Array, arithmetic_mean_cov, class_means, spd_inv_sqrt, spd_sqrt
+from .spd import Array, arithmetic_mean_cov, spd_inv_sqrt, spd_sqrt
 
 
 @dataclass(frozen=True)
@@ -100,19 +101,26 @@ def ea_reference(covs: Array) -> Array:
     return spd_inv_sqrt(arithmetic_mean_cov(covs))
 
 
+def _label_means(covs: Array, labels) -> dict:
+    """:func:`arithmetic_mean_cov` of the matrices of each label, keyed by label."""
+    labels = np.asarray(labels)
+    return {int(l): arithmetic_mean_cov(covs[labels == l]) for l in np.unique(labels)}
+
+
 def target_means(labeled: CovStack, labels, n_classes: int) -> dict | None:
-    """The Log-Euclidean mean per label of the labeled target trials (from
-    their logs if they carry them), or None when the labels cover fewer than
-    ``n_classes`` classes (the caller then falls back to domain whitening)."""
+    """The arithmetic mean per label of the labeled target trials, or None
+    when the labels cover fewer than ``n_classes`` classes (the caller then
+    falls back to domain whitening)."""
     if len(set(labels)) < n_classes:
         return None
-    return class_means(labeled.covs, labels, labeled.logs)
+    return _label_means(labeled.covs, labels)
 
 
 def la_fit(source_inv_roots: dict, target_means: dict) -> dict:
     """``{label: Ct^{1/2} Cs^{-1/2}}`` from a source's :func:`class_inv_roots`
     (``Cs^{-1/2}`` per label, the source relabeled to target labels) and the
-    target class means ``Ct``, paired by label."""
+    target class means ``Ct`` (:func:`target_means`), paired by label; both
+    means are arithmetic."""
     for label in sorted(source_inv_roots.keys() ^ target_means.keys()):
         what = "no target mean" if label in source_inv_roots else "no source trials"
         raise MissingClassError(f"{what} for label {label!r}", label)
@@ -149,9 +157,9 @@ class Domain:
 
 
 def class_inv_roots(stack: CovStack) -> dict:
-    """``{label: Cs^{-1/2}}`` for the class means ``Cs`` of a labeled stack
-    (from its logs if it has them): what :func:`la_fit` needs of a source."""
-    means = class_means(stack.covs, stack.labels, stack.logs)
+    """``{label: Cs^{-1/2}}`` for the arithmetic class means ``Cs`` of a
+    labeled stack: what :func:`la_fit` needs of a source."""
+    means = _label_means(stack.covs, stack.labels)
     return dict(zip(means, spd_inv_sqrt(np.stack(list(means.values())))))
 
 

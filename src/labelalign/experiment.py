@@ -8,29 +8,34 @@ runs, and split into a source view (source labels) and a target pool
 (target labels). The subjects are read (or generated) one at a time and
 each one's raw trials are dropped once its stack is built, so at most one
 subject's raw trials are in memory; the stack is estimated from the trials'
-own arrays in bounded chunks, so no copy of them is made whole. Each source view is relabeled to the
-target labels as it is built, the one place the label mapping is applied.
-What depends on neither the target nor the budget is computed with them,
-once per scenario: each view's EA-whitened stack, the inverse roots of the
-source class means and, when ts-svm, ts-lda or mdm runs, the matrix logs of
-the raw and whitened source views. A target pool carries no logs: only its labeled trials are ever
-logged, once they are picked. One unit per target subject then aligns only
-those stacks, never raw trials. Under ``jobs`` > 1 each pool worker
-receives the scenario's domains once, at start-up (inherited, not pickled,
-under the ``fork`` start method), and each unit is dispatched as the index
-of its target subject.
+own arrays in bounded chunks, so no copy of them is made whole. Each source
+view is relabeled to the target labels as it is built, the one place the
+label mapping is applied. What depends on neither the target nor the budget
+is computed with them, once per scenario: each view's EA-whitened stack,
+the inverse roots of the source class means and, when ts-svm, ts-lda or mdm
+runs, the matrix logs of the raw and whitened source views. A target pool
+carries no logs: only its labeled trials are ever logged, once they are
+picked. One unit per target subject then aligns only those stacks, never
+raw trials. Under ``jobs`` > 1 each pool worker receives the scenario's
+domains once, at start-up (inherited, not pickled, under the ``fork``
+start method), and each unit is dispatched as the index of its target
+subject.
 
 Protocol per target subject and per budget ``k``: the k medoid trials of
 the target pool are labeled and join the training set, every remaining
 target trial forms the test set, and the same train/test split is reused
 for every alignment strategy so that accuracy differences isolate the
 alignment step. Labeled target trials never appear in the test set. Per k
-the raw medoids are logged once, for the LA target means and the training
-sets, and the whitened medoids once, for EA; the test trials never are. Each
-(target, k, strategy) cell takes logs only of its LA-aligned source stacks,
-and :func:`fit_predict_cell` computes once what its pipelines share: the
-tangent reference and MDM class means (both from the training logs) and the
-train and test tangent vectors.
+the raw medoids are logged once and the whitened medoids once, for the
+training sets only (the LA target means are arithmetic and take no logs);
+the test trials never are. Each (target, k, strategy) cell takes logs only
+of its LA-aligned source stacks, and :func:`fit_predict_cell` computes once
+what its pipelines share: the tangent reference and MDM class means (both
+from the training logs) and the train and test tangent vectors.
+
+A configuration error is raised before any unit starts, and a data error
+raised in a unit names its cell (subject, k, strategy and, from one
+pipeline's fit or predict, the pipeline).
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -54,6 +60,7 @@ from .errors import (
     DataError,
     DimMismatchError,
     EmptyInputError,
+    LabelAlignError,
     NonFiniteError,
     NotPositiveDefiniteError,
     TooFewPointsError,
@@ -94,6 +101,11 @@ class ScenarioSpec:
 
     def __post_init__(self):
         match_labels(self.source_labels, self.target_labels)  # rejects duplicates, unequal sizes
+        if len(self.source_labels) < 2:
+            raise ConfigError(
+                f"every pipeline needs at least two classes, got source labels "
+                f"{self.source_labels} and target labels {self.target_labels}"
+            )
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ConfigError(f"unknown strategy {s!r}, expected one of {STRATEGIES}")
@@ -108,6 +120,10 @@ class ScenarioSpec:
             raise ConfigError(f"k grid must be ascending and positive: {self.k_grid}")
         if (self.synth is None) == (self.manifest is None):
             raise ConfigError("exactly one of synth/manifest must be given")
+        if self.csp_pairs < 1:
+            raise ConfigError(f"csp_pairs must be at least 1, got {self.csp_pairs}")
+        if not 0.0 <= self.shrinkage < 1.0:
+            raise ConfigError(f"shrinkage must be in [0, 1), got {self.shrinkage}")
 
     @property
     def algorithms(self) -> list[tuple[str, str]]:
@@ -191,37 +207,69 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     return t, student_t_two_sided_p(t, n - 1)
 
 
+def _reworded(exc: LabelAlignError, message: str) -> LabelAlignError:
+    """A new error of ``exc``'s type with ``message`` and ``exc``'s other
+    attributes (``MissingClassError.label``, a payload's byte offsets), which
+    calling the type with the message alone would not rebuild."""
+    new = type(exc).__new__(type(exc), message)
+    new.__dict__.update(vars(exc))
+    return new
+
+
+@contextmanager
+def _located(where: str | None):
+    """Re-raise a :class:`DataError` of the block with its message prefixed
+    by ``where``; None leaves it as it is."""
+    try:
+        yield
+    except DataError as exc:
+        if where is None:
+            raise
+        raise _reworded(exc, f"{where}: {exc}") from exc
+
+
 def fit_predict_cell(
-    pipelines: Sequence[str], train: CovStack, test: CovStack, *, csp_pairs: int = 3
+    pipelines: Sequence[str],
+    train: CovStack,
+    test: CovStack,
+    *,
+    csp_pairs: int = 3,
+    cell: str | None = None,
 ) -> dict:
     """``{pipeline: predictions}`` of each pipeline trained on a labeled stack;
     the training logs (taken here unless ``train`` carries them), the tangent
-    reference and the tangent vectors are computed once for all of them."""
+    reference and the tangent vectors are computed once for all of them.
+    With ``cell`` given, a :class:`DataError` is re-raised as the same type,
+    prefixed with ``cell``, or with ``cell/pipeline`` when it came from one
+    pipeline's fit or predict."""
     labels = train.labels
-    if LOG_PIPELINES.intersection(pipelines):
-        train = train.with_logs()
-    if "ts-svm" in pipelines or "ts-lda" in pipelines:
-        ref = log_euclidean_mean(train.covs, train.logs)
-        feats, test_feats = ts_features(ref, train.covs), ts_features(ref, test.covs)
+    with _located(cell):
+        if LOG_PIPELINES.intersection(pipelines):
+            train = train.with_logs()
+        if "ts-svm" in pipelines or "ts-lda" in pipelines:
+            ref = log_euclidean_mean(train.covs, train.logs)
+            feats, test_feats = ts_features(ref, train.covs), ts_features(ref, test.covs)
     preds = {}
     for pipeline in pipelines:
-        if pipeline == "csp-lda":
-            if train.scatter is None or test.scatter is None:
-                raise ConfigError("csp-lda needs the centred scatter of every trial")
-            model = csp_fit({c: train.covs[labels == c] for c in np.unique(labels)}, csp_pairs)
-            clf = classifiers.lda_fit(csp_features(model, train.scatter), labels)
-            preds[pipeline] = classifiers.lda_predict_many(clf, csp_features(model, test.scatter))
-        elif pipeline == "mdm":
-            model = classifiers.mdm_fit(train.covs, labels, train.logs)
-            preds[pipeline] = classifiers.mdm_predict(model, test.covs)
-        elif pipeline == "ts-lda":
-            clf = classifiers.lda_fit(feats, labels)
-            preds[pipeline] = classifiers.lda_predict_many(clf, test_feats)
-        elif pipeline == "ts-svm":
-            clf = classifiers.svm_fit(feats, labels)
-            preds[pipeline] = classifiers.svm_predict_many(clf, test_feats)
-        else:
-            raise ConfigError(f"unknown pipeline {pipeline!r}")
+        with _located(cell and f"{cell}/{pipeline}"):
+            if pipeline == "csp-lda":
+                if train.scatter is None or test.scatter is None:
+                    raise ConfigError("csp-lda needs the centred scatter of every trial")
+                model = csp_fit({c: train.covs[labels == c] for c in np.unique(labels)}, csp_pairs)
+                clf = classifiers.lda_fit(csp_features(model, train.scatter), labels)
+                test_csp = csp_features(model, test.scatter)
+                preds[pipeline] = classifiers.lda_predict_many(clf, test_csp)
+            elif pipeline == "mdm":
+                model = classifiers.mdm_fit(train.covs, labels, train.logs)
+                preds[pipeline] = classifiers.mdm_predict(model, test.covs)
+            elif pipeline == "ts-lda":
+                clf = classifiers.lda_fit(feats, labels)
+                preds[pipeline] = classifiers.lda_predict_many(clf, test_feats)
+            elif pipeline == "ts-svm":
+                clf = classifiers.svm_fit(feats, labels)
+                preds[pipeline] = classifiers.svm_predict_many(clf, test_feats)
+            else:
+                raise ConfigError(f"unknown pipeline {pipeline!r}")
     return preds
 
 
@@ -248,7 +296,7 @@ def subject_stack(
     try:
         return covariance_stack(trials, shrinkage, scatter)
     except (DimMismatchError, EmptyInputError, NonFiniteError, NotPositiveDefiniteError) as exc:
-        raise type(exc)(f"subject {name}, {exc}") from exc
+        raise _reworded(exc, f"subject {name}, {exc}") from exc
 
 
 def subject_stacks(
@@ -285,8 +333,16 @@ def source_view(name: str, stack: CovStack, mapping: LabelMapping) -> CovStack:
 def _scenario_domains(spec, mapping, names, subjects) -> list[tuple[Domain, Domain]]:
     """Each subject's source view (in target labels) and target pool as
     domains; the source views carry their logs when a pipeline needs them,
-    the target pools never do."""
-    stacks = subject_stacks(names, subjects, spec.shrinkage, "csp-lda" in spec.pipelines)
+    the target pools never do. CSP's filter count is checked against the
+    channels here, before any unit starts."""
+    csp = "csp-lda" in spec.pipelines
+    stacks = subject_stacks(names, subjects, spec.shrinkage, csp)
+    channels = stacks[0].covs.shape[-1]
+    if csp and 2 * spec.csp_pairs > channels:
+        raise ConfigError(
+            f"csp_pairs {spec.csp_pairs} needs at least {2 * spec.csp_pairs} channels, "
+            f"the trials have {channels}"
+        )
     logs = bool(LOG_PIPELINES.intersection(spec.pipelines))
     domains = []
     for name, stack in zip(names, stacks):
@@ -326,7 +382,10 @@ def _subject_unit(spec, names, domains, i: int) -> tuple[str, list, list]:
     Its target pool is ``domains[i]``'s and its sources are the source views
     of every other subject. A pure function of the scenario and ``i``, so
     results are identical no matter how the units are scheduled across
-    processes. Returns (subject_name, accuracy rows, fallback events).
+    processes. Returns (subject_name, accuracy rows, fallback events). A
+    :class:`DataError` of a cell is re-raised as the same type, prefixed with
+    the cell, as in ``subject s1, k 4, la:`` (``la/ts-svm:`` when one
+    pipeline's fit or predict raised it).
     """
     name, target = names[i], domains[i][1]
     sources = [source for j, (source, _) in enumerate(domains) if j != i]
@@ -348,16 +407,20 @@ def _subject_unit(spec, names, domains, i: int) -> tuple[str, list, list]:
             if strategy == "la" and means is None:
                 effective = "ea"
                 fallbacks.append([name, k])
-            aligned_sources, aligned_target = align(effective, sources, target, means)
-            view = "ea" if effective == "ea" else "raw"
-            if view not in labeled:
-                labeled[view] = _labeled(aligned_target, medoids, logs)
-            pieces = [*aligned_sources, labeled[view]]
-            if logs:  # only LA-aligned sources lack their domain's logs
-                pieces = [p.with_logs() for p in pieces]
-            train = concat_stacks(pieces)
-            test = aligned_target.take(test_idx)
-            preds = fit_predict_cell(spec.pipelines, train, test, csp_pairs=spec.csp_pairs)
+            cell = f"subject {name}, k {k}, {strategy}"
+            with _located(cell):
+                aligned_sources, aligned_target = align(effective, sources, target, means)
+                view = "ea" if effective == "ea" else "raw"
+                if view not in labeled:
+                    labeled[view] = _labeled(aligned_target, medoids, logs)
+                pieces = [*aligned_sources, labeled[view]]
+                if logs:  # only LA-aligned sources lack their domain's logs
+                    pieces = [p.with_logs() for p in pieces]
+                train = concat_stacks(pieces)
+                test = aligned_target.take(test_idx)
+            preds = fit_predict_cell(
+                spec.pipelines, train, test, csp_pairs=spec.csp_pairs, cell=cell
+            )
             for pipeline in spec.pipelines:
                 accuracy = float(np.mean(np.asarray(preds[pipeline]) == truth))
                 rows.append((name, k, strategy, pipeline, accuracy))

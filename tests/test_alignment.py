@@ -4,7 +4,6 @@ from conftest import random_spd, relative_error
 
 from labelalign.alignment import (
     align,
-    class_means,
     domain,
     ea_reference,
     la_align,
@@ -211,27 +210,41 @@ class TestLabelAlignment:
         mapping = LabelMapping(((0, 2),))
         transform = la_fit(inv_roots(in_target_labels(stack, mapping)), target)
         a = transform[2]
-        source_mean = log_euclidean_mean(stack.covs)
+        source_mean = arithmetic_mean_cov(stack.covs)
         gap = a @ source_mean @ a.T - target_mean
         assert np.linalg.norm(gap) <= 1e-9 * np.linalg.norm(target_mean)
 
-    def test_align_relabels_and_recenters(self):
-        rng = np.random.default_rng(120)
+    @staticmethod
+    def same_covariance_classes(rng):
+        """Two classes of four trials, each class sharing one covariance."""
         cov0, cov1 = random_spd(rng, 3), random_spd(rng, 3)
-        trials = trials_with_covariance(rng, cov0, 4, label=0)
-        trials += trials_with_covariance(rng, cov1, 4, label=1)
-        t_means = {7: random_spd(rng, 3), 9: random_spd(rng, 3)}
+        return (trials_with_covariance(rng, cov0, 4, label=0)
+                + trials_with_covariance(rng, cov1, 4, label=1))
+
+    @staticmethod
+    def dispersed_classes(rng):
+        """Two classes of four trials whose covariances scatter about the class."""
+        cfg = SynthConfig(channels=6, samples=100, classes=2, trials_per_class=4,
+                          subjects=1, class_separation=1.0, subject_shift=0.5,
+                          seed=5, noise_df=12)
+        return list(generate_synthetic(cfg).subjects[0])
+
+    @pytest.mark.parametrize("classes", ["same_covariance_classes", "dispersed_classes"])
+    def test_align_relabels_and_recenters(self, classes):
+        rng = np.random.default_rng(120)
+        trials = getattr(self, classes)(rng)
+        c = trials[0].data.shape[0]
+        t_means = {7: random_spd(rng, c), 9: random_spd(rng, c)}
         mapping = LabelMapping(((0, 7), (1, 9)))
         stack = in_target_labels(stack_of(trials), mapping)
         transform = la_fit(inv_roots(stack), t_means)
         aligned = la_align(transform, stack)
         assert aligned.labels.tolist() == [7] * 4 + [9] * 4
         for label in (7, 9):
-            mean = log_euclidean_mean(aligned.covs[aligned.labels == label])
-            # Same-covariance trials make the recentering exact.
-            assert np.linalg.norm(mean - t_means[label]) <= 1e-8 * np.linalg.norm(
-                t_means[label]
-            )
+            # The arithmetic mean commutes with the congruence, so each aligned
+            # class lands on its target mean however its trials scatter.
+            mean = arithmetic_mean_cov(aligned.covs[aligned.labels == label])
+            assert riemannian_distance(mean, t_means[label]) <= 1e-10
 
     def test_identity_transform_only_relabels(self):
         rng = np.random.default_rng(121)
@@ -355,15 +368,12 @@ class TestAlignDispatch:
     def test_source_domain_keeps_the_inverse_roots_of_its_class_means(self):
         rng = np.random.default_rng(133)
         stack = stack_of(random_trials(rng, 4, 3, 30) + random_trials(rng, 3, 3, 30, label=2))
-        means = class_means(stack.covs, stack.labels)
+        means = {l: arithmetic_mean_cov(stack.covs[stack.labels == l]) for l in (0, 2)}
         for logs in (False, True):
             roots = domain(stack, source=True, logs=logs).inv_roots
             assert sorted(roots) == [0, 2]
             for label in roots:
                 assert np.array_equal(roots[label], spd_inv_sqrt(means[label]))
-                assert np.array_equal(
-                    means[label], log_euclidean_mean(stack.covs[stack.labels == label])
-                )
         assert domain(stack).inv_roots is None
 
     def test_relabel_requires_known_labels(self):

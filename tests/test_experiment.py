@@ -5,20 +5,22 @@ import functools
 import hashlib
 import json
 import math
+import multiprocessing
 import pickle
+import re
 import struct
 import tracemalloc
 import weakref
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from labelalign import alignment, cli, dataio, experiment, features, spd
+from labelalign import alignment, classifiers, cli, dataio, experiment, features, spd
 from labelalign.alignment import (
     Domain,
     align,
@@ -39,7 +41,14 @@ from labelalign.dataio import (
     write_manifest,
     write_trials,
 )
-from labelalign.errors import ConfigError, DataError, DimMismatchError
+from labelalign.errors import (
+    ConfigError,
+    DataError,
+    DimMismatchError,
+    LabelAlignError,
+    MissingClassError,
+    NotPositiveDefiniteError,
+)
 from labelalign.experiment import (
     PIPELINES,
     STRATEGIES,
@@ -332,8 +341,22 @@ class TestSharedWork:
 
     def test_eigensolve_count_is_pinned(self, golden_run):
         # Validating the trial covariances by eigvalsh (144) and logging the
-        # unlabeled target trials (96) would make it 3,953.
-        assert golden_run.eig_matrices == 3713
+        # unlabeled target trials (96) would make it 3,937. LA's arithmetic
+        # class means take no exp (Log-Euclidean ones took 16 here).
+        assert golden_run.eig_matrices == 3697
+
+    def test_a_csp_lda_run_takes_no_matrix_log(self, monkeypatch):
+        # csp-lda reads no logs, and LA's arithmetic class means take none.
+        logged = []
+
+        def spy(p):
+            logged.append(p)
+            return spd_log(p)
+
+        for module in (spd, features):
+            monkeypatch.setattr(module, "spd_log", spy)
+        run_scenario(replace(load_scenario(GOLDEN_SPEC), pipelines=("csp-lda",)))
+        assert logged == []
 
     def test_every_cell_trains_on_carried_logs(self, golden_run):
         for train, _, _ in golden_run.cells:
@@ -462,6 +485,159 @@ class TestDegenerateTrials:
         assert code == 3
         assert "subject s1, trial 17" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+
+class TestConfigErrorsComeFirst:
+    """A configuration error is raised before any trial is read, or, for the
+    CSP filter count against the channels, before any unit starts."""
+
+    @staticmethod
+    def run_cli(spec, out):
+        return main(["experiment", "--spec", str(spec), "--out", str(out)])
+
+    @pytest.mark.parametrize("change, message", [
+        ({"source_labels": [0], "target_labels": [2]}, "at least two classes"),
+        ({"shrinkage": 1.5}, r"shrinkage must be in \[0, 1\), got 1.5"),
+        ({"csp_pairs": 0}, "csp_pairs must be at least 1, got 0"),
+    ])
+    def test_a_bad_spec_fails_before_any_trial_is_read(
+        self, manifest, tmp_path, monkeypatch, capsys, change, message
+    ):
+        spec = write_spec(tmp_path / "spec.json", manifest)
+        spec.write_text(json.dumps({**json.loads(spec.read_text()), **change}))
+        reads = []
+        monkeypatch.setattr(dataio, "read_trials", reads.append)
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(spec)
+        assert self.run_cli(spec, tmp_path / "r.csv") == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert reads == [] and not (tmp_path / "r.csv").exists()
+
+    def test_too_many_csp_pairs_fail_before_any_unit(
+        self, manifest, tmp_path, monkeypatch, capsys
+    ):
+        spec = write_spec(tmp_path / "spec.json", manifest)
+        spec.write_text(json.dumps({**json.loads(spec.read_text()), "csp_pairs": 3}))
+        units = []
+        monkeypatch.setattr(experiment, "_subject_unit", lambda *args: units.append(args))
+        assert self.run_cli(spec, tmp_path / "r.csv") == 2
+        # The manifest's trials have 4 channels: at most 2 pairs of filters.
+        assert "csp_pairs 3 needs at least 6 channels, the trials have 4" in (
+            capsys.readouterr().err
+        )
+        assert units == [] and not (tmp_path / "r.csv").exists()
+
+
+@st.composite
+def small_specs(draw):
+    """A small synthetic scenario document, now and then an invalid one (one
+    label, no CSP pair, full shrinkage, more CSP pairs than channels allow)."""
+    classes = draw(st.integers(2, 4))
+    channels = draw(st.integers(2, 5))
+    rarely = st.integers(0, 9).map(lambda i: i == 5)
+    n_labels = 1 if draw(rarely) else draw(st.integers(2, classes))
+    return {
+        "source_labels": draw(st.permutations(range(classes)))[:n_labels],
+        "target_labels": draw(st.permutations(range(classes)))[:n_labels],
+        "strategies": draw(st.lists(st.sampled_from(STRATEGIES), min_size=1, unique=True)),
+        "pipelines": draw(st.lists(st.sampled_from(PIPELINES), min_size=1, unique=True)),
+        "k_grid": sorted(draw(st.sets(st.integers(1, 4), min_size=1, max_size=3))),
+        "seed": draw(st.integers(0, 1000)),
+        "csp_pairs": 0 if draw(rarely) else draw(st.integers(1, 3)),
+        "shrinkage": 1.0 if draw(rarely) else draw(st.sampled_from([0.0, 0.1])),
+        "synth": {
+            "channels": channels, "samples": draw(st.integers(channels + 1, 24)),
+            "classes": classes, "trials_per_class": draw(st.integers(2, 5)),
+            "subjects": draw(st.integers(2, 3)), "class_separation": 1.0,
+            "subject_shift": 0.5,
+            "noise_df": draw(st.sampled_from([None, channels + 1, 2 * channels])),
+        },
+    }
+
+
+class TestRandomSpecs:
+    """Every small synthetic spec ends in a report without a NaN accuracy or
+    AUC, or in a :class:`LabelAlignError`; a configuration error never
+    surfaces once a unit has started, and no run prints anything."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=small_specs())
+    def test_every_run_reports_or_raises_a_label_align_error(self, doc, capfd):
+        started = []
+        unit = experiment._subject_unit
+
+        def spy(*args):
+            started.append(args[-1])
+            return unit(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiment, "_subject_unit", spy)
+            try:
+                report = run_scenario(experiment.scenario_from_dict(doc))
+            except ConfigError as exc:
+                assert not started, f"configuration error in a unit: {exc}"
+            except LabelAlignError:
+                pass
+            else:
+                values = [*report.accuracies.values(), *report.aucs.values()]
+                assert values and not any(math.isnan(v) for v in values)
+        assert capfd.readouterr().out == ""
+
+
+# The patched fits reach the pool's workers only when they are forked.
+needs_fork = pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
+                                reason="the default start method is not fork")
+
+
+class TestUnitErrorsNameTheirCell:
+    """A data error raised in a unit is re-raised as the same type, with its
+    attributes, prefixed with the subject, k and strategy of its cell, and
+    with the pipeline when one pipeline's fit or predict raised it."""
+
+    @staticmethod
+    def la_spec(manifest, tmp_path):
+        spec = write_spec(tmp_path / "spec.json", manifest)
+        spec.write_text(json.dumps({**json.loads(spec.read_text()), "strategies": ["la"]}))
+        return spec
+
+    @staticmethod
+    def failing_mdm_fit(*args):
+        raise MissingClassError("injected", 7)
+
+    @needs_fork
+    def test_the_cli_message_is_the_same_under_a_pool(self, manifest, tmp_path, monkeypatch,
+                                                      capsys):
+        monkeypatch.setattr(classifiers, "mdm_fit", self.failing_mdm_fit)
+        spec = self.la_spec(manifest, tmp_path)
+        errs = []
+        for jobs in ("1", "2"):  # the second run starts two real worker processes
+            out = tmp_path / f"r{jobs}.csv"
+            assert main(["experiment", "--spec", str(spec), "--out", str(out),
+                         "--jobs", jobs]) == 3
+            errs.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errs == ["error: subject s0, k 2, la/mdm: injected\n"] * 2
+
+    @needs_fork
+    def test_the_error_keeps_its_type_and_attributes_through_the_pool(
+        self, manifest, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(classifiers, "mdm_fit", self.failing_mdm_fit)
+        with pytest.raises(MissingClassError) as info:
+            run_scenario(load_scenario(self.la_spec(manifest, tmp_path)), jobs=2)
+        assert str(info.value) == "subject s0, k 2, la/mdm: injected"
+        assert info.value.label == 7
+
+    def test_an_alignment_error_names_the_cell_without_a_pipeline(
+        self, manifest, tmp_path, monkeypatch
+    ):
+        def failing_align(*args):
+            raise NotPositiveDefiniteError("injected")
+
+        monkeypatch.setattr(experiment, "align", failing_align)
+        with pytest.raises(NotPositiveDefiniteError, match=r"^subject s0, k 2, la: injected$"):
+            run_scenario(load_scenario(self.la_spec(manifest, tmp_path)))
 
 
 def owners(trials):
@@ -887,9 +1063,9 @@ class TestCli:
         "la": {
             "s0.trials": "f00458043b5fa98509bc757eaba50fde143617ead95b2cd76adf7efe4a8e740c",
             "s1.labels": "9a73b812bea52fb83b94a6b1cc40ca3592eb71ee057a0d05de2bfce9f718d140",
-            "s1.trials": "0d3ec3729cb252044ae724633c4c0156ed66fc492413bdff8569208fea5f1034",
+            "s1.trials": "522f4ece30e0a2da86f09e53b817e69038d4a91f60362a3d59071d6574a50d92",
             "s2.labels": "9a73b812bea52fb83b94a6b1cc40ca3592eb71ee057a0d05de2bfce9f718d140",
-            "s2.trials": "cc1858d1346d71c3daa4f3449705e2d15317ead9e0ddf1e1b24a568e221b8634",
+            "s2.trials": "9451704438cb7de50296e0ca7a8edab9a7ebbccf47bf439ecf9626d0fdc77ba4",
         },
     }
     UNCHANGED_DIGESTS = {
