@@ -229,22 +229,22 @@ class TestLabelAlignment:
                           seed=5, noise_df=12)
         return list(generate_synthetic(cfg).subjects[0])
 
-    @pytest.mark.parametrize("classes", ["same_covariance_classes", "dispersed_classes"])
-    def test_align_relabels_and_recenters(self, classes):
-        rng = np.random.default_rng(120)
-        trials = getattr(self, classes)(rng)
-        c = trials[0].data.shape[0]
-        t_means = {7: random_spd(rng, c), 9: random_spd(rng, c)}
-        mapping = LabelMapping(((0, 7), (1, 9)))
-        stack = in_target_labels(stack_of(trials), mapping)
-        transform = la_fit(inv_roots(stack), t_means)
-        aligned = la_align(transform, stack)
-        assert aligned.labels.tolist() == [7] * 4 + [9] * 4
-        for label in (7, 9):
-            # The arithmetic mean commutes with the congruence, so each aligned
-            # class lands on its target mean however its trials scatter.
-            mean = arithmetic_mean_cov(aligned.covs[aligned.labels == label])
-            assert riemannian_distance(mean, t_means[label]) <= 1e-10
+    def test_align_relabels_and_recenters(self):
+        for classes in (self.same_covariance_classes, self.dispersed_classes):
+            rng = np.random.default_rng(120)
+            trials = classes(rng)
+            c = trials[0].data.shape[0]
+            t_means = {7: random_spd(rng, c), 9: random_spd(rng, c)}
+            mapping = LabelMapping(((0, 7), (1, 9)))
+            stack = in_target_labels(stack_of(trials), mapping)
+            transform = la_fit(inv_roots(stack), t_means)
+            aligned = la_align(transform, stack)
+            assert aligned.labels.tolist() == [7] * 4 + [9] * 4
+            for label in (7, 9):
+                # The arithmetic mean commutes with the congruence, so each
+                # aligned class lands on its target mean however its trials scatter.
+                mean = arithmetic_mean_cov(aligned.covs[aligned.labels == label])
+                assert riemannian_distance(mean, t_means[label]) <= 1e-10
 
     def test_identity_transform_only_relabels(self):
         rng = np.random.default_rng(121)
