@@ -13,13 +13,14 @@ view is relabeled to the target labels as it is built, the one place the
 label mapping is applied. What depends on neither the target nor the budget
 is computed with them, once per scenario: each view's EA-whitened stack,
 the inverse roots of the source class means and, when ts-svm, ts-lda or mdm
-runs, the matrix logs of the raw and whitened source views. A target pool
-carries no logs: only its labeled trials are ever logged, once they are
-picked. One unit per target subject then aligns only those stacks, never
-raw trials. Under ``jobs`` > 1 each pool worker receives the scenario's
-domains once, at start-up (inherited, not pickled, under the ``fork``
-start method), and each unit is dispatched as the index of its target
-subject.
+runs, the matrix logs of the source views that some strategy trains on (the
+raw ones under ``raw``, the whitened ones under ``ea`` or ``la``, which
+falls back to EA). A target pool carries no logs: only its labeled trials
+are ever logged, once they are picked. One unit per target subject then
+aligns only those stacks, never raw trials. The process pool is imported
+only when ``jobs`` > 1; then each pool worker receives the scenario's
+domains once, at start-up (inherited, not pickled, under the ``fork`` start
+method), and each unit is dispatched as the index of its target subject.
 
 Protocol per target subject and per budget ``k``: the k medoid trials of
 the target pool are labeled and join the training set, every remaining
@@ -28,14 +29,24 @@ for every alignment strategy so that accuracy differences isolate the
 alignment step. Labeled target trials never appear in the test set. Per k
 the raw medoids are logged once and the whitened medoids once, for the
 training sets only (the LA target means are arithmetic and take no logs);
-the test trials never are. Each (target, k, strategy) cell takes logs only
-of its LA-aligned source stacks, and :func:`fit_predict_cell` computes once
-what its pipelines share: the tangent reference and MDM class means (both
-from the training logs) and the train and test tangent vectors.
+the test trials never are.
 
-A configuration error is raised before any unit starts, and a data error
-raised in a unit names its cell (subject, k, strategy and, from one
-pipeline's fit or predict, the pipeline).
+A unit allocates one training buffer of ``n_source + max(k_grid)`` rows
+(covariances and labels, with scatter and logs when a pipeline reads them),
+and every (k, strategy) cell rewrites it: first the aligned source rows,
+in source order, then the k labeled target rows. The raw and whitened
+source rows are copied from the domains with their logs; the LA-aligned
+rows are logged into the buffer one source subject at a time. A cell's
+training stack is a view of the buffer's first ``n_source + k`` rows, valid
+only during its cell. :func:`fit_predict_cell` computes once what its
+pipelines share: the tangent reference and MDM class means (both from the
+training logs) and the train and test tangent vectors.
+
+A configuration error is raised before any unit starts (the CSP filter
+count as soon as the first subject's stack gives the channels), and a data
+error raised in a unit names its cell: the subject for the pool's pairwise
+distances, the subject and k for the labeled medoids, and subject, k,
+strategy and, from one pipeline's fit or predict, the pipeline.
 """
 
 from __future__ import annotations
@@ -44,7 +55,6 @@ import hashlib
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -68,7 +78,6 @@ from .errors import (
 )
 from .features import (
     CovStack,
-    concat_stacks,
     covariance_stack,
     csp_features,
     csp_fit,
@@ -299,19 +308,27 @@ def subject_stack(
         raise _reworded(exc, f"subject {name}, {exc}") from exc
 
 
+def iter_subject_stacks(
+    names: Sequence[str], subjects, shrinkage: float = 0.0, scatter: bool = False
+) -> Iterator[CovStack]:
+    """:func:`subject_stack` of each subject in turn, taken from ``subjects``
+    (which may be an iterator) only when the next stack is asked for; each
+    must have as many channels as the first (else :class:`DimMismatchError`
+    names the subject)."""
+    subjects, channels = iter(subjects), None
+    for name in names:
+        stack = subject_stack(name, next(subjects), shrinkage, scatter)
+        channels = channels or stack.covs.shape[-1]
+        if stack.covs.shape[-1] != channels:
+            raise DimMismatchError(f"subject {name} has trials without {channels} channels")
+        yield stack
+
+
 def subject_stacks(
     names: Sequence[str], subjects, shrinkage: float = 0.0, scatter: bool = False
 ) -> list[CovStack]:
-    """:func:`subject_stack` of every subject, taken from ``subjects`` (which may
-    be an iterator) one at a time; each must have as many channels as the
-    first (else :class:`DimMismatchError` names the subject)."""
-    subjects, stacks = iter(subjects), []
-    for name in names:
-        stacks.append(subject_stack(name, next(subjects), shrinkage, scatter))
-        channels = stacks[0].covs.shape[-1]
-        if stacks[-1].covs.shape[-1] != channels:
-            raise DimMismatchError(f"subject {name} has trials without {channels} channels")
-    return stacks
+    """Every stack of :func:`iter_subject_stacks`, as a list."""
+    return list(iter_subject_stacks(names, subjects, shrinkage, scatter))
 
 
 def label_view(name: str, stack: CovStack, role: str, labels: Sequence[int]) -> CovStack:
@@ -332,18 +349,23 @@ def source_view(name: str, stack: CovStack, mapping: LabelMapping) -> CovStack:
 
 def _scenario_domains(spec, mapping, names, subjects) -> list[tuple[Domain, Domain]]:
     """Each subject's source view (in target labels) and target pool as
-    domains; the source views carry their logs when a pipeline needs them,
+    domains. When a pipeline needs logs, a source view's raw stack carries
+    them if ``raw`` runs and its whitened stack if ``ea`` or ``la`` runs;
     the target pools never do. CSP's filter count is checked against the
-    channels here, before any unit starts."""
+    first subject's channels, before the second subject is read."""
     csp = "csp-lda" in spec.pipelines
-    stacks = subject_stacks(names, subjects, spec.shrinkage, csp)
-    channels = stacks[0].covs.shape[-1]
-    if csp and 2 * spec.csp_pairs > channels:
-        raise ConfigError(
-            f"csp_pairs {spec.csp_pairs} needs at least {2 * spec.csp_pairs} channels, "
-            f"the trials have {channels}"
-        )
     logs = bool(LOG_PIPELINES.intersection(spec.pipelines))
+    raw_logs = logs and "raw" in spec.strategies
+    ea_logs = logs and not {"ea", "la"}.isdisjoint(spec.strategies)
+    stacks = []
+    for stack in iter_subject_stacks(names, subjects, spec.shrinkage, csp):
+        channels = stack.covs.shape[-1]
+        if csp and 2 * spec.csp_pairs > channels:
+            raise ConfigError(
+                f"csp_pairs {spec.csp_pairs} needs at least {2 * spec.csp_pairs} channels, "
+                f"the trials have {channels}"
+            )
+        stacks.append(stack)
     domains = []
     for name, stack in zip(names, stacks):
         target = label_view(name, stack, "target", spec.target_labels)
@@ -352,8 +374,13 @@ def _scenario_domains(spec, mapping, names, subjects) -> list[tuple[Domain, Doma
                 f"target subject {name} has {len(target.covs)} trials in the target "
                 f"label set; the k grid needs more than {max(spec.k_grid)}"
             )
-        source = source_view(name, stack, mapping)
-        domains.append((domain(source, source=True, logs=logs), domain(target)))
+        source = domain(source_view(name, stack, mapping), source=True)
+        source = replace(
+            source,
+            stack=source.stack.with_logs() if raw_logs else source.stack,
+            ea_stack=source.ea_stack.with_logs() if ea_logs else source.ea_stack,
+        )
+        domains.append((source, domain(target)))
     return domains
 
 
@@ -376,6 +403,37 @@ def _labeled(stack: CovStack, medoids, logs: bool) -> CovStack:
     return part.with_logs() if logs else part
 
 
+def _train_buffer(sources: Sequence[Domain], labeled: int, logs: bool) -> CovStack:
+    """Room for the trials of ``sources`` and ``labeled`` more: their
+    covariances and labels, the scatter when the sources carry it, and the
+    logs when ``logs``."""
+    first = sources[0].stack
+    rows = sum(len(source.stack.covs) for source in sources) + labeled
+    covs = np.empty((rows, *first.covs.shape[1:]))
+    return CovStack(
+        covs,
+        np.empty(rows, first.labels.dtype),
+        None if first.scatter is None else np.empty_like(covs),
+        np.empty_like(covs) if logs else None,
+    )
+
+
+def _fill(buffer: CovStack, pieces: Sequence[CovStack]) -> CovStack:
+    """``pieces`` written one after another into the first rows of ``buffer``,
+    each piece logged first when the buffer holds logs (a piece that carries
+    its logs is copied); returns views of the rows written."""
+    start = 0
+    for piece in pieces:
+        if buffer.logs is not None:
+            piece = piece.with_logs()
+        stop = start + len(piece.covs)
+        for out, values in zip(vars(buffer).values(), vars(piece).values()):
+            if out is not None:
+                out[start:stop] = values
+        start = stop
+    return buffer.take(slice(0, start))
+
+
 def _subject_unit(spec, names, domains, i: int) -> tuple[str, list, list]:
     """Evaluate target subject ``names[i]`` over the whole k grid.
 
@@ -383,23 +441,27 @@ def _subject_unit(spec, names, domains, i: int) -> tuple[str, list, list]:
     of every other subject. A pure function of the scenario and ``i``, so
     results are identical no matter how the units are scheduled across
     processes. Returns (subject_name, accuracy rows, fallback events). A
-    :class:`DataError` of a cell is re-raised as the same type, prefixed with
-    the cell, as in ``subject s1, k 4, la:`` (``la/ts-svm:`` when one
-    pipeline's fit or predict raised it).
+    :class:`DataError` is re-raised as the same type, prefixed with where it
+    arose: ``subject s1:`` for the pool's pairwise distances, ``subject s1,
+    k 4:`` for the labeled medoids, and ``subject s1, k 4, la:`` for a cell
+    (``la/ts-svm:`` when one pipeline's fit or predict raised it).
     """
     name, target = names[i], domains[i][1]
     sources = [source for j, (source, _) in enumerate(domains) if j != i]
     pool = target.stack
     logs = bool(LOG_PIPELINES.intersection(spec.pipelines))
-    distances = pairwise_distances(pool.covs)
+    with _located(f"subject {name}"):
+        distances = pairwise_distances(pool.covs)
+    buffer = _train_buffer(sources, max(spec.k_grid), logs)
     rows = []
     fallbacks = []
     for k in spec.k_grid:
-        medoids = k_medoids(distances, k)
-        # The labeled trials of the raw and of the whitened pool, each taken
-        # (and logged) at most once per k.
-        labeled = {"raw": _labeled(pool, medoids, logs)}
-        means = target_means(labeled["raw"], labeled["raw"].labels, len(spec.target_labels))
+        with _located(f"subject {name}, k {k}"):
+            medoids = k_medoids(distances, k)
+            # The labeled trials of the raw and of the whitened pool, each taken
+            # (and logged) at most once per k.
+            labeled = {"raw": _labeled(pool, medoids, logs)}
+            means = target_means(labeled["raw"], labeled["raw"].labels, len(spec.target_labels))
         test_idx = np.setdiff1d(np.arange(len(pool.covs)), medoids)
         truth = pool.labels[test_idx]
         for strategy in spec.strategies:
@@ -413,10 +475,8 @@ def _subject_unit(spec, names, domains, i: int) -> tuple[str, list, list]:
                 view = "ea" if effective == "ea" else "raw"
                 if view not in labeled:
                     labeled[view] = _labeled(aligned_target, medoids, logs)
-                pieces = [*aligned_sources, labeled[view]]
-                if logs:  # only LA-aligned sources lack their domain's logs
-                    pieces = [p.with_logs() for p in pieces]
-                train = concat_stacks(pieces)
+                train = _fill(buffer, [*aligned_sources, labeled[view]])
+                del aligned_sources  # LA's aligned stacks are in the buffer: fit without them
                 test = aligned_target.take(test_idx)
             preds = fit_predict_cell(
                 spec.pipelines, train, test, csp_pairs=spec.csp_pairs, cell=cell
@@ -444,6 +504,9 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
     )
     scenario = (spec, names, _scenario_domains(spec, mapping, names, subjects))
     if jobs > 1:
+        # Imported here, so that a jobs-1 run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(jobs, len(names))
         with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=scenario) as pool:
             results = list(pool.map(_worker_unit, range(len(names))))

@@ -50,7 +50,7 @@ class CovStack:
     ``scatter`` is the time-centred scatter (n, C, C) that CSP features read,
     or None. Aligning the trials as ``A X`` maps both stacks to ``A S Aᵀ``.
     ``logs`` are the matrix logs of ``covs`` once :meth:`with_logs` took them;
-    selection, concatenation and relabeling keep them, a congruence drops them.
+    selection and relabeling keep them, a congruence drops them.
     """
 
     covs: Array
@@ -72,14 +72,6 @@ class CovStack:
     def with_logs(self) -> CovStack:
         """This stack carrying the matrix logs of its covariances, taken at most once."""
         return self if self.logs is not None else replace(self, logs=spd_log(self.covs))
-
-
-def concat_stacks(stacks: Sequence[CovStack]) -> CovStack:
-    """The stacks one after another; a field missing from any of them is None."""
-    fields = zip(*(vars(s).values() for s in stacks))
-    return CovStack(*(
-        None if any(a is None for a in f) else np.concatenate(f) for f in fields
-    ))
 
 
 @dataclass(frozen=True, eq=False)

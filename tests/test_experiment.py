@@ -1,14 +1,18 @@
 """Harness tests: the golden report, LOSO leakage, report formats, pipeline
 congruence properties, degenerate input and the CLI."""
 
+import concurrent.futures
 import functools
 import hashlib
 import json
 import math
 import multiprocessing
+import os
 import pickle
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -20,10 +24,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_spd
 from labelalign import alignment, classifiers, cli, dataio, experiment, features, spd
 from labelalign.alignment import (
     Domain,
     align,
+    domain,
     ea_reference,
     match_labels,
     relabel,
@@ -58,7 +64,7 @@ from labelalign.experiment import (
     run_scenario,
     subject_stack,
 )
-from labelalign.features import concat_stacks, covariance_stack, ts_features
+from labelalign.features import CovStack, covariance_stack, ts_features
 from labelalign.report import (
     ExperimentReport,
     emit_report,
@@ -86,12 +92,14 @@ def scenario_domains(spec, names, subjects):
 class GoldenRun:
     """The golden spec run at jobs 1, with what its spies saw: the train and
     test stacks and the predictions of each cell (one ``fit_predict_cell``
-    call per target, k and strategy), the covariances of every
-    ``ts_features`` call, every input of ``spd_log`` and how many matrices
-    ``np.linalg.eigh`` and ``eigvalsh`` decomposed."""
+    call per target, k and strategy), the covariance arrays that each cell
+    was passed, the covariances of every ``ts_features`` call, every input
+    of ``spd_log`` and how many matrices ``np.linalg.eigh`` and ``eigvalsh``
+    decomposed."""
 
     report: ExperimentReport
     cells: list = field(default_factory=list)  # (train, test, predictions)
+    passed: list = field(default_factory=list)  # train.covs, test.covs of each cell
     tangent: list = field(default_factory=list)
     logged: list = field(default_factory=list)
     eig_matrices: int = 0
@@ -103,7 +111,10 @@ def golden_run():
 
     def cell_spy(pipelines, train, test, **kwargs):
         preds = fit_predict_cell(pipelines, train, test, **kwargs)
-        run.cells.append((train, test, preds))
+        run.passed.extend([train.covs, test.covs])
+        # The unit's next cell rewrites the buffer that ``train`` views.
+        kept = CovStack(*(None if a is None else a.copy() for a in vars(train).values()))
+        run.cells.append((kept, test, preds))
         return preds
 
     def ts_spy(ref, covs):
@@ -189,7 +200,7 @@ def recording_pools(monkeypatch):
             self.mapped = list(items)
             return [fn(pickle.loads(pickle.dumps(item))) for item in self.mapped]
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     # The fake starts its "worker" here; the global is restored after the test.
     monkeypatch.setattr(experiment, "_WORKER_SCENARIO", None, raising=False)
     return pools
@@ -239,6 +250,21 @@ class TestPoolDispatch:
         assert code == 2
         assert f"jobs must be at least 1, got {jobs}" in err and "Traceback" not in err
         assert not out.exists() and recording_pools == []
+
+    def test_a_jobs_1_run_never_imports_the_process_pool(self):
+        code = (
+            "import sys\n"
+            "from labelalign.experiment import load_scenario, run_scenario\n"
+            f"run_scenario(load_scenario({str(GOLDEN_SPEC)!r}))\n"
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))\n"
+        )
+        src = str(Path(experiment.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
     def test_the_parent_never_holds_the_worker_scenario(self):
         for jobs in (1, 2):  # the second run starts two real worker processes
@@ -310,7 +336,7 @@ class TestSharedWork:
     def test_one_tangent_mapping_of_train_and_of_test_per_cell(self, golden_run):
         spec = load_scenario(GOLDEN_SPEC)
         assert len(golden_run.cells) == 3 * len(spec.k_grid) * len(spec.strategies)
-        expected = [stack.covs for train, test, _ in golden_run.cells for stack in (train, test)]
+        expected = golden_run.passed
         assert len(golden_run.tangent) == len(expected)
         assert all(got is want for got, want in zip(golden_run.tangent, expected))
 
@@ -380,9 +406,8 @@ class TestSharedWork:
         d = manifest.parent
         trials = {i: with_labels(read_trials(d / f"s{i}.trials"), read_labels(d / f"s{i}.labels"))
                   for i in (0, 1)}
-        # As in a harness cell, each stack carries its own logs before concatenation.
-        stacks = [covariance_stack(t, scatter=True) for t in trials.values()]
-        train = concat_stacks([stack.with_logs() for stack in stacks])
+        # As in a harness cell, the training stack carries its logs.
+        train = covariance_stack([*trials[0], *trials[1]], scatter=True).with_logs()
         test = covariance_stack(read_trials(d / "s2.trials"), scatter=True)
         expected = fit_predict_cell(PIPELINES, train, test, csp_pairs=1)[pipeline]
         write_trials(d / "train.trials", [*trials[0], *trials[1]])
@@ -489,7 +514,7 @@ class TestDegenerateTrials:
 
 class TestConfigErrorsComeFirst:
     """A configuration error is raised before any trial is read, or, for the
-    CSP filter count against the channels, before any unit starts."""
+    CSP filter count against the channels, once the first subject is read."""
 
     @staticmethod
     def run_cli(spec, out):
@@ -526,6 +551,33 @@ class TestConfigErrorsComeFirst:
             capsys.readouterr().err
         )
         assert units == [] and not (tmp_path / "r.csv").exists()
+
+    def test_too_many_csp_pairs_fail_after_the_first_subject_is_read(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({
+            "channels": 6, "samples": 30, "classes": 4, "trials_per_class": 6,
+            "subjects": 3, "class_separation": 1.0, "subject_shift": 0.5, "seed": 2,
+        }))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "d")]) == 0
+        truncated = tmp_path / "d" / "s1.trials"
+        truncated.write_bytes(truncated.read_bytes()[:100])
+        spec = write_spec(tmp_path / "spec.json", tmp_path / "d" / "manifest.json")
+        spec.write_text(json.dumps({**json.loads(spec.read_text()), "csp_pairs": 4}))
+        reads = []
+
+        def spy(path):
+            reads.append(Path(path).name)
+            return read_trials(path)
+
+        monkeypatch.setattr(dataio, "read_trials", spy)
+        capsys.readouterr()
+        assert self.run_cli(spec, tmp_path / "r.csv") == 2
+        assert "csp_pairs 4 needs at least 8 channels, the trials have 6" in (
+            capsys.readouterr().err
+        )
+        assert reads == ["s0.trials"] and not (tmp_path / "r.csv").exists()
 
 
 @st.composite
@@ -628,6 +680,30 @@ class TestUnitErrorsNameTheirCell:
             run_scenario(load_scenario(self.la_spec(manifest, tmp_path)), jobs=2)
         assert str(info.value) == "subject s0, k 2, la/mdm: injected"
         assert info.value.label == 7
+
+    @needs_fork
+    @pytest.mark.parametrize("name, where", [
+        ("pairwise_distances", "subject s0"),
+        ("target_means", "subject s0, k 2"),
+    ])
+    def test_an_error_before_any_cell_names_its_subject_and_k(
+        self, manifest, tmp_path, monkeypatch, capsys, name, where
+    ):
+        def failing(*args):
+            raise NotPositiveDefiniteError("injected")
+
+        monkeypatch.setattr(experiment, name, failing)
+        spec = self.la_spec(manifest, tmp_path)
+        with pytest.raises(NotPositiveDefiniteError, match=f"^{where}: injected$"):
+            run_scenario(load_scenario(spec))
+        errs = []
+        for jobs in ("1", "2"):  # the second run starts two real worker processes
+            out = tmp_path / f"r{jobs}.csv"
+            assert main(["experiment", "--spec", str(spec), "--out", str(out),
+                         "--jobs", jobs]) == 3
+            errs.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errs == [f"error: {where}: injected\n"] * 2
 
     def test_an_alignment_error_names_the_cell_without_a_pipeline(
         self, manifest, tmp_path, monkeypatch
@@ -736,6 +812,66 @@ class TestAlignMemory:
                      "--target-labels", "2,3", "-k", "6"]
         peak = traced_peak(lambda: main(args))
         assert peak <= stack_peak + subject_bytes
+
+
+class TestTrainBuffer:
+    """A unit trains every (k, strategy) cell from one buffer: the aligned
+    source rows, then the labeled target rows, with the logs of every row."""
+
+    @staticmethod
+    def stack(rng, n, label):
+        covs = np.stack([random_spd(rng, 4) for _ in range(n)])
+        return CovStack(covs, np.full(n, label), covs + np.eye(4))
+
+    def test_rows_are_sources_then_labeled_with_their_logs(self):
+        rng = np.random.default_rng(61)
+        sources = [domain(self.stack(rng, n, label), source=True)
+                   for n, label in ((7, 0), (5, 1))]
+        labeled = self.stack(rng, 3, 2)
+        buffer = experiment._train_buffer(sources, 3, logs=True)
+        for k in (3, 1):  # a later cell rewrites the rows that it uses
+            # A raw source carries its logs; an LA-aligned one does not.
+            pieces = [sources[0].stack.with_logs(), sources[1].stack,
+                      labeled.take(np.arange(k)).with_logs()]
+            train = experiment._fill(buffer, pieces)
+            assert all(np.shares_memory(got, rows)
+                       for got, rows in zip(vars(train).values(), vars(buffer).values()))
+            assert train.labels.tolist() == [0] * 7 + [1] * 5 + [2] * k
+            for field_name in ("covs", "scatter"):
+                assert np.array_equal(getattr(train, field_name), np.concatenate(
+                    [getattr(piece, field_name) for piece in pieces]))
+            assert np.array_equal(train.logs, spd_log(train.covs))
+
+    def test_a_buffer_holds_only_the_fields_that_a_cell_reads(self):
+        rng = np.random.default_rng(62)
+        stack = self.stack(rng, 6, 0)
+        for scatter in (stack.scatter, None):
+            sources = [domain(replace(stack, scatter=scatter), source=True)]
+            train = experiment._fill(experiment._train_buffer(sources, 2, logs=False),
+                                     [sources[0].stack])
+            assert train.logs is None and (train.scatter is None) == (scatter is None)
+            assert np.array_equal(train.covs, stack.covs)
+
+    def test_a_unit_holds_one_training_stack(self):
+        # Nine sources, so that one source's temporaries are small beside the
+        # training stack. Beside the buffer, the unit's peak holds LA's
+        # aligned source covariances until they are in the buffer, or MDM's
+        # copy of one class's covariances and logs: about half a training
+        # stack each. Two training stacks would not fit: LA's aligned stacks
+        # with their logs, and their concatenation beside them.
+        spec = experiment.scenario_from_dict({
+            "source_labels": [0, 1], "target_labels": [2, 3], "strategies": ["la"],
+            "pipelines": ["mdm"], "k_grid": [4],
+            "synth": {"channels": 8, "samples": 24, "classes": 4, "trials_per_class": 20,
+                      "subjects": 10, "class_separation": 1.0, "subject_shift": 0.5,
+                      "seed": 3},
+        })
+        names, subjects = experiment._load_subjects(spec)
+        domains = scenario_domains(spec, names, subjects)
+        peak = traced_peak(lambda: experiment._subject_unit(spec, names, domains, 0))
+        rows = sum(len(source.stack.covs) for source, _ in domains[1:]) + 4
+        training_stack = rows * (2 * 8 * 8 * 8 + 8)  # covariances, logs and a label
+        assert peak < 2 * training_stack
 
 
 class TestJsonReport:

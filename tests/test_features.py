@@ -17,7 +17,6 @@ from labelalign.experiment import subject_stack
 from labelalign.features import (
     CovStack,
     CspModel,
-    concat_stacks,
     centred_scatter,
     covariance_stack,
     csp_features,
@@ -180,13 +179,6 @@ class TestStackLogs:
     def test_take_keeps_logs(self):
         taken = self.stack().with_logs().take([5, 0, 3])
         assert np.array_equal(taken.logs, spd_log(taken.covs))
-
-    def test_concatenation_keeps_logs(self):
-        parts = [self.stack(48).with_logs(), self.stack(49).with_logs().take([1, 2])]
-        joined = concat_stacks(parts)
-        assert np.array_equal(joined.logs, spd_log(joined.covs))
-        assert np.array_equal(joined.scatter[:7], parts[0].scatter)
-        assert concat_stacks([parts[0], self.stack(50)]).logs is None
 
     def test_relabeling_keeps_logs(self):
         logged = self.stack().with_logs()
