@@ -49,7 +49,6 @@ from .report import ExperimentReport, emit_report, read_report
 from .selection import k_medoids, pairwise_distances
 from .spd import (
     arithmetic_mean_cov,
-    class_means,
     riemannian_distance,
     spd_exp,
     spd_from_matrix,
@@ -78,7 +77,6 @@ __all__ = [
     "Trial",
     "align",
     "arithmetic_mean_cov",
-    "class_means",
     "covariance_stack",
     "csp_features",
     "csp_fit",

@@ -163,14 +163,12 @@ def class_inv_roots(stack: CovStack) -> dict:
     return dict(zip(means, spd_inv_sqrt(np.stack(list(means.values())))))
 
 
-def domain(stack: CovStack, source: bool = False, logs: bool = False) -> Domain:
-    """Build a domain; ``source`` also computes its class means' inverse roots,
-    and ``logs`` makes the raw and whitened stacks carry their matrix logs.
-    The harness asks for logs only on source views: of a target pool it
-    logs only the trials that get labeled, once they are picked."""
+def domain(stack: CovStack, source: bool = False) -> Domain:
+    """Build a domain; ``source`` also computes its class means' inverse roots.
+    Neither stack carries matrix logs: the harness logs a source view's stacks
+    with :meth:`CovStack.with_logs` when some strategy trains on them, and of
+    a target pool only the trials that get labeled, once they are picked."""
     ea_stack = stack.transformed(ea_reference(stack.covs))
-    if logs:
-        stack, ea_stack = stack.with_logs(), ea_stack.with_logs()
     return Domain(stack, ea_stack, class_inv_roots(stack) if source else None)
 
 
@@ -187,7 +185,8 @@ def align(
 
     * ``raw``: covariances pass through unchanged.
     * ``ea``: every subject, including the target, is whitened with its own
-      reference; these are the domains' whitened stacks, logs included.
+      reference; these are the domains' whitened stacks, with any logs
+      they carry.
     * ``la``: each source subject (a domain built with ``source=True``) gets
       its own per-class transforms toward the shared ``target_means``; the
       target is untouched. The new source stacks carry no logs.

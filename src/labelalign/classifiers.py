@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimMismatchError, NotConvergedError, SingularCovarianceError
-from .spd import Array, as_stack, class_means, riemannian_distance
+from .spd import Array, as_stack, log_euclidean_mean, riemannian_distance
 
 LDA_GAMMA = 1e-3
 SVM_LAMBDA = 1e-3
@@ -45,10 +45,10 @@ class LdaModel:
     priors: Array
 
 
-def lda_fit(features, labels, gamma: float = LDA_GAMMA) -> LdaModel:
+def lda_fit(features, labels) -> LdaModel:
     """Gaussian LDA with a pooled within-class covariance.
 
-    The pooled covariance is regularized by gamma * trace/d * I so the
+    The pooled covariance is regularized by LDA_GAMMA * trace/d * I so the
     high-dimensional tangent-space features stay invertible (a zero trace
     raises); the projections solve it against the means, with no inverse.
     """
@@ -66,7 +66,7 @@ def lda_fit(features, labels, gamma: float = LDA_GAMMA) -> LdaModel:
         raise SingularCovarianceError(
             "pooled covariance singular after regularization (constant features)"
         )
-    pooled += gamma * scale * np.eye(d)
+    pooled += LDA_GAMMA * scale * np.eye(d)
     coef = np.linalg.solve(pooled, means.T)
     priors = np.array([by_class[c].shape[0] / n for c in classes])
     return LdaModel(classes, means, coef, priors)
@@ -91,10 +91,9 @@ class LinearSvmModel:
     pairs: Array  # (p, 2) class indices (a, b) with a < b; a positive score votes b
     coef: Array  # (d, p)
     intercept: Array  # (p,)
-    lam: float
 
 
-def _line_search(slack: Array, delta: Array, w: Array, step_w: Array, lam: float) -> float:
+def _line_search(slack: Array, delta: Array, w: Array, step_w: Array) -> float:
     """Exact minimiser t > 0 along ``step``, given slack = 1 - y (x . z) and
     delta = y (x . step). The derivative a + b t is linear between the
     breakpoints slack / delta, where a sample leaves (delta > 0) or joins
@@ -102,8 +101,8 @@ def _line_search(slack: Array, delta: Array, w: Array, step_w: Array, lam: float
     give (a, b) per interval, and the root is in the first one to turn >= 0."""
     scale = 2.0 / slack.shape[0]
     active = (slack > 0.0) | ((slack == 0.0) & (delta < 0.0))
-    a0 = lam * (w @ step_w) - scale * (delta[active] @ slack[active])
-    b0 = lam * (step_w @ step_w) + scale * (delta[active] @ delta[active])
+    a0 = SVM_LAMBDA * (w @ step_w) - scale * (delta[active] @ slack[active])
+    b0 = SVM_LAMBDA * (step_w @ step_w) + scale * (delta[active] @ delta[active])
     idx = np.flatnonzero(slack * delta > 0.0)
     idx = idx[np.argsort(slack[idx] / delta[idx], kind="stable")]
     t, d, s = slack[idx] / delta[idx], delta[idx], slack[idx]
@@ -114,8 +113,8 @@ def _line_search(slack: Array, delta: Array, w: Array, step_w: Array, lam: float
     return -a[j] / b[j]
 
 
-def _train_pair(xa: Array, xb: Array, lam: float) -> Array:
-    """[w, bias] minimising lam/2 ||w||^2 + mean(max(0, 1 - y (w . x + bias))^2)
+def _train_pair(xa: Array, xb: Array) -> Array:
+    """[w, bias] minimising SVM_LAMBDA/2 ||w||^2 + mean(max(0, 1 - y (w . x + bias))^2)
     with y = -1 on ``xa`` and +1 on ``xb``; the bias is unregularized.
 
     Primal Newton (Chapelle, Neural Computation 2007) with an exact line
@@ -129,7 +128,7 @@ def _train_pair(xa: Array, xb: Array, lam: float) -> Array:
     if np.allclose(x, x[0], rtol=0.0, atol=0.0):
         return np.zeros(d + 1)  # no signal: the zero model votes for the first class
     x1 = np.hstack([x, np.ones((n, 1))])
-    reg = np.append(np.full(d, lam), 0.0)
+    reg = np.append(np.full(d, SVM_LAMBDA), 0.0)
     scale = 2.0 / n
     tol = SVM_GRAD_TOL * np.linalg.norm(scale * (y @ x1))  # the gradient at z = 0
     z = np.zeros(d + 1)
@@ -149,17 +148,17 @@ def _train_pair(xa: Array, xb: Array, lam: float) -> Array:
         if not active.any():
             hess[-1, -1] = 1.0  # the bias gradient is 0 here, so is its step
         step = -np.linalg.solve(hess, grad)
-        z = z + _line_search(slack, y * (x1 @ step), z[:-1], step[:-1], lam) * step
+        z = z + _line_search(slack, y * (x1 @ step), z[:-1], step[:-1]) * step
 
 
-def svm_fit(features, labels, lam: float = SVM_LAMBDA) -> LinearSvmModel:
+def svm_fit(features, labels) -> LinearSvmModel:
     """One-vs-one linear SVMs on the L2-regularized squared hinge."""
     x = _as_matrix(features)
     classes, by_class = _split_by_class(x, labels)
     pairs = np.array(list(itertools.combinations(range(len(classes)), 2)))
-    fits = [_train_pair(by_class[classes[a]], by_class[classes[b]], lam) for a, b in pairs]
+    fits = [_train_pair(by_class[classes[a]], by_class[classes[b]]) for a, b in pairs]
     z = np.column_stack(fits)
-    return LinearSvmModel(classes, pairs, z[:-1], z[-1], lam)
+    return LinearSvmModel(classes, pairs, z[:-1], z[-1])
 
 
 def svm_predict_many(model: LinearSvmModel, features) -> list:
@@ -176,18 +175,18 @@ class MdmModel:
     means: dict  # label -> SPD mean
 
 
-def mdm_fit(covs, labels, logs: Array | None = None) -> MdmModel:
+def mdm_fit(logs, labels) -> MdmModel:
     """Per-class Log-Euclidean means ``exp(mean(log Cᵢ))`` of the training
-    covariances (n, C, C), from their matrix ``logs`` when the caller holds
-    them (then no eigendecomposition runs here), else from logs taken here."""
-    covs = as_stack(covs, "mdm_fit")
+    covariances, from their matrix ``logs`` (n, C, C): one exp per class and
+    no eigendecomposition of the covariances here."""
+    logs = as_stack(logs, "mdm_fit")
     labels = np.asarray(labels)
-    if labels.shape != (len(covs),):
-        raise DimMismatchError(f"{len(covs)} covariances but {labels.shape[0]} labels")
-    means = class_means(covs, labels, logs)
-    if len(means) < 2:
-        raise ConfigError(f"need >= 2 classes, got {tuple(means)}")
-    return MdmModel(tuple(means), means)
+    if labels.shape != (len(logs),):
+        raise DimMismatchError(f"{len(logs)} covariances but {labels.shape[0]} labels")
+    classes = tuple(int(l) for l in np.unique(labels))
+    if len(classes) < 2:
+        raise ConfigError(f"need >= 2 classes, got {classes}")
+    return MdmModel(classes, {l: log_euclidean_mean(logs[labels == l]) for l in classes})
 
 
 def mdm_predict(model: MdmModel, covs: Array):

@@ -31,13 +31,13 @@ from .dataio import (
 from .errors import ConfigError, DataError, EmptyInputError
 from .experiment import (
     fit_predict,
+    iter_subject_stacks,
     label_view,
     load_scenario,
     run_scenario,
     source_view,
-    subject_stacks,
 )
-from .features import covariance_stack
+from .features import DEFAULT_CSP_PAIRS, covariance_stack
 from .report import emit_report
 from .rng import derive_key
 from .selection import k_medoids, pairwise_distances
@@ -103,7 +103,7 @@ def _cmd_align(args) -> int:
             if not count:
                 raise EmptyInputError(f"subject {name}, no trials")
     else:
-        stacks = subject_stacks(names, manifest.iter_subjects())
+        stacks = list(iter_subject_stacks(names, manifest.iter_subjects()))
     if args.strategy == "ea":
         fits = [(ea_reference(stack.covs), None) for stack in stacks]
     elif args.strategy == "la":  # as in a harness unit
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-labels", required=True)
     p.add_argument("--test-trials", required=True)
     p.add_argument("--test-labels", default=None)
-    p.add_argument("--csp-pairs", type=int, default=3)
+    p.add_argument("--csp-pairs", type=int, default=DEFAULT_CSP_PAIRS)
     p.add_argument("--shrinkage", type=float, default=0.0)
     p.set_defaults(func=_cmd_classify)
     return parser

@@ -50,6 +50,7 @@ from .errors import (
     NonFiniteError,
     NonFinitePayloadError,
     TruncatedPayloadError,
+    located,
 )
 
 MAGIC = b"EEGT"
@@ -187,16 +188,17 @@ class DatasetManifest:
     subjects: tuple[SubjectEntry, ...]
 
     def load_subject(self, entry: SubjectEntry) -> list[Trial]:
-        trials = read_trials(entry.trials_path)
-        labels = read_labels(entry.labels_path)
-        if len(labels) != len(trials):
-            raise DataError(
-                f"{entry.name}: {len(trials)} trials but {len(labels)} labels"
-            )
-        bad = sorted(set(labels) - set(self.label_set))
-        if bad:
-            raise DataError(f"{entry.name}: labels {bad} not in declared set")
-        return with_labels(trials, labels)
+        """The labeled trials of ``entry``; a :class:`DataError` of its files
+        is prefixed ``subject {name}:``."""
+        with located(f"subject {entry.name}"):
+            trials = read_trials(entry.trials_path)
+            labels = read_labels(entry.labels_path)
+            if len(labels) != len(trials):
+                raise DataError(f"{len(trials)} trials but {len(labels)} labels")
+            bad = sorted(set(labels) - set(self.label_set))
+            if bad:
+                raise DataError(f"labels {bad} not in declared set")
+            return with_labels(trials, labels)
 
     def iter_subjects(self) -> Iterator[list[Trial]]:
         """Each subject's labeled trials in turn, read as the next is asked for."""

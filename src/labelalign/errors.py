@@ -4,9 +4,12 @@ Two branches matter for the CLI: ``ConfigError`` (bad invocation or
 scenario/config files, exit code 2) and ``DataError`` (bad or degenerate
 data, exit code 3). Numeric preconditions raise ``DataError`` subclasses
 because they are triggered by the data fed in, not by the configuration.
+A ``DataError`` is located by re-raising it, as the same type with the same
+attributes, with a prefix that names where it arose (:func:`located`).
 """
 
 import copyreg
+from contextlib import contextmanager
 
 
 class LabelAlignError(Exception):
@@ -109,3 +112,24 @@ class NonFinitePayloadError(DataError):
     def __init__(self, message: str, offset: int):
         super().__init__(message)
         self.offset = offset
+
+
+def reworded(exc: LabelAlignError, message: str) -> LabelAlignError:
+    """A new error of ``exc``'s type with ``message`` and ``exc``'s other
+    attributes (``MissingClassError.label``, a payload's byte offsets), which
+    calling the type with the message alone would not rebuild."""
+    new = type(exc).__new__(type(exc), message)
+    new.__dict__.update(vars(exc))
+    return new
+
+
+@contextmanager
+def located(where: str | None):
+    """Re-raise a :class:`DataError` of the block with its message prefixed
+    by ``where``; None leaves it as it is."""
+    try:
+        yield
+    except DataError as exc:
+        if where is None:
+            raise
+        raise reworded(exc, f"{where}: {exc}") from exc

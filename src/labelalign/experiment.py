@@ -55,7 +55,6 @@ import hashlib
 import itertools
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -70,13 +69,15 @@ from .errors import (
     DataError,
     DimMismatchError,
     EmptyInputError,
-    LabelAlignError,
     NonFiniteError,
     NotPositiveDefiniteError,
     TooFewPointsError,
     ZeroVarianceError,
+    located,
+    reworded,
 )
 from .features import (
+    DEFAULT_CSP_PAIRS,
     CovStack,
     covariance_stack,
     csp_features,
@@ -105,7 +106,7 @@ class ScenarioSpec:
     seed: int = 0
     synth: SynthConfig | None = None
     manifest: str | None = None
-    csp_pairs: int = 3
+    csp_pairs: int = DEFAULT_CSP_PAIRS
     shrinkage: float = 0.0
 
     def __post_init__(self):
@@ -171,7 +172,7 @@ def scenario_from_dict(doc: dict, seed_override: int | None = None) -> ScenarioS
             seed=seed,
             synth=synth,
             manifest=doc.get("manifest"),
-            csp_pairs=int(doc.get("csp_pairs", 3)),
+            csp_pairs=int(doc.get("csp_pairs", DEFAULT_CSP_PAIRS)),
             shrinkage=float(doc.get("shrinkage", 0.0)),
         )
     except KeyError as exc:
@@ -216,33 +217,12 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     return t, student_t_two_sided_p(t, n - 1)
 
 
-def _reworded(exc: LabelAlignError, message: str) -> LabelAlignError:
-    """A new error of ``exc``'s type with ``message`` and ``exc``'s other
-    attributes (``MissingClassError.label``, a payload's byte offsets), which
-    calling the type with the message alone would not rebuild."""
-    new = type(exc).__new__(type(exc), message)
-    new.__dict__.update(vars(exc))
-    return new
-
-
-@contextmanager
-def _located(where: str | None):
-    """Re-raise a :class:`DataError` of the block with its message prefixed
-    by ``where``; None leaves it as it is."""
-    try:
-        yield
-    except DataError as exc:
-        if where is None:
-            raise
-        raise _reworded(exc, f"{where}: {exc}") from exc
-
-
 def fit_predict_cell(
     pipelines: Sequence[str],
     train: CovStack,
     test: CovStack,
     *,
-    csp_pairs: int = 3,
+    csp_pairs: int,
     cell: str | None = None,
 ) -> dict:
     """``{pipeline: predictions}`` of each pipeline trained on a labeled stack;
@@ -252,24 +232,24 @@ def fit_predict_cell(
     prefixed with ``cell``, or with ``cell/pipeline`` when it came from one
     pipeline's fit or predict."""
     labels = train.labels
-    with _located(cell):
+    with located(cell):
         if LOG_PIPELINES.intersection(pipelines):
             train = train.with_logs()
         if "ts-svm" in pipelines or "ts-lda" in pipelines:
-            ref = log_euclidean_mean(train.covs, train.logs)
+            ref = log_euclidean_mean(train.logs)
             feats, test_feats = ts_features(ref, train.covs), ts_features(ref, test.covs)
     preds = {}
     for pipeline in pipelines:
-        with _located(cell and f"{cell}/{pipeline}"):
+        with located(cell and f"{cell}/{pipeline}"):
             if pipeline == "csp-lda":
                 if train.scatter is None or test.scatter is None:
                     raise ConfigError("csp-lda needs the centred scatter of every trial")
-                model = csp_fit({c: train.covs[labels == c] for c in np.unique(labels)}, csp_pairs)
+                model = csp_fit(train.covs, labels, csp_pairs)
                 clf = classifiers.lda_fit(csp_features(model, train.scatter), labels)
                 test_csp = csp_features(model, test.scatter)
                 preds[pipeline] = classifiers.lda_predict_many(clf, test_csp)
             elif pipeline == "mdm":
-                model = classifiers.mdm_fit(train.covs, labels, train.logs)
+                model = classifiers.mdm_fit(train.logs, labels)
                 preds[pipeline] = classifiers.mdm_predict(model, test.covs)
             elif pipeline == "ts-lda":
                 clf = classifiers.lda_fit(feats, labels)
@@ -282,7 +262,7 @@ def fit_predict_cell(
     return preds
 
 
-def fit_predict(pipeline: str, train: CovStack, test: CovStack, *, csp_pairs: int = 3) -> list:
+def fit_predict(pipeline: str, train: CovStack, test: CovStack, *, csp_pairs: int) -> list:
     """Train one pipeline on a labeled stack and predict ``test`` (a one-pipeline cell)."""
     return fit_predict_cell((pipeline,), train, test, csp_pairs=csp_pairs)[pipeline]
 
@@ -305,7 +285,7 @@ def subject_stack(
     try:
         return covariance_stack(trials, shrinkage, scatter)
     except (DimMismatchError, EmptyInputError, NonFiniteError, NotPositiveDefiniteError) as exc:
-        raise _reworded(exc, f"subject {name}, {exc}") from exc
+        raise reworded(exc, f"subject {name}, {exc}") from exc
 
 
 def iter_subject_stacks(
@@ -322,13 +302,6 @@ def iter_subject_stacks(
         if stack.covs.shape[-1] != channels:
             raise DimMismatchError(f"subject {name} has trials without {channels} channels")
         yield stack
-
-
-def subject_stacks(
-    names: Sequence[str], subjects, shrinkage: float = 0.0, scatter: bool = False
-) -> list[CovStack]:
-    """Every stack of :func:`iter_subject_stacks`, as a list."""
-    return list(iter_subject_stacks(names, subjects, shrinkage, scatter))
 
 
 def label_view(name: str, stack: CovStack, role: str, labels: Sequence[int]) -> CovStack:
@@ -450,13 +423,13 @@ def _subject_unit(spec, names, domains, i: int) -> tuple[str, list, list]:
     sources = [source for j, (source, _) in enumerate(domains) if j != i]
     pool = target.stack
     logs = bool(LOG_PIPELINES.intersection(spec.pipelines))
-    with _located(f"subject {name}"):
+    with located(f"subject {name}"):
         distances = pairwise_distances(pool.covs)
     buffer = _train_buffer(sources, max(spec.k_grid), logs)
     rows = []
     fallbacks = []
     for k in spec.k_grid:
-        with _located(f"subject {name}, k {k}"):
+        with located(f"subject {name}, k {k}"):
             medoids = k_medoids(distances, k)
             # The labeled trials of the raw and of the whitened pool, each taken
             # (and logged) at most once per k.
@@ -470,7 +443,7 @@ def _subject_unit(spec, names, domains, i: int) -> tuple[str, list, list]:
                 effective = "ea"
                 fallbacks.append([name, k])
             cell = f"subject {name}, k {k}, {strategy}"
-            with _located(cell):
+            with located(cell):
                 aligned_sources, aligned_target = align(effective, sources, target, means)
                 view = "ea" if effective == "ea" else "raw"
                 if view not in labeled:

@@ -18,7 +18,7 @@ those of a whole-stack product, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -204,38 +204,31 @@ def _binary_csp(c1: Array, c2: Array, pairs: int) -> Array:
     return filters
 
 
-def csp_fit(
-    covs_by_class: Mapping[int, Sequence[Array]],
-    pairs: int = DEFAULT_CSP_PAIRS,
-) -> CspModel:
-    """Fit CSP filters from per-class trial covariances.
+def csp_fit(covs: Array, labels, pairs: int) -> CspModel:
+    """Fit CSP filters from the trial covariances ``covs`` (n, C, C) and
+    their ``labels`` (n,).
 
     Two classes give the classic binary filters; more classes use
     one-vs-rest (each class against the pooled others), concatenating the
-    per-class filter blocks in sorted class order. Deterministic: fixed
+    per-class filter blocks in sorted class order. A class's mean is taken
+    over its trials in stack order, and the pool of the other classes
+    concatenates their trials in sorted class order. Deterministic: fixed
     eigen-sorting and a positive-largest-entry sign convention.
     """
-    classes = tuple(sorted(covs_by_class))
+    labels = np.asarray(labels)
+    classes = tuple(int(c) for c in np.unique(labels))
     if len(classes) < 2:
         raise ConfigError(f"CSP needs >= 2 classes, got {len(classes)}")
-    for label in classes:
-        if len(covs_by_class[label]) == 0:
-            raise ConfigError(f"class {label!r} has no covariances")
-    dim = np.asarray(covs_by_class[classes[0]][0]).shape[0]
-    if pairs < 1 or 2 * pairs > dim:
+    if pairs < 1 or 2 * pairs > covs.shape[-1]:
         raise ConfigError(f"pairs must satisfy 1 <= pairs <= channels/2, got {pairs}")
 
-    means = {
-        label: np.mean(np.asarray(covs_by_class[label]), axis=0) for label in classes
-    }
+    means = {c: np.mean(covs[labels == c], axis=0) for c in classes}
     if len(classes) == 2:
         return CspModel(_binary_csp(means[classes[0]], means[classes[1]], pairs), pairs, classes)
 
     blocks = []
     for label in classes:
-        rest = np.concatenate(
-            [np.asarray(covs_by_class[other]) for other in classes if other != label]
-        )
+        rest = np.concatenate([covs[labels == other] for other in classes if other != label])
         blocks.append(_binary_csp(means[label], np.mean(rest, axis=0), pairs))
     return CspModel(np.vstack(blocks), pairs, classes)
 

@@ -64,11 +64,11 @@ def as_stack(ps, op: str) -> Array:
     return a
 
 
-def spd_from_matrix(raw, tol: float = SPD_TOL, name: str = "matrix") -> Array:
+def spd_from_matrix(raw, name: str = "matrix") -> Array:
     """Symmetrize ``raw`` and validate positive definiteness.
 
-    The smallest eigenvalue of each matrix must exceed ``t = tol * trace /
-    dim`` (a scale-free threshold). One batched Cholesky factorization of
+    The smallest eigenvalue of each matrix must exceed ``t = SPD_TOL * trace
+    / dim`` (a scale-free threshold). One batched Cholesky factorization of
     ``S - t I`` decides that; only when it fails are the eigenvalues taken,
     and the error names the first failing matrix of a stack as ``name i``
     with its smallest eigenvalue. Returns the validated symmetric matrix or
@@ -78,7 +78,7 @@ def spd_from_matrix(raw, tol: float = SPD_TOL, name: str = "matrix") -> Array:
     if not np.isfinite(a).all():
         raise NonFiniteError(f"{name} contains NaN or Inf entries")
     s = symmetrize(a)
-    threshold = tol * np.trace(s, axis1=-2, axis2=-1) / s.shape[-1]
+    threshold = SPD_TOL * np.trace(s, axis1=-2, axis2=-1) / s.shape[-1]
     try:
         np.linalg.cholesky(s - threshold[..., None, None] * np.eye(s.shape[-1]))
         return s
@@ -194,21 +194,10 @@ def tangent_map(ref: Array, p: Array) -> Array:
     return flatten_sym(symmetrize(half @ spd_log(inv_half @ p @ inv_half) @ half))
 
 
-def log_euclidean_mean(ps, logs: Array | None = None) -> Array:
-    """exp of the mean matrix log of ``ps``, from their ``logs`` when given."""
-    if logs is None:
-        logs = spd_log(as_stack(ps, "log_euclidean_mean"))
-    return spd_exp(np.mean(logs, axis=0))
-
-
-def class_means(covs: Array, labels, logs: Array | None = None) -> dict:
-    """:func:`log_euclidean_mean` of the matrices of each label, keyed by
-    label, from their matrix ``logs`` (taken here, in one batch, when not given)."""
-    labels = np.asarray(labels)
-    if logs is None:
-        logs = spd_log(covs)
-    masks = {int(l): labels == l for l in np.unique(labels)}
-    return {l: log_euclidean_mean(covs[m], logs[m]) for l, m in masks.items()}
+def log_euclidean_mean(logs) -> Array:
+    """Log-Euclidean mean ``exp(mean(log Pᵢ))`` of the matrices whose matrix
+    logs (:func:`spd_log`) are the stack ``logs`` (n, C, C)."""
+    return spd_exp(np.mean(as_stack(logs, "log_euclidean_mean"), axis=0))
 
 
 def arithmetic_mean_cov(ps) -> Array:

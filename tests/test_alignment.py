@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import random_spd, relative_error
@@ -41,6 +43,11 @@ def stack_of(trials):
 def inv_roots(stack):
     """Inverse roots of the stack's class means, as a source domain keeps them."""
     return domain(stack, source=True).inv_roots
+
+
+def with_logs(d):
+    """A domain whose raw and whitened stacks carry their matrix logs."""
+    return replace(d, stack=d.stack.with_logs(), ea_stack=d.ea_stack.with_logs())
 
 
 def in_target_labels(stack, mapping):
@@ -338,26 +345,26 @@ class TestAlignDispatch:
         empty_target = domain(CovStack(np.eye(3)[None], np.array([5])))
         sources, _ = align("la", [domain(source, source=True)], empty_target, target_means=means)
         assert np.linalg.norm(
-            log_euclidean_mean(sources[0].covs) - target_mean
+            log_euclidean_mean(spd_log(sources[0].covs)) - target_mean
         ) <= 1e-8 * np.linalg.norm(target_mean)
 
     def test_domain_keeps_its_whitened_stack(self):
         rng = np.random.default_rng(131)
         stack = covariance_stack(random_trials(rng, 6, 3, 30, label=0), scatter=True)
-        d = domain(stack, logs=True)
+        d = domain(stack)
         reference = stack.transformed(ea_reference(stack.covs))
         assert np.array_equal(d.ea_stack.covs, reference.covs)
         assert np.array_equal(d.ea_stack.scatter, reference.scatter)
-        assert np.array_equal(d.ea_stack.logs, spd_log(reference.covs))
-        assert np.array_equal(d.stack.logs, spd_log(stack.covs))
-        assert domain(stack).stack.logs is None and domain(stack).ea_stack.logs is None
+        assert np.array_equal(d.ea_stack.with_logs().logs, spd_log(reference.covs))
+        assert np.array_equal(d.stack.with_logs().logs, spd_log(stack.covs))
+        assert d.stack.logs is None and d.ea_stack.logs is None
 
     def test_ea_and_raw_return_the_domain_stacks(self):
         rng = np.random.default_rng(132)
         mapping = LabelMapping(((0, 1),))
         source_view = in_target_labels(stack_of(random_trials(rng, 5, 3, 30)), mapping)
-        source = domain(source_view, source=True, logs=True)
-        target = domain(stack_of(random_trials(rng, 5, 3, 30, label=1)), logs=True)
+        source = with_logs(domain(source_view, source=True))
+        target = with_logs(domain(stack_of(random_trials(rng, 5, 3, 30, label=1))))
         for strategy, view in (("raw", "stack"), ("ea", "ea_stack")):
             sources, aligned_target = align(strategy, [source], target)
             assert aligned_target is getattr(target, view)
@@ -369,11 +376,10 @@ class TestAlignDispatch:
         rng = np.random.default_rng(133)
         stack = stack_of(random_trials(rng, 4, 3, 30) + random_trials(rng, 3, 3, 30, label=2))
         means = {l: arithmetic_mean_cov(stack.covs[stack.labels == l]) for l in (0, 2)}
-        for logs in (False, True):
-            roots = domain(stack, source=True, logs=logs).inv_roots
-            assert sorted(roots) == [0, 2]
-            for label in roots:
-                assert np.array_equal(roots[label], spd_inv_sqrt(means[label]))
+        roots = domain(stack, source=True).inv_roots
+        assert sorted(roots) == [0, 2]
+        for label in roots:
+            assert np.array_equal(roots[label], spd_inv_sqrt(means[label]))
         assert domain(stack).inv_roots is None
 
     def test_relabel_requires_known_labels(self):

@@ -16,9 +16,12 @@ import pytest
 
 from labelalign import synth
 from labelalign.dataio import load_manifest
+from labelalign.experiment import load_scenario, run_scenario
+from labelalign.report import render_report_csv
 from labelalign.synth import SynthConfig, generate_synthetic
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
+FIXTURES = Path(__file__).parent / "fixtures"
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -104,3 +107,27 @@ def test_every_benchmark_metric_keeps_a_hook(monkeypatch):
         "labelalign.classifiers:lda_predict",
         "labelalign.dataio:DatasetManifest.load_all",
     ]
+
+
+def test_a_traced_golden_run_counts_in_every_hook_it_reaches(monkeypatch):
+    """The hooks of ``perfbench/spans.py`` read their counts from the
+    arguments of the functions they wrap, so a changed signature of a hooked
+    function raises in its hook or counts nothing. The golden spec (all 12
+    algorithms) reaches every counter below, and tracing changes no result."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("spans").Tracer()
+    tracer.install()
+    try:
+        report = run_scenario(load_scenario(FIXTURES / "golden_spec.json"))
+    finally:
+        tracer.uninstall()
+    assert render_report_csv(report) == (FIXTURES / "golden_report.csv").read_text()
+    counts = {name: tracer.counts[name] for name in (
+        "features.ts_features.vectors",
+        "spd.eig.matrices",
+        "spd.log_euclidean_mean.calls",
+        "selection.pairwise_distances.pairs",
+        "alignment.la_fit.calls",
+        "spd.riemannian_distance.calls",
+    )}
+    assert all(count > 0 for count in counts.values()), counts

@@ -27,7 +27,7 @@ from labelalign.classifiers import (
 from labelalign.errors import ConfigError, NotConvergedError, SingularCovarianceError
 from labelalign.experiment import ScenarioSpec, run_scenario
 from labelalign.features import trial_covariance
-from labelalign.spd import riemannian_distance
+from labelalign.spd import riemannian_distance, spd_log
 from labelalign.synth import SynthConfig, generate_synthetic
 
 
@@ -73,16 +73,17 @@ class TestLda:
         bayes_acc = np.mean(bayes == y_test)
         assert abs(acc - bayes_acc) <= 0.02
 
-    def test_affine_invariance_of_predictions(self):
+    def test_affine_invariance_of_predictions(self, monkeypatch):
         # Exact for the unregularized rule; use a vanishing ridge so the
         # perturbation is far below any test point's margin.
+        monkeypatch.setattr(classifiers, "LDA_GAMMA", 1e-12)
         rng = np.random.default_rng(73)
         x, y = symmetric_two_gaussian(rng, 50)
         x_test = rng.standard_normal((100, 2)) * 1.5
-        base = lda_predict_many(lda_fit(x, y, gamma=1e-12), x_test)
+        base = lda_predict_many(lda_fit(x, y), x_test)
         a = random_invertible(rng, 2)
         b = rng.standard_normal(2)
-        mapped = lda_predict_many(lda_fit(x @ a.T + b, y, gamma=1e-12), x_test @ a.T + b)
+        mapped = lda_predict_many(lda_fit(x @ a.T + b, y), x_test @ a.T + b)
         assert base == mapped
 
     def test_constant_features_singular(self):
@@ -159,8 +160,8 @@ class TestLinearSvm:
     def test_deterministic_weights_bitwise(self):
         rng = np.random.default_rng(76)
         x, y = symmetric_two_gaussian(rng, 30)
-        m1 = svm_fit(x, y, lam=1e-3)
-        m2 = svm_fit(x, y, lam=1e-3)
+        m1 = svm_fit(x, y)
+        m2 = svm_fit(x, y)
         assert np.array_equal(m1.coef, m2.coef)
         assert np.array_equal(m1.intercept, m2.intercept)
 
@@ -238,7 +239,6 @@ class TestLinearSvm:
             pairs=np.array([[0, 1], [0, 2], [1, 2]]),
             coef=rng.standard_normal((2, 3)),
             intercept=rng.standard_normal(3),
-            lam=1e-3,
         )
         x = rng.standard_normal((400, 2)) * 5.0
         expected, ties = [], 0
@@ -254,7 +254,7 @@ class TestLinearSvm:
 
 def max_gradient_norm(model, features, labels) -> float:
     """Largest norm of the full gradient (w and bias) of a pairwise objective
-    lam/2 ||w||^2 + mean(max(0, 1 - y (w . x + b))^2) at the fitted model."""
+    SVM_LAMBDA/2 ||w||^2 + mean(max(0, 1 - y (w . x + b))^2) at the fitted model."""
     x, labels = np.asarray(features), np.asarray(labels)
     norms = []
     for p, (ai, bi) in enumerate(model.pairs):
@@ -263,7 +263,7 @@ def max_gradient_norm(model, features, labels) -> float:
         x1 = np.hstack([x[rows], np.ones((len(y), 1))])
         z = np.append(model.coef[:, p], model.intercept[p])
         slack = np.maximum(0.0, 1.0 - y * (x1 @ z))
-        grad = np.append(model.lam * z[:-1], 0.0) - 2.0 / len(y) * ((y * slack) @ x1)
+        grad = np.append(classifiers.SVM_LAMBDA * z[:-1], 0.0) - 2.0 / len(y) * ((y * slack) @ x1)
         norms.append(np.linalg.norm(grad))
     return max(norms)
 
@@ -283,13 +283,13 @@ class TestMdm:
         rng = np.random.default_rng(78)
         covs = [random_spd(rng, 4) for _ in range(6)]
         labels = [0, 0, 0, 1, 1, 1]
-        model = mdm_fit(covs, labels)
+        model = mdm_fit(spd_log(covs), labels)
         for c in model.classes:
             assert mdm_predict(model, model.means[c]) == c
 
     def test_hand_computed_distances(self):
         # d(diag(2,2), I) = sqrt(2) log 2 < d(diag(2,2), diag(9,9)).
-        model = mdm_fit([np.eye(2), np.diag([9.0, 9.0])], [0, 1])
+        model = mdm_fit(spd_log([np.eye(2), np.diag([9.0, 9.0])]), [0, 1])
         assert mdm_predict(model, np.diag([2.0, 2.0])) == 0
 
     def test_perfect_on_well_separated_clusters(self):
@@ -301,7 +301,7 @@ class TestMdm:
         labels = [t.label for t in trials]
         train_c, train_l = covs[::2], labels[::2]
         test_c, test_l = covs[1::2], labels[1::2]
-        model = mdm_fit(train_c, train_l)
+        model = mdm_fit(spd_log(train_c), train_l)
         preds = [mdm_predict(model, c) for c in test_c]
         assert preds == test_l
 
@@ -312,10 +312,10 @@ class TestMdm:
         covs = [random_spd(rng, 4), random_spd(rng, 4)]
         labels = [0, 1]
         tests = [random_spd(rng, 4) for _ in range(10)]
-        model = mdm_fit(covs, labels)
+        model = mdm_fit(spd_log(covs), labels)
         base = [mdm_predict(model, c) for c in tests]
         w = random_invertible(rng, 4)
-        model_t = mdm_fit([w.T @ c @ w for c in covs], labels)
+        model_t = mdm_fit(spd_log([w.T @ c @ w for c in covs]), labels)
         mapped = [mdm_predict(model_t, w.T @ c @ w) for c in tests]
         assert base == mapped
 
@@ -326,17 +326,17 @@ class TestMdm:
         covs = [random_spd(rng, 4) for _ in range(8)]
         labels = [0, 1] * 4
         tests = [random_spd(rng, 4) for _ in range(10)]
-        model = mdm_fit(covs, labels)
+        model = mdm_fit(spd_log(covs), labels)
         base = [mdm_predict(model, c) for c in tests]
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        model_t = mdm_fit([q.T @ c @ q for c in covs], labels)
+        model_t = mdm_fit(spd_log([q.T @ c @ q for c in covs]), labels)
         mapped = [mdm_predict(model_t, q.T @ c @ q) for c in tests]
         assert base == mapped
 
     def test_stack_prediction_matches_per_matrix_loop(self):
         rng = np.random.default_rng(81)
         covs = np.stack([random_spd(rng, 5) for _ in range(9)])
-        model = mdm_fit(covs, [0, 1, 2] * 3)
+        model = mdm_fit(spd_log(covs), [0, 1, 2] * 3)
         tests = np.stack([random_spd(rng, 5) for _ in range(20)])
         means = np.stack([model.means[c] for c in model.classes])
         loops = np.array([[loop_distance(t, m) for m in means] for t in tests])
@@ -348,7 +348,7 @@ class TestMdm:
 
     def test_prediction_factors_only_the_class_means(self, monkeypatch):
         rng = np.random.default_rng(86)
-        model = mdm_fit(np.stack([random_spd(rng, 5) for _ in range(9)]), [0, 1, 2] * 3)
+        model = mdm_fit(spd_log(np.stack([random_spd(rng, 5) for _ in range(9)])), [0, 1, 2] * 3)
         tests = np.stack([random_spd(rng, 5) for _ in range(20)])
         expected = mdm_predict(model, tests)
         factored = []

@@ -226,14 +226,14 @@ class TestManifest:
     def test_label_outside_declared_set(self, tmp_path):
         self._write_dataset(tmp_path, labels=(0, 1, 7))
         manifest = load_manifest(tmp_path / "manifest.json")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^subject s0: labels \[7\] not in declared set$"):
             list(manifest.iter_subjects())
 
     def test_label_count_mismatch(self, tmp_path):
         self._write_dataset(tmp_path)
         write_labels(tmp_path / "s0.labels", [0, 1])
         manifest = load_manifest(tmp_path / "manifest.json")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^subject s0: 3 trials but 2 labels$"):
             list(manifest.iter_subjects())
 
     def test_invalid_json(self, tmp_path):

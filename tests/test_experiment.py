@@ -54,6 +54,7 @@ from labelalign.errors import (
     LabelAlignError,
     MissingClassError,
     NotPositiveDefiniteError,
+    TruncatedPayloadError,
 )
 from labelalign.experiment import (
     PIPELINES,
@@ -64,7 +65,7 @@ from labelalign.experiment import (
     run_scenario,
     subject_stack,
 )
-from labelalign.features import CovStack, covariance_stack, ts_features
+from labelalign.features import DEFAULT_CSP_PAIRS, CovStack, covariance_stack, ts_features
 from labelalign.report import (
     ExperimentReport,
     emit_report,
@@ -391,14 +392,14 @@ class TestSharedWork:
     def test_tangent_reference_from_shared_logs_is_bitwise(self, golden_run):
         for train, _, _ in golden_run.cells:
             ref = spd_exp(np.mean(train.logs, axis=0))
-            assert np.array_equal(ref, log_euclidean_mean(train.covs))
+            assert np.array_equal(ref, log_euclidean_mean(spd_log(train.covs)))
 
     def test_mdm_means_from_shared_logs_are_bitwise(self, golden_run):
         for train, _, _ in golden_run.cells:
-            model = mdm_fit(train.covs, train.labels, train.logs)
+            model = mdm_fit(train.logs, train.labels)
             for c in model.classes:
                 assert np.array_equal(
-                    model.means[c], log_euclidean_mean(train.covs[train.labels == c])
+                    model.means[c], log_euclidean_mean(spd_log(train.covs[train.labels == c]))
                 )
 
     @pytest.mark.parametrize("pipeline", PIPELINES)
@@ -510,6 +511,21 @@ class TestDegenerateTrials:
         assert code == 3
         assert "subject s1, trial 17" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    def test_a_truncated_subject_file_names_its_subject(self, manifest, tmp_path, capsys):
+        path = manifest.parent / "s1.trials"
+        path.write_bytes(path.read_bytes()[:-8])
+        end = path.stat().st_size
+        spec = write_spec(tmp_path / "spec.json", manifest)
+        message = f"subject s1: payload ends at byte {end}, expected {end + 8}"
+        for args in (["experiment", "--spec", str(spec), "--out", str(tmp_path / "r.csv")],
+                     ["align", "--strategy", "ea", "--manifest", str(manifest),
+                      "--out", str(tmp_path / "ea")]):
+            assert main(args) == 3
+            assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(TruncatedPayloadError, match=f"^{message}$") as err:
+            run_scenario(load_scenario(spec))
+        assert (err.value.offset, err.value.expected_size) == (end, end + 8)
 
 
 class TestConfigErrorsComeFirst:
@@ -802,7 +818,7 @@ class TestAlignMemory:
         manifest = load_manifest(dataset)
         names = [e.name for e in manifest.subjects]
         stack_peak = traced_peak(
-            lambda: experiment.subject_stacks(names, manifest.iter_subjects())
+            lambda: list(experiment.iter_subject_stacks(names, manifest.iter_subjects()))
         )
         subject_bytes = 40 * 8 * 200 * 8
         args = ["align", "--strategy", strategy, "--manifest", str(dataset),
@@ -1028,8 +1044,10 @@ class TestPipelineCongruence:
     def test_common_rotation(self, pipe, seed):
         train, test = congruence_problem(seed)
         q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
-        expected = fit_predict(pipe, train, test)
-        assert fit_predict(pipe, train.transformed(q), test.transformed(q)) == expected
+        expected = fit_predict(pipe, train, test, csp_pairs=DEFAULT_CSP_PAIRS)
+        rotated = fit_predict(pipe, train.transformed(q), test.transformed(q),
+                              csp_pairs=DEFAULT_CSP_PAIRS)
+        assert rotated == expected
 
     @pytest.mark.parametrize("pipe", ["mdm", "ts-lda"])
     @settings(max_examples=3, deadline=None, derandomize=True)
@@ -1037,8 +1055,10 @@ class TestPipelineCongruence:
     def test_common_positive_scaling(self, pipe, seed, scale):
         train, test = congruence_problem(seed)
         a = np.sqrt(scale) * np.eye(4)
-        expected = fit_predict(pipe, train, test)
-        assert fit_predict(pipe, train.transformed(a), test.transformed(a)) == expected
+        expected = fit_predict(pipe, train, test, csp_pairs=DEFAULT_CSP_PAIRS)
+        scaled = fit_predict(pipe, train.transformed(a), test.transformed(a),
+                             csp_pairs=DEFAULT_CSP_PAIRS)
+        assert scaled == expected
 
 
 class TestCli:

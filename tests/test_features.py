@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 from dataclasses import replace
@@ -203,7 +204,7 @@ class TestCspFit:
         # is diag(4/5, 1/5), so the generalized eigenvalues are 0.8 and 0.2
         # and the filters align with the coordinate axes.
         c1 = np.diag([4.0, 1.0])
-        model = csp_fit({0: [c1], 1: [np.diag([1.0, 4.0])]}, pairs=1)
+        model = csp_fit(np.stack([c1, np.diag([1.0, 4.0])]), [0, 1], 1)
         assert model.filters.shape == (2, 2)  # binary: 2 * pairs rows
         assert np.allclose(sorted(csp_eigvals(model, c1)), [0.2, 0.8], atol=1e-12)
         f = model.filters
@@ -213,7 +214,7 @@ class TestCspFit:
     def test_identical_classes_tie(self):
         rng = np.random.default_rng(42)
         c = random_spd(rng, 4)
-        model = csp_fit({0: [c], 1: [c]}, pairs=2)
+        model = csp_fit(np.stack([c, c]), [0, 1], 2)
         assert np.allclose(csp_eigvals(model, c), 0.5, atol=1e-12)
         assert model.filters.shape == (4, 4)
 
@@ -221,39 +222,51 @@ class TestCspFit:
         rng = np.random.default_rng(43)
         c1 = random_spd(rng, 6)
         c2 = random_spd(rng, 6)
-        model = csp_fit({0: [c1], 1: [c2]}, pairs=3)
+        model = csp_fit(np.stack([c1, c2]), [0, 1], 3)
         composite = c1 + c2
         for w in model.filters:
             assert w @ composite @ w == pytest.approx(1.0, abs=1e-10)
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(44)
-        covs = {0: [random_spd(rng, 6) for _ in range(3)],
-                1: [random_spd(rng, 6) for _ in range(3)]}
-        m1 = csp_fit(covs, pairs=2)
-        m2 = csp_fit(covs, pairs=2)
+        covs = np.stack([random_spd(rng, 6) for _ in range(6)])
+        labels = [0, 0, 0, 1, 1, 1]
+        m1 = csp_fit(covs, labels, 2)
+        m2 = csp_fit(covs, labels, 2)
         assert np.array_equal(m1.filters, m2.filters)
-        c1 = np.mean(covs[0], axis=0)
+        c1 = np.mean(covs[:3], axis=0)
         assert np.array_equal(csp_eigvals(m1, c1), csp_eigvals(m2, c1))
 
     def test_one_vs_rest_filter_count(self):
         rng = np.random.default_rng(45)
-        covs = {m: [random_spd(rng, 8) for _ in range(4)] for m in range(3)}
-        model = csp_fit(covs, pairs=2)
+        covs = np.stack([random_spd(rng, 8) for _ in range(12)])
+        model = csp_fit(covs, np.repeat([0, 1, 2], 4), 2)
         assert model.filters.shape == (2 * 2 * 3, 8)  # one-vs-rest: 2 * pairs rows per class
+
+    def test_one_vs_rest_filters_are_pinned(self):
+        # Interleaved labels: each class's mean runs over its rows in stack
+        # order, and the pool of the others concatenates them in sorted class
+        # order, whose sum differs in its last bits from the masked rows'.
+        rng = np.random.default_rng(53)
+        labels = rng.permutation(np.repeat([0, 1, 2], 5))
+        covs = np.stack([random_spd(rng, 6) for _ in labels])
+        model = csp_fit(covs, labels, 2)
+        assert model.filters.shape == (12, 6)
+        assert hashlib.sha256(model.filters.tobytes()).hexdigest() == (
+            "d04eabe45a10ec8078cfe1cb9277229576b083d8ae5c18173a9e5f5cb8bc0d15"
+        )
 
     def test_needs_two_classes_and_valid_pairs(self):
         rng = np.random.default_rng(46)
         with pytest.raises(ConfigError):
-            csp_fit({0: [random_spd(rng, 4)]}, pairs=1)
+            csp_fit(random_spd(rng, 4)[None], [0], 1)
         with pytest.raises(ConfigError):
-            csp_fit({0: [np.eye(4)], 1: [np.eye(4)]}, pairs=3)
+            csp_fit(np.stack([np.eye(4), np.eye(4)]), [0, 1], 3)
 
     def test_zero_class_covariances_are_degenerate(self):
-        zeros = np.zeros((4, 4))
         with pytest.raises(DegenerateCovarianceError,
                            match=r"^composite covariance not SPD \(min eigenvalue 0\)$"):
-            csp_fit({0: [zeros], 1: [zeros]}, pairs=1)
+            csp_fit(np.zeros((2, 4, 4)), [0, 1], 1)
 
 
 class TestCspFeatures:
@@ -294,16 +307,14 @@ class TestCspFeatures:
         # Re-mixing the channels by an invertible matrix and refitting yields
         # the same log-variance features (filters absorb the mixing).
         rng = np.random.default_rng(49)
-        trials = {m: [rng.standard_normal((5, 100)) for _ in range(6)] for m in (0, 1)}
-        covs = {m: [trial_covariance(x) for x in xs] for m, xs in trials.items()}
-        model = csp_fit(covs, pairs=2)
-        probe = trials[0][0]
+        trials = rng.standard_normal((12, 5, 100))
+        labels = [0] * 6 + [1] * 6
+        model = csp_fit(trial_covariance(trials), labels, 2)
+        probe = trials[0]
         f_orig = csp_features(model, centred_scatter(probe))
 
         w = random_invertible(rng, 5)
-        mixed = {m: [w.T @ x for x in xs] for m, xs in trials.items()}
-        covs_mixed = {m: [trial_covariance(x) for x in xs] for m, xs in mixed.items()}
-        model_mixed = csp_fit(covs_mixed, pairs=2)
+        model_mixed = csp_fit(trial_covariance(w.T @ trials), labels, 2)
         f_mixed = csp_features(model_mixed, centred_scatter(w.T @ probe))
         assert np.max(np.abs(np.sort(f_mixed) - np.sort(f_orig))) <= 1e-8
 

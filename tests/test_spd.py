@@ -68,7 +68,7 @@ def boundary_stacks(draw):
 
 class TestSpdFromMatrix:
     def test_identity_accepted(self):
-        p = spd_from_matrix(np.eye(2), tol=1e-10)
+        p = spd_from_matrix(np.eye(2))
         assert p.shape == (2, 2)
         assert np.array_equal(p, np.eye(2))
 
@@ -102,19 +102,22 @@ class TestSpdFromMatrix:
         tol, sides, stack = case
         bad = [eigvalsh_rule(m, tol) for m in stack]
         assert bad == [side < 1.0 for side in sides]  # the stack straddles the threshold
-        for m, rejected in zip(stack, bad):
-            if rejected:
-                with pytest.raises(NotPositiveDefiniteError, match="^matrix: smallest eigenvalue"):
-                    spd_from_matrix(m, tol)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spd, "SPD_TOL", tol)
+            for m, rejected in zip(stack, bad):
+                if rejected:
+                    with pytest.raises(NotPositiveDefiniteError,
+                                       match="^matrix: smallest eigenvalue"):
+                        spd_from_matrix(m)
+                else:
+                    assert np.array_equal(spd_from_matrix(m), m)
+            if any(bad):
+                first = bad.index(True)
+                with pytest.raises(NotPositiveDefiniteError,
+                                   match=f"^matrix {first}: smallest eigenvalue"):
+                    spd_from_matrix(stack)
             else:
-                assert np.array_equal(spd_from_matrix(m, tol), m)
-        if any(bad):
-            first = bad.index(True)
-            with pytest.raises(NotPositiveDefiniteError,
-                               match=f"^matrix {first}: smallest eigenvalue"):
-                spd_from_matrix(stack, tol)
-        else:
-            assert np.array_equal(spd_from_matrix(stack, tol), stack)
+                assert np.array_equal(spd_from_matrix(stack), stack)
 
     def test_a_valid_stack_takes_no_eigendecomposition(self, monkeypatch):
         calls = []
@@ -263,10 +266,10 @@ class TestMeans:
     def test_log_euclidean_singleton(self):
         rng = np.random.default_rng(18)
         p = random_spd(rng, 4)
-        assert np.allclose(log_euclidean_mean([p]), p, atol=1e-12)
+        assert np.allclose(log_euclidean_mean(spd_log([p])), p, atol=1e-12)
 
     def test_log_euclidean_diagonal(self):
-        mean = log_euclidean_mean([np.eye(2), np.diag([np.e**2, np.e**2])])
+        mean = log_euclidean_mean(spd_log([np.eye(2), np.diag([np.e**2, np.e**2])]))
         assert np.allclose(mean, np.diag([np.e, np.e]), atol=1e-12)
 
     def test_commuting_case_matches_scalar_geometric_mean(self):
@@ -274,16 +277,16 @@ class TestMeans:
         diags = rng.uniform(0.5, 3.0, size=(5, 4))
         mats = [np.diag(d) for d in diags]
         expected = np.exp(np.log(diags).mean(axis=0))  # per-entry geometric mean
-        assert np.allclose(np.diag(log_euclidean_mean(mats)), expected, atol=1e-12)
+        assert np.allclose(np.diag(log_euclidean_mean(spd_log(mats))), expected, atol=1e-12)
 
     def test_log_euclidean_permutation_invariant_and_idempotent(self):
         rng = np.random.default_rng(20)
         mats = [random_spd(rng, 3) for _ in range(4)]
-        m1 = log_euclidean_mean(mats)
-        m2 = log_euclidean_mean(mats[::-1])
+        m1 = log_euclidean_mean(spd_log(mats))
+        m2 = log_euclidean_mean(spd_log(mats[::-1]))
         assert np.allclose(m1, m2, atol=1e-12)
         p = mats[0]
-        assert np.allclose(log_euclidean_mean([p, p, p]), p, atol=1e-11)
+        assert np.allclose(log_euclidean_mean(spd_log([p, p, p])), p, atol=1e-11)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
@@ -355,7 +358,7 @@ class TestSpdStacks:
         for dim in (3, 8, 22):
             stack = np.stack([random_spd(rng, dim) for _ in range(15)])
             expected = loop_log_euclidean_mean(stack)
-            assert relative_error(log_euclidean_mean(stack), expected) <= 1e-10
+            assert relative_error(log_euclidean_mean(spd_log(stack)), expected) <= 1e-10
 
     def test_distances_broadcast_and_match_loop(self):
         rng = np.random.default_rng(27)
