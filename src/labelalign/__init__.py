@@ -30,7 +30,6 @@ from .dataio import (
     load_manifest,
     read_labels,
     read_trials,
-    with_labels,
     write_labels,
     write_manifest,
     write_trials,
@@ -108,7 +107,6 @@ __all__ = [
     "tangent_map",
     "trial_covariance",
     "ts_features",
-    "with_labels",
     "write_labels",
     "write_manifest",
     "write_trials",

@@ -10,6 +10,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .alignment import (
     class_inv_roots,
     ea_reference,
@@ -19,16 +21,14 @@ from .alignment import (
     target_means,
 )
 from .dataio import (
-    Trial,
     load_manifest,
     read_labels,
     read_trials,
-    with_labels,
     write_labels,
     write_manifest,
     write_trials,
 )
-from .errors import ConfigError, DataError, EmptyInputError
+from .errors import ConfigError, DataError, EmptyInputError, located
 from .experiment import (
     fit_predict,
     iter_subject_stacks,
@@ -37,7 +37,7 @@ from .experiment import (
     run_scenario,
     source_view,
 )
-from .features import DEFAULT_CSP_PAIRS, covariance_stack
+from .features import DEFAULT_CSP_PAIRS, CovStack, covariance_stack
 from .report import emit_report
 from .rng import derive_key
 from .selection import k_medoids, pairwise_distances
@@ -54,7 +54,7 @@ def _cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     prototypes, shifts = synthetic_parameters(cfg)
     subjects = synthetic_subjects(cfg, prototypes, shifts)  # written one at a time, as generated
-    entries = [_write_subject(out, f"s{i}", next(subjects)) for i in range(cfg.subjects)]
+    entries = [_write_subject(out, f"s{i}", *next(subjects)) for i in range(cfg.subjects)]
     write_manifest(out / "manifest.json", 100.0, range(cfg.classes), entries)
     parameters = {
         "prototypes": [p.tolist() for p in prototypes],
@@ -65,10 +65,10 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _write_subject(out: Path, name: str, trials) -> tuple[str, str, str]:
+def _write_subject(out: Path, name: str, data, labels) -> tuple[str, str, str]:
     """Write one subject's trial and label files; returns its manifest entry."""
-    write_trials(out / f"{name}.trials", trials)
-    write_labels(out / f"{name}.labels", [t.label for t in trials])
+    write_trials(out / f"{name}.trials", data)
+    write_labels(out / f"{name}.labels", labels)
     return name, f"{name}.trials", f"{name}.labels"
 
 
@@ -82,7 +82,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    source_set, target_set = args.source_labels, args.target_labels
+    source_set, target_set, mapping = args.source_labels, args.target_labels, None
     if args.strategy == "la":  # the arguments are checked before any file is read
         if args.target_subject is None or not source_set or not target_set:
             raise ConfigError(
@@ -92,59 +92,75 @@ def _cmd_align(args) -> int:
             raise ConfigError(f"-k must be >= 1, got {args.k}")
         mapping = match_labels(source_set, target_set, derive_key(args.seed, "mapping"))
     manifest = load_manifest(args.manifest)
-    names = [e.name for e in manifest.subjects]
-    if args.strategy == "la" and args.target_subject not in names:
+    if args.strategy == "la" and args.target_subject not in [e.name for e in manifest.subjects]:
         raise ConfigError(f"unknown target subject {args.target_subject!r}")
-    # First pass: check every subject and fit its alignment (A, an LA source's target
-    # labels), keeping none of its trials; nothing is written unless every subject passes.
-    fits = [(None, None)] * len(names)  # raw, and the LA target, pass through
-    if args.strategy == "raw":  # computes no covariances: rank-deficient trials pass
-        for name, count in zip(names, map(len, manifest.iter_subjects())):
-            if not count:
-                raise EmptyInputError(f"subject {name}, no trials")
-    else:
-        stacks = list(iter_subject_stacks(names, manifest.iter_subjects()))
-    if args.strategy == "ea":
-        fits = [(ea_reference(stack.covs), None) for stack in stacks]
-    elif args.strategy == "la":  # as in a harness unit
-        target = names.index(args.target_subject)
-        pool = label_view(args.target_subject, stacks[target], "target", target_set)
-        medoids = k_medoids(pairwise_distances(pool.covs), args.k)
-        means = target_means(pool.take(medoids), pool.labels[medoids], len(target_set))
-        if means is None:
-            raise DataError(
-                f"the {args.k} medoids cover fewer than {len(target_set)} classes; "
-                "label more trials or use --strategy ea"
-            )
-        for i, (name, stack) in enumerate(zip(names, stacks)):
-            if i != target:
-                source = source_view(name, stack, mapping)
-                fits[i] = la_fit(class_inv_roots(source), means), source.labels
+    fits = _fit_subjects(args, manifest, mapping)
     # Second pass: re-read, align and write one subject at a time.
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    subjects = manifest.iter_subjects()
-    entries = [_write_subject(out, name, _aligned(next(subjects), *fit, source_set))
-               for name, fit in zip(names, fits)]
-    label_set = sorted({l for _, _, labels in entries for l in read_labels(out / labels)})
-    write_manifest(out / "manifest.json", manifest.sample_rate, label_set, entries)
+    entries, label_set = [], set()
+    for entry, fit in zip(manifest.subjects, fits):
+        data, labels = _aligned(manifest.load_subject(entry), *fit, source_set)
+        entries.append(_write_subject(out, entry.name, data, labels))
+        label_set.update(labels.tolist())
+        del data  # the next subject is read without this one
+    write_manifest(out / "manifest.json", manifest.sample_rate, sorted(label_set), entries)
     print(f"wrote aligned dataset to {out}")
     return 0
 
 
-def _aligned(trials, a, labels, source_set):
-    """``trials`` aligned as ``A X``: unchanged (``a`` None), by one matrix ``a``, or by a
-    source's :func:`la_fit` class matrices ``a``, its source view relabeled to ``labels``."""
+def _fit_subjects(args, manifest, mapping) -> list:
+    """``align``'s first pass: check every subject and fit its alignment (A, an LA
+    source's target labels), keeping none of its trials or stacks; nothing is written
+    unless every subject passes."""
+    names = [e.name for e in manifest.subjects]
+    fits = [(None, None)] * len(names)  # raw, and the LA target, pass through
+    if args.strategy == "raw":  # computes no covariances: rank-deficient trials pass
+        for entry in manifest.subjects:
+            if not len(manifest.load_subject(entry)[0]):
+                raise EmptyInputError(f"subject {entry.name}, no trials")
+        return fits
+    stacks = list(iter_subject_stacks(names, manifest.iter_subjects()))
+    if args.strategy == "ea":
+        return [(ea_reference(stack.covs), None) for stack in stacks]
+    target_set = args.target_labels  # la, as in a harness unit
+    target = names.index(args.target_subject)
+    pool = label_view(args.target_subject, stacks[target], "target", target_set)
+    medoids = k_medoids(pairwise_distances(pool.covs), args.k)
+    means = target_means(pool.take(medoids), pool.labels[medoids], len(target_set))
+    if means is None:
+        raise DataError(
+            f"the {args.k} medoids cover fewer than {len(target_set)} classes; "
+            "label more trials or use --strategy ea"
+        )
+    for i, (name, stack) in enumerate(zip(names, stacks)):
+        if i != target:
+            source = source_view(name, stack, mapping)
+            fits[i] = la_fit(class_inv_roots(source), means), source.labels
+    return fits
+
+
+def _aligned(subject, a, labels, source_set):
+    """A subject's ``(data, labels)`` aligned as ``A X``: unchanged (``a`` None), by one
+    matrix ``a``, or by a source's :func:`la_fit` class matrices ``a``, its source view
+    relabeled to ``labels``; in one batched product."""
+    data, own = subject
     if a is None:
-        return trials
+        return subject
     if labels is None:
-        return [Trial(a @ t.data, t.label) for t in trials]
-    kept = [t for t in trials if t.label in source_set]
-    return [Trial(m @ t.data, int(l)) for m, t, l in zip(la_per_trial(a, labels), kept, labels)]
+        return a @ data, own
+    return la_per_trial(a, labels) @ data[np.isin(own, source_set)], labels
+
+
+def _file_stack(path, labels, shrinkage: float, scatter: bool = False) -> CovStack:
+    """:func:`covariance_stack` of the trial file ``path``; a :class:`DataError`
+    of its read or its estimate is prefixed with the path."""
+    with located(path):
+        return covariance_stack(read_trials(path), labels, shrinkage, scatter)
 
 
 def _cmd_kmedoids(args) -> int:
-    covs = covariance_stack(read_trials(args.trials), args.shrinkage).covs
+    covs = _file_stack(args.trials, None, args.shrinkage).covs
     medoids = k_medoids(pairwise_distances(covs), args.k)
     for idx in medoids:
         print(idx)
@@ -152,14 +168,10 @@ def _cmd_kmedoids(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    train = with_labels(read_trials(args.train_trials), read_labels(args.train_labels))
     csp = args.pipeline == "csp-lda"
-    preds = fit_predict(
-        args.pipeline,
-        covariance_stack(train, args.shrinkage, scatter=csp),
-        covariance_stack(read_trials(args.test_trials), args.shrinkage, scatter=csp),
-        csp_pairs=args.csp_pairs,
-    )
+    train = _file_stack(args.train_trials, read_labels(args.train_labels), args.shrinkage, csp)
+    test = _file_stack(args.test_trials, None, args.shrinkage, csp)
+    preds = fit_predict(args.pipeline, train, test, csp_pairs=args.csp_pairs)
     if args.test_labels is not None:
         truth = read_labels(args.test_labels)
         if len(truth) != len(preds):

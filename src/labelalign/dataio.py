@@ -1,11 +1,11 @@
 """Epoched trials and their on-disk formats: trial files, label files, manifests.
 
-A :class:`Trial` is one epoch in memory, channels x samples with an
-optional label; it is what a trial file holds and what the synthetic
-generator emits. The pipelines take trials only through
-:func:`labelalign.features.covariance_stack`.
+A subject is a pair ``(data, labels)``: its trials as one float64 ``(n, C,
+T)`` array, channels x samples each, and their int labels ``(n,)``. That is
+what a trial file and its label file hold, what the synthetic generator
+yields, and what :func:`labelalign.features.covariance_stack` takes.
 
-Trial file layout (all integers little-endian):
+The trial file layout (all integers little-endian):
 
 ======  ====  =======================================================
 offset  size  contents
@@ -18,13 +18,15 @@ offset  size  contents
 17      ...   float64 payload, trial-major then channel then sample
 ======  ====  =======================================================
 
-A trial file is read into one ``(count, C, T)`` array, and the trials
-returned are writable row views of it; it is written one trial at a time,
-so neither direction makes a second copy of the payload. Covariance
-estimation reads the row views in bounded chunks and copies no subject
-either. The harness and
-``labelalign align`` read a manifest one subject at a time; ``align`` reads
-each subject twice, to fit its alignment, then to align and write it.
+A trial file is read straight into one ``(count, C, T)`` array and written
+one trial at a time, so neither direction makes a second copy of the
+payload. The harness and ``labelalign align`` read a manifest one subject at
+a time; ``align`` reads each subject twice, to fit its alignment, then to
+align and write it.
+
+:class:`Trial`, one labeled epoch, is kept only because the benchmark's
+set-up writes :func:`labelalign.synth.generate_synthetic`'s subjects, lists
+of them, with :func:`write_trials` and reads their labels.
 
 Label files are newline-separated integers, one per trial. A manifest is
 a JSON document (``{"version": 1, "sample_rate": ..., "label_set": [...],
@@ -76,27 +78,26 @@ class Trial:
             raise NonFiniteError("trial data contains NaN or Inf")
 
 
-def write_trials(path, trials: Sequence[Trial]) -> None:
-    """Write homogeneous trials, streamed one trial at a time; the file
-    round-trips bit-exactly. Shapes and values are checked before the
-    file is opened."""
-    if not trials:
+def write_trials(path, trials) -> None:
+    """Write ``trials``, an ``(n, C, T)`` array, one trial at a time; the file
+    round-trips bit-exactly. Shapes and values are checked before the file is
+    opened. A list of :class:`Trial` is taken too, only because the
+    benchmark's set-up passes one."""
+    rows = trials if isinstance(trials, np.ndarray) else [t.data for t in trials]
+    if len(rows) == 0:
         raise DataError("cannot write an empty trial list")
-    shape = trials[0].data.shape
-    for i, t in enumerate(trials):
-        if t.data.shape != shape:
-            raise DimMismatchError(
-                f"trial {i} has shape {t.data.shape}, expected {shape}"
-            )
-    for i, t in enumerate(trials):
-        _check_finite(t.data, HEADER_SIZE + 8 * i * t.data.size)
-    header = MAGIC + bytes([VERSION]) + struct.pack(
-        "<III", shape[0], shape[1], len(trials)
-    )
+    shape = rows[0].shape
+    if len(shape) != 2 or 0 in shape:
+        raise DimMismatchError(f"trials must be (n, C, T) with C, T > 0, got rows of {shape}")
+    for i, row in enumerate(rows):
+        if row.shape != shape:
+            raise DimMismatchError(f"trial {i} has shape {row.shape}, expected {shape}")
+        _check_finite(row, HEADER_SIZE + 8 * i * row.size)
+    header = MAGIC + bytes([VERSION]) + struct.pack("<III", *shape, len(rows))
     with open(path, "wb") as f:
         f.write(header)
-        for t in trials:
-            f.write(np.ascontiguousarray(t.data, dtype="<f8"))
+        for row in rows:
+            f.write(np.ascontiguousarray(row, dtype="<f8"))
 
 
 def _check_finite(payload: np.ndarray, start: int = HEADER_SIZE) -> None:
@@ -114,9 +115,9 @@ def _read(path) -> bytes:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def read_trials(path) -> list[Trial]:
-    """Read a trial file into one array; the trials are writable row views of
-    it, and their labels are None (label files are separate)."""
+def read_trials(path) -> np.ndarray:
+    """Read a trial file into one writable ``(n, C, T)`` float64 array; the
+    labels are in a separate label file."""
     try:
         with open(path, "rb") as f:
             header = f.read(HEADER_SIZE)
@@ -144,7 +145,7 @@ def read_trials(path) -> list[Trial]:
             f"payload ends at byte {end}, expected {expected}", end, expected
         )
     _check_finite(data)
-    return [Trial(trial) for trial in data]
+    return data
 
 
 def write_labels(path, labels: Sequence[int]) -> None:
@@ -165,15 +166,6 @@ def read_labels(path) -> list[int]:
     return out
 
 
-def with_labels(trials: list[Trial], labels: Sequence[int]) -> list[Trial]:
-    """Label ``trials`` in place, in order, and return them."""
-    if len(trials) != len(labels):
-        raise DimMismatchError(f"{len(trials)} trials but {len(labels)} labels")
-    for t, l in zip(trials, labels):
-        t.label = int(l)
-    return trials
-
-
 @dataclass(frozen=True)
 class SubjectEntry:
     name: str
@@ -187,21 +179,21 @@ class DatasetManifest:
     label_set: tuple[int, ...]
     subjects: tuple[SubjectEntry, ...]
 
-    def load_subject(self, entry: SubjectEntry) -> list[Trial]:
-        """The labeled trials of ``entry``; a :class:`DataError` of its files
-        is prefixed ``subject {name}:``."""
+    def load_subject(self, entry: SubjectEntry) -> tuple[np.ndarray, np.ndarray]:
+        """The trials ``(n, C, T)`` and labels ``(n,)`` of ``entry``; a
+        :class:`DataError` of its files is prefixed ``subject {name}:``."""
         with located(f"subject {entry.name}"):
-            trials = read_trials(entry.trials_path)
+            data = read_trials(entry.trials_path)
             labels = read_labels(entry.labels_path)
-            if len(labels) != len(trials):
-                raise DataError(f"{len(trials)} trials but {len(labels)} labels")
+            if len(labels) != len(data):
+                raise DataError(f"{len(data)} trials but {len(labels)} labels")
             bad = sorted(set(labels) - set(self.label_set))
             if bad:
                 raise DataError(f"labels {bad} not in declared set")
-            return with_labels(trials, labels)
+            return data, np.array(labels, dtype=np.int64)
 
-    def iter_subjects(self) -> Iterator[list[Trial]]:
-        """Each subject's labeled trials in turn, read as the next is asked for."""
+    def iter_subjects(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each subject's ``(data, labels)`` in turn, read as the next is asked for."""
         return (self.load_subject(e) for e in self.subjects)
 
 

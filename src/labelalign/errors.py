@@ -90,7 +90,7 @@ class TooFewPointsError(ConfigError):
 
 
 class BadMagicError(DataError):
-    """Trial file does not start with the expected magic/version bytes."""
+    """A trial file does not start with the expected magic/version bytes."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(message)
@@ -98,7 +98,7 @@ class BadMagicError(DataError):
 
 
 class TruncatedPayloadError(DataError):
-    """Trial file payload is shorter than the header declares."""
+    """A trial file's payload is shorter than the header declares."""
 
     def __init__(self, message: str, offset: int, expected_size: int):
         super().__init__(message)
@@ -107,7 +107,7 @@ class TruncatedPayloadError(DataError):
 
 
 class NonFinitePayloadError(DataError):
-    """Trial file payload contains a NaN or Inf value."""
+    """A trial file's payload contains a NaN or Inf value."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(message)

@@ -2,20 +2,20 @@
 label budget, and the metrics of their report (accuracy, AUC over k, paired
 t-tests); :mod:`labelalign.report` writes and reads the report.
 
-The protocol is covariance first. Each subject's trials are turned into a
-covariance stack (n, C, C) once, with the time-centred scatter when CSP
-runs, and split into a source view (source labels) and a target pool
-(target labels). The subjects are read (or generated) one at a time and
-each one's raw trials are dropped once its stack is built, so at most one
-subject's raw trials are in memory; the stack is estimated from the trials'
-own arrays in bounded chunks, so no copy of them is made whole. Each source
-view is relabeled to the target labels as it is built, the one place the
-label mapping is applied. What depends on neither the target nor the budget
-is computed with them, once per scenario: each view's EA-whitened stack,
-the inverse roots of the source class means and, when ts-svm, ts-lda or mdm
-runs, the matrix logs of the source views that some strategy trains on (the
-raw ones under ``raw``, the whitened ones under ``ea`` or ``la``, which
-falls back to EA). A target pool carries no logs: only its labeled trials
+The protocol is covariance first. Each subject's trials, one ``(n, C, T)``
+array with its labels, are turned into a covariance stack (n, C, C) once,
+with the time-centred scatter when CSP runs, and split into a source view
+(source labels) and a target pool (target labels). The subjects are read
+(or generated) one at a time and each one's raw trials are dropped once its
+stack is built, so at most one subject's raw trials are in memory; the stack
+is estimated from the trial array in bounded chunks, so no copy of it is
+made whole. Each source view is relabeled to the target labels as it is
+built, the one place the label mapping is applied. What depends on neither
+the target nor the budget is computed with them, once per scenario: each
+view's EA-whitened stack, the inverse roots of the source class means and,
+when ts-svm, ts-lda or mdm runs, the matrix logs of the source views that
+some strategy trains on (the raw ones under ``raw``, the whitened ones under
+``ea`` or ``la``, which falls back to EA). A target pool carries no logs: only its labeled trials
 are ever logged, once they are picked. One unit per target subject then
 aligns only those stacks, never raw trials. The process pool is imported
 only when ``jobs`` > 1; then each pool worker receives the scenario's
@@ -63,7 +63,7 @@ import numpy as np
 
 from . import classifiers
 from .alignment import Domain, LabelMapping, align, domain, match_labels, relabel, target_means
-from .dataio import Trial, load_manifest
+from .dataio import load_manifest
 from .errors import (
     ConfigError,
     DataError,
@@ -267,9 +267,9 @@ def fit_predict(pipeline: str, train: CovStack, test: CovStack, *, csp_pairs: in
     return fit_predict_cell((pipeline,), train, test, csp_pairs=csp_pairs)[pipeline]
 
 
-def _load_subjects(spec: ScenarioSpec) -> tuple[list[str], Iterator[list[Trial]]]:
+def _load_subjects(spec: ScenarioSpec) -> tuple[list[str], Iterator[tuple]]:
     """The subject names, and an iterator that reads (or generates) each
-    subject's trials when it is asked for the next."""
+    subject's ``(data, labels)`` when it is asked for the next."""
     if spec.synth is not None:
         names = [f"s{i}" for i in range(spec.synth.subjects)]
         return names, synthetic_subjects(spec.synth, *synthetic_parameters(spec.synth))
@@ -277,13 +277,11 @@ def _load_subjects(spec: ScenarioSpec) -> tuple[list[str], Iterator[list[Trial]]
     return [e.name for e in manifest.subjects], manifest.iter_subjects()
 
 
-def subject_stack(
-    name: str, trials: Sequence[Trial], shrinkage: float = 0.0, scatter: bool = False
-) -> CovStack:
-    """:func:`covariance_stack` of one subject's trials, in file order; a
-    degenerate trial's error names the subject and the trial."""
+def subject_stack(name: str, subject, shrinkage: float = 0.0, scatter: bool = False) -> CovStack:
+    """:func:`covariance_stack` of one subject's ``(data, labels)``, in file
+    order; a degenerate trial's error names the subject and the trial."""
     try:
-        return covariance_stack(trials, shrinkage, scatter)
+        return covariance_stack(*subject, shrinkage, scatter)
     except (DimMismatchError, EmptyInputError, NonFiniteError, NotPositiveDefiniteError) as exc:
         raise reworded(exc, f"subject {name}, {exc}") from exc
 

@@ -1,28 +1,25 @@
 """Covariance estimation, CSP spatial filtering, and tangent-space features.
 
-Trials enter the pipelines once: :func:`covariance_stack` turns them into a
-:class:`CovStack` of ``(n, C, C)`` covariances, and every later step works
-on such stacks. The feature functions return ``(n, d)`` arrays.
+Trials enter the pipelines once: :func:`covariance_stack` turns a subject's
+``(n, C, T)`` trial array and its labels into a :class:`CovStack` of ``(n,
+C, C)`` covariances, and every later step works on such stacks. The feature
+functions return ``(n, d)`` arrays.
 
 Covariance estimation copies no subject. :func:`trial_covariance` and
-:func:`centred_scatter` take the trials' own arrays and work through them in
+:func:`centred_scatter` take the trial array as given and work through it in
 chunks of at most ``_CHUNK_WORDS = 2^14`` 64-bit words (128 KiB), one trial
-at least, writing each chunk's Gram matrices into the preallocated ``(n, C,
-C)`` result. Their temporary arrays then hold one chunk (two while the
-scatter centres a chunk copied from a sequence), however many trials a
-subject has, where stacking the subject's trials would copy its whole
-payload. Each matrix is the matmul of its own trial, so the values are
-those of a whole-stack product, bit for bit.
+at least, each chunk a view of the array, writing each chunk's Gram matrices
+into the preallocated ``(n, C, C)`` result. Their temporary arrays then hold
+one chunk (the scatter's centred copy of it), however many trials a subject
+has. Each matrix is the matmul of its own trial, so the values are those of
+a whole-stack product, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
-
 import numpy as np
 
-from .dataio import Trial
 from .errors import (
     ConfigError,
     DegenerateCovarianceError,
@@ -87,44 +84,34 @@ class CspModel:
     classes: tuple
 
 
-def _as_trials(x) -> tuple[Array | list[Array], bool]:
-    """``x`` as a stack of (C, T) trials, and whether it was one trial.
-
-    A sequence of arrays stays a list of them; anything else becomes an
-    array, one trial (C, T) or a stack (n, C, T). A trial whose shape differs
-    from trial 0's raises :class:`DimMismatchError` naming it.
-    """
-    if not isinstance(x, np.ndarray) and all(isinstance(t, np.ndarray) for t in x):
-        trials, single = [np.asarray(t, dtype=np.float64) for t in x], False
-    else:
+def _as_trials(x) -> tuple[Array, bool]:
+    """``x`` as a stack (n, C, T) of trials, and whether it was one trial (C, T);
+    ragged input (trials of different shapes) raises :class:`DimMismatchError`."""
+    try:
         data = np.asarray(x, dtype=np.float64)
-        single = data.ndim == 2
-        trials = data[None] if single else data
-        if trials.ndim != 3:
-            raise DimMismatchError(f"trials must be (C, T) or (n, C, T), got {data.shape}")
+    except ValueError as exc:
+        raise DimMismatchError(f"trials must be one (C, T) or (n, C, T) array: {exc}") from exc
+    single = data.ndim == 2
+    trials = data[None] if single else data
+    if trials.ndim != 3:
+        raise DimMismatchError(f"trials must be (C, T) or (n, C, T), got {data.shape}")
     if len(trials) == 0:
         raise EmptyInputError("no trials")
-    shape = trials[0].shape
-    if len(shape) != 2 or 0 in shape:
-        raise DimMismatchError(f"trial 0 must be (C, T) with C, T > 0, got {shape}")
-    for i, t in enumerate(trials):
-        if t.shape != shape:
-            raise DimMismatchError(f"trial {i} has shape {t.shape}, expected {shape}")
+    if 0 in trials.shape[1:]:
+        raise DimMismatchError(f"trials must have C, T > 0, got {trials.shape[1:]}")
     return trials, single
 
 
 def _gram_stack(x, centred: bool) -> Array:
     """The Gram matrix ``X Xᵀ`` of each trial of ``x`` (of its time-centred
-    rows when ``centred``): (C, C) for one trial, else (n, C, C). A chunk of
-    an array is a view of it, a chunk of a sequence is copied."""
+    rows when ``centred``): (C, C) for one trial, else (n, C, C). Each chunk
+    is a view of the trial array."""
     trials, single = _as_trials(x)
-    n, (c, t) = len(trials), trials[0].shape
+    n, c, t = trials.shape
     step = max(1, _CHUNK_WORDS // (c * t))
     out = np.empty((n, c, c))
     for i in range(0, n, step):
         chunk = trials[i:i + step]
-        if not isinstance(chunk, np.ndarray):
-            chunk = np.stack(chunk)
         if centred:
             chunk = chunk - chunk.mean(axis=-1, keepdims=True)
         np.matmul(chunk, chunk.swapaxes(-1, -2), out=out[i:i + len(chunk)])
@@ -132,13 +119,12 @@ def _gram_stack(x, centred: bool) -> Array:
 
 
 def trial_covariance(x, shrinkage: float = 0.0) -> Array:
-    """Spatial covariance X X^T of a trial (C, T) or of each trial in
-    (n, C, T) or in a sequence of (C, T) arrays.
+    """Spatial covariance X X^T of a trial (C, T) or of each trial in (n, C, T).
 
     ``shrinkage`` in [0, 1) blends in trace(C)/dim * I, which keeps the
     result SPD for rank-deficient trials (T < channels). The default of 0
     is the plain Gram matrix. The trials are worked through in chunks of
-    at most ``_CHUNK_WORDS`` values, so no stack of the trials is copied
+    at most ``_CHUNK_WORDS`` values, so no copy of the trials is made
     whole; the covariances are validated once, and a degenerate trial of a
     stack is named by its index in the error.
     """
@@ -153,27 +139,25 @@ def trial_covariance(x, shrinkage: float = 0.0) -> Array:
 
 
 def centred_scatter(x) -> Array:
-    """Time-centred scatter Xc Xc^T of a trial (C, T) or of each trial in
-    (n, C, T) or in a sequence of (C, T) arrays.
+    """Time-centred scatter Xc Xc^T of a trial (C, T) or of each trial in (n, C, T).
 
     Divided by T - 1 it is the ddof=1 sample covariance, whose filtered
     diagonal gives the variances :func:`csp_features` takes. Like
     :func:`trial_covariance` it centres the trials chunk by chunk, so no
-    stack of the trials is copied whole.
+    copy of the trials is made whole.
     """
     return _gram_stack(x, centred=True)
 
 
-def covariance_stack(
-    trials: Sequence[Trial], shrinkage: float = 0.0, scatter: bool = False
-) -> CovStack:
-    """Covariances of ``trials`` (and their centred scatter when ``scatter``),
-    computed from the trials' own arrays, which are never stacked whole."""
-    data = [t.data for t in trials]
-    labels = [t.label for t in trials]
+def covariance_stack(data, labels, shrinkage: float = 0.0, scatter: bool = False) -> CovStack:
+    """Covariances of the trials ``data`` (n, C, T), labeled by ``labels`` (n,)
+    or None (and their centred scatter when ``scatter``), estimated from
+    ``data`` as given, which is never copied whole."""
+    if labels is not None and len(labels) != len(data):
+        raise DimMismatchError(f"{len(data)} trials but {len(labels)} labels")
     return CovStack(
         trial_covariance(data, shrinkage),
-        None if None in labels else np.array(labels),
+        None if labels is None else np.asarray(labels),
         centred_scatter(data) if scatter else None,
     )
 

@@ -21,18 +21,24 @@ All randomness flows through the counter-based generator in
 :mod:`labelalign.rng`, keyed per (class/subject/trial), so the output is a
 pure function of the config.
 
-The trials of one (subject, class) take one key pass and are generated in
-batches, with one stream pass per draw, one stacked ``Q^{1/2}`` and one
-stacked product per batch; the trials are row views of the batch's array.
-A batch takes as many trials as fit one draw of ``channels x max(samples,
-noise_df)`` normals per trial in ``_BATCH_WORDS = 2^14`` 64-bit words
-(128 KiB), and one trial at least. Box-Muller peaks at about four arrays
+A subject is yielded as ``(data, labels)``: its trials in one preallocated
+``(n, C, T)`` array, class by class, and their labels ``(n,)``. The trials
+of one (subject, class) take one key pass and are generated in batches, with
+one stream pass per draw, one stacked ``Q^{1/2}`` and one stacked product
+per batch, written straight into the subject's array. A batch takes as many
+trials as fit one draw of ``channels x max(samples, noise_df)`` normals per
+trial in ``_BATCH_WORDS = 2^14`` 64-bit words (128 KiB), and one trial at
+least. Box-Muller peaks at about four arrays
 of a draw's size, so the bound caps the generator's scratch near half a
 MiB however many trials a class has: a process that generates a dataset
 (the benchmark's set-up among them) peaks within a fraction of a MiB of
 the trial-at-a-time loop, while the per-trial cost of the keys, the streams
 and the eigensolves is paid once per batch. The values are those of the
 trial-at-a-time loop, bit for bit.
+
+:func:`generate_synthetic` holds the whole dataset and wraps each trial in a
+:class:`labelalign.dataio.Trial`, only for the benchmark's set-up, which
+writes and labels those lists.
 """
 
 from __future__ import annotations
@@ -111,26 +117,27 @@ def synthetic_parameters(cfg: SynthConfig) -> tuple[tuple, tuple]:
             draw("shift", cfg.subject_shift, cfg.subjects))
 
 
-def synthetic_subjects(cfg: SynthConfig, prototypes, shifts) -> Iterator[list[Trial]]:
-    """Each subject's labeled trials in turn, from ``cfg``'s :func:`synthetic_parameters`,
+def synthetic_subjects(cfg: SynthConfig, prototypes, shifts) -> Iterator[tuple[Array, Array]]:
+    """Each subject's ``(data, labels)`` in turn, from ``cfg``'s :func:`synthetic_parameters`,
     generated as the next is asked for, so that one subject at a time need be held."""
-    c, df = cfg.channels, cfg.noise_df
+    c, df, per_class = cfg.channels, cfg.noise_df, cfg.trials_per_class
     batch = max(1, _BATCH_WORDS // (c * max(cfg.samples, df or 0)))
     proto_sqrts = [spd_sqrt(p) for p in prototypes]
     for s, shift in enumerate(shifts):
-        trials = []
+        data = np.empty((cfg.classes * per_class, c, cfg.samples))
         for m in range(cfg.classes):
             mix = shift.T @ proto_sqrts[m]
-            keys = derive_keys(cfg.seed, "noise", s, m, count=cfg.trials_per_class)
-            for start in range(0, len(keys), batch):
+            keys = derive_keys(cfg.seed, "noise", s, m, count=per_class)
+            rows = data[m * per_class:(m + 1) * per_class]
+            for start in range(0, per_class, batch):
                 rng = CounterRng(keys[start:start + batch])
                 factor = mix
                 if df is not None:
                     g = rng.normal_matrix(c, df)
                     factor = mix @ spd_sqrt(g @ g.swapaxes(-1, -2) / df)
-                x = factor @ rng.normal_matrix(c, cfg.samples)
-                trials.extend(Trial(data, label=m) for data in x)
-        yield trials
+                z = rng.normal_matrix(c, cfg.samples)
+                np.matmul(factor, z, out=rows[start:start + batch])
+        yield data, np.repeat(np.arange(cfg.classes), per_class)
 
 
 def generate_synthetic(cfg: SynthConfig) -> SynthDataset:
@@ -140,4 +147,8 @@ def generate_synthetic(cfg: SynthConfig) -> SynthDataset:
     against the ground truth.
     """
     prototypes, shifts = synthetic_parameters(cfg)
-    return SynthDataset(cfg, tuple(synthetic_subjects(cfg, prototypes, shifts)), prototypes, shifts)
+    subjects = tuple(
+        [Trial(x, label=int(l)) for x, l in zip(data, labels)]
+        for data, labels in synthetic_subjects(cfg, prototypes, shifts)
+    )
+    return SynthDataset(cfg, subjects, prototypes, shifts)

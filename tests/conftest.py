@@ -1,10 +1,9 @@
 import numpy as np
 
-from labelalign.dataio import Trial
 from labelalign.errors import DimMismatchError
 from labelalign.rng import CounterRng, derive_key
 from labelalign.spd import spd_exp, spd_inv_sqrt, spd_sqrt, symmetrize
-from labelalign.synth import synthetic_parameters
+from labelalign.synth import synthetic_parameters, synthetic_subjects
 
 
 def random_spd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
@@ -74,7 +73,7 @@ def loop_synthetic_subjects(cfg):
     prototypes, shifts = synthetic_parameters(cfg)
     proto_sqrts = [spd_sqrt(p) for p in prototypes]
     for s, shift in enumerate(shifts):
-        trials = []
+        trials, labels = [], []
         for m in range(cfg.classes):
             mix = shift.T @ proto_sqrts[m]
             for i in range(cfg.trials_per_class):
@@ -84,8 +83,14 @@ def loop_synthetic_subjects(cfg):
                     g = rng.normal_matrix(c, cfg.noise_df)
                     factor = mix @ spd_sqrt(g @ g.T / cfg.noise_df)
                 z = rng.normal_matrix(c, cfg.samples)
-                trials.append(Trial(factor @ z, label=m))
-        yield trials
+                trials.append(factor @ z)
+                labels.append(m)
+        yield np.stack(trials), np.array(labels)
+
+
+def first_subject(cfg):
+    """Subject 0 of the generator of ``cfg``, as ``(data, labels)``."""
+    return next(synthetic_subjects(cfg, *synthetic_parameters(cfg)))
 
 
 # Inverses and costs that only tests need: the harness never leaves the

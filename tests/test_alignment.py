@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import random_spd, relative_error
+from conftest import first_subject, random_spd, relative_error
 
 from labelalign.alignment import (
     align,
@@ -21,7 +21,6 @@ from labelalign.errors import (
     MissingClassError,
     UnknownLabelError,
 )
-from labelalign.dataio import Trial
 from labelalign.experiment import source_view
 from labelalign.features import CovStack, covariance_stack, trial_covariance
 from labelalign.selection import k_medoids, pairwise_distances
@@ -36,8 +35,14 @@ from labelalign.spd import (
 from labelalign.synth import SynthConfig, generate_synthetic
 
 
-def stack_of(trials):
-    return covariance_stack(trials)
+def stack_of(data, labels=None):
+    return covariance_stack(data, labels)
+
+
+def joined(*subjects):
+    """``(data, labels)`` subjects concatenated into one."""
+    data, labels = zip(*subjects)
+    return np.concatenate(data), np.concatenate(labels)
 
 
 def inv_roots(stack):
@@ -56,7 +61,7 @@ def in_target_labels(stack, mapping):
 
 
 def random_trials(rng, count, channels, samples, label=0):
-    return [Trial(rng.standard_normal((channels, samples)), label=label) for _ in range(count)]
+    return rng.standard_normal((count, channels, samples)), np.full(count, label)
 
 
 def trials_with_covariance(rng, cov, count, samples=64, label=None):
@@ -65,8 +70,8 @@ def trials_with_covariance(rng, cov, count, samples=64, label=None):
     out = []
     for _ in range(count):
         q, _ = np.linalg.qr(rng.standard_normal((samples, cov.shape[0])))
-        out.append(Trial(half @ q.T, label=label))
-    return out
+        out.append(half @ q.T)
+    return np.stack(out), None if label is None else np.full(count, label)
 
 
 class TestMatchLabels:
@@ -108,38 +113,38 @@ class TestMatchLabels:
 
 class TestEuclideanAlignment:
     def test_identity_mean_covariance(self):
-        whitener = ea_reference(stack_of([Trial(np.eye(2))]).covs)
+        whitener = ea_reference(stack_of(np.eye(2)[None]).covs)
         assert np.allclose(whitener, np.eye(2), atol=1e-12)
 
     def test_diagonal_reference(self):
-        trials = [Trial(np.diag([2.0, 1.0]))]  # covariance diag(4, 1)
+        trials = np.diag([2.0, 1.0])[None]  # covariance diag(4, 1)
         whitener = ea_reference(stack_of(trials).covs)
         assert np.allclose(whitener, np.diag([0.5, 1.0]), atol=1e-12)
 
     def test_reference_whitens_mean(self):
         rng = np.random.default_rng(111)
-        covs = stack_of([Trial(rng.standard_normal((4, 50))) for _ in range(10)]).covs
+        covs = stack_of(rng.standard_normal((10, 4, 50))).covs
         r = ea_reference(covs)
         mean = arithmetic_mean_cov(covs)
         assert np.linalg.norm(r @ mean @ r - np.eye(4)) <= 1e-10
 
     def test_align_identity_transform(self):
         rng = np.random.default_rng(112)
-        stack = stack_of([Trial(rng.standard_normal((3, 30)), label=1)])
+        stack = stack_of(rng.standard_normal((1, 3, 30)), [1])
         out = stack.transformed(np.eye(3))
         assert np.array_equal(out.covs, stack.covs)
         assert out.labels.tolist() == [1]
 
     def test_aligned_mean_covariance_is_identity(self):
         rng = np.random.default_rng(113)
-        stack = stack_of(random_trials(rng, 12, 4, 60))
+        stack = stack_of(*random_trials(rng, 12, 4, 60))
         aligned = domain(stack).ea_stack
         mean = arithmetic_mean_cov(aligned.covs)
         assert np.linalg.norm(mean - np.eye(4)) <= 1e-10
 
     def test_alignment_preserves_pairwise_distances(self):
         rng = np.random.default_rng(114)
-        stack = stack_of(random_trials(rng, 6, 4, 60))
+        stack = stack_of(*random_trials(rng, 6, 4, 60))
         before = stack.covs
         after = domain(stack).ea_stack.covs
         for i in range(6):
@@ -158,23 +163,21 @@ def medoid_means(stack, k, n_classes):
 class TestTargetMeanEstimation:
     def test_singleton_class_means_are_medoid_covariances(self):
         rng = np.random.default_rng(115)
-        pool = [
-            Trial(2.0 * rng.standard_normal((3, 40)), label=0),
-            Trial(0.5 * rng.standard_normal((3, 40)), label=1),
-        ]
-        means, medoids = medoid_means(stack_of(pool), k=2, n_classes=2)
+        pool = np.stack([2.0 * rng.standard_normal((3, 40)), 0.5 * rng.standard_normal((3, 40))])
+        labels = [0, 1]
+        means, medoids = medoid_means(stack_of(pool, labels), k=2, n_classes=2)
         assert medoids == [0, 1]
         for idx in medoids:
-            label = pool[idx].label
+            label = labels[idx]
             assert np.allclose(
-                means[label], trial_covariance(pool[idx].data), atol=1e-9
+                means[label], trial_covariance(pool[idx]), atol=1e-9
             )
         assert sorted(means) == [0, 1]
 
     def test_single_label_coverage_falls_back(self):
         rng = np.random.default_rng(116)
-        pool = [Trial(rng.standard_normal((3, 40)), label=0) for _ in range(6)]
-        means, medoids = medoid_means(stack_of(pool), k=3, n_classes=2)
+        pool = random_trials(rng, 6, 3, 40)
+        means, medoids = medoid_means(stack_of(*pool), k=3, n_classes=2)
         assert means is None
         assert len(medoids) == 3
 
@@ -182,8 +185,8 @@ class TestTargetMeanEstimation:
         cfg = SynthConfig(channels=4, samples=300, classes=2, trials_per_class=15,
                           subjects=1, class_separation=1.0, subject_shift=0.5, seed=13)
         data = generate_synthetic(cfg)
-        pool = list(data.subjects[0])
-        means, _ = medoid_means(stack_of(pool), k=10, n_classes=2)
+        pool = first_subject(cfg)
+        means, _ = medoid_means(stack_of(*pool), k=10, n_classes=2)
         for m in (0, 1):
             # Trial covariances carry the raw Gram scale; divide by the
             # sample count before comparing against the prototype.
@@ -196,7 +199,7 @@ class TestLabelAlignment:
     def test_equal_means_give_identity(self):
         rng = np.random.default_rng(117)
         cov = random_spd(rng, 3)
-        stack = stack_of(trials_with_covariance(rng, cov, 3, label=0))
+        stack = stack_of(*trials_with_covariance(rng, cov, 3, label=0))
         target = {5: cov}
         mapping = LabelMapping(((0, 5),))
         transform = la_fit(inv_roots(in_target_labels(stack, mapping)), target)
@@ -204,14 +207,14 @@ class TestLabelAlignment:
 
     def test_diagonal_closed_form(self):
         rng = np.random.default_rng(118)
-        stack = stack_of(trials_with_covariance(rng, np.diag([4.0, 1.0]), 2, label=0))
+        stack = stack_of(*trials_with_covariance(rng, np.diag([4.0, 1.0]), 2, label=0))
         target = {1: np.diag([1.0, 4.0])}
         transform = la_fit(inv_roots(in_target_labels(stack, LabelMapping(((0, 1),)))), target)
         assert np.allclose(transform[1], np.diag([0.5, 2.0]), atol=1e-10)
 
     def test_recenters_class_mean_exactly(self):
         rng = np.random.default_rng(119)
-        stack = stack_of(random_trials(rng, 5, 8, 40))
+        stack = stack_of(*random_trials(rng, 5, 8, 40))
         target_mean = random_spd(rng, 8, scale=0.8)
         target = {2: target_mean}
         mapping = LabelMapping(((0, 2),))
@@ -225,8 +228,8 @@ class TestLabelAlignment:
     def same_covariance_classes(rng):
         """Two classes of four trials, each class sharing one covariance."""
         cov0, cov1 = random_spd(rng, 3), random_spd(rng, 3)
-        return (trials_with_covariance(rng, cov0, 4, label=0)
-                + trials_with_covariance(rng, cov1, 4, label=1))
+        return joined(trials_with_covariance(rng, cov0, 4, label=0),
+                      trials_with_covariance(rng, cov1, 4, label=1))
 
     @staticmethod
     def dispersed_classes(rng):
@@ -234,16 +237,16 @@ class TestLabelAlignment:
         cfg = SynthConfig(channels=6, samples=100, classes=2, trials_per_class=4,
                           subjects=1, class_separation=1.0, subject_shift=0.5,
                           seed=5, noise_df=12)
-        return list(generate_synthetic(cfg).subjects[0])
+        return first_subject(cfg)
 
     def test_align_relabels_and_recenters(self):
         for classes in (self.same_covariance_classes, self.dispersed_classes):
             rng = np.random.default_rng(120)
             trials = classes(rng)
-            c = trials[0].data.shape[0]
+            c = trials[0].shape[1]
             t_means = {7: random_spd(rng, c), 9: random_spd(rng, c)}
             mapping = LabelMapping(((0, 7), (1, 9)))
-            stack = in_target_labels(stack_of(trials), mapping)
+            stack = in_target_labels(stack_of(*trials), mapping)
             transform = la_fit(inv_roots(stack), t_means)
             aligned = la_align(transform, stack)
             assert aligned.labels.tolist() == [7] * 4 + [9] * 4
@@ -255,14 +258,14 @@ class TestLabelAlignment:
 
     def test_identity_transform_only_relabels(self):
         rng = np.random.default_rng(121)
-        stack = stack_of([Trial(rng.standard_normal((2, 20)), label=0)])
+        stack = stack_of(rng.standard_normal((1, 2, 20)), [0])
         out = la_align({4: np.eye(2)}, in_target_labels(stack, LabelMapping(((0, 4),))))
         assert np.array_equal(out.covs, stack.covs)
         assert out.labels.tolist() == [4]
 
     def test_within_class_distances_preserved(self):
         rng = np.random.default_rng(122)
-        stack = in_target_labels(stack_of(random_trials(rng, 5, 4, 50)), LabelMapping(((0, 1),)))
+        stack = in_target_labels(stack_of(*random_trials(rng, 5, 4, 50)), LabelMapping(((0, 1),)))
         target = {1: random_spd(rng, 4)}
         transform = la_fit(inv_roots(stack), target)
         before = stack.covs
@@ -275,7 +278,7 @@ class TestLabelAlignment:
 
     def test_missing_class_errors(self):
         rng = np.random.default_rng(123)
-        stack = stack_of([Trial(rng.standard_normal((2, 20)), label=0)])
+        stack = stack_of(rng.standard_normal((1, 2, 20)), [0])
         source = inv_roots(stack)  # label 0, in target labels
         with pytest.raises(MissingClassError, match="no source trials for label 4") as info:
             la_fit(source, {0: np.eye(2), 4: np.eye(2)})
@@ -287,7 +290,7 @@ class TestLabelAlignment:
     def test_unknown_label_on_align(self):
         rng = np.random.default_rng(124)
         transform = {0: np.eye(2)}
-        stray = stack_of([Trial(rng.standard_normal((2, 20)), label=3)])
+        stray = stack_of(rng.standard_normal((1, 2, 20)), [3])
         with pytest.raises(UnknownLabelError):
             la_align(transform, stray)
 
@@ -295,15 +298,16 @@ class TestLabelAlignment:
         # A C Aᵀ on the stack is what re-multiplying the raw trials by A
         # and recomputing their covariances gives, scatter included.
         rng = np.random.default_rng(130)
-        trials = random_trials(rng, 3, 4, 30, label=0) + random_trials(rng, 3, 4, 30, label=1)
+        data, labels = joined(random_trials(rng, 3, 4, 30, label=0),
+                              random_trials(rng, 3, 4, 30, label=1))
         means = {5: random_spd(rng, 4), 6: random_spd(rng, 4)}
         mapping = LabelMapping(((0, 5), (1, 6)))
-        stack = in_target_labels(covariance_stack(trials, scatter=True), mapping)
+        stack = in_target_labels(covariance_stack(data, labels, scatter=True), mapping)
         transform = la_fit(inv_roots(stack), means)
         aligned = la_align(transform, stack)
         target_label = mapping.as_dict()
-        moved = [Trial(transform[target_label[t.label]] @ t.data, label=t.label) for t in trials]
-        reference = covariance_stack(moved, scatter=True)
+        moved = np.stack([transform[target_label[l]] @ x for x, l in zip(data, labels)])
+        reference = covariance_stack(moved, labels, scatter=True)
         assert relative_error(aligned.covs, reference.covs) <= 1e-12
         assert relative_error(aligned.scatter, reference.scatter) <= 1e-12
 
@@ -311,8 +315,8 @@ class TestLabelAlignment:
 class TestAlignDispatch:
     def test_raw_without_mapping_echoes(self):
         rng = np.random.default_rng(125)
-        source = stack_of([Trial(rng.standard_normal((2, 20)), label=0)])
-        target = stack_of([Trial(rng.standard_normal((2, 20)), label=1)])
+        source = stack_of(rng.standard_normal((1, 2, 20)), [0])
+        target = stack_of(rng.standard_normal((1, 2, 20)), [1])
         sources, aligned_target = align("raw", [domain(source, source=True)], domain(target))
         assert np.array_equal(sources[0].covs, source.covs)
         assert sources[0].labels.tolist() == [0]
@@ -320,8 +324,8 @@ class TestAlignDispatch:
 
     def test_raw_with_mapping_relabels_only(self):
         rng = np.random.default_rng(126)
-        source = stack_of([Trial(rng.standard_normal((2, 20)), label=0)])
-        target = stack_of([Trial(rng.standard_normal((2, 20)), label=1)])
+        source = stack_of(rng.standard_normal((1, 2, 20)), [0])
+        target = stack_of(rng.standard_normal((1, 2, 20)), [1])
         source_view = in_target_labels(source, LabelMapping(((0, 1),)))
         sources, _ = align("raw", [domain(source_view)], domain(target))
         assert np.array_equal(sources[0].covs, source.covs)
@@ -329,8 +333,8 @@ class TestAlignDispatch:
 
     def test_ea_whitens_every_subject(self):
         rng = np.random.default_rng(127)
-        subjects = [domain(stack_of(random_trials(rng, 8, 3, 40))) for _ in range(2)]
-        target = domain(stack_of(random_trials(rng, 8, 3, 40, label=1)))
+        subjects = [domain(stack_of(*random_trials(rng, 8, 3, 40))) for _ in range(2)]
+        target = domain(stack_of(*random_trials(rng, 8, 3, 40, label=1)))
         sources, aligned_target = align("ea", subjects, target)
         for aligned in [*sources, aligned_target]:
             mean = arithmetic_mean_cov(aligned.covs)
@@ -338,7 +342,7 @@ class TestAlignDispatch:
 
     def test_la_dispatch_matches_manual_pipeline(self):
         rng = np.random.default_rng(128)
-        source = stack_of(trials_with_covariance(rng, random_spd(rng, 3), 4, label=0))
+        source = stack_of(*trials_with_covariance(rng, random_spd(rng, 3), 4, label=0))
         target_mean = random_spd(rng, 3)
         means = {5: target_mean}
         source = in_target_labels(source, LabelMapping(((0, 5),)))
@@ -350,7 +354,7 @@ class TestAlignDispatch:
 
     def test_domain_keeps_its_whitened_stack(self):
         rng = np.random.default_rng(131)
-        stack = covariance_stack(random_trials(rng, 6, 3, 30, label=0), scatter=True)
+        stack = covariance_stack(*random_trials(rng, 6, 3, 30, label=0), scatter=True)
         d = domain(stack)
         reference = stack.transformed(ea_reference(stack.covs))
         assert np.array_equal(d.ea_stack.covs, reference.covs)
@@ -362,9 +366,9 @@ class TestAlignDispatch:
     def test_ea_and_raw_return_the_domain_stacks(self):
         rng = np.random.default_rng(132)
         mapping = LabelMapping(((0, 1),))
-        source_view = in_target_labels(stack_of(random_trials(rng, 5, 3, 30)), mapping)
+        source_view = in_target_labels(stack_of(*random_trials(rng, 5, 3, 30)), mapping)
         source = with_logs(domain(source_view, source=True))
-        target = with_logs(domain(stack_of(random_trials(rng, 5, 3, 30, label=1))))
+        target = with_logs(domain(stack_of(*random_trials(rng, 5, 3, 30, label=1))))
         for strategy, view in (("raw", "stack"), ("ea", "ea_stack")):
             sources, aligned_target = align(strategy, [source], target)
             assert aligned_target is getattr(target, view)
@@ -374,7 +378,7 @@ class TestAlignDispatch:
 
     def test_source_domain_keeps_the_inverse_roots_of_its_class_means(self):
         rng = np.random.default_rng(133)
-        stack = stack_of(random_trials(rng, 4, 3, 30) + random_trials(rng, 3, 3, 30, label=2))
+        stack = stack_of(*joined(random_trials(rng, 4, 3, 30), random_trials(rng, 3, 3, 30, label=2)))
         means = {l: arithmetic_mean_cov(stack.covs[stack.labels == l]) for l in (0, 2)}
         roots = domain(stack, source=True).inv_roots
         assert sorted(roots) == [0, 2]

@@ -43,8 +43,8 @@ def test_build_dataset_round_trips_the_generated_subjects(monkeypatch, tmp_path)
     run.build_dataset(workload, 1, tmp_path / "d")
     generated = generate_synthetic(SynthConfig(**workload.synth_fields(1))).subjects
     loaded = load_manifest(tmp_path / "d" / "manifest.json").iter_subjects()
-    for want, got in zip(generated, loaded, strict=True):
-        assert [(t.label, t.data.tobytes()) for t in got] == [
+    for want, (data, labels) in zip(generated, loaded, strict=True):
+        assert [(l, x.tobytes()) for x, l in zip(data, labels.tolist(), strict=True)] == [
             (t.label, t.data.tobytes()) for t in want
         ]
 

@@ -12,7 +12,6 @@ from labelalign.dataio import (
     load_manifest,
     read_labels,
     read_trials,
-    with_labels,
     write_labels,
     write_manifest,
     write_trials,
@@ -27,7 +26,7 @@ from labelalign.errors import (
 
 
 def make_trials(rng, count, channels, samples):
-    return [Trial(rng.standard_normal((channels, samples))) for _ in range(count)]
+    return rng.standard_normal((count, channels, samples))
 
 
 class TestTrialFile:
@@ -39,8 +38,7 @@ class TestTrialFile:
         back = read_trials(path)
         assert len(back) == 3
         for a, b in zip(trials, back):
-            assert np.array_equal(a.data, b.data)
-            assert b.label is None
+            assert np.array_equal(a, b)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -102,19 +100,24 @@ class TestTrialFile:
         with pytest.raises(DimMismatchError):
             write_trials(tmp_path / "m", [Trial(np.ones((2, 3))), Trial(np.ones((3, 3)))])
 
+    @pytest.mark.parametrize("shape", [(3, 7), (2, 0, 7)])
+    def test_write_rejects_an_array_that_is_not_n_c_t(self, tmp_path, shape):
+        with pytest.raises(DimMismatchError, match="trials must be"):
+            write_trials(tmp_path / "m", np.ones(shape))
+        assert not (tmp_path / "m").exists()
+
     def test_read_returns_writable_views_of_one_array(self, tmp_path):
         rng = np.random.default_rng(105)
         trials = make_trials(rng, 4, 3, 7)
         path = tmp_path / "v.trials"
         write_trials(path, trials)
         back = read_trials(path)
-        base = back[0].data.base
-        assert base.shape == (4, 3, 7)
+        assert back.shape == (4, 3, 7) and back.dtype == np.float64 and back.flags.writeable
         for t, b in zip(trials, back, strict=True):
-            assert b.data.base is base and b.data.flags.writeable
-            assert b.data.tobytes() == t.data.tobytes()
-        back[1].data[0, 0] = 5.0
-        assert base[1, 0, 0] == 5.0
+            assert b.base is back
+            assert b.tobytes() == t.tobytes()
+        back[1][0, 0] = 5.0
+        assert back[1, 0, 0] == 5.0
 
     def test_write_streams_without_a_copy_of_the_payload(self, tmp_path):
         rng = np.random.default_rng(106)
@@ -126,15 +129,15 @@ class TestTrialFile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * trials[0].data.nbytes
+        assert peak < 2 * trials[0].nbytes
         header = b"EEGT\x01" + struct.pack("<III", 8, 1000, 64)
-        reference = header + np.stack([t.data for t in trials]).astype("<f8").tobytes()
+        reference = header + trials.astype("<f8").tobytes()
         assert path.read_bytes() == reference
 
     def test_write_names_the_offset_of_a_nonfinite_value_and_writes_nothing(self, tmp_path):
         rng = np.random.default_rng(107)
         trials = make_trials(rng, 3, 2, 5)
-        trials[2].data[1, 3] = np.inf  # a trial's data may change after it is checked
+        trials[2, 1, 3] = np.inf
         path = tmp_path / "n"
         with pytest.raises(NonFinitePayloadError) as err:
             write_trials(path, trials)
@@ -171,16 +174,6 @@ class TestLabels:
         with pytest.raises(DataError):
             read_labels(path)
 
-    def test_with_labels_length_mismatch(self):
-        with pytest.raises(DimMismatchError):
-            with_labels([Trial(np.ones((1, 2)))], [1, 2])
-
-    def test_with_labels_labels_the_trials_in_place(self):
-        trials = [Trial(np.ones((1, 2))), Trial(np.zeros((1, 2)))]
-        labeled = with_labels(trials, [3, 1])
-        assert labeled is trials
-        assert [t.label for t in trials] == [3, 1]
-
 
 class TestManifest:
     def _write_dataset(self, tmp_path, labels=(0, 1, 0)):
@@ -198,7 +191,8 @@ class TestManifest:
         assert manifest.label_set == (0, 1)
         subjects = list(manifest.iter_subjects())
         assert len(subjects) == 1
-        assert [t.label for t in subjects[0]] == [0, 1, 0]
+        data, labels = subjects[0]
+        assert data.shape == (3, 2, 10) and labels.tolist() == [0, 1, 0]
 
     def test_missing_file_rejected(self, tmp_path):
         self._write_dataset(tmp_path)
@@ -209,19 +203,10 @@ class TestManifest:
     def test_iter_subjects_loads_the_subjects_in_turn(self, tmp_path):
         self._write_dataset(tmp_path)
         manifest = load_manifest(tmp_path / "manifest.json")
-        loaded, = manifest.iter_subjects()
+        (data, labels), = manifest.iter_subjects()
         listed = manifest.load_subject(manifest.subjects[0])
-        assert [(t.label, t.data.tobytes()) for t in loaded] == [
-            (t.label, t.data.tobytes()) for t in listed
-        ]
-
-    def test_each_loaded_trial_is_built_once(self, tmp_path, monkeypatch):
-        self._write_dataset(tmp_path)
-        built = []
-        post_init = Trial.__post_init__
-        monkeypatch.setattr(Trial, "__post_init__", lambda t: built.append(post_init(t)))
-        subjects = list(load_manifest(tmp_path / "manifest.json").iter_subjects())
-        assert len(built) == len(subjects[0]) == 3
+        assert data.tobytes() == listed[0].tobytes()
+        assert labels.tolist() == listed[1].tolist()
 
     def test_label_outside_declared_set(self, tmp_path):
         self._write_dataset(tmp_path, labels=(0, 1, 7))

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spd
+from conftest import first_subject, random_spd
 from labelalign import alignment, classifiers, cli, dataio, experiment, features, spd
 from labelalign.alignment import (
     Domain,
@@ -38,11 +38,9 @@ from labelalign.alignment import (
 from labelalign.classifiers import mdm_fit
 from labelalign.cli import main
 from labelalign.dataio import (
-    Trial,
     load_manifest,
     read_labels,
     read_trials,
-    with_labels,
     write_labels,
     write_manifest,
     write_trials,
@@ -76,7 +74,12 @@ from labelalign.report import (
 from labelalign.rng import derive_key
 from labelalign.selection import k_medoids, pairwise_distances
 from labelalign.spd import congruence, log_euclidean_mean, spd_exp, spd_log
-from labelalign.synth import SynthConfig, generate_synthetic, synthetic_subjects
+from labelalign.synth import (
+    SynthConfig,
+    generate_synthetic,
+    synthetic_parameters,
+    synthetic_subjects,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_SPEC = FIXTURES / "golden_spec.json"
@@ -405,14 +408,14 @@ class TestSharedWork:
     @pytest.mark.parametrize("pipeline", PIPELINES)
     def test_classify_predicts_what_the_harness_cell_does(self, manifest, capsys, pipeline):
         d = manifest.parent
-        trials = {i: with_labels(read_trials(d / f"s{i}.trials"), read_labels(d / f"s{i}.labels"))
-                  for i in (0, 1)}
+        data = np.concatenate([read_trials(d / f"s{i}.trials") for i in (0, 1)])
+        labels = [l for i in (0, 1) for l in read_labels(d / f"s{i}.labels")]
         # As in a harness cell, the training stack carries its logs.
-        train = covariance_stack([*trials[0], *trials[1]], scatter=True).with_logs()
-        test = covariance_stack(read_trials(d / "s2.trials"), scatter=True)
+        train = covariance_stack(data, labels, scatter=True).with_logs()
+        test = covariance_stack(read_trials(d / "s2.trials"), None, scatter=True)
         expected = fit_predict_cell(PIPELINES, train, test, csp_pairs=1)[pipeline]
-        write_trials(d / "train.trials", [*trials[0], *trials[1]])
-        write_labels(d / "train.labels", [t.label for t in [*trials[0], *trials[1]]])
+        write_trials(d / "train.trials", data)
+        write_labels(d / "train.labels", labels)
         capsys.readouterr()
         assert main(["classify", "--pipeline", pipeline, "--csp-pairs", "1",
                      "--train-trials", str(d / "train.trials"),
@@ -425,16 +428,16 @@ class TestSharedWork:
 def manifest_subjects():
     cfg = SynthConfig(channels=4, samples=40, classes=4, trials_per_class=6, subjects=3,
                       class_separation=1.0, subject_shift=0.5, seed=11, noise_df=8)
-    return generate_synthetic(cfg).subjects
+    return tuple(synthetic_subjects(cfg, *synthetic_parameters(cfg)))
 
 
 @pytest.fixture
 def manifest(tmp_path):
     """Three 4-class subjects of 24 trials each, written through dataio."""
     entries = []
-    for i, trials in enumerate(manifest_subjects()):
-        write_trials(tmp_path / f"s{i}.trials", trials)
-        write_labels(tmp_path / f"s{i}.labels", [t.label for t in trials])
+    for i, (data, labels) in enumerate(manifest_subjects()):
+        write_trials(tmp_path / f"s{i}.trials", data)
+        write_labels(tmp_path / f"s{i}.labels", labels)
         entries.append((f"s{i}", f"s{i}.trials", f"s{i}.labels"))
     write_manifest(tmp_path / "manifest.json", 100.0, range(4), entries)
     return tmp_path / "manifest.json"
@@ -467,7 +470,7 @@ def zero_channel(manifest_path, subject, trial, channel):
     """Rewrite one trial of a subject with an all-zero channel."""
     trials_path = manifest_path.parent / f"{subject}.trials"
     trials = read_trials(trials_path)
-    trials[trial].data[channel] = 0.0
+    trials[trial, channel] = 0.0
     write_trials(trials_path, trials)
 
 
@@ -482,7 +485,7 @@ class TestDegenerateTrials:
         self, manifest, tmp_path, capsys
     ):
         trials_path = manifest.parent / "s2.trials"
-        write_trials(trials_path, [Trial(t.data[:3]) for t in read_trials(trials_path)])
+        write_trials(trials_path, read_trials(trials_path)[:, :3])
         spec = load_scenario(write_spec(tmp_path / "spec.json", manifest))
         with pytest.raises(DimMismatchError, match="subject s2"):
             run_scenario(spec)
@@ -494,7 +497,7 @@ class TestDegenerateTrials:
             assert "subject s2 has trials without 4 channels" in capsys.readouterr().err
 
     def test_cli_experiment_with_zero_channel_trials_exits_3(self, manifest, tmp_path, capsys):
-        for i in range(3):  # Trial refuses such data, so the files are written by hand
+        for i in range(3):  # write_trials refuses such data, so the files are written by hand
             (manifest.parent / f"s{i}.trials").write_bytes(
                 b"EEGT\x01" + struct.pack("<III", 0, 10, 24))
         spec = write_spec(tmp_path / "spec.json", manifest)
@@ -732,9 +735,9 @@ class TestUnitErrorsNameTheirCell:
             run_scenario(load_scenario(self.la_spec(manifest, tmp_path)))
 
 
-def owners(trials):
-    """Weak references to the arrays that own the trials' data."""
-    return [weakref.ref(t.data if t.data.base is None else t.data.base) for t in trials]
+def owner(data):
+    """A weak reference to the array that owns a subject's trial data."""
+    return weakref.ref(data if data.base is None else data.base)
 
 
 class TestOneSubjectAtATime:
@@ -747,12 +750,12 @@ class TestOneSubjectAtATime:
         def spy(path):
             trials = read_trials(path)
             assert all(ref() is None for ref in alive), "an earlier subject is still held"
-            alive.extend(owners(trials))
+            alive.append(owner(trials))
             return trials
 
         monkeypatch.setattr(dataio, "read_trials", spy)
         run_scenario(load_scenario(write_spec(tmp_path / "spec.json", manifest)))
-        assert len(alive) == 3 * 24
+        assert len(alive) == 3
 
     def test_a_single_subject_fails_before_any_trial_is_read(
         self, manifest, tmp_path, monkeypatch
@@ -769,11 +772,11 @@ class TestOneSubjectAtATime:
         alive = []
 
         def spy(cfg, *parameters):
-            for trials in synthetic_subjects(cfg, *parameters):
+            for subject in synthetic_subjects(cfg, *parameters):
                 assert all(ref() is None for ref in alive), "an earlier subject is still held"
-                alive.extend(owners(trials))
-                yield trials
-                del trials
+                alive.append(owner(subject[0]))
+                yield subject
+                del subject
 
         monkeypatch.setattr(experiment, "synthetic_subjects", spy)
         spec = experiment.scenario_from_dict({
@@ -783,7 +786,7 @@ class TestOneSubjectAtATime:
                                      "class_separation": 1.0, "subject_shift": 0.5},
         })
         run_scenario(spec)
-        assert len(alive) == 3 * 12
+        assert len(alive) == 3
 
 
 def traced_peak(fn) -> int:
@@ -1025,7 +1028,7 @@ def congruence_problem(seed):
     """Train and test covariance stacks of a 3-class synthetic subject."""
     cfg = SynthConfig(channels=4, samples=60, classes=3, trials_per_class=8, subjects=1,
                       class_separation=1.0, subject_shift=0.0, seed=seed, noise_df=8)
-    stack = covariance_stack(generate_synthetic(cfg).subjects[0])
+    stack = covariance_stack(*first_subject(cfg))
     train = np.arange(len(stack.covs)) % 2 == 0
     return stack.take(train), stack.take(~train)
 
@@ -1072,10 +1075,10 @@ class TestCli:
         out = tmp_path / "aligned"
         assert main(self.la_args(manifest, out)) == 0
         aligned = list(load_manifest(out / "manifest.json").iter_subjects())
-        assert sorted({t.label for t in aligned[0]}) == [0, 1, 2, 3]  # target untouched
-        for trials in aligned[1:]:
-            assert len(trials) == 12
-            assert sorted({t.label for t in trials}) == [2, 3]
+        assert sorted(set(aligned[0][1].tolist())) == [0, 1, 2, 3]  # target untouched
+        for data, labels in aligned[1:]:
+            assert len(data) == 12
+            assert sorted(set(labels.tolist())) == [2, 3]
 
     def test_align_la_bad_config_exits_2(self, manifest, tmp_path, capsys):
         for flag in ("--source-labels", "--target-labels"):
@@ -1105,7 +1108,7 @@ class TestCli:
         spec = load_scenario(write_spec(tmp_path / "spec.json", manifest))
         out = tmp_path / "aligned"
         assert main(self.la_args(manifest, out)) == 0  # target s0, k = 6
-        written = [covariance_stack(trials) for trials in
+        written = [covariance_stack(*subject) for subject in
                    list(load_manifest(out / "manifest.json").iter_subjects())[1:]]
 
         names, subjects = experiment._load_subjects(spec)
@@ -1304,7 +1307,7 @@ class TestCli:
         config.write_text(json.dumps(cfg))
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "d")]) == 0
         subjects = list(load_manifest(tmp_path / "d" / "manifest.json").iter_subjects())
-        assert [len(trials) for trials in subjects] == [6, 6]
+        assert [len(data) for data, _ in subjects] == [6, 6]
         config.write_text(json.dumps({**cfg, "channels": 0}))
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "e")]) == 2
         config.write_text(json.dumps({**cfg, "bands": 2}))
@@ -1358,3 +1361,36 @@ class TestCli:
         assert main(args) == 0
         assert capsys.readouterr().out.startswith("accuracy ")
         assert main(args + ["--shrinkage", "1.0"]) == 2
+
+    @pytest.mark.parametrize("command", ["classify", "kmedoids"])
+    def test_a_truncated_trial_file_is_named(self, manifest, capsys, command):
+        d = manifest.parent
+        path = d / "s2.trials"
+        path.write_bytes(path.read_bytes()[:-8])
+        end = path.stat().st_size
+        if command == "classify":  # the fault is in the test file, not the training file
+            args = ["classify", "--pipeline", "mdm", "--train-trials", str(d / "s1.trials"),
+                    "--train-labels", str(d / "s1.labels"), "--test-trials", str(path)]
+        else:
+            args = ["kmedoids", "--trials", str(path), "-k", "3"]
+        message = f"{path}: payload ends at byte {end}, expected {end + 8}"
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(TruncatedPayloadError, match=f"^{re.escape(message)}$") as err:
+            cli._file_stack(str(path), None, 0.0)
+        assert (err.value.offset, err.value.expected_size) == (end, end + 8)
+
+    def test_the_read_path_builds_no_trial(self, manifest, tmp_path, monkeypatch):
+        """A subject read from a manifest stays one array: neither the harness
+        nor ``labelalign align`` wraps its trials in a ``Trial``."""
+        built = []
+        post_init = dataio.Trial.__post_init__
+        monkeypatch.setattr(dataio.Trial, "__post_init__", lambda t: built.append(post_init(t)))
+        run_scenario(load_scenario(write_spec(tmp_path / "spec.json", manifest)))
+        counts = [len(built)]
+        for args in (["align", "--strategy", "ea", "--manifest", str(manifest),
+                      "--out", str(tmp_path / "ea")],
+                     self.la_args(manifest, tmp_path / "la")):
+            assert main(args) == 0
+            counts.append(len(built) - sum(counts))
+        assert counts == [0, 0, 0]

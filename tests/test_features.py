@@ -25,7 +25,6 @@ from labelalign.features import (
     trial_covariance,
     ts_features,
 )
-from labelalign.dataio import Trial
 from labelalign.spd import riemannian_distance, spd_from_matrix, spd_log
 
 
@@ -71,13 +70,20 @@ class TestTrialCovariance:
 
     def test_covariance_stack_keeps_labels_and_scatter(self):
         rng = np.random.default_rng(54)
-        trials = [Trial(rng.standard_normal((3, 20)), label=l) for l in (0, 1, 1)]
-        stack = covariance_stack(trials, scatter=True)
+        trials, labels = rng.standard_normal((3, 3, 20)), [0, 1, 1]
+        stack = covariance_stack(trials, labels, scatter=True)
         assert stack.labels.tolist() == [0, 1, 1]
-        assert np.array_equal(stack.covs[1], trial_covariance(trials[1].data))
-        assert np.array_equal(stack.scatter[2], centred_scatter(trials[2].data))
-        assert covariance_stack(trials).scatter is None
-        assert covariance_stack([Trial(t.data) for t in trials]).labels is None
+        assert np.array_equal(stack.covs[1], trial_covariance(trials[1]))
+        assert np.array_equal(stack.scatter[2], centred_scatter(trials[2]))
+        assert covariance_stack(trials, labels).scatter is None
+        assert covariance_stack(trials, None).labels is None
+
+    def test_covariance_stack_checks_the_label_count(self):
+        trials = np.ones((1, 1, 2))
+        with pytest.raises(DimMismatchError, match="^1 trials but 2 labels$"):
+            covariance_stack(trials, [1, 2])
+        with pytest.raises(DimMismatchError, match="^subject s1, 1 trials but 2 labels$"):
+            subject_stack("s1", (trials, [1, 2]))
 
 
 def whole_stack_covariance(x, shrinkage):
@@ -119,11 +125,10 @@ class TestChunkedCovariances:
         rng = np.random.default_rng(55)
         x = rng.standard_normal((7, self.C, self.T))
         covs, scatter = whole_stack_covariance(x, shrinkage), whole_stack_scatter(x)
-        trials = [Trial(row, label=i % 2) for i, row in enumerate(x)]
         for given in (x, list(x)):  # one array, or the trials' own arrays
             assert same_bytes(trial_covariance(given, shrinkage), covs)
             assert same_bytes(centred_scatter(given), scatter)
-        stack = covariance_stack(trials, shrinkage, scatter=True)
+        stack = covariance_stack(x, np.arange(7) % 2, shrinkage, scatter=True)
         assert same_bytes(stack.covs, covs) and same_bytes(stack.scatter, scatter)
         assert same_bytes(trial_covariance(x[4], shrinkage), covs[4])
         assert same_bytes(centred_scatter(x[4]), scatter[4])
@@ -132,29 +137,27 @@ class TestChunkedCovariances:
         monkeypatch.setattr(features, "_CHUNK_WORDS", 4 * self.C * self.T)  # chunks of 4
         x = np.random.default_rng(56).standard_normal((40, self.C, self.T))
         x[37, 1] = 0.0  # one all-zero channel, in the tenth chunk
-        trials = [Trial(row) for row in x]
         with pytest.raises(NotPositiveDefiniteError, match="^trial 37: smallest eigenvalue"):
-            covariance_stack(trials)
+            covariance_stack(x, None)
         with pytest.raises(NotPositiveDefiniteError,
                            match="^subject s1, trial 37: smallest eigenvalue"):
-            subject_stack("s1", trials)
+            subject_stack("s1", (x, None))
 
     def test_trials_of_different_shapes_are_named(self):
         rng = np.random.default_rng(57)
-        trials = [Trial(rng.standard_normal(shape)) for shape in ((3, 20), (3, 20), (4, 20))]
-        expected = "trial 2 has shape (4, 20), expected (3, 20)"
-        with pytest.raises(DimMismatchError, match=f"^{re.escape(expected)}$"):
-            covariance_stack(trials, scatter=True)
-        with pytest.raises(DimMismatchError, match=f"^{re.escape('subject s1, ' + expected)}$"):
-            subject_stack("s1", trials)
+        trials = [rng.standard_normal(shape) for shape in ((3, 20), (3, 20), (4, 20))]
+        expected = "trials must be one (C, T) or (n, C, T) array"
+        with pytest.raises(DimMismatchError, match=f"^{re.escape(expected)}"):
+            covariance_stack(trials, None, scatter=True)
+        with pytest.raises(DimMismatchError, match=f"^{re.escape('subject s1, ' + expected)}"):
+            subject_stack("s1", (trials, None))
 
     def test_covariance_stack_copies_no_subject(self):
         rng = np.random.default_rng(58)
         data = rng.standard_normal((64, 8, 2000))  # an 8 MiB payload
-        trials = [Trial(row) for row in data]  # row views, as read_trials returns them
         tracemalloc.start()
         try:
-            stack = covariance_stack(trials, scatter=True)
+            stack = covariance_stack(data, None, scatter=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

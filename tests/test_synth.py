@@ -97,10 +97,10 @@ class TestGenerator:
         streamed = list(synthetic_subjects(cfg, *synthetic_parameters(cfg)))
         assert len(streamed) == len(data.subjects) == 3
         digest = hashlib.sha256()
-        for trials, again in zip(data.subjects, streamed):
-            assert [t.label for t in trials] == [t.label for t in again]
+        for trials, (again, labels) in zip(data.subjects, streamed):
+            assert [t.label for t in trials] == labels.tolist()
             for t, u in zip(trials, again, strict=True):
-                assert t.data.tobytes() == u.data.tobytes()
+                assert t.data.tobytes() == u.tobytes()
                 digest.update(t.data.tobytes() + bytes([t.label]))
         for m in (*data.prototypes, *data.shifts):
             digest.update(m.tobytes())
@@ -122,8 +122,7 @@ class TestGenerator:
         monkeypatch.setattr(synth, "_BATCH_WORDS", batch * words if batch else words // 2)
 
         def trial_bytes(subjects):
-            return [[(t.label, t.data.shape, t.data.tobytes()) for t in trials]
-                    for trials in subjects]
+            return [(labels.tolist(), data.shape, data.tobytes()) for data, labels in subjects]
 
         batched = synthetic_subjects(cfg, *synthetic_parameters(cfg))
         assert trial_bytes(batched) == trial_bytes(loop_synthetic_subjects(cfg))
