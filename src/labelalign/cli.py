@@ -92,8 +92,6 @@ def _cmd_align(args) -> int:
             raise ConfigError(f"-k must be >= 1, got {args.k}")
         mapping = match_labels(source_set, target_set, derive_key(args.seed, "mapping"))
     manifest = load_manifest(args.manifest)
-    if args.strategy == "la" and args.target_subject not in [e.name for e in manifest.subjects]:
-        raise ConfigError(f"unknown target subject {args.target_subject!r}")
     fits = _fit_subjects(args, manifest, mapping)
     # Second pass: re-read, align and write one subject at a time.
     out = Path(args.out)
@@ -114,6 +112,8 @@ def _fit_subjects(args, manifest, mapping) -> list:
     source's target labels), keeping none of its trials or stacks; nothing is written
     unless every subject passes."""
     names = [e.name for e in manifest.subjects]
+    if args.strategy == "la" and args.target_subject not in names:
+        raise ConfigError(f"unknown target subject {args.target_subject!r}")
     fits = [(None, None)] * len(names)  # raw, and the LA target, pass through
     if args.strategy == "raw":  # computes no covariances: rank-deficient trials pass
         for entry in manifest.subjects:
