@@ -1,9 +1,9 @@
 """Covariance estimation, CSP spatial filtering, and tangent-space features.
 
-Trials enter the pipelines once: :func:`covariance_stack` turns a subject's
-``(n, C, T)`` trial array and its labels into a :class:`CovStack` of ``(n,
-C, C)`` covariances, and every later step works on such stacks. The feature
-functions return ``(n, d)`` arrays.
+A subject's trials enter the pipelines once: :func:`covariance_stack` turns
+its ``(n, C, T)`` trial array and its labels into a :class:`CovStack` of
+``(n, C, C)`` covariances, and every later step works on such stacks. The
+feature functions return ``(n, d)`` arrays.
 
 Covariance estimation copies no subject. :func:`trial_covariance` and
 :func:`centred_scatter` take the trial array as given and work through it in
@@ -42,7 +42,7 @@ _CHUNK_WORDS = 1 << 14
 
 @dataclass(frozen=True, eq=False)
 class CovStack:
-    """Trials as spatial covariances ``covs`` (n, C, C) with ``labels`` (n,) or None.
+    """A stack of trials as spatial covariances ``covs`` (n, C, C) with ``labels`` (n,) or None.
 
     ``scatter`` is the time-centred scatter (n, C, C) that CSP features read,
     or None. Aligning the trials as ``A X`` maps both stacks to ``A S Aᵀ``.
