@@ -37,7 +37,6 @@ from .dataio import (
 from .experiment import ScenarioSpec, fit_predict, load_scenario, run_scenario
 from .features import (
     CovStack,
-    CspModel,
     covariance_stack,
     csp_features,
     csp_fit,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CovStack",
-    "CspModel",
     "DatasetManifest",
     "Domain",
     "ExperimentReport",

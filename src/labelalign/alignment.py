@@ -18,8 +18,8 @@ arithmetic mean commutes with every congruence, so the mean of the aligned
 trials ``A Cᵢ Aᵀ`` of each source class is ``A Cs Aᵀ = Ct``, exactly up to
 rounding, and the LA fit takes no matrix logs.
 :func:`la_per_trial` turns the class matrices into each source trial's
-matrix; the harness applies them to covariance stacks (:func:`la_align`)
-and ``labelalign align`` to the raw trials, streamed one subject at a time.
+matrix; :func:`align` applies them to covariance stacks and ``labelalign
+align`` to the raw trials, streamed one subject at a time.
 What does not depend on the label budget (the whitened stack, the inverse
 roots of the source class means) is computed once per :class:`Domain`.
 """
@@ -107,13 +107,13 @@ def _label_means(covs: Array, labels) -> dict:
     return {int(l): arithmetic_mean_cov(covs[labels == l]) for l in np.unique(labels)}
 
 
-def target_means(labeled: CovStack, labels, n_classes: int) -> dict | None:
+def target_means(labeled: CovStack, n_classes: int) -> dict | None:
     """The arithmetic mean per label of the labeled target trials, or None
-    when the labels cover fewer than ``n_classes`` classes (the caller then
+    when their labels cover fewer than ``n_classes`` classes (the caller then
     falls back to domain whitening)."""
-    if len(set(labels)) < n_classes:
+    if len(set(labeled.labels)) < n_classes:
         return None
-    return _label_means(labeled.covs, labels)
+    return _label_means(labeled.covs, labeled.labels)
 
 
 def la_fit(source_inv_roots: dict, target_means: dict) -> dict:
@@ -138,11 +138,6 @@ def relabel(labels, mapping: LabelMapping) -> Array:
 def la_per_trial(matrices: dict, labels) -> Array:
     """Each trial's :func:`la_fit` class matrix (n, C, C), looked up by its label."""
     return np.stack(_lookup(matrices, labels, "transform"))
-
-
-def la_align(matrices: dict, stack: CovStack) -> CovStack:
-    """Transform each source trial covariance by its class matrix."""
-    return stack.transformed(la_per_trial(matrices, stack.labels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,8 +189,8 @@ def align(
     if strategy == "la":
         if target_means is None:
             raise ConfigError("la alignment needs target means")
-        stacks = [la_align(la_fit(d.inv_roots, target_means), d.stack) for d in sources]
-        return stacks, target.stack
+        fits = [(d.stack, la_fit(d.inv_roots, target_means)) for d in sources]
+        return [s.transformed(la_per_trial(a, s.labels)) for s, a in fits], target.stack
     if strategy == "ea":
         return [d.ea_stack for d in sources], target.ea_stack
     if strategy == "raw":

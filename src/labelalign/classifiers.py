@@ -2,7 +2,7 @@
 
 The one-vs-one linear SVM trains each pair by primal Newton, so it uses no
 random numbers and does not depend on row order; it predicts by one matrix
-product and a majority vote."""
+product and a majority vote. MDM's class means are one (m, C, C) stack."""
 
 from __future__ import annotations
 
@@ -172,7 +172,7 @@ def svm_predict_many(model: LinearSvmModel, features) -> list:
 @dataclass(frozen=True, eq=False)
 class MdmModel:
     classes: tuple
-    means: dict  # label -> SPD mean
+    means: Array  # (n_classes, C, C): the SPD class means, in class order
 
 
 def mdm_fit(logs, labels) -> MdmModel:
@@ -186,7 +186,7 @@ def mdm_fit(logs, labels) -> MdmModel:
     classes = tuple(int(l) for l in np.unique(labels))
     if len(classes) < 2:
         raise ConfigError(f"need >= 2 classes, got {classes}")
-    return MdmModel(classes, {l: log_euclidean_mean(logs[labels == l]) for l in classes})
+    return MdmModel(classes, np.stack([log_euclidean_mean(logs[labels == l]) for l in classes]))
 
 
 def mdm_predict(model: MdmModel, covs: Array):
@@ -196,8 +196,7 @@ def mdm_predict(model: MdmModel, covs: Array):
     One covariance (C, C) gives one label, a stack (n, C, C) a list of them.
     """
     covs = np.asarray(covs, dtype=np.float64)
-    means = np.stack([model.means[c] for c in model.classes])
-    nearest = np.argmin(riemannian_distance(means, covs[..., None, :, :]), axis=-1)
+    nearest = np.argmin(riemannian_distance(model.means, covs[..., None, :, :]), axis=-1)
     if nearest.ndim == 0:
         return model.classes[int(nearest)]
     return [model.classes[int(i)] for i in nearest]

@@ -127,7 +127,7 @@ def _fit_subjects(args, manifest, mapping) -> list:
     target = names.index(args.target_subject)
     pool = label_view(args.target_subject, stacks[target], "target", target_set)
     medoids = k_medoids(pairwise_distances(pool.covs), args.k)
-    means = target_means(pool.take(medoids), pool.labels[medoids], len(target_set))
+    means = target_means(pool.take(medoids), len(target_set))
     if means is None:
         raise DataError(
             f"the {args.k} medoids cover fewer than {len(target_set)} classes; "

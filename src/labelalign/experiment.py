@@ -139,11 +139,8 @@ class ScenarioSpec:
     def algorithms(self) -> list[tuple[str, str]]:
         return [(s, p) for s in self.strategies for p in self.pipelines]
 
-    def canonical_dict(self) -> dict:
-        return asdict(self)
-
     def config_hash(self) -> str:
-        blob = json.dumps(self.canonical_dict(), sort_keys=True).encode()
+        blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
@@ -244,9 +241,9 @@ def fit_predict_cell(
             if pipeline == "csp-lda":
                 if train.scatter is None or test.scatter is None:
                     raise ConfigError("csp-lda needs the centred scatter of every trial")
-                model = csp_fit(train.covs, labels, csp_pairs)
-                clf = classifiers.lda_fit(csp_features(model, train.scatter), labels)
-                test_csp = csp_features(model, test.scatter)
+                filters = csp_fit(train.covs, labels, csp_pairs)
+                clf = classifiers.lda_fit(csp_features(filters, train.scatter), labels)
+                test_csp = csp_features(filters, test.scatter)
                 preds[pipeline] = classifiers.lda_predict_many(clf, test_csp)
             elif pipeline == "mdm":
                 model = classifiers.mdm_fit(train.logs, labels)
@@ -365,7 +362,7 @@ def _start_worker(spec, names, domains) -> None:
     _WORKER_SCENARIO = (spec, names, domains)
 
 
-def _worker_unit(i: int) -> tuple[str, list, list]:
+def _worker_unit(i: int) -> tuple[list, list]:
     return _subject_unit(*_WORKER_SCENARIO, i)
 
 
@@ -405,17 +402,17 @@ def _fill(buffer: CovStack, pieces: Sequence[CovStack]) -> CovStack:
     return buffer.take(slice(0, start))
 
 
-def _subject_unit(spec, names, domains, i: int) -> tuple[str, list, list]:
+def _subject_unit(spec, names, domains, i: int) -> tuple[list, list]:
     """Evaluate target subject ``names[i]`` over the whole k grid.
 
     Its target pool is ``domains[i]``'s and its sources are the source views
     of every other subject. A pure function of the scenario and ``i``, so
     results are identical no matter how the units are scheduled across
-    processes. Returns (subject_name, accuracy rows, fallback events). A
-    :class:`DataError` is re-raised as the same type, prefixed with where it
-    arose: ``subject s1:`` for the pool's pairwise distances, ``subject s1,
-    k 4:`` for the labeled medoids, and ``subject s1, k 4, la:`` for a cell
-    (``la/ts-svm:`` when one pipeline's fit or predict raised it).
+    processes. Returns (accuracy rows, fallback events); each row names its
+    subject. A :class:`DataError` is re-raised as the same type, prefixed
+    with where it arose: ``subject s1:`` for the pool's distances, ``subject
+    s1, k 4:`` for the labeled medoids, and ``subject s1, k 4, la:`` for a
+    cell (``la/ts-svm:`` when one pipeline's fit or predict raised it).
     """
     name, target = names[i], domains[i][1]
     sources = [source for j, (source, _) in enumerate(domains) if j != i]
@@ -432,7 +429,7 @@ def _subject_unit(spec, names, domains, i: int) -> tuple[str, list, list]:
             # The labeled trials of the raw and of the whitened pool, each taken
             # (and logged) at most once per k.
             labeled = {"raw": _labeled(pool, medoids, logs)}
-            means = target_means(labeled["raw"], labeled["raw"].labels, len(spec.target_labels))
+            means = target_means(labeled["raw"], len(spec.target_labels))
         test_idx = np.setdiff1d(np.arange(len(pool.covs)), medoids)
         truth = pool.labels[test_idx]
         for strategy in spec.strategies:
@@ -455,7 +452,7 @@ def _subject_unit(spec, names, domains, i: int) -> tuple[str, list, list]:
             for pipeline in spec.pipelines:
                 accuracy = float(np.mean(np.asarray(preds[pipeline]) == truth))
                 rows.append((name, k, strategy, pipeline, accuracy))
-    return name, rows, fallbacks
+    return rows, fallbacks
 
 
 def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
@@ -486,7 +483,7 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
 
     report = ExperimentReport()
     fallbacks = []
-    for _, rows, unit_fallbacks in results:
+    for rows, unit_fallbacks in results:
         fallbacks.extend(unit_fallbacks)
         for name, k, strategy, pipeline, accuracy in rows:
             report.accuracies[(name, k, strategy, pipeline)] = accuracy

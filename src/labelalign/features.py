@@ -3,7 +3,8 @@
 A subject's trials enter the pipelines once: :func:`covariance_stack` turns
 its ``(n, C, T)`` trial array and its labels into a :class:`CovStack` of
 ``(n, C, C)`` covariances, and every later step works on such stacks. The
-feature functions return ``(n, d)`` arrays.
+feature functions return ``(n, d)`` arrays, and a fitted CSP model is its
+filter rows, one ``(m, C)`` array.
 
 Covariance estimation copies no subject. :func:`trial_covariance` and
 :func:`centred_scatter` take the trial array as given and work through it in
@@ -69,19 +70,6 @@ class CovStack:
     def with_logs(self) -> CovStack:
         """This stack carrying the matrix logs of its covariances, taken at most once."""
         return self if self.logs is not None else replace(self, logs=spd_log(self.covs))
-
-
-@dataclass(frozen=True, eq=False)
-class CspModel:
-    """Spatial filter bank: ``filters`` rows applied to raw trials.
-
-    Two classes give 2*pairs rows; more classes give 2*pairs rows per
-    class (one-vs-rest), concatenated in class order.
-    """
-
-    filters: Array
-    pairs: int
-    classes: tuple
 
 
 def _as_trials(x) -> tuple[Array, bool]:
@@ -188,13 +176,13 @@ def _binary_csp(c1: Array, c2: Array, pairs: int) -> Array:
     return filters
 
 
-def csp_fit(covs: Array, labels, pairs: int) -> CspModel:
-    """Fit CSP filters from the trial covariances ``covs`` (n, C, C) and
-    their ``labels`` (n,).
+def csp_fit(covs: Array, labels, pairs: int) -> Array:
+    """The CSP filter rows (m, C) of the trial covariances ``covs`` (n, C, C)
+    and their ``labels`` (n,).
 
-    Two classes give the classic binary filters; more classes use
-    one-vs-rest (each class against the pooled others), concatenating the
-    per-class filter blocks in sorted class order. A class's mean is taken
+    Two classes give the classic binary filters, 2 * pairs rows; more classes
+    use one-vs-rest (each class against the pooled others), concatenating
+    each class's 2 * pairs rows in sorted class order. A class's mean is taken
     over its trials in stack order, and the pool of the other classes
     concatenates their trials in sorted class order. Deterministic: fixed
     eigen-sorting and a positive-largest-entry sign convention.
@@ -208,29 +196,28 @@ def csp_fit(covs: Array, labels, pairs: int) -> CspModel:
 
     means = {c: np.mean(covs[labels == c], axis=0) for c in classes}
     if len(classes) == 2:
-        return CspModel(_binary_csp(means[classes[0]], means[classes[1]], pairs), pairs, classes)
+        return _binary_csp(means[classes[0]], means[classes[1]], pairs)
 
     blocks = []
     for label in classes:
         rest = np.concatenate([covs[labels == other] for other in classes if other != label])
         blocks.append(_binary_csp(means[label], np.mean(rest, axis=0), pairs))
-    return CspModel(np.vstack(blocks), pairs, classes)
+    return np.vstack(blocks)
 
 
-def csp_features(model: CspModel, scatter: Array) -> Array:
+def csp_features(filters: Array, scatter: Array) -> Array:
     """Normalized log-variance of the spatially filtered trials, one row each.
 
-    ``scatter`` is the time-centred scatter (C, C) or (n, C, C) of the
-    trials (:func:`centred_scatter`). Filter row w gives the trial variance
-    w^T S w / (T - 1); the normalization cancels the T - 1.
+    ``scatter`` is the time-centred scatter (C, C) or (n, C, C) of the trials
+    (:func:`centred_scatter`). A row w of ``filters`` (:func:`csp_fit`) gives
+    the trial variance w^T S w / (T - 1); the normalization cancels the T - 1.
     """
     s = np.asarray(scatter, dtype=np.float64)
-    if s.shape[-1] != model.filters.shape[1]:
+    if s.shape[-1] != filters.shape[1]:
         raise DimMismatchError(
-            f"trial has {s.shape[-1]} channels, filters expect "
-            f"{model.filters.shape[1]}"
+            f"trial has {s.shape[-1]} channels, filters expect {filters.shape[1]}"
         )
-    variances = np.sum((s @ model.filters.T) * model.filters.T, axis=-2)
+    variances = np.sum((s @ filters.T) * filters.T, axis=-2)
     return np.log(variances / variances.sum(axis=-1, keepdims=True))
 
 

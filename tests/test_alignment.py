@@ -8,8 +8,8 @@ from labelalign.alignment import (
     align,
     domain,
     ea_reference,
-    la_align,
     la_fit,
+    la_per_trial,
     match_labels,
     relabel,
     target_means,
@@ -48,6 +48,11 @@ def joined(*subjects):
 def inv_roots(stack):
     """Inverse roots of the stack's class means, as a source domain keeps them."""
     return domain(stack, source=True).inv_roots
+
+
+def la_apply(transform, stack):
+    """Each trial of a source stack moved by its class matrix, as ``align("la")`` does."""
+    return stack.transformed(la_per_trial(transform, stack.labels))
 
 
 def with_logs(d):
@@ -157,7 +162,7 @@ class TestEuclideanAlignment:
 def medoid_means(stack, k, n_classes):
     """As in a harness unit: the means of the pool's k medoids, labeled."""
     medoids = k_medoids(pairwise_distances(stack.covs), k)
-    return target_means(stack.take(medoids), stack.labels[medoids], n_classes), medoids
+    return target_means(stack.take(medoids), n_classes), medoids
 
 
 class TestTargetMeanEstimation:
@@ -248,7 +253,7 @@ class TestLabelAlignment:
             mapping = LabelMapping(((0, 7), (1, 9)))
             stack = in_target_labels(stack_of(*trials), mapping)
             transform = la_fit(inv_roots(stack), t_means)
-            aligned = la_align(transform, stack)
+            aligned = la_apply(transform, stack)
             assert aligned.labels.tolist() == [7] * 4 + [9] * 4
             for label in (7, 9):
                 # The arithmetic mean commutes with the congruence, so each
@@ -259,7 +264,7 @@ class TestLabelAlignment:
     def test_identity_transform_only_relabels(self):
         rng = np.random.default_rng(121)
         stack = stack_of(rng.standard_normal((1, 2, 20)), [0])
-        out = la_align({4: np.eye(2)}, in_target_labels(stack, LabelMapping(((0, 4),))))
+        out = la_apply({4: np.eye(2)}, in_target_labels(stack, LabelMapping(((0, 4),))))
         assert np.array_equal(out.covs, stack.covs)
         assert out.labels.tolist() == [4]
 
@@ -269,7 +274,7 @@ class TestLabelAlignment:
         target = {1: random_spd(rng, 4)}
         transform = la_fit(inv_roots(stack), target)
         before = stack.covs
-        after = la_align(transform, stack).covs
+        after = la_apply(transform, stack).covs
         for i in range(5):
             for j in range(i + 1, 5):
                 d0 = riemannian_distance(before[i], before[j])
@@ -292,7 +297,7 @@ class TestLabelAlignment:
         transform = {0: np.eye(2)}
         stray = stack_of(rng.standard_normal((1, 2, 20)), [3])
         with pytest.raises(UnknownLabelError):
-            la_align(transform, stray)
+            la_apply(transform, stray)
 
     def test_aligned_covariances_match_aligned_trials(self):
         # A C Aᵀ on the stack is what re-multiplying the raw trials by A
@@ -304,7 +309,7 @@ class TestLabelAlignment:
         mapping = LabelMapping(((0, 5), (1, 6)))
         stack = in_target_labels(covariance_stack(data, labels, scatter=True), mapping)
         transform = la_fit(inv_roots(stack), means)
-        aligned = la_align(transform, stack)
+        aligned = la_apply(transform, stack)
         target_label = mapping.as_dict()
         moved = np.stack([transform[target_label[l]] @ x for x, l in zip(data, labels)])
         reference = covariance_stack(moved, labels, scatter=True)

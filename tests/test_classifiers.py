@@ -284,8 +284,8 @@ class TestMdm:
         covs = [random_spd(rng, 4) for _ in range(6)]
         labels = [0, 0, 0, 1, 1, 1]
         model = mdm_fit(spd_log(covs), labels)
-        for c in model.classes:
-            assert mdm_predict(model, model.means[c]) == c
+        for mean, c in zip(model.means, model.classes):
+            assert mdm_predict(model, mean) == c
 
     def test_hand_computed_distances(self):
         # d(diag(2,2), I) = sqrt(2) log 2 < d(diag(2,2), diag(9,9)).
@@ -338,7 +338,7 @@ class TestMdm:
         covs = np.stack([random_spd(rng, 5) for _ in range(9)])
         model = mdm_fit(spd_log(covs), [0, 1, 2] * 3)
         tests = np.stack([random_spd(rng, 5) for _ in range(20)])
-        means = np.stack([model.means[c] for c in model.classes])
+        means = model.means
         loops = np.array([[loop_distance(t, m) for m in means] for t in tests])
         batched = riemannian_distance(tests[:, None], means)
         assert np.max(np.abs(batched - loops)) <= 1e-10 * np.max(loops)

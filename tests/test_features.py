@@ -17,7 +17,6 @@ from labelalign.errors import (
 from labelalign.experiment import subject_stack
 from labelalign.features import (
     CovStack,
-    CspModel,
     centred_scatter,
     covariance_stack,
     csp_features,
@@ -195,10 +194,10 @@ class TestStackLogs:
         assert self.stack().with_logs().transformed(random_invertible(rng, 4)).logs is None
 
 
-def csp_eigvals(model, c1):
+def csp_eigvals(filters, c1):
     """The generalized eigenvalue of each filter row w, w^T c1 w: every row
     has w^T (c1 + c2) w = 1."""
-    return np.einsum("ij,jk,ik->i", model.filters, c1, model.filters)
+    return np.einsum("ij,jk,ik->i", filters, c1, filters)
 
 
 class TestCspFit:
@@ -207,44 +206,44 @@ class TestCspFit:
         # is diag(4/5, 1/5), so the generalized eigenvalues are 0.8 and 0.2
         # and the filters align with the coordinate axes.
         c1 = np.diag([4.0, 1.0])
-        model = csp_fit(np.stack([c1, np.diag([1.0, 4.0])]), [0, 1], 1)
-        assert model.filters.shape == (2, 2)  # binary: 2 * pairs rows
-        assert np.allclose(sorted(csp_eigvals(model, c1)), [0.2, 0.8], atol=1e-12)
-        f = model.filters
+        filters = csp_fit(np.stack([c1, np.diag([1.0, 4.0])]), [0, 1], 1)
+        assert filters.shape == (2, 2)  # binary: 2 * pairs rows
+        assert np.allclose(sorted(csp_eigvals(filters, c1)), [0.2, 0.8], atol=1e-12)
+        f = filters
         assert abs(f[0, 1]) <= 1e-12 and abs(f[0, 0]) > 0  # axis e1 (largest)
         assert abs(f[1, 0]) <= 1e-12 and abs(f[1, 1]) > 0  # axis e2 (smallest)
 
     def test_identical_classes_tie(self):
         rng = np.random.default_rng(42)
         c = random_spd(rng, 4)
-        model = csp_fit(np.stack([c, c]), [0, 1], 2)
-        assert np.allclose(csp_eigvals(model, c), 0.5, atol=1e-12)
-        assert model.filters.shape == (4, 4)
+        filters = csp_fit(np.stack([c, c]), [0, 1], 2)
+        assert np.allclose(csp_eigvals(filters, c), 0.5, atol=1e-12)
+        assert filters.shape == (4, 4)
 
     def test_filters_normalized_by_composite(self):
         rng = np.random.default_rng(43)
         c1 = random_spd(rng, 6)
         c2 = random_spd(rng, 6)
-        model = csp_fit(np.stack([c1, c2]), [0, 1], 3)
+        filters = csp_fit(np.stack([c1, c2]), [0, 1], 3)
         composite = c1 + c2
-        for w in model.filters:
+        for w in filters:
             assert w @ composite @ w == pytest.approx(1.0, abs=1e-10)
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(44)
         covs = np.stack([random_spd(rng, 6) for _ in range(6)])
         labels = [0, 0, 0, 1, 1, 1]
-        m1 = csp_fit(covs, labels, 2)
-        m2 = csp_fit(covs, labels, 2)
-        assert np.array_equal(m1.filters, m2.filters)
+        f1 = csp_fit(covs, labels, 2)
+        f2 = csp_fit(covs, labels, 2)
+        assert np.array_equal(f1, f2)
         c1 = np.mean(covs[:3], axis=0)
-        assert np.array_equal(csp_eigvals(m1, c1), csp_eigvals(m2, c1))
+        assert np.array_equal(csp_eigvals(f1, c1), csp_eigvals(f2, c1))
 
     def test_one_vs_rest_filter_count(self):
         rng = np.random.default_rng(45)
         covs = np.stack([random_spd(rng, 8) for _ in range(12)])
-        model = csp_fit(covs, np.repeat([0, 1, 2], 4), 2)
-        assert model.filters.shape == (2 * 2 * 3, 8)  # one-vs-rest: 2 * pairs rows per class
+        filters = csp_fit(covs, np.repeat([0, 1, 2], 4), 2)
+        assert filters.shape == (2 * 2 * 3, 8)  # one-vs-rest: 2 * pairs rows per class
 
     def test_one_vs_rest_filters_are_pinned(self):
         # Interleaved labels: each class's mean runs over its rows in stack
@@ -253,9 +252,9 @@ class TestCspFit:
         rng = np.random.default_rng(53)
         labels = rng.permutation(np.repeat([0, 1, 2], 5))
         covs = np.stack([random_spd(rng, 6) for _ in labels])
-        model = csp_fit(covs, labels, 2)
-        assert model.filters.shape == (12, 6)
-        assert hashlib.sha256(model.filters.tobytes()).hexdigest() == (
+        filters = csp_fit(covs, labels, 2)
+        assert filters.shape == (12, 6)
+        assert hashlib.sha256(filters.tobytes()).hexdigest() == (
             "d04eabe45a10ec8078cfe1cb9277229576b083d8ae5c18173a9e5f5cb8bc0d15"
         )
 
@@ -276,16 +275,16 @@ class TestCspFeatures:
     def test_uniform_variance_rows(self):
         base = np.arange(10.0)
         x = np.vstack([base, base[::-1], np.roll(base, 3)])  # equal sample variance
-        model = CspModel(np.eye(3), 1, (0, 1))
-        f = csp_features(model, centred_scatter(x))
+        filters = np.eye(3)
+        f = csp_features(filters, centred_scatter(x))
         assert np.allclose(f, np.log(1.0 / 3.0), atol=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(47)
         x = rng.standard_normal((4, 50))
-        model = CspModel(rng.standard_normal((2, 4)), 1, (0, 1))
-        f1 = csp_features(model, centred_scatter(x))
-        f2 = csp_features(model, centred_scatter(3.0 * x))
+        filters = rng.standard_normal((2, 4))
+        f1 = csp_features(filters, centred_scatter(x))
+        f2 = csp_features(filters, centred_scatter(3.0 * x))
         assert np.allclose(f1, f2, atol=1e-12)
 
     def test_direct_formula(self):
@@ -294,17 +293,16 @@ class TestCspFeatures:
         rng = np.random.default_rng(48)
         x = rng.standard_normal((7, 5, 80)) + rng.standard_normal((7, 5, 1))
         filters = rng.standard_normal((4, 5))
-        model = CspModel(filters, 2, (0, 1))
-        f = csp_features(model, centred_scatter(x))
+        f = csp_features(filters, centred_scatter(x))
         assert f.shape == (7, 4)
         for row, trial in zip(f, x):
             v = (filters @ trial).var(axis=1, ddof=1)
             assert np.max(np.abs(row - np.log(v / v.sum()))) <= 1e-12
 
     def test_channel_mismatch(self):
-        model = CspModel(np.eye(3), 1, (0, 1))
+        filters = np.eye(3)
         with pytest.raises(DimMismatchError):
-            csp_features(model, centred_scatter(np.ones((4, 10))))
+            csp_features(filters, centred_scatter(np.ones((4, 10))))
 
     def test_end_to_end_congruence_invariance(self):
         # Re-mixing the channels by an invertible matrix and refitting yields
@@ -312,13 +310,13 @@ class TestCspFeatures:
         rng = np.random.default_rng(49)
         trials = rng.standard_normal((12, 5, 100))
         labels = [0] * 6 + [1] * 6
-        model = csp_fit(trial_covariance(trials), labels, 2)
+        filters = csp_fit(trial_covariance(trials), labels, 2)
         probe = trials[0]
-        f_orig = csp_features(model, centred_scatter(probe))
+        f_orig = csp_features(filters, centred_scatter(probe))
 
         w = random_invertible(rng, 5)
-        model_mixed = csp_fit(trial_covariance(w.T @ trials), labels, 2)
-        f_mixed = csp_features(model_mixed, centred_scatter(w.T @ probe))
+        filters_mixed = csp_fit(trial_covariance(w.T @ trials), labels, 2)
+        f_mixed = csp_features(filters_mixed, centred_scatter(w.T @ probe))
         assert np.max(np.abs(np.sort(f_mixed) - np.sort(f_orig))) <= 1e-8
 
 
