@@ -218,11 +218,17 @@ def load_manifest(path) -> DatasetManifest:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
+    seen = set()
     for entry in subjects:
         if "\n" in entry.name or "\r" in entry.name:  # a CSV report cannot carry them back
             raise DataError(
                 f"{path}: subject name {entry.name!r} may not contain line breaks"
             )
+        if not entry.name or any(c in entry.name for c in "/\\\0"):  # align writes <name>.trials
+            raise DataError(f"{path}: subject name {entry.name!r} is not a plain file name")
+        if entry.name in seen:
+            raise DataError(f"{path}: subject name {entry.name!r} is listed twice")
+        seen.add(entry.name)
         for p in (entry.trials_path, entry.labels_path):
             if not p.exists():
                 raise DataError(f"{path}: referenced file does not exist: {p}")

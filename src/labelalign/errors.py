@@ -114,6 +114,12 @@ class NonFinitePayloadError(DataError):
         self.offset = offset
 
 
+def require_int(name: str, value) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an int; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def reworded(exc: LabelAlignError, message: str) -> LabelAlignError:
     """A new error of ``exc``'s type with ``message`` and ``exc``'s other
     attributes (``MissingClassError.label``, a payload's byte offsets), which

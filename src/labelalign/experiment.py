@@ -74,6 +74,7 @@ from .errors import (
     TooFewPointsError,
     ZeroVarianceError,
     located,
+    require_int,
     reworded,
 )
 from .features import (
@@ -110,6 +111,10 @@ class ScenarioSpec:
     shrinkage: float = 0.0
 
     def __post_init__(self):
+        ints = [(f"{name}[{i}]", value) for name in ("source_labels", "target_labels", "k_grid")
+                for i, value in enumerate(getattr(self, name))]
+        for name, value in [*ints, ("seed", self.seed), ("csp_pairs", self.csp_pairs)]:
+            require_int(name, value)
         match_labels(self.source_labels, self.target_labels)  # rejects duplicates, unequal sizes
         if len(self.source_labels) < 2:
             raise ConfigError(
@@ -124,6 +129,10 @@ class ScenarioSpec:
                 raise ConfigError(f"unknown pipeline {p!r}, expected one of {PIPELINES}")
         if not self.strategies or not self.pipelines:
             raise ConfigError("need at least one strategy and one pipeline")
+        for name in ("strategies", "pipelines"):
+            listed = getattr(self, name)
+            if len(set(listed)) < len(listed):
+                raise ConfigError(f"{name} lists a value twice: {list(listed)}")
         if not self.k_grid or any(k < 1 for k in self.k_grid) or any(
             a >= b for a, b in zip(self.k_grid, self.k_grid[1:])
         ):
@@ -153,7 +162,8 @@ def scenario_from_dict(doc: dict, seed_override: int | None = None) -> ScenarioS
     if unknown:
         raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
     try:
-        seed = int(seed_override if seed_override is not None else doc.get("seed", 0))
+        seed = seed_override if seed_override is not None else doc.get("seed", 0)
+        require_int("seed", seed)  # before it keys the generator
         synth = None
         if doc.get("synth") is not None:
             block = dict(doc["synth"])
@@ -161,15 +171,15 @@ def scenario_from_dict(doc: dict, seed_override: int | None = None) -> ScenarioS
             block.setdefault("seed", derive_key(seed, "synth"))
             synth = SynthConfig(**block)
         return ScenarioSpec(
-            source_labels=tuple(int(l) for l in doc["source_labels"]),
-            target_labels=tuple(int(l) for l in doc["target_labels"]),
+            source_labels=tuple(doc["source_labels"]),
+            target_labels=tuple(doc["target_labels"]),
             strategies=tuple(doc.get("strategies", ["raw", "ea", "la"])),
             pipelines=tuple(doc.get("pipelines", ["ts-lda"])),
-            k_grid=tuple(int(k) for k in doc["k_grid"]),
+            k_grid=tuple(doc["k_grid"]),
             seed=seed,
             synth=synth,
             manifest=doc.get("manifest"),
-            csp_pairs=int(doc.get("csp_pairs", DEFAULT_CSP_PAIRS)),
+            csp_pairs=doc.get("csp_pairs", DEFAULT_CSP_PAIRS),
             shrinkage=float(doc.get("shrinkage", 0.0)),
         )
     except KeyError as exc:

@@ -49,7 +49,7 @@ from typing import Iterator
 import numpy as np
 
 from .dataio import Trial
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 from .rng import CounterRng, derive_key, derive_keys
 from .spd import Array, spd_exp, spd_sqrt, symmetrize
 
@@ -72,9 +72,7 @@ class SynthConfig:
     def __post_init__(self):
         ints = [*_COUNTS, "seed"] + ([] if self.noise_df is None else ["noise_df"])
         for name in ints:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            require_int(name, getattr(self, name))
         for name in ("class_separation", "subject_shift"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):

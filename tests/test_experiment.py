@@ -994,6 +994,35 @@ class TestReportRoundTrip:
         assert not out.exists()
 
 
+class TestSubjectNames:
+    """A manifest's subject names are distinct plain file names: ``align``
+    writes ``<out>/<name>.trials`` and a report keys its rows by name."""
+
+    def test_a_name_listed_twice_exits_3(self, manifest, tmp_path, capsys):
+        rename_subject(manifest, "s1", "s0")
+        spec = write_spec(tmp_path / "spec.json", manifest)
+        out = tmp_path / "out"
+        assert main(["experiment", "--spec", str(spec), "--out", str(out / "r.csv")]) == 3
+        assert main(["align", "--strategy", "raw", "--manifest", str(manifest),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count(f"{manifest}: subject name 's0' is listed twice") == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "s\u0000x", ""],
+                             ids=["parent", "slash", "backslash", "nul", "empty"])
+    def test_align_rejects_a_name_that_is_not_a_plain_file_name(
+        self, manifest, tmp_path, capsys, name
+    ):
+        rename_subject(manifest, "s1", name)
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "out" / "aligned"
+        assert main(["align", "--strategy", "raw", "--manifest", str(manifest),
+                     "--out", str(out)]) == 3
+        assert f"subject name {name!r} is not a plain file name" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before  # nothing written, inside or outside out
+
+
 def short_accuracy_row(text):
     lines = text.split("\n")
     lines[1] = lines[1].rsplit(",", 1)[0]
@@ -1291,6 +1320,16 @@ class TestCli:
         ("svm_epochs", 40),
         ("source_labels", [0, 0]),
         ("target_labels", [2, 3, 1]),
+        ("k_grid", [2.9, 4]),
+        ("k_grid", [True, 4]),
+        ("source_labels", [0.9, 1]),
+        ("target_labels", [2, 3.0]),
+        ("seed", 1.5),
+        ("seed", "1"),
+        ("csp_pairs", True),
+        ("csp_pairs", 1.0),
+        ("strategies", ["raw", "raw"]),
+        ("pipelines", ["mdm", "csp-lda", "mdm"]),
     ])
     def test_malformed_spec_exits_2(self, manifest, tmp_path, field, value):
         spec = write_spec(tmp_path / "spec.json", manifest)
