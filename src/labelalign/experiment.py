@@ -111,10 +111,11 @@ class ScenarioSpec:
     shrinkage: float = 0.0
 
     def __post_init__(self):
-        ints = [(f"{name}[{i}]", value) for name in ("source_labels", "target_labels", "k_grid")
-                for i, value in enumerate(getattr(self, name))]
-        for name, value in [*ints, ("seed", self.seed), ("csp_pairs", self.csp_pairs)]:
-            require_int(name, value)
+        for name in ("source_labels", "target_labels", "k_grid"):
+            for i, value in enumerate(getattr(self, name)):
+                require_int(f"{name}[{i}]", value)
+        for name in ("seed", "csp_pairs"):
+            require_int(name, getattr(self, name))
         match_labels(self.source_labels, self.target_labels)  # rejects duplicates, unequal sizes
         if len(self.source_labels) < 2:
             raise ConfigError(
