@@ -9,6 +9,8 @@ attributes, with a prefix that names where it arose (:func:`located`).
 """
 
 import copyreg
+import sys
+import typing
 from contextlib import contextmanager
 
 
@@ -114,10 +116,35 @@ class NonFinitePayloadError(DataError):
         self.offset = offset
 
 
-def require_int(name: str, value) -> None:
-    """Raise :class:`ConfigError` unless ``value`` is an int; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+_KIND_WORDS = {int: "an integer", float: "a finite number", str: "a non-empty string"}
+
+
+def require(name: str, value, kind) -> None:
+    """Raise :class:`ConfigError`, naming ``name`` (``name[i]`` for item ``i``
+    of a list) and the value as given, unless ``value`` is of ``kind``."""
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+        for i, item in enumerate(value):
+            require(f"{name}[{i}]", item, typing.get_args(kind)[0])
+    elif isinstance(value, bool) or not (
+        (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max) if kind is float
+        else (isinstance(value, kind) and value != "")
+    ):
+        words = _KIND_WORDS.get(kind, f"a {kind.__name__} (a JSON object)")
+        raise ConfigError(f"{name} must be {words}, got {value!r}")
+
+
+def require_fields(config) -> None:
+    """:func:`require` each field of the frozen dataclass ``config`` by its
+    annotated kind; a list is kept as a tuple."""
+    for name, kind in typing.get_type_hints(type(config)).items():
+        value, options = getattr(config, name), typing.get_args(kind)
+        if value is None and type(None) in options:
+            continue
+        require(name, value, options[0] if type(None) in options else kind)
+        if isinstance(value, list):
+            object.__setattr__(config, name, tuple(value))
 
 
 def reworded(exc: LabelAlignError, message: str) -> LabelAlignError:

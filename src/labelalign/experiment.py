@@ -55,7 +55,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -74,7 +74,8 @@ from .errors import (
     TooFewPointsError,
     ZeroVarianceError,
     located,
-    require_int,
+    require,
+    require_fields,
     reworded,
 )
 from .features import (
@@ -101,9 +102,9 @@ LOG_PIPELINES = {"ts-svm", "ts-lda", "mdm"}  # they work on the logs of the trai
 class ScenarioSpec:
     source_labels: tuple[int, ...]
     target_labels: tuple[int, ...]
-    strategies: tuple[str, ...]
-    pipelines: tuple[str, ...]
     k_grid: tuple[int, ...]
+    strategies: tuple[str, ...] = STRATEGIES
+    pipelines: tuple[str, ...] = ("ts-lda",)
     seed: int = 0
     synth: SynthConfig | None = None
     manifest: str | None = None
@@ -111,33 +112,23 @@ class ScenarioSpec:
     shrinkage: float = 0.0
 
     def __post_init__(self):
-        for name in ("source_labels", "target_labels", "k_grid"):
-            for i, value in enumerate(getattr(self, name)):
-                require_int(f"{name}[{i}]", value)
-        for name in ("seed", "csp_pairs"):
-            require_int(name, getattr(self, name))
+        require_fields(self)
+        object.__setattr__(self, "shrinkage", float(self.shrinkage))  # hashed as a float
         match_labels(self.source_labels, self.target_labels)  # rejects duplicates, unequal sizes
         if len(self.source_labels) < 2:
             raise ConfigError(
                 f"every pipeline needs at least two classes, got source labels "
                 f"{self.source_labels} and target labels {self.target_labels}"
             )
-        for s in self.strategies:
-            if s not in STRATEGIES:
-                raise ConfigError(f"unknown strategy {s!r}, expected one of {STRATEGIES}")
-        for p in self.pipelines:
-            if p not in PIPELINES:
-                raise ConfigError(f"unknown pipeline {p!r}, expected one of {PIPELINES}")
-        if not self.strategies or not self.pipelines:
-            raise ConfigError("need at least one strategy and one pipeline")
-        for name in ("strategies", "pipelines"):
+        for name, known in (("strategies", STRATEGIES), ("pipelines", PIPELINES)):
             listed = getattr(self, name)
+            unknown = [value for value in listed if value not in known]
+            if unknown:
+                raise ConfigError(f"unknown {name} {unknown}, expected some of {known}")
             if len(set(listed)) < len(listed):
                 raise ConfigError(f"{name} lists a value twice: {list(listed)}")
-        if not self.k_grid or any(k < 1 for k in self.k_grid) or any(
-            a >= b for a, b in zip(self.k_grid, self.k_grid[1:])
-        ):
-            raise ConfigError(f"k grid must be ascending and positive: {self.k_grid}")
+        if self.k_grid[0] < 1 or any(a >= b for a, b in zip(self.k_grid, self.k_grid[1:])):
+            raise ConfigError(f"k_grid must be ascending and positive, got {list(self.k_grid)}")
         if (self.synth is None) == (self.manifest is None):
             raise ConfigError("exactly one of synth/manifest must be given")
         if self.csp_pairs < 1:
@@ -155,37 +146,19 @@ class ScenarioSpec:
 
 
 def scenario_from_dict(doc: dict, seed_override: int | None = None) -> ScenarioSpec:
-    """Build a spec from a parsed JSON document (the CLI's --spec file); a
-    missing field or a value of the wrong type raises :class:`ConfigError`."""
+    """The spec of a parsed JSON document (the CLI's --spec file), passed as it
+    is but for its ``synth`` object, built into a :class:`SynthConfig`."""
     if not isinstance(doc, dict):
-        raise ConfigError("scenario spec must be a JSON object")
-    unknown = set(doc) - {f.name for f in fields(ScenarioSpec)}
-    if unknown:
-        raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
+        raise ConfigError(f"scenario spec must be a JSON object, got {doc!r}")
+    seed = doc.get("seed", 0) if seed_override is None else seed_override
+    synth = doc.get("synth")
     try:
-        seed = seed_override if seed_override is not None else doc.get("seed", 0)
-        require_int("seed", seed)  # before it keys the generator
-        synth = None
-        if doc.get("synth") is not None:
-            block = dict(doc["synth"])
+        if isinstance(synth, dict):
+            require("seed", seed, int)  # before it keys the generator
             # The generator seed flows from the experiment seed unless pinned.
-            block.setdefault("seed", derive_key(seed, "synth"))
-            synth = SynthConfig(**block)
-        return ScenarioSpec(
-            source_labels=tuple(doc["source_labels"]),
-            target_labels=tuple(doc["target_labels"]),
-            strategies=tuple(doc.get("strategies", ["raw", "ea", "la"])),
-            pipelines=tuple(doc.get("pipelines", ["ts-lda"])),
-            k_grid=tuple(doc["k_grid"]),
-            seed=seed,
-            synth=synth,
-            manifest=doc.get("manifest"),
-            csp_pairs=doc.get("csp_pairs", DEFAULT_CSP_PAIRS),
-            shrinkage=float(doc.get("shrinkage", 0.0)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"scenario spec is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+            synth = SynthConfig(**{"seed": derive_key(seed, "synth"), **synth})
+        return ScenarioSpec(**{**doc, "seed": seed, "synth": synth})
+    except TypeError as exc:  # an unknown or missing field, which it names
         raise ConfigError(f"malformed scenario spec: {exc}") from exc
 
 

@@ -49,7 +49,7 @@ from typing import Iterator
 import numpy as np
 
 from .dataio import Trial
-from .errors import ConfigError, require_int
+from .errors import ConfigError, require_fields
 from .rng import CounterRng, derive_key, derive_keys
 from .spd import Array, spd_exp, spd_sqrt, symmetrize
 
@@ -70,13 +70,7 @@ class SynthConfig:
     noise_df: int | None = None  # per-trial covariance dispersion; must exceed channels
 
     def __post_init__(self):
-        ints = [*_COUNTS, "seed"] + ([] if self.noise_df is None else ["noise_df"])
-        for name in ints:
-            require_int(name, getattr(self, name))
-        for name in ("class_separation", "subject_shift"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
+        require_fields(self)
         for name in _COUNTS:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
