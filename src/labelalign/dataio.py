@@ -31,7 +31,10 @@ of them, with :func:`write_trials` and reads their labels.
 Label files are newline-separated integers, one per trial. A manifest is
 a JSON document (``{"version": 1, "sample_rate": ..., "label_set": [...],
 "subjects": [{"name": ..., "trials": ..., "labels": ...}, ...]}``) whose
-paths are resolved relative to the manifest file.
+paths are resolved relative to the manifest file. Its ``sample_rate`` must
+be a finite number > 0 and its ``label_set`` a list of ints, checked by
+:func:`labelalign.errors.require` and never converted; a manifest is data,
+so a bad one raises :class:`DataError` naming its path and the field.
 """
 
 from __future__ import annotations
@@ -47,12 +50,14 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
+    ConfigError,
     DataError,
     DimMismatchError,
     NonFiniteError,
     NonFinitePayloadError,
     TruncatedPayloadError,
     located,
+    require,
 )
 
 MAGIC = b"EEGT"
@@ -206,8 +211,11 @@ def load_manifest(path) -> DatasetManifest:
     if not isinstance(doc, dict) or doc.get("version") != MANIFEST_VERSION:
         raise DataError(f"{path}: expected a manifest with version {MANIFEST_VERSION}")
     try:
-        sample_rate = float(doc["sample_rate"])
-        label_set = tuple(int(l) for l in doc["label_set"])
+        sample_rate, label_set = doc["sample_rate"], doc["label_set"]
+        require("sample_rate", sample_rate, float)
+        require("label_set", label_set, tuple[int, ...])
+        if sample_rate <= 0:
+            raise ConfigError(f"sample_rate must be > 0, got {sample_rate!r}")
         subjects = tuple(
             SubjectEntry(
                 name=str(s["name"]),
@@ -216,6 +224,8 @@ def load_manifest(path) -> DatasetManifest:
             )
             for s in doc["subjects"]
         )
+    except ConfigError as exc:  # from require: a bad manifest is bad data
+        raise DataError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
     seen = set()
@@ -232,7 +242,7 @@ def load_manifest(path) -> DatasetManifest:
         for p in (entry.trials_path, entry.labels_path):
             if not p.exists():
                 raise DataError(f"{path}: referenced file does not exist: {p}")
-    return DatasetManifest(sample_rate, label_set, subjects)
+    return DatasetManifest(sample_rate, tuple(label_set), subjects)
 
 
 def write_manifest(path, sample_rate: float, label_set: Sequence[int],

@@ -6,6 +6,11 @@ data, exit code 3). Numeric preconditions raise ``DataError`` subclasses
 because they are triggered by the data fed in, not by the configuration.
 A ``DataError`` is located by re-raising it, as the same type with the same
 attributes, with a prefix that names where it arose (:func:`located`).
+
+A config checks its fields where it is built, each by its annotated kind
+(:func:`require_fields`): ``int`` (a bool is not one), ``float`` (a finite
+number; an int is one), ``str`` (not empty), ``tuple[k, ...]`` (a non-empty
+list or tuple of kind ``k``) or a config class; ``X | None`` also takes None.
 """
 
 import copyreg

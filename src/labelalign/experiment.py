@@ -42,6 +42,10 @@ only during its cell. :func:`fit_predict_cell` computes once what its
 pipelines share: the tangent reference and MDM class means (both from the
 training logs) and the train and test tangent vectors.
 
+A :class:`ScenarioSpec` holds every default and first checks each field by
+its annotated kind (:func:`labelalign.errors.require_fields`), so
+:func:`scenario_from_dict` passes it the JSON document as it is.
+
 A configuration error is raised before any unit starts (the CSP filter
 count as soon as the first subject's stack gives the channels), and a data
 error raised in a unit names its cell: the subject for the pool's pairwise

@@ -17,6 +17,10 @@ place of ``P_m^{1/2}``. ``E[Q] = I`` keeps the expected trial covariance
 unchanged while making single trials genuinely dispersed, the way trials
 from a live recording are. ``noise_df = None`` disables the dispersion.
 
+A config whose ``subjects x classes x trials_per_class x channels x
+max(samples, noise_df)`` words drawn exceed ``MAX_WORDS`` is refused with
+:class:`ConfigError` before any draw.
+
 All randomness flows through the counter-based generator in
 :mod:`labelalign.rng`, keyed per (class/subject/trial), so the output is a
 pure function of the config.
@@ -55,6 +59,7 @@ from .spd import Array, spd_exp, spd_sqrt, symmetrize
 
 _BATCH_WORDS = 1 << 14
 _COUNTS = ("channels", "samples", "classes", "trials_per_class", "subjects")
+MAX_WORDS = 1 << 32  # about 100 times the paper-scale dataset's 4.3e7 words
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,13 @@ class SynthConfig:
         if self.noise_df is not None and self.noise_df <= self.channels:
             raise ConfigError(
                 f"noise_df must exceed channels ({self.channels}), got {self.noise_df}"
+            )
+        words = (self.subjects * self.classes * self.trials_per_class * self.channels
+                 * max(self.samples, self.noise_df or 0))
+        if words > MAX_WORDS:
+            raise ConfigError(
+                "subjects x classes x trials_per_class x channels x max(samples, noise_df) "
+                f"must be at most {MAX_WORDS} words"
             )
 
 

@@ -1,3 +1,4 @@
+import json
 import struct
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labelalign.cli import main
 from labelalign.dataio import (
     HEADER_SIZE,
     Trial,
@@ -220,6 +222,29 @@ class TestManifest:
         manifest = load_manifest(tmp_path / "manifest.json")
         with pytest.raises(DataError, match="^subject s0: 3 trials but 2 labels$"):
             list(manifest.iter_subjects())
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("label_set", [0.9, 1.5], "label_set[0] must be an integer, got 0.9"),
+        ("label_set", ["0", "1"], "label_set[0] must be an integer, got '0'"),
+        ("label_set", "01", "label_set must be a non-empty list, got '01'"),
+        ("sample_rate", float("nan"), "sample_rate must be a finite number, got nan"),
+        ("sample_rate", "100", "sample_rate must be a finite number, got '100'"),
+        ("sample_rate", -5, "sample_rate must be > 0, got -5"),
+        ("sample_rate", 0.0, "sample_rate must be > 0, got 0.0"),
+    ])
+    def test_label_set_and_sample_rate_are_checked_not_converted(
+        self, tmp_path, capsys, field, value, message
+    ):
+        self._write_dataset(tmp_path)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        with pytest.raises(DataError) as err:
+            load_manifest(path)
+        assert str(err.value) == f"{path}: {message}"
+        assert main(["align", "--strategy", "raw", "--manifest", str(path),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "manifest.json"
