@@ -153,7 +153,7 @@ def scenario_from_dict(doc: dict, seed_override: int | None = None) -> ScenarioS
     """The spec of a parsed JSON document (the CLI's --spec file), passed as it
     is but for its ``synth`` object, built into a :class:`SynthConfig`."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"scenario spec must be a JSON object, got {doc!r}")
+        raise ConfigError("scenario spec must be a JSON object")
     seed = doc.get("seed", 0) if seed_override is None else seed_override
     synth = doc.get("synth")
     try:

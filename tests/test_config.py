@@ -147,7 +147,7 @@ def test_the_spec_holds_the_document_as_given():
         ({k: v for k, v in SPEC.items() if k != "k_grid"}, "missing 1 required .*'k_grid'"),
         ({**SPEC, "synth": {**SYNTH, "bands": 2}}, "unexpected keyword argument 'bands'"),
         ({**SPEC, "synth": {"channels": 3}}, "SynthConfig.* missing 6 required .*'samples'"),
-        ([SPEC], r"scenario spec must be a JSON object, got \["),
+        ([SPEC], "scenario spec must be a JSON object"),
     ]:
         with pytest.raises(ConfigError, match=message):
             scenario_from_dict(doc)
