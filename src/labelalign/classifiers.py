@@ -121,6 +121,9 @@ def _train_pair(xa: Array, xb: Array) -> Array:
     search (Keerthi & DeCoste, JMLR 2005): each step solves the generalized
     Hessian system of the current support set. Iteration stops once the
     gradient norm falls to ``SVM_GRAD_TOL`` times its value at the zero model.
+    A step whose length is not finite raises :class:`NotConvergedError` at once:
+    the line search's tail curvature can cancel to 0 under rounding when the
+    features are far from unit scale.
     """
     x = np.vstack([xa, xb])
     y = np.concatenate([-np.ones(len(xa)), np.ones(len(xb))])
@@ -148,7 +151,11 @@ def _train_pair(xa: Array, xb: Array) -> Array:
         if not active.any():
             hess[-1, -1] = 1.0  # the bias gradient is 0 here, so is its step
         step = -np.linalg.solve(hess, grad)
-        z = z + _line_search(slack, y * (x1 @ step), z[:-1], step[:-1]) * step
+        length = _line_search(slack, y * (x1 @ step), z[:-1], step[:-1])
+        if not np.isfinite(length):  # a NaN iterate never converges: stop here
+            raise NotConvergedError(f"linear SVM: Newton step {it} has a non-finite "
+                                    f"length ({length}); the features are too badly scaled")
+        z = z + length * step
 
 
 def svm_fit(features, labels) -> LinearSvmModel:

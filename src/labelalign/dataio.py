@@ -32,9 +32,10 @@ Label files are newline-separated integers, one per trial. A manifest is
 a JSON document (``{"version": 1, "sample_rate": ..., "label_set": [...],
 "subjects": [{"name": ..., "trials": ..., "labels": ...}, ...]}``) whose
 paths are resolved relative to the manifest file. Its ``sample_rate`` must
-be a finite number > 0 and its ``label_set`` a list of ints, checked by
-:func:`labelalign.errors.require` and never converted; a manifest is data,
-so a bad one raises :class:`DataError` naming its path and the field.
+be a finite number > 0, its ``label_set`` a list of ints and each subject's
+``name`` a string, checked by :func:`labelalign.errors.require` and never
+converted; a manifest is data, so a bad one raises :class:`DataError`
+naming its path and the field.
 """
 
 from __future__ import annotations
@@ -216,9 +217,12 @@ def load_manifest(path) -> DatasetManifest:
         require("label_set", label_set, tuple[int, ...])
         if sample_rate <= 0:
             raise ConfigError(f"sample_rate must be > 0, got {sample_rate!r}")
+        for i, s in enumerate(doc["subjects"]):
+            if s["name"] != "":  # refused below, with the other names that are no file name
+                require(f"subjects[{i}].name", s["name"], str)
         subjects = tuple(
             SubjectEntry(
-                name=str(s["name"]),
+                name=s["name"],
                 trials_path=path.parent / s["trials"],
                 labels_path=path.parent / s["labels"],
             )

@@ -46,8 +46,11 @@ A :class:`ScenarioSpec` holds every default and first checks each field by
 its annotated kind (:func:`labelalign.errors.require_fields`), so
 :func:`scenario_from_dict` passes it the JSON document as it is.
 
-A configuration error is raised before any unit starts (the CSP filter
-count as soon as the first subject's stack gives the channels), and a data
+A configuration error is raised before any unit starts. With a ``synth``
+block the spec itself checks its labels, k grid and CSP filter count against
+the generator's sizes, before any subject is generated; from a manifest the
+CSP filter count is checked as soon as the first subject's stack gives the
+channels, and the k grid once every target pool is known. A data
 error raised in a unit names its cell: the subject for the pool's pairwise
 distances, the subject and k for the labeled medoids, and subject, k,
 strategy and, from one pipeline's fit or predict, the pipeline.
@@ -139,6 +142,30 @@ class ScenarioSpec:
             raise ConfigError(f"csp_pairs must be at least 1, got {self.csp_pairs}")
         if not 0.0 <= self.shrinkage < 1.0:
             raise ConfigError(f"shrinkage must be in [0, 1), got {self.shrinkage}")
+        if self.synth is not None:
+            self._check_generator_sizes(self.synth)
+
+    def _check_generator_sizes(self, cfg: SynthConfig) -> None:
+        """The bounds that a manifest's data checks once it is read, taken from
+        the generator's sizes before any subject is generated."""
+        outside = sorted(set(self.source_labels + self.target_labels) - set(range(cfg.classes)))
+        if outside:
+            raise ConfigError(
+                f"labels {outside} are not classes of the generator, whose "
+                f"{cfg.classes} classes are 0 to {cfg.classes - 1}"
+            )
+        pool = cfg.trials_per_class * len(self.target_labels)
+        if max(self.k_grid) >= pool:
+            raise ConfigError(
+                f"k_grid {list(self.k_grid)} needs more than {max(self.k_grid)} trials in each "
+                f"target pool, the generator gives {pool} (trials_per_class "
+                f"{cfg.trials_per_class} x {len(self.target_labels)} target labels)"
+            )
+        if "csp-lda" in self.pipelines and 2 * self.csp_pairs > cfg.channels:
+            raise ConfigError(
+                f"csp_pairs {self.csp_pairs} needs at least {2 * self.csp_pairs} channels, "
+                f"the generator has {cfg.channels}"
+            )
 
     @property
     def algorithms(self) -> list[tuple[str, str]]:

@@ -181,17 +181,21 @@ def flatten_sym(s: Array) -> Array:
 
 
 def tangent_map(ref: Array, p: Array) -> Array:
-    """Logarithmic map of ``p`` (one matrix or a stack) at ``ref``, flattened.
+    """Normalised tangent vector of ``p`` (one matrix or a stack) at ``ref``.
 
-    S = ref^{1/2} log(ref^{-1/2} p ref^{-1/2}) ref^{1/2}, flattened by
-    :func:`flatten_sym`. The reference is factored once for the whole stack.
+    s = upper(log(ref^{-1/2} p ref^{-1/2})), flattened by :func:`flatten_sym`
+    (Barachant et al., IEEE TBME 59(4), 2012, eq. 10). The log map is taken
+    in the coordinates that whiten ``ref``, so the vectors do not depend on
+    the covariances' units: scaling ``ref`` and ``p`` by one factor leaves
+    them as they are. Only the reference's inverse root is taken, once for
+    the whole stack.
     """
     ref = _check_square(ref, "ref")
     p = _check_square(p, "p")
     if ref.ndim != 2 or p.shape[-1] != ref.shape[-1]:
         raise DimMismatchError(f"dimension mismatch: ref {ref.shape} vs {p.shape}")
-    half, inv_half = _spectral(ref, np.sqrt, _inv_sqrt, op="tangent_map")
-    return flatten_sym(symmetrize(half @ spd_log(inv_half @ p @ inv_half) @ half))
+    inv_half = _spectral(ref, _inv_sqrt, op="tangent_map")[0]
+    return flatten_sym(spd_log(inv_half @ p @ inv_half))
 
 
 def log_euclidean_mean(logs) -> Array:

@@ -2,7 +2,7 @@ import numpy as np
 
 from labelalign.errors import DimMismatchError
 from labelalign.rng import CounterRng, derive_key
-from labelalign.spd import spd_exp, spd_inv_sqrt, spd_sqrt, symmetrize
+from labelalign.spd import spd_exp, spd_sqrt, symmetrize
 from labelalign.synth import synthetic_parameters, synthetic_subjects
 
 
@@ -31,9 +31,9 @@ def loop_matrix_function(p, fn):
 
 
 def loop_tangent_vector(ref, p):
-    half = loop_matrix_function(ref, np.sqrt)
+    """upper(log(ref^{-1/2} p ref^{-1/2})) with sqrt(2)-weighted off-diagonals."""
     inv_half = loop_matrix_function(ref, lambda w: 1.0 / np.sqrt(w))
-    s = symmetrize(half @ loop_matrix_function(inv_half @ p @ inv_half, np.log) @ half)
+    s = loop_matrix_function(inv_half @ p @ inv_half, np.log)
     iu = np.triu_indices(p.shape[0])
     return np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0)) * s[iu]
 
@@ -112,12 +112,13 @@ def unflatten_sym(flat):
 
 
 def tangent_unmap(ref, flat):
-    """Exponential map inverting :func:`labelalign.spd.tangent_map`."""
+    """Exponential map inverting :func:`labelalign.spd.tangent_map`:
+    ref^{1/2} exp(unflatten(flat)) ref^{1/2}."""
     s = unflatten_sym(flat)
     if s.shape[-1] != np.shape(ref)[-1]:
         raise DimMismatchError(f"flat of dim {s.shape[-1]} does not match ref {np.shape(ref)}")
-    half, inv_half = spd_sqrt(ref), spd_inv_sqrt(ref)
-    return symmetrize(half @ spd_exp(inv_half @ s @ inv_half) @ half)
+    half = spd_sqrt(ref)
+    return symmetrize(half @ spd_exp(s) @ half)
 
 
 def total_cost(d, medoids):

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -138,6 +139,33 @@ class TestLinearSvm:
         with pytest.raises(NotConvergedError, match=r"^linear SVM: gradient norm \S+ after 0 "
                                                     r"Newton steps \(tolerance \S+\)$"):
             svm_fit(x, y)
+
+    # The arguments of the first line search that returned inf, in the golden
+    # run with subject s0 scaled by 10**2.5 under the ambient-coordinate
+    # tangent map ref^{1/2} log(...) ref^{1/2}: the first Newton step of the
+    # zero model, whose tail curvature cancels to exactly 0.
+    NONFINITE = {key: np.array(values) for key, values in json.loads(
+        (Path(__file__).parent / "fixtures" / "nonfinite_line_search.json").read_text()).items()}
+
+    def test_a_curvature_that_cancels_gives_a_non_finite_line_search(self):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert not np.isfinite(classifiers._line_search(**self.NONFINITE))
+
+    def test_a_non_finite_step_is_not_converged_at_once(self, monkeypatch):
+        calls = []
+
+        def line_search(*args):
+            calls.append(args)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return line_search_of_golden(**self.NONFINITE)
+
+        line_search_of_golden = classifiers._line_search
+        monkeypatch.setattr(classifiers, "_line_search", line_search)
+        x, y = symmetric_two_gaussian(np.random.default_rng(79), 10)
+        with pytest.raises(NotConvergedError, match=r"^linear SVM: Newton step 0 has a "
+                                                    r"non-finite length \(inf\)"):
+            svm_fit(x, y)
+        assert len(calls) == 1
 
     def test_identical_features_fall_back_to_first_class(self):
         x = np.tile([2.0, -1.0], (10, 1))

@@ -4,6 +4,7 @@ read or generated, and a generator config too large to run is refused."""
 
 import json
 import os
+import re
 import resource
 import signal
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 from labelalign import cli, dataio, experiment, synth
 from labelalign.cli import main
 from labelalign.errors import ConfigError, require
-from labelalign.experiment import STRATEGIES, ScenarioSpec, scenario_from_dict
+from labelalign.experiment import STRATEGIES, ScenarioSpec, run_scenario, scenario_from_dict
 from labelalign.synth import SynthConfig
 
 NAN, INF = float("nan"), float("inf")
@@ -217,3 +218,46 @@ class TestSizeBound:
                 done.stderr)
         assert not (tmp_path / "d").exists() and not (tmp_path / "r.csv").exists()
 
+
+class TestGeneratorBounds:
+    """With a ``synth`` block the spec knows each target pool's size, the
+    channels and the classes, so a k grid, a CSP filter count or a label
+    beyond them exits 2 before any subject is generated."""
+
+    @pytest.mark.parametrize("change, message", [
+        pytest.param({"k_grid": [2, 6]}, r"k_grid \[2, 6\] needs more than 6 trials in each "
+                     r"target pool, the generator gives 6 \(trials_per_class 3 x 2 target "
+                     r"labels\)", id="k-beyond-the-pool"),
+        pytest.param({"k_grid": [2, 10**30]},
+                     "needs more than 1000000000000000000000000000000 trials", id="huge-k"),
+        pytest.param({"pipelines": ["csp-lda"], "csp_pairs": 2},
+                     "csp_pairs 2 needs at least 4 channels, the generator has 3",
+                     id="csp-pairs-beyond-the-channels"),
+        pytest.param({"target_labels": [2, 4]}, r"labels \[4\] are not classes of the "
+                     r"generator, whose 4 classes are 0 to 3", id="target-label-beyond"),
+        pytest.param({"source_labels": [-1, 1]}, r"labels \[-1\] are not classes",
+                     id="negative-source-label"),
+    ])
+    def test_a_bound_beyond_the_generator_exits_2_before_any_subject(
+        self, tmp_path, monkeypatch, capsys, change, message
+    ):
+        generated = []
+        subjects = experiment.synthetic_subjects
+
+        def spy(*args):
+            for subject in subjects(*args):
+                generated.append(subject)
+                yield subject
+
+        monkeypatch.setattr(experiment, "synthetic_subjects", spy)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC, **change}))
+        assert main(["experiment", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert re.search(message, err), err
+        assert generated == [] and not (tmp_path / "r.csv").exists()
+
+    def test_the_largest_bounds_within_the_generator_run(self):
+        doc = {**SPEC, "k_grid": [5], "pipelines": ["csp-lda"], "csp_pairs": 1,
+               "source_labels": [0, 3], "target_labels": [1, 2]}
+        assert len(run_scenario(scenario_from_dict(doc)).accuracies) == 3 * 2

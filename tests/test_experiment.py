@@ -151,7 +151,9 @@ class TestGoldenReport:
 
     The fixtures were written by ``labelalign experiment --spec
     tests/fixtures/golden_spec.json --out tests/fixtures/golden_report.csv``
-    (and ``.json``). They include one EA fallback (s0 at k = 2). A change that
+    (and ``.json``); CI reruns that command at ``--jobs 2`` through the
+    installed console script and compares its CSV with ``cmp``. They
+    include one EA fallback (s0 at k = 2). A change that
     moves any row regenerates them and lists the row and its cause in
     CHANGES.md.
     """
@@ -1007,6 +1009,16 @@ class TestSubjectNames:
                      "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.count(f"{manifest}: subject name 's0' is listed twice") == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", [5, None, ["s1"]], ids=["int", "null", "list"])
+    def test_align_rejects_a_name_that_is_not_a_string(self, manifest, tmp_path, capsys, name):
+        rename_subject(manifest, "s1", name)
+        out = tmp_path / "out"
+        assert main(["align", "--strategy", "raw", "--manifest", str(manifest),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{manifest}: subjects[1].name must be a non-empty string, got {name!r}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "s\u0000x", ""],

@@ -4,17 +4,23 @@ geodesic distance, so a change of channel basis common to every subject, a
 common scale, the manifest's subject order and an order-preserving renaming of
 the labels must leave every accuracy row as it is, bit for bit; a congruence
 of one subject alone must leave its medoids, and so the EA fallbacks, as they
-are."""
+are. Data faults in one subject give a report without a NaN, or an error
+that names the subject: the tangent vectors are normalised, so one subject's
+units move no EA or LA row."""
 
 import functools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_invertible
 from labelalign.dataio import write_labels, write_manifest, write_trials
+from labelalign.errors import LabelAlignError
 from labelalign.experiment import run_scenario, scenario_from_dict
 from labelalign.report import render_report_csv
 from labelalign.synth import synthetic_parameters, synthetic_subjects
@@ -30,10 +36,11 @@ def golden_subjects():
 
 
 def run_from_manifest(directory, change=lambda name, data, labels: (data, labels),
-                      order=None, rename=None):
+                      order=None, rename=None, **fields):
     """The golden scenario's report from a manifest of its subjects, each
     written as ``change(name, data, labels)`` and listed in ``order``; the
-    spec's labels are renamed by ``rename``."""
+    spec's labels are renamed by ``rename``, and ``fields`` replace the
+    spec's."""
     names = [f"s{i}" for i in range(len(golden_subjects()))]
     entries = []
     for name, (data, labels) in zip(names, golden_subjects()):
@@ -49,7 +56,8 @@ def run_from_manifest(directory, change=lambda name, data, labels: (data, labels
     doc = {k: v for k, v in GOLDEN_SPEC.items() if k != "synth"}
     for field in ("source_labels", "target_labels"):
         doc[field] = [rename.get(l, l) for l in doc[field]]
-    return run_scenario(scenario_from_dict({**doc, "manifest": str(directory / "manifest.json")}))
+    doc.update(fields, manifest=str(directory / "manifest.json"))
+    return run_scenario(scenario_from_dict(doc))
 
 
 def accuracy_section(report) -> str:
@@ -107,3 +115,78 @@ def test_a_congruence_of_one_subject_keeps_the_ea_fallbacks(tmp_path, plain):
     assert report.metadata["ea_fallbacks"] == plain.metadata["ea_fallbacks"]
     assert plain.metadata["ea_fallbacks"] == [["s0", 2]]  # the golden report's one fallback
     assert accuracy_section(report) != accuracy_section(plain)  # the congruence did act
+
+
+def in_subject(subject, fault):
+    """A ``change`` that applies ``fault(data, labels)`` to ``subject`` alone."""
+    def change(name, data, labels):
+        return fault(data, labels) if name == subject else (data, labels)
+    return change
+
+
+def scaled(factor):
+    return lambda data, labels: (factor * data, labels)
+
+
+def offset(level):
+    return lambda data, labels: (data + level, labels)
+
+
+def duplicated(data, labels):
+    return np.concatenate([data, data]), np.concatenate([labels, labels])
+
+
+def one_trial_of(label):
+    def fault(data, labels):
+        keep = (labels != label) | (np.arange(len(labels)) == np.argmax(labels == label))
+        return data[keep], labels[keep]
+    return fault
+
+
+def shorter_than_channels(data, labels):
+    return data[..., :CHANNELS - 2], labels  # T < C: rank deficient, shrinkage keeps it SPD
+
+
+def assert_no_nan(report):
+    values = [*report.accuracies.values(), *report.aucs.values()]
+    assert values and not any(math.isnan(v) for v in values)
+
+
+@pytest.mark.parametrize("fault", [
+    pytest.param(scaled(1e3), id="amplitude-1e3"),
+    pytest.param(scaled(1e-6), id="amplitude-1e-6"),
+    pytest.param(offset(1e3), id="dc-offset-1e3"),
+])
+def test_the_units_of_one_subject_give_a_report(tmp_path, fault):
+    assert_no_nan(run_from_manifest(tmp_path, in_subject("s1", fault)))
+
+
+@pytest.mark.parametrize("factor", [10.0, 1e-3])
+@pytest.mark.parametrize("subject", ["s0", "s1", "s2"])
+def test_the_scale_of_one_subject_moves_no_ea_or_la_row(tmp_path, plain, subject, factor):
+    report = run_from_manifest(tmp_path, in_subject(subject, scaled(factor)))
+    moved = [key for key, accuracy in plain.accuracies.items()
+             if key[2] != "raw" and report.accuracies[key] != accuracy]
+    assert moved == []
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(subject=st.sampled_from(["s0", "s1", "s2"]), exponent=st.integers(-12, 12))
+def test_any_amplitude_of_one_subject_gives_a_report(tmp_path_factory, subject, exponent):
+    change = in_subject(subject, scaled(10 ** (exponent / 2)))
+    assert_no_nan(run_from_manifest(tmp_path_factory.mktemp("amplitude"), change))
+
+
+@pytest.mark.parametrize("fault, fields", [
+    pytest.param(duplicated, {}, id="duplicated-trials"),
+    *[pytest.param(one_trial_of(label), {}, id=f"one-trial-of-class-{label}")
+      for label in range(4)],
+    pytest.param(shorter_than_channels, {"shrinkage": 0.1}, id="fewer-samples-than-channels"),
+])
+def test_a_fault_in_one_subject_gives_a_report_or_names_the_subject(tmp_path, fault, fields):
+    try:
+        report = run_from_manifest(tmp_path, in_subject("s1", fault), **fields)
+    except LabelAlignError as exc:
+        assert "subject s1" in str(exc)
+    else:
+        assert_no_nan(report)
