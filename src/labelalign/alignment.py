@@ -18,8 +18,9 @@ arithmetic mean commutes with every congruence, so the mean of the aligned
 trials ``A Cᵢ Aᵀ`` of each source class is ``A Cs Aᵀ = Ct``, exactly up to
 rounding, and the LA fit takes no matrix logs.
 :func:`la_per_trial` turns the class matrices into each source trial's
-matrix; :func:`align` applies them to covariance stacks and ``labelalign
-align`` to the raw trials, streamed one subject at a time.
+matrix; :func:`align` applies them to covariance stacks, writing the aligned
+rows a chunk at a time into a training buffer, and ``labelalign align`` to
+the raw trials, streamed one subject at a time.
 What does not depend on the label budget (the whitened stack, the inverse
 roots of the source class means) is computed once per :class:`Domain`.
 """
@@ -27,7 +28,7 @@ roots of the source class means) is computed once per :class:`Domain`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .features import CovStack
 from .rng import CounterRng, derive_key
-from .spd import Array, arithmetic_mean_cov, spd_inv_sqrt, spd_sqrt
+from .spd import Array, arithmetic_mean_cov, chunks, spd_inv_sqrt, spd_sqrt
 
 
 @dataclass(frozen=True)
@@ -167,15 +168,29 @@ def domain(stack: CovStack, source: bool = False) -> Domain:
     return Domain(stack, ea_stack, class_inv_roots(stack) if source else None)
 
 
+def _la_rows(sources: Sequence[Domain], target_means: dict) -> Iterator[CovStack]:
+    """The LA-aligned rows of each source in turn, a chunk of its rows at a
+    time (:func:`labelalign.spd.chunks`); :func:`la_fit` is called once per
+    source."""
+    for d in sources:
+        a = la_fit(d.inv_roots, target_means)
+        for rows in chunks(len(d.stack.covs), d.stack.covs.shape[-1] ** 2):
+            part = d.stack.take(rows)
+            yield part.transformed(la_per_trial(a, part.labels))
+
+
 def align(
     strategy: str,
     sources: Sequence[Domain],
     target: Domain,
-    target_means: dict | None = None,
-) -> tuple[list[CovStack], CovStack]:
+    target_means: dict | None,
+    out: CovStack,
+) -> CovStack:
     """Dispatch one alignment strategy over all source subjects.
 
-    Returns the aligned source stacks and the aligned target stack. The
+    Writes the aligned source stacks one after another into the first rows
+    of ``out``, a training buffer (:meth:`CovStack.write`, which logs them
+    when ``out`` holds logs), and returns the aligned target stack. The
     source domains already carry target labels, so no strategy relabels.
 
     * ``raw``: covariances pass through unchanged.
@@ -184,15 +199,18 @@ def align(
       they carry.
     * ``la``: each source subject (a domain built with ``source=True``) gets
       its own per-class transforms toward the shared ``target_means``; the
-      target is untouched. The new source stacks carry no logs.
+      target is untouched. The source rows are aligned and written one
+      chunk at a time, so only one chunk of them exists beside ``out``.
     """
     if strategy == "la":
         if target_means is None:
             raise ConfigError("la alignment needs target means")
-        fits = [(d.stack, la_fit(d.inv_roots, target_means)) for d in sources]
-        return [s.transformed(la_per_trial(a, s.labels)) for s, a in fits], target.stack
-    if strategy == "ea":
-        return [d.ea_stack for d in sources], target.ea_stack
-    if strategy == "raw":
-        return [d.stack for d in sources], target.stack
-    raise ConfigError(f"unknown alignment strategy {strategy!r}")
+        pieces, aligned_target = _la_rows(sources, target_means), target.stack
+    elif strategy == "ea":
+        pieces, aligned_target = [d.ea_stack for d in sources], target.ea_stack
+    elif strategy == "raw":
+        pieces, aligned_target = [d.stack for d in sources], target.stack
+    else:
+        raise ConfigError(f"unknown alignment strategy {strategy!r}")
+    out.write(0, pieces)
+    return aligned_target

@@ -25,7 +25,8 @@ def _as_matrix(features) -> Array:
     return np.atleast_2d(np.asarray(features, dtype=np.float64))
 
 
-def _split_by_class(x: Array, labels) -> tuple[tuple, dict]:
+def _classes(x: Array, labels) -> tuple[Array, tuple]:
+    """The labels of the rows of ``x`` as an array, and their sorted classes."""
     labels = np.asarray(labels)
     if labels.shape[0] != x.shape[0]:
         raise DimMismatchError(
@@ -34,7 +35,7 @@ def _split_by_class(x: Array, labels) -> tuple[tuple, dict]:
     classes = tuple(sorted(set(labels.tolist())))
     if len(classes) < 2:
         raise ConfigError(f"need >= 2 classes, got {classes}")
-    return classes, {c: x[labels == c] for c in classes}
+    return labels, classes
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,23 +54,26 @@ def lda_fit(features, labels) -> LdaModel:
     raises); the projections solve it against the means, with no inverse.
     """
     x = _as_matrix(features)
-    classes, by_class = _split_by_class(x, labels)
+    labels, classes = _classes(x, labels)
     n, d = x.shape
-    means = np.vstack([by_class[c].mean(axis=0) for c in classes])
-    scatter = np.zeros((d, d))
+    means = np.empty((len(classes), d))
+    counts = np.empty(len(classes))
+    pooled = np.zeros((d, d))
     for i, c in enumerate(classes):
-        centered = by_class[c] - means[i]
-        scatter += centered.T @ centered
-    pooled = scatter / max(n - len(classes), 1)
+        centered = x[labels == c]  # one class's rows at a time, centred in place
+        means[i] = centered.mean(axis=0)
+        centered -= means[i]
+        pooled += centered.T @ centered
+        counts[i] = len(centered)
+    pooled /= max(n - len(classes), 1)
     scale = np.trace(pooled) / d
     if not scale > 0.0:
         raise SingularCovarianceError(
             "pooled covariance singular after regularization (constant features)"
         )
-    pooled += LDA_GAMMA * scale * np.eye(d)
+    pooled[np.diag_indices(d)] += LDA_GAMMA * scale
     coef = np.linalg.solve(pooled, means.T)
-    priors = np.array([by_class[c].shape[0] / n for c in classes])
-    return LdaModel(classes, means, coef, priors)
+    return LdaModel(classes, means, coef, counts / n)
 
 
 def _lda_scores(model: LdaModel, x: Array) -> Array:
@@ -97,40 +101,53 @@ def _line_search(slack: Array, delta: Array, w: Array, step_w: Array) -> float:
     """Exact minimiser t > 0 along ``step``, given slack = 1 - y (x . z) and
     delta = y (x . step). The derivative a + b t is linear between the
     breakpoints slack / delta, where a sample leaves (delta > 0) or joins
-    (delta < 0) the support set; cumulative sums over the sorted breakpoints
-    give (a, b) per interval, and the root is in the first one to turn >= 0."""
+    (delta < 0) the support set, and the root is in the first interval whose
+    derivative turns >= 0. Each interval's (a, b) sums the terms of the samples
+    active in it: those that never cross, the leavers not yet gone (a suffix
+    sum over the sorted breakpoints) and the joiners already in (a prefix
+    sum). So no sum takes back what it added, and none cancels under rounding."""
     scale = 2.0 / slack.shape[0]
     active = (slack > 0.0) | ((slack == 0.0) & (delta < 0.0))
-    a0 = SVM_LAMBDA * (w @ step_w) - scale * (delta[active] @ slack[active])
-    b0 = SVM_LAMBDA * (step_w @ step_w) + scale * (delta[active] @ delta[active])
-    idx = np.flatnonzero(slack * delta > 0.0)
+    crosses = slack * delta > 0.0
+    stays = active & ~crosses
+    idx = np.flatnonzero(crosses)
     idx = idx[np.argsort(slack[idx] / delta[idx], kind="stable")]
     t, d, s = slack[idx] / delta[idx], delta[idx], slack[idx]
-    a = a0 + np.concatenate(([0.0], np.cumsum(scale * np.abs(d) * s)))
-    b = b0 + np.concatenate(([0.0], np.cumsum(-scale * d * np.abs(d))))
+    leaves = d > 0.0
+
+    def in_interval(v: Array) -> Array:
+        """Per interval, the sum of ``v`` over the crossing samples active in it."""
+        gone = np.cumsum(np.where(leaves, v, 0.0)[::-1])[::-1]
+        joined = np.cumsum(np.where(leaves, 0.0, v))
+        return np.concatenate((gone, [0.0])) + np.concatenate(([0.0], joined))
+
+    a = SVM_LAMBDA * (w @ step_w) - scale * (delta[stays] @ slack[stays] + in_interval(d * s))
+    b = SVM_LAMBDA * (step_w @ step_w) + scale * (delta[stays] @ delta[stays] + in_interval(d * d))
     hits = np.flatnonzero(a[:-1] + b[:-1] * t >= 0.0)
     j = hits[0] if hits.size else t.size
     return -a[j] / b[j]
 
 
-def _train_pair(xa: Array, xb: Array) -> Array:
+def _train_pair(x: Array, neg: Array, pos: Array) -> Array:
     """[w, bias] minimising SVM_LAMBDA/2 ||w||^2 + mean(max(0, 1 - y (w . x + bias))^2)
-    with y = -1 on ``xa`` and +1 on ``xb``; the bias is unregularized.
+    over the rows of ``x`` in the masks ``neg`` (y = -1) and ``pos`` (y = +1);
+    the bias is unregularized.
 
     Primal Newton (Chapelle, Neural Computation 2007) with an exact line
     search (Keerthi & DeCoste, JMLR 2005): each step solves the generalized
     Hessian system of the current support set. Iteration stops once the
     gradient norm falls to ``SVM_GRAD_TOL`` times its value at the zero model.
-    A step whose length is not finite raises :class:`NotConvergedError` at once:
-    the line search's tail curvature can cancel to 0 under rounding when the
-    features are far from unit scale.
+    A step whose length is not finite raises :class:`NotConvergedError` at once.
+    The pair's rows are copied once, beside a column of ones for the bias.
     """
-    x = np.vstack([xa, xb])
-    y = np.concatenate([-np.ones(len(xa)), np.ones(len(xb))])
-    n, d = x.shape
-    if np.allclose(x, x[0], rtol=0.0, atol=0.0):
+    na, nb = np.count_nonzero(neg), np.count_nonzero(pos)
+    n, d = na + nb, x.shape[1]
+    x1 = np.ones((n, d + 1))
+    x1[:na, :d] = x[neg]
+    x1[na:, :d] = x[pos]
+    y = np.concatenate([-np.ones(na), np.ones(nb)])
+    if (x1[:, :d] == x1[0, :d]).all():
         return np.zeros(d + 1)  # no signal: the zero model votes for the first class
-    x1 = np.hstack([x, np.ones((n, 1))])
     reg = np.append(np.full(d, SVM_LAMBDA), 0.0)
     scale = 2.0 / n
     tol = SVM_GRAD_TOL * np.linalg.norm(scale * (y @ x1))  # the gradient at z = 0
@@ -161,9 +178,9 @@ def _train_pair(xa: Array, xb: Array) -> Array:
 def svm_fit(features, labels) -> LinearSvmModel:
     """One-vs-one linear SVMs on the L2-regularized squared hinge."""
     x = _as_matrix(features)
-    classes, by_class = _split_by_class(x, labels)
+    labels, classes = _classes(x, labels)
     pairs = np.array(list(itertools.combinations(range(len(classes)), 2)))
-    fits = [_train_pair(by_class[classes[a]], by_class[classes[b]]) for a, b in pairs]
+    fits = [_train_pair(x, labels == classes[a], labels == classes[b]) for a, b in pairs]
     z = np.column_stack(fits)
     return LinearSvmModel(classes, pairs, z[:-1], z[-1])
 

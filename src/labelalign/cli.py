@@ -41,6 +41,7 @@ from .features import DEFAULT_CSP_PAIRS, CovStack, covariance_stack
 from .report import emit_report
 from .rng import derive_key
 from .selection import k_medoids, pairwise_distances
+from .spd import chunks
 from .synth import SynthConfig, synthetic_parameters, synthetic_subjects
 
 
@@ -142,14 +143,19 @@ def _fit_subjects(args, manifest, mapping) -> list:
 
 def _aligned(subject, a, labels, source_set):
     """A subject's ``(data, labels)`` aligned as ``A X``: unchanged (``a`` None), by one
-    matrix ``a``, or by a source's :func:`la_fit` class matrices ``a``, its source view
-    relabeled to ``labels``; in one batched product."""
+    matrix ``a`` in one batched product, or by a source's :func:`la_fit` class matrices
+    ``a``, its source view relabeled to ``labels``, written a chunk of its kept rows at
+    a time into the output, so that no copy of the kept rows is made whole."""
     data, own = subject
     if a is None:
         return subject
     if labels is None:
         return a @ data, own
-    return la_per_trial(a, labels) @ data[np.isin(own, source_set)], labels
+    kept = np.flatnonzero(np.isin(own, source_set))
+    out = np.empty((len(kept), *data.shape[1:]))
+    for rows in chunks(len(kept), data.shape[1] * data.shape[2]):
+        np.matmul(la_per_trial(a, labels[rows]), data[kept[rows]], out=out[rows])
+    return out, labels
 
 
 def _file_stack(path, labels, shrinkage: float, scatter: bool = False) -> CovStack:

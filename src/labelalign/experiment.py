@@ -33,14 +33,23 @@ the test trials never are.
 
 A unit allocates one training buffer of ``n_source + max(k_grid)`` rows
 (covariances and labels, with scatter and logs when a pipeline reads them),
-and every (k, strategy) cell rewrites it: first the aligned source rows,
-in source order, then the k labeled target rows. The raw and whitened
-source rows are copied from the domains with their logs; the LA-aligned
-rows are logged into the buffer one source subject at a time. A cell's
+and every (k, strategy) cell rewrites it: :func:`align` writes the aligned
+source rows, in source order, then the unit writes the k labeled target
+rows (:meth:`CovStack.write`). The raw and whitened source rows are copied
+from the domains with their logs; the LA-aligned rows are aligned and
+logged straight into the buffer, one chunk of a source at a time. A cell's
 training stack is a view of the buffer's first ``n_source + k`` rows, valid
 only during its cell. :func:`fit_predict_cell` computes once what its
 pipelines share: the tangent reference and MDM class means (both from the
 training logs) and the train and test tangent vectors.
+
+So a unit holds its training buffer, its cell's test rows and features,
+and, for each step, scratch of one chunk (:func:`labelalign.spd.chunks`,
+``CHUNK_WORDS`` words of input, a few times that in temporaries) or of one
+class: the tangent vectors are mapped in chunks into their output, CSP's
+class means sum the rows where they are, and LDA, MDM and each SVM pair copy
+one class's (or one pair's) rows at a time. No step holds a second copy of
+the training stack.
 
 A :class:`ScenarioSpec` holds every default and first checks each field by
 its annotated kind (:func:`labelalign.errors.require_fields`), so
@@ -401,22 +410,6 @@ def _train_buffer(sources: Sequence[Domain], labeled: int, logs: bool) -> CovSta
     )
 
 
-def _fill(buffer: CovStack, pieces: Sequence[CovStack]) -> CovStack:
-    """``pieces`` written one after another into the first rows of ``buffer``,
-    each piece logged first when the buffer holds logs (a piece that carries
-    its logs is copied); returns views of the rows written."""
-    start = 0
-    for piece in pieces:
-        if buffer.logs is not None:
-            piece = piece.with_logs()
-        stop = start + len(piece.covs)
-        for out, values in zip(vars(buffer).values(), vars(piece).values()):
-            if out is not None:
-                out[start:stop] = values
-        start = stop
-    return buffer.take(slice(0, start))
-
-
 def _subject_unit(spec, names, domains, i: int) -> tuple[list, list]:
     """Evaluate target subject ``names[i]`` over the whole k grid.
 
@@ -436,6 +429,7 @@ def _subject_unit(spec, names, domains, i: int) -> tuple[list, list]:
     with located(f"subject {name}"):
         distances = pairwise_distances(pool.covs)
     buffer = _train_buffer(sources, max(spec.k_grid), logs)
+    n_source = len(buffer.covs) - max(spec.k_grid)
     rows = []
     fallbacks = []
     for k in spec.k_grid:
@@ -454,12 +448,11 @@ def _subject_unit(spec, names, domains, i: int) -> tuple[list, list]:
                 fallbacks.append([name, k])
             cell = f"subject {name}, k {k}, {strategy}"
             with located(cell):
-                aligned_sources, aligned_target = align(effective, sources, target, means)
+                aligned_target = align(effective, sources, target, means, buffer)
                 view = "ea" if effective == "ea" else "raw"
                 if view not in labeled:
                     labeled[view] = _labeled(aligned_target, medoids, logs)
-                train = _fill(buffer, [*aligned_sources, labeled[view]])
-                del aligned_sources  # LA's aligned stacks are in the buffer: fit without them
+                train = buffer.take(slice(0, buffer.write(n_source, [labeled[view]])))
                 test = aligned_target.take(test_idx)
             preds = fit_predict_cell(
                 spec.pipelines, train, test, csp_pairs=spec.csp_pairs, cell=cell

@@ -8,17 +8,19 @@ filter rows, one ``(m, C)`` array.
 
 Covariance estimation copies no subject. :func:`trial_covariance` and
 :func:`centred_scatter` take the trial array as given and work through it in
-chunks of at most ``_CHUNK_WORDS = 2^14`` 64-bit words (128 KiB), one trial
-at least, each chunk a view of the array, writing each chunk's Gram matrices
-into the preallocated ``(n, C, C)`` result. Their temporary arrays then hold
-one chunk (the scatter's centred copy of it), however many trials a subject
-has. Each matrix is the matmul of its own trial, so the values are those of
-a whole-stack product, bit for bit.
+:func:`labelalign.spd.chunks` of at most ``CHUNK_WORDS = 2^14`` 64-bit words
+(128 KiB), one trial at least, each chunk a view of the array, writing each
+chunk's Gram matrices into the preallocated ``(n, C, C)`` result. Their
+temporary arrays then hold one chunk (the scatter's centred copy of it),
+however many trials a subject has. Each matrix is the matmul of its own
+trial, so the values are those of a whole-stack product, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterable
+
 import numpy as np
 
 from .errors import (
@@ -30,6 +32,7 @@ from .errors import (
 from .spd import (
     Array,
     as_stack,
+    chunks,
     congruence,
     spd_from_matrix,
     spd_log,
@@ -38,7 +41,6 @@ from .spd import (
 )
 
 DEFAULT_CSP_PAIRS = 3
-_CHUNK_WORDS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +73,21 @@ class CovStack:
         """This stack carrying the matrix logs of its covariances, taken at most once."""
         return self if self.logs is not None else replace(self, logs=spd_log(self.covs))
 
+    def write(self, start: int, pieces: Iterable[CovStack]) -> int:
+        """Write ``pieces`` one after another into this stack's rows from
+        ``start``, each logged first when this stack holds logs (a piece that
+        carries its logs is copied); returns the row after the last piece.
+        ``pieces`` may be an iterator, so that one piece at a time exists."""
+        for piece in pieces:
+            if self.logs is not None:
+                piece = piece.with_logs()
+            stop = start + len(piece.covs)
+            for out, values in zip(vars(self).values(), vars(piece).values()):
+                if out is not None:
+                    out[start:stop] = values
+            start = stop
+        return start
+
 
 def _as_trials(x) -> tuple[Array, bool]:
     """``x`` as a stack (n, C, T) of trials, and whether it was one trial (C, T);
@@ -96,13 +113,12 @@ def _gram_stack(x, centred: bool) -> Array:
     is a view of the trial array."""
     trials, single = _as_trials(x)
     n, c, t = trials.shape
-    step = max(1, _CHUNK_WORDS // (c * t))
     out = np.empty((n, c, c))
-    for i in range(0, n, step):
-        chunk = trials[i:i + step]
+    for rows in chunks(n, c * t):
+        chunk = trials[rows]
         if centred:
             chunk = chunk - chunk.mean(axis=-1, keepdims=True)
-        np.matmul(chunk, chunk.swapaxes(-1, -2), out=out[i:i + len(chunk)])
+        np.matmul(chunk, chunk.swapaxes(-1, -2), out=out[rows])
     return out[0] if single else out
 
 
@@ -112,7 +128,7 @@ def trial_covariance(x, shrinkage: float = 0.0) -> Array:
     ``shrinkage`` in [0, 1) blends in trace(C)/dim * I, which keeps the
     result SPD for rank-deficient trials (T < channels). The default of 0
     is the plain Gram matrix. The trials are worked through in chunks of
-    at most ``_CHUNK_WORDS`` values, so no copy of the trials is made
+    at most ``CHUNK_WORDS`` values, so no copy of the trials is made
     whole; the covariances are validated once, and a degenerate trial of a
     stack is named by its index in the error.
     """

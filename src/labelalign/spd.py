@@ -9,9 +9,22 @@ through one symmetric eigendecomposition kernel, :func:`_spectral`, and
 symmetrizes its output, so results stay exactly symmetric under rounding.
 On a single matrix the kernel performs exactly the operations of a
 per-matrix implementation, and on a stack it gives the same bits as a loop.
+
+A whole-stack kernel holds a few temporaries of the stack's size, so a
+stack as long as a training set is worked through in :func:`chunks`: at most
+``CHUNK_WORDS = 2^14`` float64 words (128 KiB) of input each, one matrix at
+least, each chunk's result written into a preallocated output.
+:func:`tangent_map` thus holds its ``(n, C(C+1)/2)`` vectors and the scratch
+of one chunk (its products, eigenvectors and reconstruction, about four
+times the chunk's words). Every matrix goes through the same operations, so
+the vectors are the whole-stack ones, bit for bit. Covariance estimation
+(:mod:`labelalign.features`) and LA's products (:mod:`labelalign.alignment`,
+``labelalign align``) use the same chunks.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -24,12 +37,15 @@ from .errors import (
 )
 
 SPD_TOL = 1e-10
+CHUNK_WORDS = 1 << 14  # the input words of one chunk of a stack kernel
 
 Array = np.ndarray
 
 
 def symmetrize(a: Array) -> Array:
-    return 0.5 * (a + a.swapaxes(-1, -2))
+    s = a + a.swapaxes(-1, -2)
+    s *= 0.5  # in place: one temporary of the input's size, not two
+    return s
 
 
 def congruence(a: Array, s: Array) -> Array:
@@ -42,6 +58,13 @@ def _eigh(a: Array) -> tuple[Array, Array]:
         return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigFailureError(f"symmetric eigendecomposition failed: {exc}") from exc
+
+
+def chunks(n: int, item_words: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(n)``, each of as many items of
+    ``item_words`` words as ``CHUNK_WORDS`` holds, and one item at least."""
+    step = max(1, CHUNK_WORDS // item_words)
+    return (slice(i, i + step) for i in range(0, n, step))
 
 
 def _check_square(a: Array, name: str = "matrix") -> Array:
@@ -107,34 +130,33 @@ def _inv_sqrt(w: Array) -> Array:
     return 1.0 / np.sqrt(w)
 
 
-def _spectral(p: Array, *fns, op: str | None = None) -> list[Array]:
-    """Apply each of ``fns`` to the spectrum of every matrix in ``p``, sharing
-    one eigendecomposition; with ``op`` given, a non-positive spectrum raises."""
+def _spectral(p: Array, fn, op: str | None = None) -> Array:
+    """Apply ``fn`` to the spectrum of every matrix in ``p``; with ``op``
+    given, a non-positive spectrum raises."""
     w, u = _eigh(symmetrize(np.asarray(p, dtype=np.float64)))
     if op is not None:
         _require_positive_spectrum(w, op)
-    ut = u.swapaxes(-1, -2)
-    return [symmetrize((u * fn(w)[..., None, :]) @ ut) for fn in fns]
+    return symmetrize((u * fn(w)[..., None, :]) @ u.swapaxes(-1, -2))
 
 
 def spd_sqrt(p: Array) -> Array:
     """Principal matrix square root of an SPD matrix."""
-    return _spectral(p, np.sqrt, op="spd_sqrt")[0]
+    return _spectral(p, np.sqrt, op="spd_sqrt")
 
 
 def spd_inv_sqrt(p: Array) -> Array:
     """Inverse principal square root of an SPD matrix."""
-    return _spectral(p, _inv_sqrt, op="spd_inv_sqrt")[0]
+    return _spectral(p, _inv_sqrt, op="spd_inv_sqrt")
 
 
 def spd_log(p: Array) -> Array:
     """Matrix logarithm of an SPD matrix (a symmetric matrix)."""
-    return _spectral(p, np.log, op="spd_log")[0]
+    return _spectral(p, np.log, op="spd_log")
 
 
 def spd_exp(s: Array) -> Array:
     """Matrix exponential of a symmetric matrix (an SPD matrix)."""
-    return _spectral(s, np.exp)[0]
+    return _spectral(s, np.exp)
 
 
 def riemannian_distance(p1: Array, p2: Array):
@@ -188,14 +210,20 @@ def tangent_map(ref: Array, p: Array) -> Array:
     in the coordinates that whiten ``ref``, so the vectors do not depend on
     the covariances' units: scaling ``ref`` and ``p`` by one factor leaves
     them as they are. Only the reference's inverse root is taken, once for
-    the whole stack.
+    the whole stack, which is then mapped in :func:`chunks` of its matrices
+    into the preallocated vectors.
     """
     ref = _check_square(ref, "ref")
     p = _check_square(p, "p")
     if ref.ndim != 2 or p.shape[-1] != ref.shape[-1]:
         raise DimMismatchError(f"dimension mismatch: ref {ref.shape} vs {p.shape}")
-    inv_half = _spectral(ref, _inv_sqrt, op="tangent_map")[0]
-    return flatten_sym(spd_log(inv_half @ p @ inv_half))
+    inv_half = _spectral(ref, _inv_sqrt, op="tangent_map")
+    c = ref.shape[-1]
+    stack = p.reshape(-1, c, c)
+    out = np.empty((len(stack), c * (c + 1) // 2))
+    for rows in chunks(len(stack), c * c):
+        out[rows] = flatten_sym(spd_log(inv_half @ stack[rows] @ inv_half))
+    return out.reshape(*p.shape[:-2], out.shape[-1])
 
 
 def log_euclidean_mean(logs) -> Array:

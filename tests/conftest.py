@@ -1,5 +1,7 @@
 import numpy as np
 
+from labelalign import experiment
+from labelalign.alignment import align
 from labelalign.errors import DimMismatchError
 from labelalign.rng import CounterRng, derive_key
 from labelalign.spd import spd_exp, spd_sqrt, symmetrize
@@ -18,6 +20,16 @@ def random_invertible(rng: np.random.Generator, dim: int) -> np.ndarray:
         w = rng.standard_normal((dim, dim))
         if np.linalg.cond(w) < 1e4:
             return w
+
+
+def align_sources(strategy, sources, target, means=None, logs=False):
+    """:func:`align` into a harness training buffer of the sources' rows (with
+    their logs when ``logs``): each source's rows of the buffer, and the
+    aligned target stack."""
+    buffer = experiment._train_buffer(sources, 0, logs)
+    aligned_target = align(strategy, sources, target, means, buffer)
+    stops = np.cumsum([len(source.stack.covs) for source in sources])
+    return [buffer.take(slice(a, b)) for a, b in zip([0, *stops], stops)], aligned_target
 
 
 # Per-matrix reference formulas: one eigendecomposition per matrix, the way

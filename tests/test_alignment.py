@@ -2,10 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import first_subject, random_spd, relative_error
+from conftest import align_sources, first_subject, random_spd, relative_error
 
+from labelalign import spd
 from labelalign.alignment import (
-    align,
     domain,
     ea_reference,
     la_fit,
@@ -322,7 +322,8 @@ class TestAlignDispatch:
         rng = np.random.default_rng(125)
         source = stack_of(rng.standard_normal((1, 2, 20)), [0])
         target = stack_of(rng.standard_normal((1, 2, 20)), [1])
-        sources, aligned_target = align("raw", [domain(source, source=True)], domain(target))
+        sources, aligned_target = align_sources("raw", [domain(source, source=True)],
+                                                domain(target))
         assert np.array_equal(sources[0].covs, source.covs)
         assert sources[0].labels.tolist() == [0]
         assert np.array_equal(aligned_target.covs, target.covs)
@@ -332,7 +333,7 @@ class TestAlignDispatch:
         source = stack_of(rng.standard_normal((1, 2, 20)), [0])
         target = stack_of(rng.standard_normal((1, 2, 20)), [1])
         source_view = in_target_labels(source, LabelMapping(((0, 1),)))
-        sources, _ = align("raw", [domain(source_view)], domain(target))
+        sources, _ = align_sources("raw", [domain(source_view)], domain(target))
         assert np.array_equal(sources[0].covs, source.covs)
         assert sources[0].labels.tolist() == [1]
 
@@ -340,7 +341,7 @@ class TestAlignDispatch:
         rng = np.random.default_rng(127)
         subjects = [domain(stack_of(*random_trials(rng, 8, 3, 40))) for _ in range(2)]
         target = domain(stack_of(*random_trials(rng, 8, 3, 40, label=1)))
-        sources, aligned_target = align("ea", subjects, target)
+        sources, aligned_target = align_sources("ea", subjects, target)
         for aligned in [*sources, aligned_target]:
             mean = arithmetic_mean_cov(aligned.covs)
             assert np.linalg.norm(mean - np.eye(3)) <= 1e-9 * 3
@@ -352,10 +353,28 @@ class TestAlignDispatch:
         means = {5: target_mean}
         source = in_target_labels(source, LabelMapping(((0, 5),)))
         empty_target = domain(CovStack(np.eye(3)[None], np.array([5])))
-        sources, _ = align("la", [domain(source, source=True)], empty_target, target_means=means)
+        sources, _ = align_sources("la", [domain(source, source=True)], empty_target, means)
         assert np.linalg.norm(
             log_euclidean_mean(spd_log(sources[0].covs)) - target_mean
         ) <= 1e-8 * np.linalg.norm(target_mean)
+
+    @pytest.mark.parametrize("matrices", [1, 3, 100])  # 7 rows: 7 x 1, 3 + 3 + 1, one chunk
+    def test_la_rows_in_chunks_are_the_whole_source_bit_for_bit(self, monkeypatch, matrices):
+        rng = np.random.default_rng(134)
+        mapping = LabelMapping(((0, 2), (1, 3)))
+        sources = []
+        for _ in range(2):
+            data, labels = joined(random_trials(rng, 4, 3, 30), random_trials(rng, 3, 3, 30, 1))
+            stack = covariance_stack(data, labels, scatter=True)
+            sources.append(domain(in_target_labels(stack, mapping), source=True))
+        means = {2: random_spd(rng, 3), 3: random_spd(rng, 3)}
+        target = domain(stack_of(*random_trials(rng, 4, 3, 30, label=2)))
+        wholes = [la_apply(la_fit(d.inv_roots, means), d.stack).with_logs() for d in sources]
+        monkeypatch.setattr(spd, "CHUNK_WORDS", matrices * 3 * 3)
+        rows, _ = align_sources("la", sources, target, means, logs=True)
+        for got, whole in zip(rows, wholes, strict=True):
+            for field_name in ("covs", "scatter", "logs", "labels"):
+                assert getattr(got, field_name).tobytes() == getattr(whole, field_name).tobytes()
 
     def test_domain_keeps_its_whitened_stack(self):
         rng = np.random.default_rng(131)
@@ -375,10 +394,10 @@ class TestAlignDispatch:
         source = with_logs(domain(source_view, source=True))
         target = with_logs(domain(stack_of(*random_trials(rng, 5, 3, 30, label=1))))
         for strategy, view in (("raw", "stack"), ("ea", "ea_stack")):
-            sources, aligned_target = align(strategy, [source], target)
+            sources, aligned_target = align_sources(strategy, [source], target, logs=True)
             assert aligned_target is getattr(target, view)
-            assert sources[0].covs is getattr(source, view).covs
-            assert sources[0].logs is getattr(source, view).logs
+            assert np.array_equal(sources[0].covs, getattr(source, view).covs)
+            assert np.array_equal(sources[0].logs, getattr(source, view).logs)
             assert sources[0].labels.tolist() == [1] * 5
 
     def test_source_domain_keeps_the_inverse_roots_of_its_class_means(self):

@@ -143,23 +143,27 @@ class TestLinearSvm:
     # The arguments of the first line search that returned inf, in the golden
     # run with subject s0 scaled by 10**2.5 under the ambient-coordinate
     # tangent map ref^{1/2} log(...) ref^{1/2}: the first Newton step of the
-    # zero model, whose tail curvature cancels to exactly 0.
+    # zero model. Every sample leaves the support set along it, and the
+    # tangent vectors' scale leaves SVM_LAMBDA ||step_w||^2 at 5e-17 against a
+    # data term of 1.75, below its rounding.
     NONFINITE = {key: np.array(values) for key, values in json.loads(
         (Path(__file__).parent / "fixtures" / "nonfinite_line_search.json").read_text()).items()}
 
-    def test_a_curvature_that_cancels_gives_a_non_finite_line_search(self):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            assert not np.isfinite(classifiers._line_search(**self.NONFINITE))
+    def test_a_curvature_below_the_rounding_gives_the_exact_minimiser(self):
+        # The minimiser of the exact piecewise quadratic, found by bisecting
+        # its derivative in rational arithmetic. A slope and curvature taken
+        # as running sums cancelled to exactly 0 past the last breakpoint
+        # and gave inf.
+        assert classifiers._line_search(**self.NONFINITE) == pytest.approx(
+            4.18389960139675, rel=1e-13)
 
     def test_a_non_finite_step_is_not_converged_at_once(self, monkeypatch):
         calls = []
 
         def line_search(*args):
             calls.append(args)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return line_search_of_golden(**self.NONFINITE)
+            return np.inf
 
-        line_search_of_golden = classifiers._line_search
         monkeypatch.setattr(classifiers, "_line_search", line_search)
         x, y = symmetric_two_gaussian(np.random.default_rng(79), 10)
         with pytest.raises(NotConvergedError, match=r"^linear SVM: Newton step 0 has a "

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import random_invertible, random_spd, tangent_unmap
 
-from labelalign import features
+from labelalign import spd
 from labelalign.errors import (
     ConfigError,
     DegenerateCovarianceError,
@@ -105,7 +105,7 @@ def same_bytes(a, b):
 
 
 class TestChunkedCovariances:
-    """Covariances are estimated in chunks of at most ``_CHUNK_WORDS`` values
+    """Covariances are estimated in chunks of at most ``spd.CHUNK_WORDS`` values
     and equal the whole-stack products byte for byte."""
 
     C, T = 3, 20
@@ -120,7 +120,7 @@ class TestChunkedCovariances:
     @pytest.mark.parametrize("shrinkage", [0.0, 0.2])
     def test_chunking_is_bytewise_the_whole_stack(self, monkeypatch, words, shrinkage):
         if words is not None:
-            monkeypatch.setattr(features, "_CHUNK_WORDS", words)
+            monkeypatch.setattr(spd, "CHUNK_WORDS", words)
         rng = np.random.default_rng(55)
         x = rng.standard_normal((7, self.C, self.T))
         covs, scatter = whole_stack_covariance(x, shrinkage), whole_stack_scatter(x)
@@ -133,7 +133,7 @@ class TestChunkedCovariances:
         assert same_bytes(centred_scatter(x[4]), scatter[4])
 
     def test_a_degenerate_trial_is_named_by_its_subject_wide_index(self, monkeypatch):
-        monkeypatch.setattr(features, "_CHUNK_WORDS", 4 * self.C * self.T)  # chunks of 4
+        monkeypatch.setattr(spd, "CHUNK_WORDS", 4 * self.C * self.T)  # chunks of 4
         x = np.random.default_rng(56).standard_normal((40, self.C, self.T))
         x[37, 1] = 0.0  # one all-zero channel, in the tenth chunk
         with pytest.raises(NotPositiveDefiniteError, match="^trial 37: smallest eigenvalue"):

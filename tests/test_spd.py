@@ -381,6 +381,29 @@ class TestSpdStacks:
         with pytest.raises(NonFiniteError, match="trial contains"):
             spd_from_matrix(stack, name="trial")
 
+    @pytest.mark.parametrize("matrices", [
+        pytest.param(1, id="one-matrix-chunks"),
+        pytest.param(3, id="uneven-last-chunk"),  # 7 = 3 + 3 + 1
+        pytest.param(10, id="one-chunk"),
+    ])
+    def test_tangent_chunks_give_the_whole_stack_bit_for_bit(self, monkeypatch, matrices):
+        rng = np.random.default_rng(29)
+        dim = 5
+        ref = random_spd(rng, dim)
+        stack = np.stack([random_spd(rng, dim) for _ in range(7)])
+        inv_half = spd_inv_sqrt(ref)
+        whole = flatten_sym(spd_log(inv_half @ stack @ inv_half))
+        batches = []  # the leading shape of each eigendecomposition
+        eigh = spd._eigh
+        monkeypatch.setattr(spd, "_eigh", lambda a: batches.append(a.shape[:-2]) or eigh(a))
+        monkeypatch.setattr(spd, "CHUNK_WORDS", matrices * dim * dim)
+        got = tangent_map(ref, stack)
+        assert got.shape == whole.shape and got.tobytes() == whole.tobytes()
+        chunk = min(matrices, 7)
+        chunks = [(chunk,)] * (7 // chunk) + [(7 % chunk,)] * (7 % chunk > 0)
+        assert batches == [()] + chunks  # the reference, then each chunk
+        assert tangent_map(ref, stack[4]).tobytes() == whole[4].tobytes()
+
     def test_tangent_unmap_inverts_a_stack(self):
         rng = np.random.default_rng(28)
         ref = random_spd(rng, 4)
