@@ -26,12 +26,11 @@ def _as_matrix(features) -> Array:
 
 
 def _classes(x: Array, labels) -> tuple[Array, tuple]:
-    """The labels of the rows of ``x`` as an array, and their sorted classes."""
+    """The labels of the training items of ``x`` (feature rows or
+    covariances) as an array, and their sorted classes."""
     labels = np.asarray(labels)
     if labels.shape[0] != x.shape[0]:
-        raise DimMismatchError(
-            f"{x.shape[0]} feature rows but {labels.shape[0]} labels"
-        )
+        raise DimMismatchError(f"{x.shape[0]} training items but {labels.shape[0]} labels")
     classes = tuple(sorted(set(labels.tolist())))
     if len(classes) < 2:
         raise ConfigError(f"need >= 2 classes, got {classes}")
@@ -204,12 +203,7 @@ def mdm_fit(logs, labels) -> MdmModel:
     covariances, from their matrix ``logs`` (n, C, C): one exp per class and
     no eigendecomposition of the covariances here."""
     logs = as_stack(logs, "mdm_fit")
-    labels = np.asarray(labels)
-    if labels.shape != (len(logs),):
-        raise DimMismatchError(f"{len(logs)} covariances but {labels.shape[0]} labels")
-    classes = tuple(int(l) for l in np.unique(labels))
-    if len(classes) < 2:
-        raise ConfigError(f"need >= 2 classes, got {classes}")
+    labels, classes = _classes(logs, labels)
     return MdmModel(classes, np.stack([log_euclidean_mean(logs[labels == l]) for l in classes]))
 
 

@@ -76,8 +76,7 @@ def _write_subject(out: Path, name: str, data, labels) -> tuple[str, str, str]:
 def _cmd_experiment(args) -> int:
     spec = load_scenario(args.spec, seed_override=args.seed)
     report = run_scenario(spec, jobs=args.jobs)
-    fmt = "json" if args.out.endswith(".json") else "csv"
-    emit_report(report, args.out, format=fmt)
+    emit_report(report, args.out)
     print(f"wrote {args.out} ({len(report.accuracies)} accuracy rows)")
     return 0
 
@@ -208,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a scenario and write the report")
     p.add_argument("--spec", required=True, help="JSON scenario spec")
-    p.add_argument("--out", required=True, help="report path (.csv or .json)")
+    p.add_argument("--out", required=True, help="report path (JSON if .json, else CSV)")
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (at most one per subject)")
     p.set_defaults(func=_cmd_experiment)

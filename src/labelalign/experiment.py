@@ -55,11 +55,13 @@ A :class:`ScenarioSpec` holds every default and first checks each field by
 its annotated kind (:func:`labelalign.errors.require_fields`), so
 :func:`scenario_from_dict` passes it the JSON document as it is.
 
-A configuration error is raised before any unit starts. With a ``synth``
-block the spec itself checks its labels, k grid and CSP filter count against
-the generator's sizes, before any subject is generated; from a manifest the
-CSP filter count is checked as soon as the first subject's stack gives the
-channels, and the k grid once every target pool is known. A data
+A configuration error is raised before any unit starts. The two size
+checks, CSP's filter count against the channels and the k grid against a
+target pool, are :class:`ScenarioSpec` methods. With a ``synth`` block the
+spec runs both on the generator's sizes, and checks its labels against the
+generator's classes, before any subject is generated. The harness runs them
+on the data: the CSP check on each subject's stack as it is built, the pool
+check on each target pool (after its missing labels) once all are. A data
 error raised in a unit names its cell: the subject for the pool's pairwise
 distances, the subject and k for the labeled medoids, and subject, k,
 strategy and, from one pipeline's fit or predict, the pipeline.
@@ -163,17 +165,26 @@ class ScenarioSpec:
                 f"labels {outside} are not classes of the generator, whose "
                 f"{cfg.classes} classes are 0 to {cfg.classes - 1}"
             )
-        pool = cfg.trials_per_class * len(self.target_labels)
-        if max(self.k_grid) >= pool:
+        self.check_pool(cfg.trials_per_class * len(self.target_labels), (
+            f"a generated subject (trials_per_class {cfg.trials_per_class} x "
+            f"{len(self.target_labels)} target labels)"
+        ))
+        self.check_channels(cfg.channels)
+
+    def check_pool(self, trials: int, subject: str) -> None:
+        """The k grid against a target pool of ``trials`` trials, which ``subject`` names."""
+        if max(self.k_grid) >= trials:
             raise ConfigError(
-                f"k_grid {list(self.k_grid)} needs more than {max(self.k_grid)} trials in each "
-                f"target pool, the generator gives {pool} (trials_per_class "
-                f"{cfg.trials_per_class} x {len(self.target_labels)} target labels)"
+                f"k_grid {list(self.k_grid)} needs more than {max(self.k_grid)} trials in "
+                f"each target pool, {subject} has {trials}"
             )
-        if "csp-lda" in self.pipelines and 2 * self.csp_pairs > cfg.channels:
+
+    def check_channels(self, channels: int) -> None:
+        """CSP's filter count against the trials' channels, when csp-lda runs."""
+        if "csp-lda" in self.pipelines and 2 * self.csp_pairs > channels:
             raise ConfigError(
                 f"csp_pairs {self.csp_pairs} needs at least {2 * self.csp_pairs} channels, "
-                f"the generator has {cfg.channels}"
+                f"the trials have {channels}"
             )
 
     @property
@@ -343,29 +354,21 @@ def _scenario_domains(spec, mapping, names, subjects) -> list[tuple[Domain, Doma
     """Each subject's source view (in target labels) and target pool as
     domains. When a pipeline needs logs, a source view's raw stack carries
     them if ``raw`` runs and its whitened stack if ``ea`` or ``la`` runs;
-    the target pools never do. CSP's filter count is checked against the
-    first subject's channels, before the second subject is read."""
+    the target pools never do. CSP's filter count is checked against each
+    subject's channels as its stack is built, and the k grid against each
+    target pool once every stack is built."""
     csp = "csp-lda" in spec.pipelines
     logs = bool(LOG_PIPELINES.intersection(spec.pipelines))
     raw_logs = logs and "raw" in spec.strategies
     ea_logs = logs and not {"ea", "la"}.isdisjoint(spec.strategies)
     stacks = []
     for stack in iter_subject_stacks(names, subjects, spec.shrinkage, csp):
-        channels = stack.covs.shape[-1]
-        if csp and 2 * spec.csp_pairs > channels:
-            raise ConfigError(
-                f"csp_pairs {spec.csp_pairs} needs at least {2 * spec.csp_pairs} channels, "
-                f"the trials have {channels}"
-            )
+        spec.check_channels(stack.covs.shape[-1])
         stacks.append(stack)
     domains = []
     for name, stack in zip(names, stacks):
         target = label_view(name, stack, "target", spec.target_labels)
-        if len(target.covs) <= max(spec.k_grid):
-            raise ConfigError(
-                f"target subject {name} has {len(target.covs)} trials in the target "
-                f"label set; the k grid needs more than {max(spec.k_grid)}"
-            )
+        spec.check_pool(len(target.covs), f"target subject {name}")
         source = domain(source_view(name, stack, mapping), source=True)
         source = replace(
             source,
@@ -386,7 +389,7 @@ def _start_worker(spec, names, domains) -> None:
     _WORKER_SCENARIO = (spec, names, domains)
 
 
-def _worker_unit(i: int) -> tuple[list, list]:
+def _worker_unit(i: int) -> tuple[dict, list]:
     return _subject_unit(*_WORKER_SCENARIO, i)
 
 
@@ -410,17 +413,18 @@ def _train_buffer(sources: Sequence[Domain], labeled: int, logs: bool) -> CovSta
     )
 
 
-def _subject_unit(spec, names, domains, i: int) -> tuple[list, list]:
+def _subject_unit(spec, names, domains, i: int) -> tuple[dict, list]:
     """Evaluate target subject ``names[i]`` over the whole k grid.
 
     Its target pool is ``domains[i]``'s and its sources are the source views
     of every other subject. A pure function of the scenario and ``i``, so
     results are identical no matter how the units are scheduled across
-    processes. Returns (accuracy rows, fallback events); each row names its
-    subject. A :class:`DataError` is re-raised as the same type, prefixed
-    with where it arose: ``subject s1:`` for the pool's distances, ``subject
-    s1, k 4:`` for the labeled medoids, and ``subject s1, k 4, la:`` for a
-    cell (``la/ts-svm:`` when one pipeline's fit or predict raised it).
+    processes. Returns (accuracies, fallback events), the accuracies keyed
+    (subject, k, strategy, pipeline) as the report keys them. A
+    :class:`DataError` is re-raised as the same type, prefixed with where it
+    arose: ``subject s1:`` for the pool's distances, ``subject s1, k 4:`` for
+    the labeled medoids, and ``subject s1, k 4, la:`` for a cell
+    (``la/ts-svm:`` when one pipeline's fit or predict raised it).
     """
     name, target = names[i], domains[i][1]
     sources = [source for j, (source, _) in enumerate(domains) if j != i]
@@ -430,7 +434,7 @@ def _subject_unit(spec, names, domains, i: int) -> tuple[list, list]:
         distances = pairwise_distances(pool.covs)
     buffer = _train_buffer(sources, max(spec.k_grid), logs)
     n_source = len(buffer.covs) - max(spec.k_grid)
-    rows = []
+    accuracies = {}
     fallbacks = []
     for k in spec.k_grid:
         with located(f"subject {name}, k {k}"):
@@ -459,8 +463,8 @@ def _subject_unit(spec, names, domains, i: int) -> tuple[list, list]:
             )
             for pipeline in spec.pipelines:
                 accuracy = float(np.mean(np.asarray(preds[pipeline]) == truth))
-                rows.append((name, k, strategy, pipeline, accuracy))
-    return rows, fallbacks
+                accuracies[(name, k, strategy, pipeline)] = accuracy
+    return accuracies, fallbacks
 
 
 def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
@@ -491,10 +495,9 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
 
     report = ExperimentReport()
     fallbacks = []
-    for rows, unit_fallbacks in results:
+    for accuracies, unit_fallbacks in results:
+        report.accuracies.update(accuracies)
         fallbacks.extend(unit_fallbacks)
-        for name, k, strategy, pipeline, accuracy in rows:
-            report.accuracies[(name, k, strategy, pipeline)] = accuracy
 
     if len(spec.k_grid) >= 2:
         for name in names:

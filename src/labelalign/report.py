@@ -8,6 +8,8 @@ rows, with a blank line between sections; metadata is ``key,value`` rows of
 JSON cells (keys sorted); cells are quoted by the :mod:`csv` rules. JSON: one
 object (sorted keys, indent 2) with each section's rows under its JSON name
 and ``metadata`` as an object; a NaN value is ``null`` and reads back as NaN.
+:func:`emit_report` chooses the format from the path (JSON for ``.json``,
+else CSV); :func:`read_report` from the content.
 """
 
 from __future__ import annotations
@@ -74,13 +76,12 @@ SECTIONS = (
 META_HEADER = ["key", "value"]
 
 
-def emit_report(report: ExperimentReport, path, format: str = "csv") -> None:
-    """Write the report; identical reports produce identical bytes."""
-    renderers = {"csv": render_report_csv, "json": render_report_json}
-    if format not in renderers:
-        raise ConfigError(f"unknown report format {format!r}")
+def emit_report(report: ExperimentReport, path) -> None:
+    """Write the report, as JSON to a path ending in ``.json`` and as CSV to
+    any other; identical reports produce identical bytes."""
+    render = render_report_json if str(path).endswith(".json") else render_report_csv
     try:
-        Path(path).write_text(renderers[format](report))
+        Path(path).write_text(render(report))
     except OSError as exc:
         raise ConfigError(f"cannot write report to {path}: {exc}") from exc
 

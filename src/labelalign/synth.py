@@ -29,16 +29,16 @@ A subject is yielded as ``(data, labels)``: its trials in one preallocated
 ``(n, C, T)`` array, class by class, and their labels ``(n,)``. The trials
 of one (subject, class) take one key pass and are generated in batches, with
 one stream pass per draw, one stacked ``Q^{1/2}`` and one stacked product
-per batch, written straight into the subject's array. A batch takes as many
-trials as fit one draw of ``channels x max(samples, noise_df)`` normals per
-trial in ``_BATCH_WORDS = 2^14`` 64-bit words (128 KiB), and one trial at
-least. Box-Muller peaks at about four arrays
-of a draw's size, so the bound caps the generator's scratch near half a
-MiB however many trials a class has: a process that generates a dataset
-(the benchmark's set-up among them) peaks within a fraction of a MiB of
-the trial-at-a-time loop, while the per-trial cost of the keys, the streams
-and the eigensolves is paid once per batch. The values are those of the
-trial-at-a-time loop, bit for bit.
+per batch, written straight into the subject's array. The batches are
+:func:`labelalign.spd.chunks` of the class's trials, each item one draw of
+``channels x max(samples, noise_df)`` normals: as many trials as fit
+``CHUNK_WORDS = 2^14`` 64-bit words (128 KiB), and one trial at least.
+Box-Muller peaks at about four arrays of a draw's size, so the bound caps
+the generator's scratch near half a MiB however many trials a class has: a
+process that generates a dataset (the benchmark's set-up among them) peaks
+within a fraction of a MiB of the trial-at-a-time loop, while the per-trial
+cost of the keys, the streams and the eigensolves is paid once per batch.
+The values are those of the trial-at-a-time loop, bit for bit.
 
 :func:`generate_synthetic` holds the whole dataset and wraps each trial in a
 :class:`labelalign.dataio.Trial`, only for the benchmark's set-up, which
@@ -55,9 +55,8 @@ import numpy as np
 from .dataio import Trial
 from .errors import ConfigError, require_fields
 from .rng import CounterRng, derive_key, derive_keys
-from .spd import Array, spd_exp, spd_sqrt, symmetrize
+from .spd import Array, chunks, spd_exp, spd_sqrt, symmetrize
 
-_BATCH_WORDS = 1 << 14
 _COUNTS = ("channels", "samples", "classes", "trials_per_class", "subjects")
 MAX_WORDS = 1 << 32  # about 100 times the paper-scale dataset's 4.3e7 words
 
@@ -125,7 +124,6 @@ def synthetic_subjects(cfg: SynthConfig, prototypes, shifts) -> Iterator[tuple[A
     """Each subject's ``(data, labels)`` in turn, from ``cfg``'s :func:`synthetic_parameters`,
     generated as the next is asked for, so that one subject at a time need be held."""
     c, df, per_class = cfg.channels, cfg.noise_df, cfg.trials_per_class
-    batch = max(1, _BATCH_WORDS // (c * max(cfg.samples, df or 0)))
     proto_sqrts = [spd_sqrt(p) for p in prototypes]
     for s, shift in enumerate(shifts):
         data = np.empty((cfg.classes * per_class, c, cfg.samples))
@@ -133,14 +131,14 @@ def synthetic_subjects(cfg: SynthConfig, prototypes, shifts) -> Iterator[tuple[A
             mix = shift.T @ proto_sqrts[m]
             keys = derive_keys(cfg.seed, "noise", s, m, count=per_class)
             rows = data[m * per_class:(m + 1) * per_class]
-            for start in range(0, per_class, batch):
-                rng = CounterRng(keys[start:start + batch])
+            for batch in chunks(per_class, c * max(cfg.samples, df or 0)):
+                rng = CounterRng(keys[batch])
                 factor = mix
                 if df is not None:
                     g = rng.normal_matrix(c, df)
                     factor = mix @ spd_sqrt(g @ g.swapaxes(-1, -2) / df)
                 z = rng.normal_matrix(c, cfg.samples)
-                np.matmul(factor, z, out=rows[start:start + batch])
+                np.matmul(factor, z, out=rows[batch])
         yield data, np.repeat(np.arange(cfg.classes), per_class)
 
 

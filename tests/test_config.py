@@ -226,12 +226,12 @@ class TestGeneratorBounds:
 
     @pytest.mark.parametrize("change, message", [
         pytest.param({"k_grid": [2, 6]}, r"k_grid \[2, 6\] needs more than 6 trials in each "
-                     r"target pool, the generator gives 6 \(trials_per_class 3 x 2 target "
-                     r"labels\)", id="k-beyond-the-pool"),
+                     r"target pool, a generated subject \(trials_per_class 3 x 2 target "
+                     r"labels\) has 6", id="k-beyond-the-pool"),
         pytest.param({"k_grid": [2, 10**30]},
                      "needs more than 1000000000000000000000000000000 trials", id="huge-k"),
         pytest.param({"pipelines": ["csp-lda"], "csp_pairs": 2},
-                     "csp_pairs 2 needs at least 4 channels, the generator has 3",
+                     "csp_pairs 2 needs at least 4 channels, the trials have 3",
                      id="csp-pairs-beyond-the-channels"),
         pytest.param({"target_labels": [2, 4]}, r"labels \[4\] are not classes of the "
                      r"generator, whose 4 classes are 0 to 3", id="target-label-beyond"),

@@ -599,6 +599,27 @@ class TestConfigErrorsComeFirst:
         )
         assert reads == ["s0.trials"] and not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("relabel, k_max, code, message", [
+        pytest.param(lambda labels: [*labels[:-1], 0], 11, 2,  # s1 keeps 11 target trials
+                     "k_grid [2, 11] needs more than 11 trials in each target pool, "
+                     "target subject s1 has 11", id="small-pool"),
+        pytest.param(lambda labels: [1 if l == 3 else l for l in labels], 6, 3,
+                     "target subject s1 has no trials for target labels [3]",
+                     id="missing-label-before-its-6-trial-pool"),
+    ])
+    def test_a_target_pool_is_checked_after_its_labels_and_before_any_unit(
+        self, manifest, tmp_path, monkeypatch, capsys, relabel, k_max, code, message
+    ):
+        path = manifest.parent / "s1.labels"
+        write_labels(path, relabel(read_labels(path)))
+        spec = write_spec(tmp_path / "spec.json", manifest)
+        spec.write_text(json.dumps({**json.loads(spec.read_text()), "k_grid": [2, k_max]}))
+        units = []
+        monkeypatch.setattr(experiment, "_subject_unit", lambda *args: units.append(args))
+        assert self.run_cli(spec, tmp_path / "r.csv") == code
+        assert message in capsys.readouterr().err
+        assert units == [] and not (tmp_path / "r.csv").exists()
+
 
 @st.composite
 def small_specs(draw):
@@ -917,7 +938,7 @@ class TestJsonReport:
             metadata={"seed": 3, "ea_fallbacks": [["s0", 2]]},
         )
         path = tmp_path / "report.json"
-        emit_report(report, path, format="json")
+        emit_report(report, path)
 
         def reject(constant):
             raise ValueError(f"invalid JSON constant {constant}")
@@ -934,8 +955,20 @@ class TestJsonReport:
 
     def test_golden_report_round_trips_through_json(self, tmp_path):
         report = read_report(FIXTURES / "golden_report.csv")
-        emit_report(report, tmp_path / "golden.json", format="json")
+        emit_report(report, tmp_path / "golden.json")
         assert read_report(tmp_path / "golden.json") == report
+
+    @pytest.mark.parametrize("suffix, fmt", [(".json", "json"), (".csv", "csv"), (".txt", "csv")])
+    def test_the_path_chooses_the_format(self, tmp_path, suffix, fmt):
+        # read_report sniffs the content, so the written bytes are checked here.
+        path = tmp_path / f"report{suffix}"
+        emit_report(read_report(FIXTURES / "golden_report.csv"), path)
+        text = path.read_text()
+        if fmt == "json":
+            json.loads(text, parse_constant=lambda c: pytest.fail(f"invalid JSON constant {c}"))
+        else:
+            assert text.splitlines()[0] == "subject,k,strategy,pipeline,accuracy"
+        assert text == (FIXTURES / f"golden_report.{fmt}").read_text()
 
 
 # Subject names and metadata keys may hold anything but the CSV separators.
@@ -985,7 +1018,7 @@ class TestReportRoundTrip:
     @given(report=reports)
     def test_emit_then_read_is_identity(self, report_dir, fmt, report):
         path = report_dir / f"report.{fmt}"
-        emit_report(report, path, format=fmt)
+        emit_report(report, path)
         assert canonical(read_report(path)) == canonical(report)
 
     def test_a_subject_name_with_a_comma_round_trips_through_csv(self, manifest, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import loop_synthetic_subjects
 
-from labelalign import synth
+from labelalign import spd
 from labelalign.errors import ConfigError
 from labelalign.rng import CounterRng, derive_key, derive_keys
 from labelalign.spd import riemannian_distance
@@ -119,7 +119,7 @@ class TestGenerator:
         cfg = SynthConfig(classes=2, subjects=2, class_separation=1.0, subject_shift=0.5,
                           seed=3, **fields)
         words = cfg.channels * max(cfg.samples, cfg.noise_df or 0)  # one trial's draw
-        monkeypatch.setattr(synth, "_BATCH_WORDS", batch * words if batch else words // 2)
+        monkeypatch.setattr(spd, "CHUNK_WORDS", batch * words if batch else words // 2)
 
         def trial_bytes(subjects):
             return [(labels.tolist(), data.shape, data.tobytes()) for data, labels in subjects]
