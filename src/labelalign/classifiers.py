@@ -1,8 +1,9 @@
 """Classifiers for the pipelines: LDA, linear SVM, and minimum distance to mean.
 
-The one-vs-one linear SVM trains each pair by primal Newton, so it uses no
-random numbers and does not depend on row order; it predicts by one matrix
-product and a majority vote. MDM's class means are one (m, C, C) stack."""
+The one-vs-one linear SVM trains each pair by primal Newton, taking the full
+step when it lowers the objective and an exact line search otherwise, so it
+uses no random numbers and does not depend on row order; it predicts by one
+matrix product and a majority vote. MDM's class means are one (m, C, C) stack."""
 
 from __future__ import annotations
 
@@ -132,30 +133,40 @@ def _train_pair(x: Array, neg: Array, pos: Array) -> Array:
     over the rows of ``x`` in the masks ``neg`` (y = -1) and ``pos`` (y = +1);
     the bias is unregularized.
 
-    Primal Newton (Chapelle, Neural Computation 2007) with an exact line
-    search (Keerthi & DeCoste, JMLR 2005): each step solves the generalized
-    Hessian system of the current support set. Iteration stops once the
-    gradient norm falls to ``SVM_GRAD_TOL`` times its value at the zero model.
-    A step whose length is not finite raises :class:`NotConvergedError` at once.
-    The pair's rows are copied once, beside a column of ones for the bias.
+    Finite Newton (Mangasarian, Optim. Methods Softw. 2002) on the generalized
+    Hessian of the current support set (Chapelle, Neural Computation 2007):
+    the full step is taken when the objective there is strictly lower, and
+    otherwise the exact line search (Keerthi & DeCoste, JMLR 2005) sets its
+    length. Iteration stops once the gradient norm falls to ``SVM_GRAD_TOL``
+    times its value at the zero model. A line-searched step whose length is
+    not finite raises :class:`NotConvergedError` at once. The pair's rows are
+    copied once, beside a column of ones for the bias, with the y = -1 rows
+    negated, so ``yx @ z`` is y (x . z) and every slack 1 - yx @ z is
+    computed from its own iterate.
     """
     na, nb = np.count_nonzero(neg), np.count_nonzero(pos)
     n, d = na + nb, x.shape[1]
-    x1 = np.ones((n, d + 1))
-    x1[:na, :d] = x[neg]
-    x1[na:, :d] = x[pos]
-    y = np.concatenate([-np.ones(na), np.ones(nb)])
-    if (x1[:, :d] == x1[0, :d]).all():
+    yx = np.ones((n, d + 1))
+    yx[:na, :d] = x[neg]
+    yx[na:, :d] = x[pos]
+    if (yx[:, :d] == yx[0, :d]).all():
         return np.zeros(d + 1)  # no signal: the zero model votes for the first class
+    yx[:na] *= -1.0
     reg = np.append(np.full(d, SVM_LAMBDA), 0.0)
     scale = 2.0 / n
-    tol = SVM_GRAD_TOL * np.linalg.norm(scale * (y @ x1))  # the gradient at z = 0
+
+    def objective(z: Array, slack: Array) -> float:
+        hinge = np.maximum(slack, 0.0)
+        return SVM_LAMBDA / 2.0 * (z[:-1] @ z[:-1]) + (hinge @ hinge) / n
+
+    tol = SVM_GRAD_TOL * np.linalg.norm(scale * (np.ones(n) @ yx))  # the gradient at z = 0
     z = np.zeros(d + 1)
+    slack = 1.0 - yx @ z
+    loss = objective(z, slack)
     for it in range(SVM_MAX_ITER + 1):
-        slack = 1.0 - y * (x1 @ z)
         active = slack > 0.0
-        xs = x1[active]
-        grad = reg * z - scale * ((y * slack)[active] @ xs)
+        xs = yx[active]
+        grad = reg * z - scale * (slack[active] @ xs)
         norm = np.linalg.norm(grad)
         if norm <= tol:
             return z
@@ -167,11 +178,19 @@ def _train_pair(x: Array, neg: Array, pos: Array) -> Array:
         if not active.any():
             hess[-1, -1] = 1.0  # the bias gradient is 0 here, so is its step
         step = -np.linalg.solve(hess, grad)
-        length = _line_search(slack, y * (x1 @ step), z[:-1], step[:-1])
+        full = z + step
+        full_slack = 1.0 - yx @ full
+        full_loss = objective(full, full_slack)
+        if full_loss < loss:  # a NaN objective falls through to the line search
+            z, slack, loss = full, full_slack, full_loss
+            continue
+        length = _line_search(slack, yx @ step, z[:-1], step[:-1])
         if not np.isfinite(length):  # a NaN iterate never converges: stop here
             raise NotConvergedError(f"linear SVM: Newton step {it} has a non-finite "
                                     f"length ({length}); the features are too badly scaled")
         z = z + length * step
+        slack = 1.0 - yx @ z
+        loss = objective(z, slack)
 
 
 def svm_fit(features, labels) -> LinearSvmModel:

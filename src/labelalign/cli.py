@@ -42,7 +42,7 @@ from .report import emit_report
 from .rng import derive_key
 from .selection import k_medoids, pairwise_distances
 from .spd import chunks
-from .synth import SynthConfig, synthetic_parameters, synthetic_subjects
+from .synth import SynthConfig, subject_shift, synthetic_parameters, synthetic_subjects
 
 
 def _cmd_synth(args) -> int:
@@ -59,7 +59,7 @@ def _cmd_synth(args) -> int:
     write_manifest(out / "manifest.json", 100.0, range(cfg.classes), entries)
     parameters = {
         "prototypes": [p.tolist() for p in prototypes],
-        "shifts": [w.tolist() for w in shifts],
+        "shifts": [subject_shift(cfg, s).tolist() for s in range(cfg.subjects)],  # redrawn, not held
     }
     (out / "generator.json").write_text(json.dumps(parameters, sort_keys=True) + "\n")
     print(f"wrote {cfg.subjects} subjects to {out}")

@@ -25,7 +25,8 @@ All randomness flows through the counter-based generator in
 :mod:`labelalign.rng`, keyed per (class/subject/trial), so the output is a
 pure function of the config.
 
-A subject is yielded as ``(data, labels)``: its trials in one preallocated
+A subject is yielded as ``(data, labels)``, after its own shift is drawn
+and before the next subject's: its trials in one preallocated
 ``(n, C, T)`` array, class by class, and their labels ``(n,)``. The trials
 of one (subject, class) take one key pass and are generated in batches, with
 one stream pass per draw, one stacked ``Q^{1/2}`` and one stacked product
@@ -48,6 +49,7 @@ writes and labels those lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -111,13 +113,25 @@ def _unit_symmetric_direction(rng: CounterRng, dim: int) -> Array:
     return d / np.linalg.norm(d, "fro")
 
 
-def synthetic_parameters(cfg: SynthConfig) -> tuple[tuple, tuple]:
-    """The class prototypes and the subject shifts of ``cfg``."""
-    def draw(stream: str, scale: float, count: int) -> tuple:
-        return tuple(spd_exp(scale * _unit_symmetric_direction(
-            CounterRng(derive_key(cfg.seed, stream, i)), cfg.channels)) for i in range(count))
-    return (draw("prototype", cfg.class_separation, cfg.classes),
-            draw("shift", cfg.subject_shift, cfg.subjects))
+def _draw(cfg: SynthConfig, stream: str, scale: float, i: int) -> Array:
+    """exp(scale * D) for the unit direction D keyed by (seed, stream, i)."""
+    return spd_exp(scale * _unit_symmetric_direction(
+        CounterRng(derive_key(cfg.seed, stream, i)), cfg.channels))
+
+
+def subject_shift(cfg: SynthConfig, s: int) -> Array:
+    """Subject ``s``'s congruence shift W_s."""
+    return _draw(cfg, "shift", cfg.subject_shift, s)
+
+
+def synthetic_parameters(cfg: SynthConfig) -> tuple[tuple, Iterator[Array]]:
+    """The class prototypes of ``cfg``, and an iterator over its subject
+    shifts that draws each one when it is reached: the generator draws
+    subject ``s``'s shift as it generates subject ``s``, not every shift
+    before the first subject."""
+    prototypes = tuple(_draw(cfg, "prototype", cfg.class_separation, m)
+                       for m in range(cfg.classes))
+    return prototypes, map(partial(subject_shift, cfg), range(cfg.subjects))
 
 
 def synthetic_subjects(cfg: SynthConfig, prototypes, shifts) -> Iterator[tuple[Array, Array]]:
@@ -149,6 +163,7 @@ def generate_synthetic(cfg: SynthConfig) -> SynthDataset:
     against the ground truth.
     """
     prototypes, shifts = synthetic_parameters(cfg)
+    shifts = tuple(shifts)
     subjects = tuple(
         [Trial(x, label=int(l)) for x, l in zip(data, labels)]
         for data, labels in synthetic_subjects(cfg, prototypes, shifts)

@@ -1,8 +1,9 @@
 import numpy as np
 
-from labelalign import experiment
+from labelalign import classifiers, experiment
 from labelalign.alignment import align
-from labelalign.errors import DimMismatchError
+from labelalign.classifiers import _line_search
+from labelalign.errors import DimMismatchError, NotConvergedError
 from labelalign.rng import CounterRng, derive_key
 from labelalign.spd import spd_exp, spd_sqrt, symmetrize
 from labelalign.synth import synthetic_parameters, synthetic_subjects
@@ -75,6 +76,39 @@ def loop_lda_scores(x, labels, x_test, gamma):
     proj = (u * (1.0 / w)) @ u.T @ means.T
     priors = np.array([np.mean(labels == c) for c in classes])
     return x_test @ proj - 0.5 * np.sum(means.T * proj, axis=0) + np.log(priors)
+
+
+def exact_newton_pair(x, neg, pos):
+    """[w, bias] of one SVM pair by primal Newton with an exact line search at
+    every step, the way :func:`labelalign.classifiers._train_pair` was first
+    written: labels ``y`` and the design ``[x, 1]`` kept apart, and the slack
+    recomputed from each iterate."""
+    na, nb = np.count_nonzero(neg), np.count_nonzero(pos)
+    n, d = na + nb, x.shape[1]
+    x1 = np.ones((n, d + 1))
+    x1[:na, :d] = x[neg]
+    x1[na:, :d] = x[pos]
+    y = np.concatenate([-np.ones(na), np.ones(nb)])
+    if (x1[:, :d] == x1[0, :d]).all():
+        return np.zeros(d + 1)
+    reg = np.append(np.full(d, classifiers.SVM_LAMBDA), 0.0)
+    scale = 2.0 / n
+    tol = classifiers.SVM_GRAD_TOL * np.linalg.norm(scale * (y @ x1))
+    z = np.zeros(d + 1)
+    for _ in range(classifiers.SVM_MAX_ITER + 1):
+        slack = 1.0 - y * (x1 @ z)
+        active = slack > 0.0
+        xs = x1[active]
+        grad = reg * z - scale * ((y * slack)[active] @ xs)
+        if np.linalg.norm(grad) <= tol:
+            return z
+        hess = scale * (xs.T @ xs)
+        hess[np.diag_indices(d + 1)] += reg
+        if not active.any():
+            hess[-1, -1] = 1.0
+        step = -np.linalg.solve(hess, grad)
+        z = z + _line_search(slack, y * (x1 @ step), z[:-1], step[:-1]) * step
+    raise NotConvergedError("exact_newton_pair: no convergence")
 
 
 def loop_synthetic_subjects(cfg):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
+    exact_newton_pair,
     loop_distance,
     loop_lda_scores,
     random_invertible,
@@ -165,8 +166,10 @@ class TestLinearSvm:
             return np.inf
 
         monkeypatch.setattr(classifiers, "_line_search", line_search)
-        x, y = symmetric_two_gaussian(np.random.default_rng(79), 10)
-        with pytest.raises(NotConvergedError, match=r"^linear SVM: Newton step 0 has a "
+        # The full Newton step lowers the objective at steps 0 to 2 on this
+        # data, so step 3 is the first to need the line search.
+        x, y = symmetric_two_gaussian(np.random.default_rng(66), 10)
+        with pytest.raises(NotConvergedError, match=r"^linear SVM: Newton step 3 has a "
                                                     r"non-finite length \(inf\)"):
             svm_fit(x, y)
         assert len(calls) == 1
@@ -208,13 +211,13 @@ class TestLinearSvm:
         assert preds == [0, 1, 2]
 
     def test_gradient_vanishes_on_random_problems(self):
-        rng = np.random.default_rng(82)
-        for n, d, classes in [(30, 3, 2), (40, 10, 3), (25, 40, 2), (60, 21, 4)]:
-            x = rng.standard_normal((n, d)) * rng.uniform(0.1, 100.0)
-            y = np.arange(n) % classes
-            x += 0.5 * y[:, None]
+        for x, y in random_problems():
             model = svm_fit(x, y)
             assert max_gradient_norm(model, x, y) <= 1e-8
+
+    def test_agrees_with_the_exact_line_search_on_random_problems(self):
+        for x, y in random_problems():
+            assert exact_newton_error(svm_fit(x, y), x, y) <= 1e-9
 
     def test_newton_step_from_an_empty_support_set(self):
         # On these separated clusters one iterate has every margin >= 1, so
@@ -226,31 +229,19 @@ class TestLinearSvm:
         assert max_gradient_norm(model, x, y) <= 1e-8
         assert svm_predict_many(model, x) == y
 
-    def test_gradient_vanishes_on_every_fit_of_a_benchmark_run(self, monkeypatch):
-        # Every svm_fit of loso-c8-full at its confirmation seed, in memory.
-        # Undamped Newton cycles on one of these fits.
-        workloads = load_benchmark_workloads()
-        w = workloads.WORKLOADS["loso-c8-full"]
-        norms = []
-
-        def spy(features, labels, *args, **kwargs):
-            model = svm_fit(features, labels, *args, **kwargs)
-            norms.append(max_gradient_norm(model, features, labels))
-            return model
-
-        monkeypatch.setattr(classifiers, "svm_fit", spy)
-        seed = workloads.CONFIRM_SEED
-        run_scenario(ScenarioSpec(
-            source_labels=workloads.SOURCE_LABELS,
-            target_labels=workloads.TARGET_LABELS,
-            strategies=w.strategies,
-            pipelines=("ts-svm",),  # the other pipelines never reach svm_fit
-            k_grid=w.k_grid,
-            seed=seed,
-            synth=SynthConfig(**w.synth_fields(seed)),
-        ))
-        assert len(norms) == w.subjects * len(w.k_grid) * len(w.strategies)
+    def test_gradient_vanishes_on_every_fit_of_a_benchmark_run(self, benchmark_fits):
+        # Undamped Newton also converges on these fits, so only the count
+        # shows that the line search still runs where the full step does not
+        # lower the objective.
+        fits, line_searches = benchmark_fits
+        norms = [max_gradient_norm(model, x, y) for x, y, model in fits]
         assert max(norms) <= 1e-8
+        assert line_searches >= 1
+
+    def test_agrees_with_the_exact_line_search_on_every_fit_of_a_benchmark_run(
+            self, benchmark_fits):
+        fits, _ = benchmark_fits
+        assert max(exact_newton_error(model, x, y) for x, y, model in fits) <= 1e-9
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -298,6 +289,63 @@ def max_gradient_norm(model, features, labels) -> float:
         grad = np.append(classifiers.SVM_LAMBDA * z[:-1], 0.0) - 2.0 / len(y) * ((y * slack) @ x1)
         norms.append(np.linalg.norm(grad))
     return max(norms)
+
+
+def random_problems():
+    """Feature rows and labels of four random SVM problems, 2 to 4 classes."""
+    rng = np.random.default_rng(82)
+    for n, d, classes in [(30, 3, 2), (40, 10, 3), (25, 40, 2), (60, 21, 4)]:
+        x = rng.standard_normal((n, d)) * rng.uniform(0.1, 100.0)
+        y = np.arange(n) % classes
+        x += 0.5 * y[:, None]
+        yield x, y
+
+
+def exact_newton_error(model, features, labels) -> float:
+    """Largest relative error of a fitted model's pairs [w, b] against
+    :func:`exact_newton_pair` on the same rows."""
+    x, labels = np.asarray(features), np.asarray(labels)
+    return max(
+        relative_error(np.append(model.coef[:, p], model.intercept[p]), exact_newton_pair(
+            x, labels == model.classes[a], labels == model.classes[b]))
+        for p, (a, b) in enumerate(model.pairs)
+    )
+
+
+@pytest.fixture(scope="module")
+def benchmark_fits():
+    """Every svm_fit of loso-c8-full at its confirmation seed, in memory, as
+    (features, labels, model), and how many line searches they made."""
+    workloads = load_benchmark_workloads()
+    w = workloads.WORKLOADS["loso-c8-full"]
+    fits, line_searches = [], []
+
+    def fit_spy(features, labels, *args, **kwargs):
+        model = svm_fit(features, labels, *args, **kwargs)
+        # The unit's next cell rewrites the buffers that these rows view.
+        fits.append((np.array(features), np.array(labels), model))
+        return model
+
+    def search_spy(*args):
+        line_searches.append(args)
+        return search(*args)
+
+    search = classifiers._line_search
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classifiers, "svm_fit", fit_spy)
+        patch.setattr(classifiers, "_line_search", search_spy)
+        seed = workloads.CONFIRM_SEED
+        run_scenario(ScenarioSpec(
+            source_labels=workloads.SOURCE_LABELS,
+            target_labels=workloads.TARGET_LABELS,
+            strategies=w.strategies,
+            pipelines=("ts-svm",),  # the other pipelines never reach svm_fit
+            k_grid=w.k_grid,
+            seed=seed,
+            synth=SynthConfig(**w.synth_fields(seed)),
+        ))
+    assert len(fits) == w.subjects * len(w.k_grid) * len(w.strategies)
+    return fits, len(line_searches)
 
 
 def load_benchmark_workloads():

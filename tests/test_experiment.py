@@ -97,8 +97,8 @@ class GoldenRun:
     test stacks and the predictions of each cell (one ``fit_predict_cell``
     call per target, k and strategy), the covariance arrays that each cell
     was passed, the covariances of every ``ts_features`` call, every input
-    of ``spd_log`` and how many matrices ``np.linalg.eigh`` and ``eigvalsh``
-    decomposed."""
+    of ``spd_log``, how many matrices ``np.linalg.eigh`` and ``eigvalsh``
+    decomposed, and the SVM's Newton steps and line searches."""
 
     report: ExperimentReport
     cells: list = field(default_factory=list)  # (train, test, predictions)
@@ -106,6 +106,8 @@ class GoldenRun:
     tangent: list = field(default_factory=list)
     logged: list = field(default_factory=list)
     eig_matrices: int = 0
+    newton_steps: int = 0
+    line_searches: int = 0
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +136,18 @@ def golden_run():
             return solver(a, *args, **kwargs)
         return spy
 
+    def solve_spy(a, b):
+        run.newton_steps += np.ndim(b) == 1  # LDA solves for a matrix, a Newton step for a vector
+        return solve(a, b)
+
+    def search_spy(*args):
+        run.line_searches += 1
+        return search(*args)
+
+    solve, search = np.linalg.solve, classifiers._line_search
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", solve_spy)
+        patch.setattr(classifiers, "_line_search", search_spy)
         patch.setattr(experiment, "fit_predict_cell", cell_spy)
         patch.setattr(experiment, "ts_features", ts_spy)
         for module in (spd, features):
@@ -375,6 +388,11 @@ class TestSharedWork:
         # unlabeled target trials (96) would make it 3,937. LA's arithmetic
         # class means take no exp (Log-Euclidean ones took 16 here).
         assert golden_run.eig_matrices == 3697
+
+    def test_line_search_count_is_pinned(self, golden_run):
+        # The 18 ts-svm fits take the full Newton step wherever it lowers the
+        # objective; a line search at every step made 157 of 157.
+        assert (golden_run.line_searches, golden_run.newton_steps) == (59, 173)
 
     def test_a_csp_lda_run_takes_no_matrix_log(self, monkeypatch):
         # csp-lda reads no logs, and LA's arithmetic class means take none.

@@ -2,9 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import loop_synthetic_subjects
+from conftest import first_subject, loop_synthetic_subjects
 
-from labelalign import spd
+from labelalign import spd, synth
 from labelalign.errors import ConfigError
 from labelalign.rng import CounterRng, derive_key, derive_keys
 from labelalign.spd import riemannian_distance
@@ -182,6 +182,21 @@ class TestGenerator:
 
         for w in data.shifts:
             assert frob(spd_log(w.T @ w)) == pytest.approx(2 * 0.7, abs=1e-9)
+
+    def test_the_first_subject_draws_only_its_own_shift(self, monkeypatch):
+        cfg = SynthConfig(channels=2, samples=2, classes=3, trials_per_class=1,
+                          subjects=2**20, class_separation=1.0, subject_shift=0.5, seed=12)
+        drawn = []
+
+        def spy(rng, dim):
+            drawn.append(dim)
+            return direction(rng, dim)
+
+        direction = synth._unit_symmetric_direction
+        monkeypatch.setattr(synth, "_unit_symmetric_direction", spy)
+        data, labels = first_subject(cfg)
+        assert len(drawn) == cfg.classes + 1
+        assert labels.tolist() == [0, 1, 2] and data.shape == (3, 2, 2)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
