@@ -16,13 +16,14 @@ and per-class re-centering (``la``) gives the trials of each source class
 and ``Ct`` (target) of the same label, the mean that EA whitens with. The
 arithmetic mean commutes with every congruence, so the mean of the aligned
 trials ``A Cᵢ Aᵀ`` of each source class is ``A Cs Aᵀ = Ct``, exactly up to
-rounding, and the LA fit takes no matrix logs.
+rounding, and the LA fit takes no matrix logs. Each root is taken once: a
+source's ``Cs^{-1/2}`` (:func:`class_inv_roots`) once per :class:`Domain`,
+with its whitened stack, and the ``Ct^{1/2}`` of a labeled target set
+(:func:`target_roots`) once, for every source; :func:`la_fit` only multiplies.
 :func:`la_per_trial` turns the class matrices into each source trial's
 matrix; :func:`align` applies them to covariance stacks, writing the aligned
 rows a chunk at a time into a training buffer, and ``labelalign align`` to
 the raw trials, streamed one subject at a time.
-What does not depend on the label budget (the whitened stack, the inverse
-roots of the source class means) is computed once per :class:`Domain`.
 """
 
 from __future__ import annotations
@@ -102,33 +103,29 @@ def ea_reference(covs: Array) -> Array:
     return spd_inv_sqrt(arithmetic_mean_cov(covs))
 
 
-def _label_means(covs: Array, labels) -> dict:
-    """:func:`arithmetic_mean_cov` of the matrices of each label, keyed by label."""
-    labels = np.asarray(labels)
-    return {int(l): arithmetic_mean_cov(covs[labels == l]) for l in np.unique(labels)}
+def _class_roots(stack: CovStack, root) -> dict:
+    """``root`` of each label's arithmetic mean, in one batched call, keyed by label."""
+    labels = np.unique(stack.labels)
+    means = [arithmetic_mean_cov(stack.covs[stack.labels == l]) for l in labels]
+    return dict(zip(labels.tolist(), root(np.stack(means))))
 
 
-def target_means(labeled: CovStack, n_classes: int) -> dict | None:
-    """The arithmetic mean per label of the labeled target trials, or None
-    when their labels cover fewer than ``n_classes`` classes (the caller then
-    falls back to domain whitening)."""
-    if len(set(labeled.labels)) < n_classes:
-        return None
-    return _label_means(labeled.covs, labeled.labels)
+def target_roots(labeled: CovStack, n_classes: int) -> dict | None:
+    """``{label: Ct^{1/2}}`` for the arithmetic class means ``Ct`` of the
+    labeled target trials, or None when their labels cover fewer than
+    ``n_classes`` classes (the caller then falls back to domain whitening)."""
+    return None if len(set(labeled.labels)) < n_classes else _class_roots(labeled, spd_sqrt)
 
 
-def la_fit(source_inv_roots: dict, target_means: dict) -> dict:
+def la_fit(source_inv_roots: dict, target_roots: dict) -> dict:
     """``{label: Ct^{1/2} Cs^{-1/2}}`` from a source's :func:`class_inv_roots`
     (``Cs^{-1/2}`` per label, the source relabeled to target labels) and the
-    target class means ``Ct`` (:func:`target_means`), paired by label; both
-    means are arithmetic."""
-    for label in sorted(source_inv_roots.keys() ^ target_means.keys()):
+    target's :func:`target_roots` (``Ct^{1/2}`` per label), paired by label.
+    Both roots are taken beforehand, so the fit only multiplies."""
+    for label in sorted(source_inv_roots.keys() ^ target_roots.keys()):
         what = "no target mean" if label in source_inv_roots else "no source trials"
         raise MissingClassError(f"{what} for label {label!r}", label)
-    labels = sorted(target_means)
-    halves = spd_sqrt(np.stack([target_means[l] for l in labels]))
-    inv_halves = np.stack([source_inv_roots[l] for l in labels])
-    return dict(zip(labels, halves @ inv_halves))
+    return {l: target_roots[l] @ source_inv_roots[l] for l in sorted(target_roots)}
 
 
 def relabel(labels, mapping: LabelMapping) -> Array:
@@ -155,8 +152,7 @@ class Domain:
 def class_inv_roots(stack: CovStack) -> dict:
     """``{label: Cs^{-1/2}}`` for the arithmetic class means ``Cs`` of a
     labeled stack: what :func:`la_fit` needs of a source."""
-    means = _label_means(stack.covs, stack.labels)
-    return dict(zip(means, spd_inv_sqrt(np.stack(list(means.values())))))
+    return _class_roots(stack, spd_inv_sqrt)
 
 
 def domain(stack: CovStack, source: bool = False) -> Domain:
@@ -168,12 +164,12 @@ def domain(stack: CovStack, source: bool = False) -> Domain:
     return Domain(stack, ea_stack, class_inv_roots(stack) if source else None)
 
 
-def _la_rows(sources: Sequence[Domain], target_means: dict) -> Iterator[CovStack]:
+def _la_rows(sources: Sequence[Domain], target_roots: dict) -> Iterator[CovStack]:
     """The LA-aligned rows of each source in turn, a chunk of its rows at a
     time (:func:`labelalign.spd.chunks`); :func:`la_fit` is called once per
     source."""
     for d in sources:
-        a = la_fit(d.inv_roots, target_means)
+        a = la_fit(d.inv_roots, target_roots)
         for rows in chunks(len(d.stack.covs), d.stack.covs.shape[-1] ** 2):
             part = d.stack.take(rows)
             yield part.transformed(la_per_trial(a, part.labels))
@@ -183,7 +179,7 @@ def align(
     strategy: str,
     sources: Sequence[Domain],
     target: Domain,
-    target_means: dict | None,
+    target_roots: dict | None,
     out: CovStack,
 ) -> CovStack:
     """Dispatch one alignment strategy over all source subjects.
@@ -198,14 +194,14 @@ def align(
       reference; these are the domains' whitened stacks, with any logs
       they carry.
     * ``la``: each source subject (a domain built with ``source=True``) gets
-      its own per-class transforms toward the shared ``target_means``; the
+      its own per-class transforms toward the shared ``target_roots``; the
       target is untouched. The source rows are aligned and written one
       chunk at a time, so only one chunk of them exists beside ``out``.
     """
     if strategy == "la":
-        if target_means is None:
-            raise ConfigError("la alignment needs target means")
-        pieces, aligned_target = _la_rows(sources, target_means), target.stack
+        if target_roots is None:
+            raise ConfigError("la alignment needs target roots")
+        pieces, aligned_target = _la_rows(sources, target_roots), target.stack
     elif strategy == "ea":
         pieces, aligned_target = [d.ea_stack for d in sources], target.ea_stack
     elif strategy == "raw":

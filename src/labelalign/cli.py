@@ -18,7 +18,7 @@ from .alignment import (
     la_fit,
     la_per_trial,
     match_labels,
-    target_means,
+    target_roots,
 )
 from .dataio import (
     load_manifest,
@@ -30,6 +30,8 @@ from .dataio import (
 )
 from .errors import ConfigError, DataError, EmptyInputError, located
 from .experiment import (
+    PIPELINES,
+    STRATEGIES,
     fit_predict,
     iter_subject_stacks,
     label_view,
@@ -127,8 +129,8 @@ def _fit_subjects(args, manifest, mapping) -> list:
     target = names.index(args.target_subject)
     pool = label_view(args.target_subject, stacks[target], "target", target_set)
     medoids = k_medoids(pairwise_distances(pool.covs), args.k)
-    means = target_means(pool.take(medoids), len(target_set))
-    if means is None:
+    roots = target_roots(pool.take(medoids), len(target_set))
+    if roots is None:
         raise DataError(
             f"the {args.k} medoids cover fewer than {len(target_set)} classes; "
             "label more trials or use --strategy ea"
@@ -136,7 +138,7 @@ def _fit_subjects(args, manifest, mapping) -> list:
     for i, (name, stack) in enumerate(zip(names, stacks)):
         if i != target:
             source = source_view(name, stack, mapping)
-            fits[i] = la_fit(class_inv_roots(source), means), source.labels
+            fits[i] = la_fit(class_inv_roots(source), roots), source.labels
     return fits
 
 
@@ -213,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("align", help="align a dataset and write the result")
-    p.add_argument("--strategy", required=True, choices=("raw", "ea", "la"))
+    p.add_argument("--strategy", required=True, choices=STRATEGIES)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--target-subject", default=None)
@@ -230,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kmedoids)
 
     p = sub.add_parser("classify", help="train a pipeline and score or predict")
-    p.add_argument("--pipeline", required=True, choices=("csp-lda", "ts-svm", "ts-lda", "mdm"))
+    p.add_argument("--pipeline", required=True, choices=PIPELINES)
     p.add_argument("--train-trials", required=True)
     p.add_argument("--train-labels", required=True)
     p.add_argument("--test-trials", required=True)

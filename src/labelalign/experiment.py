@@ -5,22 +5,23 @@ t-tests); :mod:`labelalign.report` writes and reads the report.
 The protocol is covariance first. Each subject's trials, one ``(n, C, T)``
 array with its labels, are turned into a covariance stack (n, C, C) once,
 with the time-centred scatter when CSP runs, and split into a source view
-(source labels) and a target pool (target labels). The subjects are read
-(or generated) one at a time and each one's raw trials are dropped once its
-stack is built, so at most one subject's raw trials are in memory; the stack
-is estimated from the trial array in bounded chunks, so no copy of it is
-made whole. Each source view is relabeled to the target labels as it is
-built, the one place the label mapping is applied. What depends on neither
-the target nor the budget is computed with them, once per scenario: each
-view's EA-whitened stack, the inverse roots of the source class means and,
-when ts-svm, ts-lda or mdm runs, the matrix logs of the source views that
-some strategy trains on (the raw ones under ``raw``, the whitened ones under
-``ea`` or ``la``, which falls back to EA). A target pool carries no logs: only its labeled trials
-are ever logged, once they are picked. One unit per target subject then
-aligns only those stacks, never raw trials. The process pool is imported
-only when ``jobs`` > 1; then each pool worker receives the scenario's
-domains once, at start-up (inherited, not pickled, under the ``fork`` start
-method), and each unit is dispatched as the index of its target subject.
+(source labels) and a target pool (target labels). The subjects are read (or
+generated) one at a time; each one's raw trials are dropped once its stack
+is built and the stack once its views are, so at most one subject's trials
+and stack are in memory; a stack is estimated in bounded chunks, with no
+whole copy of the trials. Each source view is relabeled to the target labels
+as it is built, the one place the label mapping is applied. What depends on
+neither the target nor the budget is computed with them, once per scenario:
+each view's EA-whitened stack, the inverse roots ``Cs^{-1/2}`` of the source
+class means and, when ts-svm, ts-lda or mdm runs, the matrix logs of the
+source views that some strategy trains on (the raw ones under ``raw``, the
+whitened ones under ``ea`` or ``la``, which falls back to EA). A target pool
+carries no logs: only its labeled trials are ever logged, once they are
+picked. One unit per target subject then aligns only those stacks, never raw
+trials. The process pool is imported only when ``jobs`` > 1; then each pool
+worker receives the scenario's domains once, at start-up (inherited, not
+pickled, under the ``fork`` start method), and each unit is dispatched as
+the index of its target subject.
 
 Protocol per target subject and per budget ``k``: the k medoid trials of
 the target pool are labeled and join the training set, every remaining
@@ -28,8 +29,9 @@ target trial forms the test set, and the same train/test split is reused
 for every alignment strategy so that accuracy differences isolate the
 alignment step. Labeled target trials never appear in the test set. Per k
 the raw medoids are logged once and the whitened medoids once, for the
-training sets only (the LA target means are arithmetic and take no logs);
-the test trials never are.
+training sets only, and the test trials never are. Under ``la`` the roots
+``Ct^{1/2}`` of the medoids' class means (arithmetic, so no logs) are taken
+once per k, for every source's ``la_fit``.
 
 A unit allocates one training buffer of ``n_source + max(k_grid)`` rows
 (covariances and labels, with scatter and logs when a pipeline reads them),
@@ -60,11 +62,11 @@ checks, CSP's filter count against the channels and the k grid against a
 target pool, are :class:`ScenarioSpec` methods. With a ``synth`` block the
 spec runs both on the generator's sizes, and checks its labels against the
 generator's classes, before any subject is generated. The harness runs them
-on the data: the CSP check on each subject's stack as it is built, the pool
-check on each target pool (after its missing labels) once all are. A data
-error raised in a unit names its cell: the subject for the pool's pairwise
-distances, the subject and k for the labeled medoids, and subject, k,
-strategy and, from one pipeline's fit or predict, the pipeline.
+on each subject's stack as it is built, before the next subject is read: the
+CSP check, then its missing labels, then the pool check on its target pool.
+A data error raised in a unit names its cell: the subject for the pool's
+pairwise distances, the subject and k for the labeled medoids, and subject,
+k, strategy and, from one pipeline's fit or predict, the pipeline.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import classifiers
-from .alignment import Domain, LabelMapping, align, domain, match_labels, relabel, target_means
+from .alignment import Domain, LabelMapping, align, domain, match_labels, relabel, target_roots
 from .dataio import load_manifest
 from .errors import (
     ConfigError,
@@ -352,21 +354,18 @@ def source_view(name: str, stack: CovStack, mapping: LabelMapping) -> CovStack:
 
 def _scenario_domains(spec, mapping, names, subjects) -> list[tuple[Domain, Domain]]:
     """Each subject's source view (in target labels) and target pool as
-    domains. When a pipeline needs logs, a source view's raw stack carries
-    them if ``raw`` runs and its whitened stack if ``ea`` or ``la`` runs;
-    the target pools never do. CSP's filter count is checked against each
-    subject's channels as its stack is built, and the k grid against each
-    target pool once every stack is built."""
+    domains, built and checked as soon as its stack is: CSP's filter count
+    against its channels, its target labels, then the k grid against its
+    pool. When a pipeline needs logs, a source view's raw stack carries them
+    if ``raw`` runs and its whitened stack if ``ea`` or ``la`` runs; the
+    target pools never do."""
     csp = "csp-lda" in spec.pipelines
     logs = bool(LOG_PIPELINES.intersection(spec.pipelines))
     raw_logs = logs and "raw" in spec.strategies
     ea_logs = logs and not {"ea", "la"}.isdisjoint(spec.strategies)
-    stacks = []
-    for stack in iter_subject_stacks(names, subjects, spec.shrinkage, csp):
-        spec.check_channels(stack.covs.shape[-1])
-        stacks.append(stack)
     domains = []
-    for name, stack in zip(names, stacks):
+    for name, stack in zip(names, iter_subject_stacks(names, subjects, spec.shrinkage, csp)):
+        spec.check_channels(stack.covs.shape[-1])
         target = label_view(name, stack, "target", spec.target_labels)
         spec.check_pool(len(target.covs), f"target subject {name}")
         source = domain(source_view(name, stack, mapping), source=True)
@@ -430,6 +429,7 @@ def _subject_unit(spec, names, domains, i: int) -> tuple[dict, list]:
     sources = [source for j, (source, _) in enumerate(domains) if j != i]
     pool = target.stack
     logs = bool(LOG_PIPELINES.intersection(spec.pipelines))
+    la = "la" in spec.strategies  # only LA reads the target's class roots
     with located(f"subject {name}"):
         distances = pairwise_distances(pool.covs)
     buffer = _train_buffer(sources, max(spec.k_grid), logs)
@@ -442,17 +442,17 @@ def _subject_unit(spec, names, domains, i: int) -> tuple[dict, list]:
             # The labeled trials of the raw and of the whitened pool, each taken
             # (and logged) at most once per k.
             labeled = {"raw": _labeled(pool, medoids, logs)}
-            means = target_means(labeled["raw"], len(spec.target_labels))
+            roots = target_roots(labeled["raw"], len(spec.target_labels)) if la else None
         test_idx = np.setdiff1d(np.arange(len(pool.covs)), medoids)
         truth = pool.labels[test_idx]
         for strategy in spec.strategies:
             effective = strategy
-            if strategy == "la" and means is None:
+            if strategy == "la" and roots is None:
                 effective = "ea"
                 fallbacks.append([name, k])
             cell = f"subject {name}, k {k}, {strategy}"
             with located(cell):
-                aligned_target = align(effective, sources, target, means, buffer)
+                aligned_target = align(effective, sources, target, roots, buffer)
                 view = "ea" if effective == "ea" else "raw"
                 if view not in labeled:
                     labeled[view] = _labeled(aligned_target, medoids, logs)

@@ -12,7 +12,7 @@ from labelalign.alignment import (
     la_per_trial,
     match_labels,
     relabel,
-    target_means,
+    target_roots,
     LabelMapping,
 )
 from labelalign.errors import (
@@ -48,6 +48,11 @@ def joined(*subjects):
 def inv_roots(stack):
     """Inverse roots of the stack's class means, as a source domain keeps them."""
     return domain(stack, source=True).inv_roots
+
+
+def roots(means):
+    """``{label: Ct^{1/2}}`` of target class means, what :func:`la_fit` takes of a target."""
+    return {label: spd_sqrt(mean) for label, mean in means.items()}
 
 
 def la_apply(transform, stack):
@@ -160,9 +165,11 @@ class TestEuclideanAlignment:
 
 
 def medoid_means(stack, k, n_classes):
-    """As in a harness unit: the means of the pool's k medoids, labeled."""
+    """As in a harness unit: the means of the pool's k medoids, labeled (the
+    squares of their :func:`target_roots`)."""
     medoids = k_medoids(pairwise_distances(stack.covs), k)
-    return target_means(stack.take(medoids), n_classes), medoids
+    halves = target_roots(stack.take(medoids), n_classes)
+    return None if halves is None else {l: r @ r for l, r in halves.items()}, medoids
 
 
 class TestTargetMeanEstimation:
@@ -207,14 +214,15 @@ class TestLabelAlignment:
         stack = stack_of(*trials_with_covariance(rng, cov, 3, label=0))
         target = {5: cov}
         mapping = LabelMapping(((0, 5),))
-        transform = la_fit(inv_roots(in_target_labels(stack, mapping)), target)
+        transform = la_fit(inv_roots(in_target_labels(stack, mapping)), roots(target))
         assert np.allclose(transform[5], np.eye(3), atol=1e-10)
 
     def test_diagonal_closed_form(self):
         rng = np.random.default_rng(118)
         stack = stack_of(*trials_with_covariance(rng, np.diag([4.0, 1.0]), 2, label=0))
         target = {1: np.diag([1.0, 4.0])}
-        transform = la_fit(inv_roots(in_target_labels(stack, LabelMapping(((0, 1),)))), target)
+        transform = la_fit(inv_roots(in_target_labels(stack, LabelMapping(((0, 1),)))),
+                           roots(target))
         assert np.allclose(transform[1], np.diag([0.5, 2.0]), atol=1e-10)
 
     def test_recenters_class_mean_exactly(self):
@@ -223,7 +231,7 @@ class TestLabelAlignment:
         target_mean = random_spd(rng, 8, scale=0.8)
         target = {2: target_mean}
         mapping = LabelMapping(((0, 2),))
-        transform = la_fit(inv_roots(in_target_labels(stack, mapping)), target)
+        transform = la_fit(inv_roots(in_target_labels(stack, mapping)), roots(target))
         a = transform[2]
         source_mean = arithmetic_mean_cov(stack.covs)
         gap = a @ source_mean @ a.T - target_mean
@@ -252,7 +260,7 @@ class TestLabelAlignment:
             t_means = {7: random_spd(rng, c), 9: random_spd(rng, c)}
             mapping = LabelMapping(((0, 7), (1, 9)))
             stack = in_target_labels(stack_of(*trials), mapping)
-            transform = la_fit(inv_roots(stack), t_means)
+            transform = la_fit(inv_roots(stack), roots(t_means))
             aligned = la_apply(transform, stack)
             assert aligned.labels.tolist() == [7] * 4 + [9] * 4
             for label in (7, 9):
@@ -272,7 +280,7 @@ class TestLabelAlignment:
         rng = np.random.default_rng(122)
         stack = in_target_labels(stack_of(*random_trials(rng, 5, 4, 50)), LabelMapping(((0, 1),)))
         target = {1: random_spd(rng, 4)}
-        transform = la_fit(inv_roots(stack), target)
+        transform = la_fit(inv_roots(stack), roots(target))
         before = stack.covs
         after = la_apply(transform, stack).covs
         for i in range(5):
@@ -308,7 +316,7 @@ class TestLabelAlignment:
         means = {5: random_spd(rng, 4), 6: random_spd(rng, 4)}
         mapping = LabelMapping(((0, 5), (1, 6)))
         stack = in_target_labels(covariance_stack(data, labels, scatter=True), mapping)
-        transform = la_fit(inv_roots(stack), means)
+        transform = la_fit(inv_roots(stack), roots(means))
         aligned = la_apply(transform, stack)
         target_label = mapping.as_dict()
         moved = np.stack([transform[target_label[l]] @ x for x, l in zip(data, labels)])
@@ -353,7 +361,8 @@ class TestAlignDispatch:
         means = {5: target_mean}
         source = in_target_labels(source, LabelMapping(((0, 5),)))
         empty_target = domain(CovStack(np.eye(3)[None], np.array([5])))
-        sources, _ = align_sources("la", [domain(source, source=True)], empty_target, means)
+        sources, _ = align_sources("la", [domain(source, source=True)], empty_target,
+                                   roots(means))
         assert np.linalg.norm(
             log_euclidean_mean(spd_log(sources[0].covs)) - target_mean
         ) <= 1e-8 * np.linalg.norm(target_mean)
@@ -367,11 +376,11 @@ class TestAlignDispatch:
             data, labels = joined(random_trials(rng, 4, 3, 30), random_trials(rng, 3, 3, 30, 1))
             stack = covariance_stack(data, labels, scatter=True)
             sources.append(domain(in_target_labels(stack, mapping), source=True))
-        means = {2: random_spd(rng, 3), 3: random_spd(rng, 3)}
+        halves = roots({2: random_spd(rng, 3), 3: random_spd(rng, 3)})
         target = domain(stack_of(*random_trials(rng, 4, 3, 30, label=2)))
-        wholes = [la_apply(la_fit(d.inv_roots, means), d.stack).with_logs() for d in sources]
+        wholes = [la_apply(la_fit(d.inv_roots, halves), d.stack).with_logs() for d in sources]
         monkeypatch.setattr(spd, "CHUNK_WORDS", matrices * 3 * 3)
-        rows, _ = align_sources("la", sources, target, means, logs=True)
+        rows, _ = align_sources("la", sources, target, halves, logs=True)
         for got, whole in zip(rows, wholes, strict=True):
             for field_name in ("covs", "scatter", "logs", "labels"):
                 assert getattr(got, field_name).tobytes() == getattr(whole, field_name).tobytes()

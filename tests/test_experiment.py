@@ -32,7 +32,7 @@ from labelalign.alignment import (
     ea_reference,
     match_labels,
     relabel,
-    target_means,
+    target_roots,
 )
 from labelalign.classifiers import mdm_fit
 from labelalign.cli import main
@@ -98,7 +98,8 @@ class GoldenRun:
     call per target, k and strategy), the covariance arrays that each cell
     was passed, the covariances of every ``ts_features`` call, every input
     of ``spd_log``, how many matrices ``np.linalg.eigh`` and ``eigvalsh``
-    decomposed, and the SVM's Newton steps and line searches."""
+    decomposed, the stack shape of each ``alignment.spd_sqrt`` call, and the
+    SVM's Newton steps and line searches."""
 
     report: ExperimentReport
     cells: list = field(default_factory=list)  # (train, test, predictions)
@@ -106,6 +107,7 @@ class GoldenRun:
     tangent: list = field(default_factory=list)
     logged: list = field(default_factory=list)
     eig_matrices: int = 0
+    roots: list = field(default_factory=list)  # shape of each alignment.spd_sqrt input
     newton_steps: int = 0
     line_searches: int = 0
 
@@ -144,9 +146,14 @@ def golden_run():
         run.line_searches += 1
         return search(*args)
 
+    def sqrt_spy(p):
+        run.roots.append(np.shape(p))
+        return spd.spd_sqrt(p)
+
     solve, search = np.linalg.solve, classifiers._line_search
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "solve", solve_spy)
+        patch.setattr(alignment, "spd_sqrt", sqrt_spy)
         patch.setattr(classifiers, "_line_search", search_spy)
         patch.setattr(experiment, "fit_predict_cell", cell_spy)
         patch.setattr(experiment, "ts_features", ts_spy)
@@ -386,8 +393,15 @@ class TestSharedWork:
     def test_eigensolve_count_is_pinned(self, golden_run):
         # Validating the trial covariances by eigvalsh (144) and logging the
         # unlabeled target trials (96) would make it 3,937. LA's arithmetic
-        # class means take no exp (Log-Euclidean ones took 16 here).
-        assert golden_run.eig_matrices == 3697
+        # class means take no exp (Log-Euclidean ones took 16 here). Taking
+        # the target roots again for each source, in la_fit, made it 3,697.
+        assert golden_run.eig_matrices == 3687
+
+    def test_target_roots_are_taken_once_per_target_and_k(self, golden_run):
+        # 3 targets x 2 budgets, less s0's EA fallback at k = 2: five stacks
+        # of two class roots. One per source in each LA cell made it 10 (20).
+        assert len(golden_run.roots) == 5
+        assert sum(math.prod(shape[:-2]) for shape in golden_run.roots) == 10
 
     def test_line_search_count_is_pinned(self, golden_run):
         # The 18 ts-svm fits take the full Newton step wherever it lowers the
@@ -406,6 +420,12 @@ class TestSharedWork:
             monkeypatch.setattr(module, "spd_log", spy)
         run_scenario(replace(load_scenario(GOLDEN_SPEC), pipelines=("csp-lda",)))
         assert logged == []
+
+    def test_a_run_without_la_takes_no_target_roots(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiment, "target_roots", lambda *args: calls.append(args))
+        run_scenario(replace(load_scenario(GOLDEN_SPEC), strategies=("raw", "ea")))
+        assert calls == []
 
     def test_every_cell_trains_on_carried_logs(self, golden_run):
         for train, _, _ in golden_run.cells:
@@ -617,6 +637,26 @@ class TestConfigErrorsComeFirst:
         )
         assert reads == ["s0.trials"] and not (tmp_path / "r.csv").exists()
 
+    def test_a_short_pool_fails_before_a_later_subject_is_read(
+        self, manifest, tmp_path, monkeypatch, capsys
+    ):
+        path = manifest.parent / "s0.labels"
+        write_labels(path, [*read_labels(path)[:-1], 0])  # s0 keeps 11 target trials
+        truncated = manifest.parent / "s2.trials"
+        truncated.write_bytes(truncated.read_bytes()[:100])
+        spec = write_spec(tmp_path / "spec.json", manifest)
+        spec.write_text(json.dumps({**json.loads(spec.read_text()), "k_grid": [2, 11]}))
+        reads = []
+
+        def spy(path):
+            reads.append(Path(path).name)
+            return read_trials(path)
+
+        monkeypatch.setattr(dataio, "read_trials", spy)
+        assert self.run_cli(spec, tmp_path / "r.csv") == 2
+        assert "target subject s0 has 11" in capsys.readouterr().err
+        assert reads == ["s0.trials"] and not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("relabel, k_max, code, message", [
         pytest.param(lambda labels: [*labels[:-1], 0], 11, 2,  # s1 keeps 11 target trials
                      "k_grid [2, 11] needs more than 11 trials in each target pool, "
@@ -743,7 +783,7 @@ class TestUnitErrorsNameTheirCell:
     @needs_fork
     @pytest.mark.parametrize("name, where", [
         ("pairwise_distances", "subject s0"),
-        ("target_means", "subject s0, k 2"),
+        ("target_roots", "subject s0, k 2"),
     ])
     def test_an_error_before_any_cell_names_its_subject_and_k(
         self, manifest, tmp_path, monkeypatch, capsys, name, where
@@ -827,6 +867,22 @@ class TestOneSubjectAtATime:
         })
         run_scenario(spec)
         assert len(alive) == 3
+
+    def test_a_subject_stack_is_dead_once_its_domains_are_built(
+        self, manifest, tmp_path, monkeypatch
+    ):
+        stacks = []
+
+        def spy(name, *args):
+            if name == "s2":
+                assert stacks[0]() is None, "the first subject's stack is still held"
+            stack = subject_stack(name, *args)
+            stacks.append(weakref.ref(stack.covs))
+            return stack
+
+        monkeypatch.setattr(experiment, "subject_stack", spy)
+        run_scenario(load_scenario(write_spec(tmp_path / "spec.json", manifest)))
+        assert len(stacks) == 3
 
 
 def traced_peak(fn) -> int:
@@ -1217,8 +1273,8 @@ class TestCli:
         domains = scenario_domains(spec, names, subjects)
         pool = domains[0][1].stack
         medoids = k_medoids(pairwise_distances(pool.covs), 6)
-        means = target_means(pool.take(medoids), 2)
-        expected, _ = align_sources("la", [d for d, _ in domains[1:]], domains[0][1], means)
+        roots = target_roots(pool.take(medoids), 2)
+        expected, _ = align_sources("la", [d for d, _ in domains[1:]], domains[0][1], roots)
         assert len(written) == len(expected) == 2
         for got, want in zip(written, expected):
             assert np.array_equal(got.labels, want.labels)
