@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimMismatchError, NotConvergedError, SingularCovarianceError
-from .spd import Array, as_stack, log_euclidean_mean, riemannian_distance
+from .spd import Array, as_stack, riemannian_distance, spd_exp
 
 LDA_GAMMA = 1e-3
 SVM_LAMBDA = 1e-3
@@ -153,6 +153,7 @@ def _train_pair(x: Array, neg: Array, pos: Array) -> Array:
         return np.zeros(d + 1)  # no signal: the zero model votes for the first class
     yx[:na] *= -1.0
     reg = np.append(np.full(d, SVM_LAMBDA), 0.0)
+    diagonal = np.diag_indices(d + 1)
     scale = 2.0 / n
 
     def objective(z: Array, slack: Array) -> float:
@@ -174,7 +175,7 @@ def _train_pair(x: Array, neg: Array, pos: Array) -> Array:
             raise NotConvergedError(f"linear SVM: gradient norm {norm:.3g} after {it} "
                                     f"Newton steps (tolerance {tol:.3g})")
         hess = scale * (xs.T @ xs)
-        hess[np.diag_indices(d + 1)] += reg
+        hess[diagonal] += reg
         if not active.any():
             hess[-1, -1] = 1.0  # the bias gradient is 0 here, so is its step
         step = -np.linalg.solve(hess, grad)
@@ -219,11 +220,12 @@ class MdmModel:
 
 def mdm_fit(logs, labels) -> MdmModel:
     """Per-class Log-Euclidean means ``exp(mean(log Cᵢ))`` of the training
-    covariances, from their matrix ``logs`` (n, C, C): one exp per class and
-    no eigendecomposition of the covariances here."""
+    covariances, from their matrix ``logs`` (n, C, C): one exp of the stacked
+    class means of the logs, and no eigendecomposition of the covariances."""
     logs = as_stack(logs, "mdm_fit")
     labels, classes = _classes(logs, labels)
-    return MdmModel(classes, np.stack([log_euclidean_mean(logs[labels == l]) for l in classes]))
+    mean_logs = np.stack([np.mean(logs[labels == l], axis=0) for l in classes])
+    return MdmModel(classes, spd_exp(mean_logs))
 
 
 def mdm_predict(model: MdmModel, covs: Array):

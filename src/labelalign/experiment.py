@@ -42,8 +42,10 @@ from the domains with their logs; the LA-aligned rows are aligned and
 logged straight into the buffer, one chunk of a source at a time. A cell's
 training stack is a view of the buffer's first ``n_source + k`` rows, valid
 only during its cell. :func:`fit_predict_cell` computes once what its
-pipelines share: the tangent reference and MDM class means (both from the
-training logs) and the train and test tangent vectors.
+pipelines share: the tangent reference (from the training logs) and its
+inverse root, taken once to map both the training and the test stack, and
+the train and test tangent vectors. MDM's class means are one exp of the
+stacked class means of the training logs.
 
 So a unit holds its training buffer, its cell's test rows and features,
 and, for each step, scratch of one chunk (:func:`labelalign.spd.chunks`,
@@ -109,7 +111,7 @@ from .features import (
 from .report import ExperimentReport
 from .rng import derive_key
 from .selection import k_medoids, pairwise_distances
-from .spd import log_euclidean_mean
+from .spd import log_euclidean_mean, spd_inv_sqrt
 from .stats import student_t_two_sided_p
 from .synth import SynthConfig, synthetic_parameters, synthetic_subjects
 
@@ -261,7 +263,8 @@ def fit_predict_cell(
 ) -> dict:
     """``{pipeline: predictions}`` of each pipeline trained on a labeled stack;
     the training logs (taken here unless ``train`` carries them), the tangent
-    reference and the tangent vectors are computed once for all of them.
+    reference's inverse root, which maps both stacks, and the tangent vectors
+    are computed once for all of them.
     With ``cell`` given, a :class:`DataError` is re-raised as the same type,
     prefixed with ``cell``, or with ``cell/pipeline`` when it came from one
     pipeline's fit or predict."""
@@ -270,8 +273,8 @@ def fit_predict_cell(
         if LOG_PIPELINES.intersection(pipelines):
             train = train.with_logs()
         if "ts-svm" in pipelines or "ts-lda" in pipelines:
-            ref = log_euclidean_mean(train.logs)
-            feats, test_feats = ts_features(ref, train.covs), ts_features(ref, test.covs)
+            isq = spd_inv_sqrt(log_euclidean_mean(train.logs))
+            feats, test_feats = ts_features(isq, train.covs), ts_features(isq, test.covs)
     preds = {}
     for pipeline in pipelines:
         with located(cell and f"{cell}/{pipeline}"):

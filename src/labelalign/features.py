@@ -237,8 +237,9 @@ def csp_features(filters: Array, scatter: Array) -> Array:
     return np.log(variances / variances.sum(axis=-1, keepdims=True))
 
 
-def ts_features(ref: Array, covs) -> Array:
-    """Tangent-space vectors (n, C(C+1)/2) of ``covs`` at the shared reference:
-    the normalised ``upper(log(ref^{-1/2} C ref^{-1/2}))`` of Barachant et al.
+def ts_features(isq: Array, covs) -> Array:
+    """Tangent-space vectors (n, C(C+1)/2) of ``covs`` at the shared reference,
+    whose inverse square root is ``isq``: the normalised
+    ``upper(log(ref^{-1/2} C ref^{-1/2}))`` of Barachant et al.
     (:func:`labelalign.spd.tangent_map`), which carry no units of the data."""
-    return tangent_map(ref, as_stack(covs, "ts_features"))
+    return tangent_map(isq, as_stack(covs, "ts_features"))

@@ -9,22 +9,37 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimMismatchError, KTooLargeError, NonFiniteError
-from .spd import Array, as_stack, spd_inv_sqrt, whitened_distance
+from .spd import CHUNK_WORDS, Array, as_stack, distance_from_whitened, spd_inv_sqrt
 
 
 def pairwise_distances(covs) -> Array:
     """Symmetric matrix of geodesic distances over a stack (n, C, C).
 
     The inverse square roots of the whole stack come from one batched
-    eigendecomposition; row i then holds the distances from matrix i to
-    every later matrix, from one batched eigvalsh.
+    eigendecomposition. Row i of the upper triangle whitens every later
+    matrix by matrix i, ``isq[i] covs[j] isq[i]`` for j > i. Consecutive rows
+    are grouped while their whitened matrices fit in ``CHUNK_WORDS`` words,
+    one row at least, and each group's distances come from one eigvalsh
+    (:func:`labelalign.spd.distance_from_whitened`), which decomposes each
+    matrix as a call per row would, bit for bit.
     """
     covs = as_stack(covs, "pairwise_distances")
-    n = covs.shape[0]
+    n, c = covs.shape[:2]
     isq = spd_inv_sqrt(covs)
+    first = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))  # row i's first pair
+    fits = max(1, CHUNK_WORDS // (c * c))
+    upper = np.empty(first[-1])
+    a = 0
+    while a < n - 1:
+        b = max(a + 1, int(np.searchsorted(first, first[a] + fits, "right")) - 1)
+        whitened = np.empty((first[b] - first[a], c, c))
+        for i in range(a, b):
+            rows = slice(first[i] - first[a], first[i + 1] - first[a])
+            np.matmul(isq[i] @ covs[i + 1 :], isq[i], out=whitened[rows])
+        upper[first[a] : first[b]] = distance_from_whitened(whitened)
+        a = b
     d = np.zeros((n, n))
-    for i in range(n - 1):
-        d[i, i + 1 :] = whitened_distance(isq[i], covs[i + 1 :])
+    d[np.triu_indices(n, 1)] = upper
     return d + d.T
 
 

@@ -19,11 +19,18 @@ of one chunk (its products, eigenvectors and reconstruction, about four
 times the chunk's words). Every matrix goes through the same operations, so
 the vectors are the whole-stack ones, bit for bit. Covariance estimation
 (:mod:`labelalign.features`) and LA's products (:mod:`labelalign.alignment`,
-``labelalign align``) use the same chunks.
+``labelalign align``) use the same chunks. The pairwise distances of
+:mod:`labelalign.selection` fill a chunk the other way round, with as many
+whole rows of whitened matrices as ``CHUNK_WORDS`` holds (one row at
+least), so that one eigensolver call takes many small matrices.
+
+A matrix's inverse root is taken once by whoever whitens by it:
+:func:`whitened_distance` and :func:`tangent_map` take it as ``isq``.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 import numpy as np
@@ -179,14 +186,27 @@ def riemannian_distance(p1: Array, p2: Array):
 def whitened_distance(isq: Array, p2: Array) -> Array:
     """:func:`riemannian_distance` from the matrices whose inverse square
     roots are ``isq`` to ``p2``, from the spectrum of ``isq p2 isq``."""
-    w = np.linalg.eigvalsh(symmetrize(isq @ p2 @ isq))
+    return distance_from_whitened(isq @ p2 @ isq)
+
+
+def distance_from_whitened(whitened: Array) -> Array:
+    """The geodesic distance that each whitened matrix ``p1^{-1/2} p2
+    p1^{-1/2}`` of ``whitened`` stands for, from one symmetrize and one
+    ``eigvalsh`` of the whole stack."""
+    w = np.linalg.eigvalsh(symmetrize(whitened))
     _require_positive_spectrum(w, "riemannian_distance")
     return np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
 
 
+@functools.cache
 def _triangle(c: int) -> tuple[tuple[Array, Array], Array]:
+    """The upper-triangle indices of a ``(c, c)`` matrix and their weights,
+    built once per ``c`` as read-only arrays."""
     iu = np.triu_indices(c)
-    return iu, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    for a in (*iu, weights):
+        a.flags.writeable = False
+    return iu, weights
 
 
 def flatten_sym(s: Array) -> Array:
@@ -202,27 +222,27 @@ def flatten_sym(s: Array) -> Array:
     return weights * s[..., iu[0], iu[1]]
 
 
-def tangent_map(ref: Array, p: Array) -> Array:
-    """Normalised tangent vector of ``p`` (one matrix or a stack) at ``ref``.
+def tangent_map(isq: Array, p: Array) -> Array:
+    """Normalised tangent vector of ``p`` (one matrix or a stack) at the
+    reference whose inverse square root is ``isq`` (:func:`spd_inv_sqrt`).
 
     s = upper(log(ref^{-1/2} p ref^{-1/2})), flattened by :func:`flatten_sym`
     (Barachant et al., IEEE TBME 59(4), 2012, eq. 10). The log map is taken
-    in the coordinates that whiten ``ref``, so the vectors do not depend on
-    the covariances' units: scaling ``ref`` and ``p`` by one factor leaves
-    them as they are. Only the reference's inverse root is taken, once for
-    the whole stack, which is then mapped in :func:`chunks` of its matrices
-    into the preallocated vectors.
+    in the coordinates that whiten the reference, so the vectors do not
+    depend on the covariances' units: scaling the reference and ``p`` by one
+    factor leaves them as they are. The caller takes the root once and maps
+    every stack with it, as for :func:`whitened_distance`; the stack is
+    mapped in :func:`chunks` of its matrices into the preallocated vectors.
     """
-    ref = _check_square(ref, "ref")
+    isq = _check_square(isq, "isq")
     p = _check_square(p, "p")
-    if ref.ndim != 2 or p.shape[-1] != ref.shape[-1]:
-        raise DimMismatchError(f"dimension mismatch: ref {ref.shape} vs {p.shape}")
-    inv_half = _spectral(ref, _inv_sqrt, op="tangent_map")
-    c = ref.shape[-1]
+    if isq.ndim != 2 or p.shape[-1] != isq.shape[-1]:
+        raise DimMismatchError(f"dimension mismatch: isq {isq.shape} vs {p.shape}")
+    c = isq.shape[-1]
     stack = p.reshape(-1, c, c)
     out = np.empty((len(stack), c * (c + 1) // 2))
     for rows in chunks(len(stack), c * c):
-        out[rows] = flatten_sym(spd_log(inv_half @ stack[rows] @ inv_half))
+        out[rows] = flatten_sym(spd_log(isq @ stack[rows] @ isq))
     return out.reshape(*p.shape[:-2], out.shape[-1])
 
 

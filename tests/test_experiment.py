@@ -97,15 +97,17 @@ class GoldenRun:
     test stacks and the predictions of each cell (one ``fit_predict_cell``
     call per target, k and strategy), the covariance arrays that each cell
     was passed, the covariances of every ``ts_features`` call, every input
-    of ``spd_log``, how many matrices ``np.linalg.eigh`` and ``eigvalsh``
-    decomposed, the stack shape of each ``alignment.spd_sqrt`` call, and the
-    SVM's Newton steps and line searches."""
+    of ``spd_log``, how many calls ``np.linalg.eigh`` and ``eigvalsh`` took
+    and how many matrices they decomposed, the stack shape of each
+    ``alignment.spd_sqrt`` call, and the SVM's Newton steps and line
+    searches."""
 
     report: ExperimentReport
     cells: list = field(default_factory=list)  # (train, test, predictions)
     passed: list = field(default_factory=list)  # train.covs, test.covs of each cell
     tangent: list = field(default_factory=list)
     logged: list = field(default_factory=list)
+    eig_calls: int = 0
     eig_matrices: int = 0
     roots: list = field(default_factory=list)  # shape of each alignment.spd_sqrt input
     newton_steps: int = 0
@@ -124,9 +126,9 @@ def golden_run():
         run.cells.append((kept, test, preds))
         return preds
 
-    def ts_spy(ref, covs):
+    def ts_spy(isq, covs):
         run.tangent.append(covs)
-        return ts_features(ref, covs)
+        return ts_features(isq, covs)
 
     def log_spy(p):
         run.logged.append(p)
@@ -134,6 +136,7 @@ def golden_run():
 
     def eig_spy(solver):
         def spy(a, *args, **kwargs):
+            run.eig_calls += 1
             run.eig_matrices += math.prod(np.shape(a)[:-2])
             return solver(a, *args, **kwargs)
         return spy
@@ -394,8 +397,35 @@ class TestSharedWork:
         # Validating the trial covariances by eigvalsh (144) and logging the
         # unlabeled target trials (96) would make it 3,937. LA's arithmetic
         # class means take no exp (Log-Euclidean ones took 16 here). Taking
-        # the target roots again for each source, in la_fit, made it 3,697.
-        assert golden_run.eig_matrices == 3687
+        # the target roots again for each source, in la_fit, made it 3,697,
+        # and the tangent reference's inverse root once for the training and
+        # once for the test stack of each of the 18 ts cells made it 3,687.
+        assert golden_run.eig_matrices == 3669
+        # One eigvalsh per row of each pool's distances, a tangent root per
+        # mapped stack and one exp per MDM class made it 335 calls.
+        assert golden_run.eig_calls == 233
+
+    def test_each_ts_cell_takes_one_inverse_root_of_its_reference(self, monkeypatch):
+        roots, cells = [], []  # every single-matrix inverse root; per cell, its roots and ref
+
+        def spectral_spy(p, fn, op=None):
+            if fn is spd._inv_sqrt and np.ndim(p) == 2:
+                roots.append(np.array(p))
+            return spectral(p, fn, op)
+
+        def cell_spy(pipelines, train, test, **kwargs):
+            start = len(roots)
+            preds = fit_predict_cell(pipelines, train, test, **kwargs)
+            cells.append((roots[start:], log_euclidean_mean(train.logs)))
+            return preds
+
+        spectral = spd._spectral
+        monkeypatch.setattr(spd, "_spectral", spectral_spy)
+        monkeypatch.setattr(experiment, "fit_predict_cell", cell_spy)
+        report = run_scenario(replace(load_scenario(GOLDEN_SPEC), pipelines=("ts-svm", "ts-lda")))
+        assert len(cells) == 18 and len(report.accuracies) == 18 * 2
+        for taken, ref in cells:  # one root maps both the training and the test stack
+            assert len(taken) == 1 and taken[0].tobytes() == ref.tobytes()
 
     def test_target_roots_are_taken_once_per_target_and_k(self, golden_run):
         # 3 targets x 2 budgets, less s0's EA fallback at k = 2: five stacks

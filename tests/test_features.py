@@ -24,7 +24,7 @@ from labelalign.features import (
     trial_covariance,
     ts_features,
 )
-from labelalign.spd import riemannian_distance, spd_from_matrix, spd_log
+from labelalign.spd import riemannian_distance, spd_from_matrix, spd_inv_sqrt, spd_log
 
 
 class TestTrialCovariance:
@@ -324,7 +324,7 @@ class TestTsFeatures:
     def test_reference_maps_to_zero(self):
         rng = np.random.default_rng(50)
         ref = random_spd(rng, 4)
-        vecs = ts_features(ref, [ref])
+        vecs = ts_features(spd_inv_sqrt(ref), [ref])
         assert vecs.shape == (1, 10)
         assert np.linalg.norm(vecs[0]) <= 1e-9
 
@@ -337,7 +337,7 @@ class TestTsFeatures:
         rng = np.random.default_rng(51)
         ref = random_spd(rng, 5)
         covs = [random_spd(rng, 5) for _ in range(4)]
-        vecs = ts_features(ref, covs)
+        vecs = ts_features(spd_inv_sqrt(ref), covs)
         for cov, vec in zip(covs, vecs):
             back = tangent_unmap(ref, vec)
             assert np.linalg.norm(back - cov) / np.linalg.norm(cov) <= 1e-9

@@ -228,7 +228,7 @@ class TestTangentSpace:
     def test_zero_vector_at_base_point(self):
         rng = np.random.default_rng(14)
         p = random_spd(rng, 4)
-        assert np.linalg.norm(tangent_map(p, p)) <= 1e-10
+        assert np.linalg.norm(tangent_map(spd_inv_sqrt(p), p)) <= 1e-10
 
     def test_identity_reference_is_matrix_log(self):
         v = tangent_map(np.eye(2), np.diag([np.e, 1.0]))
@@ -238,7 +238,7 @@ class TestTangentSpace:
         rng = np.random.default_rng(15)
         for _ in range(10):
             ref, p = random_spd(rng, 6), random_spd(rng, 6)
-            back = tangent_unmap(ref, tangent_map(ref, p))
+            back = tangent_unmap(ref, tangent_map(spd_inv_sqrt(ref), p))
             assert np.linalg.norm(back - p) / np.linalg.norm(p) <= 1e-9
 
     def test_flat_length_validation(self):
@@ -260,6 +260,18 @@ class TestTangentSpace:
         rng = np.random.default_rng(17)
         s = symmetrize(rng.standard_normal((6, 6)))
         assert np.allclose(unflatten_sym(flatten_sym(s)), s, atol=1e-14)
+
+    def test_triangle_is_built_once_per_dimension_and_read_only(self):
+        # flatten_sym runs once per tangent chunk, so its layout is cached.
+        (rows, cols), weights = spd._triangle(6)
+        assert spd._triangle(6)[1] is weights
+        for a in (rows, cols, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        s = symmetrize(np.random.default_rng(18).standard_normal((6, 6)))
+        iu = np.triu_indices(6)
+        expected = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0)) * s[iu]
+        assert flatten_sym(s).tobytes() == expected.tobytes()
 
 
 class TestMeans:
@@ -350,8 +362,9 @@ class TestSpdStacks:
             ref = random_spd(rng, dim)
             stack = np.stack([random_spd(rng, dim) for _ in range(12)])
             expected = np.stack([loop_tangent_vector(ref, p) for p in stack])
-            assert tangent_map(ref, stack).shape == (12, dim * (dim + 1) // 2)
-            assert relative_error(tangent_map(ref, stack), expected) <= 1e-10
+            got = tangent_map(spd_inv_sqrt(ref), stack)
+            assert got.shape == (12, dim * (dim + 1) // 2)
+            assert relative_error(got, expected) <= 1e-10
 
     def test_log_euclidean_mean_matches_loop(self):
         rng = np.random.default_rng(26)
@@ -397,16 +410,16 @@ class TestSpdStacks:
         eigh = spd._eigh
         monkeypatch.setattr(spd, "_eigh", lambda a: batches.append(a.shape[:-2]) or eigh(a))
         monkeypatch.setattr(spd, "CHUNK_WORDS", matrices * dim * dim)
-        got = tangent_map(ref, stack)
+        got = tangent_map(inv_half, stack)
         assert got.shape == whole.shape and got.tobytes() == whole.tobytes()
         chunk = min(matrices, 7)
         chunks = [(chunk,)] * (7 // chunk) + [(7 % chunk,)] * (7 % chunk > 0)
-        assert batches == [()] + chunks  # the reference, then each chunk
-        assert tangent_map(ref, stack[4]).tobytes() == whole[4].tobytes()
+        assert batches == chunks  # each chunk; the caller took the reference's root
+        assert tangent_map(inv_half, stack[4]).tobytes() == whole[4].tobytes()
 
     def test_tangent_unmap_inverts_a_stack(self):
         rng = np.random.default_rng(28)
         ref = random_spd(rng, 4)
         stack = np.stack([random_spd(rng, 4) for _ in range(5)])
-        back = tangent_unmap(ref, tangent_map(ref, stack))
+        back = tangent_unmap(ref, tangent_map(spd_inv_sqrt(ref), stack))
         assert relative_error(back, stack) <= 1e-9
