@@ -23,7 +23,7 @@ from .alignment import (
 from .dataio import (
     load_manifest,
     read_labels,
-    read_trials,
+    read_trial_blocks,
     write_labels,
     write_manifest,
     write_trials,
@@ -117,12 +117,15 @@ def _fit_subjects(args, manifest, mapping) -> list:
     if args.strategy == "la" and args.target_subject not in names:
         raise ConfigError(f"unknown target subject {args.target_subject!r}")
     fits = [(None, None)] * len(names)  # raw, and the LA target, pass through
+    subjects = manifest.iter_subject_blocks()
     if args.strategy == "raw":  # computes no covariances: rank-deficient trials pass
-        for entry in manifest.subjects:
-            if not len(manifest.load_subject(entry)[0]):
-                raise EmptyInputError(f"subject {entry.name}, no trials")
+        for name, (trials, _) in zip(names, subjects):
+            if not len(trials):
+                raise EmptyInputError(f"subject {name}, no trials")
+            for _ in trials.blocks:  # each block is checked as it is read
+                pass
         return fits
-    stacks = list(iter_subject_stacks(names, manifest.iter_subjects()))
+    stacks = list(iter_subject_stacks(names, subjects))
     if args.strategy == "ea":
         return [(ea_reference(stack.covs), None) for stack in stacks]
     target_set = args.target_labels  # la, as in a harness unit
@@ -160,10 +163,10 @@ def _aligned(subject, a, labels, source_set):
 
 
 def _file_stack(path, labels, shrinkage: float, scatter: bool = False) -> CovStack:
-    """:func:`covariance_stack` of the trial file ``path``; a :class:`DataError`
-    of its read or its estimate is prefixed with the path."""
+    """:func:`covariance_stack` of the trial file ``path``, read in blocks; a
+    :class:`DataError` of its read or its estimate is prefixed with the path."""
     with located(path):
-        return covariance_stack(read_trials(path), labels, shrinkage, scatter)
+        return covariance_stack(read_trial_blocks(path), labels, shrinkage, scatter)
 
 
 def _cmd_kmedoids(args) -> int:

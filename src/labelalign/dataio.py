@@ -18,11 +18,19 @@ offset  size  contents
 17      ...   float64 payload, trial-major then channel then sample
 ======  ====  =======================================================
 
-A trial file is read straight into one ``(count, C, T)`` array and written
-one trial at a time, so neither direction makes a second copy of the
-payload. The harness and ``labelalign align`` read a manifest one subject at
-a time; ``align`` reads each subject twice, to fit its alignment, then to
-align and write it.
+A trial file is written one trial at a time and read in one of two ways,
+neither of which makes a second copy of the payload. :func:`read_trials`
+reads it straight into one ``(count, C, T)`` array. :func:`read_trial_blocks`
+reads it as :class:`TrialBlocks`: one :func:`labelalign.spd.chunks` block of
+trials (``CHUNK_WORDS`` words, one trial at least) at a time, into one reused
+buffer, so that a reader that needs only each trial's covariance never holds
+the whole payload. Both check the header and the file's size before any
+payload is read, and each value as it is read. The harness and the commands
+that estimate covariances (``labelalign kmedoids``, ``classify`` and
+``align``'s fitting pass) read trial files in blocks, one manifest subject at
+a time (:meth:`DatasetManifest.iter_subject_blocks`); ``align``'s second pass,
+which aligns and writes each subject's trials, reads them whole
+(:meth:`DatasetManifest.load_subject`).
 
 :class:`Trial`, one labeled epoch, is kept only because the benchmark's
 set-up writes :func:`labelalign.synth.generate_synthetic`'s subjects, lists
@@ -43,7 +51,8 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -60,6 +69,7 @@ from .errors import (
     located,
     require,
 )
+from .spd import chunks
 
 MAGIC = b"EEGT"
 VERSION = 1
@@ -121,37 +131,118 @@ def _read(path) -> bytes:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def read_trials(path) -> np.ndarray:
-    """Read a trial file into one writable ``(n, C, T)`` float64 array; the
-    labels are in a separate label file."""
+@contextmanager
+def _opened(path):
+    """``path`` open for binary reading; an :class:`OSError` is a :class:`DataError`."""
     try:
         with open(path, "rb") as f:
-            header = f.read(HEADER_SIZE)
-            if len(header) < HEADER_SIZE:
-                raise TruncatedPayloadError(f"file ends at byte {len(header)}, header needs "
-                                            f"{HEADER_SIZE}", len(header), HEADER_SIZE)
-            if header[:4] != MAGIC:
-                raise BadMagicError(f"bad magic {header[:4]!r} at byte offset 0", 0)
-            if header[4] != VERSION:
-                raise BadMagicError(f"unsupported version {header[4]} at byte offset 4", 4)
-            channels, samples, count = struct.unpack("<III", header[5:])
-            if count and not channels * samples:
-                raise DimMismatchError(
-                    f"{path}: {count} trials of {channels} channels x {samples} samples"
-                )
-            expected = HEADER_SIZE + 8 * count * channels * samples
-            end = os.fstat(f.fileno()).st_size  # nothing is allocated for a short file
-            if end >= expected:
-                data = np.empty((count, channels, samples), dtype="<f8")
-                end = HEADER_SIZE + f.readinto(data)
+            yield f
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _checked_shape(f, path) -> tuple[int, int, int]:
+    """The ``(count, C, T)`` of the trial file open as ``f``, from its header,
+    once the file's size shows that it holds the payload the header declares;
+    ``f`` is left at the payload's first byte."""
+    header = f.read(HEADER_SIZE)
+    if len(header) < HEADER_SIZE:
+        raise TruncatedPayloadError(f"file ends at byte {len(header)}, header needs "
+                                    f"{HEADER_SIZE}", len(header), HEADER_SIZE)
+    if header[:4] != MAGIC:
+        raise BadMagicError(f"bad magic {header[:4]!r} at byte offset 0", 0)
+    if header[4] != VERSION:
+        raise BadMagicError(f"unsupported version {header[4]} at byte offset 4", 4)
+    channels, samples, count = struct.unpack("<III", header[5:])
+    if count and not channels * samples:
+        raise DimMismatchError(
+            f"{path}: {count} trials of {channels} channels x {samples} samples"
+        )
+    expected = _payload_end(count, channels, samples)
+    end = os.fstat(f.fileno()).st_size  # nothing is allocated for a short file
     if end < expected:
         raise TruncatedPayloadError(
             f"payload ends at byte {end}, expected {expected}", end, expected
         )
-    _check_finite(data)
+    return count, channels, samples
+
+
+def _payload_end(count: int, channels: int, samples: int) -> int:
+    return HEADER_SIZE + 8 * count * channels * samples
+
+
+def _read_checked(f, out: np.ndarray, start: int, expected: int) -> None:
+    """Fill ``out`` with the payload from byte ``start``, where ``f`` stands, and
+    check its values; a file that ends early (it shrank since its size was
+    checked) is truncated."""
+    end = start + f.readinto(out)
+    if end < start + out.nbytes:
+        raise TruncatedPayloadError(
+            f"payload ends at byte {end}, expected {expected}", end, expected
+        )
+    _check_finite(out, start)
+
+
+def read_trials(path) -> np.ndarray:
+    """Read a trial file into one writable ``(n, C, T)`` float64 array; the
+    labels are in a separate label file."""
+    with _opened(path) as f:
+        shape = _checked_shape(f, path)
+        data = np.empty(shape, dtype="<f8")
+        _read_checked(f, data, HEADER_SIZE, _payload_end(*shape))
     return data
+
+
+@dataclass(frozen=True, eq=False)
+class TrialBlocks:
+    """Trials of ``shape`` ``(n, C, T)``, met one block at a time.
+
+    ``blocks`` yields each ``(rows, block)`` once, in order: ``block`` is
+    the ``(m, C, T)`` array of the trials ``rows``, consecutive
+    :func:`labelalign.spd.chunks` of ``CHUNK_WORDS`` words (one trial at
+    least). The blocks of a trial file (:func:`read_trial_blocks`) share
+    one buffer, which the next block overwrites, so a consumer takes what
+    it needs from a block before it asks for the next.
+    """
+
+    shape: tuple[int, int, int]
+    blocks: Iterator[tuple[slice, np.ndarray]]
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+
+def read_trial_blocks(path) -> TrialBlocks:
+    """The trials of the trial file ``path`` as :class:`TrialBlocks`. The
+    header and the file's size are checked now, with the errors of
+    :func:`read_trials`; each block is read and checked as it is taken, and a
+    NaN or Inf is named by its byte offset in the file, as there."""
+    with _opened(path) as f:
+        shape = _checked_shape(f, path)
+    return TrialBlocks(shape, _payload_blocks(path, shape))
+
+
+def _payload_blocks(path, shape: tuple[int, int, int]) -> Iterator[tuple[slice, np.ndarray]]:
+    count, channels, samples = shape
+    if not count:  # an empty file may declare C x T = 0, which chunks cannot divide by
+        return
+    start, expected, buffer = HEADER_SIZE, _payload_end(*shape), None
+    with _opened(path) as f:
+        f.seek(HEADER_SIZE)
+        for rows in chunks(count, channels * samples):
+            stop = min(rows.stop, count)
+            if buffer is None:  # the first block is the largest
+                buffer = np.empty((stop, channels, samples), dtype="<f8")
+            block = buffer[: stop - rows.start]
+            _read_checked(f, block, start, expected)
+            start += block.nbytes
+            yield rows, block
+
+
+def _located_blocks(blocks, where: str):
+    """``blocks``, a :class:`DataError` raised while they are read prefixed by ``where``."""
+    with located(where):
+        yield from blocks
 
 
 def write_labels(path, labels: Sequence[int]) -> None:
@@ -186,21 +277,38 @@ class DatasetManifest:
     subjects: tuple[SubjectEntry, ...]
 
     def load_subject(self, entry: SubjectEntry) -> tuple[np.ndarray, np.ndarray]:
-        """The trials ``(n, C, T)`` and labels ``(n,)`` of ``entry``; a
-        :class:`DataError` of its files is prefixed ``subject {name}:``."""
+        """The trials ``(n, C, T)`` and labels ``(n,)`` of ``entry``, read whole;
+        a :class:`DataError` of its files is prefixed ``subject {name}:``."""
         with located(f"subject {entry.name}"):
             data = read_trials(entry.trials_path)
-            labels = read_labels(entry.labels_path)
-            if len(labels) != len(data):
-                raise DataError(f"{len(data)} trials but {len(labels)} labels")
-            bad = sorted(set(labels) - set(self.label_set))
-            if bad:
-                raise DataError(f"labels {bad} not in declared set")
-            return data, np.array(labels, dtype=np.int64)
+            return data, self._labels(entry, len(data))
 
     def iter_subjects(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Each subject's ``(data, labels)`` in turn, read as the next is asked for."""
         return (self.load_subject(e) for e in self.subjects)
+
+    def iter_subject_blocks(self) -> Iterator[tuple[TrialBlocks, np.ndarray]]:
+        """Each subject's trials as :class:`TrialBlocks` (:func:`read_trial_blocks`)
+        and its labels ``(n,)``, in turn, opened as the next is asked for and
+        checked as :meth:`load_subject` checks them, but for the payload, whose
+        blocks are checked as they are read. A :class:`DataError` of a subject's
+        files, while its blocks are read too, is prefixed ``subject {name}:``."""
+        for entry in self.subjects:
+            where = f"subject {entry.name}"
+            with located(where):
+                trials = read_trial_blocks(entry.trials_path)
+                labels = self._labels(entry, len(trials))
+            yield replace(trials, blocks=_located_blocks(trials.blocks, where)), labels
+
+    def _labels(self, entry: SubjectEntry, count: int) -> np.ndarray:
+        """The labels of ``entry``, checked against its ``count`` trials and the label set."""
+        labels = read_labels(entry.labels_path)
+        if len(labels) != count:
+            raise DataError(f"{count} trials but {len(labels)} labels")
+        bad = sorted(set(labels) - set(self.label_set))
+        if bad:
+            raise DataError(f"labels {bad} not in declared set")
+        return np.array(labels, dtype=np.int64)
 
 
 def load_manifest(path) -> DatasetManifest:

@@ -2,14 +2,17 @@
 label budget, and the metrics of their report (accuracy, AUC over k, paired
 t-tests); :mod:`labelalign.report` writes and reads the report.
 
-The protocol is covariance first. Each subject's trials, one ``(n, C, T)``
-array with its labels, are turned into a covariance stack (n, C, C) once,
-with the time-centred scatter when CSP runs, and split into a source view
-(source labels) and a target pool (target labels). The subjects are read (or
-generated) one at a time; each one's raw trials are dropped once its stack
-is built and the stack once its views are, so at most one subject's trials
-and stack are in memory; a stack is estimated in bounded chunks, with no
-whole copy of the trials. Each source view is relabeled to the target labels
+The protocol is covariance first. Each subject's trials, with their labels,
+are turned into a covariance stack (n, C, C) once, with the time-centred
+scatter when CSP runs, and split into a source view (source labels) and a
+target pool (target labels). The subjects are read (or generated) one at a
+time, and a stack is estimated in bounded chunks. A manifest subject's trial
+file is read one chunk at a time into one reused buffer
+(:meth:`labelalign.dataio.DatasetManifest.iter_subject_blocks`), so its
+trials are never in memory whole; a generated subject is one ``(n, C, T)``
+array, dropped once its stack is built. The stack is dropped once its views
+are built, so at most one subject's stack, and one generated subject's
+trials, are in memory. Each source view is relabeled to the target labels
 as it is built, the one place the label mapping is applied. What depends on
 neither the target nor the budget is computed with them, once per scenario:
 each view's EA-whitened stack, the inverse roots ``Cs^{-1/2}`` of the source
@@ -305,18 +308,21 @@ def fit_predict(pipeline: str, train: CovStack, test: CovStack, *, csp_pairs: in
 
 
 def _load_subjects(spec: ScenarioSpec) -> tuple[list[str], Iterator[tuple]]:
-    """The subject names, and an iterator that reads (or generates) each
-    subject's ``(data, labels)`` when it is asked for the next."""
+    """The subject names, and an iterator that opens (or generates) each
+    subject's ``(data, labels)`` when it is asked for the next: ``data`` is a
+    manifest subject's :class:`labelalign.dataio.TrialBlocks`, read as its
+    stack is estimated, or a generated subject's ``(n, C, T)`` array."""
     if spec.synth is not None:
         names = [f"s{i}" for i in range(spec.synth.subjects)]
         return names, synthetic_subjects(spec.synth, *synthetic_parameters(spec.synth))
     manifest = load_manifest(spec.manifest)
-    return [e.name for e in manifest.subjects], manifest.iter_subjects()
+    return [e.name for e in manifest.subjects], manifest.iter_subject_blocks()
 
 
 def subject_stack(name: str, subject, shrinkage: float = 0.0, scatter: bool = False) -> CovStack:
-    """:func:`covariance_stack` of one subject's ``(data, labels)``, in file
-    order; a degenerate trial's error names the subject and the trial."""
+    """:func:`covariance_stack` of one subject's ``(data, labels)`` (``data`` a
+    trial array or a trial file's blocks), in file order; a degenerate
+    trial's error names the subject and the trial's index in the subject."""
     try:
         return covariance_stack(*subject, shrinkage, scatter)
     except (DimMismatchError, EmptyInputError, NonFiniteError, NotPositiveDefiniteError) as exc:

@@ -1,28 +1,35 @@
 """Covariance estimation, CSP spatial filtering, and tangent-space features.
 
 A subject's trials enter the pipelines once: :func:`covariance_stack` turns
-its ``(n, C, T)`` trial array and its labels into a :class:`CovStack` of
-``(n, C, C)`` covariances, and every later step works on such stacks. The
-feature functions return ``(n, d)`` arrays, and a fitted CSP model is its
-filter rows, one ``(m, C)`` array.
+its trials and its labels into a :class:`CovStack` of ``(n, C, C)``
+covariances, and every later step works on such stacks. The feature
+functions return ``(n, d)`` arrays, and a fitted CSP model is its filter
+rows, one ``(m, C)`` array.
 
-Covariance estimation copies no subject. :func:`trial_covariance` and
-:func:`centred_scatter` take the trial array as given and work through it in
-:func:`labelalign.spd.chunks` of at most ``CHUNK_WORDS = 2^14`` 64-bit words
-(128 KiB), one trial at least, each chunk a view of the array, writing each
-chunk's Gram matrices into the preallocated ``(n, C, C)`` result. Their
-temporary arrays then hold one chunk (the scatter's centred copy of it),
-however many trials a subject has. Each matrix is the matmul of its own
-trial, so the values are those of a whole-stack product, bit for bit.
+Covariance estimation copies no subject. :func:`trial_covariance`,
+:func:`centred_scatter` and :func:`covariance_stack` take the trials either
+as an ``(n, C, T)`` array or as the :class:`labelalign.dataio.TrialBlocks`
+of a trial file (:func:`labelalign.dataio.read_trial_blocks`), and both go
+through one per-block kernel. The trials come in :func:`labelalign.spd.chunks`
+of at most ``CHUNK_WORDS = 2^14`` 64-bit words (128 KiB), one trial at least:
+views of the array, or blocks read from the file into one reused buffer. The
+kernel writes each block's Gram matrices into the preallocated ``(n, C, C)``
+result, and :func:`covariance_stack` writes the scatter of the same block
+beside them, so that a file is read once for both. Their temporary arrays
+then hold one block (the scatter's centred copy of it), however many trials
+a subject has, and a subject read from a file is never held whole. Each
+matrix is the matmul of its own trial, so the values are those of a
+whole-stack product, bit for bit, whichever way the trials came.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from .dataio import TrialBlocks
 from .errors import (
     ConfigError,
     DegenerateCovarianceError,
@@ -89,48 +96,74 @@ class CovStack:
         return start
 
 
-def _as_trials(x) -> tuple[Array, bool]:
-    """``x`` as a stack (n, C, T) of trials, and whether it was one trial (C, T);
-    ragged input (trials of different shapes) raises :class:`DimMismatchError`."""
-    try:
-        data = np.asarray(x, dtype=np.float64)
-    except ValueError as exc:
-        raise DimMismatchError(f"trials must be one (C, T) or (n, C, T) array: {exc}") from exc
-    single = data.ndim == 2
-    trials = data[None] if single else data
-    if trials.ndim != 3:
-        raise DimMismatchError(f"trials must be (C, T) or (n, C, T), got {data.shape}")
-    if len(trials) == 0:
+def _as_trials(x) -> tuple[TrialBlocks, bool]:
+    """``x`` as :class:`TrialBlocks` (an array in views of its chunks), and
+    whether it was one trial (C, T); ragged input (trials of different
+    shapes) raises :class:`DimMismatchError`."""
+    trials, single = x, False
+    if not isinstance(x, TrialBlocks):
+        try:
+            data = np.asarray(x, dtype=np.float64)
+        except ValueError as exc:
+            raise DimMismatchError(
+                f"trials must be one (C, T) or (n, C, T) array: {exc}"
+            ) from exc
+        single = data.ndim == 2
+        stack = data[None] if single else data
+        if stack.ndim != 3:
+            raise DimMismatchError(f"trials must be (C, T) or (n, C, T), got {data.shape}")
+        trials = TrialBlocks(stack.shape, _views(stack))
+    if trials.shape[0] == 0:
         raise EmptyInputError("no trials")
     if 0 in trials.shape[1:]:
-        raise DimMismatchError(f"trials must have C, T > 0, got {trials.shape[1:]}")
+        raise DimMismatchError(f"trials must have C, T > 0, got {tuple(trials.shape[1:])}")
     return trials, single
 
 
-def _gram_stack(x, centred: bool) -> Array:
-    """The Gram matrix ``X Xᵀ`` of each trial of ``x`` (of its time-centred
-    rows when ``centred``): (C, C) for one trial, else (n, C, C). Each chunk
-    is a view of the trial array."""
-    trials, single = _as_trials(x)
-    n, c, t = trials.shape
-    out = np.empty((n, c, c))
+def _views(stack: Array) -> Iterator[tuple[slice, Array]]:
+    n, c, t = stack.shape
     for rows in chunks(n, c * t):
-        chunk = trials[rows]
-        if centred:
-            chunk = chunk - chunk.mean(axis=-1, keepdims=True)
-        np.matmul(chunk, chunk.swapaxes(-1, -2), out=out[rows])
+        yield rows, stack[rows]
+
+
+def _gram(block: Array, out: Array, centred: bool) -> None:
+    """Write the Gram matrix ``X Xᵀ`` of each trial of ``block`` (m, C, T) (of
+    its time-centred rows when ``centred``) into ``out`` (m, C, C): the one
+    kernel of every covariance estimate, for trial arrays and files alike."""
+    if centred:
+        block = block - block.mean(axis=-1, keepdims=True)
+    np.matmul(block, block.swapaxes(-1, -2), out=out)
+
+
+def _gram_stack(x, centred: bool) -> Array:
+    """:func:`_gram` of each block of the trials ``x``: (C, C) for one trial,
+    else (n, C, C)."""
+    trials, single = _as_trials(x)
+    n, c, _ = trials.shape
+    out = np.empty((n, c, c))
+    for rows, block in trials.blocks:
+        _gram(block, out[rows], centred)
     return out[0] if single else out
 
 
+def _with_scatter(blocks: Iterable, scatter: Array) -> Iterator:
+    """``blocks`` as they come, each block's centred scatter written into
+    ``scatter`` as it passes."""
+    for rows, block in blocks:
+        _gram(block, scatter[rows], centred=True)
+        yield rows, block
+
+
 def trial_covariance(x, shrinkage: float = 0.0) -> Array:
-    """Spatial covariance X X^T of a trial (C, T) or of each trial in (n, C, T).
+    """Spatial covariance X X^T of a trial (C, T) or of each trial in (n, C, T)
+    or in a trial file's :class:`TrialBlocks`.
 
     ``shrinkage`` in [0, 1) blends in trace(C)/dim * I, which keeps the
     result SPD for rank-deficient trials (T < channels). The default of 0
     is the plain Gram matrix. The trials are worked through in chunks of
     at most ``CHUNK_WORDS`` values, so no copy of the trials is made
     whole; the covariances are validated once, and a degenerate trial of a
-    stack is named by its index in the error.
+    stack is named by its index in the stack.
     """
     if not 0.0 <= shrinkage < 1.0:
         raise ConfigError(f"shrinkage must be in [0, 1), got {shrinkage}")
@@ -143,7 +176,8 @@ def trial_covariance(x, shrinkage: float = 0.0) -> Array:
 
 
 def centred_scatter(x) -> Array:
-    """Time-centred scatter Xc Xc^T of a trial (C, T) or of each trial in (n, C, T).
+    """Time-centred scatter Xc Xc^T of a trial (C, T) or of each trial in (n, C, T)
+    or in a trial file's :class:`TrialBlocks`.
 
     Divided by T - 1 it is the ddof=1 sample covariance, whose filtered
     diagonal gives the variances :func:`csp_features` takes. Like
@@ -154,15 +188,23 @@ def centred_scatter(x) -> Array:
 
 
 def covariance_stack(data, labels, shrinkage: float = 0.0, scatter: bool = False) -> CovStack:
-    """Covariances of the trials ``data`` (n, C, T), labeled by ``labels`` (n,)
-    or None (and their centred scatter when ``scatter``), estimated from
-    ``data`` as given, which is never copied whole."""
-    if labels is not None and len(labels) != len(data):
-        raise DimMismatchError(f"{len(data)} trials but {len(labels)} labels")
+    """Covariances of the trials ``data`` (an (n, C, T) array, never copied
+    whole, or a trial file's :class:`TrialBlocks`), labeled by ``labels`` (n,)
+    or None, and their centred scatter when ``scatter``. The scatter is
+    taken from each block as :func:`trial_covariance` passes it, so the
+    trials are gone through once."""
+    trials, _ = _as_trials(data)
+    if labels is not None and len(labels) != len(trials):
+        raise DimMismatchError(f"{len(trials)} trials but {len(labels)} labels")
+    centred = None
+    if scatter:
+        n, c, _ = trials.shape
+        centred = np.empty((n, c, c))
+        trials = replace(trials, blocks=_with_scatter(trials.blocks, centred))
     return CovStack(
-        trial_covariance(data, shrinkage),
+        trial_covariance(trials, shrinkage),
         None if labels is None else np.asarray(labels),
-        centred_scatter(data) if scatter else None,
+        centred,
     )
 
 

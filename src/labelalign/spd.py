@@ -18,8 +18,9 @@ least, each chunk's result written into a preallocated output.
 of one chunk (its products, eigenvectors and reconstruction, about four
 times the chunk's words). Every matrix goes through the same operations, so
 the vectors are the whole-stack ones, bit for bit. Covariance estimation
-(:mod:`labelalign.features`) and LA's products (:mod:`labelalign.alignment`,
-``labelalign align``) use the same chunks. The pairwise distances of
+(:mod:`labelalign.features`), the blocks in which a trial file is read
+(:func:`labelalign.dataio.read_trial_blocks`) and LA's products
+(:mod:`labelalign.alignment`, ``labelalign align``) use the same chunks. The pairwise distances of
 :mod:`labelalign.selection` fill a chunk the other way round, with as many
 whole rows of whitened matrices as ``CHUNK_WORDS`` holds (one row at
 least), so that one eigensolver call takes many small matrices.

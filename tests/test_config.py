@@ -106,7 +106,8 @@ def test_a_value_of_the_wrong_kind_exits_2_before_any_trial(tmp_path, monkeypatc
     assert set(BAD["spec"]) == {f.name for f in fields(ScenarioSpec)}
     assert set(BAD["synth"]) == {f.name for f in fields(SynthConfig)}
     touched = []
-    monkeypatch.setattr(dataio, "read_trials", lambda *a: touched.append("read"))
+    for reader in ("read_trials", "read_trial_blocks"):
+        monkeypatch.setattr(dataio, reader, lambda *a: touched.append("read"))
     for module in (synth, experiment, cli):
         monkeypatch.setattr(module, "synthetic_subjects", lambda *a: touched.append("generated"))
     problems = []

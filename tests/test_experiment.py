@@ -39,6 +39,7 @@ from labelalign.cli import main
 from labelalign.dataio import (
     load_manifest,
     read_labels,
+    read_trial_blocks,
     read_trials,
     write_labels,
     write_manifest,
@@ -194,6 +195,21 @@ class TestGoldenReport:
         render = {"csv": render_report_csv, "json": render_report_json}[fmt]
         expected = (FIXTURES / f"golden_report.{fmt}").read_text()
         assert render(report) == expected
+
+    def test_a_manifest_of_the_golden_data_gives_the_golden_rows(self, tmp_path):
+        # The golden spec's synth block written by ``labelalign synth``, and the
+        # same spec run on that manifest: only the metadata may differ.
+        doc = json.loads(GOLDEN_SPEC.read_text())
+        config, spec, report = (tmp_path / name for name in ("synth.json", "spec.json", "r.json"))
+        config.write_text(json.dumps(doc.pop("synth")))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "d")]) == 0
+        spec.write_text(json.dumps({**doc, "manifest": str(tmp_path / "d" / "manifest.json")}))
+        assert main(["experiment", "--spec", str(spec), "--out", str(report)]) == 0
+        got = json.loads(report.read_text())
+        golden = json.loads((FIXTURES / "golden_report.json").read_text())
+        assert got["metadata"]["data_source"] == "manifest"
+        for section in ("accuracy", "auc", "ttest"):
+            assert got[section] == golden[section], section
 
     def test_the_harness_writes_nothing_to_stdout(self, capfd):
         # The benchmark reads its result from the last line of standard output.
@@ -619,7 +635,8 @@ class TestConfigErrorsComeFirst:
         spec = write_spec(tmp_path / "spec.json", manifest)
         spec.write_text(json.dumps({**json.loads(spec.read_text()), **change}))
         reads = []
-        monkeypatch.setattr(dataio, "read_trials", reads.append)
+        for reader in ("read_trials", "read_trial_blocks"):
+            monkeypatch.setattr(dataio, reader, reads.append)
         with pytest.raises(ConfigError, match=message):
             load_scenario(spec)
         assert self.run_cli(spec, tmp_path / "r.csv") == 2
@@ -657,9 +674,9 @@ class TestConfigErrorsComeFirst:
 
         def spy(path):
             reads.append(Path(path).name)
-            return read_trials(path)
+            return read_trial_blocks(path)
 
-        monkeypatch.setattr(dataio, "read_trials", spy)
+        monkeypatch.setattr(dataio, "read_trial_blocks", spy)
         capsys.readouterr()
         assert self.run_cli(spec, tmp_path / "r.csv") == 2
         assert "csp_pairs 4 needs at least 8 channels, the trials have 6" in (
@@ -680,9 +697,9 @@ class TestConfigErrorsComeFirst:
 
         def spy(path):
             reads.append(Path(path).name)
-            return read_trials(path)
+            return read_trial_blocks(path)
 
-        monkeypatch.setattr(dataio, "read_trials", spy)
+        monkeypatch.setattr(dataio, "read_trial_blocks", spy)
         assert self.run_cli(spec, tmp_path / "r.csv") == 2
         assert "target subject s0 has 11" in capsys.readouterr().err
         assert reads == ["s0.trials"] and not (tmp_path / "r.csv").exists()
@@ -851,28 +868,35 @@ def owner(data):
 
 
 class TestOneSubjectAtATime:
-    """The harness holds at most one subject's raw trials: each subject's
-    trials are dead before the next subject's are read or generated."""
+    """The harness holds at most one subject's raw trials: a manifest
+    subject's trial file is read in blocks into one buffer, which is dead
+    before the next subject's file is opened, and a generated subject's
+    trials are dead before the next subject's are generated."""
 
     def test_manifest_run(self, manifest, tmp_path, monkeypatch):
-        alive = []
+        buffers = []  # a weak reference to the buffer of each block read
+
+        def watched(blocks):
+            for rows, block in blocks:
+                buffers.append(owner(block))
+                yield rows, block
 
         def spy(path):
-            trials = read_trials(path)
-            assert all(ref() is None for ref in alive), "an earlier subject is still held"
-            alive.append(owner(trials))
-            return trials
+            assert all(ref() is None for ref in buffers), "an earlier subject is still held"
+            trials = read_trial_blocks(path)
+            return replace(trials, blocks=watched(trials.blocks))
 
-        monkeypatch.setattr(dataio, "read_trials", spy)
+        monkeypatch.setattr(dataio, "read_trial_blocks", spy)
         run_scenario(load_scenario(write_spec(tmp_path / "spec.json", manifest)))
-        assert len(alive) == 3
+        assert len(buffers) == 3  # a subject of 24 trials of 4 x 40 fits one block
 
     def test_a_single_subject_fails_before_any_trial_is_read(
         self, manifest, tmp_path, monkeypatch
     ):
         write_manifest(manifest, 100.0, range(4), [("s0", "s0.trials", "s0.labels")])
         reads = []
-        monkeypatch.setattr(dataio, "read_trials", reads.append)
+        for reader in ("read_trials", "read_trial_blocks"):
+            monkeypatch.setattr(dataio, reader, reads.append)
         spec = load_scenario(write_spec(tmp_path / "spec.json", manifest))
         with pytest.raises(ConfigError, match="at least two subjects"):
             run_scenario(spec)
@@ -925,6 +949,31 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class TestStreamedSubjects:
+    """The harness reads a manifest subject's trial file one block at a time,
+    so estimating the subjects' stacks never holds a subject's trials."""
+
+    def test_the_domain_pass_peaks_below_one_subject_payload(self, tmp_path):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({
+            "channels": 4, "samples": 2000, "classes": 4, "trials_per_class": 6,
+            "subjects": 3, "class_separation": 1.0, "subject_shift": 0.5, "seed": 5,
+        }))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "d")]) == 0
+        # csp-lda, so that the scatter is estimated from the same blocks.
+        spec = load_scenario(write_spec(tmp_path / "spec.json", tmp_path / "d" / "manifest.json"))
+        payload = 24 * 4 * 2000 * 8  # 1.5 MB, 12 blocks of 2 trials each
+
+        def domain_pass():
+            names, subjects = experiment._load_subjects(spec)
+            return scenario_domains(spec, names, subjects)
+
+        # Read whole, one subject's trials alone would take the whole payload.
+        # Read in blocks, the peak is one block's buffer (128 KiB), its centred
+        # copy and the estimate's scratch: 0.39 MB measured with numpy 2.4.
+        assert traced_peak(domain_pass) < payload / 3
 
 
 class TestAlignMemory:

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -8,11 +9,24 @@ import pytest
 from conftest import random_invertible, random_spd, tangent_unmap
 
 from labelalign import spd
+from labelalign.dataio import (
+    HEADER_SIZE,
+    load_manifest,
+    read_trial_blocks,
+    read_trials,
+    write_labels,
+    write_manifest,
+    write_trials,
+)
 from labelalign.errors import (
+    BadMagicError,
     ConfigError,
+    DataError,
     DegenerateCovarianceError,
     DimMismatchError,
+    NonFinitePayloadError,
     NotPositiveDefiniteError,
+    TruncatedPayloadError,
 )
 from labelalign.experiment import subject_stack
 from labelalign.features import (
@@ -162,6 +176,105 @@ class TestChunkedCovariances:
             tracemalloc.stop()
         extra = peak - stack.covs.nbytes - stack.scatter.nbytes
         assert extra < data.nbytes / 4
+
+
+def one_subject_manifest(tmp_path, x):
+    """A manifest of one subject ``s1`` whose trials are ``x``; returns the
+    path of its trial file and the loaded manifest."""
+    write_trials(tmp_path / "s1.trials", x)
+    write_labels(tmp_path / "s1.labels", np.arange(len(x)) % 2)
+    write_manifest(tmp_path / "m.json", 100.0, [0, 1], [("s1", "s1.trials", "s1.labels")])
+    return tmp_path / "s1.trials", load_manifest(tmp_path / "m.json")
+
+
+def read_both_ways(manifest):
+    """The error of the stack of the manifest's one subject, from its trial
+    file read whole (:meth:`load_subject`) and read in blocks
+    (:meth:`iter_subject_blocks`, as the harness reads it)."""
+    errors = []
+    for subjects in (lambda: [manifest.load_subject(manifest.subjects[0])],
+                     manifest.iter_subject_blocks):
+        with pytest.raises(DataError) as err:
+            for subject in subjects():
+                subject_stack("s1", subject, 0.0, True)
+        errors.append(err.value)
+    return errors
+
+
+class TestStreamedCovariances:
+    """A trial file read in blocks (``read_trial_blocks``) gives the stacks of
+    the same file read whole (``read_trials``), byte for byte, and each fault
+    of the file raises the same error, with the same text, either way."""
+
+    @pytest.mark.parametrize("n, c, t, blocks", [
+        pytest.param(3, 8, 2100, [1, 1, 1], id="one-trial-per-block"),  # 16,800 words
+        pytest.param(50, 4, 100, [40, 10], id="several-trials-per-block"),
+        pytest.param(6, 4, 100, [6], id="smaller-than-one-block"),
+    ])
+    @pytest.mark.parametrize("shrinkage", [0.0, 0.2])
+    def test_equals_the_stack_of_the_whole_file(self, tmp_path, n, c, t, blocks, shrinkage):
+        path = tmp_path / "s.trials"
+        write_trials(path, np.random.default_rng(59).standard_normal((n, c, t)))
+        assert [len(block) for _, block in read_trial_blocks(path).blocks] == blocks
+        labels = np.arange(n) % 2
+        whole = covariance_stack(read_trials(path), labels, shrinkage, scatter=True)
+        streamed = covariance_stack(read_trial_blocks(path), labels, shrinkage, scatter=True)
+        assert same_bytes(streamed.covs, whole.covs)
+        assert same_bytes(streamed.scatter, whole.scatter)
+        assert np.array_equal(streamed.labels, labels)
+        assert same_bytes(trial_covariance(read_trial_blocks(path), shrinkage), whole.covs)
+        assert same_bytes(centred_scatter(read_trial_blocks(path)), whole.scatter)
+
+    def test_the_blocks_of_a_file_share_one_buffer(self, tmp_path):
+        path = tmp_path / "s.trials"
+        write_trials(path, np.random.default_rng(60).standard_normal((50, 4, 100)))
+        owners = {id(block.base) for _, block in read_trial_blocks(path).blocks}
+        assert len(owners) == 1
+
+    def test_a_bad_magic(self, tmp_path):
+        path, manifest = one_subject_manifest(tmp_path, np.ones((3, 2, 5)))
+        path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+        whole, streamed = read_both_ways(manifest)
+        assert type(streamed) is type(whole) is BadMagicError
+        assert str(streamed) == str(whole) == "subject s1: bad magic b'XXXX' at byte offset 0"
+        assert streamed.offset == whole.offset == 0
+
+    def test_a_truncated_payload_fails_before_any_block_is_read(self, tmp_path):
+        path, manifest = one_subject_manifest(tmp_path, np.ones((50, 4, 100)))
+        path.write_bytes(path.read_bytes()[:-8])
+        end = path.stat().st_size
+        with pytest.raises(TruncatedPayloadError,
+                           match=f"^payload ends at byte {end}, expected {end + 8}$"):
+            read_trial_blocks(path)  # the blocks are never handed out
+        whole, streamed = read_both_ways(manifest)
+        assert type(streamed) is type(whole) is TruncatedPayloadError
+        assert str(streamed) == str(whole)
+        assert (streamed.offset, streamed.expected_size) == (whole.offset, whole.expected_size)
+
+    def test_a_nan_in_a_later_block_is_named_at_its_byte_offset(self, tmp_path):
+        path, manifest = one_subject_manifest(tmp_path, np.ones((50, 4, 100)))
+        offset = HEADER_SIZE + 8 * (45 * 400 + 2 * 100 + 7)  # trial 45, in the second block
+        with path.open("r+b") as f:
+            f.seek(offset)
+            f.write(struct.pack("<d", np.nan))
+        blocks = read_trial_blocks(path).blocks
+        assert len(next(blocks)[1]) == 40  # the first block is read and handed out
+        with pytest.raises(NonFinitePayloadError) as err:
+            next(blocks)
+        assert err.value.offset == offset
+        whole, streamed = read_both_ways(manifest)
+        assert type(streamed) is type(whole) is NonFinitePayloadError
+        assert str(streamed) == str(whole) == f"subject s1: non-finite value at byte offset {offset}"
+        assert streamed.offset == whole.offset == offset
+
+    def test_a_degenerate_trial_is_named_by_its_index_in_the_subject(self, tmp_path):
+        x = np.random.default_rng(61).standard_normal((50, 4, 100))
+        x[45, 1] = 0.0  # one all-zero channel, in the second block of 40 trials
+        _, manifest = one_subject_manifest(tmp_path, x)
+        whole, streamed = read_both_ways(manifest)
+        assert type(streamed) is type(whole) is NotPositiveDefiniteError
+        assert str(streamed) == str(whole)
+        assert str(streamed).startswith("subject s1, trial 45: smallest eigenvalue")
 
 
 class TestStackLogs:
