@@ -1,9 +1,11 @@
 """Classifiers for the pipelines: LDA, linear SVM, and minimum distance to mean.
 
-The one-vs-one linear SVM trains each pair by primal Newton, taking the full
-step when it lowers the objective and an exact line search otherwise, so it
-uses no random numbers and does not depend on row order; it predicts by one
-matrix product and a majority vote. MDM's class means are one (m, C, C) stack."""
+LDA and the SVM take feature rows (n, d); MDM takes covariance stacks
+(n, C, C), as logs to fit and as covariances to predict. The one-vs-one
+linear SVM trains each pair by finite Newton, halving the full step until it
+lowers the objective enough (the Armijo rule), so it uses no random numbers
+and does not depend on row order; it predicts by one matrix product and a
+majority vote. MDM's class means are one (m, C, C) stack."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ LDA_GAMMA = 1e-3
 SVM_LAMBDA = 1e-3
 SVM_GRAD_TOL = 1e-12  # relative to the gradient norm at the zero model
 SVM_MAX_ITER = 500
+SVM_ARMIJO = 1e-4  # the share of the predicted decrease that a step must achieve
 
 
 def _as_matrix(features) -> Array:
@@ -97,52 +100,21 @@ class LinearSvmModel:
     intercept: Array  # (p,)
 
 
-def _line_search(slack: Array, delta: Array, w: Array, step_w: Array) -> float:
-    """Exact minimiser t > 0 along ``step``, given slack = 1 - y (x . z) and
-    delta = y (x . step). The derivative a + b t is linear between the
-    breakpoints slack / delta, where a sample leaves (delta > 0) or joins
-    (delta < 0) the support set, and the root is in the first interval whose
-    derivative turns >= 0. Each interval's (a, b) sums the terms of the samples
-    active in it: those that never cross, the leavers not yet gone (a suffix
-    sum over the sorted breakpoints) and the joiners already in (a prefix
-    sum). So no sum takes back what it added, and none cancels under rounding."""
-    scale = 2.0 / slack.shape[0]
-    active = (slack > 0.0) | ((slack == 0.0) & (delta < 0.0))
-    crosses = slack * delta > 0.0
-    stays = active & ~crosses
-    idx = np.flatnonzero(crosses)
-    idx = idx[np.argsort(slack[idx] / delta[idx], kind="stable")]
-    t, d, s = slack[idx] / delta[idx], delta[idx], slack[idx]
-    leaves = d > 0.0
-
-    def in_interval(v: Array) -> Array:
-        """Per interval, the sum of ``v`` over the crossing samples active in it."""
-        gone = np.cumsum(np.where(leaves, v, 0.0)[::-1])[::-1]
-        joined = np.cumsum(np.where(leaves, 0.0, v))
-        return np.concatenate((gone, [0.0])) + np.concatenate(([0.0], joined))
-
-    a = SVM_LAMBDA * (w @ step_w) - scale * (delta[stays] @ slack[stays] + in_interval(d * s))
-    b = SVM_LAMBDA * (step_w @ step_w) + scale * (delta[stays] @ delta[stays] + in_interval(d * d))
-    hits = np.flatnonzero(a[:-1] + b[:-1] * t >= 0.0)
-    j = hits[0] if hits.size else t.size
-    return -a[j] / b[j]
-
-
 def _train_pair(x: Array, neg: Array, pos: Array) -> Array:
     """[w, bias] minimising SVM_LAMBDA/2 ||w||^2 + mean(max(0, 1 - y (w . x + bias))^2)
     over the rows of ``x`` in the masks ``neg`` (y = -1) and ``pos`` (y = +1);
     the bias is unregularized.
 
     Finite Newton (Mangasarian, Optim. Methods Softw. 2002) on the generalized
-    Hessian of the current support set (Chapelle, Neural Computation 2007):
-    the full step is taken when the objective there is strictly lower, and
-    otherwise the exact line search (Keerthi & DeCoste, JMLR 2005) sets its
-    length. Iteration stops once the gradient norm falls to ``SVM_GRAD_TOL``
-    times its value at the zero model. A line-searched step whose length is
-    not finite raises :class:`NotConvergedError` at once. The pair's rows are
-    copied once, beside a column of ones for the bias, with the y = -1 rows
-    negated, so ``yx @ z`` is y (x . z) and every slack 1 - yx @ z is
-    computed from its own iterate.
+    Hessian of the current support set (Chapelle, Neural Computation 2007),
+    with Mangasarian's step rule: the full Newton step, halved until the
+    objective falls by at least ``SVM_ARMIJO`` times the decrease that the
+    gradient predicts for it (the Armijo condition). Iteration stops once the
+    gradient norm falls to ``SVM_GRAD_TOL`` times its value at the zero model.
+    A Newton step that is not finite raises :class:`NotConvergedError` at
+    once. The pair's rows are copied once, beside a column of ones for the
+    bias, with the y = -1 rows negated, so ``yx @ z`` is y (x . z) and every
+    slack 1 - yx @ z is computed from its own iterate.
     """
     na, nb = np.count_nonzero(neg), np.count_nonzero(pos)
     n, d = na + nb, x.shape[1]
@@ -179,19 +151,18 @@ def _train_pair(x: Array, neg: Array, pos: Array) -> Array:
         if not active.any():
             hess[-1, -1] = 1.0  # the bias gradient is 0 here, so is its step
         step = -np.linalg.solve(hess, grad)
-        full = z + step
-        full_slack = 1.0 - yx @ full
-        full_loss = objective(full, full_slack)
-        if full_loss < loss:  # a NaN objective falls through to the line search
-            z, slack, loss = full, full_slack, full_loss
-            continue
-        length = _line_search(slack, yx @ step, z[:-1], step[:-1])
-        if not np.isfinite(length):  # a NaN iterate never converges: stop here
-            raise NotConvergedError(f"linear SVM: Newton step {it} has a non-finite "
-                                    f"length ({length}); the features are too badly scaled")
-        z = z + length * step
-        slack = 1.0 - yx @ z
-        loss = objective(z, slack)
+        if not np.isfinite(step).all():  # a NaN iterate never converges: stop here
+            raise NotConvergedError(f"linear SVM: Newton step {it} is not finite; "
+                                    f"the features are too badly scaled")
+        decrease, length = SVM_ARMIJO * (grad @ step), 1.0
+        while True:
+            trial = z + length * step
+            trial_slack = 1.0 - yx @ trial
+            trial_loss = objective(trial, trial_slack)
+            if trial_loss <= loss + length * decrease:
+                break
+            length *= 0.5
+        z, slack, loss = trial, trial_slack, trial_loss
 
 
 def svm_fit(features, labels) -> LinearSvmModel:
@@ -228,14 +199,13 @@ def mdm_fit(logs, labels) -> MdmModel:
     return MdmModel(classes, spd_exp(mean_logs))
 
 
-def mdm_predict(model: MdmModel, covs: Array):
-    """Nearest class mean under the geodesic distance; ties by class order.
+def mdm_predict(model: MdmModel, covs: Array) -> list:
+    """The label of each covariance of the stack ``covs`` (n, C, C): its
+    nearest class mean under the geodesic distance, ties by class order.
 
-    The distances whiten by the class means, so only they are factored.
-    One covariance (C, C) gives one label, a stack (n, C, C) a list of them.
+    The distances whiten by the class means, so only the m means are
+    factored, once, and each covariance costs one eigvalsh per class.
     """
-    covs = np.asarray(covs, dtype=np.float64)
-    nearest = np.argmin(riemannian_distance(model.means, covs[..., None, :, :]), axis=-1)
-    if nearest.ndim == 0:
-        return model.classes[int(nearest)]
+    covs = as_stack(covs, "mdm_predict")
+    nearest = np.argmin(riemannian_distance(model.means, covs[:, None]), axis=-1)
     return [model.classes[int(i)] for i in nearest]

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -54,18 +55,31 @@ def _cmd_synth(args) -> int:
     except (OSError, json.JSONDecodeError, TypeError) as exc:
         raise ConfigError(f"cannot load synth config {args.config}: {exc}") from exc
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     prototypes, shifts = synthetic_parameters(cfg)
     subjects = synthetic_subjects(cfg, prototypes, shifts)  # written one at a time, as generated
-    entries = [_write_subject(out, f"s{i}", *next(subjects)) for i in range(cfg.subjects)]
-    write_manifest(out / "manifest.json", 100.0, range(cfg.classes), entries)
-    parameters = {
-        "prototypes": [p.tolist() for p in prototypes],
-        "shifts": [subject_shift(cfg, s).tolist() for s in range(cfg.subjects)],  # redrawn, not held
-    }
-    (out / "generator.json").write_text(json.dumps(parameters, sort_keys=True) + "\n")
+    with _writing_into(out):
+        entries = [_write_subject(out, f"s{i}", *next(subjects)) for i in range(cfg.subjects)]
+        write_manifest(out / "manifest.json", 100.0, range(cfg.classes), entries)
+        parameters = {
+            "prototypes": [p.tolist() for p in prototypes],
+            "shifts": [subject_shift(cfg, s).tolist() for s in range(cfg.subjects)],  # redrawn
+        }
+        (out / "generator.json").write_text(json.dumps(parameters, sort_keys=True) + "\n")
     print(f"wrote {cfg.subjects} subjects to {out}")
     return 0
+
+
+@contextmanager
+def _writing_into(out: Path):
+    """Make the directory ``out`` for the block to write into. An
+    :class:`OSError` while making it or writing (a file in the way, no
+    permission, a full disk) is a :class:`ConfigError` that names ``out``, as
+    :func:`emit_report` names a report path."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 def _write_subject(out: Path, name: str, data, labels) -> tuple[str, str, str]:
@@ -97,14 +111,14 @@ def _cmd_align(args) -> int:
     fits = _fit_subjects(args, manifest, mapping)
     # Second pass: re-read, align and write one subject at a time.
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     entries, label_set = [], set()
-    for entry, fit in zip(manifest.subjects, fits):
-        data, labels = _aligned(manifest.load_subject(entry), *fit, source_set)
-        entries.append(_write_subject(out, entry.name, data, labels))
-        label_set.update(labels.tolist())
-        del data  # the next subject is read without this one
-    write_manifest(out / "manifest.json", manifest.sample_rate, sorted(label_set), entries)
+    with _writing_into(out):
+        for entry, fit in zip(manifest.subjects, fits):
+            data, labels = _aligned(manifest.load_subject(entry), *fit, source_set)
+            entries.append(_write_subject(out, entry.name, data, labels))
+            label_set.update(labels.tolist())
+            del data  # the next subject is read without this one
+        write_manifest(out / "manifest.json", manifest.sample_rate, sorted(label_set), entries)
     print(f"wrote aligned dataset to {out}")
     return 0
 

@@ -283,10 +283,6 @@ class DatasetManifest:
             data = read_trials(entry.trials_path)
             return data, self._labels(entry, len(data))
 
-    def iter_subjects(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Each subject's ``(data, labels)`` in turn, read as the next is asked for."""
-        return (self.load_subject(e) for e in self.subjects)
-
     def iter_subject_blocks(self) -> Iterator[tuple[TrialBlocks, np.ndarray]]:
         """Each subject's trials as :class:`TrialBlocks` (:func:`read_trial_blocks`)
         and its labels ``(n,)``, in turn, opened as the next is asked for and

@@ -6,15 +6,15 @@ covariances, and every later step works on such stacks. The feature
 functions return ``(n, d)`` arrays, and a fitted CSP model is its filter
 rows, one ``(m, C)`` array.
 
-Covariance estimation copies no subject. :func:`trial_covariance`,
-:func:`centred_scatter` and :func:`covariance_stack` take the trials either
-as an ``(n, C, T)`` array or as the :class:`labelalign.dataio.TrialBlocks`
-of a trial file (:func:`labelalign.dataio.read_trial_blocks`), and both go
-through one per-block kernel. The trials come in :func:`labelalign.spd.chunks`
-of at most ``CHUNK_WORDS = 2^14`` 64-bit words (128 KiB), one trial at least:
-views of the array, or blocks read from the file into one reused buffer. The
-kernel writes each block's Gram matrices into the preallocated ``(n, C, C)``
-result, and :func:`covariance_stack` writes the scatter of the same block
+Covariance estimation copies no subject. :func:`trial_covariance` and
+:func:`covariance_stack` take the trials either as an ``(n, C, T)`` array or
+as the :class:`labelalign.dataio.TrialBlocks` of a trial file
+(:func:`labelalign.dataio.read_trial_blocks`), and both go through one
+per-block kernel. The trials come in :func:`labelalign.spd.chunks` of at most
+``CHUNK_WORDS = 2^14`` 64-bit words (128 KiB), one trial at least: views of
+the array, or blocks read from the file into one reused buffer. The kernel
+writes each block's Gram matrices into the preallocated ``(n, C, C)`` result,
+and :func:`covariance_stack` writes the centred scatter of the same block
 beside them, so that a file is read once for both. Their temporary arrays
 then hold one block (the scatter's centred copy of it), however many trials
 a subject has, and a subject read from a file is never held whole. Each
@@ -38,7 +38,6 @@ from .errors import (
 )
 from .spd import (
     Array,
-    as_stack,
     chunks,
     congruence,
     spd_from_matrix,
@@ -96,28 +95,23 @@ class CovStack:
         return start
 
 
-def _as_trials(x) -> tuple[TrialBlocks, bool]:
-    """``x`` as :class:`TrialBlocks` (an array in views of its chunks), and
-    whether it was one trial (C, T); ragged input (trials of different
-    shapes) raises :class:`DimMismatchError`."""
-    trials, single = x, False
+def _as_trials(x) -> TrialBlocks:
+    """``x`` as :class:`TrialBlocks`: a trial file's blocks as they are read,
+    or an ``(n, C, T)`` array in views of its chunks. Any other shape, and
+    ragged input (trials of different shapes), raises :class:`DimMismatchError`."""
     if not isinstance(x, TrialBlocks):
         try:
-            data = np.asarray(x, dtype=np.float64)
+            stack = np.asarray(x, dtype=np.float64)
         except ValueError as exc:
-            raise DimMismatchError(
-                f"trials must be one (C, T) or (n, C, T) array: {exc}"
-            ) from exc
-        single = data.ndim == 2
-        stack = data[None] if single else data
+            raise DimMismatchError(f"trials must be one (n, C, T) array: {exc}") from exc
         if stack.ndim != 3:
-            raise DimMismatchError(f"trials must be (C, T) or (n, C, T), got {data.shape}")
-        trials = TrialBlocks(stack.shape, _views(stack))
-    if trials.shape[0] == 0:
+            raise DimMismatchError(f"trials must be (n, C, T), got {stack.shape}")
+        x = TrialBlocks(stack.shape, _views(stack))
+    if x.shape[0] == 0:
         raise EmptyInputError("no trials")
-    if 0 in trials.shape[1:]:
-        raise DimMismatchError(f"trials must have C, T > 0, got {tuple(trials.shape[1:])}")
-    return trials, single
+    if 0 in x.shape[1:]:
+        raise DimMismatchError(f"trials must have C, T > 0, got {tuple(x.shape[1:])}")
+    return x
 
 
 def _views(stack: Array) -> Iterator[tuple[slice, Array]]:
@@ -135,17 +129,6 @@ def _gram(block: Array, out: Array, centred: bool) -> None:
     np.matmul(block, block.swapaxes(-1, -2), out=out)
 
 
-def _gram_stack(x, centred: bool) -> Array:
-    """:func:`_gram` of each block of the trials ``x``: (C, C) for one trial,
-    else (n, C, C)."""
-    trials, single = _as_trials(x)
-    n, c, _ = trials.shape
-    out = np.empty((n, c, c))
-    for rows, block in trials.blocks:
-        _gram(block, out[rows], centred)
-    return out[0] if single else out
-
-
 def _with_scatter(blocks: Iterable, scatter: Array) -> Iterator:
     """``blocks`` as they come, each block's centred scatter written into
     ``scatter`` as it passes."""
@@ -155,45 +138,36 @@ def _with_scatter(blocks: Iterable, scatter: Array) -> Iterator:
 
 
 def trial_covariance(x, shrinkage: float = 0.0) -> Array:
-    """Spatial covariance X X^T of a trial (C, T) or of each trial in (n, C, T)
-    or in a trial file's :class:`TrialBlocks`.
+    """Spatial covariances X X^T (n, C, C) of the trials ``x``: an (n, C, T)
+    array or a trial file's :class:`TrialBlocks`.
 
     ``shrinkage`` in [0, 1) blends in trace(C)/dim * I, which keeps the
     result SPD for rank-deficient trials (T < channels). The default of 0
-    is the plain Gram matrix. The trials are worked through in chunks of
-    at most ``CHUNK_WORDS`` values, so no copy of the trials is made
-    whole; the covariances are validated once, and a degenerate trial of a
-    stack is named by its index in the stack.
+    is the plain Gram matrix. Each block of trials is written into the
+    preallocated stack as it comes, so no copy of the trials is made whole;
+    the covariances are validated once, and a degenerate trial is named by
+    its index in the stack.
     """
     if not 0.0 <= shrinkage < 1.0:
         raise ConfigError(f"shrinkage must be in [0, 1), got {shrinkage}")
-    c = _gram_stack(x, centred=False)
+    trials = _as_trials(x)
+    n, dim, _ = trials.shape
+    c = np.empty((n, dim, dim))
+    for rows, block in trials.blocks:
+        _gram(block, c[rows], centred=False)
     if shrinkage > 0.0:
-        dim = c.shape[-1]
         trace = np.trace(c, axis1=-2, axis2=-1)[..., None, None]
         c = (1.0 - shrinkage) * c + shrinkage * (trace / dim) * np.eye(dim)
     return spd_from_matrix(c, name="trial")
 
 
-def centred_scatter(x) -> Array:
-    """Time-centred scatter Xc Xc^T of a trial (C, T) or of each trial in (n, C, T)
-    or in a trial file's :class:`TrialBlocks`.
-
-    Divided by T - 1 it is the ddof=1 sample covariance, whose filtered
-    diagonal gives the variances :func:`csp_features` takes. Like
-    :func:`trial_covariance` it centres the trials chunk by chunk, so no
-    copy of the trials is made whole.
-    """
-    return _gram_stack(x, centred=True)
-
-
 def covariance_stack(data, labels, shrinkage: float = 0.0, scatter: bool = False) -> CovStack:
     """Covariances of the trials ``data`` (an (n, C, T) array, never copied
     whole, or a trial file's :class:`TrialBlocks`), labeled by ``labels`` (n,)
-    or None, and their centred scatter when ``scatter``. The scatter is
-    taken from each block as :func:`trial_covariance` passes it, so the
-    trials are gone through once."""
-    trials, _ = _as_trials(data)
+    or None, and their time-centred scatter Xc Xc^T when ``scatter``, which
+    :func:`csp_features` reads. The scatter is taken from each block as
+    :func:`trial_covariance` passes it, so the trials are gone through once."""
+    trials = _as_trials(data)
     if labels is not None and len(labels) != len(trials):
         raise DimMismatchError(f"{len(trials)} trials but {len(labels)} labels")
     centred = None
@@ -264,11 +238,13 @@ def csp_fit(covs: Array, labels, pairs: int) -> Array:
 
 
 def csp_features(filters: Array, scatter: Array) -> Array:
-    """Normalized log-variance of the spatially filtered trials, one row each.
+    """Normalized log-variances (n, m) of the trials filtered by the rows of
+    ``filters`` (m, C) (:func:`csp_fit`).
 
-    ``scatter`` is the time-centred scatter (C, C) or (n, C, C) of the trials
-    (:func:`centred_scatter`). A row w of ``filters`` (:func:`csp_fit`) gives
-    the trial variance w^T S w / (T - 1); the normalization cancels the T - 1.
+    ``scatter`` is the trials' time-centred scatter (n, C, C), the
+    ``scatter`` of their :func:`covariance_stack`. Divided by T - 1 it is the
+    ddof=1 sample covariance, so a filter row w gives the trial variance
+    w^T S w / (T - 1); the normalization cancels the T - 1.
     """
     s = np.asarray(scatter, dtype=np.float64)
     if s.shape[-1] != filters.shape[1]:
@@ -284,4 +260,4 @@ def ts_features(isq: Array, covs) -> Array:
     whose inverse square root is ``isq``: the normalised
     ``upper(log(ref^{-1/2} C ref^{-1/2}))`` of Barachant et al.
     (:func:`labelalign.spd.tangent_map`), which carry no units of the data."""
-    return tangent_map(isq, as_stack(covs, "ts_features"))
+    return tangent_map(isq, covs)

@@ -9,37 +9,29 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimMismatchError, KTooLargeError, NonFiniteError
-from .spd import CHUNK_WORDS, Array, as_stack, distance_from_whitened, spd_inv_sqrt
+from .spd import Array, as_stack, chunks, distance_from_whitened, spd_inv_sqrt
 
 
 def pairwise_distances(covs) -> Array:
     """Symmetric matrix of geodesic distances over a stack (n, C, C).
 
     The inverse square roots of the whole stack come from one batched
-    eigendecomposition. Row i of the upper triangle whitens every later
-    matrix by matrix i, ``isq[i] covs[j] isq[i]`` for j > i. Consecutive rows
-    are grouped while their whitened matrices fit in ``CHUNK_WORDS`` words,
-    one row at least, and each group's distances come from one eigvalsh
-    (:func:`labelalign.spd.distance_from_whitened`), which decomposes each
-    matrix as a call per row would, bit for bit.
+    eigendecomposition. The upper-triangle pairs (i, j), i < j, in row-major
+    order, are worked through in :func:`labelalign.spd.chunks` of
+    ``CHUNK_WORDS`` words, as every stack kernel is: each chunk whitens its
+    pairs as ``isq[i] covs[j] isq[i]`` and takes their distances from one
+    eigvalsh (:func:`labelalign.spd.distance_from_whitened`). Each pair goes
+    through the operations of :func:`labelalign.spd.riemannian_distance` on
+    that pair alone, so the distances are its own, bit for bit.
     """
     covs = as_stack(covs, "pairwise_distances")
     n, c = covs.shape[:2]
     isq = spd_inv_sqrt(covs)
-    first = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))  # row i's first pair
-    fits = max(1, CHUNK_WORDS // (c * c))
-    upper = np.empty(first[-1])
-    a = 0
-    while a < n - 1:
-        b = max(a + 1, int(np.searchsorted(first, first[a] + fits, "right")) - 1)
-        whitened = np.empty((first[b] - first[a], c, c))
-        for i in range(a, b):
-            rows = slice(first[i] - first[a], first[i + 1] - first[a])
-            np.matmul(isq[i] @ covs[i + 1 :], isq[i], out=whitened[rows])
-        upper[first[a] : first[b]] = distance_from_whitened(whitened)
-        a = b
+    rows, cols = np.triu_indices(n, 1)
     d = np.zeros((n, n))
-    d[np.triu_indices(n, 1)] = upper
+    for pairs in chunks(len(rows), c * c):
+        i, j = rows[pairs], cols[pairs]
+        d[i, j] = distance_from_whitened(isq[i] @ covs[j] @ isq[i])
     return d + d.T
 
 

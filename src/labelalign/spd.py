@@ -1,10 +1,11 @@
 """Geometry of symmetric positive definite matrices, one at a time or stacked.
 
-Every function takes a single ``(C, C)`` matrix or a stack ``(n, C, C)`` of
-them and works on the last two axes, after pyRiemann's stacked-covariance
-API (Barachant et al., IEEE TBME 2012). SPD matrices are plain float64
-ndarrays validated by :func:`spd_from_matrix`, by a Cholesky factorization
-rather than an eigendecomposition. Every matrix function goes
+The matrix functions (roots, log, exp, the geodesic distance) take a single
+``(C, C)`` matrix or a stack ``(n, C, C)`` of them and work on the last two
+axes, after pyRiemann's stacked-covariance API (Barachant et al., IEEE TBME
+2012); :func:`tangent_map` and the means take stacks. SPD matrices are plain
+float64 ndarrays validated by :func:`spd_from_matrix`, by a Cholesky
+factorization rather than an eigendecomposition. Every matrix function goes
 through one symmetric eigendecomposition kernel, :func:`_spectral`, and
 symmetrizes its output, so results stay exactly symmetric under rounding.
 On a single matrix the kernel performs exactly the operations of a
@@ -19,14 +20,14 @@ of one chunk (its products, eigenvectors and reconstruction, about four
 times the chunk's words). Every matrix goes through the same operations, so
 the vectors are the whole-stack ones, bit for bit. Covariance estimation
 (:mod:`labelalign.features`), the blocks in which a trial file is read
-(:func:`labelalign.dataio.read_trial_blocks`) and LA's products
-(:mod:`labelalign.alignment`, ``labelalign align``) use the same chunks. The pairwise distances of
-:mod:`labelalign.selection` fill a chunk the other way round, with as many
-whole rows of whitened matrices as ``CHUNK_WORDS`` holds (one row at
-least), so that one eigensolver call takes many small matrices.
+(:func:`labelalign.dataio.read_trial_blocks`), the pairwise distances of
+:mod:`labelalign.selection` (a chunk of whitened pairs per eigvalsh) and LA's
+products (:mod:`labelalign.alignment`, ``labelalign align``) use the same
+chunks.
 
 A matrix's inverse root is taken once by whoever whitens by it:
-:func:`whitened_distance` and :func:`tangent_map` take it as ``isq``.
+:func:`tangent_map` takes it as ``isq``, and the pairwise distances whiten
+by the roots of the whole stack (:func:`distance_from_whitened`).
 """
 
 from __future__ import annotations
@@ -180,14 +181,9 @@ def riemannian_distance(p1: Array, p2: Array):
     p2 = _check_square(p2, "p2")
     if p1.shape[-1] != p2.shape[-1]:
         raise DimMismatchError(f"dimension mismatch: {p1.shape} vs {p2.shape}")
-    d = whitened_distance(spd_inv_sqrt(p1), p2)
+    isq = spd_inv_sqrt(p1)
+    d = distance_from_whitened(isq @ p2 @ isq)
     return float(d) if d.ndim == 0 else d
-
-
-def whitened_distance(isq: Array, p2: Array) -> Array:
-    """:func:`riemannian_distance` from the matrices whose inverse square
-    roots are ``isq`` to ``p2``, from the spectrum of ``isq p2 isq``."""
-    return distance_from_whitened(isq @ p2 @ isq)
 
 
 def distance_from_whitened(whitened: Array) -> Array:
@@ -224,27 +220,27 @@ def flatten_sym(s: Array) -> Array:
 
 
 def tangent_map(isq: Array, p: Array) -> Array:
-    """Normalised tangent vector of ``p`` (one matrix or a stack) at the
-    reference whose inverse square root is ``isq`` (:func:`spd_inv_sqrt`).
+    """Normalised tangent vectors (n, C(C+1)/2) of the stack ``p`` (n, C, C)
+    at the reference whose inverse square root is ``isq`` (C, C)
+    (:func:`spd_inv_sqrt`).
 
     s = upper(log(ref^{-1/2} p ref^{-1/2})), flattened by :func:`flatten_sym`
     (Barachant et al., IEEE TBME 59(4), 2012, eq. 10). The log map is taken
     in the coordinates that whiten the reference, so the vectors do not
     depend on the covariances' units: scaling the reference and ``p`` by one
     factor leaves them as they are. The caller takes the root once and maps
-    every stack with it, as for :func:`whitened_distance`; the stack is
-    mapped in :func:`chunks` of its matrices into the preallocated vectors.
+    every stack with it. The stack is mapped in :func:`chunks` of its
+    matrices into the preallocated vectors.
     """
     isq = _check_square(isq, "isq")
-    p = _check_square(p, "p")
+    p = as_stack(p, "tangent_map")
     if isq.ndim != 2 or p.shape[-1] != isq.shape[-1]:
         raise DimMismatchError(f"dimension mismatch: isq {isq.shape} vs {p.shape}")
-    c = isq.shape[-1]
-    stack = p.reshape(-1, c, c)
-    out = np.empty((len(stack), c * (c + 1) // 2))
-    for rows in chunks(len(stack), c * c):
-        out[rows] = flatten_sym(spd_log(isq @ stack[rows] @ isq))
-    return out.reshape(*p.shape[:-2], out.shape[-1])
+    n, c = p.shape[:2]
+    out = np.empty((n, c * (c + 1) // 2))
+    for rows in chunks(n, c * c):
+        out[rows] = flatten_sym(spd_log(isq @ p[rows] @ isq))
+    return out
 
 
 def log_euclidean_mean(logs) -> Array:

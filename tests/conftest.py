@@ -2,7 +2,6 @@ import numpy as np
 
 from labelalign import classifiers, experiment
 from labelalign.alignment import align
-from labelalign.classifiers import _line_search
 from labelalign.errors import DimMismatchError, NotConvergedError
 from labelalign.rng import CounterRng, derive_key
 from labelalign.spd import spd_exp, spd_sqrt, symmetrize
@@ -78,11 +77,46 @@ def loop_lda_scores(x, labels, x_test, gamma):
     return x_test @ proj - 0.5 * np.sum(means.T * proj, axis=0) + np.log(priors)
 
 
+def exact_line_search(slack, delta, w, step_w) -> float:
+    """The step length of :func:`exact_newton_pair`: the exact minimiser t > 0
+    along ``step``, given slack = 1 - y (x . z) and delta = y (x . step), of
+    the piecewise quadratic objective. Its derivative a + b t is linear between the
+    breakpoints slack / delta, where a sample leaves (delta > 0) or joins
+    (delta < 0) the support set, and the root is in the first interval whose
+    derivative turns >= 0. Each interval's (a, b) sums the terms of the samples
+    active in it: those that never cross, the leavers not yet gone (a suffix
+    sum over the sorted breakpoints) and the joiners already in (a prefix
+    sum). So no sum takes back what it added, and none cancels under rounding."""
+    scale = 2.0 / slack.shape[0]
+    active = (slack > 0.0) | ((slack == 0.0) & (delta < 0.0))
+    crosses = slack * delta > 0.0
+    stays = active & ~crosses
+    idx = np.flatnonzero(crosses)
+    idx = idx[np.argsort(slack[idx] / delta[idx], kind="stable")]
+    t, d, s = slack[idx] / delta[idx], delta[idx], slack[idx]
+    leaves = d > 0.0
+
+    def in_interval(v):
+        """Per interval, the sum of ``v`` over the crossing samples active in it."""
+        gone = np.cumsum(np.where(leaves, v, 0.0)[::-1])[::-1]
+        joined = np.cumsum(np.where(leaves, 0.0, v))
+        return np.concatenate((gone, [0.0])) + np.concatenate(([0.0], joined))
+
+    lam = classifiers.SVM_LAMBDA
+    a = lam * (w @ step_w) - scale * (delta[stays] @ slack[stays] + in_interval(d * s))
+    b = lam * (step_w @ step_w) + scale * (delta[stays] @ delta[stays] + in_interval(d * d))
+    hits = np.flatnonzero(a[:-1] + b[:-1] * t >= 0.0)
+    j = hits[0] if hits.size else t.size
+    return -a[j] / b[j]
+
+
 def exact_newton_pair(x, neg, pos):
     """[w, bias] of one SVM pair by primal Newton with an exact line search at
-    every step, the way :func:`labelalign.classifiers._train_pair` was first
-    written: labels ``y`` and the design ``[x, 1]`` kept apart, and the slack
-    recomputed from each iterate."""
+    every step (:func:`exact_line_search`), the way
+    :func:`labelalign.classifiers._train_pair` was first written: labels ``y``
+    and the design ``[x, 1]`` kept apart, and the slack recomputed from each
+    iterate. The fit's own step rule halves the full step instead; both reach
+    the one minimiser of the strictly convex objective."""
     na, nb = np.count_nonzero(neg), np.count_nonzero(pos)
     n, d = na + nb, x.shape[1]
     x1 = np.ones((n, d + 1))
@@ -107,7 +141,7 @@ def exact_newton_pair(x, neg, pos):
         if not active.any():
             hess[-1, -1] = 1.0
         step = -np.linalg.solve(hess, grad)
-        z = z + _line_search(slack, y * (x1 @ step), z[:-1], step[:-1]) * step
+        z = z + exact_line_search(slack, y * (x1 @ step), z[:-1], step[:-1]) * step
     raise NotConvergedError("exact_newton_pair: no convergence")
 
 

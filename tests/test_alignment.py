@@ -182,7 +182,7 @@ class TestTargetMeanEstimation:
         for idx in medoids:
             label = labels[idx]
             assert np.allclose(
-                means[label], trial_covariance(pool[idx]), atol=1e-9
+                means[label], trial_covariance(pool[idx : idx + 1])[0], atol=1e-9
             )
         assert sorted(means) == [0, 1]
 

@@ -42,7 +42,8 @@ def test_build_dataset_round_trips_the_generated_subjects(monkeypatch, tmp_path)
     workload = run.WORKLOADS["loso-c8-full"]
     run.build_dataset(workload, 1, tmp_path / "d")
     generated = generate_synthetic(SynthConfig(**workload.synth_fields(1))).subjects
-    loaded = load_manifest(tmp_path / "d" / "manifest.json").iter_subjects()
+    manifest = load_manifest(tmp_path / "d" / "manifest.json")
+    loaded = [manifest.load_subject(e) for e in manifest.subjects]
     for want, (data, labels) in zip(generated, loaded, strict=True):
         assert [(l, x.tobytes()) for x, l in zip(data, labels.tolist(), strict=True)] == [
             (t.label, t.data.tobytes()) for t in want

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
+    exact_line_search,
     exact_newton_pair,
     loop_distance,
     loop_lda_scores,
@@ -26,7 +27,12 @@ from labelalign.classifiers import (
     svm_fit,
     svm_predict_many,
 )
-from labelalign.errors import ConfigError, NotConvergedError, SingularCovarianceError
+from labelalign.errors import (
+    ConfigError,
+    DimMismatchError,
+    NotConvergedError,
+    SingularCovarianceError,
+)
 from labelalign.experiment import ScenarioSpec, run_scenario
 from labelalign.features import trial_covariance
 from labelalign.spd import riemannian_distance, spd_log
@@ -151,28 +157,47 @@ class TestLinearSvm:
         (Path(__file__).parent / "fixtures" / "nonfinite_line_search.json").read_text()).items()}
 
     def test_a_curvature_below_the_rounding_gives_the_exact_minimiser(self):
-        # The minimiser of the exact piecewise quadratic, found by bisecting
-        # its derivative in rational arithmetic. A slope and curvature taken
-        # as running sums cancelled to exactly 0 past the last breakpoint
-        # and gave inf.
-        assert classifiers._line_search(**self.NONFINITE) == pytest.approx(
+        # The oracle's line search, held to the minimiser of the exact
+        # piecewise quadratic, found by bisecting its derivative in rational
+        # arithmetic. A slope and curvature taken as running sums cancelled
+        # to exactly 0 past the last breakpoint and gave inf.
+        assert exact_line_search(**self.NONFINITE) == pytest.approx(
             4.18389960139675, rel=1e-13)
+
+    def test_a_full_step_that_does_not_lower_the_objective_is_halved(self):
+        x, y = overshooting_problem()
+        # The fit's iterates are the undamped Newton iterates up to the first
+        # full step that does not lower the objective; find that step here.
+        yx = np.where(y == 1, 1.0, -1.0)[:, None] * np.hstack([x, np.ones((len(y), 1))])
+        reg = np.append(np.full(x.shape[1], classifiers.SVM_LAMBDA), 0.0)
+        z = np.zeros(x.shape[1] + 1)
+        for _ in range(10):
+            slack = 1.0 - yx @ z
+            xs = yx[slack > 0.0]
+            grad = reg * z - 2.0 / len(y) * (slack[slack > 0.0] @ xs)
+            step = -np.linalg.solve(2.0 / len(y) * (xs.T @ xs) + np.diag(reg), grad)
+            if svm_objective(yx, z + step) >= svm_objective(yx, z):
+                break
+            z = z + step
+        assert svm_objective(yx, z + step) > 5.0 * svm_objective(yx, z)
+        model = svm_fit(x, y)
+        assert max_gradient_norm(model, x, y) <= 1e-8
+        assert exact_newton_error(model, x, y) <= 1e-9
 
     def test_a_non_finite_step_is_not_converged_at_once(self, monkeypatch):
         calls = []
 
-        def line_search(*args):
-            calls.append(args)
-            return np.inf
+        def solve(a, b):
+            calls.append(b)
+            return np.full_like(b, np.nan) if len(calls) == 3 else real_solve(a, b)
 
-        monkeypatch.setattr(classifiers, "_line_search", line_search)
-        # The full Newton step lowers the objective at steps 0 to 2 on this
-        # data, so step 3 is the first to need the line search.
+        real_solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", solve)
         x, y = symmetric_two_gaussian(np.random.default_rng(66), 10)
-        with pytest.raises(NotConvergedError, match=r"^linear SVM: Newton step 3 has a "
-                                                    r"non-finite length \(inf\)"):
+        with pytest.raises(NotConvergedError, match=r"^linear SVM: Newton step 2 is not "
+                                                    r"finite; the features are too badly scaled$"):
             svm_fit(x, y)
-        assert len(calls) == 1
+        assert len(calls) == 3
 
     def test_identical_features_fall_back_to_first_class(self):
         x = np.tile([2.0, -1.0], (10, 1))
@@ -230,18 +255,12 @@ class TestLinearSvm:
         assert svm_predict_many(model, x) == y
 
     def test_gradient_vanishes_on_every_fit_of_a_benchmark_run(self, benchmark_fits):
-        # Undamped Newton also converges on these fits, so only the count
-        # shows that the line search still runs where the full step does not
-        # lower the objective.
-        fits, line_searches = benchmark_fits
-        norms = [max_gradient_norm(model, x, y) for x, y, model in fits]
+        norms = [max_gradient_norm(model, x, y) for x, y, model in benchmark_fits]
         assert max(norms) <= 1e-8
-        assert line_searches >= 1
 
     def test_agrees_with_the_exact_line_search_on_every_fit_of_a_benchmark_run(
             self, benchmark_fits):
-        fits, _ = benchmark_fits
-        assert max(exact_newton_error(model, x, y) for x, y, model in fits) <= 1e-9
+        assert max(exact_newton_error(model, x, y) for x, y, model in benchmark_fits) <= 1e-9
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -291,6 +310,25 @@ def max_gradient_norm(model, features, labels) -> float:
     return max(norms)
 
 
+def svm_objective(yx, z) -> float:
+    """SVM_LAMBDA/2 ||w||^2 + mean(max(0, 1 - y (w . x + b))^2) at z = [w, b],
+    from the design rows ``yx`` = y [x, 1]."""
+    hinge = np.maximum(1.0 - yx @ z, 0.0)
+    return classifiers.SVM_LAMBDA / 2.0 * (z[:-1] @ z[:-1]) + (hinge @ hinge) / len(hinge)
+
+
+def overshooting_problem():
+    """Two shifted Gaussian classes of 6 rows in 2 dimensions, one row scaled
+    by 8: an outlier that makes the full Newton step overshoot at step 3, and
+    on which undamped Newton iterates without converging."""
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((12, 2))
+    y = np.arange(12) % 2
+    x[:, 0] += 2 * y - 1
+    x[rng.integers(12)] *= 8
+    return x, y
+
+
 def random_problems():
     """Feature rows and labels of four random SVM problems, 2 to 4 classes."""
     rng = np.random.default_rng(82)
@@ -315,10 +353,10 @@ def exact_newton_error(model, features, labels) -> float:
 @pytest.fixture(scope="module")
 def benchmark_fits():
     """Every svm_fit of loso-c8-full at its confirmation seed, in memory, as
-    (features, labels, model), and how many line searches they made."""
+    (features, labels, model)."""
     workloads = load_benchmark_workloads()
     w = workloads.WORKLOADS["loso-c8-full"]
-    fits, line_searches = [], []
+    fits = []
 
     def fit_spy(features, labels, *args, **kwargs):
         model = svm_fit(features, labels, *args, **kwargs)
@@ -326,14 +364,8 @@ def benchmark_fits():
         fits.append((np.array(features), np.array(labels), model))
         return model
 
-    def search_spy(*args):
-        line_searches.append(args)
-        return search(*args)
-
-    search = classifiers._line_search
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(classifiers, "svm_fit", fit_spy)
-        patch.setattr(classifiers, "_line_search", search_spy)
         seed = workloads.CONFIRM_SEED
         run_scenario(ScenarioSpec(
             source_labels=workloads.SOURCE_LABELS,
@@ -345,7 +377,7 @@ def benchmark_fits():
             synth=SynthConfig(**w.synth_fields(seed)),
         ))
     assert len(fits) == w.subjects * len(w.k_grid) * len(w.strategies)
-    return fits, len(line_searches)
+    return fits
 
 
 def load_benchmark_workloads():
@@ -364,25 +396,26 @@ class TestMdm:
         covs = [random_spd(rng, 4) for _ in range(6)]
         labels = [0, 0, 0, 1, 1, 1]
         model = mdm_fit(spd_log(covs), labels)
-        for mean, c in zip(model.means, model.classes):
-            assert mdm_predict(model, mean) == c
+        assert mdm_predict(model, model.means) == list(model.classes)
 
     def test_hand_computed_distances(self):
         # d(diag(2,2), I) = sqrt(2) log 2 < d(diag(2,2), diag(9,9)).
         model = mdm_fit(spd_log([np.eye(2), np.diag([9.0, 9.0])]), [0, 1])
-        assert mdm_predict(model, np.diag([2.0, 2.0])) == 0
+        assert mdm_predict(model, np.diag([2.0, 2.0])[None]) == [0]
+        with pytest.raises(DimMismatchError, match="mdm_predict: expected a stack"):
+            mdm_predict(model, np.diag([2.0, 2.0]))  # one matrix is not a stack
 
     def test_perfect_on_well_separated_clusters(self):
         cfg = SynthConfig(channels=4, samples=200, classes=2, trials_per_class=20,
                           subjects=1, class_separation=2.0, subject_shift=0.0, seed=11)
         data = generate_synthetic(cfg)
         trials = data.subjects[0]
-        covs = [trial_covariance(t.data) for t in trials]
+        covs = trial_covariance(np.stack([t.data for t in trials]))
         labels = [t.label for t in trials]
         train_c, train_l = covs[::2], labels[::2]
         test_c, test_l = covs[1::2], labels[1::2]
         model = mdm_fit(spd_log(train_c), train_l)
-        preds = [mdm_predict(model, c) for c in test_c]
+        preds = mdm_predict(model, test_c)
         assert preds == test_l
 
     def test_congruence_invariance_single_trial_means(self):
@@ -393,10 +426,10 @@ class TestMdm:
         labels = [0, 1]
         tests = [random_spd(rng, 4) for _ in range(10)]
         model = mdm_fit(spd_log(covs), labels)
-        base = [mdm_predict(model, c) for c in tests]
+        base = mdm_predict(model, tests)
         w = random_invertible(rng, 4)
         model_t = mdm_fit(spd_log([w.T @ c @ w for c in covs]), labels)
-        mapped = [mdm_predict(model_t, w.T @ c @ w) for c in tests]
+        mapped = mdm_predict(model_t, [w.T @ c @ w for c in tests])
         assert base == mapped
 
     def test_congruence_invariance_orthogonal_transform(self):
@@ -407,10 +440,10 @@ class TestMdm:
         labels = [0, 1] * 4
         tests = [random_spd(rng, 4) for _ in range(10)]
         model = mdm_fit(spd_log(covs), labels)
-        base = [mdm_predict(model, c) for c in tests]
+        base = mdm_predict(model, tests)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         model_t = mdm_fit(spd_log([q.T @ c @ q for c in covs]), labels)
-        mapped = [mdm_predict(model_t, q.T @ c @ q) for c in tests]
+        mapped = mdm_predict(model_t, [q.T @ c @ q for c in tests])
         assert base == mapped
 
     def test_stack_prediction_matches_per_matrix_loop(self):
@@ -424,7 +457,7 @@ class TestMdm:
         assert np.max(np.abs(batched - loops)) <= 1e-10 * np.max(loops)
         preds = mdm_predict(model, tests)
         assert preds == [model.classes[i] for i in np.argmin(loops, axis=1)]
-        assert preds == [mdm_predict(model, t) for t in tests]
+        assert preds == [mdm_predict(model, t[None])[0] for t in tests]
 
     def test_prediction_factors_only_the_class_means(self, monkeypatch):
         rng = np.random.default_rng(86)

@@ -191,9 +191,8 @@ class TestManifest:
         manifest = load_manifest(tmp_path / "manifest.json")
         assert manifest.sample_rate == 100.0
         assert manifest.label_set == (0, 1)
-        subjects = list(manifest.iter_subjects())
-        assert len(subjects) == 1
-        data, labels = subjects[0]
+        entry, = manifest.subjects
+        data, labels = manifest.load_subject(entry)
         assert data.shape == (3, 2, 10) and labels.tolist() == [0, 1, 0]
 
     def test_missing_file_rejected(self, tmp_path):
@@ -202,26 +201,18 @@ class TestManifest:
         with pytest.raises(DataError):
             load_manifest(tmp_path / "manifest.json")
 
-    def test_iter_subjects_loads_the_subjects_in_turn(self, tmp_path):
-        self._write_dataset(tmp_path)
-        manifest = load_manifest(tmp_path / "manifest.json")
-        (data, labels), = manifest.iter_subjects()
-        listed = manifest.load_subject(manifest.subjects[0])
-        assert data.tobytes() == listed[0].tobytes()
-        assert labels.tolist() == listed[1].tolist()
-
     def test_label_outside_declared_set(self, tmp_path):
         self._write_dataset(tmp_path, labels=(0, 1, 7))
         manifest = load_manifest(tmp_path / "manifest.json")
         with pytest.raises(DataError, match=r"^subject s0: labels \[7\] not in declared set$"):
-            list(manifest.iter_subjects())
+            manifest.load_subject(manifest.subjects[0])
 
     def test_label_count_mismatch(self, tmp_path):
         self._write_dataset(tmp_path)
         write_labels(tmp_path / "s0.labels", [0, 1])
         manifest = load_manifest(tmp_path / "manifest.json")
         with pytest.raises(DataError, match="^subject s0: 3 trials but 2 labels$"):
-            list(manifest.iter_subjects())
+            manifest.load_subject(manifest.subjects[0])
 
     @pytest.mark.parametrize("field, value, message", [
         ("label_set", [0.9, 1.5], "label_set[0] must be an integer, got 0.9"),

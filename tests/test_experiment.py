@@ -100,8 +100,7 @@ class GoldenRun:
     was passed, the covariances of every ``ts_features`` call, every input
     of ``spd_log``, how many calls ``np.linalg.eigh`` and ``eigvalsh`` took
     and how many matrices they decomposed, the stack shape of each
-    ``alignment.spd_sqrt`` call, and the SVM's Newton steps and line
-    searches."""
+    ``alignment.spd_sqrt`` call, and the SVM's Newton steps."""
 
     report: ExperimentReport
     cells: list = field(default_factory=list)  # (train, test, predictions)
@@ -112,7 +111,6 @@ class GoldenRun:
     eig_matrices: int = 0
     roots: list = field(default_factory=list)  # shape of each alignment.spd_sqrt input
     newton_steps: int = 0
-    line_searches: int = 0
 
 
 @pytest.fixture(scope="module")
@@ -146,19 +144,14 @@ def golden_run():
         run.newton_steps += np.ndim(b) == 1  # LDA solves for a matrix, a Newton step for a vector
         return solve(a, b)
 
-    def search_spy(*args):
-        run.line_searches += 1
-        return search(*args)
-
     def sqrt_spy(p):
         run.roots.append(np.shape(p))
         return spd.spd_sqrt(p)
 
-    solve, search = np.linalg.solve, classifiers._line_search
+    solve = np.linalg.solve
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "solve", solve_spy)
         patch.setattr(alignment, "spd_sqrt", sqrt_spy)
-        patch.setattr(classifiers, "_line_search", search_spy)
         patch.setattr(experiment, "fit_predict_cell", cell_spy)
         patch.setattr(experiment, "ts_features", ts_spy)
         for module in (spd, features):
@@ -449,10 +442,11 @@ class TestSharedWork:
         assert len(golden_run.roots) == 5
         assert sum(math.prod(shape[:-2]) for shape in golden_run.roots) == 10
 
-    def test_line_search_count_is_pinned(self, golden_run):
-        # The 18 ts-svm fits take the full Newton step wherever it lowers the
-        # objective; a line search at every step made 157 of 157.
-        assert (golden_run.line_searches, golden_run.newton_steps) == (59, 173)
+    def test_newton_step_count_is_pinned(self, golden_run):
+        # The 18 ts-svm fits halve the full Newton step until it lowers the
+        # objective enough. An exact line search at every step made 157, and
+        # as the fallback of a full step that did not lower it, 173.
+        assert golden_run.newton_steps == 174
 
     def test_a_csp_lda_run_takes_no_matrix_log(self, monkeypatch):
         # csp-lda reads no logs, and LA's arithmetic class means take none.
@@ -526,6 +520,12 @@ def manifest(tmp_path):
         entries.append((f"s{i}", f"s{i}.trials", f"s{i}.labels"))
     write_manifest(tmp_path / "manifest.json", 100.0, range(4), entries)
     return tmp_path / "manifest.json"
+
+
+def read_subjects(manifest_path):
+    """Each subject of the manifest at ``manifest_path`` as ``(data, labels)``, read whole."""
+    manifest = load_manifest(manifest_path)
+    return [manifest.load_subject(e) for e in manifest.subjects]
 
 
 def write_spec(path, manifest_path):
@@ -996,7 +996,8 @@ class TestAlignMemory:
         manifest = load_manifest(dataset)
         names = [e.name for e in manifest.subjects]
         stack_peak = traced_peak(
-            lambda: list(experiment.iter_subject_stacks(names, manifest.iter_subjects()))
+            lambda: list(experiment.iter_subject_stacks(
+                names, (manifest.load_subject(e) for e in manifest.subjects)))
         )
         subject_bytes = 40 * 8 * 200 * 8
         args = ["align", "--strategy", strategy, "--manifest", str(dataset),
@@ -1311,7 +1312,7 @@ class TestCli:
     def test_align_la_writes_relabeled_sources(self, manifest, tmp_path):
         out = tmp_path / "aligned"
         assert main(self.la_args(manifest, out)) == 0
-        aligned = list(load_manifest(out / "manifest.json").iter_subjects())
+        aligned = read_subjects(out / "manifest.json")
         assert sorted(set(aligned[0][1].tolist())) == [0, 1, 2, 3]  # target untouched
         for data, labels in aligned[1:]:
             assert len(data) == 12
@@ -1345,8 +1346,8 @@ class TestCli:
         spec = load_scenario(write_spec(tmp_path / "spec.json", manifest))
         out = tmp_path / "aligned"
         assert main(self.la_args(manifest, out)) == 0  # target s0, k = 6
-        written = [covariance_stack(*subject) for subject in
-                   list(load_manifest(out / "manifest.json").iter_subjects())[1:]]
+        written = [covariance_stack(*subject)
+                   for subject in read_subjects(out / "manifest.json")[1:]]
 
         names, subjects = experiment._load_subjects(spec)
         domains = scenario_domains(spec, names, subjects)
@@ -1552,12 +1553,33 @@ class TestCli:
         config = tmp_path / "synth.json"
         config.write_text(json.dumps(cfg))
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "d")]) == 0
-        subjects = list(load_manifest(tmp_path / "d" / "manifest.json").iter_subjects())
+        subjects = read_subjects(tmp_path / "d" / "manifest.json")
         assert [len(data) for data, _ in subjects] == [6, 6]
         config.write_text(json.dumps({**cfg, "channels": 0}))
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "e")]) == 2
         config.write_text(json.dumps({**cfg, "bands": 2}))
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "e")]) == 2
+
+    def test_synth_to_an_unwritable_out_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({
+            "channels": 3, "samples": 20, "classes": 2, "trials_per_class": 3,
+            "subjects": 2, "class_separation": 1.0, "subject_shift": 0.5, "seed": 4}))
+        out = tmp_path / "taken"
+        out.write_text("")  # a file where the directory would go
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: [Errno")
+
+    def test_align_to_an_unwritable_out_exits_2(self, manifest, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")  # a file where the directory would go
+        args = ["align", "--strategy", "ea", "--manifest", str(manifest), "--out", str(out)]
+        assert main(args) == 2
+        out.unlink()
+        (out / "s1.trials").mkdir(parents=True)  # a directory where a subject's file would go
+        assert main(args) == 2
+        for err in capsys.readouterr().err.splitlines():
+            assert err.startswith(f"error: cannot write {out}: [Errno")
 
     @pytest.mark.parametrize("field,value", [
         ("samples", 20.0), ("channels", True), ("seed", "4"), ("noise_df", 9.5),

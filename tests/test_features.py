@@ -31,7 +31,6 @@ from labelalign.errors import (
 from labelalign.experiment import subject_stack
 from labelalign.features import (
     CovStack,
-    centred_scatter,
     covariance_stack,
     csp_features,
     csp_fit,
@@ -43,14 +42,14 @@ from labelalign.spd import riemannian_distance, spd_from_matrix, spd_inv_sqrt, s
 
 class TestTrialCovariance:
     def test_identity_trial(self):
-        assert np.array_equal(trial_covariance(np.eye(2)), np.eye(2))
+        assert np.array_equal(trial_covariance(np.eye(2)[None]), np.eye(2)[None])
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
-            trial_covariance(np.array([[1.0, 1.0], [0.0, 0.0]]), shrinkage=0.0)
+            trial_covariance(np.array([[[1.0, 1.0], [0.0, 0.0]]]), shrinkage=0.0)
 
     def test_shrinkage_repairs_rank_deficiency(self):
-        c = trial_covariance(np.array([[1.0, 1.0], [0.0, 0.0]]), shrinkage=0.1)
+        c = trial_covariance(np.array([[[1.0, 1.0], [0.0, 0.0]]]), shrinkage=0.1)
         assert np.min(np.linalg.eigvalsh(c)) > 0.0
 
     def test_against_naive_gram(self):
@@ -60,18 +59,18 @@ class TestTrialCovariance:
         for i in range(4):
             for j in range(4):
                 naive[i, j] = float(np.dot(x[i], x[j]))
-        c = trial_covariance(x)
+        c = trial_covariance(x[None])[0]
         assert np.max(np.abs(c - naive)) / np.max(np.abs(naive)) <= 1e-12
 
     def test_bad_shrinkage(self):
         with pytest.raises(ConfigError):
-            trial_covariance(np.eye(2), shrinkage=1.0)
+            trial_covariance(np.eye(2)[None], shrinkage=1.0)
 
     def test_stack_is_bitwise_the_per_trial_covariances(self):
         rng = np.random.default_rng(52)
         x = rng.standard_normal((6, 5, 40))
         for shrinkage in (0.0, 0.2):
-            expected = np.stack([trial_covariance(t, shrinkage) for t in x])
+            expected = np.concatenate([trial_covariance(t[None], shrinkage) for t in x])
             assert np.array_equal(trial_covariance(x, shrinkage), expected)
 
     def test_degenerate_trial_of_a_stack_is_named(self):
@@ -86,8 +85,8 @@ class TestTrialCovariance:
         trials, labels = rng.standard_normal((3, 3, 20)), [0, 1, 1]
         stack = covariance_stack(trials, labels, scatter=True)
         assert stack.labels.tolist() == [0, 1, 1]
-        assert np.array_equal(stack.covs[1], trial_covariance(trials[1]))
-        assert np.array_equal(stack.scatter[2], centred_scatter(trials[2]))
+        assert np.array_equal(stack.covs[1:2], trial_covariance(trials[1:2]))
+        assert np.array_equal(stack.scatter[2], whole_stack_scatter(trials[2]))
         assert covariance_stack(trials, labels).scatter is None
         assert covariance_stack(trials, None).labels is None
 
@@ -140,11 +139,10 @@ class TestChunkedCovariances:
         covs, scatter = whole_stack_covariance(x, shrinkage), whole_stack_scatter(x)
         for given in (x, list(x)):  # one array, or the trials' own arrays
             assert same_bytes(trial_covariance(given, shrinkage), covs)
-            assert same_bytes(centred_scatter(given), scatter)
-        stack = covariance_stack(x, np.arange(7) % 2, shrinkage, scatter=True)
-        assert same_bytes(stack.covs, covs) and same_bytes(stack.scatter, scatter)
-        assert same_bytes(trial_covariance(x[4], shrinkage), covs[4])
-        assert same_bytes(centred_scatter(x[4]), scatter[4])
+            stack = covariance_stack(given, np.arange(7) % 2, shrinkage, scatter=True)
+            assert same_bytes(stack.covs, covs) and same_bytes(stack.scatter, scatter)
+        stack = covariance_stack(x[4:5], None, shrinkage, scatter=True)
+        assert same_bytes(stack.covs, covs[4:5]) and same_bytes(stack.scatter, scatter[4:5])
 
     def test_a_degenerate_trial_is_named_by_its_subject_wide_index(self, monkeypatch):
         monkeypatch.setattr(spd, "CHUNK_WORDS", 4 * self.C * self.T)  # chunks of 4
@@ -159,11 +157,16 @@ class TestChunkedCovariances:
     def test_trials_of_different_shapes_are_named(self):
         rng = np.random.default_rng(57)
         trials = [rng.standard_normal(shape) for shape in ((3, 20), (3, 20), (4, 20))]
-        expected = "trials must be one (C, T) or (n, C, T) array"
+        expected = "trials must be one (n, C, T) array"
         with pytest.raises(DimMismatchError, match=f"^{re.escape(expected)}"):
             covariance_stack(trials, None, scatter=True)
         with pytest.raises(DimMismatchError, match=f"^{re.escape('subject s1, ' + expected)}"):
             subject_stack("s1", (trials, None))
+        one = r"^trials must be \(n, C, T\), got \(3, 20\)$"  # one trial is not a stack
+        with pytest.raises(DimMismatchError, match=one):
+            trial_covariance(trials[0])
+        with pytest.raises(DimMismatchError, match=one):
+            covariance_stack(trials[0], None)
 
     def test_covariance_stack_copies_no_subject(self):
         rng = np.random.default_rng(58)
@@ -223,7 +226,6 @@ class TestStreamedCovariances:
         assert same_bytes(streamed.scatter, whole.scatter)
         assert np.array_equal(streamed.labels, labels)
         assert same_bytes(trial_covariance(read_trial_blocks(path), shrinkage), whole.covs)
-        assert same_bytes(centred_scatter(read_trial_blocks(path)), whole.scatter)
 
     def test_the_blocks_of_a_file_share_one_buffer(self, tmp_path):
         path = tmp_path / "s.trials"
@@ -389,15 +391,15 @@ class TestCspFeatures:
         base = np.arange(10.0)
         x = np.vstack([base, base[::-1], np.roll(base, 3)])  # equal sample variance
         filters = np.eye(3)
-        f = csp_features(filters, centred_scatter(x))
+        f = csp_features(filters, whole_stack_scatter(x[None]))
         assert np.allclose(f, np.log(1.0 / 3.0), atol=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(47)
         x = rng.standard_normal((4, 50))
         filters = rng.standard_normal((2, 4))
-        f1 = csp_features(filters, centred_scatter(x))
-        f2 = csp_features(filters, centred_scatter(3.0 * x))
+        f1 = csp_features(filters, whole_stack_scatter(x[None]))
+        f2 = csp_features(filters, whole_stack_scatter(3.0 * x[None]))
         assert np.allclose(f1, f2, atol=1e-12)
 
     def test_direct_formula(self):
@@ -406,7 +408,7 @@ class TestCspFeatures:
         rng = np.random.default_rng(48)
         x = rng.standard_normal((7, 5, 80)) + rng.standard_normal((7, 5, 1))
         filters = rng.standard_normal((4, 5))
-        f = csp_features(filters, centred_scatter(x))
+        f = csp_features(filters, covariance_stack(x, None, scatter=True).scatter)
         assert f.shape == (7, 4)
         for row, trial in zip(f, x):
             v = (filters @ trial).var(axis=1, ddof=1)
@@ -415,7 +417,7 @@ class TestCspFeatures:
     def test_channel_mismatch(self):
         filters = np.eye(3)
         with pytest.raises(DimMismatchError):
-            csp_features(filters, centred_scatter(np.ones((4, 10))))
+            csp_features(filters, whole_stack_scatter(np.ones((1, 4, 10))))
 
     def test_end_to_end_congruence_invariance(self):
         # Re-mixing the channels by an invertible matrix and refitting yields
@@ -424,12 +426,12 @@ class TestCspFeatures:
         trials = rng.standard_normal((12, 5, 100))
         labels = [0] * 6 + [1] * 6
         filters = csp_fit(trial_covariance(trials), labels, 2)
-        probe = trials[0]
-        f_orig = csp_features(filters, centred_scatter(probe))
+        probe = trials[:1]
+        f_orig = csp_features(filters, whole_stack_scatter(probe))
 
         w = random_invertible(rng, 5)
         filters_mixed = csp_fit(trial_covariance(w.T @ trials), labels, 2)
-        f_mixed = csp_features(filters_mixed, centred_scatter(w.T @ probe))
+        f_mixed = csp_features(filters_mixed, whole_stack_scatter(w.T @ probe))
         assert np.max(np.abs(np.sort(f_mixed) - np.sort(f_orig))) <= 1e-8
 
 

@@ -6,7 +6,7 @@ from conftest import loop_distance, random_spd, relative_error, total_cost
 
 from labelalign.errors import KTooLargeError
 from labelalign.selection import k_medoids, pairwise_distances
-from labelalign.spd import riemannian_distance, spd_inv_sqrt, whitened_distance
+from labelalign.spd import CHUNK_WORDS, riemannian_distance
 
 
 def random_distance_matrix(rng, n):
@@ -61,29 +61,28 @@ class TestPairwiseDistances:
         for i in range(29):
             assert np.array_equal(d[i, i + 1 :], riemannian_distance(covs[i], covs[i + 1 :]))
 
-    @pytest.mark.parametrize(("n", "dim", "groups"), [
-        pytest.param(2, 8, [1], id="one-pair"),
-        pytest.param(3, 8, [3], id="one-group"),
-        # 256 whitened 8 x 8 matrices fit in a chunk: rows 39..33, 32..24,
-        # 23..7 and 6..1 of the 40-row triangle.
-        pytest.param(40, 8, [252, 252, 255, 21], id="four-groups"),
-        # 33 matrices of 22 x 22 fit: rows 95..18 stay alone, as a row each.
-        pytest.param(96, 22, [*range(95, 17, -1), 33, 29, 25, 30, 33, 3],
-                     id="rows-longer-than-a-chunk"),
+    @pytest.mark.parametrize(("n", "dim"), [
+        pytest.param(2, 8, id="one-pair"),
+        pytest.param(3, 8, id="one-chunk"),
+        pytest.param(40, 8, id="c8"),  # 256 whitened 8 x 8 matrices fill a chunk
+        pytest.param(32, 16, id="c16"),
+        pytest.param(96, 22, id="c22"),  # 33 matrices of 22 x 22 fill a chunk
     ])
-    def test_grouped_rows_equal_the_per_row_kernel_bitwise(self, monkeypatch, n, dim, groups):
+    def test_pair_chunks_equal_the_per_pair_distance_bitwise(self, monkeypatch, n, dim):
         rng = np.random.default_rng(71)
         covs = np.stack([random_spd(rng, dim) for _ in range(n)])
-        isq = spd_inv_sqrt(covs)
         expected = np.zeros((n, n))
-        for i in range(n - 1):
-            expected[i, i + 1 :] = whitened_distance(isq[i], covs[i + 1 :])
-        calls = []  # the matrices of each eigvalsh call, whole rows grouped while they fit
+        for i, j in zip(*np.triu_indices(n, 1)):
+            expected[i, j] = riemannian_distance(covs[i], covs[j])
+        calls = []  # the matrices of each eigvalsh call
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
         d = pairwise_distances(covs)
         assert d.tobytes() == (expected + expected.T).tobytes()
-        assert calls == groups
+        fits = CHUNK_WORDS // (dim * dim)
+        assert sum(calls) == n * (n - 1) // 2 and max(calls) <= fits
+        assert calls[:-1] == [fits] * (len(calls) - 1)
+
 
 class TestKMedoids:
     def test_k_equals_n(self):

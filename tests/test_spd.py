@@ -228,17 +228,19 @@ class TestTangentSpace:
     def test_zero_vector_at_base_point(self):
         rng = np.random.default_rng(14)
         p = random_spd(rng, 4)
-        assert np.linalg.norm(tangent_map(spd_inv_sqrt(p), p)) <= 1e-10
+        assert np.linalg.norm(tangent_map(spd_inv_sqrt(p), p[None])) <= 1e-10
 
     def test_identity_reference_is_matrix_log(self):
-        v = tangent_map(np.eye(2), np.diag([np.e, 1.0]))
-        assert np.allclose(v, [1.0, 0.0, 0.0], atol=1e-12)
+        v = tangent_map(np.eye(2), np.diag([np.e, 1.0])[None])
+        assert np.allclose(v, [[1.0, 0.0, 0.0]], atol=1e-12)
+        with pytest.raises(DimMismatchError, match="tangent_map: expected a stack"):
+            tangent_map(np.eye(2), np.diag([np.e, 1.0]))  # one matrix is not a stack
 
     def test_round_trip_random_pairs(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
             ref, p = random_spd(rng, 6), random_spd(rng, 6)
-            back = tangent_unmap(ref, tangent_map(spd_inv_sqrt(ref), p))
+            back = tangent_unmap(ref, tangent_map(spd_inv_sqrt(ref), p[None]))[0]
             assert np.linalg.norm(back - p) / np.linalg.norm(p) <= 1e-9
 
     def test_flat_length_validation(self):
@@ -415,7 +417,7 @@ class TestSpdStacks:
         chunk = min(matrices, 7)
         chunks = [(chunk,)] * (7 // chunk) + [(7 % chunk,)] * (7 % chunk > 0)
         assert batches == chunks  # each chunk; the caller took the reference's root
-        assert tangent_map(inv_half, stack[4]).tobytes() == whole[4].tobytes()
+        assert tangent_map(inv_half, stack[4:5]).tobytes() == whole[4].tobytes()
 
     def test_tangent_unmap_inverts_a_stack(self):
         rng = np.random.default_rng(28)
