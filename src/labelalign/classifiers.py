@@ -25,8 +25,11 @@ SVM_ARMIJO = 1e-4  # the share of the predicted decrease that a step must achiev
 
 
 def _as_matrix(features) -> Array:
-    """Feature rows (n, d); a single feature vector becomes one row."""
-    return np.atleast_2d(np.asarray(features, dtype=np.float64))
+    """Feature rows (n, d) as float64; any other shape is refused."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimMismatchError(f"expected feature rows (n, d), got shape {x.shape}")
+    return x
 
 
 def _classes(x: Array, labels) -> tuple[Array, tuple]:

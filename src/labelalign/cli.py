@@ -52,7 +52,7 @@ def _cmd_synth(args) -> int:
     try:
         doc = json.loads(Path(args.config).read_text())
         cfg = SynthConfig(**doc)
-    except (OSError, json.JSONDecodeError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:  # ValueError: undecodable text or JSON
         raise ConfigError(f"cannot load synth config {args.config}: {exc}") from exc
     out = Path(args.out)
     prototypes, shifts = synthetic_parameters(cfg)

@@ -124,13 +124,6 @@ def _check_finite(payload: np.ndarray, start: int = HEADER_SIZE) -> None:
         raise NonFinitePayloadError(f"non-finite value at byte offset {offset}", offset)
 
 
-def _read(path) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-
 @contextmanager
 def _opened(path):
     """``path`` open for binary reading; an :class:`OSError` is a :class:`DataError`."""
@@ -139,6 +132,11 @@ def _opened(path):
             yield f
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _read(path) -> bytes:
+    with _opened(path) as f:
+        return f.read()
 
 
 def _checked_shape(f, path) -> tuple[int, int, int]:

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .spd import (
     Array,
+    as_stack,
     chunks,
     congruence,
     spd_from_matrix,
@@ -246,7 +247,7 @@ def csp_features(filters: Array, scatter: Array) -> Array:
     ddof=1 sample covariance, so a filter row w gives the trial variance
     w^T S w / (T - 1); the normalization cancels the T - 1.
     """
-    s = np.asarray(scatter, dtype=np.float64)
+    s = as_stack(scatter, "csp_features")
     if s.shape[-1] != filters.shape[1]:
         raise DimMismatchError(
             f"trial has {s.shape[-1]} channels, filters expect {filters.shape[1]}"

@@ -1,7 +1,8 @@
-"""k-medoids (PAM) over a precomputed geodesic distance matrix.
+"""Which target trials to label: the k-medoids of the target pool.
 
-Used to pick which target trials to ask labels for: medoids are actual
-trials, so each selected index can be handed to the label oracle.
+:func:`pairwise_distances` gives the geodesic distances between the pool's
+covariances, and :func:`k_medoids` picks k of its trials by PAM over them.
+Medoids are actual trials, so each index can be handed to the label oracle.
 """
 
 from __future__ import annotations
@@ -35,23 +36,24 @@ def pairwise_distances(covs) -> Array:
     return d + d.T
 
 
-def _validate_distance_matrix(d: Array) -> Array:
+def k_medoids(d: Array, k: int) -> list[int]:
+    """The sorted indices of ``k`` medoids of the square, finite distance
+    matrix ``d``, by PAM: a greedy BUILD, then the single best strictly
+    improving swap, repeated until none lowers the cost by more than 1e-15.
+
+    Ties go to the smallest index, and the swaps are scanned by medoid and
+    candidate in ascending order, so the result is deterministic. Each SWAP
+    pass takes the distances of every point to every candidate h once. A
+    point whose own medoid leaves moves to h or to its second-nearest medoid,
+    ``min(d(., h), d2) - d1``; any other point moves to h only if h is nearer,
+    ``min(d(., h) - d1, 0)``. A swap's cost change sums the first over the
+    leaving medoid's points and the second over the rest.
+    """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DimMismatchError(f"distance matrix must be square, got {d.shape}")
     if not np.isfinite(d).all():
         raise NonFiniteError("distance matrix contains NaN or Inf")
-    return d
-
-
-def k_medoids(d: Array, k: int) -> list[int]:
-    """PAM: greedy BUILD then best-improvement SWAP until a local optimum.
-
-    Fully deterministic: ties are broken by the smallest index, and the
-    swap scan considers medoids and candidates in ascending index order.
-    Returns sorted indices.
-    """
-    d = _validate_distance_matrix(d)
     n = d.shape[0]
     if not 1 <= k <= n:
         raise KTooLargeError(f"k must satisfy 1 <= k <= {n}, got {k}")
@@ -69,40 +71,21 @@ def k_medoids(d: Array, k: int) -> list[int]:
 
     # SWAP: repeatedly apply the single best strictly improving swap.
     medoids = sorted(medoids)
-    while True:
-        med = np.asarray(medoids)
-        dist_to_med = d[med]
-        order = np.argsort(dist_to_med, axis=0, kind="stable")
-        d1 = dist_to_med[order[0], np.arange(n)]
-        owner = order[0]
-        d2 = (
-            dist_to_med[order[1], np.arange(n)]
-            if k > 1
-            else np.full(n, np.inf)
-        )
-        non_medoids = [h for h in range(n) if h not in set(medoids)]
-        if not non_medoids:
-            break
-        hs = np.asarray(non_medoids)
-        best_delta = 0.0
-        best_swap = None
-        for mi, m in enumerate(medoids):
+    points = np.arange(n)
+    while (hs := np.setdiff1d(points, medoids)).size:
+        to_medoids = d[medoids]
+        owner = np.argmin(to_medoids, axis=0)
+        # the nearest and second-nearest medoid distances; a lone medoid has no second
+        d1, d2 = np.sort(np.vstack((to_medoids, np.full(n, np.inf))), axis=0)[:2, :, None]
+        dh = d[:, hs]
+        lose, gain = np.minimum(dh, d2) - d1, np.minimum(dh - d1, 0.0)
+        best_delta, best_swap = 0.0, None
+        for mi in range(k):
             owned = owner == mi
-            # Points losing medoid m move to min(d(., h), second nearest);
-            # the rest can only improve by moving to h.
-            delta_owned = (
-                np.minimum(d[np.ix_(owned.nonzero()[0], hs)], d2[owned, None])
-                - d1[owned, None]
-            ).sum(axis=0)
-            others = ~owned
-            delta_others = np.minimum(
-                d[np.ix_(others.nonzero()[0], hs)] - d1[others, None], 0.0
-            ).sum(axis=0)
-            deltas = delta_owned + delta_others
+            deltas = lose[owned].sum(axis=0) + gain[~owned].sum(axis=0)
             hi = int(np.argmin(deltas))
             if deltas[hi] < best_delta - 1e-15:
-                best_delta = float(deltas[hi])
-                best_swap = (mi, int(hs[hi]))
+                best_delta, best_swap = float(deltas[hi]), (mi, int(hs[hi]))
         if best_swap is None:
             break
         mi, h = best_swap

@@ -14,38 +14,36 @@ _FPMIN = 1e-300
 _MAX_ITER = 500
 
 
+def _nonzero(v: float) -> float:
+    """``v``, or ``_FPMIN`` where ``|v|`` is below it, so that Lentz never divides by 0."""
+    return _FPMIN if abs(v) < _FPMIN else v
+
+
 def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
+    """The continued fraction of the incomplete beta I_x(a, b), by modified Lentz.
+
+    Term m of the fraction has two coefficients, an even one
+    ``m (b - m) x / ((a - 1 + 2m) (a + 2m))`` and an odd one
+    ``-(a + m) (a + b + m) x / ((a + 2m) (a + 1 + 2m))``. Each goes through
+    the one Lentz update of the running ratios ``d`` and ``c``, clamped away
+    from 0, and multiplies the estimate ``h`` by their product. The fraction
+    has converged when the odd coefficient's product is within ``BETA_TOL``
+    of 1; it raises :class:`ArithmeticError` after ``_MAX_ITER`` terms.
+    """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
+    d = 1.0 / _nonzero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / _nonzero(1.0 + aa * d)
+            c = _nonzero(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < BETA_TOL:
             return h
     raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")

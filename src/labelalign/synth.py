@@ -17,9 +17,11 @@ place of ``P_m^{1/2}``. ``E[Q] = I`` keeps the expected trial covariance
 unchanged while making single trials genuinely dispersed, the way trials
 from a live recording are. ``noise_df = None`` disables the dispersion.
 
-A config whose ``subjects x classes x trials_per_class x channels x
-max(samples, noise_df)`` words drawn exceed ``MAX_WORDS`` is refused with
-:class:`ConfigError` before any draw.
+A config is refused with :class:`ConfigError` before any draw when the words
+that a run on it would hold exceed ``MAX_WORDS``. Per trial that is the
+larger of the words drawn, ``channels x max(samples, noise_df)``, and the
+``KEPT_ARRAYS`` ``(C, C)`` arrays that a run keeps of it; per subject it adds
+``SUBJECT_WORDS``.
 
 All randomness flows through the counter-based generator in
 :mod:`labelalign.rng`, keyed per (class/subject/trial), so the output is a
@@ -61,6 +63,8 @@ from .spd import Array, chunks, spd_exp, spd_sqrt, symmetrize
 
 _COUNTS = ("channels", "samples", "classes", "trials_per_class", "subjects")
 MAX_WORDS = 1 << 32  # about 100 times the paper-scale dataset's 4.3e7 words
+KEPT_ARRAYS = 6  # a trial's (C, C) covariance, scatter and log, in the raw and whitened views
+SUBJECT_WORDS = 1 << 10  # a run's fixed cost per subject: its name, domain and class means
 
 
 @dataclass(frozen=True)
@@ -86,11 +90,13 @@ class SynthConfig:
             raise ConfigError(
                 f"noise_df must exceed channels ({self.channels}), got {self.noise_df}"
             )
-        words = (self.subjects * self.classes * self.trials_per_class * self.channels
-                 * max(self.samples, self.noise_df or 0))
+        c = self.channels
+        trial = max(c * max(self.samples, self.noise_df or 0), KEPT_ARRAYS * c * c)
+        words = self.subjects * (self.classes * self.trials_per_class * trial + SUBJECT_WORDS)
         if words > MAX_WORDS:
             raise ConfigError(
-                "subjects x classes x trials_per_class x channels x max(samples, noise_df) "
+                "subjects x classes x trials_per_class x max(channels x max(samples, noise_df), "
+                f"{KEPT_ARRAYS} x channels^2) + subjects x {SUBJECT_WORDS} "
                 f"must be at most {MAX_WORDS} words"
             )
 

@@ -5,6 +5,7 @@ from labelalign.alignment import align
 from labelalign.errors import DimMismatchError, NotConvergedError
 from labelalign.rng import CounterRng, derive_key
 from labelalign.spd import spd_exp, spd_sqrt, symmetrize
+from labelalign.stats import _FPMIN, _MAX_ITER, BETA_TOL
 from labelalign.synth import synthetic_parameters, synthetic_subjects
 
 
@@ -143,6 +144,101 @@ def exact_newton_pair(x, neg, pos):
         step = -np.linalg.solve(hess, grad)
         z = z + exact_line_search(slack, y * (x1 @ step), z[:-1], step[:-1]) * step
     raise NotConvergedError("exact_newton_pair: no convergence")
+
+
+def reference_pam(d, k):
+    """PAM as :func:`labelalign.selection.k_medoids` was first written, on a
+    valid ``d`` and ``k``: the same BUILD, and a SWAP that gathers each
+    medoid's own points and the other points from ``d`` apart, for every
+    medoid of every pass. The kernel is held to its medoids."""
+    n = d.shape[0]
+    medoids = [int(np.argmin(d.sum(axis=1)))]
+    nearest = d[medoids[0]].copy()
+    while len(medoids) < k:
+        gains = np.maximum(nearest[None, :] - d, 0.0).sum(axis=1)
+        gains[medoids] = -np.inf
+        best = int(np.argmax(gains))
+        medoids.append(best)
+        nearest = np.minimum(nearest, d[best])
+    medoids = sorted(medoids)
+    while True:
+        med = np.asarray(medoids)
+        dist_to_med = d[med]
+        order = np.argsort(dist_to_med, axis=0, kind="stable")
+        d1 = dist_to_med[order[0], np.arange(n)]
+        owner = order[0]
+        d2 = (
+            dist_to_med[order[1], np.arange(n)]
+            if k > 1
+            else np.full(n, np.inf)
+        )
+        non_medoids = [h for h in range(n) if h not in set(medoids)]
+        if not non_medoids:
+            break
+        hs = np.asarray(non_medoids)
+        best_delta = 0.0
+        best_swap = None
+        for mi, m in enumerate(medoids):
+            owned = owner == mi
+            delta_owned = (
+                np.minimum(d[np.ix_(owned.nonzero()[0], hs)], d2[owned, None])
+                - d1[owned, None]
+            ).sum(axis=0)
+            others = ~owned
+            delta_others = np.minimum(
+                d[np.ix_(others.nonzero()[0], hs)] - d1[others, None], 0.0
+            ).sum(axis=0)
+            deltas = delta_owned + delta_others
+            hi = int(np.argmin(deltas))
+            if deltas[hi] < best_delta - 1e-15:
+                best_delta = float(deltas[hi])
+                best_swap = (mi, int(hs[hi]))
+        if best_swap is None:
+            break
+        mi, h = best_swap
+        medoids[mi] = h
+        medoids = sorted(medoids)
+    return medoids
+
+
+def reference_beta_cf(a, b, x):
+    """The incomplete beta's continued fraction as
+    :func:`labelalign.stats._beta_cf` was first written: the even and the odd
+    Lentz step of each term spelled out, each with its own clamps. The kernel
+    is held to it bit for bit."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    d = 1.0 / d
+    h = d
+    for m in range(1, _MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < BETA_TOL:
+            return h
+    raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
 
 
 def loop_synthetic_subjects(cfg):

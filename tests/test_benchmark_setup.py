@@ -16,7 +16,7 @@ import pytest
 
 from labelalign import synth
 from labelalign.dataio import load_manifest
-from labelalign.experiment import load_scenario, run_scenario
+from labelalign.experiment import ScenarioSpec, load_scenario, run_scenario
 from labelalign.report import render_report_csv
 from labelalign.synth import SynthConfig, generate_synthetic
 
@@ -68,6 +68,31 @@ def test_workload_data_is_pinned(monkeypatch, name):
         for t in trials:
             digest.update(t.data.tobytes() + bytes([t.label]))
     assert digest.hexdigest() == WORKLOAD_DIGESTS[name]
+
+
+# sha256 of each workload's CSV report, generated at its default seed and run
+# at jobs 1. The golden spec (C = 6, pools of 24) never runs PAM on a 96-trial
+# pool at C = 22; these runs do, so a kernel that changes a medoid there shows.
+WORKLOAD_REPORT_DIGESTS = {
+    "loso-c8-full": "45738ad426711c7fe98f9f2258411e380a0dae5c877a8dfb0cca228d705a49c6",
+    "loso-c22-geom": "b706851446e59b128ec80f77681cf49eebc59658c7ff58106dc6d294dafb6d9b",
+    "loso-disk-jobs2": "94af5dd725279cdfaa88f09d94b23b57d7455da4648ce898e8a2339971370855",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_REPORT_DIGESTS))
+def test_workload_report_is_pinned(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS[name]
+    spec = ScenarioSpec(
+        source_labels=workloads.SOURCE_LABELS, target_labels=workloads.TARGET_LABELS,
+        strategies=workload.strategies, pipelines=workload.pipelines,
+        k_grid=workload.k_grid, seed=workload.seed,
+        synth=SynthConfig(**workload.synth_fields(workload.seed)),
+    )
+    report = render_report_csv(run_scenario(spec, jobs=1))
+    assert hashlib.sha256(report.encode()).hexdigest() == WORKLOAD_REPORT_DIGESTS[name]
 
 
 def test_the_generator_draws_its_parameters_once(monkeypatch):

@@ -57,8 +57,13 @@ class TestLda:
         x = np.vstack([plus, minus])
         y = [1, 1, 1, 1, 0, 0, 0, 0]
         model = lda_fit(x, y)
-        assert lda_predict_many(model, np.array([0.5, 7.0])) == [1]
-        assert lda_predict_many(model, np.array([-0.5, 7.0])) == [0]
+        assert lda_predict_many(model, np.array([[0.5, 7.0]])) == [1]
+        assert lda_predict_many(model, np.array([[-0.5, 7.0]])) == [0]
+        for bad in (np.array([0.5, 7.0]), np.ones((1, 1, 2))):  # rows (n, d) only
+            with pytest.raises(DimMismatchError, match=r"expected feature rows \(n, d\)"):
+                lda_predict_many(model, bad)
+            with pytest.raises(DimMismatchError, match=r"expected feature rows \(n, d\)"):
+                lda_fit(bad, [1])
 
     def test_class_mean_classified_as_class(self):
         rng = np.random.default_rng(71)
@@ -66,7 +71,7 @@ class TestLda:
         y = [0] * 20 + [1] * 20
         model = lda_fit(x, y)
         for i, c in enumerate(model.classes):
-            assert lda_predict_many(model, model.means[i]) == [c]
+            assert lda_predict_many(model, model.means[i:i + 1]) == [c]
 
     def test_close_to_bayes_rule_on_gaussian_task(self):
         rng = np.random.default_rng(72)
@@ -204,6 +209,11 @@ class TestLinearSvm:
         y = [3] * 5 + [7] * 5
         model = svm_fit(x, y)
         assert svm_predict_many(model, x[:1]) == [3]
+        for bad in (x[0], x[None]):  # rows (n, d) only
+            with pytest.raises(DimMismatchError, match=r"expected feature rows \(n, d\)"):
+                svm_predict_many(model, bad)
+            with pytest.raises(DimMismatchError, match=r"expected feature rows \(n, d\)"):
+                svm_fit(bad, y[:len(bad)])
 
     def test_agrees_with_lda_on_gaussian_task(self):
         rng = np.random.default_rng(75)

@@ -200,11 +200,19 @@ class TestSizeBound:
         # let it fail in this child, not fill the machine.
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    def test_a_huge_dataset_exits_2_at_once(self, tmp_path):
+    @pytest.mark.parametrize("huge", [
+        pytest.param({"subjects": 10**30}, id="drawn"),
+        # Each draws at most MAX_WORDS words, but a run would hold more.
+        pytest.param({"channels": 1, "samples": 1, "noise_df": None, "classes": 2,
+                      "trials_per_class": 2, "subjects": 2**30}, id="subject-names"),
+        pytest.param({"channels": 4096, "samples": 1, "noise_df": None, "classes": 2,
+                      "trials_per_class": 2, "subjects": 2**18}, id="covariances"),
+    ])
+    def test_a_huge_dataset_exits_2_at_once(self, tmp_path, huge):
         config = tmp_path / "synth.json"
-        config.write_text(json.dumps({**SYNTH, "subjects": 10**30}))
+        config.write_text(json.dumps({**SYNTH, **huge}))
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({**SPEC, "synth": {**SYNTH, "subjects": 10**30}}))
+        spec.write_text(json.dumps({**SPEC, "synth": {**SYNTH, **huge}}))
         src = str(Path(experiment.__file__).parents[1])
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

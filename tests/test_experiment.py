@@ -1560,6 +1560,14 @@ class TestCli:
         config.write_text(json.dumps({**cfg, "bands": 2}))
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "e")]) == 2
 
+    def test_a_synth_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "synth.json"
+        config.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte order mark
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load synth config {config}: ")
+        assert "Traceback" not in err and not (tmp_path / "d").exists()
+
     def test_synth_to_an_unwritable_out_exits_2(self, tmp_path, capsys):
         config = tmp_path / "synth.json"
         config.write_text(json.dumps({

@@ -418,6 +418,10 @@ class TestCspFeatures:
         filters = np.eye(3)
         with pytest.raises(DimMismatchError):
             csp_features(filters, whole_stack_scatter(np.ones((1, 4, 10))))
+        scatter = whole_stack_scatter(np.ones((1, 3, 10)))
+        for bad in (scatter[0], scatter[0, 0]):  # one scatter, or a vector: stacks only
+            with pytest.raises(DimMismatchError, match="csp_features: expected a stack"):
+                csp_features(filters, bad)
 
     def test_end_to_end_congruence_invariance(self):
         # Re-mixing the channels by an invertible matrix and refitting yields

@@ -2,11 +2,20 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import loop_distance, random_spd, relative_error, total_cost
+from conftest import (
+    first_subject,
+    loop_distance,
+    random_spd,
+    reference_pam,
+    relative_error,
+    total_cost,
+)
 
-from labelalign.errors import KTooLargeError
+from labelalign.errors import DimMismatchError, KTooLargeError, NonFiniteError
+from labelalign.features import trial_covariance
 from labelalign.selection import k_medoids, pairwise_distances
 from labelalign.spd import CHUNK_WORDS, riemannian_distance
+from labelalign.synth import SynthConfig
 
 
 def random_distance_matrix(rng, n):
@@ -14,6 +23,26 @@ def random_distance_matrix(rng, n):
     d = 0.5 * (a + a.T)
     np.fill_diagonal(d, 0.0)
     return d
+
+
+def tied_distance_matrix(rng, n):
+    """Distances between points on a 0.1 grid, so with many exact ties."""
+    x = np.round(rng.uniform(0.0, 2.0, size=(n, 2)), 1)
+    return np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=-1))
+
+
+def equal_distance_matrix(rng, n):
+    """Every distance between two points ties."""
+    return 1.0 - np.eye(n)
+
+
+def geodesic_distance_matrix(rng, n):
+    """The geodesic distances of a generated subject's trial covariances."""
+    cfg = SynthConfig(channels=6, samples=40, classes=2, trials_per_class=n // 2 + 1,
+                      subjects=1, class_separation=1.0, subject_shift=0.5,
+                      seed=int(rng.integers(1 << 30)), noise_df=12)
+    data, _ = first_subject(cfg)
+    return pairwise_distances(trial_covariance(data[:n]))
 
 
 def exhaustive_optimum(d, k):
@@ -136,6 +165,24 @@ class TestKMedoids:
         assert medoids == sorted(medoids)
         assert len(set(medoids)) == 4
         assert all(0 <= m < 9 for m in medoids)
+
+    @pytest.mark.parametrize("matrix", [random_distance_matrix, tied_distance_matrix,
+                                        equal_distance_matrix, geodesic_distance_matrix])
+    @pytest.mark.parametrize("n", [2, 3, 9, 24, 41])
+    def test_equals_the_reference_pam_at_every_k(self, matrix, n):
+        d = matrix(np.random.default_rng(n), n)
+        for k in range(1, n + 1):
+            assert k_medoids(d, k) == reference_pam(d, k), k
+
+    @pytest.mark.parametrize(("d", "error"), [
+        (np.zeros((2, 3)), DimMismatchError),
+        (np.zeros(3), DimMismatchError),
+        (np.array([[0.0, np.nan], [np.nan, 0.0]]), NonFiniteError),
+        (np.array([[0.0, np.inf], [np.inf, 0.0]]), NonFiniteError),
+    ])
+    def test_a_matrix_that_is_not_square_and_finite_is_refused(self, d, error):
+        with pytest.raises(error, match="distance matrix"):
+            k_medoids(d, 1)
 
     def test_k_out_of_range(self):
         d = np.zeros((3, 3))

@@ -4,15 +4,24 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from conftest import reference_beta_cf
 
 from labelalign.errors import ConfigError, TooFewPointsError, ZeroVarianceError
 from labelalign.experiment import auc_over_k, paired_t_test
-from labelalign.stats import regularized_incomplete_beta, student_t_two_sided_p
+from labelalign.stats import _beta_cf, regularized_incomplete_beta, student_t_two_sided_p
 
 
 def t_density(x, dof):
     c = math.gamma((dof + 1) / 2) / (math.sqrt(dof * math.pi) * math.gamma(dof / 2))
     return c * (1 + x * x / dof) ** (-(dof + 1) / 2)
+
+
+def outcome(cf, a, b, x):
+    """The fraction's value as its exact bits, or the error that it raised."""
+    try:
+        return cf(a, b, x).hex()
+    except ArithmeticError as exc:
+        return str(exc)
 
 
 def two_sided_p_by_quadrature(t, dof):
@@ -28,6 +37,23 @@ class TestIncompleteBeta:
                     mine = regularized_incomplete_beta(a, b, x)
                     ref = scipy.special.betainc(a, b, x)
                     assert mine == pytest.approx(ref, abs=1e-9)
+
+    def test_the_fraction_equals_the_reference_bitwise_on_the_grid(self):
+        for a in (0.5, 1.0, 2.5, 10.0):
+            for b in (0.5, 1.0, 3.0, 8.0):
+                for x in (0.0, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0):
+                    assert outcome(_beta_cf, a, b, x) == outcome(reference_beta_cf, a, b, x)
+
+    def test_the_fraction_equals_the_reference_bitwise_on_random_draws(self):
+        # Shapes from 0.05 to 200, log-uniform; 7 in 10 draws with b = 0.5, the
+        # t-test's case.
+        rng = np.random.default_rng(93)
+        n = 12_000
+        a = np.exp(rng.uniform(np.log(0.05), np.log(200.0), n))
+        b = np.where(rng.uniform(size=n) < 0.7, 0.5,
+                     np.exp(rng.uniform(np.log(0.05), np.log(200.0), n)))
+        for ai, bi, xi in zip(a.tolist(), b.tolist(), rng.uniform(size=n).tolist()):
+            assert outcome(_beta_cf, ai, bi, xi) == outcome(reference_beta_cf, ai, bi, xi)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
