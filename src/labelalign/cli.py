@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from .alignment import (
     target_roots,
 )
 from .dataio import (
+    TrialBlocks,
     load_manifest,
     read_labels,
     read_trial_blocks,
@@ -44,7 +46,6 @@ from .features import DEFAULT_CSP_PAIRS, CovStack, covariance_stack
 from .report import emit_report
 from .rng import derive_key
 from .selection import k_medoids, pairwise_distances
-from .spd import chunks
 from .synth import SynthConfig, subject_shift, synthetic_parameters, synthetic_subjects
 
 
@@ -101,23 +102,26 @@ def _cmd_align(args) -> int:
     source_set, target_set, mapping = args.source_labels, args.target_labels, None
     if args.strategy == "la":  # the arguments are checked before any file is read
         if args.target_subject is None or not source_set or not target_set:
-            raise ConfigError(
-                "la alignment needs --target-subject, --source-labels and --target-labels"
-            )
+            raise ConfigError("la alignment needs --target-subject, --source-labels and "
+                              "--target-labels")
         if args.k < 1:
             raise ConfigError(f"-k must be >= 1, got {args.k}")
         mapping = match_labels(source_set, target_set, derive_key(args.seed, "mapping"))
     manifest = load_manifest(args.manifest)
-    fits = _fit_subjects(args, manifest, mapping)
-    # Second pass: re-read, align and write one subject at a time.
     out = Path(args.out)
+    inputs = [Path(args.manifest), *(p for e in manifest.subjects
+                                      for p in (e.trials_path, e.labels_path))]
+    if out.resolve() in {d.resolve() for p in inputs for d in (p.parent, p.resolve().parent)}:
+        raise ConfigError(f"--out {out} holds files of the dataset that it would align")
+    fits = _fit_subjects(args, manifest, mapping)
+    # Second pass: re-read, align and write one block of one subject at a time.
     entries, label_set = [], set()
     with _writing_into(out):
-        for entry, fit in zip(manifest.subjects, fits):
-            data, labels = _aligned(manifest.load_subject(entry), *fit, source_set)
-            entries.append(_write_subject(out, entry.name, data, labels))
+        subjects = zip(manifest.subjects, manifest.iter_subject_blocks(), fits)
+        for entry, (trials, labels), fit in subjects:
+            trials, labels = _aligned(trials, labels, *fit, source_set)
+            entries.append(_write_subject(out, entry.name, trials, labels))
             label_set.update(labels.tolist())
-            del data  # the next subject is read without this one
         write_manifest(out / "manifest.json", manifest.sample_rate, sorted(label_set), entries)
     print(f"wrote aligned dataset to {out}")
     return 0
@@ -125,12 +129,11 @@ def _cmd_align(args) -> int:
 
 def _fit_subjects(args, manifest, mapping) -> list:
     """``align``'s first pass: check every subject and fit its alignment (A, an LA
-    source's target labels), keeping none of its trials or stacks; nothing is written
-    unless every subject passes."""
+    source's target labels), keeping of each stack only what the fit needs (an LA
+    source's class inverse roots and labels); nothing is written unless all pass."""
     names = [e.name for e in manifest.subjects]
     if args.strategy == "la" and args.target_subject not in names:
         raise ConfigError(f"unknown target subject {args.target_subject!r}")
-    fits = [(None, None)] * len(names)  # raw, and the LA target, pass through
     subjects = manifest.iter_subject_blocks()
     if args.strategy == "raw":  # computes no covariances: rank-deficient trials pass
         for name, (trials, _) in zip(names, subjects):
@@ -138,42 +141,44 @@ def _fit_subjects(args, manifest, mapping) -> list:
                 raise EmptyInputError(f"subject {name}, no trials")
             for _ in trials.blocks:  # each block is checked as it is read
                 pass
-        return fits
-    stacks = list(iter_subject_stacks(names, subjects))
+        return [(None, None)] * len(names)
+    stacks = zip(names, iter_subject_stacks(names, subjects))
     if args.strategy == "ea":
-        return [(ea_reference(stack.covs), None) for stack in stacks]
-    target_set = args.target_labels  # la, as in a harness unit
-    target = names.index(args.target_subject)
-    pool = label_view(args.target_subject, stacks[target], "target", target_set)
+        return [(ea_reference(stack.covs), None) for _, stack in stacks]
+    fits, target_set = [], args.target_labels  # la, as in a harness unit
+    for name, stack in stacks:
+        if name == args.target_subject:  # passes through
+            pool = label_view(name, stack, "target", target_set)
+            fits.append((None, None))
+        else:
+            source = source_view(name, stack, mapping)
+            fits.append((class_inv_roots(source), source.labels))
     medoids = k_medoids(pairwise_distances(pool.covs), args.k)
     roots = target_roots(pool.take(medoids), len(target_set))
     if roots is None:
-        raise DataError(
-            f"the {args.k} medoids cover fewer than {len(target_set)} classes; "
-            "label more trials or use --strategy ea"
-        )
-    for i, (name, stack) in enumerate(zip(names, stacks)):
-        if i != target:
-            source = source_view(name, stack, mapping)
-            fits[i] = la_fit(class_inv_roots(source), roots), source.labels
-    return fits
+        raise DataError(f"the {args.k} medoids cover fewer than {len(target_set)} classes; "
+                        "label more trials or use --strategy ea")
+    return [(inv if inv is None else la_fit(inv, roots), labels) for inv, labels in fits]
 
 
-def _aligned(subject, a, labels, source_set):
-    """A subject's ``(data, labels)`` aligned as ``A X``: unchanged (``a`` None), by one
-    matrix ``a`` in one batched product, or by a source's :func:`la_fit` class matrices
-    ``a``, its source view relabeled to ``labels``, written a chunk of its kept rows at
-    a time into the output, so that no copy of the kept rows is made whole."""
-    data, own = subject
+def _aligned(trials, labels, a, new_labels, source_set):
+    """A subject's :class:`TrialBlocks` and labels aligned as ``A X``, a block at a time:
+    unchanged (``a`` None), by one matrix ``a``, or by a source's :func:`la_fit` class
+    matrices ``a``, only its rows in ``source_set``, relabeled to ``new_labels``."""
     if a is None:
-        return subject
-    if labels is None:
-        return a @ data, own
-    kept = np.flatnonzero(np.isin(own, source_set))
-    out = np.empty((len(kept), *data.shape[1:]))
-    for rows in chunks(len(kept), data.shape[1] * data.shape[2]):
-        np.matmul(la_per_trial(a, labels[rows]), data[kept[rows]], out=out[rows])
-    return out, labels
+        return trials, labels
+    if new_labels is None:
+        return replace(trials, blocks=((rows, a @ block) for rows, block in trials.blocks)), labels
+    kept, per_trial = np.isin(labels, source_set), la_per_trial(a, new_labels)
+
+    def blocks():
+        start = 0
+        for rows, block in trials.blocks:
+            stop = start + np.count_nonzero(kept[rows])
+            yield slice(start, stop), per_trial[start:stop] @ block[kept[rows]]
+            start = stop
+
+    return TrialBlocks((len(new_labels), *trials.shape[1:]), blocks()), new_labels
 
 
 def _file_stack(path, labels, shrinkage: float, scatter: bool = False) -> CovStack:

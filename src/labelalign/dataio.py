@@ -1,9 +1,9 @@
 """Epoched trials and their on-disk formats: trial files, label files, manifests.
 
-A subject is a pair ``(data, labels)``: its trials as one float64 ``(n, C,
-T)`` array, channels x samples each, and their int labels ``(n,)``. That is
-what a trial file and its label file hold, what the synthetic generator
-yields, and what :func:`labelalign.features.covariance_stack` takes.
+A subject's trials move as :class:`TrialBlocks`, a shape ``(n, C, T)`` and
+its float64 blocks, and its labels as an int array ``(n,)``: a trial file is
+read as such blocks, and :func:`write_trials` and
+:func:`labelalign.features.covariance_stack` take them (:func:`as_blocks`).
 
 The trial file layout (all integers little-endian):
 
@@ -18,19 +18,12 @@ offset  size  contents
 17      ...   float64 payload, trial-major then channel then sample
 ======  ====  =======================================================
 
-A trial file is written one trial at a time and read in one of two ways,
-neither of which makes a second copy of the payload. :func:`read_trials`
-reads it straight into one ``(count, C, T)`` array. :func:`read_trial_blocks`
-reads it as :class:`TrialBlocks`: one :func:`labelalign.spd.chunks` block of
-trials (``CHUNK_WORDS`` words, one trial at least) at a time, into one reused
-buffer, so that a reader that needs only each trial's covariance never holds
-the whole payload. Both check the header and the file's size before any
-payload is read, and each value as it is read. The harness and the commands
-that estimate covariances (``labelalign kmedoids``, ``classify`` and
-``align``'s fitting pass) read trial files in blocks, one manifest subject at
-a time (:meth:`DatasetManifest.iter_subject_blocks`); ``align``'s second pass,
-which aligns and writes each subject's trials, reads them whole
-(:meth:`DatasetManifest.load_subject`).
+Every command reads trial files in blocks, one manifest subject at a time
+(:meth:`DatasetManifest.iter_subject_blocks`): :func:`read_trial_blocks`
+reads one :func:`labelalign.spd.chunks` block of trials (``CHUNK_WORDS``
+words, one trial at least) at a time into one reused buffer. :func:`read_trials`
+reads a file into one ``(count, C, T)`` array. Both check the header and the
+file's size before any payload is read, and each value as it is read.
 
 :class:`Trial`, one labeled epoch, is kept only because the benchmark's
 set-up writes :func:`labelalign.synth.generate_synthetic`'s subjects, lists
@@ -63,6 +56,7 @@ from .errors import (
     ConfigError,
     DataError,
     DimMismatchError,
+    EmptyInputError,
     NonFiniteError,
     NonFinitePayloadError,
     TruncatedPayloadError,
@@ -95,25 +89,27 @@ class Trial:
 
 
 def write_trials(path, trials) -> None:
-    """Write ``trials``, an ``(n, C, T)`` array, one trial at a time; the file
-    round-trips bit-exactly. Shapes and values are checked before the file is
-    opened. A list of :class:`Trial` is taken too, only because the
-    benchmark's set-up passes one."""
-    rows = trials if isinstance(trials, np.ndarray) else [t.data for t in trials]
-    if len(rows) == 0:
-        raise DataError("cannot write an empty trial list")
-    shape = rows[0].shape
-    if len(shape) != 2 or 0 in shape:
-        raise DimMismatchError(f"trials must be (n, C, T) with C, T > 0, got rows of {shape}")
-    for i, row in enumerate(rows):
-        if row.shape != shape:
-            raise DimMismatchError(f"trial {i} has shape {row.shape}, expected {shape}")
-        _check_finite(row, HEADER_SIZE + 8 * i * row.size)
-    header = MAGIC + bytes([VERSION]) + struct.pack("<III", *shape, len(rows))
-    with open(path, "wb") as f:
-        f.write(header)
-        for row in rows:
-            f.write(np.ascontiguousarray(row, dtype="<f8"))
+    """Write ``trials`` (a form of :func:`as_blocks`) block by block, each
+    block's shape and values checked just before it is written (a NaN or Inf
+    named by its file offset); the file round-trips bit-exactly. The blocks go
+    to ``<path>.tmp``, which replaces ``path`` once they are all written, so a
+    failed write leaves ``path`` as it was (absent, or its previous bytes)."""
+    trials = as_blocks(trials)
+    n, c, t = trials.shape
+    part = Path(f"{path}.tmp")
+    try:
+        with open(part, "wb") as f:
+            f.write(MAGIC + bytes([VERSION]) + struct.pack("<III", c, t, n))
+            for rows, block in trials.blocks:
+                if block.shape[1:] != (c, t):
+                    raise DimMismatchError(f"trial {rows.start} has shape {block.shape[1:]}, "
+                                           f"expected {(c, t)}")
+                _check_finite(block, _payload_end(rows.start, c, t))
+                f.write(np.ascontiguousarray(block, dtype="<f8"))
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def _check_finite(payload: np.ndarray, start: int = HEADER_SIZE) -> None:
@@ -210,6 +206,35 @@ class TrialBlocks:
         return self.shape[0]
 
 
+def as_blocks(x) -> TrialBlocks:
+    """``x`` as :class:`TrialBlocks`: as it is, an ``(n, C, T)`` array in views of
+    its :func:`labelalign.spd.chunks`, or a list of :class:`Trial` a trial per
+    block. Another shape, or ragged trials, is a :class:`DimMismatchError`; no
+    trials, an :class:`EmptyInputError`."""
+    if isinstance(x, list) and x and isinstance(x[0], Trial):
+        x = TrialBlocks((len(x), *x[0].data.shape),
+                        ((slice(i, i + 1), t.data[None]) for i, t in enumerate(x)))
+    elif not isinstance(x, TrialBlocks):
+        try:
+            stack = np.asarray(x, dtype=np.float64)
+        except ValueError as exc:
+            raise DimMismatchError(f"trials must be one (n, C, T) array: {exc}") from exc
+        if stack.ndim != 3:
+            raise DimMismatchError(f"trials must be (n, C, T), got {stack.shape}")
+        x = TrialBlocks(stack.shape, _views(stack))
+    if x.shape[0] == 0:
+        raise EmptyInputError("no trials")
+    if 0 in x.shape[1:]:
+        raise DimMismatchError(f"trials must have C, T > 0, got {tuple(x.shape[1:])}")
+    return x
+
+
+def _views(stack: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    n, c, t = stack.shape
+    for rows in chunks(n, c * t):
+        yield rows, stack[rows]
+
+
 def read_trial_blocks(path) -> TrialBlocks:
     """The trials of the trial file ``path`` as :class:`TrialBlocks`. The
     header and the file's size are checked now, with the errors of
@@ -274,19 +299,13 @@ class DatasetManifest:
     label_set: tuple[int, ...]
     subjects: tuple[SubjectEntry, ...]
 
-    def load_subject(self, entry: SubjectEntry) -> tuple[np.ndarray, np.ndarray]:
-        """The trials ``(n, C, T)`` and labels ``(n,)`` of ``entry``, read whole;
-        a :class:`DataError` of its files is prefixed ``subject {name}:``."""
-        with located(f"subject {entry.name}"):
-            data = read_trials(entry.trials_path)
-            return data, self._labels(entry, len(data))
-
     def iter_subject_blocks(self) -> Iterator[tuple[TrialBlocks, np.ndarray]]:
         """Each subject's trials as :class:`TrialBlocks` (:func:`read_trial_blocks`)
-        and its labels ``(n,)``, in turn, opened as the next is asked for and
-        checked as :meth:`load_subject` checks them, but for the payload, whose
-        blocks are checked as they are read. A :class:`DataError` of a subject's
-        files, while its blocks are read too, is prefixed ``subject {name}:``."""
+        and its labels ``(n,)``, in turn, opened as the next is asked for: the
+        header, the file's size and the labels (their count and the declared set)
+        are checked then, and the payload's blocks as they are read. A
+        :class:`DataError` of a subject's files, while its blocks are read too,
+        is prefixed ``subject {name}:``."""
         for entry in self.subjects:
             where = f"subject {entry.name}"
             with located(where):

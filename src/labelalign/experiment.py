@@ -10,21 +10,24 @@ time, and a stack is estimated in bounded chunks. A manifest subject's trial
 file is read one chunk at a time into one reused buffer
 (:meth:`labelalign.dataio.DatasetManifest.iter_subject_blocks`), so its
 trials are never in memory whole; a generated subject is one ``(n, C, T)``
-array, dropped once its stack is built. The stack is dropped once its views
+array, dropped once its stack is built, and the generator drops its own
+reference before it generates the next. The stack is dropped once its views
 are built, so at most one subject's stack, and one generated subject's
-trials, are in memory. Each source view is relabeled to the target labels
-as it is built, the one place the label mapping is applied. What depends on
-neither the target nor the budget is computed with them, once per scenario:
-each view's EA-whitened stack, the inverse roots ``Cs^{-1/2}`` of the source
-class means and, when ts-svm, ts-lda or mdm runs, the matrix logs of the
-source views that some strategy trains on (the raw ones under ``raw``, the
-whitened ones under ``ea`` or ``la``, which falls back to EA). A target pool
-carries no logs: only its labeled trials are ever logged, once they are
-picked. One unit per target subject then aligns only those stacks, never raw
-trials. The process pool is imported only when ``jobs`` > 1; then each pool
-worker receives the scenario's domains once, at start-up (inherited, not
-pickled, under the ``fork`` start method), and each unit is dispatched as
-the index of its target subject.
+trials, are in memory (``TestOneSubjectAtATime``, whose
+``test_synth_peaks_within_one_generated_subject`` bounds the generator's).
+Each source view is relabeled to the target labels as it is built, the one
+place the label mapping is applied. What depends on neither the target nor
+the budget is computed with them, once per scenario: each view's EA-whitened
+stack, the inverse roots ``Cs^{-1/2}`` of the source class means and, when
+ts-svm, ts-lda or mdm runs, the matrix logs of the source views that some
+strategy trains on (the raw ones under ``raw``, the whitened ones under
+``ea`` or ``la``, which falls back to EA). A target pool carries no logs:
+only its labeled trials are ever logged, once they are picked. One unit per
+target subject then aligns only those stacks, never raw trials. The process
+pool is imported only when ``jobs`` > 1; then each pool worker receives the
+scenario's domains once, at start-up (inherited, not pickled, under the
+``fork`` start method), and each unit is dispatched as the index of its
+target subject.
 
 Protocol per target subject and per budget ``k``: the k medoid trials of
 the target pool are labeled and join the training set, every remaining
@@ -307,7 +310,7 @@ def fit_predict(pipeline: str, train: CovStack, test: CovStack, *, csp_pairs: in
     return fit_predict_cell((pipeline,), train, test, csp_pairs=csp_pairs)[pipeline]
 
 
-def _load_subjects(spec: ScenarioSpec) -> tuple[list[str], Iterator[tuple]]:
+def _open_subjects(spec: ScenarioSpec) -> tuple[list[str], Iterator[tuple]]:
     """The subject names, and an iterator that opens (or generates) each
     subject's ``(data, labels)`` when it is asked for the next: ``data`` is a
     manifest subject's :class:`labelalign.dataio.TrialBlocks`, read as its
@@ -485,7 +488,7 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    names, subjects = _load_subjects(spec)
+    names, subjects = _open_subjects(spec)
     if len(names) < 2:
         raise ConfigError("need at least two subjects for leave-one-subject-out")
     mapping = match_labels(

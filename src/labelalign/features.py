@@ -7,12 +7,10 @@ functions return ``(n, d)`` arrays, and a fitted CSP model is its filter
 rows, one ``(m, C)`` array.
 
 Covariance estimation copies no subject. :func:`trial_covariance` and
-:func:`covariance_stack` take the trials either as an ``(n, C, T)`` array or
-as the :class:`labelalign.dataio.TrialBlocks` of a trial file
-(:func:`labelalign.dataio.read_trial_blocks`), and both go through one
-per-block kernel. The trials come in :func:`labelalign.spd.chunks` of at most
-``CHUNK_WORDS = 2^14`` 64-bit words (128 KiB), one trial at least: views of
-the array, or blocks read from the file into one reused buffer. The kernel
+:func:`covariance_stack` take the trials in any form that
+:func:`labelalign.dataio.as_blocks` takes, an ``(n, C, T)`` array (in views of
+its chunks) or a trial file's :class:`labelalign.dataio.TrialBlocks` (blocks
+read into one reused buffer), and both go through one per-block kernel. It
 writes each block's Gram matrices into the preallocated ``(n, C, C)`` result,
 and :func:`covariance_stack` writes the centred scatter of the same block
 beside them, so that a file is read once for both. Their temporary arrays
@@ -29,17 +27,15 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dataio import TrialBlocks
+from .dataio import as_blocks
 from .errors import (
     ConfigError,
     DegenerateCovarianceError,
     DimMismatchError,
-    EmptyInputError,
 )
 from .spd import (
     Array,
     as_stack,
-    chunks,
     congruence,
     spd_from_matrix,
     spd_log,
@@ -96,31 +92,6 @@ class CovStack:
         return start
 
 
-def _as_trials(x) -> TrialBlocks:
-    """``x`` as :class:`TrialBlocks`: a trial file's blocks as they are read,
-    or an ``(n, C, T)`` array in views of its chunks. Any other shape, and
-    ragged input (trials of different shapes), raises :class:`DimMismatchError`."""
-    if not isinstance(x, TrialBlocks):
-        try:
-            stack = np.asarray(x, dtype=np.float64)
-        except ValueError as exc:
-            raise DimMismatchError(f"trials must be one (n, C, T) array: {exc}") from exc
-        if stack.ndim != 3:
-            raise DimMismatchError(f"trials must be (n, C, T), got {stack.shape}")
-        x = TrialBlocks(stack.shape, _views(stack))
-    if x.shape[0] == 0:
-        raise EmptyInputError("no trials")
-    if 0 in x.shape[1:]:
-        raise DimMismatchError(f"trials must have C, T > 0, got {tuple(x.shape[1:])}")
-    return x
-
-
-def _views(stack: Array) -> Iterator[tuple[slice, Array]]:
-    n, c, t = stack.shape
-    for rows in chunks(n, c * t):
-        yield rows, stack[rows]
-
-
 def _gram(block: Array, out: Array, centred: bool) -> None:
     """Write the Gram matrix ``X Xᵀ`` of each trial of ``block`` (m, C, T) (of
     its time-centred rows when ``centred``) into ``out`` (m, C, C): the one
@@ -139,8 +110,8 @@ def _with_scatter(blocks: Iterable, scatter: Array) -> Iterator:
 
 
 def trial_covariance(x, shrinkage: float = 0.0) -> Array:
-    """Spatial covariances X X^T (n, C, C) of the trials ``x``: an (n, C, T)
-    array or a trial file's :class:`TrialBlocks`.
+    """Spatial covariances X X^T (n, C, C) of the trials ``x``, in a form of
+    :func:`labelalign.dataio.as_blocks`.
 
     ``shrinkage`` in [0, 1) blends in trace(C)/dim * I, which keeps the
     result SPD for rank-deficient trials (T < channels). The default of 0
@@ -151,7 +122,7 @@ def trial_covariance(x, shrinkage: float = 0.0) -> Array:
     """
     if not 0.0 <= shrinkage < 1.0:
         raise ConfigError(f"shrinkage must be in [0, 1), got {shrinkage}")
-    trials = _as_trials(x)
+    trials = as_blocks(x)
     n, dim, _ = trials.shape
     c = np.empty((n, dim, dim))
     for rows, block in trials.blocks:
@@ -163,12 +134,12 @@ def trial_covariance(x, shrinkage: float = 0.0) -> Array:
 
 
 def covariance_stack(data, labels, shrinkage: float = 0.0, scatter: bool = False) -> CovStack:
-    """Covariances of the trials ``data`` (an (n, C, T) array, never copied
-    whole, or a trial file's :class:`TrialBlocks`), labeled by ``labels`` (n,)
-    or None, and their time-centred scatter Xc Xc^T when ``scatter``, which
-    :func:`csp_features` reads. The scatter is taken from each block as
-    :func:`trial_covariance` passes it, so the trials are gone through once."""
-    trials = _as_trials(data)
+    """Covariances of the trials ``data`` (as :func:`trial_covariance` takes
+    them), labeled by ``labels`` (n,) or None, and their time-centred scatter
+    Xc Xc^T when ``scatter``, which :func:`csp_features` reads. The scatter is
+    taken from each block as :func:`trial_covariance` passes it, so the trials
+    are gone through once."""
+    trials = as_blocks(data)
     if labels is not None and len(labels) != len(trials):
         raise DimMismatchError(f"{len(trials)} trials but {len(labels)} labels")
     centred = None

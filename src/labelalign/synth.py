@@ -160,6 +160,7 @@ def synthetic_subjects(cfg: SynthConfig, prototypes, shifts) -> Iterator[tuple[A
                 z = rng.normal_matrix(c, cfg.samples)
                 np.matmul(factor, z, out=rows[batch])
         yield data, np.repeat(np.arange(cfg.classes), per_class)
+        del data, rows  # before the next subject is allocated
 
 
 def generate_synthetic(cfg: SynthConfig) -> SynthDataset:

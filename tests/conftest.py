@@ -2,7 +2,8 @@ import numpy as np
 
 from labelalign import classifiers, experiment
 from labelalign.alignment import align
-from labelalign.errors import DimMismatchError, NotConvergedError
+from labelalign.dataio import read_trials
+from labelalign.errors import DimMismatchError, NotConvergedError, located
 from labelalign.rng import CounterRng, derive_key
 from labelalign.spd import spd_exp, spd_sqrt, symmetrize
 from labelalign.stats import _FPMIN, _MAX_ITER, BETA_TOL
@@ -31,6 +32,16 @@ def align_sources(strategy, sources, target, means=None, logs=False):
     aligned_target = align(strategy, sources, target, means, buffer)
     stops = np.cumsum([len(source.stack.covs) for source in sources])
     return [buffer.take(slice(a, b)) for a, b in zip([0, *stops], stops)], aligned_target
+
+
+def read_subject(manifest, entry):
+    """The trials ``(n, C, T)`` and labels ``(n,)`` of the manifest subject
+    ``entry``, its trial file read whole (``read_trials``) and its labels checked
+    as ``iter_subject_blocks`` checks them; a ``DataError`` of its files is
+    prefixed ``subject {name}:``, as there."""
+    with located(f"subject {entry.name}"):
+        data = read_trials(entry.trials_path)
+        return data, manifest._labels(entry, len(data))
 
 
 # Per-matrix reference formulas: one eigendecomposition per matrix, the way

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import read_subject
 
 from labelalign import synth
 from labelalign.dataio import load_manifest
@@ -43,7 +44,7 @@ def test_build_dataset_round_trips_the_generated_subjects(monkeypatch, tmp_path)
     run.build_dataset(workload, 1, tmp_path / "d")
     generated = generate_synthetic(SynthConfig(**workload.synth_fields(1))).subjects
     manifest = load_manifest(tmp_path / "d" / "manifest.json")
-    loaded = [manifest.load_subject(e) for e in manifest.subjects]
+    loaded = [read_subject(manifest, e) for e in manifest.subjects]
     for want, (data, labels) in zip(generated, loaded, strict=True):
         assert [(l, x.tobytes()) for x, l in zip(data, labels.tolist(), strict=True)] == [
             (t.label, t.data.tobytes()) for t in want

@@ -11,8 +11,11 @@ from labelalign.cli import main
 from labelalign.dataio import (
     HEADER_SIZE,
     Trial,
+    TrialBlocks,
+    as_blocks,
     load_manifest,
     read_labels,
+    read_trial_blocks,
     read_trials,
     write_labels,
     write_manifest,
@@ -55,6 +58,8 @@ class TestTrialFile:
         p1, p2 = tmp / "a", tmp / "b"
         write_trials(p1, make_trials(rng, count, channels, samples))
         write_trials(p2, read_trials(p1))
+        assert p1.read_bytes() == p2.read_bytes()
+        write_trials(p2, read_trial_blocks(p1))  # over the file, from the blocks of another
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic_offset_zero(self, tmp_path):
@@ -104,7 +109,7 @@ class TestTrialFile:
 
     @pytest.mark.parametrize("shape", [(3, 7), (2, 0, 7)])
     def test_write_rejects_an_array_that_is_not_n_c_t(self, tmp_path, shape):
-        with pytest.raises(DimMismatchError, match="trials must be"):
+        with pytest.raises(DimMismatchError, match="trials must (be|have)"):
             write_trials(tmp_path / "m", np.ones(shape))
         assert not (tmp_path / "m").exists()
 
@@ -145,6 +150,25 @@ class TestTrialFile:
             write_trials(path, trials)
         assert err.value.offset == HEADER_SIZE + 8 * (2 * 10 + 1 * 5 + 3)
         assert not path.exists()
+
+    def test_a_nan_in_a_later_block_leaves_the_file_as_it_was(self, tmp_path):
+        trials = make_trials(np.random.default_rng(108), 50, 4, 100)  # blocks of 40 and 10
+        trials[45, 2, 7] = np.nan
+        written = []
+
+        def blocks():
+            for rows, block in as_blocks(trials).blocks:
+                yield rows, block
+                written.append(len(block))  # the write loop asks for the next block
+
+        path = tmp_path / "x.trials"
+        path.write_bytes(b"earlier bytes")
+        with pytest.raises(NonFinitePayloadError) as err:
+            write_trials(path, TrialBlocks(trials.shape, blocks()))
+        assert written == [40]
+        assert err.value.offset == HEADER_SIZE + 8 * (45 * 400 + 2 * 100 + 7)
+        assert path.read_bytes() == b"earlier bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.trials"]
 
     def test_header_claiming_more_than_the_file_holds_is_truncated(self, tmp_path):
         path = tmp_path / "huge"
@@ -191,9 +215,9 @@ class TestManifest:
         manifest = load_manifest(tmp_path / "manifest.json")
         assert manifest.sample_rate == 100.0
         assert manifest.label_set == (0, 1)
-        entry, = manifest.subjects
-        data, labels = manifest.load_subject(entry)
-        assert data.shape == (3, 2, 10) and labels.tolist() == [0, 1, 0]
+        assert [e.name for e in manifest.subjects] == ["s0"]
+        (trials, labels), = manifest.iter_subject_blocks()
+        assert trials.shape == (3, 2, 10) and labels.tolist() == [0, 1, 0]
 
     def test_missing_file_rejected(self, tmp_path):
         self._write_dataset(tmp_path)
@@ -205,14 +229,14 @@ class TestManifest:
         self._write_dataset(tmp_path, labels=(0, 1, 7))
         manifest = load_manifest(tmp_path / "manifest.json")
         with pytest.raises(DataError, match=r"^subject s0: labels \[7\] not in declared set$"):
-            manifest.load_subject(manifest.subjects[0])
+            next(manifest.iter_subject_blocks())
 
     def test_label_count_mismatch(self, tmp_path):
         self._write_dataset(tmp_path)
         write_labels(tmp_path / "s0.labels", [0, 1])
         manifest = load_manifest(tmp_path / "manifest.json")
         with pytest.raises(DataError, match="^subject s0: 3 trials but 2 labels$"):
-            manifest.load_subject(manifest.subjects[0])
+            next(manifest.iter_subject_blocks())
 
     @pytest.mark.parametrize("field, value, message", [
         ("label_set", [0.9, 1.5], "label_set[0] must be an integer, got 0.9"),

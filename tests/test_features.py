@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import random_invertible, random_spd, tangent_unmap
+from conftest import random_invertible, random_spd, read_subject, tangent_unmap
 
 from labelalign import spd
 from labelalign.dataio import (
@@ -192,10 +192,10 @@ def one_subject_manifest(tmp_path, x):
 
 def read_both_ways(manifest):
     """The error of the stack of the manifest's one subject, from its trial
-    file read whole (:meth:`load_subject`) and read in blocks
+    file read whole (``read_subject``) and read in blocks
     (:meth:`iter_subject_blocks`, as the harness reads it)."""
     errors = []
-    for subjects in (lambda: [manifest.load_subject(manifest.subjects[0])],
+    for subjects in (lambda: [read_subject(manifest, manifest.subjects[0])],
                      manifest.iter_subject_blocks):
         with pytest.raises(DataError) as err:
             for subject in subjects():
