@@ -1,10 +1,7 @@
-"""SPD-manifold alignment for cross-subject multichannel trials.
-
-Covariance geometry (geodesic distance, tangent-space maps, Log-Euclidean
-means), domain whitening and per-class label alignment, CSP and
-tangent-space feature pipelines, medoid-based trial selection, and a
-reproducible leave-one-subject-out experiment harness.
-"""
+"""SPD-manifold alignment for cross-subject multichannel trials: covariance
+geometry, domain whitening and per-class label alignment, CSP and
+tangent-space pipelines, medoid-based trial selection, and a reproducible
+leave-one-subject-out experiment harness."""
 
 from .alignment import (
     Domain,

@@ -1,29 +1,22 @@
 """Whole-domain and per-class alignment of trial covariance stacks.
 
-Both transforms are congruences ``C -> A C Aᵀ`` on a
-:class:`~labelalign.features.CovStack` (n, C, C), which is what aligning
-the raw trials as ``A X`` does to their covariances, so they preserve
-within-subject (and within-class) geodesic distances. Domain whitening
-(``ea``) uses the inverse square root of the subject's mean trial
-covariance, after which that mean is exactly the identity.
-
-Label alignment first maps the source label space onto the target label
-space (:func:`match_labels`); each entry point applies that mapping once,
-with :func:`relabel`, where it builds a source view. From then on there is
-one label space: a source domain's class means are keyed by target label,
-and per-class re-centering (``la``) gives the trials of each source class
-``A = Ct^{1/2} Cs^{-1/2}`` for the arithmetic class means ``Cs`` (source)
-and ``Ct`` (target) of the same label, the mean that EA whitens with. The
-arithmetic mean commutes with every congruence, so the mean of the aligned
-trials ``A Cᵢ Aᵀ`` of each source class is ``A Cs Aᵀ = Ct``, exactly up to
-rounding, and the LA fit takes no matrix logs. Each root is taken once: a
-source's ``Cs^{-1/2}`` (:func:`class_inv_roots`) once per :class:`Domain`,
-with its whitened stack, and the ``Ct^{1/2}`` of a labeled target set
-(:func:`target_roots`) once, for every source; :func:`la_fit` only multiplies.
-:func:`la_per_trial` turns the class matrices into each source trial's
-matrix; :func:`align` applies them to covariance stacks, writing the aligned
-rows a chunk at a time into a training buffer, and ``labelalign align`` to
-the raw trials, streamed one subject at a time.
+Both transforms are congruences ``C -> A C Aᵀ`` of a
+:class:`~labelalign.features.CovStack`, which is what aligning the raw trials
+as ``A X`` does to their covariances
+(``TestLabelAlignment.test_aligned_covariances_match_aligned_trials``), so they
+keep within-subject geodesic distances. Domain whitening (``ea``) uses the
+inverse square root of the subject's mean covariance. Label alignment maps the
+source label space onto the target's (:func:`match_labels`), once per source
+view (``TestSharedWork.test_each_source_view_is_relabeled_once``). Per-class
+re-centering (``la``) then moves each source class by ``A = Ct^{1/2}
+Cs^{-1/2}``, for the arithmetic class means ``Cs`` and ``Ct`` of one label;
+the arithmetic mean commutes with every congruence, so the aligned class mean
+is ``Ct`` up to rounding
+(``TestLabelAlignment.test_recenters_class_mean_exactly``) and no matrix log
+is taken. A source's ``Cs^{-1/2}`` is taken once per :class:`Domain`, a
+labeled target's ``Ct^{1/2}`` once for every source
+(``TestSharedWork.test_target_roots_are_taken_once_per_target_and_k``), and
+:func:`la_fit` only multiplies.
 """
 
 from __future__ import annotations
@@ -65,11 +58,8 @@ class LabelMapping:
 
 
 def match_labels(source_labels, target_labels, seed: int = 0) -> LabelMapping:
-    """Match common labels identically, the rest by a seeded permutation.
-
-    Deterministic given the label sets and the seed. A label listed twice,
-    or sets of unequal size, raise :class:`ConfigError`.
-    """
+    """Match common labels identically, the rest by a seeded permutation; a
+    label listed twice, or sets of unequal size, raise :class:`ConfigError`."""
     for role, labels in (("source", source_labels), ("target", target_labels)):
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate {role} labels: {tuple(labels)}")
@@ -120,8 +110,7 @@ def target_roots(labeled: CovStack, n_classes: int) -> dict | None:
 def la_fit(source_inv_roots: dict, target_roots: dict) -> dict:
     """``{label: Ct^{1/2} Cs^{-1/2}}`` from a source's :func:`class_inv_roots`
     (``Cs^{-1/2}`` per label, the source relabeled to target labels) and the
-    target's :func:`target_roots` (``Ct^{1/2}`` per label), paired by label.
-    Both roots are taken beforehand, so the fit only multiplies."""
+    target's :func:`target_roots` (``Ct^{1/2}`` per label), paired by label."""
     for label in sorted(source_inv_roots.keys() ^ target_roots.keys()):
         what = "no target mean" if label in source_inv_roots else "no source trials"
         raise MissingClassError(f"{what} for label {label!r}", label)
@@ -140,9 +129,8 @@ def la_per_trial(matrices: dict, labels) -> Array:
 
 @dataclass(frozen=True, eq=False)
 class Domain:
-    """One subject's covariance ``stack`` and its EA-whitened ``ea_stack``; on a
-    source also ``inv_roots``, the inverse square roots of the class means
-    that LA moves (None on a target pool)."""
+    """One subject's covariance ``stack``, its EA-whitened ``ea_stack`` and, on a
+    source, the ``inv_roots`` of its class means that LA moves."""
 
     stack: CovStack
     ea_stack: CovStack
@@ -156,18 +144,16 @@ def class_inv_roots(stack: CovStack) -> dict:
 
 
 def domain(stack: CovStack, source: bool = False) -> Domain:
-    """Build a domain; ``source`` also computes its class means' inverse roots.
-    Neither stack carries matrix logs: the harness logs a source view's stacks
-    with :meth:`CovStack.with_logs` when some strategy trains on them, and of
-    a target pool only the trials that get labeled, once they are picked."""
+    """Build a domain, whose stacks carry no logs; ``source`` also computes its
+    class means' inverse roots."""
     ea_stack = stack.transformed(ea_reference(stack.covs))
     return Domain(stack, ea_stack, class_inv_roots(stack) if source else None)
 
 
 def _la_rows(sources: Sequence[Domain], target_roots: dict) -> Iterator[CovStack]:
-    """The LA-aligned rows of each source in turn, a chunk of its rows at a
-    time (:func:`labelalign.spd.chunks`); :func:`la_fit` is called once per
-    source."""
+    """The LA-aligned rows of each source in turn, in :func:`labelalign.spd.chunks`
+    of its rows, with the bits of the whole source
+    (``TestAlignDispatch.test_la_rows_in_chunks_are_the_whole_source_bit_for_bit``)."""
     for d in sources:
         a = la_fit(d.inv_roots, target_roots)
         for rows in chunks(len(d.stack.covs), d.stack.covs.shape[-1] ** 2):
@@ -182,22 +168,12 @@ def align(
     target_roots: dict | None,
     out: CovStack,
 ) -> CovStack:
-    """Dispatch one alignment strategy over all source subjects.
-
-    Writes the aligned source stacks one after another into the first rows
-    of ``out``, a training buffer (:meth:`CovStack.write`, which logs them
-    when ``out`` holds logs), and returns the aligned target stack. The
-    source domains already carry target labels, so no strategy relabels.
-
-    * ``raw``: covariances pass through unchanged.
-    * ``ea``: every subject, including the target, is whitened with its own
-      reference; these are the domains' whitened stacks, with any logs
-      they carry.
-    * ``la``: each source subject (a domain built with ``source=True``) gets
-      its own per-class transforms toward the shared ``target_roots``; the
-      target is untouched. The source rows are aligned and written one
-      chunk at a time, so only one chunk of them exists beside ``out``.
-    """
+    """Write the source stacks aligned by ``strategy`` one after another into
+    the first rows of the training buffer ``out`` (:meth:`CovStack.write`), and
+    return the aligned target stack. ``raw`` passes the covariances through;
+    ``ea`` takes every domain's whitened stack; ``la`` moves each source (a
+    domain built with ``source=True``) toward the shared ``target_roots``, a
+    chunk of its rows at a time, and leaves the target as it is."""
     if strategy == "la":
         if target_roots is None:
             raise ConfigError("la alignment needs target roots")

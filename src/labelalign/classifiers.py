@@ -1,11 +1,9 @@
 """Classifiers for the pipelines: LDA, linear SVM, and minimum distance to mean.
 
 LDA and the SVM take feature rows (n, d); MDM takes covariance stacks
-(n, C, C), as logs to fit and as covariances to predict. The one-vs-one
-linear SVM trains each pair by finite Newton, halving the full step until it
-lowers the objective enough (the Armijo rule), so it uses no random numbers
-and does not depend on row order; it predicts by one matrix product and a
-majority vote. MDM's class means are one (m, C, C) stack."""
+(n, C, C), as logs to fit and as covariances to predict. The one-vs-one linear
+SVM uses no random numbers, and its weights do not depend on row order
+(``TestLinearSvm.test_row_order_does_not_change_weights``)."""
 
 from __future__ import annotations
 
@@ -53,12 +51,9 @@ class LdaModel:
 
 
 def lda_fit(features, labels) -> LdaModel:
-    """Gaussian LDA with a pooled within-class covariance.
-
-    The pooled covariance is regularized by LDA_GAMMA * trace/d * I so the
-    high-dimensional tangent-space features stay invertible (a zero trace
-    raises); the projections solve it against the means, with no inverse.
-    """
+    """Gaussian LDA with a pooled within-class covariance, regularized by
+    LDA_GAMMA * trace/d * I so that high-dimensional tangent-space features
+    stay invertible; a zero trace raises."""
     x = _as_matrix(features)
     labels, classes = _classes(x, labels)
     n, d = x.shape
@@ -109,15 +104,13 @@ def _train_pair(x: Array, neg: Array, pos: Array) -> Array:
     the bias is unregularized.
 
     Finite Newton (Mangasarian, Optim. Methods Softw. 2002) on the generalized
-    Hessian of the current support set (Chapelle, Neural Computation 2007),
-    with Mangasarian's step rule: the full Newton step, halved until the
-    objective falls by at least ``SVM_ARMIJO`` times the decrease that the
-    gradient predicts for it (the Armijo condition). Iteration stops once the
-    gradient norm falls to ``SVM_GRAD_TOL`` times its value at the zero model.
-    A Newton step that is not finite raises :class:`NotConvergedError` at
-    once. The pair's rows are copied once, beside a column of ones for the
-    bias, with the y = -1 rows negated, so ``yx @ z`` is y (x . z) and every
-    slack 1 - yx @ z is computed from its own iterate.
+    Hessian of the current support set (Chapelle, Neural Computation 2007):
+    the full Newton step, halved until the objective falls by at least
+    ``SVM_ARMIJO`` times the decrease that the gradient predicts for it, until
+    the gradient norm falls to ``SVM_GRAD_TOL`` times its value at the zero
+    model. The pair's rows are copied into ``yx``, beside a column of ones for
+    the bias and with the y = -1 rows negated, and each step gathers the
+    support rows ``yx[active]`` again, up to a second copy of ``yx``.
     """
     na, nb = np.count_nonzero(neg), np.count_nonzero(pos)
     n, d = na + nb, x.shape[1]
@@ -194,8 +187,8 @@ class MdmModel:
 
 def mdm_fit(logs, labels) -> MdmModel:
     """Per-class Log-Euclidean means ``exp(mean(log Cᵢ))`` of the training
-    covariances, from their matrix ``logs`` (n, C, C): one exp of the stacked
-    class means of the logs, and no eigendecomposition of the covariances."""
+    covariances, from their matrix ``logs`` (n, C, C), one class at a time
+    (``TestTrainBuffer.test_a_two_class_fit_copies_one_class_at_a_time``)."""
     logs = as_stack(logs, "mdm_fit")
     labels, classes = _classes(logs, labels)
     mean_logs = np.stack([np.mean(logs[labels == l], axis=0) for l in classes])
@@ -204,11 +197,8 @@ def mdm_fit(logs, labels) -> MdmModel:
 
 def mdm_predict(model: MdmModel, covs: Array) -> list:
     """The label of each covariance of the stack ``covs`` (n, C, C): its
-    nearest class mean under the geodesic distance, ties by class order.
-
-    The distances whiten by the class means, so only the m means are
-    factored, once, and each covariance costs one eigvalsh per class.
-    """
+    nearest class mean under the geodesic distance, ties by class order. Only
+    the class means are factored (``TestMdm.test_prediction_factors_only_the_class_means``)."""
     covs = as_stack(covs, "mdm_predict")
     nearest = np.argmin(riemannian_distance(model.means, covs[:, None]), axis=-1)
     return [model.classes[int(i)] for i in nearest]

@@ -51,7 +51,7 @@ from .synth import SynthConfig, subject_shift, synthetic_parameters, synthetic_s
 
 def _cmd_synth(args) -> int:
     try:
-        doc = json.loads(Path(args.config).read_text())
+        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
         cfg = SynthConfig(**doc)
     except (OSError, ValueError, TypeError) as exc:  # ValueError: undecodable text or JSON
         raise ConfigError(f"cannot load synth config {args.config}: {exc}") from exc
@@ -65,17 +65,17 @@ def _cmd_synth(args) -> int:
             "prototypes": [p.tolist() for p in prototypes],
             "shifts": [subject_shift(cfg, s).tolist() for s in range(cfg.subjects)],  # redrawn
         }
-        (out / "generator.json").write_text(json.dumps(parameters, sort_keys=True) + "\n")
+        (out / "generator.json").write_text(json.dumps(parameters, sort_keys=True) + "\n",
+                                            encoding="utf-8")
     print(f"wrote {cfg.subjects} subjects to {out}")
     return 0
 
 
 @contextmanager
 def _writing_into(out: Path):
-    """Make the directory ``out`` for the block to write into. An
-    :class:`OSError` while making it or writing (a file in the way, no
-    permission, a full disk) is a :class:`ConfigError` that names ``out``, as
-    :func:`emit_report` names a report path."""
+    """Make the directory ``out`` for the block to write into; an
+    :class:`OSError` while making it or writing is a :class:`ConfigError`
+    that names ``out``."""
     try:
         out.mkdir(parents=True, exist_ok=True)
         yield
@@ -162,7 +162,8 @@ def _fit_subjects(args, manifest, mapping) -> list:
 
 
 def _aligned(trials, labels, a, new_labels, source_set):
-    """A subject's :class:`TrialBlocks` and labels aligned as ``A X``, a block at a time:
+    """A subject's :class:`TrialBlocks` and labels aligned as ``A X``, a block at a time
+    (``TestAlignMemory.test_align_peaks_below_a_quarter_of_a_subject_payload``):
     unchanged (``a`` None), by one matrix ``a``, or by a source's :func:`la_fit` class
     matrices ``a``, only its rows in ``source_set``, relabeled to ``new_labels``."""
     if a is None:

@@ -1,42 +1,19 @@
 """Epoched trials and their on-disk formats: trial files, label files, manifests.
 
-A subject's trials move as :class:`TrialBlocks`, a shape ``(n, C, T)`` and
-its float64 blocks, and its labels as an int array ``(n,)``: a trial file is
-read as such blocks, and :func:`write_trials` and
-:func:`labelalign.features.covariance_stack` take them (:func:`as_blocks`).
+A subject's trials move as :class:`TrialBlocks`, a shape ``(n, C, T)`` and its
+float64 blocks, the chunks of :mod:`labelalign.spd`; its labels are an int
+array ``(n,)``. A trial file is a 17-byte header, the magic ``b"EEGT"``, the
+version byte 1 and the little-endian u32 channel, sample and trial counts,
+then the little-endian float64 payload, trial-major, then channel, then
+sample. A reader checks the header and the file's size before any payload is
+read, and each value as it is read; a fault is named by its byte offset.
 
-The trial file layout (all integers little-endian):
-
-======  ====  =======================================================
-offset  size  contents
-======  ====  =======================================================
-0       4     magic ``b"EEGT"``
-4       1     format version, currently 1
-5       4     u32 channel count
-9       4     u32 samples per trial
-13      4     u32 trial count
-17      ...   float64 payload, trial-major then channel then sample
-======  ====  =======================================================
-
-Every command reads trial files in blocks, one manifest subject at a time
-(:meth:`DatasetManifest.iter_subject_blocks`): :func:`read_trial_blocks`
-reads one :func:`labelalign.spd.chunks` block of trials (``CHUNK_WORDS``
-words, one trial at least) at a time into one reused buffer. :func:`read_trials`
-reads a file into one ``(count, C, T)`` array. Both check the header and the
-file's size before any payload is read, and each value as it is read.
-
-:class:`Trial`, one labeled epoch, is kept only because the benchmark's
-set-up writes :func:`labelalign.synth.generate_synthetic`'s subjects, lists
-of them, with :func:`write_trials` and reads their labels.
-
-Label files are newline-separated integers, one per trial. A manifest is
-a JSON document (``{"version": 1, "sample_rate": ..., "label_set": [...],
-"subjects": [{"name": ..., "trials": ..., "labels": ...}, ...]}``) whose
-paths are resolved relative to the manifest file. Its ``sample_rate`` must
-be a finite number > 0, its ``label_set`` a list of ints and each subject's
-``name`` a string, checked by :func:`labelalign.errors.require` and never
-converted; a manifest is data, so a bad one raises :class:`DataError`
-naming its path and the field.
+A label file holds one integer per line. A manifest is a JSON document
+(``{"version": 1, "sample_rate": ..., "label_set": [...], "subjects":
+[{"name": ..., "trials": ..., "labels": ...}, ...]}``) whose paths are
+relative to it; a bad one raises :class:`DataError` naming its path and the
+field. :class:`Trial` is kept only for the benchmark's set-up, which writes
+:func:`labelalign.synth.generate_synthetic`'s subjects.
 """
 
 from __future__ import annotations
@@ -90,10 +67,10 @@ class Trial:
 
 def write_trials(path, trials) -> None:
     """Write ``trials`` (a form of :func:`as_blocks`) block by block, each
-    block's shape and values checked just before it is written (a NaN or Inf
-    named by its file offset); the file round-trips bit-exactly. The blocks go
-    to ``<path>.tmp``, which replaces ``path`` once they are all written, so a
-    failed write leaves ``path`` as it was (absent, or its previous bytes)."""
+    block checked just before it is written, into ``<path>.tmp``, which
+    replaces ``path`` once whole: a failed write leaves ``path`` absent or with
+    its previous bytes (``TestTrialFile.test_a_nan_in_a_later_block_leaves_the_file_as_it_was``).
+    The file round-trips bit-exactly (``TestTrialFile.test_round_trip_bytes``)."""
     trials = as_blocks(trials)
     n, c, t = trials.shape
     part = Path(f"{path}.tmp")
@@ -136,9 +113,8 @@ def _read(path) -> bytes:
 
 
 def _checked_shape(f, path) -> tuple[int, int, int]:
-    """The ``(count, C, T)`` of the trial file open as ``f``, from its header,
-    once the file's size shows that it holds the payload the header declares;
-    ``f`` is left at the payload's first byte."""
+    """The ``(count, C, T)`` of the trial file open as ``f`` once its size holds
+    the payload that its header declares; ``f`` is left at the payload."""
     header = f.read(HEADER_SIZE)
     if len(header) < HEADER_SIZE:
         raise TruncatedPayloadError(f"file ends at byte {len(header)}, header needs "
@@ -167,8 +143,7 @@ def _payload_end(count: int, channels: int, samples: int) -> int:
 
 def _read_checked(f, out: np.ndarray, start: int, expected: int) -> None:
     """Fill ``out`` with the payload from byte ``start``, where ``f`` stands, and
-    check its values; a file that ends early (it shrank since its size was
-    checked) is truncated."""
+    check its values; a file that shrank since its size was checked is truncated."""
     end = start + f.readinto(out)
     if end < start + out.nbytes:
         raise TruncatedPayloadError(
@@ -189,14 +164,11 @@ def read_trials(path) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TrialBlocks:
-    """Trials of ``shape`` ``(n, C, T)``, met one block at a time.
-
-    ``blocks`` yields each ``(rows, block)`` once, in order: ``block`` is
-    the ``(m, C, T)`` array of the trials ``rows``, consecutive
-    :func:`labelalign.spd.chunks` of ``CHUNK_WORDS`` words (one trial at
-    least). The blocks of a trial file (:func:`read_trial_blocks`) share
-    one buffer, which the next block overwrites, so a consumer takes what
-    it needs from a block before it asks for the next.
+    """Trials of ``shape`` ``(n, C, T)``, whose ``blocks`` yield each ``(rows,
+    block)`` once, in order, ``block`` the ``(m, C, T)`` trials ``rows`` of
+    consecutive :func:`labelalign.spd.chunks`. A trial file's blocks share one
+    buffer (``TestStreamedCovariances.test_the_blocks_of_a_file_share_one_buffer``),
+    so a consumer takes what it needs from a block before it asks for the next.
     """
 
     shape: tuple[int, int, int]
@@ -236,10 +208,9 @@ def _views(stack: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
 
 
 def read_trial_blocks(path) -> TrialBlocks:
-    """The trials of the trial file ``path`` as :class:`TrialBlocks`. The
-    header and the file's size are checked now, with the errors of
-    :func:`read_trials`; each block is read and checked as it is taken, and a
-    NaN or Inf is named by its byte offset in the file, as there."""
+    """The trials of the trial file ``path`` as :class:`TrialBlocks`: the
+    header and the file's size are checked now, each block as it is taken,
+    with the errors of :func:`read_trials`."""
     with _opened(path) as f:
         shape = _checked_shape(f, path)
     return TrialBlocks(shape, _payload_blocks(path, shape))
@@ -269,7 +240,7 @@ def _located_blocks(blocks, where: str):
 
 
 def write_labels(path, labels: Sequence[int]) -> None:
-    Path(path).write_text("".join(f"{int(l)}\n" for l in labels))
+    Path(path).write_text("".join(f"{int(l)}\n" for l in labels), encoding="utf-8")
 
 
 def read_labels(path) -> list[int]:
@@ -300,12 +271,10 @@ class DatasetManifest:
     subjects: tuple[SubjectEntry, ...]
 
     def iter_subject_blocks(self) -> Iterator[tuple[TrialBlocks, np.ndarray]]:
-        """Each subject's trials as :class:`TrialBlocks` (:func:`read_trial_blocks`)
-        and its labels ``(n,)``, in turn, opened as the next is asked for: the
-        header, the file's size and the labels (their count and the declared set)
-        are checked then, and the payload's blocks as they are read. A
-        :class:`DataError` of a subject's files, while its blocks are read too,
-        is prefixed ``subject {name}:``."""
+        """Each subject's trials as :class:`TrialBlocks` and its labels ``(n,)``,
+        opened as the next is asked for, when the labels' count and their
+        declared set are checked. A :class:`DataError` of a subject's files,
+        while its blocks are read too, is prefixed ``subject {name}:``."""
         for entry in self.subjects:
             where = f"subject {entry.name}"
             with located(where):
@@ -382,4 +351,4 @@ def write_manifest(path, sample_rate: float, label_set: Sequence[int],
             for name, trials, labels in subjects
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -2,10 +2,9 @@
 
 Two branches matter for the CLI: ``ConfigError`` (bad invocation or
 scenario/config files, exit code 2) and ``DataError`` (bad or degenerate
-data, exit code 3). Numeric preconditions raise ``DataError`` subclasses
-because they are triggered by the data fed in, not by the configuration.
-A ``DataError`` is located by re-raising it, as the same type with the same
-attributes, with a prefix that names where it arose (:func:`located`).
+data, exit code 3), which numeric preconditions raise because the data fed in
+triggers them. :func:`located` re-raises a ``DataError`` as the same type,
+with the same attributes, prefixed with where it arose.
 
 A config checks its fields where it is built, each by its annotated kind
 (:func:`require_fields`): ``int`` (a bool is not one), ``float`` (a finite

@@ -1,80 +1,24 @@
-"""Scenario runner: leave-one-subject-out transfer experiments with a
-label budget, and the metrics of their report (accuracy, AUC over k, paired
+"""Scenario runner: leave-one-subject-out transfer experiments with a label
+budget, and the metrics of their report (accuracy, AUC over k, paired
 t-tests); :mod:`labelalign.report` writes and reads the report.
 
-The protocol is covariance first. Each subject's trials, with their labels,
-are turned into a covariance stack (n, C, C) once, with the time-centred
-scatter when CSP runs, and split into a source view (source labels) and a
-target pool (target labels). The subjects are read (or generated) one at a
-time, and a stack is estimated in bounded chunks. A manifest subject's trial
-file is read one chunk at a time into one reused buffer
-(:meth:`labelalign.dataio.DatasetManifest.iter_subject_blocks`), so its
-trials are never in memory whole; a generated subject is one ``(n, C, T)``
-array, dropped once its stack is built, and the generator drops its own
-reference before it generates the next. The stack is dropped once its views
-are built, so at most one subject's stack, and one generated subject's
-trials, are in memory (``TestOneSubjectAtATime``, whose
-``test_synth_peaks_within_one_generated_subject`` bounds the generator's).
-Each source view is relabeled to the target labels as it is built, the one
-place the label mapping is applied. What depends on neither the target nor
-the budget is computed with them, once per scenario: each view's EA-whitened
-stack, the inverse roots ``Cs^{-1/2}`` of the source class means and, when
-ts-svm, ts-lda or mdm runs, the matrix logs of the source views that some
-strategy trains on (the raw ones under ``raw``, the whitened ones under
-``ea`` or ``la``, which falls back to EA). A target pool carries no logs:
-only its labeled trials are ever logged, once they are picked. One unit per
-target subject then aligns only those stacks, never raw trials. The process
-pool is imported only when ``jobs`` > 1; then each pool worker receives the
-scenario's domains once, at start-up (inherited, not pickled, under the
-``fork`` start method), and each unit is dispatched as the index of its
-target subject.
+The protocol is covariance first. Each subject is read or generated once and
+turned into a covariance stack, split into a source view in the target labels
+and a target pool (:func:`_scenario_domains`). One unit per target subject
+(:func:`_subject_unit`) labels the k medoids of its pool, tests on the rest,
+and trains every (k, strategy) cell on that split, so accuracy differences
+isolate the alignment step
+(``TestLosoLeakage.test_only_the_target_medoids_reach_training``). A source
+matrix is logged once per scenario, a target trial only once it is labeled
+(``TestSharedWork.test_source_views_once_and_target_trials_only_when_labeled``).
 
-Protocol per target subject and per budget ``k``: the k medoid trials of
-the target pool are labeled and join the training set, every remaining
-target trial forms the test set, and the same train/test split is reused
-for every alignment strategy so that accuracy differences isolate the
-alignment step. Labeled target trials never appear in the test set. Per k
-the raw medoids are logged once and the whitened medoids once, for the
-training sets only, and the test trials never are. Under ``la`` the roots
-``Ct^{1/2}`` of the medoids' class means (arithmetic, so no logs) are taken
-once per k, for every source's ``la_fit``.
-
-A unit allocates one training buffer of ``n_source + max(k_grid)`` rows
-(covariances and labels, with scatter and logs when a pipeline reads them),
-and every (k, strategy) cell rewrites it: :func:`align` writes the aligned
-source rows, in source order, then the unit writes the k labeled target
-rows (:meth:`CovStack.write`). The raw and whitened source rows are copied
-from the domains with their logs; the LA-aligned rows are aligned and
-logged straight into the buffer, one chunk of a source at a time. A cell's
-training stack is a view of the buffer's first ``n_source + k`` rows, valid
-only during its cell. :func:`fit_predict_cell` computes once what its
-pipelines share: the tangent reference (from the training logs) and its
-inverse root, taken once to map both the training and the test stack, and
-the train and test tangent vectors. MDM's class means are one exp of the
-stacked class means of the training logs.
-
-So a unit holds its training buffer, its cell's test rows and features,
-and, for each step, scratch of one chunk (:func:`labelalign.spd.chunks`,
-``CHUNK_WORDS`` words of input, a few times that in temporaries) or of one
-class: the tangent vectors are mapped in chunks into their output, CSP's
-class means sum the rows where they are, and LDA, MDM and each SVM pair copy
-one class's (or one pair's) rows at a time. No step holds a second copy of
-the training stack.
-
-A :class:`ScenarioSpec` holds every default and first checks each field by
-its annotated kind (:func:`labelalign.errors.require_fields`), so
-:func:`scenario_from_dict` passes it the JSON document as it is.
-
-A configuration error is raised before any unit starts. The two size
-checks, CSP's filter count against the channels and the k grid against a
-target pool, are :class:`ScenarioSpec` methods. With a ``synth`` block the
-spec runs both on the generator's sizes, and checks its labels against the
-generator's classes, before any subject is generated. The harness runs them
-on each subject's stack as it is built, before the next subject is read: the
-CSP check, then its missing labels, then the pool check on its target pool.
-A data error raised in a unit names its cell: the subject for the pool's
-pairwise distances, the subject and k for the labeled medoids, and subject,
-k, strategy and, from one pipeline's fit or predict, the pipeline.
+Memory follows the chunks of :mod:`labelalign.spd`. The domain pass holds one
+subject's stack at a time, with a block of a manifest subject's trials or one
+generated subject (``TestOneSubjectAtATime``, ``TestStreamedSubjects``), and a
+unit its training buffer and a cell's test rows beside its scratch
+(``TestTrainBuffer``). A configuration error is raised before any unit starts
+(``TestConfigErrorsComeFirst``), and a unit's data error names its cell
+(``TestUnitErrorsNameTheirCell``).
 """
 
 from __future__ import annotations
@@ -225,7 +169,7 @@ def scenario_from_dict(doc: dict, seed_override: int | None = None) -> ScenarioS
 
 def load_scenario(path, seed_override: int | None = None) -> ScenarioSpec:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read scenario spec {path}: {exc}") from exc
     return scenario_from_dict(doc, seed_override)
@@ -268,12 +212,11 @@ def fit_predict_cell(
     cell: str | None = None,
 ) -> dict:
     """``{pipeline: predictions}`` of each pipeline trained on a labeled stack;
-    the training logs (taken here unless ``train`` carries them), the tangent
-    reference's inverse root, which maps both stacks, and the tangent vectors
-    are computed once for all of them.
+    the training logs, the tangent reference's inverse root and the tangent
+    vectors are computed once for all of them
+    (``TestSharedWork.test_each_ts_cell_takes_one_inverse_root_of_its_reference``).
     With ``cell`` given, a :class:`DataError` is re-raised as the same type,
-    prefixed with ``cell``, or with ``cell/pipeline`` when it came from one
-    pipeline's fit or predict."""
+    prefixed ``cell:``, or ``cell/pipeline:`` from one pipeline's fit or predict."""
     labels = train.labels
     with located(cell):
         if LOG_PIPELINES.intersection(pipelines):
@@ -311,10 +254,8 @@ def fit_predict(pipeline: str, train: CovStack, test: CovStack, *, csp_pairs: in
 
 
 def _open_subjects(spec: ScenarioSpec) -> tuple[list[str], Iterator[tuple]]:
-    """The subject names, and an iterator that opens (or generates) each
-    subject's ``(data, labels)`` when it is asked for the next: ``data`` is a
-    manifest subject's :class:`labelalign.dataio.TrialBlocks`, read as its
-    stack is estimated, or a generated subject's ``(n, C, T)`` array."""
+    """The subject names, and an iterator that opens or generates each
+    subject's ``(data, labels)`` as the next is asked for."""
     if spec.synth is not None:
         names = [f"s{i}" for i in range(spec.synth.subjects)]
         return names, synthetic_subjects(spec.synth, *synthetic_parameters(spec.synth))
@@ -323,9 +264,8 @@ def _open_subjects(spec: ScenarioSpec) -> tuple[list[str], Iterator[tuple]]:
 
 
 def subject_stack(name: str, subject, shrinkage: float = 0.0, scatter: bool = False) -> CovStack:
-    """:func:`covariance_stack` of one subject's ``(data, labels)`` (``data`` a
-    trial array or a trial file's blocks), in file order; a degenerate
-    trial's error names the subject and the trial's index in the subject."""
+    """:func:`covariance_stack` of one subject's ``(data, labels)``; a
+    degenerate trial's error names the subject and the trial's index in it."""
     try:
         return covariance_stack(*subject, shrinkage, scatter)
     except (DimMismatchError, EmptyInputError, NonFiniteError, NotPositiveDefiniteError) as exc:
@@ -335,10 +275,9 @@ def subject_stack(name: str, subject, shrinkage: float = 0.0, scatter: bool = Fa
 def iter_subject_stacks(
     names: Sequence[str], subjects, shrinkage: float = 0.0, scatter: bool = False
 ) -> Iterator[CovStack]:
-    """:func:`subject_stack` of each subject in turn, taken from ``subjects``
-    (which may be an iterator) only when the next stack is asked for; each
-    must have as many channels as the first (else :class:`DimMismatchError`
-    names the subject)."""
+    """:func:`subject_stack` of each subject of ``subjects`` (which may be an
+    iterator) as the next stack is asked for; a subject with other channels
+    than the first raises :class:`DimMismatchError`."""
     subjects, channels = iter(subjects), None
     for name in names:
         stack = subject_stack(name, next(subjects), shrinkage, scatter)
@@ -366,11 +305,8 @@ def source_view(name: str, stack: CovStack, mapping: LabelMapping) -> CovStack:
 
 def _scenario_domains(spec, mapping, names, subjects) -> list[tuple[Domain, Domain]]:
     """Each subject's source view (in target labels) and target pool as
-    domains, built and checked as soon as its stack is: CSP's filter count
-    against its channels, its target labels, then the k grid against its
-    pool. When a pipeline needs logs, a source view's raw stack carries them
-    if ``raw`` runs and its whitened stack if ``ea`` or ``la`` runs; the
-    target pools never do."""
+    domains, checked as soon as its stack is built; a source view's raw and
+    whitened stacks carry logs when some strategy trains on them."""
     csp = "csp-lda" in spec.pipelines
     logs = bool(LOG_PIPELINES.intersection(spec.pipelines))
     raw_logs = logs and "raw" in spec.strategies
@@ -410,9 +346,8 @@ def _labeled(stack: CovStack, medoids, logs: bool) -> CovStack:
 
 
 def _train_buffer(sources: Sequence[Domain], labeled: int, logs: bool) -> CovStack:
-    """Room for the trials of ``sources`` and ``labeled`` more: their
-    covariances and labels, the scatter when the sources carry it, and the
-    logs when ``logs``."""
+    """Room for the covariances and labels of the trials of ``sources`` and
+    ``labeled`` more, their scatter when the sources carry it and logs if ``logs``."""
     first = sources[0].stack
     rows = sum(len(source.stack.covs) for source in sources) + labeled
     covs = np.empty((rows, *first.covs.shape[1:]))
@@ -425,18 +360,13 @@ def _train_buffer(sources: Sequence[Domain], labeled: int, logs: bool) -> CovSta
 
 
 def _subject_unit(spec, names, domains, i: int) -> tuple[dict, list]:
-    """Evaluate target subject ``names[i]`` over the whole k grid.
-
-    Its target pool is ``domains[i]``'s and its sources are the source views
-    of every other subject. A pure function of the scenario and ``i``, so
-    results are identical no matter how the units are scheduled across
-    processes. Returns (accuracies, fallback events), the accuracies keyed
-    (subject, k, strategy, pipeline) as the report keys them. A
-    :class:`DataError` is re-raised as the same type, prefixed with where it
-    arose: ``subject s1:`` for the pool's distances, ``subject s1, k 4:`` for
-    the labeled medoids, and ``subject s1, k 4, la:`` for a cell
-    (``la/ts-svm:`` when one pipeline's fit or predict raised it).
-    """
+    """(accuracies, fallback events) of target subject ``names[i]`` over the
+    whole k grid, trained on the source views of every other subject; a pure
+    function of the scenario and ``i``. Every (k, strategy) cell rewrites one
+    training buffer, the aligned source rows then the k labeled target rows.
+    A :class:`DataError` is prefixed ``subject s1:`` for the pool's distances,
+    ``subject s1, k 4:`` for the labeled medoids and ``subject s1, k 4, la:``
+    for a cell (:func:`fit_predict_cell`)."""
     name, target = names[i], domains[i][1]
     sources = [source for j, (source, _) in enumerate(domains) if j != i]
     pool = target.stack
@@ -480,12 +410,10 @@ def _subject_unit(spec, names, domains, i: int) -> tuple[dict, list]:
 
 
 def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
-    """Leave-one-subject-out evaluation of every (strategy, pipeline, k).
-
-    ``jobs`` > 1 evaluates target subjects in up to ``jobs`` worker
-    processes (at most one per subject); the report is identical regardless
-    of the schedule.
-    """
+    """Leave-one-subject-out evaluation of every (strategy, pipeline, k);
+    ``jobs`` > 1 evaluates target subjects in up to ``jobs`` worker processes,
+    at most one per subject (``TestPoolDispatch``), and the report is the same
+    at any ``jobs`` (``TestGoldenReport.test_csv_byte_identical``)."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     names, subjects = _open_subjects(spec)

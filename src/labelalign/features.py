@@ -1,23 +1,18 @@
 """Covariance estimation, CSP spatial filtering, and tangent-space features.
 
 A subject's trials enter the pipelines once: :func:`covariance_stack` turns
-its trials and its labels into a :class:`CovStack` of ``(n, C, C)``
-covariances, and every later step works on such stacks. The feature
-functions return ``(n, d)`` arrays, and a fitted CSP model is its filter
-rows, one ``(m, C)`` array.
-
-Covariance estimation copies no subject. :func:`trial_covariance` and
-:func:`covariance_stack` take the trials in any form that
-:func:`labelalign.dataio.as_blocks` takes, an ``(n, C, T)`` array (in views of
-its chunks) or a trial file's :class:`labelalign.dataio.TrialBlocks` (blocks
-read into one reused buffer), and both go through one per-block kernel. It
-writes each block's Gram matrices into the preallocated ``(n, C, C)`` result,
-and :func:`covariance_stack` writes the centred scatter of the same block
-beside them, so that a file is read once for both. Their temporary arrays
-then hold one block (the scatter's centred copy of it), however many trials
-a subject has, and a subject read from a file is never held whole. Each
-matrix is the matmul of its own trial, so the values are those of a
-whole-stack product, bit for bit, whichever way the trials came.
+them, in any form of :func:`labelalign.dataio.as_blocks`, and their labels into
+a :class:`CovStack` of ``(n, C, C)`` covariances, and every later step works on
+such stacks. The trials are gone through once, in the chunks of
+:mod:`labelalign.spd`, and each matrix is the Gram product of its own trial,
+so the stack is the whole-stack product's, bit for bit, whichever way the
+trials came
+(``TestChunkedCovariances.test_chunking_is_bytewise_the_whole_stack``).
+Without shrinkage, an estimate holds beside its result the Gram stack that it
+validates and the scratch of a chunk
+(``TestChunkedCovariances.test_an_estimate_holds_one_stack_beside_its_result``).
+The feature functions return ``(n, d)`` arrays, and a fitted CSP model is its
+filter rows, one ``(m, C)`` array.
 """
 
 from __future__ import annotations
@@ -48,13 +43,10 @@ DEFAULT_CSP_PAIRS = 3
 
 @dataclass(frozen=True, eq=False)
 class CovStack:
-    """A stack of trials as spatial covariances ``covs`` (n, C, C) with ``labels`` (n,) or None.
-
-    ``scatter`` is the time-centred scatter (n, C, C) that CSP features read,
-    or None. Aligning the trials as ``A X`` maps both stacks to ``A S Aᵀ``.
-    ``logs`` are the matrix logs of ``covs`` once :meth:`with_logs` took them;
-    selection and relabeling keep them, a congruence drops them.
-    """
+    """A stack of trials as spatial covariances ``covs`` (n, C, C) with ``labels`` (n,) or None,
+    the time-centred ``scatter`` (n, C, C) that CSP features read or None, and
+    the matrix ``logs`` of ``covs`` once :meth:`with_logs` took them, which
+    selection and relabeling keep and a congruence drops."""
 
     covs: Array
     labels: Array | None = None
@@ -73,14 +65,14 @@ class CovStack:
         )
 
     def with_logs(self) -> CovStack:
-        """This stack carrying the matrix logs of its covariances, taken at most once."""
+        """This stack carrying the matrix logs of its covariances, taken at most
+        once (``TestStackLogs.test_with_logs_takes_them_once``)."""
         return self if self.logs is not None else replace(self, logs=spd_log(self.covs))
 
     def write(self, start: int, pieces: Iterable[CovStack]) -> int:
-        """Write ``pieces`` one after another into this stack's rows from
-        ``start``, each logged first when this stack holds logs (a piece that
-        carries its logs is copied); returns the row after the last piece.
-        ``pieces`` may be an iterator, so that one piece at a time exists."""
+        """Write ``pieces`` (an iterable, so one piece at a time may exist) one
+        after another into this stack's rows from ``start``, each logged first
+        when this stack holds logs; returns the row after the last piece."""
         for piece in pieces:
             if self.logs is not None:
                 piece = piece.with_logs()
@@ -94,8 +86,7 @@ class CovStack:
 
 def _gram(block: Array, out: Array, centred: bool) -> None:
     """Write the Gram matrix ``X Xᵀ`` of each trial of ``block`` (m, C, T) (of
-    its time-centred rows when ``centred``) into ``out`` (m, C, C): the one
-    kernel of every covariance estimate, for trial arrays and files alike."""
+    its time-centred rows when ``centred``) into ``out`` (m, C, C)."""
     if centred:
         block = block - block.mean(axis=-1, keepdims=True)
     np.matmul(block, block.swapaxes(-1, -2), out=out)
@@ -111,15 +102,9 @@ def _with_scatter(blocks: Iterable, scatter: Array) -> Iterator:
 
 def trial_covariance(x, shrinkage: float = 0.0) -> Array:
     """Spatial covariances X X^T (n, C, C) of the trials ``x``, in a form of
-    :func:`labelalign.dataio.as_blocks`.
-
-    ``shrinkage`` in [0, 1) blends in trace(C)/dim * I, which keeps the
-    result SPD for rank-deficient trials (T < channels). The default of 0
-    is the plain Gram matrix. Each block of trials is written into the
-    preallocated stack as it comes, so no copy of the trials is made whole;
-    the covariances are validated once, and a degenerate trial is named by
-    its index in the stack.
-    """
+    :func:`labelalign.dataio.as_blocks`. ``shrinkage`` in [0, 1) blends in
+    trace(C)/dim * I, which keeps the result SPD for rank-deficient trials (T
+    < channels). A degenerate trial is named by its index in the stack."""
     if not 0.0 <= shrinkage < 1.0:
         raise ConfigError(f"shrinkage must be in [0, 1), got {shrinkage}")
     trials = as_blocks(x)
@@ -136,9 +121,8 @@ def trial_covariance(x, shrinkage: float = 0.0) -> Array:
 def covariance_stack(data, labels, shrinkage: float = 0.0, scatter: bool = False) -> CovStack:
     """Covariances of the trials ``data`` (as :func:`trial_covariance` takes
     them), labeled by ``labels`` (n,) or None, and their time-centred scatter
-    Xc Xc^T when ``scatter``, which :func:`csp_features` reads. The scatter is
-    taken from each block as :func:`trial_covariance` passes it, so the trials
-    are gone through once."""
+    Xc Xc^T when ``scatter``, which :func:`csp_features` reads, taken from the
+    same blocks."""
     trials = as_blocks(data)
     if labels is not None and len(labels) != len(trials):
         raise DimMismatchError(f"{len(trials)} trials but {len(labels)} labels")
@@ -155,14 +139,10 @@ def covariance_stack(data, labels, shrinkage: float = 0.0, scatter: bool = False
 
 
 def _binary_csp(c1: Array, c2: Array, pairs: int) -> Array:
-    """Filters for the two-class problem c1 vs c2.
-
-    Solves c1 w = lambda (c1 + c2) w by whitening the composite covariance;
-    keeps the rows of the ``pairs`` largest then ``pairs`` smallest
-    eigenvalues. Rows satisfy w^T (c1 + c2) w = 1, so a row's eigenvalue
-    is w^T c1 w. Each row is flipped so its largest-magnitude entry is
-    positive.
-    """
+    """Filters for the two-class problem c1 vs c2: the solutions of c1 w =
+    lambda (c1 + c2) w, with w^T (c1 + c2) w = 1, of the ``pairs`` largest then
+    ``pairs`` smallest eigenvalues, each flipped so that its largest-magnitude
+    entry is positive."""
     composite = symmetrize(c1 + c2)
     w, u = np.linalg.eigh(composite)
     dim = composite.shape[0]
@@ -182,15 +162,12 @@ def _binary_csp(c1: Array, c2: Array, pairs: int) -> Array:
 
 def csp_fit(covs: Array, labels, pairs: int) -> Array:
     """The CSP filter rows (m, C) of the trial covariances ``covs`` (n, C, C)
-    and their ``labels`` (n,).
-
-    Two classes give the classic binary filters, 2 * pairs rows; more classes
-    use one-vs-rest (each class against the pooled others), concatenating
-    each class's 2 * pairs rows in sorted class order. A class's mean is taken
-    over its trials in stack order, and the pool of the other classes
-    concatenates their trials in sorted class order. Deterministic: fixed
-    eigen-sorting and a positive-largest-entry sign convention.
-    """
+    and their ``labels`` (n,): the binary filters for two classes, 2 * pairs
+    rows, and for more, one-vs-rest filters of each class in sorted class order.
+    Each class's mean is taken over a copy of its rows, one class at a time
+    (``TestTrainBuffer.test_a_two_class_fit_copies_one_class_at_a_time``); with
+    more classes, each class's rest concatenates copies of the other classes'
+    rows, in sorted class order."""
     labels = np.asarray(labels)
     classes = tuple(int(c) for c in np.unique(labels))
     if len(classes) < 2:
@@ -211,13 +188,9 @@ def csp_fit(covs: Array, labels, pairs: int) -> Array:
 
 def csp_features(filters: Array, scatter: Array) -> Array:
     """Normalized log-variances (n, m) of the trials filtered by the rows of
-    ``filters`` (m, C) (:func:`csp_fit`).
-
-    ``scatter`` is the trials' time-centred scatter (n, C, C), the
-    ``scatter`` of their :func:`covariance_stack`. Divided by T - 1 it is the
-    ddof=1 sample covariance, so a filter row w gives the trial variance
-    w^T S w / (T - 1); the normalization cancels the T - 1.
-    """
+    ``filters`` (m, C) (:func:`csp_fit`), from the trials' time-centred
+    ``scatter`` (n, C, C): a row w gives the variance w^T S w / (T - 1), and
+    the normalization cancels the T - 1."""
     s = as_stack(scatter, "csp_features")
     if s.shape[-1] != filters.shape[1]:
         raise DimMismatchError(
@@ -228,8 +201,6 @@ def csp_features(filters: Array, scatter: Array) -> Array:
 
 
 def ts_features(isq: Array, covs) -> Array:
-    """Tangent-space vectors (n, C(C+1)/2) of ``covs`` at the shared reference,
-    whose inverse square root is ``isq``: the normalised
-    ``upper(log(ref^{-1/2} C ref^{-1/2}))`` of Barachant et al.
-    (:func:`labelalign.spd.tangent_map`), which carry no units of the data."""
+    """Tangent-space vectors (n, C(C+1)/2) of ``covs`` at the shared reference
+    whose inverse square root is ``isq`` (:func:`labelalign.spd.tangent_map`)."""
     return tangent_map(isq, covs)

@@ -1,15 +1,14 @@
 """The experiment report and its CSV and JSON formats.
 
 A report is the keyed sections of :data:`SECTIONS` (accuracy, AUC over k,
-paired t-tests), in that order, then the metadata. Rows are sorted by key and
-floats written as their ``repr``, so identical reports give identical bytes.
-CSV: each section is its header (key columns, then value columns) and its
-rows, with a blank line between sections; metadata is ``key,value`` rows of
-JSON cells (keys sorted); cells are quoted by the :mod:`csv` rules. JSON: one
-object (sorted keys, indent 2) with each section's rows under its JSON name
-and ``metadata`` as an object; a NaN value is ``null`` and reads back as NaN.
-:func:`emit_report` chooses the format from the path (JSON for ``.json``,
-else CSV); :func:`read_report` from the content.
+paired t-tests), then the metadata. Rows are sorted by key and floats written
+as their ``repr``, so identical reports give identical bytes
+(``TestGoldenReport.test_csv_byte_identical``). CSV: each
+section is its header and its rows, a blank line between sections, then
+``key,value`` metadata rows of JSON cells. JSON: one object (sorted keys,
+indent 2) with each section's rows under its name and ``metadata`` as an
+object; a NaN value is ``null``. A report reads back as it was written
+(``TestReportRoundTrip.test_emit_then_read_is_identity``).
 """
 
 from __future__ import annotations
@@ -78,10 +77,10 @@ META_HEADER = ["key", "value"]
 
 def emit_report(report: ExperimentReport, path) -> None:
     """Write the report, as JSON to a path ending in ``.json`` and as CSV to
-    any other; identical reports produce identical bytes."""
+    any other."""
     render = render_report_json if str(path).endswith(".json") else render_report_csv
     try:
-        Path(path).write_text(render(report))
+        Path(path).write_text(render(report), encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write report to {path}: {exc}") from exc
 
@@ -105,7 +104,7 @@ def render_report_json(report: ExperimentReport) -> str:
 def read_report(path) -> ExperimentReport:
     """Parse a report written by :func:`emit_report` (either format); a
     missing section or a malformed row raises :class:`ConfigError` naming it."""
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)

@@ -1,29 +1,25 @@
 """Counter-based deterministic random numbers.
 
-Every random stream in this package is a pure function of a 64-bit key and
-a draw index, so identical seeds reproduce identical datasets and
-experiments regardless of platform, process count, or call interleaving.
-The construction is fully specified here so it can be reimplemented
-elsewhere:
+Every random stream is a pure function of a 64-bit key and a draw index, so
+identical seeds reproduce identical datasets whatever the process count or
+call order (``TestGenerator.test_deterministic_given_seed``). The
+construction, to reimplement it:
 
-* Raw stream: ``out[i] = mix64((key + (i + 1) * GOLDEN) mod 2^64)`` where
-  ``GOLDEN = 0x9E3779B97F4A7C15`` and ``mix64`` is the SplitMix64
-  finalizer (xor-shift 30, multiply 0xBF58476D1CE4E5B9, xor-shift 27,
-  multiply 0x94D049BB133111EB, xor-shift 31).
+* Raw stream: ``out[i] = mix64((key + (i + 1) * GOLDEN) mod 2^64)``, with
+  ``GOLDEN = 0x9E3779B97F4A7C15`` and ``mix64`` the SplitMix64 finalizer
+  (xor-shift 30, multiply 0xBF58476D1CE4E5B9, xor-shift 27, multiply
+  0x94D049BB133111EB, xor-shift 31).
 * Uniforms in [0, 1): the top 53 bits of a raw word divided by 2^53.
-* Standard normals: Box-Muller on consecutive uniform pairs, with the
-  radius uniform shifted to (0, 1] as ``(raw >> 11) + 1) / 2^53`` so the
-  logarithm never sees zero.
-* Permutations: Fisher-Yates from the top index down, with the swap
-  partner chosen as ``floor(u * (i + 1))``.
+* Standard normals: Box-Muller on consecutive uniform pairs, the radius
+  uniform shifted to (0, 1] as ``((raw >> 11) + 1) / 2^53``.
+* Permutations: Fisher-Yates from the top index down, the swap partner
+  ``floor(u * (i + 1))``.
 * Key derivation: FNV-1a over the parts (ints as 8 little-endian bytes,
   strings as UTF-8, a 0xFF separator after each part), then ``mix64``.
 
-Streams can be drawn for many keys at once: a generator over a 1-D array of
-keys returns one row per key, and each row holds exactly the values that a
-generator over that key alone gives, draw for draw. Likewise the keys of a
-run of trailing indices, ``derive_key(*parts, i)`` for ``i < count``, come
-from one call (:func:`derive_keys`).
+A generator over a 1-D array of keys draws one row per key, each the values
+of that key alone (``TestCounterRng.test_array_keys_give_each_key_its_scalar_stream``),
+and :func:`derive_keys` gives the keys of a run of trailing indices at once.
 """
 
 from __future__ import annotations
@@ -72,11 +68,8 @@ def derive_key(*parts: int | str) -> int:
 
 
 def derive_keys(*parts: int | str, count: int) -> np.ndarray:
-    """``derive_key(*parts, i)`` for every ``i < count``, as one uint64 array.
-
-    The FNV state over ``parts`` is taken once; the bytes of each ``i`` and
-    the separator are then hashed in uint64 arrays, which wrap mod 2^64.
-    """
+    """``derive_key(*parts, i)`` for every ``i < count``, as one uint64 array
+    (``TestCounterRng.test_derive_keys_are_the_derive_key_of_each_index``)."""
     i = np.arange(count, dtype=np.uint64)
     h = np.full(count, _fnv(parts), dtype=np.uint64)
     for shift in range(0, 64, 8):
@@ -88,13 +81,9 @@ def derive_keys(*parts: int | str, count: int) -> np.ndarray:
 
 
 class CounterRng:
-    """Stateful cursor over the counter-based stream of one key, or of each
-    key of a 1-D uint64 array.
-
-    The cursor only remembers how many words have been consumed; the
-    values themselves are pure functions of (key, index). Over an array of
-    keys one cursor serves them all, and every draw returns one row per key.
-    """
+    """Cursor over the counter-based stream of one key, or of each key of a
+    1-D uint64 array, one row per key; it only remembers how many words have
+    been consumed."""
 
     def __init__(self, key: int | np.ndarray):
         if isinstance(key, np.ndarray):

@@ -14,16 +14,10 @@ from .spd import Array, as_stack, chunks, distance_from_whitened, spd_inv_sqrt
 
 
 def pairwise_distances(covs) -> Array:
-    """Symmetric matrix of geodesic distances over a stack (n, C, C).
-
-    The inverse square roots of the whole stack come from one batched
-    eigendecomposition. The upper-triangle pairs (i, j), i < j, in row-major
-    order, are worked through in :func:`labelalign.spd.chunks` of
-    ``CHUNK_WORDS`` words, as every stack kernel is: each chunk whitens its
-    pairs as ``isq[i] covs[j] isq[i]`` and takes their distances from one
-    eigvalsh (:func:`labelalign.spd.distance_from_whitened`). Each pair goes
-    through the operations of :func:`labelalign.spd.riemannian_distance` on
-    that pair alone, so the distances are its own, bit for bit.
+    """Symmetric matrix of geodesic distances over a stack (n, C, C), whose
+    upper-triangle pairs are whitened and measured in :func:`labelalign.spd.chunks`,
+    each with the bits of :func:`labelalign.spd.riemannian_distance` on that pair alone
+    (``TestPairwiseDistances.test_pair_chunks_equal_the_per_pair_distance_bitwise``).
     """
     covs = as_stack(covs, "pairwise_distances")
     n, c = covs.shape[:2]
@@ -40,15 +34,11 @@ def k_medoids(d: Array, k: int) -> list[int]:
     """The sorted indices of ``k`` medoids of the square, finite distance
     matrix ``d``, by PAM: a greedy BUILD, then the single best strictly
     improving swap, repeated until none lowers the cost by more than 1e-15.
-
     Ties go to the smallest index, and the swaps are scanned by medoid and
-    candidate in ascending order, so the result is deterministic. Each SWAP
-    pass takes the distances of every point to every candidate h once. A
-    point whose own medoid leaves moves to h or to its second-nearest medoid,
-    ``min(d(., h), d2) - d1``; any other point moves to h only if h is nearer,
-    ``min(d(., h) - d1, 0)``. A swap's cost change sums the first over the
-    leaving medoid's points and the second over the rest.
-    """
+    candidate in ascending order (``TestKMedoids.test_equals_the_reference_pam_at_every_k``).
+    In a swap for h, a point whose own medoid leaves moves to h or to its
+    second-nearest medoid, ``min(d(., h), d2) - d1``; any other point moves to
+    h only if h is nearer, ``min(d(., h) - d1, 0)``."""
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DimMismatchError(f"distance matrix must be square, got {d.shape}")

@@ -1,33 +1,23 @@
 """Geometry of symmetric positive definite matrices, one at a time or stacked.
 
-The matrix functions (roots, log, exp, the geodesic distance) take a single
-``(C, C)`` matrix or a stack ``(n, C, C)`` of them and work on the last two
-axes, after pyRiemann's stacked-covariance API (Barachant et al., IEEE TBME
-2012); :func:`tangent_map` and the means take stacks. SPD matrices are plain
-float64 ndarrays validated by :func:`spd_from_matrix`, by a Cholesky
-factorization rather than an eigendecomposition. Every matrix function goes
-through one symmetric eigendecomposition kernel, :func:`_spectral`, and
-symmetrizes its output, so results stay exactly symmetric under rounding.
-On a single matrix the kernel performs exactly the operations of a
-per-matrix implementation, and on a stack it gives the same bits as a loop.
+The matrix functions (roots, log, exp, the geodesic distance) take a ``(C, C)``
+matrix or a stack ``(n, C, C)`` and work on the last two axes, after pyRiemann
+(Barachant et al., IEEE TBME 2012). SPD matrices are plain float64 ndarrays,
+validated by :func:`spd_from_matrix`. Every matrix function goes through one
+symmetric eigendecomposition, :func:`_spectral`, so its results are exactly
+symmetric (``TestMatrixFunctions.test_outputs_exactly_symmetric``) and a
+stack's are a loop's, bit for bit (``TestSpdStacks.test_stack_matches_per_matrix_calls``).
 
-A whole-stack kernel holds a few temporaries of the stack's size, so a
-stack as long as a training set is worked through in :func:`chunks`: at most
-``CHUNK_WORDS = 2^14`` float64 words (128 KiB) of input each, one matrix at
-least, each chunk's result written into a preallocated output.
-:func:`tangent_map` thus holds its ``(n, C(C+1)/2)`` vectors and the scratch
-of one chunk (its products, eigenvectors and reconstruction, about four
-times the chunk's words). Every matrix goes through the same operations, so
-the vectors are the whole-stack ones, bit for bit. Covariance estimation
-(:mod:`labelalign.features`), the blocks in which a trial file is read
-(:func:`labelalign.dataio.read_trial_blocks`), the pairwise distances of
-:mod:`labelalign.selection` (a chunk of whitened pairs per eigvalsh) and LA's
-products (:mod:`labelalign.alignment`, ``labelalign align``) use the same
-chunks.
-
-A matrix's inverse root is taken once by whoever whitens by it:
-:func:`tangent_map` takes it as ``isq``, and the pairwise distances whiten
-by the roots of the whole stack (:func:`distance_from_whitened`).
+Chunks are the package's one memory policy. A kernel over a stack as long as
+a subject or a training set works through it in :func:`chunks`, of at most
+``CHUNK_WORDS`` float64 words of input and one item at least, and writes each
+chunk's result into a preallocated output. Its scratch is then a chunk, not a
+stack (``TestSpdFromMatrix.test_a_stack_is_checked_a_chunk_at_a_time``), and
+its results are the whole stack's, bit for bit
+(``TestSpdStacks.test_tangent_chunks_give_the_whole_stack_bit_for_bit``). Its
+users are covariance estimation, the blocks of a trial file, the generator's
+batches, the pairwise distances and LA's products; each module says what it
+holds beside its chunks, and names the test that bounds it.
 """
 
 from __future__ import annotations
@@ -97,22 +87,21 @@ def as_stack(ps, op: str) -> Array:
 
 
 def spd_from_matrix(raw, name: str = "matrix") -> Array:
-    """Symmetrize ``raw`` and validate positive definiteness.
-
-    The smallest eigenvalue of each matrix must exceed ``t = SPD_TOL * trace
-    / dim`` (a scale-free threshold). One batched Cholesky factorization of
-    ``S - t I`` decides that; only when it fails are the eigenvalues taken,
-    and the error names the first failing matrix of a stack as ``name i``
-    with its smallest eigenvalue. Returns the validated symmetric matrix or
-    stack.
-    """
+    """Symmetrize ``raw`` and check that the smallest eigenvalue of each
+    matrix exceeds ``t = SPD_TOL * trace / dim``, by Cholesky factorizations of
+    ``S - t I`` a chunk at a time
+    (``TestSpdFromMatrix.test_decides_as_the_eigenvalue_rule``). The error names
+    the first failing matrix of a stack as ``name i``, with its eigenvalue."""
     a = _check_square(raw, name)
     if not np.isfinite(a).all():
         raise NonFiniteError(f"{name} contains NaN or Inf entries")
     s = symmetrize(a)
-    threshold = SPD_TOL * np.trace(s, axis1=-2, axis2=-1) / s.shape[-1]
+    dim = s.shape[-1]
+    threshold = SPD_TOL * np.trace(s, axis1=-2, axis2=-1) / dim
+    stack, limits, eye = s.reshape(-1, dim, dim), threshold.reshape(-1), np.eye(dim)
     try:
-        np.linalg.cholesky(s - threshold[..., None, None] * np.eye(s.shape[-1]))
+        for rows in chunks(len(stack), dim * dim):
+            np.linalg.cholesky(stack[rows] - limits[rows, None, None] * eye)
         return s
     except np.linalg.LinAlgError:
         pass
@@ -169,14 +158,11 @@ def spd_exp(s: Array) -> Array:
 
 
 def riemannian_distance(p1: Array, p2: Array):
-    """Geodesic distance sqrt(sum log^2 eigenvalues of p1^-1 p2).
-
-    Computed on the symmetric matrix p1^{-1/2} p2 p1^{-1/2}, whose spectrum
-    equals that of p1^{-1} p2 but whose eigenproblem is stable. Invariant
-    under congruence by any invertible matrix. The leading axes of ``p1``
+    """Geodesic distance sqrt(sum log^2 eigenvalues of p1^-1 p2), from the
+    stable eigenproblem of p1^{-1/2} p2 p1^{-1/2}. The leading axes of ``p1``
     and ``p2`` broadcast: two matrices give a float, stacks an array. Only
-    ``p1`` is factored, so callers put the side with fewer matrices first.
-    """
+    ``p1`` is factored, so callers put the side with fewer matrices first
+    (``TestMdm.test_prediction_factors_only_the_class_means``)."""
     p1 = _check_square(p1, "p1")
     p2 = _check_square(p2, "p2")
     if p1.shape[-1] != p2.shape[-1]:
@@ -188,8 +174,7 @@ def riemannian_distance(p1: Array, p2: Array):
 
 def distance_from_whitened(whitened: Array) -> Array:
     """The geodesic distance that each whitened matrix ``p1^{-1/2} p2
-    p1^{-1/2}`` of ``whitened`` stands for, from one symmetrize and one
-    ``eigvalsh`` of the whole stack."""
+    p1^{-1/2}`` of ``whitened`` stands for."""
     w = np.linalg.eigvalsh(symmetrize(whitened))
     _require_positive_spectrum(w, "riemannian_distance")
     return np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
@@ -197,8 +182,8 @@ def distance_from_whitened(whitened: Array) -> Array:
 
 @functools.cache
 def _triangle(c: int) -> tuple[tuple[Array, Array], Array]:
-    """The upper-triangle indices of a ``(c, c)`` matrix and their weights,
-    built once per ``c`` as read-only arrays."""
+    """The upper-triangle indices of a ``(c, c)`` matrix and their weights, as
+    read-only arrays."""
     iu = np.triu_indices(c)
     weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
     for a in (*iu, weights):
@@ -207,13 +192,9 @@ def _triangle(c: int) -> tuple[tuple[Array, Array], Array]:
 
 
 def flatten_sym(s: Array) -> Array:
-    """Upper triangle of a symmetric matrix with sqrt(2)-weighted off-diagonals.
-
-    The flat layout is the row-major upper triangle
-    (d11, sqrt(2)*d12, ..., sqrt(2)*d1C, d22, ..., dCC), of length
-    C(C+1)/2; the weights make the Euclidean inner product of flats equal
-    the Frobenius inner product of the symmetric matrices.
-    """
+    """The row-major upper triangle (d11, sqrt(2)*d12, ..., sqrt(2)*d1C, d22,
+    ..., dCC) of a symmetric matrix, of length C(C+1)/2; the weights make the
+    Euclidean inner product of flats the Frobenius one of the matrices."""
     s = _check_square(s, "symmetric matrix")
     iu, weights = _triangle(s.shape[-1])
     return weights * s[..., iu[0], iu[1]]
@@ -221,17 +202,10 @@ def flatten_sym(s: Array) -> Array:
 
 def tangent_map(isq: Array, p: Array) -> Array:
     """Normalised tangent vectors (n, C(C+1)/2) of the stack ``p`` (n, C, C)
-    at the reference whose inverse square root is ``isq`` (C, C)
-    (:func:`spd_inv_sqrt`).
-
-    s = upper(log(ref^{-1/2} p ref^{-1/2})), flattened by :func:`flatten_sym`
-    (Barachant et al., IEEE TBME 59(4), 2012, eq. 10). The log map is taken
-    in the coordinates that whiten the reference, so the vectors do not
-    depend on the covariances' units: scaling the reference and ``p`` by one
-    factor leaves them as they are. The caller takes the root once and maps
-    every stack with it. The stack is mapped in :func:`chunks` of its
-    matrices into the preallocated vectors.
-    """
+    at the reference whose inverse square root is ``isq`` (C, C):
+    ``flatten_sym(log(ref^{-1/2} p ref^{-1/2}))`` (Barachant et al., IEEE TBME
+    59(4), 2012, eq. 10), which scaling ``p`` and the reference by one factor
+    leaves as they are."""
     isq = _check_square(isq, "isq")
     p = as_stack(p, "tangent_map")
     if isq.ndim != 2 or p.shape[-1] != isq.shape[-1]:

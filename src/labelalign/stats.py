@@ -20,16 +20,12 @@ def _nonzero(v: float) -> float:
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
-    """The continued fraction of the incomplete beta I_x(a, b), by modified Lentz.
-
-    Term m of the fraction has two coefficients, an even one
-    ``m (b - m) x / ((a - 1 + 2m) (a + 2m))`` and an odd one
-    ``-(a + m) (a + b + m) x / ((a + 2m) (a + 1 + 2m))``. Each goes through
-    the one Lentz update of the running ratios ``d`` and ``c``, clamped away
-    from 0, and multiplies the estimate ``h`` by their product. The fraction
-    has converged when the odd coefficient's product is within ``BETA_TOL``
-    of 1; it raises :class:`ArithmeticError` after ``_MAX_ITER`` terms.
-    """
+    """The continued fraction of the incomplete beta I_x(a, b), by modified
+    Lentz. Term m has an even coefficient ``m (b - m) x / ((a - 1 + 2m) (a +
+    2m))`` and an odd one ``-(a + m) (a + b + m) x / ((a + 2m) (a + 1 + 2m))``.
+    It has converged when the odd coefficient's Lentz factor is within
+    ``BETA_TOL`` of 1, and raises :class:`ArithmeticError` after ``_MAX_ITER``
+    terms."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0

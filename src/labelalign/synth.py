@@ -1,51 +1,23 @@
 """Deterministic synthetic cross-subject trial generator.
 
-Every class gets an SPD prototype ``exp(class_separation * D_m)`` for a
-random unit-Frobenius symmetric direction ``D_m``. Every subject gets an
-SPD congruence shift ``W_s = exp(subject_shift * S_s)`` (so
-``||log(W_s^T W_s)||_F = 2 * subject_shift``), and each trial is
+Every class gets an SPD prototype ``P_m = exp(class_separation * D_m)`` for a
+random unit-Frobenius symmetric direction ``D_m``, and every subject an SPD
+congruence shift ``W_s = exp(subject_shift * S_s)`` (so ``||log(W_s^T
+W_s)||_F = 2 * subject_shift``). A trial is ``X = W_s^T P_m^{1/2} Z``, ``Z``
+standard normal (channels x samples), of expected per-sample covariance
+``W_s^T P_m W_s``. With ``noise_df``, each trial draws a Wishart factor ``Q =
+G G^T / noise_df`` (``G`` channels x noise_df) and uses ``P_m^{1/2} Q^{1/2}``:
+``E[Q] = I`` keeps the expected covariance, while single trials disperse.
 
-    X = W_s^T @ P_m^{1/2} @ Z,    Z ~ standard normal, channels x samples,
-
-which makes the expected per-sample trial covariance ``W_s^T P_m W_s``.
-
-``noise_df`` optionally scatters the per-trial covariance around the class
-prototype: each trial draws a normalized Wishart factor
-``Q = G G^T / noise_df`` (``G`` channels x noise_df standard normal,
-full rank because noise_df > channels) and uses ``P_m^{1/2} Q^{1/2}`` in
-place of ``P_m^{1/2}``. ``E[Q] = I`` keeps the expected trial covariance
-unchanged while making single trials genuinely dispersed, the way trials
-from a live recording are. ``noise_df = None`` disables the dispersion.
-
-A config is refused with :class:`ConfigError` before any draw when the words
-that a run on it would hold exceed ``MAX_WORDS``. Per trial that is the
-larger of the words drawn, ``channels x max(samples, noise_df)``, and the
-``KEPT_ARRAYS`` ``(C, C)`` arrays that a run keeps of it; per subject it adds
-``SUBJECT_WORDS``.
-
-All randomness flows through the counter-based generator in
-:mod:`labelalign.rng`, keyed per (class/subject/trial), so the output is a
-pure function of the config.
-
-A subject is yielded as ``(data, labels)``, after its own shift is drawn
-and before the next subject's: its trials in one preallocated
-``(n, C, T)`` array, class by class, and their labels ``(n,)``. The trials
-of one (subject, class) take one key pass and are generated in batches, with
-one stream pass per draw, one stacked ``Q^{1/2}`` and one stacked product
-per batch, written straight into the subject's array. The batches are
-:func:`labelalign.spd.chunks` of the class's trials, each item one draw of
-``channels x max(samples, noise_df)`` normals: as many trials as fit
-``CHUNK_WORDS = 2^14`` 64-bit words (128 KiB), and one trial at least.
-Box-Muller peaks at about four arrays of a draw's size, so the bound caps
-the generator's scratch near half a MiB however many trials a class has: a
-process that generates a dataset (the benchmark's set-up among them) peaks
-within a fraction of a MiB of the trial-at-a-time loop, while the per-trial
-cost of the keys, the streams and the eigensolves is paid once per batch.
-The values are those of the trial-at-a-time loop, bit for bit.
-
-:func:`generate_synthetic` holds the whole dataset and wraps each trial in a
-:class:`labelalign.dataio.Trial`, only for the benchmark's set-up, which
-writes and labels those lists.
+All randomness flows through :mod:`labelalign.rng`, keyed per class, subject
+and trial, so the output is a pure function of the config. A class's trials
+are drawn in batches, the chunks of :mod:`labelalign.spd`, with the bits of a
+trial-at-a-time loop
+(``TestGenerator.test_batches_give_the_per_trial_loop_bit_for_bit``), and a
+run holds one generated subject at a time
+(``TestOneSubjectAtATime.test_synth_peaks_within_one_generated_subject``). A
+config whose run would hold more than ``MAX_WORDS`` words is refused before
+any draw (``TestSizeBound``).
 """
 
 from __future__ import annotations
@@ -132,9 +104,7 @@ def subject_shift(cfg: SynthConfig, s: int) -> Array:
 
 def synthetic_parameters(cfg: SynthConfig) -> tuple[tuple, Iterator[Array]]:
     """The class prototypes of ``cfg``, and an iterator over its subject
-    shifts that draws each one when it is reached: the generator draws
-    subject ``s``'s shift as it generates subject ``s``, not every shift
-    before the first subject."""
+    shifts that draws each one when it is reached."""
     prototypes = tuple(_draw(cfg, "prototype", cfg.class_separation, m)
                        for m in range(cfg.classes))
     return prototypes, map(partial(subject_shift, cfg), range(cfg.subjects))
@@ -164,11 +134,8 @@ def synthetic_subjects(cfg: SynthConfig, prototypes, shifts) -> Iterator[tuple[A
 
 
 def generate_synthetic(cfg: SynthConfig) -> SynthDataset:
-    """Generate per-subject labeled trials plus the generating parameters.
-
-    Prototypes and shifts are returned so tests can compare estimates
-    against the ground truth.
-    """
+    """Generate per-subject labeled trials plus the generating parameters,
+    which tests compare estimates against."""
     prototypes, shifts = synthetic_parameters(cfg)
     shifts = tuple(shifts)
     subjects = tuple(

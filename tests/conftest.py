@@ -1,3 +1,7 @@
+import os
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 
 from labelalign import classifiers, experiment
@@ -14,6 +18,26 @@ def random_spd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.nda
     """Well-conditioned random SPD matrix via exp of a scaled symmetric matrix."""
     s = symmetrize(rng.standard_normal((dim, dim))) / np.sqrt(dim)
     return spd_exp(scale * s)
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak of ``fn()``, run once untraced first so that the
+    modules it imports lazily are not counted."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def child_env(**extra) -> dict:
+    """This process's environment with ``extra``, and ``src/`` first on the
+    ``PYTHONPATH``, for a child Python process that imports ``labelalign``."""
+    src = str(Path(experiment.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **extra, "PYTHONPATH": path}
 
 
 def random_invertible(rng: np.random.Generator, dim: int) -> np.ndarray:

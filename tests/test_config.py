@@ -3,7 +3,6 @@
 read or generated, and a generator config too large to run is refused."""
 
 import json
-import os
 import re
 import resource
 import signal
@@ -11,9 +10,9 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
-from pathlib import Path
 
 import pytest
+from conftest import child_env
 
 from labelalign import cli, dataio, experiment, synth
 from labelalign.cli import main
@@ -213,9 +212,7 @@ class TestSizeBound:
         config.write_text(json.dumps({**SYNTH, **huge}))
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({**SPEC, "synth": {**SYNTH, **huge}}))
-        src = str(Path(experiment.__file__).parents[1])
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         for command in (["synth", "--config", str(config), "--out", str(tmp_path / "d")],
                         ["experiment", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]):
             done = subprocess.run(

@@ -7,13 +7,12 @@ import hashlib
 import json
 import math
 import multiprocessing
-import os
 import pickle
 import re
 import struct
 import subprocess
 import sys
-import tracemalloc
+import textwrap
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -24,7 +23,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import align_sources, first_subject, random_spd, read_subject
+from conftest import (
+    align_sources,
+    child_env,
+    first_subject,
+    random_spd,
+    read_subject,
+    traced_peak,
+)
 from labelalign import alignment, classifiers, cli, dataio, experiment, features, spd
 from labelalign.alignment import (
     Domain,
@@ -296,10 +302,7 @@ class TestPoolDispatch:
             f"run_scenario(load_scenario({str(GOLDEN_SPEC)!r}))\n"
             "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))\n"
         )
-        src = str(Path(experiment.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+        done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
@@ -946,18 +949,6 @@ class TestOneSubjectAtATime:
         assert len(stacks) == 3
 
 
-def traced_peak(fn) -> int:
-    """The tracemalloc peak of ``fn()``, run once untraced first so that the
-    modules it imports lazily are not counted."""
-    fn()
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestStreamedSubjects:
     """The harness reads a manifest subject's trial file one block at a time,
     so estimating the subjects' stacks never holds a subject's trials."""
@@ -1063,6 +1054,19 @@ class TestTrainBuffer:
         rows = sum(len(source.stack.covs) for source, _ in domains[1:]) + 4
         training_stack = rows * (2 * 8 * 8 * 8 + 8)  # covariances, logs and a label
         assert peak < 1.5 * training_stack
+
+    @pytest.mark.parametrize("fit", [
+        pytest.param(lambda stack, labels: features.csp_fit(stack, labels, 3), id="csp_fit"),
+        pytest.param(mdm_fit, id="mdm_fit"),
+    ])
+    def test_a_two_class_fit_copies_one_class_at_a_time(self, fit):
+        # Each class's mean is taken over a copy of its rows: 0.50 stacks
+        # beside the input, measured with numpy 2.4. With four classes, CSP's
+        # one-vs-rest pools also copy the other classes' rows, and peak at 2.26.
+        g = np.random.default_rng(63).standard_normal((800, 22, 30))
+        stack = g @ g.swapaxes(-1, -2) / 30  # covariances, or logs to MDM
+        labels = np.arange(800) % 2
+        assert traced_peak(lambda: fit(stack, labels)) < 0.6 * stack.nbytes
 
 
 class TestJsonReport:
@@ -1592,6 +1596,41 @@ class TestCli:
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "e")]) == 2
         config.write_text(json.dumps({**cfg, "bands": 2}))
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "e")]) == 2
+
+    def test_every_command_reads_and_writes_its_text_as_utf8(self, tmp_path):
+        # Under -X warn_default_encoding, a text file opened in the locale's
+        # encoding raises EncodingWarning, which -W error makes fatal.
+        script = """
+            import json, sys
+            from pathlib import Path
+            from labelalign.cli import main
+            from labelalign.report import read_report
+
+            tmp = Path(sys.argv[1])
+            manifest = tmp / "d" / "manifest.json"
+            assert main(["synth", "--config", str(tmp / "synth.json"),
+                         "--out", str(tmp / "d")]) == 0
+            doc = json.loads(manifest.read_text(encoding="utf-8"))
+            doc["subjects"][1]["name"] = "s1-\u00e9"
+            manifest.write_text(json.dumps(doc), encoding="utf-8")
+            for report in ("r.csv", "r.json"):
+                assert main(["experiment", "--spec", str(tmp / "spec.json"),
+                             "--out", str(tmp / report)]) == 0
+                names = {key[0] for key in read_report(tmp / report).accuracies}
+                assert names == {"s0", "s1-\u00e9", "s2"}, names
+            assert main(["align", "--strategy", "ea", "--manifest", str(manifest),
+                         "--out", str(tmp / "a")]) == 0
+        """
+        (tmp_path / "synth.json").write_text(json.dumps({
+            "channels": 3, "samples": 20, "classes": 4, "trials_per_class": 3, "subjects": 3,
+            "class_separation": 1.0, "subject_shift": 0.5, "seed": 4, "noise_df": 5}))
+        write_spec(tmp_path / "spec.json", tmp_path / "d" / "manifest.json")
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", textwrap.dedent(script), str(tmp_path)],
+            env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_a_synth_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         config = tmp_path / "synth.json"

@@ -9,6 +9,7 @@ from conftest import (
     random_spd,
     relative_error,
     tangent_unmap,
+    traced_peak,
     unflatten_sym,
 )
 from hypothesis import given, settings
@@ -136,6 +137,14 @@ class TestSpdFromMatrix:
         with pytest.raises(NotPositiveDefiniteError, match="matrix 3: smallest eigenvalue"):
             spd_from_matrix(stack)
         assert len(calls) == 1  # only a failing stack is decomposed, to name its trial
+
+    def test_a_stack_is_checked_a_chunk_at_a_time(self):
+        # Beside the input, the returned symmetric stack and one chunk's
+        # ``S - t I`` and factor: 1.35 stacks measured with numpy 2.4. The
+        # whole stack factored at once held three stacks.
+        g = np.random.default_rng(31).standard_normal((192, 22, 30))
+        stack = g @ g.swapaxes(-1, -2)
+        assert traced_peak(lambda: spd_from_matrix(stack)) < 1.5 * stack.nbytes
 
 
 class TestMatrixFunctions:
@@ -388,10 +397,12 @@ class TestSpdStacks:
         loops = [[loop_distance(a, b) for b in stack[:4]] for a in stack]
         assert relative_error(grid, np.array(loops)) <= 1e-10
 
-    def test_validation_names_the_failing_matrix(self):
+    def test_validation_names_the_failing_matrix(self, monkeypatch):
         stack = np.stack([np.eye(3), np.eye(3), np.diag([1.0, 1.0, 0.0])])
-        with pytest.raises(NotPositiveDefiniteError, match="matrix 2: smallest eigenvalue"):
-            spd_from_matrix(stack)
+        for words in (spd.CHUNK_WORDS, 9):  # one chunk, then one matrix per chunk
+            monkeypatch.setattr(spd, "CHUNK_WORDS", words)
+            with pytest.raises(NotPositiveDefiniteError, match="matrix 2: smallest eigenvalue"):
+                spd_from_matrix(stack)
         stack[1, 0, 0] = np.inf
         with pytest.raises(NonFiniteError, match="trial contains"):
             spd_from_matrix(stack, name="trial")
