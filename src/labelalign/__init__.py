@@ -5,7 +5,6 @@ leave-one-subject-out experiment harness."""
 
 from .alignment import (
     Domain,
-    LabelMapping,
     align,
     domain,
     ea_reference,
@@ -61,7 +60,6 @@ __all__ = [
     "DatasetManifest",
     "Domain",
     "ExperimentReport",
-    "LabelMapping",
     "LdaModel",
     "LinearSvmModel",
     "MdmModel",

@@ -37,29 +37,10 @@ from .rng import CounterRng, derive_key
 from .spd import Array, arithmetic_mean_cov, chunks, spd_inv_sqrt, spd_sqrt
 
 
-@dataclass(frozen=True)
-class LabelMapping:
-    """Bijection from source labels to target labels."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        sources = [s for s, _ in self.pairs]
-        targets = [t for _, t in self.pairs]
-        if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):
-            raise CardinalityMismatchError(f"mapping is not a bijection: {self.pairs}")
-
-    def as_dict(self) -> dict:
-        return dict(self.pairs)
-
-    @property
-    def source_labels(self) -> tuple:
-        return tuple(s for s, _ in self.pairs)
-
-
-def match_labels(source_labels, target_labels, seed: int = 0) -> LabelMapping:
-    """Match common labels identically, the rest by a seeded permutation; a
-    label listed twice, or sets of unequal size, raise :class:`ConfigError`."""
+def match_labels(source_labels, target_labels, seed: int = 0) -> dict:
+    """``{source label: target label}`` in source-label order: common labels
+    matched identically, the rest by a seeded permutation; a label listed
+    twice, or sets of unequal size, raise :class:`ConfigError`."""
     for role, labels in (("source", source_labels), ("target", target_labels)):
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate {role} labels: {tuple(labels)}")
@@ -76,8 +57,7 @@ def match_labels(source_labels, target_labels, seed: int = 0) -> LabelMapping:
     pairs = [(l, l) for l in common] + [
         (s, rest_target[perm[i]]) for i, s in enumerate(rest_source)
     ]
-    pairs.sort()
-    return LabelMapping(tuple(pairs))
+    return dict(sorted(pairs))
 
 
 def _lookup(table: dict, labels, what: str) -> list:
@@ -117,9 +97,9 @@ def la_fit(source_inv_roots: dict, target_roots: dict) -> dict:
     return {l: target_roots[l] @ source_inv_roots[l] for l in sorted(target_roots)}
 
 
-def relabel(labels, mapping: LabelMapping) -> Array:
-    """Source labels replaced by their matched target labels."""
-    return np.array(_lookup(mapping.as_dict(), labels, "mapped label"), dtype=np.int64)
+def relabel(labels, mapping: dict) -> Array:
+    """Source labels replaced by their matched target labels (:func:`match_labels`)."""
+    return np.array(_lookup(mapping, labels, "mapped label"), dtype=np.int64)
 
 
 def la_per_trial(matrices: dict, labels) -> Array:

@@ -141,27 +141,6 @@ def _payload_end(count: int, channels: int, samples: int) -> int:
     return HEADER_SIZE + 8 * count * channels * samples
 
 
-def _read_checked(f, out: np.ndarray, start: int, expected: int) -> None:
-    """Fill ``out`` with the payload from byte ``start``, where ``f`` stands, and
-    check its values; a file that shrank since its size was checked is truncated."""
-    end = start + f.readinto(out)
-    if end < start + out.nbytes:
-        raise TruncatedPayloadError(
-            f"payload ends at byte {end}, expected {expected}", end, expected
-        )
-    _check_finite(out, start)
-
-
-def read_trials(path) -> np.ndarray:
-    """Read a trial file into one writable ``(n, C, T)`` float64 array; the
-    labels are in a separate label file."""
-    with _opened(path) as f:
-        shape = _checked_shape(f, path)
-        data = np.empty(shape, dtype="<f8")
-        _read_checked(f, data, HEADER_SIZE, _payload_end(*shape))
-    return data
-
-
 @dataclass(frozen=True, eq=False)
 class TrialBlocks:
     """Trials of ``shape`` ``(n, C, T)``, whose ``blocks`` yield each ``(rows,
@@ -209,8 +188,8 @@ def _views(stack: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
 
 def read_trial_blocks(path) -> TrialBlocks:
     """The trials of the trial file ``path`` as :class:`TrialBlocks`: the
-    header and the file's size are checked now, each block as it is taken,
-    with the errors of :func:`read_trials`."""
+    header and the file's size are checked now, each block's values as it is
+    taken, and a file that shrank since its size was checked is truncated."""
     with _opened(path) as f:
         shape = _checked_shape(f, path)
     return TrialBlocks(shape, _payload_blocks(path, shape))
@@ -228,9 +207,25 @@ def _payload_blocks(path, shape: tuple[int, int, int]) -> Iterator[tuple[slice, 
             if buffer is None:  # the first block is the largest
                 buffer = np.empty((stop, channels, samples), dtype="<f8")
             block = buffer[: stop - rows.start]
-            _read_checked(f, block, start, expected)
-            start += block.nbytes
+            end = start + f.readinto(block)
+            if end < start + block.nbytes:
+                raise TruncatedPayloadError(
+                    f"payload ends at byte {end}, expected {expected}", end, expected
+                )
+            _check_finite(block, start)
+            start = end
             yield rows, block
+
+
+def read_trials(path) -> np.ndarray:
+    """Read a trial file into one writable ``(n, C, T)`` float64 array, the
+    stack of the blocks of :func:`read_trial_blocks`; the labels are in a
+    separate label file."""
+    trials = read_trial_blocks(path)
+    data = np.empty(trials.shape, dtype="<f8")
+    for rows, block in trials.blocks:
+        data[rows] = block
+    return data
 
 
 def _located_blocks(blocks, where: str):

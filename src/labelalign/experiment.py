@@ -34,7 +34,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import classifiers
-from .alignment import Domain, LabelMapping, align, domain, match_labels, relabel, target_roots
+from .alignment import Domain, align, domain, match_labels, relabel, target_roots
 from .dataio import load_manifest
 from .errors import (
     ConfigError,
@@ -296,10 +296,10 @@ def label_view(name: str, stack: CovStack, role: str, labels: Sequence[int]) -> 
     return stack.take(np.isin(stack.labels, labels))
 
 
-def source_view(name: str, stack: CovStack, mapping: LabelMapping) -> CovStack:
+def source_view(name: str, stack: CovStack, mapping: dict) -> CovStack:
     """The trials of one subject's stack whose label is a source label of
-    ``mapping``, relabeled to their matched target labels."""
-    view = label_view(name, stack, "source", mapping.source_labels)
+    ``mapping`` (:func:`match_labels`), relabeled to their matched target labels."""
+    view = label_view(name, stack, "source", tuple(mapping))
     return replace(view, labels=relabel(view.labels, mapping))
 
 
@@ -365,8 +365,8 @@ def _subject_unit(spec, names, domains, i: int) -> tuple[dict, list]:
     function of the scenario and ``i``. Every (k, strategy) cell rewrites one
     training buffer, the aligned source rows then the k labeled target rows.
     A :class:`DataError` is prefixed ``subject s1:`` for the pool's distances,
-    ``subject s1, k 4:`` for the labeled medoids and ``subject s1, k 4, la:``
-    for a cell (:func:`fit_predict_cell`)."""
+    ``subject s1, k 4:`` for the medoids and their class roots and ``subject
+    s1, k 4, la:`` for a cell, its labeled rows and :func:`fit_predict_cell`."""
     name, target = names[i], domains[i][1]
     sources = [source for j, (source, _) in enumerate(domains) if j != i]
     pool = target.stack
@@ -381,12 +381,10 @@ def _subject_unit(spec, names, domains, i: int) -> tuple[dict, list]:
     for k in spec.k_grid:
         with located(f"subject {name}, k {k}"):
             medoids = k_medoids(distances, k)
-            # The labeled trials of the raw and of the whitened pool, each taken
-            # (and logged) at most once per k.
-            labeled = {"raw": _labeled(pool, medoids, logs)}
-            roots = target_roots(labeled["raw"], len(spec.target_labels)) if la else None
+            roots = target_roots(pool.take(medoids), len(spec.target_labels)) if la else None
         test_idx = np.setdiff1d(np.arange(len(pool.covs)), medoids)
         truth = pool.labels[test_idx]
+        labeled = {}  # the k labeled rows of each aligned target stack, taken (and logged) once
         for strategy in spec.strategies:
             effective = strategy
             if strategy == "la" and roots is None:
@@ -395,10 +393,9 @@ def _subject_unit(spec, names, domains, i: int) -> tuple[dict, list]:
             cell = f"subject {name}, k {k}, {strategy}"
             with located(cell):
                 aligned_target = align(effective, sources, target, roots, buffer)
-                view = "ea" if effective == "ea" else "raw"
-                if view not in labeled:
-                    labeled[view] = _labeled(aligned_target, medoids, logs)
-                train = buffer.take(slice(0, buffer.write(n_source, [labeled[view]])))
+                if aligned_target not in labeled:
+                    labeled[aligned_target] = _labeled(aligned_target, medoids, logs)
+                train = buffer.take(slice(0, buffer.write(n_source, [labeled[aligned_target]])))
                 test = aligned_target.take(test_idx)
             preds = fit_predict_cell(
                 spec.pipelines, train, test, csp_pairs=spec.csp_pairs, cell=cell
@@ -452,14 +449,14 @@ def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> ExperimentReport:
             b = [report.aucs[(n, *alg_b)] for n in names]
             try:
                 t, p = paired_t_test(a, b)
-            except (ZeroVarianceError, ConfigError):
+            except ZeroVarianceError:  # every difference equal: t is undefined
                 t, p = float("nan"), float("nan")
             report.ttests[(*alg_a, *alg_b)] = (t, p)
 
     report.metadata = {
         "seed": spec.seed,
         "config_hash": spec.config_hash(),
-        "mapping": [list(p) for p in mapping.pairs],
+        "mapping": [list(p) for p in mapping.items()],
         "ea_fallbacks": sorted(fallbacks),
         "data_source": "synth" if spec.synth is not None else "manifest",
     }

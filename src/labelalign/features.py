@@ -166,8 +166,9 @@ def csp_fit(covs: Array, labels, pairs: int) -> Array:
     rows, and for more, one-vs-rest filters of each class in sorted class order.
     Each class's mean is taken over a copy of its rows, one class at a time
     (``TestTrainBuffer.test_a_two_class_fit_copies_one_class_at_a_time``); with
-    more classes, each class's rest concatenates copies of the other classes'
-    rows, in sorted class order."""
+    more classes, each class's rest is one gather of the other classes' rows,
+    class by class in sorted class order
+    (``TestTrainBuffer.test_a_four_class_csp_fit_gathers_each_rest_once``)."""
     labels = np.asarray(labels)
     classes = tuple(int(c) for c in np.unique(labels))
     if len(classes) < 2:
@@ -179,10 +180,11 @@ def csp_fit(covs: Array, labels, pairs: int) -> Array:
     if len(classes) == 2:
         return _binary_csp(means[classes[0]], means[classes[1]], pairs)
 
+    order = np.argsort(labels, kind="stable")  # the rows class by class
     blocks = []
     for label in classes:
-        rest = np.concatenate([covs[labels == other] for other in classes if other != label])
-        blocks.append(_binary_csp(means[label], np.mean(rest, axis=0), pairs))
+        rest = np.mean(covs[order[labels[order] != label]], axis=0)
+        blocks.append(_binary_csp(means[label], rest, pairs))
     return np.vstack(blocks)
 
 

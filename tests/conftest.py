@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from labelalign import classifiers, experiment
+from labelalign import classifiers, experiment, features
 from labelalign.alignment import align
 from labelalign.dataio import read_trials
 from labelalign.errors import DimMismatchError, NotConvergedError, located
@@ -234,6 +234,21 @@ def reference_pam(d, k):
         medoids[mi] = h
         medoids = sorted(medoids)
     return medoids
+
+
+def concatenated_csp_fit(covs, labels, pairs):
+    """One-vs-rest CSP filters of three or more classes as
+    :func:`labelalign.features.csp_fit` was first written: each class's rest
+    the concatenation of copies of the other classes' rows, in sorted class
+    order. The kernel is held to it bit for bit."""
+    labels = np.asarray(labels)
+    classes = np.unique(labels)
+    blocks = []
+    for label in classes:
+        rest = np.concatenate([covs[labels == other] for other in classes if other != label])
+        mean = np.mean(covs[labels == label], axis=0)
+        blocks.append(features._binary_csp(mean, np.mean(rest, axis=0), pairs))
+    return np.vstack(blocks)
 
 
 def reference_beta_cf(a, b, x):

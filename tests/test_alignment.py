@@ -13,7 +13,6 @@ from labelalign.alignment import (
     match_labels,
     relabel,
     target_roots,
-    LabelMapping,
 )
 from labelalign.errors import (
     CardinalityMismatchError,
@@ -88,13 +87,13 @@ class TestMatchLabels:
     def test_partial_overlap_keeps_common_labels(self):
         for seed in range(10):
             mapping = match_labels({1, 2, 3}, {1, 4, 5}, seed=seed)
-            assert mapping.as_dict()[1] == 1
-            assert sorted(mapping.as_dict()[s] for s in (2, 3)) == [4, 5]
+            assert mapping[1] == 1
+            assert sorted(mapping[s] for s in (2, 3)) == [4, 5]
 
     def test_identical_sets_identity_for_any_seed(self):
         for seed in range(10):
             mapping = match_labels({2, 5, 9}, {2, 5, 9}, seed=seed)
-            assert mapping.as_dict() == {2: 2, 5: 5, 9: 9}
+            assert mapping == {2: 2, 5: 5, 9: 9}
 
     def test_disjoint_sets_deterministic_bijection(self):
         seen = set()
@@ -102,9 +101,14 @@ class TestMatchLabels:
             mapping = match_labels({1, 2}, {3, 4}, seed=seed)
             again = match_labels({1, 2}, {3, 4}, seed=seed)
             assert mapping == again
-            assert mapping.as_dict() in ({1: 3, 2: 4}, {1: 4, 2: 3})
-            seen.add(tuple(sorted(mapping.as_dict().items())))
+            assert mapping in ({1: 3, 2: 4}, {1: 4, 2: 3})
+            seen.add(tuple(sorted(mapping.items())))
         assert len(seen) == 2  # both bijections reachable across seeds
+
+    def test_the_mapping_is_a_dict_in_source_label_order(self):
+        mapping = match_labels([9, 2, 5], [4, 7, 1], seed=3)
+        assert type(mapping) is dict and list(mapping) == [2, 5, 9]
+        assert sorted(mapping.values()) == [1, 4, 7]
 
     def test_cardinality_mismatch(self):
         with pytest.raises(CardinalityMismatchError):
@@ -115,10 +119,6 @@ class TestMatchLabels:
             match_labels([0, 0, 1], [2, 3, 3])
         with pytest.raises(ConfigError, match=r"duplicate target labels: \(2, 3, 3\)"):
             match_labels([0, 1, 2], [2, 3, 3])
-
-    def test_mapping_must_be_bijection(self):
-        with pytest.raises(CardinalityMismatchError):
-            LabelMapping(((1, 3), (2, 3)))
 
 
 class TestEuclideanAlignment:
@@ -213,7 +213,7 @@ class TestLabelAlignment:
         cov = random_spd(rng, 3)
         stack = stack_of(*trials_with_covariance(rng, cov, 3, label=0))
         target = {5: cov}
-        mapping = LabelMapping(((0, 5),))
+        mapping = {0: 5}
         transform = la_fit(inv_roots(in_target_labels(stack, mapping)), roots(target))
         assert np.allclose(transform[5], np.eye(3), atol=1e-10)
 
@@ -221,7 +221,7 @@ class TestLabelAlignment:
         rng = np.random.default_rng(118)
         stack = stack_of(*trials_with_covariance(rng, np.diag([4.0, 1.0]), 2, label=0))
         target = {1: np.diag([1.0, 4.0])}
-        transform = la_fit(inv_roots(in_target_labels(stack, LabelMapping(((0, 1),)))),
+        transform = la_fit(inv_roots(in_target_labels(stack, {0: 1})),
                            roots(target))
         assert np.allclose(transform[1], np.diag([0.5, 2.0]), atol=1e-10)
 
@@ -230,7 +230,7 @@ class TestLabelAlignment:
         stack = stack_of(*random_trials(rng, 5, 8, 40))
         target_mean = random_spd(rng, 8, scale=0.8)
         target = {2: target_mean}
-        mapping = LabelMapping(((0, 2),))
+        mapping = {0: 2}
         transform = la_fit(inv_roots(in_target_labels(stack, mapping)), roots(target))
         a = transform[2]
         source_mean = arithmetic_mean_cov(stack.covs)
@@ -258,7 +258,7 @@ class TestLabelAlignment:
             trials = classes(rng)
             c = trials[0].shape[1]
             t_means = {7: random_spd(rng, c), 9: random_spd(rng, c)}
-            mapping = LabelMapping(((0, 7), (1, 9)))
+            mapping = {0: 7, 1: 9}
             stack = in_target_labels(stack_of(*trials), mapping)
             transform = la_fit(inv_roots(stack), roots(t_means))
             aligned = la_apply(transform, stack)
@@ -272,13 +272,13 @@ class TestLabelAlignment:
     def test_identity_transform_only_relabels(self):
         rng = np.random.default_rng(121)
         stack = stack_of(rng.standard_normal((1, 2, 20)), [0])
-        out = la_apply({4: np.eye(2)}, in_target_labels(stack, LabelMapping(((0, 4),))))
+        out = la_apply({4: np.eye(2)}, in_target_labels(stack, {0: 4}))
         assert np.array_equal(out.covs, stack.covs)
         assert out.labels.tolist() == [4]
 
     def test_within_class_distances_preserved(self):
         rng = np.random.default_rng(122)
-        stack = in_target_labels(stack_of(*random_trials(rng, 5, 4, 50)), LabelMapping(((0, 1),)))
+        stack = in_target_labels(stack_of(*random_trials(rng, 5, 4, 50)), {0: 1})
         target = {1: random_spd(rng, 4)}
         transform = la_fit(inv_roots(stack), roots(target))
         before = stack.covs
@@ -314,11 +314,11 @@ class TestLabelAlignment:
         data, labels = joined(random_trials(rng, 3, 4, 30, label=0),
                               random_trials(rng, 3, 4, 30, label=1))
         means = {5: random_spd(rng, 4), 6: random_spd(rng, 4)}
-        mapping = LabelMapping(((0, 5), (1, 6)))
+        mapping = {0: 5, 1: 6}
         stack = in_target_labels(covariance_stack(data, labels, scatter=True), mapping)
         transform = la_fit(inv_roots(stack), roots(means))
         aligned = la_apply(transform, stack)
-        target_label = mapping.as_dict()
+        target_label = mapping
         moved = np.stack([transform[target_label[l]] @ x for x, l in zip(data, labels)])
         reference = covariance_stack(moved, labels, scatter=True)
         assert relative_error(aligned.covs, reference.covs) <= 1e-12
@@ -340,7 +340,7 @@ class TestAlignDispatch:
         rng = np.random.default_rng(126)
         source = stack_of(rng.standard_normal((1, 2, 20)), [0])
         target = stack_of(rng.standard_normal((1, 2, 20)), [1])
-        source_view = in_target_labels(source, LabelMapping(((0, 1),)))
+        source_view = in_target_labels(source, {0: 1})
         sources, _ = align_sources("raw", [domain(source_view)], domain(target))
         assert np.array_equal(sources[0].covs, source.covs)
         assert sources[0].labels.tolist() == [1]
@@ -359,7 +359,7 @@ class TestAlignDispatch:
         source = stack_of(*trials_with_covariance(rng, random_spd(rng, 3), 4, label=0))
         target_mean = random_spd(rng, 3)
         means = {5: target_mean}
-        source = in_target_labels(source, LabelMapping(((0, 5),)))
+        source = in_target_labels(source, {0: 5})
         empty_target = domain(CovStack(np.eye(3)[None], np.array([5])))
         sources, _ = align_sources("la", [domain(source, source=True)], empty_target,
                                    roots(means))
@@ -370,7 +370,7 @@ class TestAlignDispatch:
     @pytest.mark.parametrize("matrices", [1, 3, 100])  # 7 rows: 7 x 1, 3 + 3 + 1, one chunk
     def test_la_rows_in_chunks_are_the_whole_source_bit_for_bit(self, monkeypatch, matrices):
         rng = np.random.default_rng(134)
-        mapping = LabelMapping(((0, 2), (1, 3)))
+        mapping = {0: 2, 1: 3}
         sources = []
         for _ in range(2):
             data, labels = joined(random_trials(rng, 4, 3, 30), random_trials(rng, 3, 3, 30, 1))
@@ -398,7 +398,7 @@ class TestAlignDispatch:
 
     def test_ea_and_raw_return_the_domain_stacks(self):
         rng = np.random.default_rng(132)
-        mapping = LabelMapping(((0, 1),))
+        mapping = {0: 1}
         source_view = in_target_labels(stack_of(*random_trials(rng, 5, 3, 30)), mapping)
         source = with_logs(domain(source_view, source=True))
         target = with_logs(domain(stack_of(*random_trials(rng, 5, 3, 30, label=1))))
@@ -421,4 +421,4 @@ class TestAlignDispatch:
 
     def test_relabel_requires_known_labels(self):
         with pytest.raises(UnknownLabelError):
-            relabel([9], LabelMapping(((0, 1),)))
+            relabel([9], {0: 1})

@@ -34,6 +34,17 @@ def make_trials(rng, count, channels, samples):
     return rng.standard_normal((count, channels, samples))
 
 
+def drain_blocks(path) -> None:
+    """Read every block of the trial file ``path`` through ``read_trial_blocks``."""
+    for _ in read_trial_blocks(path).blocks:
+        pass
+
+
+# A fault of a trial file raises the same error at the same offset through
+# either reader.
+READERS = pytest.mark.parametrize("read", [read_trials, drain_blocks], ids=["whole", "blocks"])
+
+
 class TestTrialFile:
     def test_round_trip_values(self, tmp_path):
         rng = np.random.default_rng(101)
@@ -62,21 +73,24 @@ class TestTrialFile:
         write_trials(p2, read_trial_blocks(p1))  # over the file, from the blocks of another
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_bad_magic_offset_zero(self, tmp_path):
+    @READERS
+    def test_bad_magic_offset_zero(self, tmp_path, read):
         path = tmp_path / "bad"
         path.write_bytes(b"XXXX" + bytes(20))
         with pytest.raises(BadMagicError) as err:
-            read_trials(path)
+            read(path)
         assert err.value.offset == 0
 
-    def test_bad_version_offset_four(self, tmp_path):
+    @READERS
+    def test_bad_version_offset_four(self, tmp_path, read):
         path = tmp_path / "bad"
         path.write_bytes(b"EEGT" + bytes([9]) + struct.pack("<III", 1, 1, 1) + bytes(8))
         with pytest.raises(BadMagicError) as err:
-            read_trials(path)
+            read(path)
         assert err.value.offset == 4
 
-    def test_truncated_payload_offset(self, tmp_path):
+    @READERS
+    def test_truncated_payload_offset(self, tmp_path, read):
         rng = np.random.default_rng(102)
         channels, samples = 3, 10
         path = tmp_path / "t"
@@ -85,12 +99,13 @@ class TestTrialFile:
         blob[13:17] = struct.pack("<I", 2)  # header now claims 2 trials
         path.write_bytes(bytes(blob))
         with pytest.raises(TruncatedPayloadError) as err:
-            read_trials(path)
+            read(path)
         trial_bytes = 8 * channels * samples
         assert err.value.offset == HEADER_SIZE + trial_bytes
         assert err.value.expected_size == HEADER_SIZE + 2 * trial_bytes
 
-    def test_nonfinite_payload_names_offset(self, tmp_path):
+    @READERS
+    def test_nonfinite_payload_names_offset(self, tmp_path, read):
         rng = np.random.default_rng(103)
         path = tmp_path / "n"
         write_trials(path, make_trials(rng, 1, 2, 5))
@@ -100,8 +115,16 @@ class TestTrialFile:
         blob[start : start + 8] = struct.pack("<d", np.nan)
         path.write_bytes(bytes(blob))
         with pytest.raises(NonFinitePayloadError) as err:
-            read_trials(path)
+            read(path)
         assert err.value.offset == start
+
+    def test_a_file_of_many_blocks_reads_the_same_through_either_reader(self, tmp_path):
+        trials = make_trials(np.random.default_rng(104), 50, 4, 100)  # blocks of 40 and 10
+        path = tmp_path / "b.trials"
+        write_trials(path, trials)
+        blocks = [block.tobytes() for _, block in read_trial_blocks(path).blocks]
+        assert len(blocks) == 2
+        assert read_trials(path).tobytes() == b"".join(blocks) == trials.tobytes()
 
     def test_write_rejects_mixed_shapes(self, tmp_path):
         with pytest.raises(DimMismatchError):
@@ -170,11 +193,12 @@ class TestTrialFile:
         assert path.read_bytes() == b"earlier bytes"
         assert [p.name for p in tmp_path.iterdir()] == ["x.trials"]
 
-    def test_header_claiming_more_than_the_file_holds_is_truncated(self, tmp_path):
+    @READERS
+    def test_header_claiming_more_than_the_file_holds_is_truncated(self, tmp_path, read):
         path = tmp_path / "huge"
         path.write_bytes(b"EEGT\x01" + struct.pack("<III", 2**16, 2**16, 2**16) + bytes(8))
         with pytest.raises(TruncatedPayloadError) as err:
-            read_trials(path)
+            read(path)
         assert err.value.offset == HEADER_SIZE + 8
         assert err.value.expected_size == HEADER_SIZE + 8 * 2**48
 

@@ -60,6 +60,7 @@ from labelalign.errors import (
     MissingClassError,
     NotPositiveDefiniteError,
     TruncatedPayloadError,
+    ZeroVarianceError,
 )
 from labelalign.experiment import (
     PIPELINES,
@@ -215,6 +216,20 @@ class TestGoldenReport:
         # The benchmark reads its result from the last line of standard output.
         run_scenario(load_scenario(GOLDEN_SPEC))
         assert capfd.readouterr().out == ""
+
+    @pytest.mark.parametrize("error", [ZeroVarianceError, ConfigError])
+    def test_only_an_undefined_t_is_a_nan_row(self, monkeypatch, error):
+        def failing(a, b):
+            raise error("injected")
+
+        monkeypatch.setattr(experiment, "paired_t_test", failing)
+        spec = replace(load_scenario(GOLDEN_SPEC), strategies=("raw", "ea"), pipelines=("mdm",))
+        if error is ConfigError:  # a bug of the harness, not a NaN row
+            with pytest.raises(ConfigError, match="^injected$"):
+                run_scenario(spec)
+        else:
+            (t, p), = run_scenario(spec).ttests.values()
+            assert math.isnan(t) and math.isnan(p)
 
 
 @pytest.fixture
@@ -417,6 +432,36 @@ class TestSharedWork:
         # One eigvalsh per row of each pool's distances, a tangent root per
         # mapped stack and one exp per MDM class made it 335 calls.
         assert golden_run.eig_calls == 233
+
+    def test_an_ea_only_run_logs_no_raw_labeled_row(self, monkeypatch, golden_run):
+        """A unit takes and logs the labeled rows of the stack that a cell trains
+        on, so a run that trains only on the whitened view logs no raw target row."""
+        spec = replace(load_scenario(GOLDEN_SPEC), strategies=("ea",))
+        names, subjects = experiment._open_subjects(spec)
+        pools = [target.stack.covs for _, target in scenario_domains(spec, names, subjects)]
+        logged, calls, matrices = [], [0], [0]
+
+        def log_spy(p):
+            logged.append(p)
+            return spd_log(p)
+
+        def eigh_spy(a, *args, **kwargs):
+            calls[0] += 1
+            matrices[0] += math.prod(np.shape(a)[:-2])
+            return eigh(a, *args, **kwargs)
+
+        eigh = np.linalg.eigh
+        for module in (spd, features):
+            monkeypatch.setattr(module, "spd_log", log_spy)
+        monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+        report = run_scenario(spec)
+        assert report.accuracies == {
+            key: value for key, value in golden_run.report.accuracies.items() if key[2] == "ea"
+        }
+        seen = {m.tobytes() for p in logged for m in np.reshape(p, (-1, *p.shape[-2:]))}
+        assert all(m.tobytes() not in seen for pool in pools for m in pool)
+        # Logging the raw labeled rows at each k too made it 98 calls over 839.
+        assert (calls[0], matrices[0]) == (92, 815)
 
     def test_each_ts_cell_takes_one_inverse_root_of_its_reference(self, monkeypatch):
         roots, cells = [], []  # every single-matrix inverse root; per cell, its roots and ref
@@ -1061,12 +1106,20 @@ class TestTrainBuffer:
     ])
     def test_a_two_class_fit_copies_one_class_at_a_time(self, fit):
         # Each class's mean is taken over a copy of its rows: 0.50 stacks
-        # beside the input, measured with numpy 2.4. With four classes, CSP's
-        # one-vs-rest pools also copy the other classes' rows, and peak at 2.26.
+        # beside the input, measured with numpy 2.4.
         g = np.random.default_rng(63).standard_normal((800, 22, 30))
         stack = g @ g.swapaxes(-1, -2) / 30  # covariances, or logs to MDM
         labels = np.arange(800) % 2
         assert traced_peak(lambda: fit(stack, labels)) < 0.6 * stack.nbytes
+
+    def test_a_four_class_csp_fit_gathers_each_rest_once(self):
+        # Each class's one-vs-rest pool is one gather of the other classes'
+        # rows: 0.76 stacks beside the input, measured with numpy 2.4.
+        # Concatenating a copy of each other class's rows peaked at 2.26.
+        g = np.random.default_rng(64).standard_normal((800, 22, 30))
+        stack = g @ g.swapaxes(-1, -2) / 30
+        labels = np.arange(800) % 4
+        assert traced_peak(lambda: features.csp_fit(stack, labels, 3)) < stack.nbytes
 
 
 class TestJsonReport:

@@ -6,7 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import random_invertible, random_spd, read_subject, tangent_unmap, traced_peak
+from conftest import (
+    concatenated_csp_fit,
+    random_invertible,
+    random_spd,
+    read_subject,
+    tangent_unmap,
+    traced_peak,
+)
 
 from labelalign import spd
 from labelalign.dataio import (
@@ -393,6 +400,14 @@ class TestCspFit:
         with pytest.raises(DegenerateCovarianceError,
                            match=r"^composite covariance not SPD \(min eigenvalue 0\)$"):
             csp_fit(np.zeros((2, 4, 4)), [0, 1], 1)
+
+    @pytest.mark.parametrize("classes", [3, 4])
+    def test_one_vs_rest_filters_are_those_of_the_concatenated_rest(self, classes):
+        rng = np.random.default_rng(40 + classes)
+        covs = np.stack([random_spd(rng, 6) for _ in range(10 * classes)])
+        labels = rng.permutation(np.arange(10 * classes) % classes)  # rows out of class order
+        got = csp_fit(covs, labels, 2)
+        assert got.tobytes() == concatenated_csp_fit(covs, labels, 2).tobytes()
 
 
 class TestCspFeatures:
